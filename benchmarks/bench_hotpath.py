@@ -49,6 +49,13 @@ trajectory tracks the per-interval coupling overhead (the facility
 advances through a pure RHS update — no refactorization — so the
 overhead should stay in the low single-digit percent), plus the
 closed-loop convergence residual as the algorithmic sanity value.
+
+Schema v6 adds an ``inlet_sweep`` section: a cold 4-inlet TALB ``Var``
+sweep at 16x16 next to a cold single-inlet run of the same config. The
+inlet enters only the boundary vector, so the content-addressed LU
+store must make the sweep factorize exactly as often as the single
+inlet; the traced ``factorize`` digests count the distinct matrices, so
+the section also records duplicate LUs (gated at zero).
 """
 
 from __future__ import annotations
@@ -87,7 +94,9 @@ from repro.thermal.solver import (  # noqa: E402
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
+
+INLETS = (45.0, 55.0, 65.0, 75.0)
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -294,6 +303,63 @@ def collect_timing_breakdown() -> dict:
     }
 
 
+def _inlet_configs(inlets) -> list:
+    """A TALB ``Var`` sweep over inlet temperatures at 16x16: the
+    points share every matrix and differ only in the boundary vector."""
+    return [
+        SimulationConfig(
+            policy="TALB",
+            cooling=CoolingMode.LIQUID_VARIABLE,
+            nx=16,
+            ny=16,
+            duration=0.5,
+            thermal_params=ThermalParams(inlet_temperature=inlet),
+        )
+        for inlet in inlets
+    ]
+
+
+def collect_inlet_sweep_metrics() -> dict:
+    """LU counts of a cold inlet-temperature sweep (schema v6).
+
+    Runs the 4-inlet sweep and its first inlet alone, each cold (system
+    memo, LU store, and neighbor pool cleared) and traced. The gate is
+    algorithmic: the sweep must factorize exactly as often as the single
+    inlet, and no two ``factorize`` spans may carry the same matrix
+    digest.
+    """
+
+    def campaign(inlets) -> tuple[int, int]:
+        clear_system_memo()
+        clear_neighbor_cache()
+        telemetry_trace.enable()
+        telemetry_trace.clear()
+        before = telemetry_metrics.snapshot()
+        BatchRunner(_inlet_configs(inlets), cache=CharacterizationCache()).run()
+        factorizations = _counter_delta(
+            before, telemetry_metrics.snapshot(), "solver.factorizations"
+        )
+        digests = {
+            event["attrs"]["digest"]
+            for event in telemetry_trace.events()
+            if event["name"] == "factorize"
+        }
+        telemetry_trace.disable()
+        telemetry_trace.clear()
+        return factorizations, len(digests)
+
+    single, _ = campaign(INLETS[:1])
+    swept, distinct = campaign(INLETS)
+    return {
+        "sweep": "TALB Var, inlet 45/55/65/75 degC, 16x16, 0.5 s simulated, cold",
+        "n_inlets": len(INLETS),
+        "single_inlet_factorizations": single,
+        "factorizations": swept,
+        "distinct_matrices": distinct,
+        "duplicate_factorizations": swept - distinct,
+    }
+
+
 def collect_facility_metrics(repeats: int = 5) -> dict:
     """Facility co-simulation overhead and convergence (PR 10 / v5).
 
@@ -430,6 +496,7 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
         ),
         "timing_breakdown": collect_timing_breakdown(),
         "facility": collect_facility_metrics(repeats=repeats),
+        "inlet_sweep": collect_inlet_sweep_metrics(),
     }
 
 
@@ -482,6 +549,11 @@ def test_hotpath_baseline(tmp_path):
     # the 5 s pull-down must land the inlet on the setpoint.
     assert facility["inlet_error_K"] < 0.5
     assert facility["pue"] > 1.0
+    inlet = loaded["inlet_sweep"]
+    # The LU-store gate: inlets share every matrix, so the sweep
+    # factorizes exactly as often as one inlet, with no duplicate LU.
+    assert inlet["factorizations"] == inlet["single_inlet_factorizations"]
+    assert inlet["duplicate_factorizations"] == 0
 
 
 def main(argv=None) -> int:
@@ -556,6 +628,15 @@ def main(argv=None) -> int:
         f"  pull-down convergence: inlet {facility['converged_inlet_c']:.2f} degC"
         f" vs setpoint {facility['setpoint_c']:.1f}"
         f" (|err| {facility['inlet_error_K']:.3f} K, PUE {facility['pue']:.3f})"
+    )
+    inlet = payload["inlet_sweep"]
+    print(f"\ninlet sweep: {inlet['sweep']}")
+    print(
+        f"  factorizations: {inlet['n_inlets']} inlets"
+        f" {inlet['factorizations']}, one inlet"
+        f" {inlet['single_inlet_factorizations']}"
+        f" ({inlet['distinct_matrices']} distinct matrices,"
+        f" {inlet['duplicate_factorizations']} duplicates)"
     )
     print(f"\nwrote {args.out}")
     return 0

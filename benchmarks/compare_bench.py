@@ -15,13 +15,17 @@ Two kinds of checks, deliberately different in severity:
 * **The algorithmic counters gate.** A warm cohort campaign performing
   any LU factorization means kernel sharing broke, and a cross-network
   krylov campaign factorizing as often as it has design points means
-  neighbor-LU preconditioning broke — those are properties of the
-  code, not the machine, so either exits nonzero and fails CI.
+  neighbor-LU preconditioning broke, and a cold inlet-temperature
+  sweep factorizing more often than a single inlet (or factorizing any
+  matrix twice) means the content-addressed LU store broke — those are
+  properties of the code, not the machine, so each exits nonzero and
+  fails CI.
 
 Schema changes are tolerated in both directions: benchmarks present on
 only one side are reported as "new" / "not measured" instead of
 failing, and a missing ``cross_network`` (pre-v3), ``timing_breakdown``
-(pre-v4), or ``facility`` (pre-v5) section is a note, not an error.
+(pre-v4), ``facility`` (pre-v5), or ``inlet_sweep`` (pre-v6) section is
+a note, not an error.
 """
 
 from __future__ import annotations
@@ -121,6 +125,34 @@ def _compare_timing_breakdown(cur: dict | None, base: dict | None) -> None:
         )
 
 
+def _gate_inlet_sweep(inlet: dict | None) -> int:
+    """The LU-store gate (schema v6); returns the failure count.
+
+    Inlets share every matrix, so a cold inlet sweep must factorize
+    exactly as often as its single-inlet run, with no duplicate LU.
+    """
+    if inlet is None:
+        print("(inlet_sweep: not measured this run)")
+        return 0
+    swept = inlet.get("factorizations")
+    single = inlet.get("single_inlet_factorizations")
+    duplicates = inlet.get("duplicate_factorizations")
+    if swept is None or swept != single or duplicates != 0:
+        print(
+            "::error title=perf gate::cold inlet sweep performed"
+            f" {swept} LU factorizations ({duplicates} duplicates) vs"
+            f" {single} for a single inlet (expected equal, no duplicates"
+            " — the inlet moves only the boundary vector, so every matrix"
+            " must be factorized once)"
+        )
+        return 1
+    print(
+        f"inlet_sweep_factorizations {swept:9d}"
+        "  (gate: ok, = single inlet, 0 duplicates)"
+    )
+    return 0
+
+
 def compare(current: dict, baseline: dict) -> int:
     """Print the comparison; return the number of gating failures."""
     failures = 0
@@ -211,6 +243,8 @@ def compare(current: dict, baseline: dict) -> int:
                 f"krylov_factorizations   {factorizations:12d}"
                 f"  (gate: ok, < {n_points} design points)"
             )
+
+    failures += _gate_inlet_sweep(current.get("inlet_sweep"))
 
     print(
         f"\n{len(shared)} benchmarks compared, {warnings} regression"

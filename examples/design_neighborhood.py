@@ -25,12 +25,11 @@ from repro import SimulationConfig
 from repro.runner import BatchRunner
 from repro.sim.cache import CharacterizationCache, clear_system_memo
 from repro.sim.config import CoolingMode
+from repro.telemetry import metrics
 from repro.thermal.rc_network import ThermalParams
 from repro.thermal.solver import (
     KRYLOV_TEMPERATURE_TOLERANCE,
     clear_neighbor_cache,
-    factorization_count,
-    krylov_stats,
 )
 
 N_POINTS = 8
@@ -53,32 +52,31 @@ def neighborhood(solver: str) -> list[SimulationConfig]:
 
 
 def campaign(solver: str):
-    """Run the neighborhood cold; return (results, factorizations)."""
+    """Run the neighborhood cold; return (results, counter deltas)."""
     clear_system_memo()
     clear_neighbor_cache()
-    before = factorization_count()
+    before = metrics.snapshot()
     batch = BatchRunner(
         neighborhood(solver), cohort="auto", cache=CharacterizationCache()
     )
     runs = batch.run().runs
-    return [run.result for run in runs], factorization_count() - before
+    counters = metrics.snapshot_diff(before, metrics.snapshot())["counters"]
+    return [run.result for run in runs], counters
 
 
 def main() -> int:
-    exact_results, exact_f = campaign("exact")
-    stats_before = krylov_stats()
-    krylov_results, krylov_f = campaign("krylov")
-    stats = {
-        key: value - stats_before[key]
-        for key, value in krylov_stats().items()
-    }
+    exact_results, exact = campaign("exact")
+    krylov_results, krylov = campaign("krylov")
+    exact_f = exact.get("solver.factorizations", 0)
+    krylov_f = krylov.get("solver.factorizations", 0)
 
     worst = max(
         float(np.abs(e.tmax - k.tmax).max())
         for e, k in zip(exact_results, krylov_results)
     )
-    hits = stats["preconditioner_hits"]
-    misses = stats["preconditioner_misses"]
+    hits = krylov.get("solver.krylov.preconditioner_hits", 0)
+    misses = krylov.get("solver.krylov.preconditioner_misses", 0)
+    fallbacks = krylov.get("solver.krylov.fallbacks", 0)
     hit_rate = hits / (hits + misses) if hits + misses else 0.0
 
     print(f"design neighborhood: {N_POINTS} resistance_scale points, 32x32")
@@ -86,7 +84,7 @@ def main() -> int:
     print(
         f"  krylov solver: {krylov_f} LU factorizations"
         f" (preconditioner hit rate {hit_rate:.0%},"
-        f" {stats['fallbacks']} fallbacks)"
+        f" {fallbacks} fallbacks)"
     )
     print(
         f"  max |dT| vs exact: {worst:.2e} K"

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import SchedulingError
 from repro.thermal.rc_network import RCNetwork
-from repro.thermal.solver import steady_solver_for
+from repro.thermal.solver import SteadyStateSolver
 
 
 class ThermalWeights:
@@ -86,10 +86,10 @@ class ThermalWeights:
         if not core_keys:
             raise SchedulingError("stack has no cores")
 
-        # Networks are cached per pump setting upstream; the solver memo
-        # reuses one LU factorization across repeated derivations (e.g.
-        # weight-target sweeps over the same network).
-        solver = steady_solver_for(network)
+        # The LU store hands back the factorization of any live solver
+        # of the same matrix (e.g. the flow-table characterization's),
+        # so deriving weights adds only triangular solves.
+        solver = SteadyStateSolver(network)
         base_units = np.zeros(grid.n_units)
         if background_power > 0.0:
             non_core = np.setdiff1d(

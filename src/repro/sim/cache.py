@@ -38,6 +38,7 @@ from repro.registry import (
 from repro.sched.weights import ThermalWeights
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.telemetry import metrics as _metrics
+from repro.thermal.solver import clear_lu_store
 from repro.workload.generator import ThreadTrace
 
 _CHAR_HITS = _metrics.counter("cache.characterization.hits")
@@ -59,18 +60,22 @@ _system_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
 _SYSTEM_MEMO_CAPACITY = 4
 """Process-local LRU of (ThermalSystem, PowerModel) pairs keyed by
 their config identity. Simulators for the same system share assembled
-networks and LU factorizations — sweep/batch runs that revisit a
-configuration skip the per-run assembly+factorization cost entirely.
-Safe to share: ThermalSystem holds no per-run mutable state (pump
-state, controllers, and queues live in the Simulator), and a rebuilt
-system is bit-identical to a cached one (canonical assembly +
-deterministic factorization), so results never depend on memo hits.
-The small capacity bounds resident LU memory at paper-scale grids."""
+networks and solvers — sweep/batch runs that revisit a configuration
+skip the per-run assembly cost entirely. Safe to share: ThermalSystem
+holds no per-run mutable state (pump state, controllers, and queues
+live in the Simulator), and a rebuilt system is bit-identical to a
+cached one (canonical assembly + deterministic factorization), so
+results never depend on memo hits. The memoized systems' solvers are
+what keep LUs alive in the content-addressed LU store
+(:func:`repro.thermal.solver.factorize`), so the small capacity bounds
+resident LU memory at paper-scale grids."""
 
 
 def clear_system_memo() -> None:
-    """Drop all memoized thermal systems (frees their factorizations)."""
+    """Drop all memoized thermal systems and forget every stored LU, so
+    the next campaign assembles and factorizes afresh."""
     _system_memo.clear()
+    clear_lu_store()
 
 
 def _system_memo_key(config: SimulationConfig) -> tuple:
@@ -154,9 +159,9 @@ class CharacterizationCache:
     """Caches the offline pre-processing artifacts of the paper.
 
     All values are plain data (numpy arrays, dicts of floats, ints), so
-    instances pickle cleanly; the sparse LU factorizations stay inside
-    :class:`~repro.sim.system.ThermalSystem` and are rebuilt per
-    process.
+    instances pickle cleanly; the sparse LU factorizations live in the
+    process-wide LU store (:func:`repro.thermal.solver.factorize`) and
+    are rebuilt per process.
     """
 
     def __init__(self) -> None:

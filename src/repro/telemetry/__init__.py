@@ -15,7 +15,7 @@ Typical use::
     from repro import telemetry
 
     telemetry.counter("solver.factorizations").inc()
-    with telemetry.span("factorize", n_nodes=n) as sp:
+    with telemetry.span("factorize", kind="steady", digest=d) as sp:
         lu = splu(matrix)
         sp.set_attrs(nnz=int(matrix.nnz))
 

@@ -21,9 +21,9 @@ Export (:func:`export_trace`) writes a self-describing JSONL file via
 :mod:`repro.io.jsonl` — a header line, one line per span, and a final
 ``metrics`` line carrying the registry snapshot. :func:`validate_trace`
 re-reads such a file and checks the documented schema: every line
-parses, required keys present, ids unique, and every span's interval
-nested within its parent's. Tracing never touches simulation state, so
-outputs are byte-identical with tracing on or off.
+parses, required keys and attributes present, ids unique, and every
+span's interval nested within its parent's. Tracing never touches
+simulation state, so outputs are byte-identical with tracing on or off.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ DEFAULT_CAPACITY = 65536
 SPAN_REQUIRED_KEYS = (
     "name", "span", "parent", "t_start", "duration_s", "pid", "thread",
 )
+
+#: Attributes a span must carry, by span name: every LU factorization
+#: names its tier and the digest of the matrix it factorized, so a
+#: repeated digest exposes a duplicate LU.
+SPAN_REQUIRED_ATTRS = {"factorize": ("kind", "digest")}
 
 #: Slack (seconds) allowed when checking child-within-parent nesting;
 #: covers perf_counter quantization, not real misnesting.
@@ -281,9 +286,10 @@ def validate_trace(path: Union[str, Path]) -> TraceReport:
     """Check a trace file against the documented schema.
 
     Collects (rather than raises) every violation: unparseable lines,
-    missing header, unknown line kinds, missing span keys, duplicate
-    span ids, dangling parents, and spans not nested within their
-    parent's interval.
+    missing header, unknown line kinds, missing span keys or required
+    attributes (:data:`SPAN_REQUIRED_ATTRS`), duplicate span ids,
+    dangling parents, and spans not nested within their parent's
+    interval.
     """
     from repro.io.jsonl import read_jsonl
 
@@ -322,6 +328,15 @@ def validate_trace(path: Union[str, Path]) -> TraceReport:
                 f"line {lineno}: span missing keys {', '.join(missing)}"
             )
             continue
+        absent = [
+            key for key in SPAN_REQUIRED_ATTRS.get(entry["name"], ())
+            if key not in (entry.get("attrs") or {})
+        ]
+        if absent:
+            report.errors.append(
+                f"line {lineno}: {entry['name']} span missing attrs"
+                f" {', '.join(absent)}"
+            )
         span_id = entry["span"]
         if span_id in spans:
             report.errors.append(f"line {lineno}: duplicate span id {span_id}")

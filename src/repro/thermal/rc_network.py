@@ -105,8 +105,10 @@ class ThermalParams:
 class RCNetwork:
     """An assembled thermal RC network.
 
-    ``eq=False`` keeps instances hashable by identity, so solver caches
-    can key on the network itself (e.g. via weak references).
+    ``eq=False`` keeps identity semantics: a field-wise ``==`` over
+    sparse matrices and arrays has no single truth value. Solvers share
+    LUs by matrix content (:func:`repro.thermal.solver.factorize`),
+    never by network identity or equality.
 
     Attributes
     ----------

@@ -7,8 +7,9 @@ transient solver uses backward Euler::
 
 which is unconditionally stable (the paper steps at the 100 ms sampling
 interval, comparable to the stack's thermal time constant). The system
-matrix depends only on (G, dt), so one sparse LU factorization per pump
-setting is cached and each step costs a pair of triangular solves.
+matrix depends only on (G, dt), so its sparse LU comes from a
+process-wide store keyed by matrix content (:func:`factorize`) and each
+step costs a pair of triangular solves.
 """
 
 from __future__ import annotations
@@ -31,12 +32,15 @@ from repro.thermal.rc_network import RCNetwork, ThermalParams
 
 _FACTORIZATIONS = _metrics.counter("solver.factorizations")
 """Monotonic count of sparse LU factorizations this process has
-performed (steady + transient), kept in the process-wide
-:mod:`repro.telemetry` registry (thread-safe increments). Factorizing
-is the expensive, cacheable step — a batched cohort campaign must hit
-each distinct (network, dt) system exactly once, and
-``benchmarks/bench_hotpath.py`` plus the CI perf job gate on deltas of
-this counter rather than on wall-clock."""
+performed — LU-store misses, whatever tier asked — kept in the
+process-wide :mod:`repro.telemetry` registry (thread-safe increments).
+Factorizing is the expensive, cacheable step: a campaign must pay once
+per distinct matrix, and ``benchmarks/bench_hotpath.py`` plus the CI
+perf job gate on deltas of this counter rather than on wall-clock."""
+
+_LU_STORE_HITS = _metrics.counter("solver.lu_store.hits")
+"""LU-store hits (factorizations saved), labeled by the asking tier:
+``kind=steady|transient|krylov``."""
 
 
 def factorization_count() -> int:
@@ -49,42 +53,118 @@ def factorization_count() -> int:
     return _FACTORIZATIONS.value()
 
 
-def _count_factorization() -> None:
+class Factorization:
+    """A sparse LU held by solvers and weakly by the LU store.
+
+    ``SuperLU`` objects cannot be weakly referenced; this handle can,
+    so the store forgets an LU with its last holder. ``solve`` is the
+    LU's own bound method (no extra Python frame per solve).
+    """
+
+    __slots__ = ("lu", "solve", "digest", "__weakref__")
+
+    def __init__(self, lu: spla.SuperLU, digest: str) -> None:
+        self.lu = lu
+        self.solve = lu.solve
+        self.digest = digest
+
+
+_lu_store: "weakref.WeakValueDictionary[str, Factorization]" = (
+    weakref.WeakValueDictionary()
+)
+_lu_store_lock = threading.Lock()
+
+
+def factorize(matrix: sp.spmatrix, kind: str) -> Factorization:
+    """The LU of ``matrix`` from the process-wide store, keyed by the
+    sha256 of its shape and CSC arrays; factorized only on a miss.
+
+    Every exact factorization (steady, transient, TALB weights, the
+    krylov tier's own) comes through here, so a matrix is factorized
+    once however many systems share it — an inlet sweep moves only the
+    boundary vector, so its points share every LU. Identical CSC arrays
+    give an identical LU, so sharing never changes a result bit.
+    ``kind`` (``steady``, ``transient`` or ``krylov``) labels the hit
+    counter and the ``factorize`` span. Two threads missing on the same
+    matrix at once may both factorize; the first stored handle wins.
+    """
+    csc = matrix.tocsc()
+    hasher = hashlib.sha256(repr(csc.shape).encode())
+    for array in (csc.indptr, csc.indices, csc.data):
+        hasher.update(np.ascontiguousarray(array).tobytes())
+    digest = hasher.hexdigest()
+    with _lu_store_lock:
+        hit = _lu_store.get(digest)
+    if hit is not None:
+        _LU_STORE_HITS.inc(kind=kind)
+        return hit
+    with _trace.span(
+        "factorize", kind=kind, n_nodes=csc.shape[0], digest=digest[:12]
+    ):
+        try:
+            lu = spla.splu(csc)
+        except RuntimeError as exc:
+            raise SolverError(f"{kind} factorization failed: {exc}") from exc
     _FACTORIZATIONS.inc()
+    with _lu_store_lock:
+        return _lu_store.setdefault(digest, Factorization(lu, digest))
+
+
+def clear_lu_store() -> None:
+    """Forget every stored LU, so later solvers factorize afresh.
+
+    Solvers already holding a :class:`Factorization` keep it."""
+    with _lu_store_lock:
+        _lu_store.clear()
+
+
+def _vector(array, n: int) -> np.ndarray:
+    """``array`` as a float vector of length ``n``."""
+    out = np.asarray(array, dtype=float)
+    if out.shape != (n,):
+        raise SolverError(f"vector has shape {out.shape}, expected ({n},)")
+    return out
+
+
+def _block(array, n: int, like: Optional[np.ndarray] = None) -> np.ndarray:
+    """``array`` as an ``(n, k)`` float matrix (shaped like ``like``)."""
+    out = np.asarray(array, dtype=float)
+    if out.ndim != 2 or out.shape[0] != n or (
+        like is not None and out.shape != like.shape
+    ):
+        raise SolverError(f"matrix has shape {out.shape}, expected ({n}, k)")
+    return out
+
+
+def _finite(temps: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(temps)):
+        raise SolverError(f"{what} produced non-finite temperatures")
+    return temps
+
+
+def _c_over_dt(network: RCNetwork, dt: float) -> np.ndarray:
+    """The backward-Euler diagonal ``C/dt``, validated."""
+    if dt <= 0.0:
+        raise SolverError("time step must be positive")
+    c_over_dt = network.capacitance / dt
+    if np.any(c_over_dt < 0.0):
+        raise SolverError("negative capacitance in network")
+    return c_over_dt
 
 
 class SteadyStateSolver:
-    """Solves ``G T = P + b`` for the equilibrium temperature field.
+    """Solves ``G T = P + b`` for the equilibrium temperature field."""
 
-    ``lu`` lets :func:`steady_solver_for` reuse a previously computed
-    factorization of the same network; leave it ``None`` to factorize.
-    """
-
-    def __init__(self, network: RCNetwork, lu: Optional[spla.SuperLU] = None) -> None:
+    def __init__(self, network: RCNetwork) -> None:
         self.network = network
-        if lu is None:
-            with _trace.span("factorize", kind="steady", n_nodes=network.n_nodes):
-                try:
-                    lu = spla.splu(network.conductance.tocsc())
-                except RuntimeError as exc:
-                    raise SolverError(
-                        f"steady-state factorization failed: {exc}"
-                    ) from exc
-            _count_factorization()
-        self._lu = lu
+        self._lu = factorize(network.conductance, "steady")
 
     def solve(self, power: np.ndarray) -> np.ndarray:
         """Equilibrium temperatures for a per-node power injection (W)."""
-        power = np.asarray(power, dtype=float)
-        if power.shape != (self.network.n_nodes,):
-            raise SolverError(
-                f"power vector has shape {power.shape}, expected ({self.network.n_nodes},)"
-            )
+        power = _vector(power, self.network.n_nodes)
         with _trace.span("steady", n_nodes=self.network.n_nodes):
             temps = self._lu.solve(power + self.network.boundary)
-        if not np.all(np.isfinite(temps)):
-            raise SolverError("steady-state solve produced non-finite temperatures")
-        return temps
+        return _finite(temps, "steady-state solve")
 
     def solve_many(self, powers: np.ndarray) -> np.ndarray:
         """Equilibrium fields for many injections at once.
@@ -94,95 +174,16 @@ class SteadyStateSolver:
         :meth:`solve` calls to within LU roundoff (~1e-14 K — SuperLU
         uses blocked kernels for multiple right-hand sides).
         """
-        powers = np.asarray(powers, dtype=float)
-        n = self.network.n_nodes
-        if powers.ndim != 2 or powers.shape[0] != n:
-            raise SolverError(
-                f"power matrix has shape {powers.shape}, expected ({n}, k)"
-            )
+        powers = _block(powers, self.network.n_nodes)
         with _trace.span(
             "steady", n_nodes=self.network.n_nodes, n_rhs=powers.shape[1]
         ):
             temps = self._lu.solve(powers + self.network.boundary[:, None])
-        if not np.all(np.isfinite(temps)):
-            raise SolverError("steady-state solve produced non-finite temperatures")
-        return temps
+        return _finite(temps, "steady-state solve")
 
 
-class TransientSolver:
-    """Backward-Euler transient integrator with a cached factorization.
-
-    Parameters
-    ----------
-    network:
-        The assembled RC network.
-    dt:
-        Time step in seconds (the paper's 100 ms sampling interval by
-        default at the call sites).
-    """
-
-    def __init__(self, network: RCNetwork, dt: float) -> None:
-        if dt <= 0.0:
-            raise SolverError("time step must be positive")
-        self.network = network
-        self.dt = dt
-        c_over_dt = network.capacitance / dt
-        if np.any(c_over_dt < 0.0):
-            raise SolverError("negative capacitance in network")
-        system = network.conductance + sp.diags(c_over_dt)
-        with _trace.span("factorize", kind="transient", n_nodes=network.n_nodes):
-            try:
-                self._lu = spla.splu(system.tocsc())
-            except RuntimeError as exc:
-                raise SolverError(f"transient factorization failed: {exc}") from exc
-        _count_factorization()
-        self._c_over_dt = c_over_dt
-
-    def step(self, temperatures: np.ndarray, power: np.ndarray) -> np.ndarray:
-        """Advance one time step; returns the new temperature vector."""
-        temperatures = np.asarray(temperatures, dtype=float)
-        power = np.asarray(power, dtype=float)
-        n = self.network.n_nodes
-        if temperatures.shape != (n,) or power.shape != (n,):
-            raise SolverError("temperature/power vector shape mismatch")
-        rhs = self._c_over_dt * temperatures + power + self.network.boundary
-        out = self._lu.solve(rhs)
-        if not np.all(np.isfinite(out)):
-            raise SolverError("transient step produced non-finite temperatures")
-        return out
-
-    def step_many(self, temperatures: np.ndarray, powers: np.ndarray) -> np.ndarray:
-        """Advance many independent states one step at once.
-
-        ``temperatures`` and ``powers`` have shape ``(n_nodes, k)`` —
-        one column per independent run sharing this factorization;
-        returns the same shape. One multi-RHS triangular solve;
-        columns agree with separate :meth:`step` calls to within LU
-        roundoff (~1e-14 K — SuperLU uses blocked kernels for multiple
-        right-hand sides), which is why the cohort runner's bitwise
-        default steps per column and this path is opt-in.
-        """
-        temperatures = np.asarray(temperatures, dtype=float)
-        powers = np.asarray(powers, dtype=float)
-        n = self.network.n_nodes
-        if (
-            temperatures.ndim != 2
-            or temperatures.shape[0] != n
-            or powers.shape != temperatures.shape
-        ):
-            raise SolverError(
-                f"temperature/power matrix shape mismatch: "
-                f"{temperatures.shape} vs {powers.shape}, expected ({n}, k)"
-            )
-        rhs = (
-            self._c_over_dt[:, None] * temperatures
-            + powers
-            + self.network.boundary[:, None]
-        )
-        out = self._lu.solve(rhs)
-        if not np.all(np.isfinite(out)):
-            raise SolverError("transient step produced non-finite temperatures")
-        return out
+class _Stepper:
+    """The constant-power ``run`` loop shared by both transient tiers."""
 
     def run(
         self,
@@ -199,39 +200,51 @@ class TransientSolver:
         return state
 
 
-_steady_lu_memo: "weakref.WeakKeyDictionary[RCNetwork, spla.SuperLU]" = (
-    weakref.WeakKeyDictionary()
-)
-"""LU factorizations keyed weakly by their network. Entries vanish when
-the caller drops the network, so the memo never pins networks alive
-(the old ``id(network)``-keyed LRU kept up to 8 networks and their
-factorizations reachable indefinitely, and id reuse could alias two
-different networks). The cached ``SuperLU`` object holds no reference
-back to the network, so there is no cycle to collect."""
+class TransientSolver(_Stepper):
+    """Backward-Euler transient integrator with a stored factorization.
 
-
-def steady_solver_for(network: RCNetwork) -> SteadyStateSolver:
-    """A cached :class:`SteadyStateSolver` for a network.
-
-    Callers that own a :class:`~repro.sim.system.ThermalSystem` should
-    prefer its ``steady_solver`` cache; this memo serves callers that
-    only hold a bare network, so repeated :func:`initial_state` calls
-    reuse one LU factorization instead of re-factorizing every time.
+    Parameters
+    ----------
+    network:
+        The assembled RC network.
+    dt:
+        Time step in seconds (the paper's 100 ms sampling interval by
+        default at the call sites).
     """
-    lu = _steady_lu_memo.get(network)
-    if lu is not None:
-        return SteadyStateSolver(network, lu=lu)
-    solver = SteadyStateSolver(network)
-    _steady_lu_memo[network] = solver._lu
-    return solver
 
+    def __init__(self, network: RCNetwork, dt: float) -> None:
+        self._c_over_dt = _c_over_dt(network, dt)
+        self.network = network
+        self.dt = dt
+        self._lu = factorize(
+            network.conductance + sp.diags(self._c_over_dt), "transient"
+        )
 
-def initial_state(network: RCNetwork, power: Optional[np.ndarray] = None) -> np.ndarray:
-    """Steady-state initialization (the paper initializes all simulations
-    "with steady state temperature values")."""
-    if power is None:
-        power = np.zeros(network.n_nodes)
-    return steady_solver_for(network).solve(power)
+    def step(self, temperatures: np.ndarray, power: np.ndarray) -> np.ndarray:
+        """Advance one time step; returns the new temperature vector."""
+        n = self.network.n_nodes
+        temperatures = _vector(temperatures, n)
+        rhs = self._c_over_dt * temperatures + _vector(power, n) + self.network.boundary
+        return _finite(self._lu.solve(rhs), "transient step")
+
+    def step_many(self, temperatures: np.ndarray, powers: np.ndarray) -> np.ndarray:
+        """Advance many independent states one step at once.
+
+        ``temperatures`` and ``powers`` have shape ``(n_nodes, k)`` —
+        one column per independent run sharing this factorization;
+        returns the same shape. One multi-RHS triangular solve;
+        columns agree with separate :meth:`step` calls to within LU
+        roundoff (~1e-14 K — SuperLU uses blocked kernels for multiple
+        right-hand sides), which is why the cohort runner's bitwise
+        default steps per column and this path is opt-in.
+        """
+        temperatures = _block(temperatures, self.network.n_nodes)
+        rhs = (
+            self._c_over_dt[:, None] * temperatures
+            + _block(powers, self.network.n_nodes, like=temperatures)
+            + self.network.boundary[:, None]
+        )
+        return _finite(self._lu.solve(rhs), "transient step")
 
 
 # --- iterative tier: neighbor-preconditioned Krylov solvers -------------------
@@ -360,11 +373,11 @@ class NeighborFactorCache:
             raise SolverError("neighbor cache capacity must be >= 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, tuple[np.ndarray, spla.SuperLU]]" = (
+        self._entries: "OrderedDict[tuple, tuple[np.ndarray, Factorization]]" = (
             OrderedDict()
         )
 
-    def exact(self, structure: tuple, params: ThermalParams) -> Optional[spla.SuperLU]:
+    def exact(self, structure: tuple, params: ThermalParams) -> Optional[Factorization]:
         """The retained LU of this exact design point, if any."""
         key = (structure, params)
         with self._lock:
@@ -376,7 +389,7 @@ class NeighborFactorCache:
 
     def nearest(
         self, structure: tuple, params_vec: np.ndarray
-    ) -> Optional[tuple[spla.SuperLU, float]]:
+    ) -> Optional[tuple[Factorization, float]]:
         """Closest same-structure retained LU, as ``(lu, distance)``."""
         with self._lock:
             best_key, best_lu, best_dist = None, None, np.inf
@@ -395,7 +408,7 @@ class NeighborFactorCache:
         self,
         structure: tuple,
         params: ThermalParams,
-        lu: spla.SuperLU,
+        lu: Factorization,
     ) -> None:
         """Add (or refresh) a factorization; evicts LRU past capacity."""
         key = (structure, params)
@@ -480,9 +493,8 @@ class _KrylovLinearSolver:
         self._params = params
         self._cache = cache if cache is not None else _neighbor_cache
         self._matrix = matrix.tocsr()
-        self._csc = None  # built lazily, only if we must factorize
-        self._lu: Optional[spla.SuperLU] = None
-        self._precond: Optional[spla.SuperLU] = None
+        self._lu: Optional[Factorization] = None
+        self._precond: Optional[Factorization] = None
         self.neighbor_distance: Optional[float] = None
         self.fallback_count = 0
         lu = self._cache.exact(structure, params)
@@ -500,19 +512,10 @@ class _KrylovLinearSolver:
             _bump_krylov(preconditioner_misses=1)
             self._factorize()
 
-    def _factorize(self) -> spla.SuperLU:
+    def _factorize(self) -> Factorization:
         """Exact LU of *this* matrix; retained for future neighbors."""
         if self._lu is None:
-            with _trace.span(
-                "factorize", kind="krylov", n_nodes=self._matrix.shape[0]
-            ):
-                try:
-                    self._lu = spla.splu(self._matrix.tocsc())
-                except RuntimeError as exc:
-                    raise SolverError(
-                        f"krylov factorization failed: {exc}"
-                    ) from exc
-            _count_factorization()
+            self._lu = factorize(self._matrix, "krylov")
             self._cache.retain(self.structure, self._params, self._lu)
         return self._lu
 
@@ -520,10 +523,7 @@ class _KrylovLinearSolver:
         """Solve ``A x = rhs`` to the residual tolerance."""
         if self._lu is not None:
             _bump_krylov(direct_solves=1)
-            out = self._lu.solve(rhs)
-            if not np.all(np.isfinite(out)):
-                raise SolverError("krylov direct solve produced non-finite values")
-            return out
+            return self._lu.solve(rhs)
         n = self._matrix.shape[0]
         precond = spla.LinearOperator((n, n), matvec=self._precond.solve)
         iterations = [0]
@@ -550,10 +550,7 @@ class _KrylovLinearSolver:
         # is kept, so subsequent steps of this solver are direct.
         self.fallback_count += 1
         _bump_krylov(fallbacks=1, direct_solves=1)
-        out = self._factorize().solve(rhs)
-        if not np.all(np.isfinite(out)):
-            raise SolverError("krylov fallback solve produced non-finite values")
-        return out
+        return self._factorize().solve(rhs)
 
     def solve_linear_many(
         self, rhs: np.ndarray, x0: Optional[np.ndarray]
@@ -566,7 +563,7 @@ class _KrylovLinearSolver:
         return out
 
 
-class KrylovTransientSolver:
+class KrylovTransientSolver(_Stepper):
     """Backward-Euler stepping via neighbor-preconditioned GMRES.
 
     Drop-in for :class:`TransientSolver` (same ``step``/``step_many``/
@@ -590,18 +587,13 @@ class KrylovTransientSolver:
         max_iterations: int = KRYLOV_MAX_ITERATIONS,
         cache: Optional[NeighborFactorCache] = None,
     ) -> None:
-        if dt <= 0.0:
-            raise SolverError("time step must be positive")
+        self._c_over_dt = _c_over_dt(network, dt)
         self.network = network
         self.dt = dt
-        c_over_dt = network.capacitance / dt
-        if np.any(c_over_dt < 0.0):
-            raise SolverError("negative capacitance in network")
-        self._c_over_dt = c_over_dt
         if structure is None:
             structure = structure_signature(network) + ("dt", float(dt))
         self._core = _KrylovLinearSolver(
-            network.conductance + sp.diags(c_over_dt),
+            network.conductance + sp.diags(self._c_over_dt),
             structure, params, tolerance, max_iterations, cache,
         )
 
@@ -618,54 +610,22 @@ class KrylovTransientSolver:
 
     def step(self, temperatures: np.ndarray, power: np.ndarray) -> np.ndarray:
         """Advance one time step; returns the new temperature vector."""
-        temperatures = np.asarray(temperatures, dtype=float)
-        power = np.asarray(power, dtype=float)
         n = self.network.n_nodes
-        if temperatures.shape != (n,) or power.shape != (n,):
-            raise SolverError("temperature/power vector shape mismatch")
-        rhs = self._c_over_dt * temperatures + power + self.network.boundary
+        temperatures = _vector(temperatures, n)
+        rhs = self._c_over_dt * temperatures + _vector(power, n) + self.network.boundary
         out = self._core.solve_linear(rhs, x0=temperatures)
-        if not np.all(np.isfinite(out)):
-            raise SolverError("transient step produced non-finite temperatures")
-        return out
+        return _finite(out, "transient step")
 
     def step_many(self, temperatures: np.ndarray, powers: np.ndarray) -> np.ndarray:
         """Advance many independent states one step (column-wise GMRES)."""
-        temperatures = np.asarray(temperatures, dtype=float)
-        powers = np.asarray(powers, dtype=float)
-        n = self.network.n_nodes
-        if (
-            temperatures.ndim != 2
-            or temperatures.shape[0] != n
-            or powers.shape != temperatures.shape
-        ):
-            raise SolverError(
-                f"temperature/power matrix shape mismatch: "
-                f"{temperatures.shape} vs {powers.shape}, expected ({n}, k)"
-            )
+        temperatures = _block(temperatures, self.network.n_nodes)
         rhs = (
             self._c_over_dt[:, None] * temperatures
-            + powers
+            + _block(powers, self.network.n_nodes, like=temperatures)
             + self.network.boundary[:, None]
         )
         out = self._core.solve_linear_many(rhs, x0=temperatures)
-        if not np.all(np.isfinite(out)):
-            raise SolverError("transient step produced non-finite temperatures")
-        return out
-
-    def run(
-        self,
-        temperatures: np.ndarray,
-        power: np.ndarray,
-        n_steps: int,
-    ) -> np.ndarray:
-        """Advance ``n_steps`` with constant power; returns the final state."""
-        if n_steps < 0:
-            raise SolverError("n_steps must be non-negative")
-        state = np.asarray(temperatures, dtype=float)
-        for _ in range(n_steps):
-            state = self.step(state, power)
-        return state
+        return _finite(out, "transient step")
 
 
 class KrylovSteadySolver:
@@ -703,28 +663,17 @@ class KrylovSteadySolver:
 
     def solve(self, power: np.ndarray) -> np.ndarray:
         """Equilibrium temperatures for a per-node power injection (W)."""
-        power = np.asarray(power, dtype=float)
-        if power.shape != (self.network.n_nodes,):
-            raise SolverError(
-                f"power vector has shape {power.shape}, expected ({self.network.n_nodes},)"
-            )
+        power = _vector(power, self.network.n_nodes)
         with _trace.span("steady", tier="krylov", n_nodes=self.network.n_nodes):
             temps = self._core.solve_linear(
                 power + self.network.boundary, x0=self._last
             )
-        if not np.all(np.isfinite(temps)):
-            raise SolverError("steady-state solve produced non-finite temperatures")
-        self._last = temps
+        self._last = _finite(temps, "steady-state solve")
         return temps
 
     def solve_many(self, powers: np.ndarray) -> np.ndarray:
         """Equilibrium fields for many injections (column-wise GMRES)."""
-        powers = np.asarray(powers, dtype=float)
-        n = self.network.n_nodes
-        if powers.ndim != 2 or powers.shape[0] != n:
-            raise SolverError(
-                f"power matrix has shape {powers.shape}, expected ({n}, k)"
-            )
+        powers = _block(powers, self.network.n_nodes)
         x0 = self._last_block
         if x0 is not None and x0.shape != powers.shape:
             x0 = None
@@ -735,7 +684,5 @@ class KrylovSteadySolver:
             temps = self._core.solve_linear_many(
                 powers + self.network.boundary[:, None], x0=x0
             )
-        if not np.all(np.isfinite(temps)):
-            raise SolverError("steady-state solve produced non-finite temperatures")
-        self._last_block = temps
+        self._last_block = _finite(temps, "steady-state solve")
         return temps

@@ -10,7 +10,9 @@ The acceptance properties of the telemetry subsystem:
   telemetry lines at all;
 * a campaign worked by telemetry-enabled workers merges into one
   aggregated metrics report whose ``solver.factorizations`` matches
-  the legacy counter's delta exactly.
+  the legacy counter's delta exactly;
+* ``factorize`` spans carry a matrix digest, so duplicate LUs are
+  visible from the trace alone (an inlet sweep has none).
 """
 
 import time
@@ -223,3 +225,29 @@ class TestHotPathInstrumentation:
         assert hits.value() == h0
         system_for(config)
         assert hits.value() == h0 + 1
+
+
+class TestLUStoreTelemetry:
+    def test_inlet_sweep_factorizes_each_matrix_once(self, tracing):
+        """Inlets move only the boundary vector: a second inlet of the
+        same config reuses the first one's LUs through the store, so no
+        two ``factorize`` spans carry the same matrix digest."""
+        from repro.sim.cache import clear_system_memo
+        from repro.sim.engine import simulate
+        from repro.thermal.rc_network import ThermalParams
+
+        hits = metrics.counter("solver.lu_store.hits")
+        clear_system_memo()
+        before_f, before_h = factorization_count(), hits.value(kind="steady")
+        for inlet in (45.0, 55.0):
+            simulate(SimulationConfig(
+                duration=0.5, nx=8, ny=8,
+                thermal_params=ThermalParams(inlet_temperature=inlet),
+            ))
+        digests = [
+            e["attrs"]["digest"] for e in trace.events()
+            if e["name"] == "factorize"
+        ]
+        assert len(digests) == factorization_count() - before_f > 0
+        assert len(set(digests)) == len(digests)
+        assert hits.value(kind="steady") > before_h

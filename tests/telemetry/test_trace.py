@@ -127,7 +127,7 @@ class TestTraceContext:
 class TestExportValidate:
     def test_roundtrip_validates(self, tracing, tmp_path):
         with trace.span("steady"):
-            with trace.span("factorize", kind="steady"):
+            with trace.span("factorize", kind="steady", digest="0123abcd"):
                 pass
         path = trace.export_trace(tmp_path / "trace.jsonl")
         report = trace.validate_trace(path)
@@ -168,6 +168,24 @@ class TestExportValidate:
         report = trace.validate_trace(path)
         assert any("duplicate span id" in e for e in report.errors)
         assert any("missing keys" in e for e in report.errors)
+
+    def test_validate_flags_factorize_without_digest(self, tmp_path):
+        header = {
+            "kind": "header", "format": trace.TRACE_FORMAT,
+            "version": trace.TRACE_VERSION,
+        }
+        span = {
+            "kind": "span", "name": "factorize", "span": 1, "parent": None,
+            "t_start": 0.0, "duration_s": 1.0, "pid": 1, "thread": 1,
+            "attrs": {"kind": "steady"},
+        }
+        tagged = dict(span, span=2, attrs={"kind": "steady", "digest": "ab12"})
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            "".join(json_line(p) + "\n" for p in (header, span, tagged))
+        )
+        report = trace.validate_trace(path)
+        assert report.errors == ["line 2: factorize span missing attrs digest"]
 
     def test_validate_flags_misnested_child(self, tmp_path):
         header = {

@@ -11,12 +11,12 @@ from repro.errors import SolverError
 from repro.geometry.stack import build_stack
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.rc_network import ThermalParams, build_network
+from repro.telemetry import metrics
 from repro.thermal.solver import (
     SteadyStateSolver,
     TransientSolver,
-    _steady_lu_memo,
-    initial_state,
-    steady_solver_for,
+    clear_lu_store,
+    factorization_count,
 )
 
 FLOW = units.ml_per_minute(400.0)
@@ -43,7 +43,7 @@ class TestSteadyState:
         assert np.all(np.isfinite(temps))
 
     def test_initial_state_zero_power(self, net):
-        temps = initial_state(net)
+        temps = SteadyStateSolver(net).solve(np.zeros(net.n_nodes))
         assert np.allclose(temps, 60.0, atol=1e-6)
 
 
@@ -113,40 +113,55 @@ class TestTransient:
 
 
 class TestSteadySolverMemo:
-    """The LU memo keys weakly on the network: reuse while alive,
-    release when dropped (the old id()-keyed LRU pinned up to 8
-    networks and their factorizations forever)."""
+    """The content-addressed LU store: solvers share one LU per matrix
+    content (not per network object) while any holder is alive, and the
+    store lets go of it with the last holder."""
 
-    def _fresh_network(self):
+    def _fresh_network(self, **params):
         grid = ThermalGrid(build_stack(2), nx=8, ny=8)
-        return build_network(grid, ThermalParams(), cavity_flows=[FLOW])
+        return build_network(grid, ThermalParams(**params), cavity_flows=[FLOW])
 
     def test_reuses_factorization_while_network_alive(self):
         net = self._fresh_network()
-        s1 = steady_solver_for(net)
-        s2 = steady_solver_for(net)
+        s1 = SteadyStateSolver(net)
+        s2 = SteadyStateSolver(net)
         assert s1._lu is s2._lu
+
+    def test_identical_content_shares_one_factorization(self):
+        net_a = self._fresh_network(resistance_scale=1.3)
+        net_b = self._fresh_network(resistance_scale=1.3)
+        assert net_a is not net_b
+        before = factorization_count()
+        s_a = SteadyStateSolver(net_a)
+        s_b = SteadyStateSolver(net_b)
+        assert s_a._lu is s_b._lu
+        assert factorization_count() - before == 1
 
     def test_distinct_networks_get_distinct_factorizations(self):
         net_a = self._fresh_network()
-        net_b = self._fresh_network()
-        assert steady_solver_for(net_a)._lu is not steady_solver_for(net_b)._lu
+        net_b = self._fresh_network(resistance_scale=2.0)
+        s_a = SteadyStateSolver(net_a)
+        s_b = SteadyStateSolver(net_b)
+        assert s_a._lu is not s_b._lu
+        assert s_a._lu.digest != s_b._lu.digest
 
     def test_dropped_network_is_released(self):
-        net = self._fresh_network()
-        ref = weakref.ref(net)
-        before = len(_steady_lu_memo)
-        steady_solver_for(net)
-        assert len(_steady_lu_memo) == before + 1
-        del net
+        net = self._fresh_network(resistance_scale=1.7)
+        net_ref = weakref.ref(net)
+        solver = SteadyStateSolver(net)
+        lu_ref = weakref.ref(solver._lu)
+        del net, solver
         gc.collect()
-        assert ref() is None, "memo must not pin the network alive"
-        assert len(_steady_lu_memo) == before
+        assert net_ref() is None, "the store must not pin the network alive"
+        assert lu_ref() is None, "the store must not outlive the last solver"
+        before = factorization_count()
+        SteadyStateSolver(self._fresh_network(resistance_scale=1.7))
+        assert factorization_count() - before == 1
 
-    def test_initial_state_uses_memo(self):
+    def test_steady_initial_field_is_repeatable(self):
         net = self._fresh_network()
-        t1 = initial_state(net)
-        t2 = initial_state(net)  # second call reuses the cached LU
+        t1 = SteadyStateSolver(net).solve(np.zeros(net.n_nodes))
+        t2 = SteadyStateSolver(net).solve(np.zeros(net.n_nodes))
         np.testing.assert_array_equal(t1, t2)
         assert np.allclose(t1, 60.0, atol=1e-6)
 
@@ -154,7 +169,7 @@ class TestSteadySolverMemo:
 class TestStepMany:
     def test_columns_match_single_steps(self, net, power):
         solver = TransientSolver(net, dt=0.1)
-        t0 = initial_state(net, power)
+        t0 = SteadyStateSolver(net).solve(power)
         temps = np.stack([t0, t0 + 1.0, t0 - 2.0], axis=1)
         powers = np.stack([power, 0.5 * power, 2.0 * power], axis=1)
         block = solver.step_many(temps, powers)
@@ -169,13 +184,13 @@ class TestStepMany:
 
     def test_single_column_block_is_exact(self, net, power):
         solver = TransientSolver(net, dt=0.1)
-        t0 = initial_state(net, power)
+        t0 = SteadyStateSolver(net).solve(power)
         block = solver.step_many(t0[:, None], power[:, None])
         np.testing.assert_array_equal(block[:, 0], solver.step(t0, power))
 
     def test_shape_mismatch_raises(self, net, power):
         solver = TransientSolver(net, dt=0.1)
-        t0 = initial_state(net, power)
+        t0 = SteadyStateSolver(net).solve(power)
         with pytest.raises(SolverError):
             solver.step_many(t0, power)  # 1-D inputs
         with pytest.raises(SolverError):
@@ -184,8 +199,9 @@ class TestStepMany:
 
 class TestFactorizationCounter:
     def test_counts_each_factorization_once(self, net):
-        from repro.thermal.solver import factorization_count
-
+        """``solver.factorizations`` counts LU-store misses only; a hit
+        is counted under ``solver.lu_store.hits`` instead."""
+        clear_lu_store()
         before = factorization_count()
         solver = TransientSolver(net, dt=0.05)
         assert factorization_count() == before + 1
@@ -193,9 +209,16 @@ class TestFactorizationCounter:
         state = np.full(net.n_nodes, 40.0)
         solver.step(state, np.zeros(net.n_nodes))
         assert factorization_count() == before + 1
-        # Reusing an existing LU is free; factorizing anew is counted.
-        lu = SteadyStateSolver(net)._lu
+        steady = SteadyStateSolver(net)
         after_steady = factorization_count()
         assert after_steady == before + 2
-        SteadyStateSolver(net, lu=lu)
+        # Reusing a live LU is free and counted as a hit.
+        hits = metrics.counter("solver.lu_store.hits")
+        hits_before = hits.value(kind="steady")
+        assert SteadyStateSolver(net)._lu is steady._lu
         assert factorization_count() == after_steady
+        assert hits.value(kind="steady") == hits_before + 1
+        # Clearing the store makes the next solver factorize afresh.
+        clear_lu_store()
+        assert SteadyStateSolver(net)._lu is not steady._lu
+        assert factorization_count() == after_steady + 1
