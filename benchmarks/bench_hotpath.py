@@ -56,11 +56,18 @@ inlet enters only the boundary vector, so the content-addressed LU
 store must make the sweep factorize exactly as often as the single
 inlet; the traced ``factorize`` digests count the distinct matrices, so
 the section also records duplicate LUs (gated at zero).
+
+Schema v7 adds ``control_interval_arma_32x32``: the warm 32x32 control
+interval again, but over 15 simulated seconds, so the forecaster fills
+its 40-sample history, fits ARMA, and slides its 120-sample window
+(``control_interval_32x32`` simulates 1 s and never fits). It is an
+informational timing: ``compare_bench.py`` prints it but never warns.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import statistics
@@ -94,7 +101,7 @@ from repro.thermal.solver import (  # noqa: E402
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
 
@@ -479,6 +486,14 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
     results["simulated_second_32x32"] = run_1s
     results["control_interval_32x32"] = run_1s / 10.0
 
+    # The same interval once the forecaster runs ARMA: 15 s (150
+    # intervals) fits at sample 40 and slides the 120-sample window.
+    arma_config = dataclasses.replace(config, duration=15.0)
+    Simulator(arma_config, cache=cache).run()  # warm
+    results["control_interval_arma_32x32"] = _median_time(
+        lambda: Simulator(arma_config, cache=cache).run(), max(3, repeats // 2)
+    ) / 150.0
+
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": "hotpath",
@@ -509,6 +524,7 @@ def test_hotpath_baseline(tmp_path):
     assert loaded["schema_version"] == SCHEMA_VERSION
     assert loaded["results"]["assembly_64x64"] > 0.0
     assert loaded["results"]["control_interval_32x32"] > 0.0
+    assert loaded["results"]["control_interval_arma_32x32"] > 0.0
     assert set(loaded["results"]) >= {
         "assembly_16x16",
         "assembly_32x32",
@@ -519,6 +535,7 @@ def test_hotpath_baseline(tmp_path):
         "unit_gather_64x64",
         "simulated_second_32x32",
         "control_interval_32x32",
+        "control_interval_arma_32x32",
     }
     cohort = loaded["cohort"]
     assert cohort["n_runs"] == 16

@@ -11,7 +11,8 @@ Two kinds of checks, deliberately different in severity:
 * **Timing regressions are non-gating.** Absolute wall-clock depends on
   the runner; a >20% median slowdown (or cohort-speedup loss) prints a
   GitHub ``::warning::`` annotation so it shows up on the PR, but the
-  exit code stays 0.
+  exit code stays 0. Timings in ``INFORMATIONAL_RESULTS`` (the ARMA
+  control interval) are printed only, never warned on.
 * **The algorithmic counters gate.** A warm cohort campaign performing
   any LU factorization means kernel sharing broke, and a cross-network
   krylov campaign factorizing as often as it has design points means
@@ -37,6 +38,11 @@ from pathlib import Path
 
 #: Fractional median slowdown that triggers a (non-gating) warning.
 REGRESSION_THRESHOLD = 0.20
+
+#: Timings printed for the trajectory but never warned on: their
+#: samples are long enough to drift with the machine, and the forecaster
+#: cost they show is pinned by the telemetry pass-count gate instead.
+INFORMATIONAL_RESULTS = frozenset({"control_interval_arma_32x32"})
 
 
 def _warn(message: str) -> None:
@@ -171,7 +177,9 @@ def compare(current: dict, baseline: dict) -> int:
         base, cur = base_results[name], cur_results[name]
         ratio = cur / base if base > 0 else float("inf")
         flag = ""
-        if ratio > 1.0 + REGRESSION_THRESHOLD:
+        if name in INFORMATIONAL_RESULTS:
+            flag = "  (informational)"
+        elif ratio > 1.0 + REGRESSION_THRESHOLD:
             flag = "  <-- regressed"
             warnings += 1
             _warn(

@@ -1,11 +1,11 @@
-"""ARMA(p, q) fitting and multi-step forecasting, pure numpy.
+"""ARMA(p, q) fitting and multi-step forecasting.
 
 The paper forecasts the maximum chip temperature 500 ms ahead from a
 100 ms-sampled history using an ARMA model: "ARMA forecasts the future
 value of the time-series signal based on the recent history ...
 therefore we do not require an offline analysis."
 
-Fitting uses the Hannan-Rissanen two-stage procedure:
+Fitting uses the Hannan-Rissanen two-stage procedure (numpy):
 
 1. fit a long autoregression by least squares and take its residuals
    as innovation estimates;
@@ -13,16 +13,22 @@ Fitting uses the Hannan-Rissanen two-stage procedure:
    the ARMA coefficients.
 
 Forecasts recurse the difference equation with future innovations set
-to zero (their conditional mean).
+to zero (their conditional mean). That recursion runs every control
+interval, so it is a Python-float loop over lists, which rounds exactly
+as a numpy float64 loop in the same order would (same IEEE operations).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ControlError
+from repro.telemetry import metrics as _metrics
+
+_PASSES = _metrics.counter("control.forecast.passes")  # innovations passes
 
 
 @dataclass(frozen=True)
@@ -32,22 +38,28 @@ class ArmaModel:
     The model describes ``y_t - mu = sum_i phi_i (y_{t-i} - mu) +
     e_t + sum_j theta_j e_{t-j}``.
 
+    Models are values: two fits of the same series compare and hash equal.
+
     Attributes
     ----------
     ar:
-        AR coefficients phi (length p).
+        AR coefficients phi (length p), stored as a tuple of floats.
     ma:
-        MA coefficients theta (length q).
+        MA coefficients theta (length q), stored as a tuple of floats.
     mean:
         The series mean mu removed before fitting.
     sigma:
         Standard deviation of the fit residuals (used by the SPRT).
     """
 
-    ar: np.ndarray
-    ma: np.ndarray
+    ar: tuple[float, ...]
+    ma: tuple[float, ...]
     mean: float
     sigma: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ar", tuple(float(c) for c in self.ar))
+        object.__setattr__(self, "ma", tuple(float(c) for c in self.ma))
 
     @property
     def p(self) -> int:
@@ -87,76 +99,69 @@ class ArmaModel:
 
         # Stage 2: regression on p AR lags and q MA lags.
         start = max(p, q + long_order)
-        rows = []
-        targets = []
-        for t in range(start, n):
-            ar_lags = [y[t - i] for i in range(1, p + 1)]
-            ma_lags = [residuals[t - j] for j in range(1, q + 1)]
-            rows.append(ar_lags + ma_lags)
-            targets.append(y[t])
-        design = np.asarray(rows)
-        target = np.asarray(targets)
+        design = np.column_stack(
+            [y[start - i : n - i] for i in range(1, p + 1)]
+            + [residuals[start - j : n - j] for j in range(1, q + 1)]
+        )
+        target = y[start:]
         coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-        ar = coef[:p]
-        ma = coef[p : p + q]
-
-        fitted = design @ coef
-        resid = target - fitted
+        resid = target - design @ coef
         sigma = float(resid.std()) if len(resid) > 1 else 1.0e-9
-        return cls(ar=ar, ma=ma, mean=mean, sigma=max(sigma, 1.0e-9))
+        return cls(ar=coef[:p], ma=coef[p:], mean=mean, sigma=max(sigma, 1.0e-9))
 
-    def residuals(self, series: np.ndarray) -> np.ndarray:
-        """One-step-ahead innovation sequence over a series.
+    def innovations(self, series: Sequence[float]) -> tuple[list[float], list[float]]:
+        """The demeaned series and its one-step-ahead innovations.
 
-        The first ``max(p, q)`` entries are zero (insufficient lags).
+        The first ``max(p, q)`` innovations are zero (insufficient lags).
         """
-        series = np.asarray(series, dtype=float)
-        y = series - self.mean
-        n = len(y)
-        e = np.zeros(n)
-        start = max(self.p, self.q)
-        for t in range(start, n):
-            pred = self._one_step(y, e, t)
-            e[t] = y[t] - pred
-        return e
+        ar, ma, mean = self.ar, self.ma, self.mean
+        y = [float(v) - mean for v in series]
+        e = [0.0] * len(y)
+        for t in range(max(len(ar), len(ma)), len(y)):
+            e[t] = y[t] - _one_step(ar, ma, y, e, t)
+        _PASSES.inc()
+        return y, e
 
-    def _one_step(self, y: np.ndarray, e: np.ndarray, t: int) -> float:
-        """Predict y[t] (demeaned) from lags strictly before t."""
-        pred = 0.0
-        for i in range(1, self.p + 1):
-            if t - i >= 0:
-                pred += self.ar[i - 1] * y[t - i]
-        for j in range(1, self.q + 1):
-            if t - j >= 0:
-                pred += self.ma[j - 1] * e[t - j]
-        return pred
+    def residuals(self, series: Sequence[float]) -> np.ndarray:
+        """One-step-ahead innovation sequence over a series."""
+        return np.asarray(self.innovations(series)[1])
 
-    def forecast(self, series: np.ndarray, steps: int) -> float:
-        """Forecast the value ``steps`` samples ahead of the series end.
-
-        Future innovations are set to their conditional mean (zero);
-        known innovations come from :meth:`residuals`.
-        """
+    def forecast_from(self, y: list[float], e: list[float], steps: int) -> float:
+        """Forecast ``steps`` samples past the end of a demeaned series
+        ``y`` with known innovations ``e`` (see :meth:`innovations`);
+        future innovations are zero."""
         if steps < 1:
             raise ControlError("steps must be >= 1")
-        series = np.asarray(series, dtype=float)
-        if len(series) < max(self.p, self.q):
+        if len(y) < max(self.p, self.q):
             raise ControlError("series shorter than the model order")
-        e = self.residuals(series)
-        y = list(series - self.mean)
-        e = list(e)
+        y, e = list(y), list(e)
         for _ in range(steps):
-            t = len(y)
-            y_arr = np.asarray(y)
-            e_arr = np.asarray(e)
-            pred = self._one_step(y_arr, e_arr, t)
-            y.append(pred)
+            y.append(_one_step(self.ar, self.ma, y, e, len(y)))
             e.append(0.0)
-        return float(y[-1] + self.mean)
+        return y[-1] + self.mean
 
-    def one_step_prediction(self, series: np.ndarray) -> float:
+    def forecast(self, series: Sequence[float], steps: int) -> float:
+        """Forecast the value ``steps`` samples ahead of the series end."""
+        return self.forecast_from(*self.innovations(series), steps)
+
+    def one_step_prediction(self, series: Sequence[float]) -> float:
         """Convenience: the 1-step-ahead forecast."""
         return self.forecast(series, steps=1)
+
+
+def _one_step(ar: tuple, ma: tuple, y: list[float], e: list[float], t: int) -> float:
+    """Predict y[t] (demeaned) from lags strictly before t: the AR terms
+    for lags 1..p, then the MA terms for lags 1..q, summed from 0.0."""
+    pred = 0.0
+    i = t
+    for c in ar:
+        i -= 1
+        pred += c * y[i]
+    j = t
+    for c in ma:
+        j -= 1
+        pred += c * e[j]
+    return pred
 
 
 def _ar_residuals(y: np.ndarray, order: int) -> np.ndarray:

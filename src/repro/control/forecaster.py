@@ -15,15 +15,18 @@ history exists the forecaster falls back to persistence (last value).
 
 from __future__ import annotations
 
+import math
 from collections import deque
-
-import numpy as np
 
 from repro.constants import CONTROL
 from repro.control.arma import ArmaModel
 from repro.control.sprt import SprtDetector
 from repro.errors import ControlError
 from repro.registry import ForecasterContext, ParamSpec, register_forecaster
+from repro.telemetry import metrics as _metrics
+
+_REFITS = _metrics.counter("control.forecast.refits")  # reason=initial|sprt
+_REFIT_FAILURES = _metrics.counter("control.forecast.refit_failures")
 
 
 class TemperatureForecaster:
@@ -41,6 +44,12 @@ class TemperatureForecaster:
         Samples before the first fit; persistence is used meanwhile.
     sprt_shift, sprt_alpha, sprt_beta:
         SPRT configuration (see :class:`SprtDetector`).
+
+    Cost per observed sample with a fitted model: one innovations pass
+    over the window, O(window * (p + q)), in :meth:`observe`; the SPRT's
+    one-step and :meth:`predict`'s horizon forecasts recurse from the
+    kept innovations in O(horizon * (p + q)). A refit (initial, or on
+    an SPRT alarm) adds one Hannan-Rissanen least-squares fit.
     """
 
     def __init__(
@@ -64,13 +73,13 @@ class TemperatureForecaster:
         self.order = order
         self.window = window
         self.min_history = min_history
-        self._sprt_shift = sprt_shift
-        self._sprt_alpha = sprt_alpha
-        self._sprt_beta = sprt_beta
+        self._sprt_params = {"shift": sprt_shift, "alpha": sprt_alpha, "beta": sprt_beta}
         self._history: deque[float] = deque(maxlen=window)
         self._model: ArmaModel | None = None
         self._sprt: SprtDetector | None = None
-        self._pending_prediction: float | None = None
+        # The demeaned history and its innovations under the model.
+        self._y: list[float] = []
+        self._e: list[float] = []
         self.retrain_count = 0
 
     @property
@@ -85,20 +94,19 @@ class TemperatureForecaster:
         re-fits on alarms, and performs the initial fit when enough
         history has accumulated.
         """
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ControlError("temperature sample must be finite")
-        if self._pending_prediction is not None and self._sprt is not None:
-            residual = value - self._pending_prediction
+        if self._sprt is not None:  # set with the model by _refit
+            # The SPRT tests the last sample's one-step prediction error.
+            residual = value - self._model.forecast_from(self._y, self._e, 1)
             if self._sprt.update(residual):
-                self._refit()
+                self._refit("sprt")
         self._history.append(float(value))
         if self._model is None and len(self._history) >= self.min_history:
-            self._refit()
-        if self._model is not None and len(self._history) >= max(*self.order) + 1:
-            series = np.asarray(self._history)
-            self._pending_prediction = self._model.one_step_prediction(series)
-        else:
-            self._pending_prediction = None
+            self._refit("initial")
+        if self._model is not None:
+            # A fitted model implies len(history) >= min_history > max(p, q).
+            self._y, self._e = self._model.innovations(self._history)
 
     def predict(self) -> float:
         """Forecast ``horizon_steps`` ahead of the last observation.
@@ -110,27 +118,23 @@ class TemperatureForecaster:
             raise ControlError("no observations yet")
         if self._model is None:
             return self._history[-1]
-        series = np.asarray(self._history)
-        forecast = self._model.forecast(series, self.horizon_steps)
+        forecast = self._model.forecast_from(self._y, self._e, self.horizon_steps)
         # Clamp to a physical band around the recent history; a rogue
-        # unstable fit must not command absurd flow rates.
-        lo = float(series.min()) - 20.0
-        hi = float(series.max()) + 20.0
-        return float(np.clip(forecast, lo, hi))
+        # unstable fit must not command absurd flow rates (np.clip order).
+        lo = min(self._history) - 20.0
+        hi = max(self._history) + 20.0
+        return min(max(forecast, lo), hi)
 
-    def _refit(self) -> None:
+    def _refit(self, reason: str) -> None:
         p, q = self.order
         try:
-            self._model = ArmaModel.fit(np.asarray(self._history), p=p, q=q)
+            self._model = ArmaModel.fit(list(self._history), p=p, q=q)
         except ControlError:
             # Not enough (or degenerate) history: keep the old model.
+            _REFIT_FAILURES.inc()
             return
-        self._sprt = SprtDetector(
-            sigma=self._model.sigma,
-            shift=self._sprt_shift,
-            alpha=self._sprt_alpha,
-            beta=self._sprt_beta,
-        )
+        _REFITS.inc(reason=reason)
+        self._sprt = SprtDetector(sigma=self._model.sigma, **self._sprt_params)
         self.retrain_count += 1
 
 
@@ -151,7 +155,7 @@ class PersistenceForecaster:
 
     def observe(self, value: float) -> None:
         """Remember the latest sample."""
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ControlError("temperature sample must be finite")
         self._last = float(value)
 

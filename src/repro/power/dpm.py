@@ -9,6 +9,7 @@ A sleeping core wakes as soon as work is dispatched to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.constants import POWER
 from repro.errors import ConfigurationError
@@ -30,7 +31,7 @@ class DpmPolicy:
         the paper runs DPM only for the thermal-variation study (Fig. 7).
     """
 
-    core_names: list[str]
+    core_names: Sequence[str]
     timeout: float = POWER.dpm_timeout
     enabled: bool = True
     _idle_since: dict[str, float] = field(default_factory=dict, init=False)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 from repro.errors import SchedulingError
 from repro.workload.threads import Thread
@@ -18,7 +18,7 @@ class CoreQueues:
     reactive migration policy).
     """
 
-    def __init__(self, core_names: list[str]) -> None:
+    def __init__(self, core_names: Sequence[str]) -> None:
         if not core_names:
             raise SchedulingError("need at least one core")
         if len(set(core_names)) != len(core_names):

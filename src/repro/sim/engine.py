@@ -630,7 +630,6 @@ class Simulator:
         self._pending = False
         config = self.config
         grid = self.system.grid
-        core_names = self.system.core_names
         k = pending.index
         t_end = pending.t_end
         completed_in_interval = pending.completed_threads
@@ -639,7 +638,7 @@ class Simulator:
         st.temperatures = new_temperatures
         st.unit_vec = grid.unit_temperature_vector(st.temperatures)
         st.core_vec = st.unit_vec[grid.core_index]
-        st.core_temps = dict(zip(core_names, st.core_vec.tolist()))
+        st.core_temps = dict(zip(self.system.core_names, st.core_vec.tolist()))
         # Runtime policies observe sensors (unit means), as in the
         # paper; the cell-level peak is recorded as ground truth.
         tmax = float(st.unit_vec.max())
@@ -746,7 +745,7 @@ class Simulator:
             core_temperatures=st.rec_core_t[:k].copy(),
             unit_temperatures=st.rec_unit_t[:k].copy(),
             unit_names=[f"{d}:{name}" for d, name in st.unit_keys],
-            core_names=self.system.core_names,
+            core_names=list(self.system.core_names),
             chip_power=st.rec_chip_p[:k].copy(),
             pump_power=st.rec_pump_p[:k].copy(),
             flow_setting=st.rec_setting[:k].copy(),

@@ -75,6 +75,8 @@ class ThermalSystem:
             )
         self.solver = solver
         self.stack: Stack3D = build_stack(n_layers, cooling)
+        #: All core names in the stack, bottom die first (immutable).
+        self.core_names: tuple[str, ...] = tuple(self.stack.core_names())
         self.grid = ThermalGrid(self.stack, nx=nx, ny=ny)
         self.params = params
         self.cooling = cooling
@@ -223,10 +225,9 @@ class ThermalSystem:
         """Steady-state temperature field (see :meth:`steady_tmax`)."""
         if not 0.0 <= utilization <= 1.0:
             raise ConfigurationError("utilization must be in [0, 1]")
-        core_names = self.stack.core_names()
-        core_util = {name: utilization for name in core_names}
+        core_util = {name: utilization for name in self.core_names}
         core_states = {name: CoreState.IDLE if utilization == 0.0 else CoreState.ACTIVE
-                       for name in core_names}
+                       for name in self.core_names}
         solver = self.steady_solver(setting_index)
         grid = self.grid
         unit_vec: Optional[np.ndarray] = None
@@ -259,12 +260,11 @@ class ThermalSystem:
         utils = [float(u) for u in np.atleast_1d(np.asarray(utilizations, dtype=float))]
         if any(not 0.0 <= u <= 1.0 for u in utils):
             raise ConfigurationError("utilization must be in [0, 1]")
-        core_names = self.stack.core_names()
         per_util = [
             (
-                {name: u for name in core_names},
+                {name: u for name in self.core_names},
                 {name: CoreState.IDLE if u == 0.0 else CoreState.ACTIVE
-                 for name in core_names},
+                 for name in self.core_names},
             )
             for u in utils
         ]
@@ -321,7 +321,7 @@ class ThermalSystem:
         hot spot, so the flow controller floors its setting at the one
         that can hold this pattern (DESIGN.md section 8).
         """
-        core_names = self.stack.core_names()
+        core_names = self.core_names
         if not 1 <= n_active <= len(core_names):
             raise ConfigurationError("n_active outside the core count")
         core_util = {name: 0.0 for name in core_names}
@@ -342,11 +342,6 @@ class ThermalSystem:
         return float(unit_vec.max())
 
     # --- convenience ------------------------------------------------------------
-
-    @property
-    def core_names(self) -> list[str]:
-        """All core names in the stack."""
-        return self.stack.core_names()
 
     def initial_temperatures(self, power_model: PowerModel, utilization: float,
                              setting_index: int = -1) -> np.ndarray:

@@ -100,3 +100,23 @@ class TestForecast:
         model = ArmaModel.fit(series, p=3, q=1)
         res = model.residuals(series)
         assert res[10:].std() < np.diff(series).std()
+
+
+class TestValueSemantics:
+    def test_equal_fits_compare_and_hash_equal(self):
+        series = ar2_series(300)
+        a = ArmaModel.fit(series, p=3, q=2)
+        b = ArmaModel.fit(series.copy(), p=3, q=2)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_fits_compare_unequal(self):
+        a = ArmaModel.fit(ar2_series(300, seed=0), p=3, q=2)
+        b = ArmaModel.fit(ar2_series(300, seed=1), p=3, q=2)
+        assert a != b
+
+    def test_coefficients_are_float_tuples(self):
+        model = ArmaModel.fit(ar2_series(300), p=3, q=2)
+        assert isinstance(model.ar, tuple) and isinstance(model.ma, tuple)
+        assert all(type(c) is float for c in model.ar + model.ma)

@@ -14,8 +14,16 @@ mirror-core ties on ~1e-14 weight noise, so its *trajectories* are not
 refactor-stable; TALB correctness is pinned instead by the exact
 operator/assembly equivalence suite
 (``tests/thermal/test_vector_equivalence.py``).
+
+The 2 s goldens end before the forecaster's ``min_history`` (40
+samples), so none of them ever fits ARMA. ``golden_liquid_lb_arma``
+(16 s, recorded before the ARMA recursion became a Python-float
+kernel) fits, slides the history window, refits on SPRT alarms, and
+moves the pump across several settings; its forecast, temperature,
+flow and pump-power series are pinned exactly.
 """
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +65,13 @@ GOLDEN_CASES = {
         seed=1,
         n_layers=4,
     ),
+    "golden_liquid_lb_arma": SimulationConfig(
+        benchmark_name="Database",
+        policy=PolicyKind.LB,
+        cooling=CoolingMode.LIQUID_VARIABLE,
+        duration=16.0,
+        seed=0,
+    ),
 }
 
 FLOAT_SERIES = (
@@ -72,10 +87,15 @@ FLOAT_SERIES = (
 EXACT_SERIES = ("flow_setting", "completed_threads", "migrations")
 
 
+@functools.lru_cache(maxsize=None)
+def run_golden(name):
+    """Simulate a golden config once per session (two tests share it)."""
+    return simulate(GOLDEN_CASES[name])
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_run_matches_pre_refactor(name):
-    config = GOLDEN_CASES[name]
-    result = simulate(config)
+    result = run_golden(name)
     golden = load_result(DATA / f"{name}.json")
 
     assert result.unit_names == golden.unit_names
@@ -97,4 +117,19 @@ def test_golden_run_matches_pre_refactor(name):
         close = np.abs(got - ref) <= 1.0e-9
         assert np.all(both_nan | close), (
             f"{field}: max |diff| = {np.nanmax(np.abs(got - ref))}"
+        )
+
+
+def test_arma_golden_is_bitwise_and_exercises_the_forecaster():
+    result = run_golden("golden_liquid_lb_arma")
+    golden = load_result(DATA / "golden_liquid_lb_arma.json")
+
+    # The pin must reach the forecaster: the initial fit plus at least
+    # one SPRT refit, and a forecast that moves the pump.
+    assert golden.retrain_count >= 2
+    assert len(set(golden.flow_setting.tolist())) >= 2
+    assert result.retrain_count == golden.retrain_count
+    for field in ("forecast_tmax", "tmax", "flow_setting", "pump_power"):
+        np.testing.assert_array_equal(
+            getattr(result, field), getattr(golden, field), err_msg=field
         )

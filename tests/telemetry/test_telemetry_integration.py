@@ -12,7 +12,10 @@ The acceptance properties of the telemetry subsystem:
   aggregated metrics report whose ``solver.factorizations`` matches
   the legacy counter's delta exactly;
 * ``factorize`` spans carry a matrix digest, so duplicate LUs are
-  visible from the trace alone (an inlet sweep has none).
+  visible from the trace alone (an inlet sweep has none);
+* the forecaster makes one ARMA innovations pass per observed sample
+  with a fitted model (none in ``predict``), counts its refits by
+  reason, and counts failed refits instead of swallowing them.
 """
 
 import time
@@ -251,3 +254,96 @@ class TestLUStoreTelemetry:
         assert len(digests) == factorization_count() - before_f > 0
         assert len(set(digests)) == len(digests)
         assert hits.value(kind="steady") > before_h
+
+
+class TestForecasterTelemetry:
+    """``control.forecast.*``: one innovations pass per observed sample
+    with a fitted model, refits by reason, and failed refits."""
+
+    @staticmethod
+    def counts():
+        snap = metrics.snapshot()["counters"]
+        return {
+            key: snap.get(key, 0)
+            for key in (
+                "control.forecast.passes",
+                "control.forecast.refits{reason=initial}",
+                "control.forecast.refits{reason=sprt}",
+                "control.forecast.refit_failures",
+            )
+        }
+
+    def delta(self, before):
+        after = self.counts()
+        return {key: after[key] - before[key] for key in before}
+
+    def test_one_pass_per_fitted_sample_and_none_in_predict(self):
+        from repro.control.forecaster import TemperatureForecaster
+
+        f = TemperatureForecaster(min_history=40)
+        before = self.counts()
+        for k in range(60):
+            f.observe(70.0 + 0.1 * (k % 7))
+        for _ in range(3):
+            f.predict()
+        delta = self.delta(before)
+        # Samples 40..60 see a fitted model: 21 passes, none from predict.
+        assert delta["control.forecast.passes"] == 21
+        assert delta["control.forecast.refits{reason=initial}"] == 1
+
+    def test_refits_labelled_by_reason(self):
+        import numpy as np
+
+        from repro.control.forecaster import TemperatureForecaster
+
+        f = TemperatureForecaster(min_history=40, window=80)
+        rng = np.random.default_rng(2)
+        series = np.concatenate([
+            70.0 + rng.normal(0, 0.2, 80),
+            85.0 + 0.5 * np.arange(40.0) + rng.normal(0, 0.2, 40),
+        ])
+        before = self.counts()
+        for value in series:
+            f.observe(float(value))
+        delta = self.delta(before)
+        assert delta["control.forecast.refits{reason=initial}"] == 1
+        assert delta["control.forecast.refits{reason=sprt}"] >= 1
+        assert (
+            delta["control.forecast.refits{reason=initial}"]
+            + delta["control.forecast.refits{reason=sprt}"]
+        ) == f.retrain_count
+        assert delta["control.forecast.refit_failures"] == 0
+
+    def test_failed_refit_is_counted_not_silent(self, monkeypatch):
+        from repro.control.arma import ArmaModel
+        from repro.control.forecaster import TemperatureForecaster
+        from repro.errors import ControlError
+
+        def degenerate(*args, **kwargs):
+            raise ControlError("degenerate history")
+
+        monkeypatch.setattr(ArmaModel, "fit", degenerate)
+        f = TemperatureForecaster(min_history=40)
+        before = self.counts()
+        for k in range(45):
+            f.observe(70.0 + 0.1 * k)
+        delta = self.delta(before)
+        # Samples 40..45 each attempt the initial fit and fail.
+        assert delta["control.forecast.refit_failures"] == 6
+        assert delta["control.forecast.refits{reason=initial}"] == 0
+        assert delta["control.forecast.passes"] == 0
+        assert f.model is None and f.retrain_count == 0
+
+    def test_variable_flow_run_passes_once_per_fitted_sample(self):
+        from repro.sim.config import CoolingMode
+        from repro.sim.engine import simulate
+
+        before = self.counts()
+        result = simulate(SimulationConfig(
+            cooling=CoolingMode.LIQUID_VARIABLE, nx=16, ny=16, duration=8.0,
+        ))
+        delta = self.delta(before)
+        assert delta["control.forecast.refits{reason=initial}"] == 1
+        # The first fit lands on the 40th sample (default min_history).
+        fitted_samples = len(result.times) - 40 + 1
+        assert delta["control.forecast.passes"] == fitted_samples
