@@ -21,12 +21,11 @@ pre-vectorization seed in parentheses):
   system memo shares assembled networks and factorizations across
   ``Simulator`` instances of the same configuration.
 
-PR 7 adds a ``cohort`` section: warm throughput of a 16-run
-policy-only sweep at 64x64 through the serial per-run path vs cohort
-execution (exact and block modes), in runs/sec-per-core, plus the LU
-factorization counters that gate the shared-kernel property. The
-committed ``BENCH_hotpath.json`` at the repo root is the trajectory
-baseline; ``benchmarks/compare_bench.py`` diffs a fresh run against it.
+Schema v2 adds a section timing a warm 16-run policy-only sweep at
+64x64 in runs/sec-per-core, plus the LU factorization counters that
+gate the shared-kernel property (``warm_sweep`` since schema v8). The committed
+``BENCH_hotpath.json`` at the repo root is the trajectory baseline;
+``benchmarks/compare_bench.py`` diffs a fresh run against it.
 
 PR 8 (schema v3) adds a ``cross_network`` section: a 16-point
 ``thermal_params`` sweep at 64x64 where every design point is a
@@ -39,7 +38,7 @@ temperature deviation vs exact, and runs/sec-per-core for both tiers.
 PR 9 (schema v4) sources every factorization and hit-rate counter from
 the :mod:`repro.telemetry` metrics registry (snapshot diffs instead of
 module-global reads) and adds a ``timing_breakdown`` section: the
-``span.*`` timer histograms of a traced cold cohort sweep, reporting
+``span.*`` timer histograms of a traced cold policy sweep, reporting
 where the wall clock goes (assembly, factorization, steady solves,
 transient steps) as absolute totals and shares.
 
@@ -62,6 +61,12 @@ interval again, but over 15 simulated seconds, so the forecaster fills
 its 40-sample history, fits ARMA, and slides its 120-sample window
 (``control_interval_32x32`` simulates 1 s and never fits). It is an
 informational timing: ``compare_bench.py`` prints it but never warns.
+
+Schema v8 replaces the ``cohort`` section (serial vs exact vs block
+cohort execution, all three gone in favor of one execution path with a
+memoized steady initial field) with ``warm_sweep``: one warm timing of
+the same 16-run 64x64 policy sweep, plus ``warm_refactorizations``,
+which must stay zero.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro import units  # noqa: E402
 from repro.geometry.stack import build_stack  # noqa: E402
-from repro.runner import BatchRunner, CohortRunner  # noqa: E402
+from repro.runner import BatchRunner  # noqa: E402
 from repro.sim.cache import (  # noqa: E402
     CharacterizationCache,
     clear_system_memo,
@@ -101,7 +106,7 @@ from repro.thermal.solver import (  # noqa: E402
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
 
@@ -120,10 +125,10 @@ def _counter_delta(before: dict, after: dict, name: str) -> int:
     return after["counters"].get(name, 0) - before["counters"].get(name, 0)
 
 
-def _cohort_configs() -> list:
-    """The cohort benchmark sweep: 16 runs (4 policies x 4 seeds) over
+def _policy_sweep_configs() -> list:
+    """The policy benchmark sweep: 16 runs (4 policies x 4 seeds) over
     one 64x64 thermal network — policy-only, so every run shares the
-    same assembled/factorized kernel."""
+    same assembled/factorized kernel and steady initial field."""
     return [
         SimulationConfig(policy=policy, seed=seed, nx=64, ny=64, duration=0.2)
         for seed in range(4)
@@ -131,52 +136,35 @@ def _cohort_configs() -> list:
     ]
 
 
-def collect_cohort_metrics(repeats: int = 5) -> dict:
-    """Cohort-vs-serial throughput on the 16-run policy sweep (PR 7).
+def collect_warm_sweep_metrics(repeats: int = 5) -> dict:
+    """Warm throughput of the 16-run policy sweep (schema v8).
 
     Throughput is runs/sec-per-core (everything here executes on one
-    core; divide by ``max_workers`` when extrapolating to a pool). The
-    ``warm_refactorizations`` counter is the algorithmic gate: a warm
-    cohort campaign must perform zero LU factorizations — at most one
-    factorization ever happens per (network, dt), however many runs
+    core). The ``warm_refactorizations`` counter is the algorithmic
+    gate: a warm campaign must perform zero LU factorizations — at most
+    one factorization ever happens per (network, dt), however many runs
     step through it.
     """
     cache = CharacterizationCache()
     before = telemetry_metrics.snapshot()
-    BatchRunner(_cohort_configs(), cohort="off", cache=cache).run()  # warm
+    BatchRunner(_policy_sweep_configs(), cache=cache).run()  # warm
     first_campaign_factorizations = _counter_delta(
         before, telemetry_metrics.snapshot(), "solver.factorizations"
     )
-
-    def campaign_time(make) -> float:
-        return _median_time(lambda: make().run(), repeats)
-
-    serial_s = campaign_time(
-        lambda: BatchRunner(_cohort_configs(), cohort="off", cache=cache)
+    warm_s = _median_time(
+        lambda: BatchRunner(_policy_sweep_configs(), cache=cache).run(), repeats
     )
-    exact_s = campaign_time(lambda: CohortRunner(_cohort_configs(), cache=cache))
-    block_s = campaign_time(
-        lambda: CohortRunner(_cohort_configs(), block=True, cache=cache)
-    )
-
     before = telemetry_metrics.snapshot()
-    CohortRunner(_cohort_configs(), cache=cache).run()
+    BatchRunner(_policy_sweep_configs(), cache=cache).run()
     warm_refactorizations = _counter_delta(
         before, telemetry_metrics.snapshot(), "solver.factorizations"
     )
-
-    n_runs = len(_cohort_configs())
+    n_runs = len(_policy_sweep_configs())
     return {
-        "sweep": "16 runs (4 policies x 4 seeds), 64x64, 0.2 s simulated",
+        "sweep": "16 runs (4 policies x 4 seeds), 64x64, 0.2 s simulated, warm",
         "n_runs": n_runs,
-        "serial_s": serial_s,
-        "cohort_exact_s": exact_s,
-        "cohort_block_s": block_s,
-        "serial_runs_per_sec_per_core": n_runs / serial_s,
-        "cohort_exact_runs_per_sec_per_core": n_runs / exact_s,
-        "cohort_block_runs_per_sec_per_core": n_runs / block_s,
-        "cohort_exact_speedup": serial_s / exact_s,
-        "cohort_block_speedup": serial_s / block_s,
+        "warm_s": warm_s,
+        "runs_per_sec_per_core": n_runs / warm_s,
         "first_campaign_factorizations": first_campaign_factorizations,
         "warm_refactorizations": warm_refactorizations,
     }
@@ -218,9 +206,7 @@ def collect_cross_network_metrics(repeats: int = 3) -> dict:
         clear_neighbor_cache()
         before = telemetry_metrics.snapshot()
         batch = BatchRunner(
-            _cross_network_configs(solver),
-            cohort="auto",
-            cache=CharacterizationCache(),
+            _cross_network_configs(solver), cache=CharacterizationCache()
         )
         start = time.perf_counter()
         runs = batch.run().runs
@@ -275,9 +261,9 @@ def collect_cross_network_metrics(repeats: int = 3) -> dict:
 
 
 def collect_timing_breakdown() -> dict:
-    """Span-derived timing shares of one cold cohort sweep (PR 9 / v4).
+    """Span-derived timing shares of one cold policy sweep (schema v4).
 
-    Runs the 16-run cohort campaign cold with span tracing enabled and
+    Runs the 16-run policy campaign cold with span tracing enabled and
     reports every ``span.*`` timer's count, total, and share of the
     campaign wall clock — the same breakdown ``repro telemetry
     summary`` prints for a ``--trace`` run, committed here so the
@@ -287,9 +273,7 @@ def collect_timing_breakdown() -> dict:
     clear_system_memo()
     before = telemetry_metrics.snapshot()
     start = time.perf_counter()
-    BatchRunner(
-        _cohort_configs(), cohort="auto", cache=CharacterizationCache()
-    ).run()
+    BatchRunner(_policy_sweep_configs(), cache=CharacterizationCache()).run()
     wall = time.perf_counter() - start
     delta = telemetry_metrics.snapshot_diff(before, telemetry_metrics.snapshot())
     telemetry_trace.disable()
@@ -505,7 +489,7 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
             "machine": platform.machine(),
         },
         "results": results,
-        "cohort": collect_cohort_metrics(repeats=repeats),
+        "warm_sweep": collect_warm_sweep_metrics(repeats=repeats),
         "cross_network": collect_cross_network_metrics(
             repeats=max(1, repeats // 2)
         ),
@@ -537,12 +521,11 @@ def test_hotpath_baseline(tmp_path):
         "control_interval_32x32",
         "control_interval_arma_32x32",
     }
-    cohort = loaded["cohort"]
-    assert cohort["n_runs"] == 16
-    assert cohort["cohort_exact_speedup"] > 0.0
-    assert cohort["cohort_block_speedup"] > 0.0
-    # The algorithmic gate: warm cohorts never refactorize.
-    assert cohort["warm_refactorizations"] == 0
+    warm = loaded["warm_sweep"]
+    assert warm["n_runs"] == 16
+    assert warm["runs_per_sec_per_core"] > 0.0
+    # The algorithmic gate: warm campaigns never refactorize.
+    assert warm["warm_refactorizations"] == 0
     cross = loaded["cross_network"]
     assert cross["n_points"] == 16
     # The cross-network gate: krylov factorizes strictly fewer times
@@ -594,19 +577,13 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for name, seconds in sorted(payload["results"].items()):
         print(f"{name:32s} {seconds * 1e3:10.3f} ms")
-    cohort = payload["cohort"]
-    print(f"\ncohort sweep: {cohort['sweep']}")
-    print(
-        f"  serial {cohort['serial_runs_per_sec_per_core']:.1f} runs/s"
-        f"  exact {cohort['cohort_exact_runs_per_sec_per_core']:.1f}"
-        f" ({cohort['cohort_exact_speedup']:.2f}x)"
-        f"  block {cohort['cohort_block_runs_per_sec_per_core']:.1f}"
-        f" ({cohort['cohort_block_speedup']:.2f}x)"
-    )
+    warm = payload["warm_sweep"]
+    print(f"\nwarm sweep: {warm['sweep']}")
+    print(f"  {warm['runs_per_sec_per_core']:.1f} runs/s per core")
     print(
         f"  factorizations: first campaign"
-        f" {cohort['first_campaign_factorizations']},"
-        f" warm {cohort['warm_refactorizations']}"
+        f" {warm['first_campaign_factorizations']},"
+        f" warm {warm['warm_refactorizations']}"
     )
     cross = payload["cross_network"]
     print(f"\ncross-network sweep: {cross['sweep']}")

@@ -9,11 +9,12 @@ Usage (what CI's perf-trajectory job runs)::
 Two kinds of checks, deliberately different in severity:
 
 * **Timing regressions are non-gating.** Absolute wall-clock depends on
-  the runner; a >20% median slowdown (or cohort-speedup loss) prints a
+  the runner; a >20% median slowdown (or warm-sweep throughput loss)
+  prints a
   GitHub ``::warning::`` annotation so it shows up on the PR, but the
   exit code stays 0. Timings in ``INFORMATIONAL_RESULTS`` (the ARMA
   control interval) are printed only, never warned on.
-* **The algorithmic counters gate.** A warm cohort campaign performing
+* **The algorithmic counters gate.** A warm policy sweep performing
   any LU factorization means kernel sharing broke, and a cross-network
   krylov campaign factorizing as often as it has design points means
   neighbor-LU preconditioning broke, and a cold inlet-temperature
@@ -25,8 +26,10 @@ Two kinds of checks, deliberately different in severity:
 Schema changes are tolerated in both directions: benchmarks present on
 only one side are reported as "new" / "not measured" instead of
 failing, and a missing ``cross_network`` (pre-v3), ``timing_breakdown``
-(pre-v4), ``facility`` (pre-v5), or ``inlet_sweep`` (pre-v6) section is
-a note, not an error.
+(pre-v4), ``facility`` (pre-v5), ``inlet_sweep`` (pre-v6), or baseline
+``warm_sweep`` (pre-v8, whose ``cohort`` section is read only for a
+note) section is a note, not an error. The current payload must carry
+``warm_sweep.warm_refactorizations``: without it the warm gate fails.
 """
 
 from __future__ import annotations
@@ -131,6 +134,53 @@ def _compare_timing_breakdown(cur: dict | None, base: dict | None) -> None:
         )
 
 
+def _compare_warm_sweep(cur: dict | None, base: dict | None, old: dict | None) -> int:
+    """Non-gating warm-sweep throughput comparison; returns warning count.
+
+    A pre-v8 baseline has a ``cohort`` section (``old``) instead, whose
+    serial/exact/block timings measured paths that no longer exist; it
+    is noted, never compared.
+    """
+    if not cur:
+        print("(warm_sweep: not measured this run)")
+        return 0
+    if not base:
+        note = " (baseline has the pre-v8 cohort section)" if old else ""
+        print(f"(warm_sweep: new this run, no baseline yet{note})")
+        return 0
+    b, c = base.get("runs_per_sec_per_core"), cur.get("runs_per_sec_per_core")
+    if b is None or c is None:
+        return 0
+    print(f"{'warm_sweep_runs_per_sec_per_core':32s} {b:9.2f}   {c:9.2f}")
+    if c < b * (1.0 - REGRESSION_THRESHOLD):
+        _warn(f"warm sweep: {c:.2f} runs/s vs baseline {b:.2f}")
+        return 1
+    return 0
+
+
+def _gate_warm_sweep(warm: dict | None) -> int:
+    """The shared-kernel gate; returns the failure count.
+
+    A warm campaign must perform zero LU factorizations.
+    """
+    refactor = (warm or {}).get("warm_refactorizations")
+    if refactor is None:
+        print(
+            "::error title=perf gate::current payload has no"
+            " warm_sweep.warm_refactorizations counter"
+        )
+        return 1
+    if refactor != 0:
+        print(
+            "::error title=perf gate::warm policy sweep performed"
+            f" {refactor} LU factorizations (expected 0 — the shared"
+            " kernel must factorize at most once per network)"
+        )
+        return 1
+    print("warm_refactorizations               0  (gate: ok)")
+    return 0
+
+
 def _gate_inlet_sweep(inlet: dict | None) -> int:
     """The LU-store gate (schema v6); returns the failure count.
 
@@ -195,17 +245,11 @@ def compare(current: dict, baseline: dict) -> int:
     if new:
         print(f"(new this run, no baseline yet: {', '.join(new)})")
 
-    cur_cohort = current.get("cohort", {})
-    base_cohort = baseline.get("cohort", {})
-    for key in ("cohort_exact_speedup", "cohort_block_speedup"):
-        base, cur = base_cohort.get(key), cur_cohort.get(key)
-        if base is None or cur is None:
-            continue
-        print(f"{key:32s} {base:9.2f}x  {cur:9.2f}x")
-        if cur < base * (1.0 - REGRESSION_THRESHOLD):
-            warnings += 1
-            _warn(f"{key}: {cur:.2f}x vs baseline {base:.2f}x")
-
+    warnings += _compare_warm_sweep(
+        current.get("warm_sweep"),
+        baseline.get("warm_sweep"),
+        baseline.get("cohort"),
+    )
     warnings += _compare_cross_network(
         current.get("cross_network"), baseline.get("cross_network")
     )
@@ -216,22 +260,7 @@ def compare(current: dict, baseline: dict) -> int:
         current.get("timing_breakdown"), baseline.get("timing_breakdown")
     )
 
-    refactor = cur_cohort.get("warm_refactorizations")
-    if refactor is None:
-        failures += 1
-        print(
-            "::error title=perf gate::current payload has no"
-            " cohort.warm_refactorizations counter"
-        )
-    elif refactor != 0:
-        failures += 1
-        print(
-            "::error title=perf gate::warm cohort campaign performed"
-            f" {refactor} LU factorizations (expected 0 — the shared"
-            " kernel must factorize at most once per network)"
-        )
-    else:
-        print("warm_refactorizations               0  (gate: ok)")
+    failures += _gate_warm_sweep(current.get("warm_sweep"))
 
     cross = current.get("cross_network")
     if cross is not None:

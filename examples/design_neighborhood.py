@@ -1,9 +1,9 @@
 """Cross-network design sweeps with the krylov solver tier.
 
 A thermal design-space sweep changes the *network* at every point —
-different resistance scaling, conductivity, geometry — so same-network
-cohort batching cannot help and the exact tier pays a fresh sparse LU
-per design point. ``solver="krylov"`` factorizes the first point it
+different resistance scaling, conductivity, geometry — so sharing one
+network's LUs across runs cannot help and the exact tier pays a fresh
+sparse LU per design point. ``solver="krylov"`` factorizes the first point it
 meets and steps every neighboring point with preconditioned GMRES off
 the nearest retained LU, agreeing with exact within
 ``KRYLOV_TEMPERATURE_TOLERANCE`` (falling back to a fresh LU if a
@@ -56,9 +56,7 @@ def campaign(solver: str):
     clear_system_memo()
     clear_neighbor_cache()
     before = metrics.snapshot()
-    batch = BatchRunner(
-        neighborhood(solver), cohort="auto", cache=CharacterizationCache()
-    )
+    batch = BatchRunner(neighborhood(solver), cache=CharacterizationCache())
     runs = batch.run().runs
     counters = metrics.snapshot_diff(before, metrics.snapshot())["counters"]
     return [run.result for run in runs], counters

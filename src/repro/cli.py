@@ -305,13 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--quiet", action="store_true", help="suppress per-run progress"
         )
         p.add_argument(
-            "--cohort", choices=("auto", "off", "block"), default="auto",
-            help="thermal-cohort batching: auto shares each cohort's "
-            "kernel byte-identically (default), off restores the "
-            "per-run path, block enables the multi-RHS kernel "
-            "(LU-roundoff-equivalent, not byte-identical)",
-        )
-        p.add_argument(
             "--trace", metavar="PATH",
             help="record span telemetry during the sweep and export it "
             "as trace JSONL (results stay byte-identical)",
@@ -433,17 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-run progress"
     )
     d_work.add_argument(
-        "--cohort", choices=("auto", "off", "block"), default="auto",
-        help="thermal-cohort batching within each shard (see "
-        "'repro sweep run --cohort')",
-    )
-    d_work.add_argument(
         "--solver", default=None, choices=("exact", "krylov"),
         help="override every run's thermal-solver tier for this worker "
         "(krylov reuses neighbor factorizations across thermal_params "
         "design points; results match exact within the documented "
         "tolerance but the merged campaign loses the bitwise "
-        "guarantee, like --cohort block)",
+        "guarantee)",
     )
     d_work.add_argument(
         "--trace", metavar="PATH",
@@ -918,7 +906,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         csv_path=args.save_csv,
         progress=None if args.quiet else _progress,
         stop_after=args.stop_after,
-        cohort=args.cohort,
     )
     try:
         result = runner.run(resume=resume)
@@ -1030,7 +1017,6 @@ def _cmd_dist(args: argparse.Namespace) -> int:
                 poll_interval=args.poll_interval,
                 wait=not args.no_wait,
                 progress=None if args.quiet else _progress,
-                cohort=args.cohort,
                 solver=args.solver,
             )
         except ConfigurationError as exc:

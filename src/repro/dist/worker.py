@@ -84,7 +84,6 @@ def _execute_shard(
     lease_ttl: float,
     max_workers: Optional[int],
     progress: Optional[Callable[[SweepPoint, int, float], None]],
-    cohort: str = "auto",
     solver: Optional[str] = None,
 ) -> int:
     """Run one shard's chunk and journal it; returns runs executed."""
@@ -100,17 +99,12 @@ def _execute_shard(
             else replace(point.config, solver=solver)
             for point in chunk
         ]
-        batch = BatchRunner(
-            configs,
-            max_workers=max_workers,
-            cache=cache,
-            cohort=cohort,
-        )
-        # Runs sharing a thermal kernel execute as one cohort, and each
-        # run collapses to its row + fold payloads on whatever process
-        # executed it (payload-only transport) — the journal line is
-        # byte-identical to the historical full-result path because
-        # sweep_row/fold_payload are pure functions of (point, result).
+        batch = BatchRunner(configs, max_workers=max_workers, cache=cache)
+        # Each run collapses to its row + fold payloads on whatever
+        # process executed it (payload-only transport) — the journal
+        # line is byte-identical to the historical full-result path
+        # because sweep_row/fold_payload are pure functions of
+        # (point, result).
         reducer = FoldReducer([agg.spec() for agg in aggregators])
         tags = [(point.index, point.key) for point in chunk]
         with contextlib.closing(batch.iter_reduced(reducer, tags)) as runs:
@@ -168,7 +162,6 @@ def run_worker(
     poll_interval: float = 0.5,
     wait: bool = True,
     progress: Optional[Callable[[SweepPoint, int, float], None]] = None,
-    cohort: str = "auto",
     solver: Optional[str] = None,
 ) -> WorkerReport:
     """Work a campaign until it is done (or ``max_shards`` is reached).
@@ -197,13 +190,6 @@ def run_worker(
         instead of waiting for other workers' shards to finish.
     progress:
         Callback ``(point, shard_index, elapsed_s)`` per completed run.
-    cohort:
-        Thermal-cohort grouping within each shard, as for
-        :class:`~repro.runner.BatchRunner` (``"auto"`` — the default —
-        shares each cohort's kernel byte-identically; ``"off"``
-        restores the per-run path; ``"block"`` enables the multi-RHS
-        kernel, LU-roundoff-equivalent rather than byte-identical, so
-        merged campaigns lose the bitwise guarantee).
     solver:
         When set (``"exact"`` or ``"krylov"``), override every run's
         thermal-solver tier for this worker session. ``"krylov"``
@@ -211,8 +197,7 @@ def run_worker(
         across thermal-parameter design points (agreement within
         :data:`repro.thermal.solver.KRYLOV_TEMPERATURE_TOLERANCE`), so
         campaigns merged from krylov workers lose the bitwise
-        guarantee exactly as ``cohort="block"`` does. ``None`` (the
-        default) runs each config as planned.
+        guarantee. ``None`` (the default) runs each config as planned.
     """
     if solver is not None and solver not in ("exact", "krylov"):
         raise ConfigurationError(
@@ -277,7 +262,7 @@ def run_worker(
                     report.runs_executed += _execute_shard(
                         ledger, spec, aggregators, shard, cache,
                         report.worker_id, lease_ttl, max_workers, progress,
-                        cohort, solver,
+                        solver,
                     )
                     report.shards_executed.append(shard.shard_id)
                 done.add(shard.shard_id)

@@ -2,11 +2,12 @@
 
 See :mod:`repro.runner.batch` for the design; the experiments layer
 (:func:`repro.experiments.common.run_matrix`), the ``repro batch`` CLI
-command, and ``benchmarks/bench_batch.py`` all route multi-run work
-through :class:`BatchRunner`. :mod:`repro.runner.cohort` adds
-thermal-cohort grouping — runs sharing one network advance through one
-shared numeric kernel (:class:`CohortRunner`, or ``cohort=`` on
-:class:`BatchRunner`).
+command, the sweep layer, and the distributed workers all route
+multi-run work through :class:`BatchRunner`. It executes runs in a
+stable sort by thermal signature (:func:`signature_groups`), so runs
+sharing one thermal system reuse its networks, LUs, and memoized
+steady initial field back to back, and emits results in submission
+order.
 """
 
 from repro.runner.batch import (
@@ -15,22 +16,18 @@ from repro.runner.batch import (
     BatchRunner,
     ReducedRun,
     reseeded,
-)
-from repro.runner.cohort import (
-    CohortRunner,
-    cohort_signature,
-    group_cohorts,
+    signature_groups,
     structural_signature,
+    thermal_signature,
 )
 
 __all__ = [
     "BatchRunner",
     "BatchResult",
     "BatchRun",
-    "CohortRunner",
     "ReducedRun",
-    "cohort_signature",
-    "group_cohorts",
-    "structural_signature",
     "reseeded",
+    "signature_groups",
+    "structural_signature",
+    "thermal_signature",
 ]

@@ -35,11 +35,12 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim import engine
-from repro.sim.cache import CharacterizationCache
+from repro.sim.cache import CharacterizationCache, _system_memo_key
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
+from repro.thermal.rc_network import ThermalParams
 from repro.workload.generator import ThreadTrace
 
 
@@ -53,6 +54,69 @@ def reseeded(
     instances (and the assignment never depends on worker scheduling).
     """
     return [replace(config, seed=base_seed + i) for i, config in enumerate(configs)]
+
+
+def thermal_signature(config: SimulationConfig) -> tuple:
+    """The thermal-kernel identity of a config.
+
+    The system-memo key (layers, cooling kind, grid, thermal params,
+    solver tier — see :func:`repro.sim.cache._system_memo_key`) plus
+    the sampling interval (the transient LU depends on dt). Configs
+    with equal signatures step through the same assembled networks,
+    LUs, and memoized steady initial fields; nothing else about them
+    (policy, controller, workload, seed, duration) reaches the numeric
+    kernel.
+    """
+    return _system_memo_key(config) + (config.sampling_interval,)
+
+
+def structural_signature(config: SimulationConfig) -> tuple:
+    """:func:`thermal_signature` with the thermal-parameter values
+    projected out: everything that decides the sparsity structure of
+    the system matrices, but not their values. Configs that agree here
+    but differ in ``thermal_params`` build different networks of the
+    same shape — the neighborhood a ``solver="krylov"`` run
+    preconditions across.
+    """
+    return tuple(
+        part
+        for part in _system_memo_key(config)
+        if not isinstance(part, ThermalParams)
+    ) + (config.sampling_interval,)
+
+
+def signature_groups(configs: Sequence[SimulationConfig]) -> list[list[int]]:
+    """Config indices grouped by execution key, in first-appearance order.
+
+    The key is :func:`thermal_signature`, or :func:`structural_signature`
+    for ``solver="krylov"`` configs. Every index lands in exactly one
+    group and members keep submission order, so concatenating the
+    groups gives a stable sort of the batch by key: runs sharing a
+    system execute back to back (the system memo holds only a few) and
+    krylov design points differing only in ``thermal_params`` execute
+    adjacently, reusing each other's preconditioner LUs.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        if config.solver == "krylov":
+            key = structural_signature(config)
+        else:
+            key = thermal_signature(config)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def balanced_slices(members: list[int], parts: int) -> list[list[int]]:
+    """Split ``members`` into up to ``parts`` contiguous slices whose
+    sizes differ by at most one and concatenate back to ``members``."""
+    parts = max(1, min(parts, len(members)))
+    base, extra = divmod(len(members), parts)
+    out, at = [], 0
+    for p in range(parts):
+        size = base + (1 if p < extra else 0)
+        out.append(members[at:at + size])
+        at += size
+    return out
 
 
 @dataclass
@@ -156,10 +220,9 @@ RunReducer = Callable[[Any, SimulationConfig, Any], Any]
 
 
 def _execute_one(
-    task: tuple[int, SimulationConfig, Optional[ThreadTrace]],
+    index: int, config: SimulationConfig, trace: Optional[ThreadTrace]
 ) -> BatchRun:
     """Run one configured simulation (worker side and serial path)."""
-    index, config, trace = task
     start = time.perf_counter()
     with _trace.span("run", index=index, policy=config.policy, solver=config.solver):
         result = engine.Simulator(config, trace=trace).run()
@@ -172,42 +235,26 @@ def _execute_one(
 
 
 def _execute_group(
-    task: tuple[list[tuple], bool, Optional[RunReducer]],
+    task: tuple[list[tuple], Optional[RunReducer]],
 ) -> list:
-    """Run one task group (a cohort slice, or a singleton).
-
-    ``task`` is ``(group, block, reducer)`` with ``group`` a list of
-    ``(index, config, trace, tag)``. Multi-member groups share their
-    thermal kernel through :func:`repro.runner.cohort.execute_cohort`;
-    singletons take the plain path. With a reducer, results collapse
-    to :class:`ReducedRun` before leaving the process.
-    """
-    group, block, reducer = task
-    if len(group) == 1:
-        index, config, trace, _ = group[0]
-        runs = [_execute_one((index, config, trace))]
-        _metrics.counter("runner.runs").inc(mode="single")
-    else:
-        from repro.runner.cohort import execute_cohort
-
-        runs = execute_cohort(
-            [(index, config, trace) for index, config, trace, _ in group],
-            block=block,
-        )
-        _metrics.counter("runner.runs").inc(
-            len(runs), mode="block" if block else "exact"
-        )
-    if reducer is None:
-        return runs
-    return [
-        ReducedRun(
-            index=run.index,
-            config=run.config,
-            payload=reducer(tag, run.config, run.result),
-            elapsed=run.elapsed,
-        )
-        for run, (_, _, _, tag) in zip(runs, group)
-    ]
+    """Run one task group in order; ``task`` is ``(group, reducer)``
+    with ``group`` a list of ``(index, config, trace, tag)``. With a
+    reducer, results collapse to :class:`ReducedRun` before leaving
+    the process."""
+    group, reducer = task
+    items = []
+    for index, config, trace, tag in group:
+        run = _execute_one(index, config, trace)
+        _metrics.counter("runner.runs").inc()
+        if reducer is not None:
+            run = ReducedRun(
+                index=run.index,
+                config=run.config,
+                payload=reducer(tag, run.config, run.result),
+                elapsed=run.elapsed,
+            )
+        items.append(run)
+    return items
 
 
 def _execute_group_remote(task: tuple) -> tuple[list, dict]:
@@ -262,20 +309,14 @@ class BatchRunner:
         Pre-derive all needed characterizations in the parent before
         fanning out (strongly recommended for parallel runs: the
         artifacts are computed once instead of once per worker).
-    cohort:
-        Thermal-cohort grouping (see :mod:`repro.runner.cohort`):
-        ``"off"`` (the default — one task per run, the historical
-        behavior), ``"exact"``/``"auto"`` (group runs sharing a
-        thermal kernel and execute each cohort against one shared
-        system + steady init; bit-identical to ``"off"``), or
-        ``"block"`` (additionally batch same-setting solves into one
-        multi-RHS call — fastest, LU-roundoff-equivalent rather than
-        byte-identical). In parallel mode cohorts are split into
-        balanced per-worker slices so one big cohort still fills the
-        pool.
-    """
 
-    _COHORT_MODES = ("off", "auto", "exact", "block")
+    Runs execute in a stable sort by :func:`signature_groups`, so runs
+    sharing a thermal system reuse its networks, LUs, and memoized
+    steady initial field back to back; results are emitted in
+    submission order either way. In parallel mode each signature group
+    is split into balanced contiguous slices, one pool task each, so a
+    single large group still fills every worker.
+    """
 
     def __init__(
         self,
@@ -284,16 +325,9 @@ class BatchRunner:
         max_workers: Optional[int] = None,
         cache: Optional[CharacterizationCache] = None,
         warm: bool = True,
-        cohort: str = "off",
     ) -> None:
         if not configs:
             raise ConfigurationError("a batch needs at least one config")
-        if cohort not in self._COHORT_MODES:
-            raise ConfigurationError(
-                f"unknown cohort mode {cohort!r}; expected one of "
-                f"{self._COHORT_MODES}"
-            )
-        self.cohort = "exact" if cohort == "auto" else cohort
         if traces is not None and len(traces) != len(configs):
             raise ConfigurationError(
                 f"got {len(traces)} traces for {len(configs)} configs"
@@ -323,32 +357,17 @@ class BatchRunner:
         return time.perf_counter() - start
 
     def _plan_groups(self) -> list[list[int]]:
-        """The task groups this batch executes, as index lists.
-
-        Cohort off: one singleton per run. Cohort on: the
-        :func:`repro.runner.cohort.group_cohorts` partition, with each
-        cohort further split into balanced slices in parallel mode so
-        a single large cohort still occupies every worker (exact-mode
-        members are independent, so slicing never changes results).
-        Groups are ordered by first member; members keep submission
-        order.
-        """
-        if self.cohort == "off":
-            return [[i] for i in range(len(self.configs))]
-        from repro.runner.cohort import group_cohorts, split_cohort
-
-        # neighbors=True: krylov-solver configs differing only in
-        # thermal_params group into one cohort so they execute back to
-        # back and reuse each other's preconditioner LUs; exact-solver
-        # configs partition exactly as before.
-        groups = group_cohorts(self.configs, neighbors=True)
-        if self.max_workers > 1:
-            groups = [
-                part
-                for members in groups
-                for part in split_cohort(members, self.max_workers)
-            ]
-        return groups
+        """The task groups this batch executes, as index lists, in
+        execution order: one run per task serially, balanced slices of
+        each :func:`signature_groups` group in parallel mode."""
+        groups = signature_groups(self.configs)
+        if self.max_workers <= 1:
+            return [[i] for members in groups for i in members]
+        return [
+            part
+            for members in groups
+            for part in balanced_slices(members, self.max_workers)
+        ]
 
     def _iter_grouped(
         self,
@@ -364,7 +383,6 @@ class BatchRunner:
         """
         if self.warm:
             self.warm_cache()
-        block = self.cohort == "block"
         groups = [
             [
                 (
@@ -377,7 +395,7 @@ class BatchRunner:
             ]
             for members in self._plan_groups()
         ]
-        tasks = [(group, block, reducer) for group in groups]
+        tasks = [(group, reducer) for group in groups]
         buffered: dict[int, Any] = {}
         emit_next = 0
 
@@ -422,9 +440,8 @@ class BatchRunner:
         The workhorse behind :meth:`run` and the sweep layer
         (:class:`repro.sweep.SweepRunner`): each :class:`BatchRun` is
         yielded as soon as it (and everything before it) has finished,
-        so a consumer holds O(in-flight) results instead of O(batch)
-        (cohort grouping raises the in-flight bound to O(cohort
-        slice)). Yield order is always submission order — downstream
+        so a consumer holds O(signature group) results instead of
+        O(batch). Yield order is always submission order — downstream
         folds (aggregators, journals) are therefore deterministic
         regardless of worker scheduling. Closing the generator early
         cancels the unconsumed remainder of a parallel batch.

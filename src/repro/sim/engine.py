@@ -28,9 +28,10 @@ The engine caches flow-table characterizations and TALB weight sets per
 thermal-system signature, since these are offline pre-processing steps
 in the paper. The cache is an explicit
 :class:`~repro.sim.cache.CharacterizationCache`: a process-wide default
-instance backs the module-level helpers below, and a pre-warmed cache
-can be injected per :class:`Simulator` (or installed with
-:func:`set_default_cache` in a worker process) for batch fan-out.
+instance (:func:`default_cache`) serves every simulator built without
+one, and a pre-warmed cache can be injected per :class:`Simulator` (or
+installed with :func:`set_default_cache` in a worker process) for batch
+fan-out.
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ from typing import Iterable, Mapping, Optional, Protocol, runtime_checkable
 import numpy as np
 
 from repro.constants import CONTROL
-from repro.control.flow_table import FlowRateTable
 from repro.errors import ConfigurationError, SchedulingError
 from repro.geometry.stack import CoolingKind
-from repro.power.components import PowerModel
 from repro.power.dpm import DpmPolicy
 from repro.pump.laing_ddc import PumpState
 from repro.registry import (
@@ -62,7 +61,6 @@ from repro.sched.weights import ThermalWeights
 from repro.sim.cache import CharacterizationCache, system_for
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.sim.results import SimulationResult
-from repro.sim.system import ThermalSystem
 from repro.telemetry import trace as _trace
 from repro.workload.generator import ThreadTrace
 
@@ -79,42 +77,6 @@ def set_default_cache(cache: CharacterizationCache) -> None:
     shipped to a :class:`repro.runner.BatchRunner` worker)."""
     global _default_cache
     _default_cache = cache
-
-
-def characterized_table(
-    system: ThermalSystem,
-    power_model: PowerModel,
-    config: SimulationConfig,
-    cache: Optional[CharacterizationCache] = None,
-) -> FlowRateTable:
-    """The (cached) offline characterization for a system (Figure 5)."""
-    return (cache or _default_cache).table(system, power_model, config)
-
-
-def burst_floor_setting(
-    system: ThermalSystem,
-    power_model: PowerModel,
-    config: SimulationConfig,
-    cache: Optional[CharacterizationCache] = None,
-) -> int:
-    """Lowest setting that holds one fully loaded core below the target.
-
-    See :meth:`repro.sim.cache.CharacterizationCache.floor`.
-    """
-    return (cache or _default_cache).floor(system, power_model, config)
-
-
-def thermal_weights(
-    system: ThermalSystem,
-    setting_index: int,
-    config: SimulationConfig,
-    cooling: CoolingKind,
-    cache: Optional[CharacterizationCache] = None,
-) -> ThermalWeights:
-    """The (cached) pre-processed TALB weights for one cooling condition."""
-    return (cache or _default_cache).thermal_weights(
-        system, setting_index, config, cooling
-    )
 
 
 @dataclass(frozen=True)
@@ -175,51 +137,6 @@ class IntervalState:
     def done(self) -> bool:
         """Whether this was the configured run's final interval."""
         return self.index + 1 >= self.n_intervals
-
-
-@dataclass(frozen=True)
-class PendingInterval:
-    """One control interval paused between stages 1-2 and 3-6.
-
-    :meth:`Simulator.step_begin` runs the scheduler substrate and the
-    power model (stages 1-2) and returns this: everything the thermal
-    solve needs, with the solve itself left to the caller. Feeding the
-    solved field to :meth:`Simulator.step_finish` completes the
-    interval (stages 4-6). The cohort runner uses the split to batch
-    many runs' solves into one multi-RHS call against the shared LU;
-    :meth:`Simulator.step` composes the same pieces with a per-run
-    solve.
-
-    Attributes
-    ----------
-    index:
-        Zero-based interval index being executed.
-    t_end:
-        Simulation time at the interval's end, s.
-    setting:
-        Pump setting the solve must use (-1 for air cooling).
-    temperatures:
-        Node temperature field entering the solve, degC.
-    node_power:
-        Per-node power injection for the interval, W.
-    unit_powers:
-        Per-unit power map (recorded by ``step_finish``), W.
-    completed_threads:
-        Threads that finished during the interval's quanta.
-    inlet_temperature:
-        Coolant inlet temperature folded into ``node_power`` for this
-        interval's solve (NaN for fixed-inlet runs, where the inlet
-        lives in the network's assembled boundary vector).
-    """
-
-    index: int
-    t_end: float
-    setting: int
-    temperatures: np.ndarray
-    node_power: np.ndarray
-    unit_powers: np.ndarray
-    completed_threads: int
-    inlet_temperature: float = float("nan")
 
 
 @runtime_checkable
@@ -337,8 +254,6 @@ class Simulator:
                 "(use facility='none')"
             )
         self._state: Optional[_RunState] = None
-        self._initial_temperatures: Optional[np.ndarray] = None
-        self._pending = False
 
     def add_observer(self, observer: IntervalObserver) -> None:
         """Register another per-interval observer."""
@@ -372,42 +287,6 @@ class Simulator:
         """Whether every configured interval has executed."""
         return self.intervals_completed >= self.interval_count
 
-    # --- shared steady-state initialization --------------------------------
-
-    def initial_condition_key(self) -> tuple:
-        """Identity of the steady-state field this run starts from.
-
-        Two simulators of one cohort (same :class:`ThermalSystem`) with
-        equal keys start from bit-identical initial fields, so the
-        cohort runner computes the steady solve once per key and
-        installs it with :meth:`set_initial_temperatures`.
-        """
-        setting0 = self._pump_state.current_index if self._pump_state else -1
-        return (self.config.spec.utilization, setting0)
-
-    def steady_initial_temperatures(self) -> np.ndarray:
-        """The steady-state initial field — exactly the computation the
-        first :meth:`step` performs when nothing was injected."""
-        setting0 = self._pump_state.current_index if self._pump_state else -1
-        return self.system.initial_temperatures(
-            self.power_model, self.config.spec.utilization, setting_index=setting0
-        )
-
-    def set_initial_temperatures(self, temperatures: np.ndarray) -> None:
-        """Install a pre-computed steady-state initial field.
-
-        Must equal what :meth:`steady_initial_temperatures` would
-        return (same system, utilization, initial pump setting) — the
-        cohort runner shares one steady solve across runs this way,
-        keeping results bit-identical to each run solving for itself.
-        Only valid before the first step.
-        """
-        if self._state is not None:
-            raise ConfigurationError(
-                "initial temperatures must be installed before the first step"
-            )
-        self._initial_temperatures = np.array(temperatures, dtype=float, copy=True)
-
     def _ensure_state(self) -> _RunState:
         if self._state is not None:
             return self._state
@@ -423,13 +302,12 @@ class Simulator:
         st.dpm = DpmPolicy(core_names, enabled=config.dpm_enabled)
         st.spec = config.spec
 
-        if self._initial_temperatures is not None:
-            st.temperatures = self._initial_temperatures
-        else:
-            setting0 = self._pump_state.current_index if self._pump_state else -1
-            st.temperatures = self.system.initial_temperatures(
-                self.power_model, st.spec.utilization, setting_index=setting0
-            )
+        # The steady initial field is memoized by the system and shared
+        # read-only; each step builds a new field, never writes it.
+        setting0 = self._pump_state.current_index if self._pump_state else -1
+        st.temperatures = self.system.initial_temperatures(
+            self.power_model, st.spec.utilization, setting_index=setting0
+        )
         # Vector-native per-interval state: unit/core temperatures live
         # in arrays aligned to the grid's stable unit ordering; the
         # small per-core dict is rebuilt only for the policy interface.
@@ -477,38 +355,151 @@ class Simulator:
         self._state = st
         return st
 
-    def step_begin(self) -> PendingInterval:
-        """Stages 1-2 of one control interval: scheduler quanta + power.
+    def step(self) -> IntervalState:
+        """Execute one control interval (stages 1-6) and record it."""
+        with _trace.span("step") as step_span:
+            st = self._ensure_state()
+            if st.k >= st.n_intervals:
+                raise ConfigurationError(
+                    "simulation already ran its configured duration; build a "
+                    "new Simulator to run again"
+                )
+            config = self.config
+            grid = self.system.grid
+            interval = config.sampling_interval
+            core_names = self.system.core_names
+            k = st.k
+            t_start = k * interval
 
-        Returns the thermal solve's inputs; the caller performs the
-        backward-Euler step — alone, or batched across a cohort sharing
-        this system's LU — and hands the solved field to
-        :meth:`step_finish`. :meth:`step` is the fused per-run form.
-        """
-        with _trace.span("step_begin") as sb_span:
-            pending = self._step_begin_impl()
-            sb_span.set_attrs(index=pending.index)
-            return pending
+            busy_time, states, completed_in_interval = self._run_quanta(
+                st, t_start
+            )
+            t_end = t_start + interval
+            if self._pump_state is not None:
+                self._pump_state.advance(t_end)
 
-    def _step_begin_impl(self) -> PendingInterval:
-        st = self._ensure_state()
-        if self._pending:
-            raise ConfigurationError(
-                "step_begin called with an interval still pending; feed "
-                "the solved field to step_finish first"
+            core_util = {
+                name: min(1.0, busy_time[name] / interval) for name in core_names
+            }
+            unit_powers = self.power_model.unit_power_vector(
+                st.unit_keys, core_util, states, st.spec.memory_intensity, st.unit_vec
             )
-        if st.k >= st.n_intervals:
-            raise ConfigurationError(
-                "simulation already ran its configured duration; build a "
-                "new Simulator to run again"
+            # The solve setting: the commanded pump setting for liquid
+            # cooling, -1 (the air network) otherwise.
+            setting = (
+                self._pump_state.current_index
+                if self._pump_state is not None
+                and self._cooling_kind is CoolingKind.LIQUID
+                else -1
             )
+            step_span.set_attrs(index=k, setting=setting)
+            node_power = grid.power_vector_from_array(unit_powers)
+            inlet_temperature = float("nan")
+            if self._facility is not None:
+                # Closed-loop coupling: the facility's current loop
+                # temperature is this interval's coolant inlet. The inlet
+                # enters the ODE only through the (linear) boundary term,
+                # so the change is folded into the right-hand side here —
+                # the memoized network and its factorization are reused
+                # untouched, on the exact and krylov solve paths alike.
+                inlet_temperature = self._facility.inlet_temperature
+                delta = self.system.network(setting).inlet_boundary_delta(
+                    inlet_temperature
+                )
+                if delta is not None:
+                    node_power = node_power + delta
+            solver = self.system.transient_solver(setting, interval)
+            st.temperatures = solver.step(st.temperatures, node_power)
+            st.unit_vec = grid.unit_temperature_vector(st.temperatures)
+            st.core_vec = st.unit_vec[grid.core_index]
+            st.core_temps = dict(zip(core_names, st.core_vec.tolist()))
+            # Runtime policies observe sensors (unit means), as in the
+            # paper; the cell-level peak is recorded as ground truth.
+            tmax = float(st.unit_vec.max())
+            tmax_cell = grid.max_die_temperature(st.temperatures)
+
+            st.forecaster.observe(tmax)
+            if config.forecast_enabled:
+                # The controller acts on the forecast, guarded by the
+                # current reading: a prediction below an already-high
+                # temperature must not postpone an upshift.
+                prediction = max(st.forecaster.predict(), tmax)
+            else:
+                # Ablation: a purely reactive controller sees only the
+                # current temperature and eats the full pump delay.
+                prediction = tmax
+            if self._controller is not None:
+                # Declared capability, not type dispatch: proactive
+                # controllers consume the forecast, reactive ones the
+                # measured temperature.
+                signal = prediction if self._controller.reacts_to_forecast else tmax
+                self._controller.update(signal, t_end)
+
+            self._policy.rebalance(st.queues, st.core_temps, t_end)
+
+            st.rec_times[k] = t_end
+            st.rec_tmax[k] = tmax
+            st.rec_tmax_cell[k] = tmax_cell
+            st.rec_core_t[k] = st.core_vec
+            st.rec_unit_t[k] = st.unit_vec
+            st.rec_chip_p[k] = float(unit_powers.sum())
+            if self._pump_state is not None:
+                st.rec_pump_p[k] = self._pump_state.electrical_power()
+                st.rec_setting[k] = self._pump_state.commanded_index
+            st.rec_completed[k] = completed_in_interval
+            st.rec_forecast[k] = prediction
+            st.rec_migrations[k] = self._policy.migration_count
+
+            fac_inlet = float("nan")
+            fac_cooling = float("nan")
+            if self._facility is not None:
+                # Close the loop: the heat the coolant carried out this
+                # interval (sensible-heat balance over the channel rows)
+                # drives the facility energy balance, whose new loop
+                # temperature becomes the next interval's inlet.
+                network = self.system.network(setting)
+                q_chip = network.coolant_heat_rejected(
+                    st.temperatures, inlet_temperature
+                )
+                fac_state = self._facility.advance(
+                    config.sampling_interval,
+                    q_chip,
+                    float(st.rec_chip_p[k]),
+                    float(st.rec_pump_p[k]),
+                )
+                st.rec_fac_inlet[k] = inlet_temperature
+                st.rec_fac_cooling[k] = fac_state.cooling_power
+                st.rec_fac_water[k] = fac_state.water_use
+                st.rec_fac_free[k] = fac_state.free_cooling
+                fac_inlet = inlet_temperature
+                fac_cooling = fac_state.cooling_power
+            st.k = k + 1
+
+            return IntervalState(
+                index=k,
+                n_intervals=st.n_intervals,
+                time=t_end,
+                tmax=tmax,
+                tmax_cell=tmax_cell,
+                forecast_tmax=prediction,
+                core_temperatures=dict(st.core_temps),
+                chip_power=float(st.rec_chip_p[k]),
+                pump_power=float(st.rec_pump_p[k]),
+                flow_setting=int(st.rec_setting[k]),
+                completed_threads=completed_in_interval,
+                migrations=int(st.rec_migrations[k]),
+                facility_inlet_temperature=fac_inlet,
+                facility_cooling_power=fac_cooling,
+            )
+
+    def _run_quanta(
+        self, st: _RunState, t_start: float
+    ) -> tuple[dict[str, float], dict, int]:
+        """Stage 1: dispatch arrivals and execute the per-core queues at
+        the scheduler quantum for one interval; returns the per-core
+        busy time, the DPM states, and the threads completed."""
         config = self.config
-        grid = self.system.grid
-        interval = config.sampling_interval
         core_names = self.system.core_names
-        k = st.k
-
-        t_start = k * interval
         busy_time = {name: 0.0 for name in core_names}
         completed_in_interval = 0
         states = st.dpm.states()
@@ -555,179 +546,7 @@ class Simulator:
                     busy[name] = False
             states = st.dpm.observe(now + config.quantum, busy)
 
-        t_end = t_start + interval
-        if self._pump_state is not None:
-            self._pump_state.advance(t_end)
-
-        core_util = {
-            name: min(1.0, busy_time[name] / interval) for name in core_names
-        }
-        unit_powers = self.power_model.unit_power_vector(
-            st.unit_keys, core_util, states, st.spec.memory_intensity, st.unit_vec
-        )
-        # The solve setting: the commanded pump setting for liquid
-        # cooling, -1 (the air network) otherwise.
-        setting = (
-            self._pump_state.current_index
-            if self._pump_state is not None
-            and self._cooling_kind is CoolingKind.LIQUID
-            else -1
-        )
-        node_power = grid.power_vector_from_array(unit_powers)
-        inlet_temperature = float("nan")
-        if self._facility is not None:
-            # Closed-loop coupling: the facility's current loop
-            # temperature is this interval's coolant inlet. The inlet
-            # enters the ODE only through the (linear) boundary term,
-            # so the change is folded into the right-hand side here —
-            # the memoized network and its factorization are reused
-            # untouched, on the fused, cohort-batched, and krylov solve
-            # paths alike.
-            inlet_temperature = self._facility.inlet_temperature
-            delta = self.system.network(setting).inlet_boundary_delta(
-                inlet_temperature
-            )
-            if delta is not None:
-                node_power = node_power + delta
-        self._pending = True
-        return PendingInterval(
-            index=k,
-            t_end=t_end,
-            setting=setting,
-            temperatures=st.temperatures,
-            node_power=node_power,
-            unit_powers=unit_powers,
-            completed_threads=completed_in_interval,
-            inlet_temperature=inlet_temperature,
-        )
-
-    def step_finish(
-        self, pending: PendingInterval, new_temperatures: np.ndarray
-    ) -> IntervalState:
-        """Stages 4-6: sensors, forecast, control, rebalance, record.
-
-        ``new_temperatures`` is the solved field for ``pending`` (what
-        ``transient_solver(pending.setting, dt).step(...)`` returns, or
-        one column of the cohort's :meth:`~repro.thermal.solver.
-        TransientSolver.step_many` block).
-        """
-        with _trace.span("step_finish", index=pending.index):
-            return self._step_finish_impl(pending, new_temperatures)
-
-    def _step_finish_impl(
-        self, pending: PendingInterval, new_temperatures: np.ndarray
-    ) -> IntervalState:
-        st = self._state
-        if st is None or not self._pending:
-            raise ConfigurationError(
-                "step_finish called without a pending step_begin"
-            )
-        if pending.index != st.k:
-            raise ConfigurationError(
-                f"pending interval {pending.index} does not match run "
-                f"state at interval {st.k}"
-            )
-        self._pending = False
-        config = self.config
-        grid = self.system.grid
-        k = pending.index
-        t_end = pending.t_end
-        completed_in_interval = pending.completed_threads
-        unit_powers = pending.unit_powers
-
-        st.temperatures = new_temperatures
-        st.unit_vec = grid.unit_temperature_vector(st.temperatures)
-        st.core_vec = st.unit_vec[grid.core_index]
-        st.core_temps = dict(zip(self.system.core_names, st.core_vec.tolist()))
-        # Runtime policies observe sensors (unit means), as in the
-        # paper; the cell-level peak is recorded as ground truth.
-        tmax = float(st.unit_vec.max())
-        tmax_cell = grid.max_die_temperature(st.temperatures)
-
-        st.forecaster.observe(tmax)
-        if config.forecast_enabled:
-            # The controller acts on the forecast, guarded by the
-            # current reading: a prediction below an already-high
-            # temperature must not postpone an upshift.
-            prediction = max(st.forecaster.predict(), tmax)
-        else:
-            # Ablation: a purely reactive controller sees only the
-            # current temperature and eats the full pump delay.
-            prediction = tmax
-        if self._controller is not None:
-            # Declared capability, not type dispatch: proactive
-            # controllers consume the forecast, reactive ones the
-            # measured temperature.
-            signal = prediction if self._controller.reacts_to_forecast else tmax
-            self._controller.update(signal, t_end)
-
-        self._policy.rebalance(st.queues, st.core_temps, t_end)
-
-        st.rec_times[k] = t_end
-        st.rec_tmax[k] = tmax
-        st.rec_tmax_cell[k] = tmax_cell
-        st.rec_core_t[k] = st.core_vec
-        st.rec_unit_t[k] = st.unit_vec
-        st.rec_chip_p[k] = float(unit_powers.sum())
-        if self._pump_state is not None:
-            st.rec_pump_p[k] = self._pump_state.electrical_power()
-            st.rec_setting[k] = self._pump_state.commanded_index
-        st.rec_completed[k] = completed_in_interval
-        st.rec_forecast[k] = prediction
-        st.rec_migrations[k] = self._policy.migration_count
-
-        fac_inlet = float("nan")
-        fac_cooling = float("nan")
-        if self._facility is not None:
-            # Close the loop: the heat the coolant carried out this
-            # interval (sensible-heat balance over the channel rows)
-            # drives the facility energy balance, whose new loop
-            # temperature becomes the next interval's inlet.
-            network = self.system.network(pending.setting)
-            q_chip = network.coolant_heat_rejected(
-                st.temperatures, pending.inlet_temperature
-            )
-            fac_state = self._facility.advance(
-                config.sampling_interval,
-                q_chip,
-                float(st.rec_chip_p[k]),
-                float(st.rec_pump_p[k]),
-            )
-            st.rec_fac_inlet[k] = pending.inlet_temperature
-            st.rec_fac_cooling[k] = fac_state.cooling_power
-            st.rec_fac_water[k] = fac_state.water_use
-            st.rec_fac_free[k] = fac_state.free_cooling
-            fac_inlet = pending.inlet_temperature
-            fac_cooling = fac_state.cooling_power
-        st.k = k + 1
-
-        return IntervalState(
-            index=k,
-            n_intervals=st.n_intervals,
-            time=t_end,
-            tmax=tmax,
-            tmax_cell=tmax_cell,
-            forecast_tmax=prediction,
-            core_temperatures=dict(st.core_temps),
-            chip_power=float(st.rec_chip_p[k]),
-            pump_power=float(st.rec_pump_p[k]),
-            flow_setting=int(st.rec_setting[k]),
-            completed_threads=completed_in_interval,
-            migrations=int(st.rec_migrations[k]),
-            facility_inlet_temperature=fac_inlet,
-            facility_cooling_power=fac_cooling,
-        )
-
-    def step(self) -> IntervalState:
-        """Execute one control interval (stages 1-6) and record it."""
-        with _trace.span("step") as step_span:
-            pending = self.step_begin()
-            step_span.set_attrs(index=pending.index, setting=pending.setting)
-            solver = self.system.transient_solver(
-                pending.setting, self.config.sampling_interval
-            )
-            new_temperatures = solver.step(pending.temperatures, pending.node_power)
-            return self.step_finish(pending, new_temperatures)
+        return busy_time, states, completed_in_interval
 
     def result(self) -> SimulationResult:
         """The recorded series through the last executed interval.

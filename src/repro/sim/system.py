@@ -93,6 +93,7 @@ class ThermalSystem:
         self._networks: dict[int, RCNetwork] = {}
         self._transients: dict[tuple, "TransientSolver | KrylovTransientSolver"] = {}
         self._steadies: dict[tuple, "SteadyStateSolver | KrylovSteadySolver"] = {}
+        self._initial_fields: dict[tuple, tuple[PowerModel, np.ndarray]] = {}
 
     # --- network/solver caches --------------------------------------------------
 
@@ -225,9 +226,36 @@ class ThermalSystem:
         """Steady-state temperature field (see :meth:`steady_tmax`)."""
         if not 0.0 <= utilization <= 1.0:
             raise ConfigurationError("utilization must be in [0, 1]")
-        core_util = {name: utilization for name in self.core_names}
-        core_states = {name: CoreState.IDLE if utilization == 0.0 else CoreState.ACTIVE
-                       for name in self.core_names}
+        temps, _ = self._leakage_fixed_point(
+            power_model,
+            *self._uniform_load(utilization),
+            setting_index,
+            memory_intensity,
+            leakage_iterations,
+        )
+        return temps
+
+    def _uniform_load(self, utilization: float) -> tuple[dict, dict]:
+        """Per-core utilizations and power states for a uniform load."""
+        state = CoreState.IDLE if utilization == 0.0 else CoreState.ACTIVE
+        return (
+            {name: utilization for name in self.core_names},
+            {name: state for name in self.core_names},
+        )
+
+    def _leakage_fixed_point(
+        self,
+        power_model: PowerModel,
+        core_util: dict,
+        core_states: dict,
+        setting_index: int,
+        memory_intensity: float,
+        leakage_iterations: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Iterate power(T) -> solve -> T for one load pattern.
+
+        Returns the final node field and its unit-temperature vector.
+        """
         solver = self.steady_solver(setting_index)
         grid = self.grid
         unit_vec: Optional[np.ndarray] = None
@@ -238,7 +266,7 @@ class ThermalSystem:
             )
             temps = solver.solve(grid.power_vector_from_array(unit_powers))
             unit_vec = grid.unit_temperature_vector(temps)
-        return temps
+        return temps, unit_vec
 
     def steady_temperature_fields(
         self,
@@ -260,14 +288,7 @@ class ThermalSystem:
         utils = [float(u) for u in np.atleast_1d(np.asarray(utilizations, dtype=float))]
         if any(not 0.0 <= u <= 1.0 for u in utils):
             raise ConfigurationError("utilization must be in [0, 1]")
-        per_util = [
-            (
-                {name: u for name in self.core_names},
-                {name: CoreState.IDLE if u == 0.0 else CoreState.ACTIVE
-                 for name in self.core_names},
-            )
-            for u in utils
-        ]
+        per_util = [self._uniform_load(u) for u in utils]
         solver = self.steady_solver(setting_index)
         grid = self.grid
         unit_vecs: list[Optional[np.ndarray]] = [None] * len(utils)
@@ -329,16 +350,14 @@ class ThermalSystem:
         for name in core_names[:n_active]:
             core_util[name] = 1.0
             core_states[name] = CoreState.ACTIVE
-        solver = self.steady_solver(setting_index)
-        grid = self.grid
-        unit_vec: Optional[np.ndarray] = None
-        temps = np.zeros(grid.n_nodes)
-        for _ in range(max(1, leakage_iterations)):
-            unit_powers = power_model.unit_power_vector(
-                grid.unit_keys, core_util, core_states, memory_intensity, unit_vec
-            )
-            temps = solver.solve(grid.power_vector_from_array(unit_powers))
-            unit_vec = grid.unit_temperature_vector(temps)
+        _, unit_vec = self._leakage_fixed_point(
+            power_model,
+            core_util,
+            core_states,
+            setting_index,
+            memory_intensity,
+            leakage_iterations,
+        )
         return float(unit_vec.max())
 
     # --- convenience ------------------------------------------------------------
@@ -346,5 +365,22 @@ class ThermalSystem:
     def initial_temperatures(self, power_model: PowerModel, utilization: float,
                              setting_index: int = -1) -> np.ndarray:
         """Steady-state initialization (the paper initializes all
-        simulations "with steady state temperature values")."""
-        return self.steady_temperatures(power_model, utilization, setting_index)
+        simulations "with steady state temperature values").
+
+        Memoized per ``(power_model, utilization, setting_index)``: every
+        run that starts from the same condition on this system shares
+        one field, bitwise equal to solving afresh (same LU, same ops).
+        The field is read-only, so no run can corrupt another's start.
+        The power model is paired with its system by
+        :func:`repro.sim.cache.system_for`, so the memo lives and dies
+        with the system.
+        """
+        key = (id(power_model), utilization, setting_index)
+        hit = self._initial_fields.get(key)
+        if hit is None:
+            field = self.steady_temperatures(power_model, utilization, setting_index)
+            field.flags.writeable = False
+            # The model rides along so its id cannot be reused while
+            # the entry lives.
+            hit = self._initial_fields[key] = (power_model, field)
+        return hit[1]

@@ -331,17 +331,6 @@ class SweepRunner:
         chunk), while staying large enough to amortize pool start-up
         across a chunk. The default (256) never changes results — only
         the memory/latency trade.
-    cohort:
-        Thermal-cohort grouping, forwarded to
-        :class:`repro.runner.BatchRunner`. The default ``"auto"``
-        groups each chunk's runs by shared thermal kernel and executes
-        cohorts in exact mode — byte-identical to ``"off"`` (the
-        historical per-run path) but skipping redundant steady
-        initializations and factorizations. ``"block"`` additionally
-        batches same-setting solves into multi-RHS calls; fastest, but
-        LU-roundoff-equivalent rather than byte-identical, so leave it
-        off for checkpointed campaigns whose resumes must replay
-        bit-exactly.
     """
 
     #: Default execution chunk: large enough that per-chunk pool
@@ -361,7 +350,6 @@ class SweepRunner:
         progress: Optional[Callable[[int, int, SweepPoint, float], None]] = None,
         stop_after: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        cohort: str = "auto",
     ) -> None:
         if snapshot_every < 1:
             raise ConfigurationError("snapshot_every must be >= 1")
@@ -383,7 +371,6 @@ class SweepRunner:
         self.on_result = on_result
         self.progress = progress
         self.stop_after = stop_after
-        self.cohort = cohort
 
     # --- checkpoint plumbing ----------------------------------------------
 
@@ -539,7 +526,6 @@ class SweepRunner:
                 batch = BatchRunner(
                     [point.config for point in chunk],
                     max_workers=self.max_workers,
-                    cohort=self.cohort,
                 )
                 if reduced:
                     stream = batch.iter_reduced(

@@ -14,7 +14,7 @@ planned async digital-twin service constructs solvers concurrently).
 Series are keyed by ``name`` plus optional labels
 (``counter("runs").inc(tier="krylov")`` writes the
 ``runs{tier=krylov}`` series), so one metric can carry dimensions such
-as solver tier, cohort mode, or grid shape without new globals.
+as solver tier, cache kind, or grid shape without new globals.
 
 Measurement is snapshot-based: :func:`snapshot` returns a plain,
 deterministically-ordered JSON-able dict, :func:`snapshot_diff`

@@ -21,8 +21,6 @@ from repro.thermal.solver import (
     SteadyStateSolver,
     TransientSolver,
     clear_neighbor_cache,
-    factorization_count,
-    krylov_stats,
     neighbor_factor_cache,
     structure_signature,
 )
@@ -46,8 +44,6 @@ __all__ = [
     "KRYLOV_TEMPERATURE_TOLERANCE",
     "KRYLOV_MAX_ITERATIONS",
     "clear_neighbor_cache",
-    "factorization_count",
-    "krylov_stats",
     "neighbor_factor_cache",
     "structure_signature",
 ]

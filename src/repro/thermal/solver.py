@@ -36,21 +36,12 @@ performed — LU-store misses, whatever tier asked — kept in the
 process-wide :mod:`repro.telemetry` registry (thread-safe increments).
 Factorizing is the expensive, cacheable step: a campaign must pay once
 per distinct matrix, and ``benchmarks/bench_hotpath.py`` plus the CI
-perf job gate on deltas of this counter rather than on wall-clock."""
+perf job gate on snapshot diffs of this counter rather than on
+wall-clock."""
 
 _LU_STORE_HITS = _metrics.counter("solver.lu_store.hits")
 """LU-store hits (factorizations saved), labeled by the asking tier:
 ``kind=steady|transient|krylov``."""
-
-
-def factorization_count() -> int:
-    """LU factorizations performed so far in this process.
-
-    Byte-compatible shim over the ``solver.factorizations`` telemetry
-    counter. Monotonic; callers measure a campaign by snapshotting
-    before and after (there is deliberately no reset here — concurrent
-    measurement scopes would clobber each other's baselines)."""
-    return _FACTORIZATIONS.value()
 
 
 class Factorization:
@@ -126,12 +117,10 @@ def _vector(array, n: int) -> np.ndarray:
     return out
 
 
-def _block(array, n: int, like: Optional[np.ndarray] = None) -> np.ndarray:
-    """``array`` as an ``(n, k)`` float matrix (shaped like ``like``)."""
+def _block(array, n: int) -> np.ndarray:
+    """``array`` as an ``(n, k)`` float matrix."""
     out = np.asarray(array, dtype=float)
-    if out.ndim != 2 or out.shape[0] != n or (
-        like is not None and out.shape != like.shape
-    ):
+    if out.ndim != 2 or out.shape[0] != n:
         raise SolverError(f"matrix has shape {out.shape}, expected ({n}, k)")
     return out
 
@@ -227,26 +216,6 @@ class TransientSolver(_Stepper):
         rhs = self._c_over_dt * temperatures + _vector(power, n) + self.network.boundary
         return _finite(self._lu.solve(rhs), "transient step")
 
-    def step_many(self, temperatures: np.ndarray, powers: np.ndarray) -> np.ndarray:
-        """Advance many independent states one step at once.
-
-        ``temperatures`` and ``powers`` have shape ``(n_nodes, k)`` —
-        one column per independent run sharing this factorization;
-        returns the same shape. One multi-RHS triangular solve;
-        columns agree with separate :meth:`step` calls to within LU
-        roundoff (~1e-14 K — SuperLU uses blocked kernels for multiple
-        right-hand sides), which is why the cohort runner's bitwise
-        default steps per column and this path is opt-in.
-        """
-        temperatures = _block(temperatures, self.network.n_nodes)
-        rhs = (
-            self._c_over_dt[:, None] * temperatures
-            + _block(powers, self.network.n_nodes, like=temperatures)
-            + self.network.boundary[:, None]
-        )
-        return _finite(self._lu.solve(rhs), "transient step")
-
-
 # --- iterative tier: neighbor-preconditioned Krylov solvers -------------------
 #
 # A sweep over ``thermal_params.*`` (or grid/geometry) changes the
@@ -287,24 +256,14 @@ _KRYLOV_STAT_KEYS = (
 _KRYLOV_COUNTERS = {
     key: _metrics.counter("solver.krylov." + key) for key in _KRYLOV_STAT_KEYS
 }
-
-
-def krylov_stats() -> dict:
-    """Process-wide Krylov solver counters (monotonic, like
-    :func:`factorization_count`; snapshot before/after to measure).
-
-    Byte-compatible shim over the ``solver.krylov.*`` telemetry
-    counters; always a freshly built dict, so mutating the returned
-    mapping cannot corrupt the live counters.
-
-    ``preconditioner_hits``/``preconditioner_misses`` count solver
-    constructions that found / failed to find a retained neighbor LU;
-    ``fallbacks`` counts GMRES stalls that forced an exact
-    factorization; ``iterations``/``gmres_solves`` accumulate inner
-    GMRES work; ``direct_solves`` counts solves served by an exact LU
-    (own factorization, exact cache hit, or post-fallback).
-    """
-    return {key: counter.value() for key, counter in _KRYLOV_COUNTERS.items()}
+"""The monotonic ``solver.krylov.*`` counters (measure a campaign by
+diffing two :func:`repro.telemetry.metrics.snapshot`\\ s).
+``preconditioner_hits``/``preconditioner_misses`` count solver
+constructions that found / failed to find a retained neighbor LU;
+``fallbacks`` counts GMRES stalls that forced an exact factorization;
+``iterations``/``gmres_solves`` accumulate inner GMRES work;
+``direct_solves`` counts solves served by an exact LU (own
+factorization, exact cache hit, or post-fallback)."""
 
 
 def _bump_krylov(**deltas: int) -> None:
@@ -566,8 +525,7 @@ class _KrylovLinearSolver:
 class KrylovTransientSolver(_Stepper):
     """Backward-Euler stepping via neighbor-preconditioned GMRES.
 
-    Drop-in for :class:`TransientSolver` (same ``step``/``step_many``/
-    ``run`` surface) that does *not* factorize its own system matrix
+    Drop-in for :class:`TransientSolver` (same ``step``/``run`` surface) that does *not* factorize its own system matrix
     when a nearby design point's LU is retained in the
     :class:`NeighborFactorCache`: each step solves
     ``(C/dt + G) T' = (C/dt) T + P + b`` iteratively, preconditioned by
@@ -615,18 +573,6 @@ class KrylovTransientSolver(_Stepper):
         rhs = self._c_over_dt * temperatures + _vector(power, n) + self.network.boundary
         out = self._core.solve_linear(rhs, x0=temperatures)
         return _finite(out, "transient step")
-
-    def step_many(self, temperatures: np.ndarray, powers: np.ndarray) -> np.ndarray:
-        """Advance many independent states one step (column-wise GMRES)."""
-        temperatures = _block(temperatures, self.network.n_nodes)
-        rhs = (
-            self._c_over_dt[:, None] * temperatures
-            + _block(powers, self.network.n_nodes, like=temperatures)
-            + self.network.boundary[:, None]
-        )
-        out = self._core.solve_linear_many(rhs, x0=temperatures)
-        return _finite(out, "transient step")
-
 
 class KrylovSteadySolver:
     """Steady-state ``G T = P + b`` via neighbor-preconditioned GMRES.

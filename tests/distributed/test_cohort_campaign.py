@@ -1,7 +1,8 @@
-"""Cohorts inside distributed campaigns: a shard whose runs share one
-thermal network executes as a cohort, and a worker killed mid-cohort is
-reclaimed with a byte-identical merge — cohort execution is invisible
-in the journals and in the merged outputs."""
+"""Shared execution inside distributed campaigns: a shard whose runs
+share one thermal network executes them back to back on one system,
+and a worker killed mid-shard is reclaimed with a byte-identical merge
+— sharing is invisible in the journals and in the merged outputs,
+which equal independent runs that share nothing."""
 
 import pytest
 
@@ -16,14 +17,16 @@ from repro.dist.plan import ledger_spec
 from repro.dist.worker import _execute_shard
 from repro.errors import ConfigurationError
 from repro.io.dist import try_claim_lease
-from repro.runner import group_cohorts
+from repro.runner import signature_groups
 from repro.sim.cache import CharacterizationCache
 from repro.sim.config import SimulationConfig
 from repro.sweep import SweepRunner, SweepSpec, aggregator_from_spec
 
+from fresh_runs import fresh_runs
+
 
 def cohort_spec(name="dist-cohort"):
-    """Four runs over one thermal network — a single 4-member cohort."""
+    """Four runs over one thermal network — a single signature group."""
     return SweepSpec(
         base=SimulationConfig(duration=0.5, nx=12, ny=12),
         grid={"policy": ["TALB", "RR"], "seed": [0, 1]},
@@ -33,11 +36,10 @@ def cohort_spec(name="dist-cohort"):
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
-    """The single-host serial run every campaign must reproduce."""
+    """Independent single-host runs every campaign must reproduce."""
     root = tmp_path_factory.mktemp("cohort-reference")
-    result = SweepRunner(
-        cohort_spec(), csv_path=root / "ref.csv", cohort="off"
-    ).run()
+    with fresh_runs():
+        result = SweepRunner(cohort_spec(), csv_path=root / "ref.csv").run()
     result.save_json(root / "ref.json")
     return {
         "rows": result.rows,
@@ -62,12 +64,12 @@ class TestCohortingShard:
     def test_shard_forms_one_cohort(self):
         spec = cohort_spec()
         configs = [point.config for point in spec.iter_points()]
-        assert [len(c) for c in group_cohorts(configs)] == [4]
+        assert [len(c) for c in signature_groups(configs)] == [4]
 
     def test_whole_campaign_cohort_merges_byte_identical(
         self, tmp_path, reference
     ):
-        """One shard = one 4-run cohort, merged vs serial per-run."""
+        """One shard = one 4-run group, merged vs independent runs."""
         camp = tmp_path / "camp"
         plan_campaign(cohort_spec(), camp, chunk_size=4)
         run_worker(camp, worker_id="w1")
@@ -76,26 +78,28 @@ class TestCohortingShard:
     def test_chunking_splits_cohorts_byte_identical(
         self, tmp_path, reference
     ):
-        """chunk_size=3 slices the cohort across shard boundaries —
-        a 3-run cohort plus a singleton — and the merge still matches."""
+        """chunk_size=3 slices the group across shard boundaries —
+        a 3-run group plus a singleton — and the merge still matches."""
         camp = tmp_path / "camp"
         plan_campaign(cohort_spec(), camp, chunk_size=3)
         run_worker(camp, worker_id="w1")
         _assert_matches_reference(tmp_path, camp, reference)
 
     def test_cohort_off_worker_matches_too(self, tmp_path, reference):
+        """A worker fanning its shard over a 2-process pool merges to
+        the same bytes."""
         camp = tmp_path / "camp"
         plan_campaign(cohort_spec(), camp, chunk_size=4)
-        run_worker(camp, worker_id="w1", cohort="off")
+        run_worker(camp, worker_id="w1", max_workers=2)
         _assert_matches_reference(tmp_path, camp, reference)
 
 
 class TestKillMidCohort:
     def test_worker_killed_mid_cohort_is_reclaimed(self, tmp_path, reference):
-        """The dead worker journaled part of a cohort's runs (plus a
+        """The dead worker journaled part of a shard's runs (plus a
         torn trailing line) before dying; the rescuer reclaims the
-        stale lease, re-executes the whole shard — re-forming the
-        cohort from scratch — and the merge is byte-identical."""
+        stale lease, re-executes the whole shard from scratch, and the
+        merge is byte-identical."""
         camp = tmp_path / "camp"
         plan_campaign(cohort_spec(), camp, chunk_size=4)
         ledger = read_ledger(camp)
@@ -111,8 +115,8 @@ class TestKillMidCohort:
             ledger, spec, aggregators, victim, CharacterizationCache(),
             "dead-worker", 60.0, None, None,
         )
-        # Truncate the journal to header + two of the cohort's four
-        # runs, ending mid-append: the kill landed inside the cohort.
+        # Truncate the journal to header + two of the shard's four
+        # runs, ending mid-append: the kill landed inside the group.
         journal_path = ledger.shard_journal_path(victim)
         lines = journal_path.read_text().splitlines()
         journal_path.write_text(

@@ -1,25 +1,23 @@
-"""Cohort execution: grouping partitions any expansion, kernels are
-shared (no re-factorization), and exact mode is byte-identical to the
-serial per-run path."""
+"""Batch execution on one path: runs execute in a stable sort by
+thermal signature, share each system's networks, LUs and memoized
+steady initial field, and stay byte-identical to independent runs that
+share nothing (``fresh_runs``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
-from repro.runner import (
-    BatchRunner,
-    CohortRunner,
-    cohort_signature,
-    group_cohorts,
-)
-from repro.runner.cohort import split_cohort
+from repro.runner import BatchRunner, signature_groups, thermal_signature
+from repro.runner.batch import balanced_slices
 from repro.sim import engine
-from repro.sim.cache import CharacterizationCache, clear_system_memo
+from repro.sim.cache import CharacterizationCache, clear_system_memo, system_for
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.sweep import SweepSpec
-from repro.thermal.solver import factorization_count
+from repro.telemetry import metrics, trace
+
+from counters import Counters
+from fresh_runs import fresh_simulate
 
 RESULT_ARRAYS = (
     "times", "tmax", "tmax_cell", "core_temperatures", "unit_temperatures",
@@ -54,7 +52,7 @@ def policy_seed_configs(n=4, duration=0.5, **overrides):
 
 
 # Axis values the property test draws sweep grids from — all jointly
-# valid, spanning every field of the cohort signature plus fields that
+# valid, spanning every field of the thermal signature plus fields that
 # must NOT affect it (policy, seed, benchmark).
 AXES = {
     "policy": ("TALB", "LB", "RR"),
@@ -87,26 +85,44 @@ def sweep_grids(draw):
     }
 
 
+def fresh_reference(configs):
+    """Each config as an independent run that shares nothing."""
+    return [fresh_simulate(config) for config in configs]
+
+
+def steady_solves(work) -> int:
+    """Steady leakage solves ``work()`` performs (traced ``steady`` spans)."""
+    trace.enable()
+    before = metrics.snapshot()
+    try:
+        work()
+        diff = metrics.snapshot_diff(before, metrics.snapshot())
+    finally:
+        trace.disable()
+        trace.clear()
+    return diff["timers"].get("span.steady", {}).get("count", 0)
+
+
 class TestGroupingPartition:
     @given(grid=sweep_grids())
     @settings(max_examples=30, deadline=None)
     def test_grouping_partitions_any_expansion(self, grid):
-        """Every run lands in exactly one cohort, cohorts agree on
-        their thermal signature, and distinct cohorts differ."""
+        """Every run lands in exactly one group, groups agree on their
+        thermal signature, and distinct groups differ."""
         spec = SweepSpec(
             base=SimulationConfig(duration=0.3, nx=8, ny=8),
             grid=grid,
             name="prop",
         )
         configs = [point.config for point in spec.iter_points()]
-        cohorts = group_cohorts(configs)
-        flat = sorted(i for members in cohorts for i in members)
+        groups = signature_groups(configs)
+        flat = sorted(i for members in groups for i in members)
         assert flat == list(range(len(configs)))
-        for members in cohorts:
+        for members in groups:
             assert members == sorted(members)
-            signatures = {cohort_signature(configs[i]) for i in members}
+            signatures = {thermal_signature(configs[i]) for i in members}
             assert len(signatures) == 1
-        firsts = [cohort_signature(configs[members[0]]) for members in cohorts]
+        firsts = [thermal_signature(configs[members[0]]) for members in groups]
         assert len(set(firsts)) == len(firsts)
 
     def test_signature_ignores_non_thermal_fields(self):
@@ -114,135 +130,145 @@ class TestGroupingPartition:
         same = SimulationConfig(
             duration=9.0, policy="RR", seed=7, benchmark_name="gzip"
         )
-        assert cohort_signature(base) == cohort_signature(same)
+        assert thermal_signature(base) == thermal_signature(same)
         for override in (
             {"nx": 8}, {"ny": 8}, {"n_layers": 4},
             {"cooling": CoolingMode.AIR}, {"sampling_interval": 0.2},
         ):
             other = SimulationConfig(duration=0.5, **override)
-            assert cohort_signature(base) != cohort_signature(other)
+            assert thermal_signature(base) != thermal_signature(other)
 
     def test_singletons_fall_back_to_serial_groups(self):
-        """An all-distinct-signature batch plans one group per run."""
+        """An all-distinct-signature batch plans one task per run."""
         configs = [
             SimulationConfig(nx=nx, ny=nx, duration=0.3) for nx in (6, 8, 10)
         ]
-        batch = BatchRunner(configs, cohort="exact")
+        batch = BatchRunner(configs, max_workers=2)
         assert batch._plan_groups() == [[0], [1], [2]]
 
     def test_split_cohort_is_balanced_and_ordered(self):
         members = list(range(10))
         for parts in (1, 2, 3, 4, 10, 99):
-            slices = split_cohort(members, parts)
+            slices = balanced_slices(members, parts)
             assert [i for part in slices for i in part] == members
             sizes = [len(part) for part in slices]
             assert max(sizes) - min(sizes) <= 1
             assert len(slices) == min(parts, len(members))
 
-    def test_unknown_cohort_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="cohort mode"):
-            BatchRunner(policy_seed_configs(1), cohort="banana")
+    def test_execution_order_is_a_stable_sort_by_signature(self):
+        """Interleaved networks execute grouped, in first-appearance
+        order; serially one run per task, in parallel balanced slices
+        of each group."""
+        configs = []
+        for seed in (0, 1, 2):
+            configs.append(SimulationConfig(seed=seed, nx=12, ny=12))
+            configs.append(SimulationConfig(seed=seed, nx=8, ny=8))
+        assert BatchRunner(configs)._plan_groups() == [
+            [0], [2], [4], [1], [3], [5]
+        ]
+        assert BatchRunner(configs, max_workers=2)._plan_groups() == [
+            [0, 2], [4], [1, 3], [5]
+        ]
 
 
-class TestTwoPhaseStep:
-    def test_begin_solve_finish_matches_fused_step(self):
-        config = SimulationConfig(duration=1.0, nx=12, ny=12)
-        fused = engine.Simulator(config)
-        split = engine.Simulator(config)
-        expected = fused.run()
-        while not split.finished:
-            pending = split.step_begin()
-            solver = split.system.transient_solver(
-                pending.setting, config.sampling_interval
-            )
-            solved = solver.step(pending.temperatures, pending.node_power)
-            split.step_finish(pending, solved)
-        assert_results_identical(expected, split.result())
+class TestInitialFieldMemo:
+    def test_shared_initial_state_is_bitwise(self):
+        """A run starting from the memoized field equals a run that
+        solved its own."""
+        config = SimulationConfig(duration=0.5, nx=12, ny=12)
+        fresh = fresh_simulate(config)
+        memoized = engine.simulate(config)
+        assert_results_identical(fresh, memoized)
 
-    def test_double_begin_raises(self):
-        sim = engine.Simulator(SimulationConfig(duration=0.5, nx=8, ny=8))
-        sim.step_begin()
-        with pytest.raises(ConfigurationError, match="pending"):
-            sim.step_begin()
-
-    def test_finish_without_begin_raises(self):
+    def test_memoized_field_is_read_only(self):
         config = SimulationConfig(duration=0.5, nx=8, ny=8)
         sim = engine.Simulator(config)
-        pending = sim.step_begin()
-        sim.step_finish(pending, pending.temperatures)
-        with pytest.raises(ConfigurationError, match="pending"):
-            sim.step_finish(pending, pending.temperatures)
-
-    def test_shared_initial_state_is_bitwise(self):
-        config = SimulationConfig(duration=0.5, nx=12, ny=12)
-        plain = engine.Simulator(config)
-        injected = engine.Simulator(config)
-        injected.set_initial_temperatures(
-            injected.steady_initial_temperatures()
-        )
-        assert_results_identical(plain.run(), injected.run())
-
-    def test_set_initial_after_start_raises(self):
-        sim = engine.Simulator(SimulationConfig(duration=0.5, nx=8, ny=8))
         sim.step()
-        with pytest.raises(ConfigurationError, match="before the first step"):
-            sim.set_initial_temperatures(np.zeros(3))
+        system, model = system_for(config)
+        setting0 = system.pump.n_settings - 1
+        field = system.initial_temperatures(
+            model, config.spec.utilization, setting_index=setting0
+        )
+        with pytest.raises(ValueError):
+            field[0] = 0.0
+        assert system.initial_temperatures(
+            model, config.spec.utilization, setting_index=setting0
+        ) is field
+
+    def test_memo_is_keyed_by_condition(self):
+        system, model = system_for(SimulationConfig(duration=0.5, nx=8, ny=8))
+        top = system.pump.n_settings - 1
+        base = system.initial_temperatures(model, 0.5, setting_index=top)
+        assert system.initial_temperatures(model, 0.5, setting_index=top) is base
+        other_util = system.initial_temperatures(model, 0.7, setting_index=top)
+        other_setting = system.initial_temperatures(model, 0.5, setting_index=0)
+        assert not np.array_equal(base, other_util)
+        assert not np.array_equal(base, other_setting)
+        np.testing.assert_array_equal(
+            base, system.steady_temperatures(model, 0.5, setting_index=top)
+        )
+
+    def test_warm_campaign_runs_no_steady_solves(self):
+        """A warm policy x facility batch reuses every initial field:
+        zero steady solves after its first campaign."""
+        configs = [
+            SimulationConfig(
+                policy=policy, facility=facility, seed=seed,
+                cooling=CoolingMode.LIQUID_VARIABLE, nx=12, ny=12,
+                duration=0.3,
+            )
+            for policy in ("TALB", "LB", "Mig", "RR")
+            for facility in ("none", "closed-loop")
+            for seed in (0, 1)
+        ]
+        cache = CharacterizationCache()
+        clear_system_memo()
+        cold = steady_solves(lambda: BatchRunner(configs, cache=cache).run())
+        assert cold > 0
+        warm = steady_solves(lambda: BatchRunner(configs, cache=cache).run())
+        assert warm == 0
 
 
 class TestCohortByteIdentity:
     def test_exact_cohort_equals_serial(self):
         configs = policy_seed_configs(6)
-        serial = BatchRunner(configs, cohort="off").run()
-        cohort = CohortRunner(configs).run()
-        assert [r.index for r in cohort.runs] == list(range(len(configs)))
-        for a, b in zip(serial.runs, cohort.runs):
-            assert_results_identical(a.result, b.result)
+        reference = fresh_reference(configs)
+        batch = BatchRunner(configs).run()
+        assert [r.index for r in batch.runs] == list(range(len(configs)))
+        for expected, run in zip(reference, batch.runs):
+            assert_results_identical(expected, run.result)
 
     def test_exact_cohort_equals_serial_parallel(self):
         configs = policy_seed_configs(4, duration=0.3)
-        serial = BatchRunner(configs, cohort="off").run()
-        cohort = BatchRunner(configs, cohort="auto", max_workers=2).run()
-        for a, b in zip(serial.runs, cohort.runs):
-            assert_results_identical(a.result, b.result)
+        reference = fresh_reference(configs)
+        batch = BatchRunner(configs, max_workers=2).run()
+        for expected, run in zip(reference, batch.runs):
+            assert_results_identical(expected, run.result)
 
     def test_mixed_networks_partition_and_match(self):
-        """Two interleaved cohorts plus a singleton, exact vs serial."""
+        """Two interleaved networks plus a singleton vs independent runs."""
         configs = []
         for seed in (0, 1):
             configs.append(SimulationConfig(seed=seed, nx=12, ny=12, duration=0.4))
             configs.append(SimulationConfig(seed=seed, nx=8, ny=8, duration=0.4))
         configs.append(SimulationConfig(cooling=CoolingMode.AIR, nx=8, ny=8, duration=0.4))
-        assert [len(c) for c in group_cohorts(configs)] == [2, 2, 1]
-        serial = BatchRunner(configs, cohort="off").run()
-        cohort = CohortRunner(configs).run()
-        for a, b in zip(serial.runs, cohort.runs):
-            assert_results_identical(a.result, b.result)
-
-    def test_block_mode_is_lu_roundoff_equivalent(self):
-        configs = policy_seed_configs(6)
-        serial = BatchRunner(configs, cohort="off").run()
-        block = CohortRunner(configs, block=True).run()
-        for a, b in zip(serial.runs, block.runs):
-            np.testing.assert_allclose(
-                a.result.unit_temperatures,
-                b.result.unit_temperatures,
-                rtol=0, atol=1e-6,
-            )
-            np.testing.assert_allclose(
-                a.result.tmax, b.result.tmax, rtol=0, atol=1e-6
-            )
+        assert [len(c) for c in signature_groups(configs)] == [2, 2, 1]
+        reference = fresh_reference(configs)
+        batch = BatchRunner(configs).run()
+        for expected, run in zip(reference, batch.runs):
+            assert_results_identical(expected, run.result)
 
 
 class TestFactorizationSharing:
     def test_warm_cohort_adds_no_factorizations(self):
-        """The algorithmic perf gate: a warm cohort campaign performs
-        zero LU factorizations — every (network, dt) system is hit at
-        most once per process, however many runs step through it."""
+        """The algorithmic perf gate: a warm campaign performs zero LU
+        factorizations — every (network, dt) system is hit at most once
+        per process, however many runs step through it."""
         configs = policy_seed_configs(8, duration=0.3)
-        CohortRunner(configs).run()
-        before = factorization_count()
-        CohortRunner(configs).run()
-        assert factorization_count() == before
+        BatchRunner(configs).run()
+        counts = Counters()
+        BatchRunner(configs).run()
+        assert counts.factorizations() == 0
 
     def test_cold_factorizations_independent_of_cohort_size(self):
         """<=1 factorization per network: 8 runs through one network
@@ -252,8 +278,8 @@ class TestFactorizationSharing:
         def cold_count(n):
             clear_system_memo()
             configs = policy_seed_configs(n, duration=0.3, cooling=CoolingMode.LIQUID_MAX)
-            before = factorization_count()
-            CohortRunner(configs, cache=CharacterizationCache()).run()
-            return factorization_count() - before
+            counts = Counters()
+            BatchRunner(configs, cache=CharacterizationCache()).run()
+            return counts.factorizations()
 
         assert cold_count(8) == cold_count(2)

@@ -115,11 +115,14 @@ class TestWarmAndPickle:
 
 class TestEngineDelegation:
     def test_module_helpers_share_the_default_cache(self):
+        """Direct callers and simulators built without a cache share
+        the process-wide default."""
         from repro.sim import engine
 
         config = _liquid_config()
         system = _system_with()
         model = PowerModel(system.stack, leakage=LeakageModel())
-        table_a = engine.characterized_table(system, model, config)
+        table_a = engine.default_cache().table(system, model, config)
         table_b = engine.default_cache().table(system, model, config)
         assert table_a is table_b
+        assert Simulator(config).cache is engine.default_cache()

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
-from repro.sim.engine import (
-    burst_floor_setting,
-    characterized_table,
-    simulate,
-)
+from repro.sim.engine import default_cache, simulate
 
 
 class TestCharacterizationGuard:
@@ -42,8 +38,8 @@ class TestCharacterizationGuard:
         )
         system = ThermalSystem(2, CoolingKind.LIQUID)
         model = PowerModel(system.stack, leakage=LeakageModel())
-        floor_a = burst_floor_setting(system, model, config)
-        floor_b = burst_floor_setting(system, model, config)
+        floor_a = default_cache().floor(system, model, config)
+        floor_b = default_cache().floor(system, model, config)
         assert floor_a == floor_b
         assert 0 <= floor_a < system.pump.n_settings
 
@@ -95,6 +91,6 @@ class TestTableCache:
         )
         system = ThermalSystem(2, CoolingKind.LIQUID)
         model = PowerModel(system.stack, leakage=LeakageModel())
-        table_a = characterized_table(system, model, config)
-        table_b = characterized_table(system, model, config)
+        table_a = default_cache().table(system, model, config)
+        table_b = default_cache().table(system, model, config)
         assert table_a is table_b

@@ -23,9 +23,9 @@ from repro.thermal.solver import (
     SteadyStateSolver,
     TransientSolver,
     clear_neighbor_cache,
-    factorization_count,
-    krylov_stats,
 )
+
+from counters import Counters
 
 N_POINTS = 6
 
@@ -52,16 +52,10 @@ def _campaign(solver: str):
     """Run the sweep cold; returns (results, factorizations, stats delta)."""
     clear_system_memo()
     clear_neighbor_cache()
-    before_f = factorization_count()
-    before_s = krylov_stats()
-    batch = BatchRunner(
-        _sweep_configs(solver), cohort="auto", cache=CharacterizationCache()
-    )
+    counts = Counters()
+    batch = BatchRunner(_sweep_configs(solver), cache=CharacterizationCache())
     results = [run.result for run in batch.run().runs]
-    stats = {
-        key: value - before_s[key] for key, value in krylov_stats().items()
-    }
-    return results, factorization_count() - before_f, stats
+    return results, counts.factorizations(), counts.krylov()
 
 
 class TestKrylovAccuracySmoke:

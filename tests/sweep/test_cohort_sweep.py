@@ -1,13 +1,11 @@
-"""Cohort execution through the sweep layer is byte-identical to the
-serial per-run path — aggregates, CSV, and completion JSON — for
-grid/zip/points sweeps, with or without payload-only transport.
+"""Sweep execution is byte-identical to independent runs that share
+nothing — aggregates, CSV, and completion JSON — for grid/zip/points
+sweeps, serial or parallel, with or without payload-only transport.
 
 ``TestCohortSerialSmoke`` is the gating CI smoke (mirroring the
 2-worker distributed smoke): a small policy/controller grid through
-both paths, byte-compared end to end.
+the shared path and the fresh reference, byte-compared end to end.
 """
-
-import pytest
 
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
@@ -15,16 +13,21 @@ from repro.sweep import SweepRunner, SweepSpec
 from repro.sweep.aggregate import Aggregator, default_aggregators
 from repro.sweep.runner import FoldReducer, _spec_rebuildable
 
+from fresh_runs import fresh_runs
+
 
 def run_both(tmp_path, spec, **kwargs):
-    """Run a spec with cohort off and on; return both output byte sets."""
+    """Run a spec as independent serial runs (the reference) and
+    through the normal path with ``kwargs``; return both output sets."""
     outputs = {}
-    for mode in ("off", "auto"):
+    for mode in ("fresh", "shared"):
         json_path = tmp_path / f"{mode}.json"
         csv_path = tmp_path / f"{mode}.csv"
-        result = SweepRunner(
-            spec, csv_path=csv_path, cohort=mode, **kwargs
-        ).run()
+        if mode == "fresh":
+            with fresh_runs():
+                result = SweepRunner(spec, csv_path=csv_path).run()
+        else:
+            result = SweepRunner(spec, csv_path=csv_path, **kwargs).run()
         result.save_json(json_path)
         outputs[mode] = {
             "rows": result.rows,
@@ -32,18 +35,18 @@ def run_both(tmp_path, spec, **kwargs):
             "json": json_path.read_bytes(),
             "csv": csv_path.read_bytes(),
         }
-    return outputs["off"], outputs["auto"]
+    return outputs["fresh"], outputs["shared"]
 
 
-def assert_outputs_identical(serial, cohort):
-    assert cohort["rows"] == serial["rows"]
-    assert cohort["agg_rows"] == serial["agg_rows"]
-    assert cohort["json"] == serial["json"]
-    assert cohort["csv"] == serial["csv"]
+def assert_outputs_identical(fresh, shared):
+    assert shared["rows"] == fresh["rows"]
+    assert shared["agg_rows"] == fresh["agg_rows"]
+    assert shared["json"] == fresh["json"]
+    assert shared["csv"] == fresh["csv"]
 
 
 class TestCohortSerialSmoke:
-    """The gating CI smoke: policy/controller grid, cohort vs serial."""
+    """The gating CI smoke: policy/controller grid, shared vs fresh."""
 
     def test_policy_controller_grid_byte_identical(self, tmp_path):
         spec = SweepSpec(
@@ -54,8 +57,8 @@ class TestCohortSerialSmoke:
             },
             name="cohort-smoke",
         )
-        serial, cohort = run_both(tmp_path, spec)
-        assert_outputs_identical(serial, cohort)
+        fresh, shared = run_both(tmp_path, spec)
+        assert_outputs_identical(fresh, shared)
 
 
 class TestCohortSweepByteIdentity:
@@ -68,8 +71,8 @@ class TestCohortSweepByteIdentity:
             },
             name="cohort-zip",
         )
-        serial, cohort = run_both(tmp_path, spec)
-        assert_outputs_identical(serial, cohort)
+        fresh, shared = run_both(tmp_path, spec)
+        assert_outputs_identical(fresh, shared)
 
     def test_points_sweep_mixed_networks(self, tmp_path):
         """Explicit points spanning two networks plus a singleton."""
@@ -84,8 +87,8 @@ class TestCohortSweepByteIdentity:
             ],
             name="cohort-points",
         )
-        serial, cohort = run_both(tmp_path, spec)
-        assert_outputs_identical(serial, cohort)
+        fresh, shared = run_both(tmp_path, spec)
+        assert_outputs_identical(fresh, shared)
 
     def test_grid_sweep_parallel_workers(self, tmp_path):
         spec = SweepSpec(
@@ -93,11 +96,11 @@ class TestCohortSweepByteIdentity:
             grid={"policy": ["TALB", "RR"], "seed": [0, 1]},
             name="cohort-par",
         )
-        serial, cohort = run_both(tmp_path, spec, max_workers=2)
-        assert_outputs_identical(serial, cohort)
+        fresh, shared = run_both(tmp_path, spec, max_workers=2)
+        assert_outputs_identical(fresh, shared)
 
     def test_checkpoint_resume_crosses_cohort(self, tmp_path):
-        """Interrupting mid-cohort and resuming stays byte-identical."""
+        """Interrupting mid-group and resuming stays byte-identical."""
         def spec():
             return SweepSpec(
                 base=SimulationConfig(duration=0.4, nx=12, ny=12),
@@ -106,7 +109,8 @@ class TestCohortSweepByteIdentity:
             )
 
         ref_json = tmp_path / "ref.json"
-        ref = SweepRunner(spec(), csv_path=tmp_path / "ref.csv").run()
+        with fresh_runs():
+            ref = SweepRunner(spec(), csv_path=tmp_path / "ref.csv").run()
         ref.save_json(ref_json)
 
         ckpt = tmp_path / "sweep.ckpt"

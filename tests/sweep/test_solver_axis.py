@@ -1,9 +1,15 @@
-"""The ``solver`` config axis: signatures, sweeps, neighbor cohorts."""
+"""The ``solver`` config axis: signatures, sweeps, neighbor execution order."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runner import cohort_signature, group_cohorts, structural_signature
+from repro.runner import (
+    BatchRunner,
+    signature_groups,
+    structural_signature,
+    thermal_signature,
+)
+from repro.runner import batch as batch_module
 from repro.sim.config import SimulationConfig
 from repro.sweep import SweepSpec
 from repro.sweep.spec import config_signature
@@ -57,7 +63,7 @@ def _configs(solver, scales=(4.0, 4.4)):
 class TestNeighborCohorts:
     def test_structural_signature_ignores_thermal_params(self):
         a, b = _configs("krylov")
-        assert cohort_signature(a) != cohort_signature(b)
+        assert thermal_signature(a) != thermal_signature(b)
         assert structural_signature(a) == structural_signature(b)
 
     def test_structural_signature_respects_geometry(self):
@@ -69,22 +75,46 @@ class TestNeighborCohorts:
         assert structural_signature(a) != structural_signature(wide)
 
     def test_default_grouping_unchanged_by_neighbors_flag(self):
-        # Exact-tier configs must partition exactly as before the
-        # neighbor mode existed: byte-identity of the default path
-        # rides on this.
+        # Exact-tier configs group by their full thermal signature:
+        # different thermal params never share a group.
         configs = _configs("exact")
-        assert group_cohorts(configs) == group_cohorts(configs, neighbors=True)
-        assert group_cohorts(configs, neighbors=True) == [[0], [1]]
+        assert signature_groups(configs) == [[0], [1]]
 
     def test_krylov_configs_form_neighbor_cohorts(self):
-        groups = group_cohorts(_configs("krylov"), neighbors=True)
+        groups = signature_groups(_configs("krylov"))
         assert groups == [[0, 1]]
-        # Without the flag they still partition by exact signature.
-        assert group_cohorts(_configs("krylov")) == [[0], [1]]
+        # They still differ in their full thermal signature.
+        a, b = _configs("krylov")
+        assert thermal_signature(a) != thermal_signature(b)
 
     def test_mixed_tiers_never_share_a_cohort(self):
         configs = _configs("exact", scales=(4.0,)) + _configs(
             "krylov", scales=(4.0,)
         )
-        groups = group_cohorts(configs, neighbors=True)
+        groups = signature_groups(configs)
         assert len(groups) == 2
+
+    def test_krylov_design_points_execute_contiguously(self, monkeypatch):
+        """Krylov points interleaved with exact runs still execute back
+        to back, so each preconditions off its neighbor's LU."""
+        configs = [
+            SimulationConfig(
+                duration=0.2, nx=8, ny=8, solver=solver,
+                thermal_params=ThermalParams(resistance_scale=scale),
+            )
+            for solver, scale in (
+                ("krylov", 4.0), ("exact", 4.0), ("krylov", 4.4),
+                ("exact", 4.4), ("krylov", 4.8),
+            )
+        ]
+        executed = []
+        execute_one = batch_module._execute_one
+
+        def recording(index, config, trace):
+            executed.append(index)
+            return execute_one(index, config, trace)
+
+        monkeypatch.setattr(batch_module, "_execute_one", recording)
+        result = BatchRunner(configs).run()
+        assert executed == [0, 2, 4, 1, 3]
+        assert [run.index for run in result.runs] == [0, 1, 2, 3, 4]

@@ -2,15 +2,15 @@
 
 The acceptance properties of the telemetry subsystem:
 
-* the legacy ``factorization_count()`` / ``krylov_stats()`` APIs are
-  byte-compatible shims over the registry (and ``krylov_stats`` returns
-  a snapshot copy, never a live mutable view);
+* solver work counters (``solver.factorizations``,
+  ``solver.krylov.*``) live in the registry, and a snapshot is a copy,
+  never a live mutable view;
 * tracing never changes results — sweep exports are byte-identical
   with tracing on or off, and telemetry-off shard journals carry no
   telemetry lines at all;
 * a campaign worked by telemetry-enabled workers merges into one
   aggregated metrics report whose ``solver.factorizations`` matches
-  the legacy counter's delta exactly;
+  the process counter's delta exactly;
 * ``factorize`` spans carry a matrix digest, so duplicate LUs are
   visible from the trace alone (an inlet sweep has none);
 * the forecaster makes one ARMA innovations pass per observed sample
@@ -34,7 +34,8 @@ from repro.io.jsonl import read_jsonl
 from repro.sim.config import SimulationConfig
 from repro.sweep import SweepRunner, SweepSpec
 from repro.telemetry import metrics, trace
-from repro.thermal.solver import factorization_count, krylov_stats
+
+from counters import KRYLOV_KEYS, Counters
 
 
 def small_spec(name, duration=1.0):
@@ -55,24 +56,29 @@ def tracing():
 
 
 class TestLegacyShims:
+    """Solver work is read from registry snapshots (the retired
+    ``factorization_count()``/``krylov_stats()`` shims' contract)."""
+
     def test_factorization_count_is_the_registry_counter(self):
+        counters = metrics.snapshot()["counters"]
         assert (
-            factorization_count()
+            counters.get("solver.factorizations", 0)
             == metrics.counter("solver.factorizations").value()
         )
 
     def test_krylov_stats_is_the_registry_counters(self):
-        stats = krylov_stats()
-        for key, value in stats.items():
-            assert value == metrics.counter("solver.krylov." + key).value()
+        counters = metrics.snapshot()["counters"]
+        for key in KRYLOV_KEYS:
+            name = "solver.krylov." + key
+            assert counters.get(name, 0) == metrics.counter(name).value()
 
     def test_krylov_stats_returns_snapshot_copy(self):
-        """Mutating a returned stats dict must never leak back."""
-        stats = krylov_stats()
-        original = dict(stats)
-        stats["iterations"] += 1000
-        stats["fallbacks"] = -1
-        assert krylov_stats() == original
+        """Mutating a snapshot must never leak back."""
+        snapshot = metrics.snapshot()
+        original = metrics.snapshot()
+        snapshot["counters"]["solver.krylov.iterations"] = 1000
+        snapshot["counters"]["solver.krylov.fallbacks"] = -1
+        assert metrics.snapshot() == original
 
 
 class TestByteIdentity:
@@ -115,7 +121,7 @@ class TestByteIdentity:
 class TestCampaignAggregation:
     def test_merged_factorizations_match_legacy_counter(self, tmp_path, tracing):
         """Two telemetry-enabled workers -> one campaign-wide metrics
-        report whose solver.factorizations equals the legacy counter's
+        report whose solver.factorizations equals the process counter's
         delta over the same work, exactly."""
         from repro.sim.cache import clear_system_memo
 
@@ -125,18 +131,18 @@ class TestCampaignAggregation:
         # otherwise earlier tests' warm memo makes both deltas zero and
         # the equality below trivially weak.
         clear_system_memo()
-        before = factorization_count()
+        counts = Counters()
         run_worker(tmp_path, worker_id="w1", max_shards=1, wait=False)
         run_worker(tmp_path, worker_id="w2", wait=False)
-        legacy_delta = factorization_count() - before
+        process_delta = counts.factorizations()
 
         merged = merge_campaign(tmp_path)
         assert merged.complete
         assert merged.telemetry is not None
-        assert legacy_delta > 0
+        assert process_delta > 0
         assert (
             merged.telemetry["counters"]["solver.factorizations"]
-            == legacy_delta
+            == process_delta
         )
         # The per-shard deltas carry the span-derived timers too.
         assert any(
@@ -148,9 +154,9 @@ class TestCampaignAggregation:
         to the whole, with no double counting across shards."""
         spec = small_spec("telemetry-per-shard")
         plan_campaign(spec, tmp_path, chunk_size=2)
-        before = factorization_count()
+        counts = Counters()
         run_worker(tmp_path, worker_id="w", wait=False)
-        total = factorization_count() - before
+        total = counts.factorizations()
         ledger = read_ledger(tmp_path)
         per_shard = []
         for shard in ledger.shards:
@@ -206,14 +212,19 @@ class TestHotPathInstrumentation:
         simulate(SimulationConfig(duration=1.0))
         names = {e["name"] for e in trace.events()}
         assert {"assemble", "factorize", "steady", "step"} <= names
-        # step_begin/step_finish nest inside their step span.
+        # One step span per interval, in order; the fresh system's
+        # steady initial field (six leakage solves) nests in the first.
         events = trace.events()
         by_id = {e["span"]: e for e in events}
-        begins = [e for e in events if e["name"] == "step_begin"]
-        assert begins
-        assert all(
-            by_id[e["parent"]]["name"] == "step" for e in begins if e["parent"]
-        )
+        steps = [e for e in events if e["name"] == "step"]
+        assert [e["attrs"]["index"] for e in steps] == list(range(10))
+        init = [
+            e for e in events
+            if e["name"] == "steady" and e["parent"] in by_id
+            and by_id[e["parent"]]["name"] == "step"
+        ]
+        assert len(init) == 6
+        assert {by_id[e["parent"]]["attrs"]["index"] for e in init} == {0}
 
     def test_system_memo_counters_track_hits_and_misses(self):
         from repro.sim.cache import clear_system_memo, system_for
@@ -241,7 +252,7 @@ class TestLUStoreTelemetry:
 
         hits = metrics.counter("solver.lu_store.hits")
         clear_system_memo()
-        before_f, before_h = factorization_count(), hits.value(kind="steady")
+        counts, before_h = Counters(), hits.value(kind="steady")
         for inlet in (45.0, 55.0):
             simulate(SimulationConfig(
                 duration=0.5, nx=8, ny=8,
@@ -251,7 +262,7 @@ class TestLUStoreTelemetry:
             e["attrs"]["digest"] for e in trace.events()
             if e["name"] == "factorize"
         ]
-        assert len(digests) == factorization_count() - before_f > 0
+        assert len(digests) == counts.factorizations() > 0
         assert len(set(digests)) == len(digests)
         assert hits.value(kind="steady") > before_h
 

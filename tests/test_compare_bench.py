@@ -1,0 +1,70 @@
+"""The perf-trajectory gates in ``benchmarks/compare_bench.py``.
+
+Timing regressions only warn; the algorithmic counters fail. The warm
+gate reads ``warm_sweep.warm_refactorizations`` from the current
+payload, and a baseline from before schema v8 (a ``cohort`` section
+instead of ``warm_sweep``) is read without error.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "compare_bench.py"
+_spec = importlib.util.spec_from_file_location("compare_bench", _PATH)
+compare_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_bench)
+
+
+def payload(warm_refactorizations=0, runs_per_sec=20.0):
+    """A minimal current-schema payload whose other gates pass."""
+    warm = {"n_runs": 16, "runs_per_sec_per_core": runs_per_sec}
+    if warm_refactorizations is not None:
+        warm["warm_refactorizations"] = warm_refactorizations
+    return {
+        "schema_version": 8,
+        "results": {"assembly_16x16": 0.01},
+        "warm_sweep": warm,
+        "inlet_sweep": {
+            "factorizations": 9,
+            "single_inlet_factorizations": 9,
+            "duplicate_factorizations": 0,
+        },
+    }
+
+
+PRE_V8_BASELINE = {
+    "schema_version": 7,
+    "results": {"assembly_16x16": 0.01},
+    "cohort": {
+        "n_runs": 16,
+        "cohort_exact_speedup": 3.5,
+        "cohort_block_speedup": 2.9,
+        "warm_refactorizations": 0,
+    },
+}
+
+
+class TestWarmSweepGate:
+    def test_zero_warm_refactorizations_pass(self, capsys):
+        assert compare_bench.compare(payload(), payload()) == 0
+        assert "gate: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("refactorizations", [None, 1])
+    def test_missing_or_nonzero_counter_fails(self, refactorizations, capsys):
+        failures = compare_bench.compare(
+            payload(warm_refactorizations=refactorizations), payload()
+        )
+        assert failures == 1
+        assert "::error title=perf gate::" in capsys.readouterr().out
+
+    def test_pre_v8_cohort_baseline_is_read_without_error(self, capsys):
+        assert compare_bench.compare(payload(), PRE_V8_BASELINE) == 0
+        out = capsys.readouterr().out
+        assert "pre-v8 cohort section" in out
+
+    def test_throughput_loss_warns_but_never_fails(self, capsys):
+        slow = payload(runs_per_sec=10.0)
+        assert compare_bench.compare(slow, payload()) == 0
+        assert "::warning" in capsys.readouterr().out

@@ -19,12 +19,12 @@ from repro.thermal.solver import (
     NeighborFactorCache,
     SteadyStateSolver,
     TransientSolver,
-    factorization_count,
-    krylov_stats,
     params_distance,
     structure_signature,
     _params_vector,
 )
+
+from counters import Counters
 
 FLOW = units.ml_per_minute(400.0)
 
@@ -123,9 +123,9 @@ class TestNeighborFactorCache:
 class TestKrylovTransient:
     def test_first_point_factorizes_and_matches_exact(self, net, power):
         cache = NeighborFactorCache()
-        before = factorization_count()
+        counts = Counters()
         krylov = KrylovTransientSolver(net, 0.1, ThermalParams(), cache=cache)
-        assert factorization_count() - before == 1
+        assert counts.factorizations() == 1
         assert len(cache) == 1
         exact = TransientSolver(net, 0.1)
         state = np.full(net.n_nodes, 60.0)
@@ -140,13 +140,11 @@ class TestKrylovTransient:
         KrylovTransientSolver(_network(grid, resistance_scale=4.2), 0.1,
                               seed_params, cache=cache)
         target = _network(grid)
-        before = factorization_count()
-        stats_before = krylov_stats()
+        counts = Counters()
         krylov = KrylovTransientSolver(target, 0.1, ThermalParams(), cache=cache)
-        assert factorization_count() - before == 0
+        assert counts.factorizations() == 0
         assert krylov.neighbor_distance is not None
-        stats = krylov_stats()
-        assert stats["preconditioner_hits"] == stats_before["preconditioner_hits"] + 1
+        assert counts.krylov()["preconditioner_hits"] == 1
         exact = TransientSolver(target, 0.1)
         state = np.full(target.n_nodes, 60.0)
         out_k, out_e = krylov.step(state, power), exact.step(state, power)
@@ -156,28 +154,13 @@ class TestKrylovTransient:
     def test_exact_design_point_reuses_lu_bitwise(self, net, power):
         cache = NeighborFactorCache()
         first = KrylovTransientSolver(net, 0.1, ThermalParams(), cache=cache)
-        before = factorization_count()
+        counts = Counters()
         again = KrylovTransientSolver(net, 0.1, ThermalParams(), cache=cache)
-        assert factorization_count() - before == 0
+        assert counts.factorizations() == 0
         state = np.full(net.n_nodes, 60.0)
         np.testing.assert_array_equal(
             again.step(state, power), first.step(state, power)
         )
-
-    def test_step_many_matches_per_column(self, grid, power):
-        cache = NeighborFactorCache()
-        KrylovTransientSolver(_network(grid, resistance_scale=4.2), 0.1,
-                              ThermalParams(resistance_scale=4.2), cache=cache)
-        target = _network(grid)
-        krylov = KrylovTransientSolver(target, 0.1, ThermalParams(), cache=cache)
-        temps = np.stack(
-            [np.full(target.n_nodes, 60.0), np.full(target.n_nodes, 65.0)], axis=1
-        )
-        powers = np.stack([power, 0.5 * power], axis=1)
-        block = krylov.step_many(temps, powers)
-        for c in range(2):
-            single = krylov.step(temps[:, c], powers[:, c])
-            assert np.abs(block[:, c] - single).max() < KRYLOV_TEMPERATURE_TOLERANCE
 
     def test_fallback_records_and_matches_exact(self, grid, power):
         # A distant neighbor plus a one-iteration budget cannot reach
@@ -191,13 +174,12 @@ class TestKrylovTransient:
             target, 0.1, ThermalParams(), cache=cache, max_iterations=1
         )
         assert krylov.fallback_count == 0
-        before = factorization_count()
-        stats_before = krylov_stats()
+        counts = Counters()
         state = np.full(target.n_nodes, 60.0)
         out = krylov.step(state, power)
         assert krylov.fallback_count == 1
-        assert factorization_count() - before == 1
-        assert krylov_stats()["fallbacks"] == stats_before["fallbacks"] + 1
+        assert counts.factorizations() == 1
+        assert counts.krylov()["fallbacks"] == 1
         np.testing.assert_array_equal(
             out, TransientSolver(target, 0.1).step(state, power)
         )
@@ -229,8 +211,6 @@ class TestKrylovTransient:
         solver = KrylovTransientSolver(net, 0.1, ThermalParams(), cache=cache)
         with pytest.raises(SolverError):
             solver.step(np.zeros(3), np.zeros(3))
-        with pytest.raises(SolverError):
-            solver.step_many(np.zeros((3, 2)), np.zeros((3, 2)))
 
 
 class TestKrylovSteady:
@@ -240,9 +220,9 @@ class TestKrylovSteady:
         KrylovSteadySolver(seed_net, ThermalParams(resistance_scale=4.2),
                            cache=cache)
         target = _network(grid)
-        before = factorization_count()
+        counts = Counters()
         krylov = KrylovSteadySolver(target, ThermalParams(), cache=cache)
-        assert factorization_count() - before == 0
+        assert counts.factorizations() == 0
         exact = SteadyStateSolver(target)
         diff = np.abs(krylov.solve(power) - exact.solve(power)).max()
         assert diff < KRYLOV_TEMPERATURE_TOLERANCE
@@ -309,7 +289,7 @@ class TestCounterThreadSafety:
         n_threads = 8
         nets = [_network(grid, resistance_scale=1.0 + 0.01 * i)
                 for i in range(n_threads)]
-        before = factorization_count()
+        counts = Counters()
         barrier = threading.Barrier(n_threads)
 
         def build(net):
@@ -321,4 +301,4 @@ class TestCounterThreadSafety:
             t.start()
         for t in threads:
             t.join()
-        assert factorization_count() - before == n_threads
+        assert counts.factorizations() == n_threads

@@ -16,8 +16,9 @@ from repro.thermal.solver import (
     SteadyStateSolver,
     TransientSolver,
     clear_lu_store,
-    factorization_count,
 )
+
+from counters import Counters
 
 FLOW = units.ml_per_minute(400.0)
 
@@ -131,11 +132,11 @@ class TestSteadySolverMemo:
         net_a = self._fresh_network(resistance_scale=1.3)
         net_b = self._fresh_network(resistance_scale=1.3)
         assert net_a is not net_b
-        before = factorization_count()
+        counts = Counters()
         s_a = SteadyStateSolver(net_a)
         s_b = SteadyStateSolver(net_b)
         assert s_a._lu is s_b._lu
-        assert factorization_count() - before == 1
+        assert counts.factorizations() == 1
 
     def test_distinct_networks_get_distinct_factorizations(self):
         net_a = self._fresh_network()
@@ -154,9 +155,9 @@ class TestSteadySolverMemo:
         gc.collect()
         assert net_ref() is None, "the store must not pin the network alive"
         assert lu_ref() is None, "the store must not outlive the last solver"
-        before = factorization_count()
+        counts = Counters()
         SteadyStateSolver(self._fresh_network(resistance_scale=1.7))
-        assert factorization_count() - before == 1
+        assert counts.factorizations() == 1
 
     def test_steady_initial_field_is_repeatable(self):
         net = self._fresh_network()
@@ -166,35 +167,25 @@ class TestSteadySolverMemo:
         assert np.allclose(t1, 60.0, atol=1e-6)
 
 
-class TestStepMany:
-    def test_columns_match_single_steps(self, net, power):
-        solver = TransientSolver(net, dt=0.1)
-        t0 = SteadyStateSolver(net).solve(power)
-        temps = np.stack([t0, t0 + 1.0, t0 - 2.0], axis=1)
+class TestSolveMany:
+    def test_columns_match_single_solves(self, net, power):
+        solver = SteadyStateSolver(net)
         powers = np.stack([power, 0.5 * power, 2.0 * power], axis=1)
-        block = solver.step_many(temps, powers)
-        assert block.shape == temps.shape
+        block = solver.solve_many(powers)
+        assert block.shape == powers.shape
         for j in range(3):
-            single = solver.step(temps[:, j], powers[:, j])
             # SuperLU's blocked multi-RHS kernels round differently
-            # than the single-vector path: equivalent to LU roundoff,
-            # documented as such (the cohort runner's bitwise default
-            # therefore steps per column).
-            np.testing.assert_allclose(block[:, j], single, rtol=0, atol=1e-9)
-
-    def test_single_column_block_is_exact(self, net, power):
-        solver = TransientSolver(net, dt=0.1)
-        t0 = SteadyStateSolver(net).solve(power)
-        block = solver.step_many(t0[:, None], power[:, None])
-        np.testing.assert_array_equal(block[:, 0], solver.step(t0, power))
+            # than the single-vector path: equivalent to LU roundoff.
+            np.testing.assert_allclose(
+                block[:, j], solver.solve(powers[:, j]), rtol=0, atol=1e-9
+            )
 
     def test_shape_mismatch_raises(self, net, power):
-        solver = TransientSolver(net, dt=0.1)
-        t0 = SteadyStateSolver(net).solve(power)
+        solver = SteadyStateSolver(net)
         with pytest.raises(SolverError):
-            solver.step_many(t0, power)  # 1-D inputs
+            solver.solve_many(power)  # 1-D input
         with pytest.raises(SolverError):
-            solver.step_many(t0[:, None], np.stack([power, power], axis=1))
+            solver.solve_many(np.zeros((3, 2)))
 
 
 class TestFactorizationCounter:
@@ -202,23 +193,22 @@ class TestFactorizationCounter:
         """``solver.factorizations`` counts LU-store misses only; a hit
         is counted under ``solver.lu_store.hits`` instead."""
         clear_lu_store()
-        before = factorization_count()
+        counts = Counters()
         solver = TransientSolver(net, dt=0.05)
-        assert factorization_count() == before + 1
+        assert counts.factorizations() == 1
         # Stepping never factorizes.
         state = np.full(net.n_nodes, 40.0)
         solver.step(state, np.zeros(net.n_nodes))
-        assert factorization_count() == before + 1
+        assert counts.factorizations() == 1
         steady = SteadyStateSolver(net)
-        after_steady = factorization_count()
-        assert after_steady == before + 2
+        assert counts.factorizations() == 2
         # Reusing a live LU is free and counted as a hit.
         hits = metrics.counter("solver.lu_store.hits")
         hits_before = hits.value(kind="steady")
         assert SteadyStateSolver(net)._lu is steady._lu
-        assert factorization_count() == after_steady
+        assert counts.factorizations() == 2
         assert hits.value(kind="steady") == hits_before + 1
         # Clearing the store makes the next solver factorize afresh.
         clear_lu_store()
         assert SteadyStateSolver(net)._lu is not steady._lu
-        assert factorization_count() == after_steady + 1
+        assert counts.factorizations() == 3
