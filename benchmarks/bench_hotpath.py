@@ -67,6 +67,14 @@ cohort execution, all three gone in favor of one execution path with a
 memoized steady initial field) with ``warm_sweep``: one warm timing of
 the same 16-run 64x64 policy sweep, plus ``warm_refactorizations``,
 which must stay zero.
+
+Schema v9 adds ``lu_nnz``: the fill (SuperLU's ``nnz``, supernodal
+padding included) of the 100 ms liquid time-step LU at 32x32 and 64x64,
+plus 107x107 unless ``--skip-107``. ``factorize`` stores that matrix in
+symmetric mode (it is strictly row-diagonally dominant);
+``pivoted_transient`` is the fill SuperLU's default COLAMD + partial
+pivoting gives the same matrix, for the before/after. Informational:
+``compare_bench.py`` prints it and never warns.
 """
 
 from __future__ import annotations
@@ -82,6 +90,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -102,11 +112,12 @@ from repro.thermal.solver import (  # noqa: E402
     SteadyStateSolver,
     TransientSolver,
     clear_neighbor_cache,
+    factorize,
 )
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
 
@@ -400,6 +411,20 @@ def collect_facility_metrics(repeats: int = 5) -> dict:
     }
 
 
+def collect_lu_fill(sizes) -> dict:
+    """Fill of the 100 ms liquid time-step LU per grid (schema v9)."""
+    fill = {}
+    for n in sizes:
+        grid = ThermalGrid(build_stack(2), nx=n, ny=n)
+        net = build_network(grid, ThermalParams(), cavity_flows=[FLOW])
+        matrix = (net.conductance + sp.diags(net.capacitance / 0.1)).tocsc()
+        fill[f"{n}x{n}"] = {
+            "transient": int(factorize(matrix, "transient").lu.nnz),
+            "pivoted_transient": int(spla.splu(matrix).nnz),
+        }
+    return fill
+
+
 def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
     """Run the hot-path measurements and return the JSON payload."""
     results: dict[str, float] = {}
@@ -496,6 +521,7 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
         "timing_breakdown": collect_timing_breakdown(),
         "facility": collect_facility_metrics(repeats=repeats),
         "inlet_sweep": collect_inlet_sweep_metrics(),
+        "lu_nnz": collect_lu_fill([32, 64] + ([107] if include_107 else [])),
     }
 
 
@@ -554,6 +580,11 @@ def test_hotpath_baseline(tmp_path):
     # factorizes exactly as often as one inlet, with no duplicate LU.
     assert inlet["factorizations"] == inlet["single_inlet_factorizations"]
     assert inlet["duplicate_factorizations"] == 0
+    fill = loaded["lu_nnz"]
+    assert set(fill) == {"32x32", "64x64"}
+    for grid_fill in fill.values():
+        # Symmetric mode keeps the A + A^T ordering's low fill.
+        assert 0 < grid_fill["transient"] < grid_fill["pivoted_transient"]
 
 
 def main(argv=None) -> int:
@@ -632,6 +663,12 @@ def main(argv=None) -> int:
         f" ({inlet['distinct_matrices']} distinct matrices,"
         f" {inlet['duplicate_factorizations']} duplicates)"
     )
+    print("\ntransient LU fill (nnz): symmetric mode vs pivoted")
+    for size, grid_fill in payload["lu_nnz"].items():
+        print(
+            f"  {size:8s} {grid_fill['transient']:>10d}"
+            f"  vs {grid_fill['pivoted_transient']:>10d}"
+        )
     print(f"\nwrote {args.out}")
     return 0
 

@@ -30,6 +30,9 @@ failing, and a missing ``cross_network`` (pre-v3), ``timing_breakdown``
 ``warm_sweep`` (pre-v8, whose ``cohort`` section is read only for a
 note) section is a note, not an error. The current payload must carry
 ``warm_sweep.warm_refactorizations``: without it the warm gate fails.
+The ``lu_nnz`` section (schema v9, transient LU fill per grid) is
+printed for the trajectory only; a pre-v9 baseline without it is a
+note.
 """
 
 from __future__ import annotations
@@ -132,6 +135,21 @@ def _compare_timing_breakdown(cur: dict | None, base: dict | None) -> None:
             f"span.{name:27s} {base_spans[name]['share_of_wall']:9.1%} "
             f"{cur_spans[name]['share_of_wall']:9.1%}"
         )
+
+
+def _compare_lu_fill(cur: dict | None, base: dict | None) -> None:
+    """Informational transient LU fill per grid (schema v9; never gates)."""
+    if not cur:
+        print("(lu_nnz: not measured this run)")
+        return
+    base = base or {}
+    print(f"{'transient LU nnz':32s} {'baseline':>10s} {'current':>10s}")
+    for size, fill in cur.items():
+        before = base.get(size, {}).get("transient")
+        shown = "-" if before is None else f"{before:d}"
+        print(f"lu_nnz_{size:25s} {shown:>10s} {fill['transient']:>10d}")
+    if not base:
+        print("(lu_nnz: new this run, no baseline yet)")
 
 
 def _compare_warm_sweep(cur: dict | None, base: dict | None, old: dict | None) -> int:
@@ -259,6 +277,7 @@ def compare(current: dict, baseline: dict) -> int:
     _compare_timing_breakdown(
         current.get("timing_breakdown"), baseline.get("timing_breakdown")
     )
+    _compare_lu_fill(current.get("lu_nnz"), baseline.get("lu_nnz"))
 
     failures += _gate_warm_sweep(current.get("warm_sweep"))
 

@@ -15,9 +15,11 @@ Typical use::
     from repro import telemetry
 
     telemetry.counter("solver.factorizations").inc()
-    with telemetry.span("factorize", kind="steady", digest=d) as sp:
+    with telemetry.span(
+        "factorize", kind="steady", ordering="pivoted", digest=d
+    ) as sp:
         lu = splu(matrix)
-        sp.set_attrs(nnz=int(matrix.nnz))
+        sp.set_attrs(lu_nnz=int(lu.nnz))
 
 Metric naming convention: dotted ``subsystem.event`` names
 (``solver.factorizations``, ``cache.characterization.hits``), labels

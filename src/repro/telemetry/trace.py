@@ -50,9 +50,10 @@ SPAN_REQUIRED_KEYS = (
 )
 
 #: Attributes a span must carry, by span name: every LU factorization
-#: names its tier and the digest of the matrix it factorized, so a
-#: repeated digest exposes a duplicate LU.
-SPAN_REQUIRED_ATTRS = {"factorize": ("kind", "digest")}
+#: names its tier, its SuperLU mode (``symmetric`` or ``pivoted``) and
+#: the digest of the matrix it factorized, so a repeated digest exposes
+#: a duplicate LU.
+SPAN_REQUIRED_ATTRS = {"factorize": ("kind", "ordering", "digest")}
 
 #: Slack (seconds) allowed when checking child-within-parent nesting;
 #: covers perf_counter quantization, not real misnesting.

@@ -87,10 +87,12 @@ class ThermalParams:
     air_resistance_scale: float = DEFAULT_AIR_RESISTANCE_SCALE
 
     def __post_init__(self) -> None:
-        if self.k_silicon <= 0.0 or self.interlayer_conductivity <= 0.0:
-            raise ConfigurationError("conductivities must be positive")
-        if self.resistance_scale <= 0.0 or self.air_resistance_scale <= 0.0:
-            raise ConfigurationError("resistance scales must be positive")
+        for name in _POSITIVE_PARAM_FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value}"
+                )
         if not math.isfinite(self.inlet_temperature) or not (
             MIN_INLET_TEMPERATURE <= self.inlet_temperature <= MAX_INLET_TEMPERATURE
         ):
@@ -99,6 +101,21 @@ class ThermalParams:
                 f"[{MIN_INLET_TEMPERATURE:g}, {MAX_INLET_TEMPERATURE:g}] degC "
                 f"(the paper operates at 20-70 degC), got {self.inlet_temperature}"
             )
+
+
+_POSITIVE_PARAM_FIELDS = (
+    "k_silicon",
+    "silicon_vol_capacity",
+    "interlayer_conductivity",
+    "interlayer_vol_capacity",
+    "r_beol_area",
+    "tsv_conductivity",
+    "resistance_scale",
+    "air_resistance_scale",
+)
+"""Every physical :class:`ThermalParams` field but the inlet
+temperature (checked against its own band): each must be finite and
+> 0, or the network assembles with NaN, infinite or negative entries."""
 
 
 @dataclass(eq=False)

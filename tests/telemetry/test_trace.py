@@ -127,7 +127,9 @@ class TestTraceContext:
 class TestExportValidate:
     def test_roundtrip_validates(self, tracing, tmp_path):
         with trace.span("steady"):
-            with trace.span("factorize", kind="steady", digest="0123abcd"):
+            with trace.span(
+                "factorize", kind="steady", ordering="pivoted", digest="0123abcd"
+            ):
                 pass
         path = trace.export_trace(tmp_path / "trace.jsonl")
         report = trace.validate_trace(path)
@@ -179,13 +181,21 @@ class TestExportValidate:
             "t_start": 0.0, "duration_s": 1.0, "pid": 1, "thread": 1,
             "attrs": {"kind": "steady"},
         }
-        tagged = dict(span, span=2, attrs={"kind": "steady", "digest": "ab12"})
+        unordered = dict(span, span=2, attrs={"kind": "steady", "digest": "ab12"})
+        tagged = dict(
+            span,
+            span=3,
+            attrs={"kind": "steady", "ordering": "pivoted", "digest": "ab12"},
+        )
         path = tmp_path / "bad.jsonl"
         path.write_text(
-            "".join(json_line(p) + "\n" for p in (header, span, tagged))
+            "".join(json_line(p) + "\n" for p in (header, span, unordered, tagged))
         )
         report = trace.validate_trace(path)
-        assert report.errors == ["line 2: factorize span missing attrs digest"]
+        assert report.errors == [
+            "line 2: factorize span missing attrs ordering, digest",
+            "line 3: factorize span missing attrs ordering",
+        ]
 
     def test_validate_flags_misnested_child(self, tmp_path):
         header = {

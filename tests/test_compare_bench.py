@@ -3,7 +3,9 @@
 Timing regressions only warn; the algorithmic counters fail. The warm
 gate reads ``warm_sweep.warm_refactorizations`` from the current
 payload, and a baseline from before schema v8 (a ``cohort`` section
-instead of ``warm_sweep``) is read without error.
+instead of ``warm_sweep``) is read without error. The schema v9
+``lu_nnz`` fill section is printed only, and a v8 baseline without it
+is read without error.
 """
 
 import importlib.util
@@ -17,13 +19,16 @@ compare_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_bench)
 
 
-def payload(warm_refactorizations=0, runs_per_sec=20.0):
+def payload(warm_refactorizations=0, runs_per_sec=20.0, transient_nnz=218_000):
     """A minimal current-schema payload whose other gates pass."""
     warm = {"n_runs": 16, "runs_per_sec_per_core": runs_per_sec}
     if warm_refactorizations is not None:
         warm["warm_refactorizations"] = warm_refactorizations
     return {
-        "schema_version": 8,
+        "schema_version": 9,
+        "lu_nnz": {
+            "32x32": {"transient": transient_nnz, "pivoted_transient": 289_000}
+        },
         "results": {"assembly_16x16": 0.01},
         "warm_sweep": warm,
         "inlet_sweep": {
@@ -68,3 +73,21 @@ class TestWarmSweepGate:
         slow = payload(runs_per_sec=10.0)
         assert compare_bench.compare(slow, payload()) == 0
         assert "::warning" in capsys.readouterr().out
+
+
+class TestLuFill:
+    def test_v8_baseline_without_lu_nnz_is_read_without_error(self, capsys):
+        v8 = payload()
+        del v8["lu_nnz"]
+        v8["schema_version"] = 8
+        assert compare_bench.compare(payload(), v8) == 0
+        out = capsys.readouterr().out
+        assert "lu_nnz: new this run" in out
+        assert "218000" in out
+
+    def test_more_fill_is_printed_but_never_warns(self, capsys):
+        denser = payload(transient_nnz=300_000)
+        assert compare_bench.compare(denser, payload()) == 0
+        out = capsys.readouterr().out
+        assert "lu_nnz_32x32" in out and "300000" in out
+        assert "::warning" not in out

@@ -1,13 +1,198 @@
 """How ``factorize`` picks a SuperLU mode, and what each mode guarantees."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.geometry.stack import CoolingKind
+from repro import units
+from repro.errors import ConfigurationError, SolverError
+from repro.geometry.stack import CoolingKind, build_stack
 from repro.sim.cache import CharacterizationCache, clear_system_memo, system_for
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
+from repro.telemetry import trace
+from repro.thermal.grid import ThermalGrid
+from repro.thermal.rc_network import ThermalParams, build_network
+from repro.thermal.solver import (
+    TransientSolver,
+    _symmetric_mode_safe,
+    clear_lu_store,
+    factorize,
+)
+
+from counters import Counters
+
+FLOW = units.ml_per_minute(400.0)
+
+
+def _liquid(nx=8, ny=8, flow=FLOW):
+    grid = ThermalGrid(build_stack(2), nx=nx, ny=ny)
+    return build_network(grid, ThermalParams(), cavity_flows=[flow])
+
+
+def _air(nx=8, ny=8):
+    grid = ThermalGrid(build_stack(2, cooling=CoolingKind.AIR), nx=nx, ny=ny)
+    return build_network(grid, ThermalParams())
+
+
+def _time_step_matrix(net, dt=0.1) -> sp.csc_matrix:
+    return (net.conductance + sp.diags(net.capacitance / dt)).tocsc()
+
+
+class TestClassifier:
+    """Symmetric mode only for strictly row-dominant Z-matrices."""
+
+    def test_liquid_time_step_matrix_is_symmetric_safe(self):
+        assert _symmetric_mode_safe(_time_step_matrix(_liquid()))
+
+    def test_air_time_step_matrix_is_symmetric_safe(self):
+        assert _symmetric_mode_safe(_time_step_matrix(_air()))
+
+    def test_long_time_step_is_still_symmetric_safe(self):
+        assert _symmetric_mode_safe(_time_step_matrix(_liquid(), dt=10.0))
+
+    def test_steady_conductance_is_pivoted(self):
+        # Interior rows of G sum to roundoff: weakly dominant only.
+        assert not _symmetric_mode_safe(_liquid().conductance.tocsc())
+        assert not _symmetric_mode_safe(_air().conductance.tocsc())
+
+    def test_positive_off_diagonal_is_pivoted(self):
+        matrix = _time_step_matrix(_liquid()).tolil()
+        matrix[0, 1] = 1.0e-6
+        assert not _symmetric_mode_safe(matrix.tocsc())
+
+    def test_zero_capacitance_row_is_pivoted(self):
+        net = _liquid()
+        conductance = net.conductance.tocsr()
+        row_sums = np.asarray(conductance.sum(axis=1)).ravel()
+        interior = int(np.argmin(np.abs(row_sums) / conductance.diagonal()))
+        capacitance = net.capacitance.copy()
+        capacitance[interior] = 0.0
+        matrix = _time_step_matrix(replace(net, capacitance=capacitance))
+        assert not _symmetric_mode_safe(matrix)
+
+    def test_non_finite_entries_are_pivoted(self):
+        matrix = _time_step_matrix(_liquid())
+        matrix.data[matrix.indices == 0] = np.nan
+        assert not _symmetric_mode_safe(matrix)
+
+    def test_non_square_matrix_is_pivoted(self):
+        assert not _symmetric_mode_safe(sp.csc_matrix(np.eye(3)[:, :2]))
+
+
+class TestFactorizeProvenance:
+    """The ``factorize`` span and ``solver.lu.orderings`` counter record
+    which mode each LU-store miss took."""
+
+    @pytest.fixture
+    def tracing(self):
+        trace.enable(capacity=1024)
+        trace.clear()
+        yield
+        trace.disable()
+        trace.clear()
+
+    def test_span_and_counter_name_the_ordering(self, tracing):
+        net = _liquid(nx=6, ny=6)
+        clear_lu_store()
+        counts = Counters()
+        steady = factorize(net.conductance, "steady")
+        transient = factorize(_time_step_matrix(net), "transient")
+        spans = [e for e in trace.events() if e["name"] == "factorize"]
+        by_kind = {e["attrs"]["kind"]: e["attrs"] for e in spans}
+        assert by_kind["steady"]["ordering"] == "pivoted"
+        assert by_kind["transient"]["ordering"] == "symmetric"
+        assert by_kind["steady"]["lu_nnz"] == steady.lu.nnz
+        assert by_kind["transient"]["lu_nnz"] == transient.lu.nnz
+        assert counts.factorizations() == 2
+        orderings = "solver.lu.orderings{kind=%s,ordering=%s}"
+        assert counts.delta(orderings % ("steady", "pivoted")) == 1
+        assert counts.delta(orderings % ("transient", "symmetric")) == 1
+
+    def test_store_hit_records_no_ordering(self):
+        net = _liquid(nx=6, ny=6)
+        held = factorize(_time_step_matrix(net), "transient")
+        counts = Counters()
+        assert factorize(_time_step_matrix(net), "transient") is held
+        assert counts.factorizations() == 0
+        assert counts.delta(
+            "solver.lu.orderings{kind=transient,ordering=symmetric}"
+        ) == 0
+
+    def test_symmetric_mode_has_less_fill(self):
+        matrix = _time_step_matrix(_liquid(nx=16, ny=16))
+        clear_lu_store()
+        symmetric = factorize(matrix, "transient")
+        assert symmetric.lu.nnz < spla.splu(matrix).nnz
+
+
+class TestSymmetricModeAccuracy:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        nx=st.integers(min_value=8, max_value=20),
+        ny=st.integers(min_value=8, max_value=20),
+        flow_ml_min=st.floats(min_value=50.0, max_value=1500.0),
+        dt=st.floats(min_value=1.0e-3, max_value=10.0),
+    )
+    def test_matches_a_pivoted_lu(self, nx, ny, flow_ml_min, dt):
+        net = _liquid(nx=nx, ny=ny, flow=units.ml_per_minute(flow_ml_min))
+        matrix = _time_step_matrix(net, dt)
+        assert _symmetric_mode_safe(matrix)
+        lu = factorize(matrix, "transient")
+        power = net.grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+        rhs = net.capacitance / dt * np.full(net.n_nodes, 60.0) + power + net.boundary
+        temps = lu.solve(rhs)
+        residual = np.linalg.norm(rhs - matrix @ temps) / np.linalg.norm(rhs)
+        assert residual <= 1.0e-12
+        pivoted = spla.splu(matrix).solve(rhs)
+        assert np.max(np.abs(temps - pivoted)) <= 1.0e-10
+
+
+class TestInvalidInputs:
+    def test_singular_zero_row_sum_matrix_raises(self):
+        # A graph Laplacian: a Z-matrix whose rows sum to exactly zero.
+        laplacian = sp.csc_matrix(
+            np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+        )
+        assert not _symmetric_mode_safe(laplacian)
+        with pytest.raises(SolverError, match="factorization failed"):
+            factorize(laplacian, "steady")
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+    def test_time_step_must_be_finite_and_positive(self, dt):
+        with pytest.raises(SolverError, match="time step"):
+            TransientSolver(_liquid(nx=4, ny=4), dt=dt)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_capacitance_raises(self, bad):
+        net = _liquid(nx=4, ny=4)
+        capacitance = net.capacitance.copy()
+        capacitance[3] = bad
+        with pytest.raises(SolverError, match="non-finite capacitance"):
+            TransientSolver(replace(net, capacitance=capacitance), dt=0.1)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "k_silicon",
+            "silicon_vol_capacity",
+            "interlayer_conductivity",
+            "interlayer_vol_capacity",
+            "r_beol_area",
+            "tsv_conductivity",
+            "resistance_scale",
+            "air_resistance_scale",
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_thermal_params_name_the_bad_field(self, field, bad):
+        with pytest.raises(ConfigurationError, match=field):
+            ThermalParams(**{field: bad})
 
 
 def _digest(*arrays) -> str:
