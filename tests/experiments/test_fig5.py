@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.constants import MICROCHANNEL
 from repro.experiments import fig5
+from repro.geometry.stack import CoolingKind
+from repro.power.components import PowerModel
+from repro.power.leakage import LeakageModel
+from repro.sim.system import ThermalSystem
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +43,36 @@ class TestStaircase:
 
     def test_selected_settings_hold_target(self, rows_2layer):
         assert all(r["holds_target"] for r in rows_2layer)
+
+
+class TestContinuousFlowTmaxIsBitwisePinned:
+    """The continuous-flow steady T_max behind the bisection, recorded
+    when fig5 still ran its own dict-based leakage fixed point; the
+    shared vector fixed point must reproduce it exactly."""
+
+    FLOWS = (
+        MICROCHANNEL.flow_rate_min * 0.5,
+        0.5 * (MICROCHANNEL.flow_rate_min + MICROCHANNEL.flow_rate_max),
+        MICROCHANNEL.flow_rate_max,
+    )
+    UTILIZATIONS = (0.0, 0.5, 0.93)
+    TMAX = (
+        (76.569631694685, 87.17270268625784, 96.47650745898518),
+        (69.73645410004461, 75.96548564823921, 81.44433066766233),
+        (68.14179233625488, 73.37902881773307, 77.96545842482617),
+    )
+
+    def test_steady_tmax_at_flow(self):
+        system = ThermalSystem(2, CoolingKind.LIQUID)
+        model = PowerModel(system.stack, leakage=LeakageModel())
+        got = tuple(
+            tuple(
+                fig5._steady_tmax_at_flow(system, model, u, flow)
+                for u in self.UTILIZATIONS
+            )
+            for flow in self.FLOWS
+        )
+        assert got == self.TMAX
 
 
 @pytest.mark.slow
