@@ -16,7 +16,7 @@ import numpy as np
 from repro import units
 from repro.constants import CONTROL, MICROCHANNEL
 from repro.geometry.stack import CoolingKind
-from repro.power.components import PowerModel
+from repro.power.components import CoreState, PowerModel
 from repro.power.leakage import LeakageModel
 from repro.sim.system import ThermalSystem
 from repro.thermal.solver import SteadyStateSolver
@@ -26,21 +26,16 @@ def _steady_tmax_at_flow(
     system: ThermalSystem, model: PowerModel, utilization: float, flow: float
 ) -> float:
     """Self-consistent steady T_max at an arbitrary continuous flow."""
-    network = system.network_for_flow(flow)
-    solver = SteadyStateSolver(network)
-    grid = system.grid
     core_names = system.core_names
-    core_util = {name: utilization for name in core_names}
-    from repro.power.components import CoreState
-
-    states = {name: CoreState.ACTIVE for name in core_names}
-    unit_temps = None
-    temps = None
-    for _ in range(6):
-        powers = model.unit_powers(core_util, states, 0.8, unit_temps)
-        temps = solver.solve(grid.power_vector(powers))
-        unit_temps = grid.unit_temperatures(temps)
-    return grid.max_unit_temperature(temps)
+    temps, _ = system.leakage_fixed_point(
+        SteadyStateSolver(system.network_for_flow(flow)),
+        model,
+        {name: utilization for name in core_names},
+        {name: CoreState.ACTIVE for name in core_names},
+        memory_intensity=0.8,
+        leakage_iterations=6,
+    )
+    return system.grid.max_unit_temperature(temps)
 
 
 def continuous_required_flow(

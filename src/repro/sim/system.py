@@ -91,8 +91,8 @@ class ThermalSystem:
             die_height=self.stack.height,
         )
         self._networks: dict[int, RCNetwork] = {}
-        self._transients: dict[tuple, "TransientSolver | KrylovTransientSolver"] = {}
-        self._steadies: dict[tuple, "SteadyStateSolver | KrylovSteadySolver"] = {}
+        self._transients: dict[tuple, TransientSolver] = {}
+        self._steadies: dict[int, SteadyStateSolver] = {}
         self._initial_fields: dict[tuple, tuple[PowerModel, np.ndarray]] = {}
 
     # --- network/solver caches --------------------------------------------------
@@ -131,64 +131,39 @@ class ThermalSystem:
             channel_model=self.channel_model,
         )
 
-    def _structure_key(self, setting_index: int, tail: tuple) -> tuple:
-        """Preconditioner-pool key: sparsity structure + setting + dt.
+    def transient_solver(self, setting_index: int, dt: float) -> TransientSolver:
+        """Cached backward-Euler solver for a setting and step size."""
+        key = (setting_index, dt)
+        if key not in self._transients:
+            self._transients[key] = self._solver(
+                TransientSolver, KrylovTransientSolver, setting_index, ("dt", dt), dt
+            )
+        return self._transients[key]
 
+    def steady_solver(self, setting_index: int = -1) -> SteadyStateSolver:
+        """Cached steady-state solver for a setting (-1 = air)."""
+        if setting_index not in self._steadies:
+            self._steadies[setting_index] = self._solver(
+                SteadyStateSolver, KrylovSteadySolver, setting_index, ("steady",)
+            )
+        return self._steadies[setting_index]
+
+    def _solver(self, exact, krylov, setting_index: int, tail: tuple, *args):
+        """A solver of this system's tier on a setting's network.
+
+        On the krylov tier the preconditioner-pool key is the sparsity
+        structure, the setting index and ``tail`` (``dt`` or steady).
         The pump-setting index is part of the key even though different
         settings share a sparsity pattern — their coolant conductances
         differ enough that cross-setting preconditioning converges
         poorly, and keeping settings apart makes the pool's nearest
         lookup a pure thermal-parameter distance.
         """
-        return structure_signature(self.network(setting_index)) + (
-            setting_index,
-        ) + tail
-
-    def transient_solver(
-        self, setting_index: int, dt: float, solver: Optional[str] = None
-    ) -> "TransientSolver | KrylovTransientSolver":
-        """Cached backward-Euler solver for a setting and step size.
-
-        ``solver`` overrides the system-wide tier for this lookup
-        (``"exact"`` or ``"krylov"``); distinct tiers cache separately.
-        """
-        mode = solver if solver is not None else self.solver
-        key = (setting_index, dt, mode)
-        if key not in self._transients:
-            if mode == "krylov":
-                built: "TransientSolver | KrylovTransientSolver" = (
-                    KrylovTransientSolver(
-                        self.network(setting_index),
-                        dt,
-                        params=self.params,
-                        structure=self._structure_key(setting_index, ("dt", dt)),
-                    )
-                )
-            else:
-                built = TransientSolver(self.network(setting_index), dt)
-            self._transients[key] = built
-        return self._transients[key]
-
-    def steady_solver(
-        self, setting_index: int = -1, solver: Optional[str] = None
-    ) -> "SteadyStateSolver | KrylovSteadySolver":
-        """Cached steady-state solver for a setting (-1 = air).
-
-        ``solver`` overrides the system-wide tier for this lookup.
-        """
-        mode = solver if solver is not None else self.solver
-        key = (setting_index, mode)
-        if key not in self._steadies:
-            if mode == "krylov":
-                built: "SteadyStateSolver | KrylovSteadySolver" = KrylovSteadySolver(
-                    self.network(setting_index),
-                    params=self.params,
-                    structure=self._structure_key(setting_index, ("steady",)),
-                )
-            else:
-                built = SteadyStateSolver(self.network(setting_index))
-            self._steadies[key] = built
-        return self._steadies[key]
+        network = self.network(setting_index)
+        if self.solver == "exact":
+            return exact(network, *args)
+        structure = structure_signature(network) + (setting_index,) + tail
+        return krylov(network, *args, params=self.params, structure=structure)
 
     # --- steady-state evaluation ---------------------------------------------
 
@@ -226,10 +201,10 @@ class ThermalSystem:
         """Steady-state temperature field (see :meth:`steady_tmax`)."""
         if not 0.0 <= utilization <= 1.0:
             raise ConfigurationError("utilization must be in [0, 1]")
-        temps, _ = self._leakage_fixed_point(
+        temps, _ = self.leakage_fixed_point(
+            self.steady_solver(setting_index),
             power_model,
             *self._uniform_load(utilization),
-            setting_index,
             memory_intensity,
             leakage_iterations,
         )
@@ -243,20 +218,21 @@ class ThermalSystem:
             {name: state for name in self.core_names},
         )
 
-    def _leakage_fixed_point(
+    def leakage_fixed_point(
         self,
+        solver: SteadyStateSolver,
         power_model: PowerModel,
         core_util: dict,
         core_states: dict,
-        setting_index: int,
         memory_intensity: float,
         leakage_iterations: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Iterate power(T) -> solve -> T for one load pattern.
 
+        ``solver`` is a steady solver on one of this system's networks
+        (a pump setting's, or an arbitrary flow's for Figure 5).
         Returns the final node field and its unit-temperature vector.
         """
-        solver = self.steady_solver(setting_index)
         grid = self.grid
         unit_vec: Optional[np.ndarray] = None
         temps = np.zeros(grid.n_nodes)
@@ -350,11 +326,11 @@ class ThermalSystem:
         for name in core_names[:n_active]:
             core_util[name] = 1.0
             core_states[name] = CoreState.ACTIVE
-        _, unit_vec = self._leakage_fixed_point(
+        _, unit_vec = self.leakage_fixed_point(
+            self.steady_solver(setting_index),
             power_model,
             core_util,
             core_states,
-            setting_index,
             memory_intensity,
             leakage_iterations,
         )

@@ -10,6 +10,7 @@ measure that time constant from the model, so the claim is checkable
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,11 +91,15 @@ def step_response(
     and integrates until ``max_time`` with step ``dt`` (default 5 ms,
     fine enough to resolve a <100 ms constant).
     """
-    if dt <= 0.0 or max_time <= dt:
+    for name, value in (("dt", dt), ("max_time", max_time)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise SolverError(f"{name} must be finite and positive, got {value}")
+    if max_time <= dt:
         raise SolverError("need 0 < dt < max_time")
     grid = network.grid
-    base = SteadyStateSolver(network).solve(np.zeros(network.n_nodes))
-    final = SteadyStateSolver(network).solve(np.asarray(power, dtype=float))
+    steady = SteadyStateSolver(network)
+    base = steady.solve(np.zeros(network.n_nodes))
+    final = steady.solve(np.asarray(power, dtype=float))
     solver = TransientSolver(network, dt)
     n_steps = int(round(max_time / dt))
     times = np.arange(1, n_steps + 1) * dt

@@ -6,10 +6,31 @@ transient solver uses backward Euler::
     (C/dt + G) T_{n+1} = (C/dt) T_n + P + b
 
 which is unconditionally stable (the paper steps at the 100 ms sampling
-interval, comparable to the stack's thermal time constant). The system
-matrix depends only on (G, dt), so its sparse LU comes from a
-process-wide store keyed by matrix content (:func:`factorize`) and each
-step costs a pair of triangular solves.
+interval, comparable to the stack's thermal time constant), and the
+steady solver solves ``G T = P + b``.
+
+Both wrappers hold the physics once — ``C/dt``, the boundary vector,
+shape and finiteness checks, the ``steady`` spans, the warm start and
+``run`` — and hand every ``A x = b`` to a *linear core* built once per
+matrix. There are two cores behind one interface (``solve_linear``,
+``solve_linear_many``, ``warm_start``):
+
+* the exact core, the stored sparse LU from :func:`factorize`
+  (:class:`Factorization`): the matrix depends only on (G, dt), so its
+  LU comes from a process-wide store keyed by matrix content and each
+  solve costs a pair of triangular solves;
+* the iterative core (``_KrylovCore``): GMRES preconditioned by the
+  nearest retained neighbor design point's LU, with an explicit
+  residual check and an exact fallback.
+
+:class:`KrylovSteadySolver` and :class:`KrylovTransientSolver` differ
+from :class:`SteadyStateSolver` and :class:`TransientSolver` only in the
+core they construct. They still bind ``solve``/``solve_many``/``step``
+in their own class bodies (``step = TransientSolver.step``): the
+campaign benchmark's per-layer tracer (``perfbench/layers.py``) wraps
+an entry point only where the class itself defines it, so an inherited
+method would leave the krylov tier's ``thermal.step``/``thermal.steady``
+layers unmeasured.
 
 :func:`factorize` picks the SuperLU mode from the matrix itself. The
 time-step matrix ``C/dt + G`` is a strictly row-diagonally-dominant
@@ -86,19 +107,31 @@ def _symmetric_mode_safe(csc: sp.csc_matrix) -> bool:
 
 
 class Factorization:
-    """A sparse LU held by solvers and weakly by the LU store.
+    """A sparse LU held by solvers and weakly by the LU store; the exact
+    linear core.
 
     ``SuperLU`` objects cannot be weakly referenced; this handle can,
     so the store forgets an LU with its last holder. ``solve`` is the
-    LU's own bound method (no extra Python frame per solve).
+    LU's own bound method (no extra Python frame per solve);
+    ``solve_linear``/``solve_linear_many`` are the linear-core interface
+    the solver wrappers call, and ignore the initial guess.
     """
 
     __slots__ = ("lu", "solve", "digest", "__weakref__")
+
+    warm_start = False
+    """A triangular solve takes no initial guess."""
 
     def __init__(self, lu: spla.SuperLU, digest: str) -> None:
         self.lu = lu
         self.solve = lu.solve
         self.digest = digest
+
+    def solve_linear(self, rhs: np.ndarray, x0: Optional[np.ndarray]) -> np.ndarray:
+        """``A x = rhs`` for one vector or an ``(n, k)`` block."""
+        return self.solve(rhs)
+
+    solve_linear_many = solve_linear
 
 
 _lu_store: "weakref.WeakValueDictionary[str, Factorization]" = (
@@ -213,33 +246,77 @@ class SteadyStateSolver:
 
     def __init__(self, network: RCNetwork) -> None:
         self.network = network
-        self._lu = factorize(network.conductance, "steady")
+        self._core = self._linear_core(network.conductance)
+        self._last: Optional[np.ndarray] = None
+        self._last_block: Optional[np.ndarray] = None
+
+    def _linear_core(self, matrix: sp.spmatrix) -> "Factorization | _KrylovCore":
+        return factorize(matrix, "steady")
 
     def solve(self, power: np.ndarray) -> np.ndarray:
         """Equilibrium temperatures for a per-node power injection (W)."""
         power = _vector(power, self.network.n_nodes)
         with _trace.span("steady", n_nodes=self.network.n_nodes):
-            temps = self._lu.solve(power + self.network.boundary)
-        return _finite(temps, "steady-state solve")
+            temps = self._core.solve_linear(power + self.network.boundary, self._last)
+        temps = _finite(temps, "steady-state solve")
+        if self._core.warm_start:
+            self._last = temps
+        return temps
 
     def solve_many(self, powers: np.ndarray) -> np.ndarray:
         """Equilibrium fields for many injections at once.
 
         ``powers`` has shape ``(n_nodes, k)``; returns the same shape.
-        One multi-RHS triangular solve; columns agree with separate
-        :meth:`solve` calls to within LU roundoff (~1e-14 K — SuperLU
-        uses blocked kernels for multiple right-hand sides).
+        On the exact core this is one multi-RHS triangular solve whose
+        columns agree with separate :meth:`solve` calls to within LU
+        roundoff (~1e-14 K — SuperLU uses blocked kernels for multiple
+        right-hand sides).
         """
         powers = _block(powers, self.network.n_nodes)
+        x0 = self._last_block
+        if x0 is not None and x0.shape != powers.shape:
+            x0 = None
         with _trace.span(
             "steady", n_nodes=self.network.n_nodes, n_rhs=powers.shape[1]
         ):
-            temps = self._lu.solve(powers + self.network.boundary[:, None])
-        return _finite(temps, "steady-state solve")
+            temps = self._core.solve_linear_many(
+                powers + self.network.boundary[:, None], x0
+            )
+        temps = _finite(temps, "steady-state solve")
+        if self._core.warm_start:
+            self._last_block = temps
+        return temps
 
 
-class _Stepper:
-    """The constant-power ``run`` loop shared by both transient tiers."""
+class TransientSolver:
+    """Backward-Euler transient integrator.
+
+    Parameters
+    ----------
+    network:
+        The assembled RC network.
+    dt:
+        Time step in seconds (the paper's 100 ms sampling interval by
+        default at the call sites).
+    """
+
+    def __init__(self, network: RCNetwork, dt: float) -> None:
+        self._c_over_dt = _c_over_dt(network, dt)
+        self.network = network
+        self.dt = dt
+        self._core = self._linear_core(
+            network.conductance + sp.diags(self._c_over_dt)
+        )
+
+    def _linear_core(self, matrix: sp.spmatrix) -> "Factorization | _KrylovCore":
+        return factorize(matrix, "transient")
+
+    def step(self, temperatures: np.ndarray, power: np.ndarray) -> np.ndarray:
+        """Advance one time step; returns the new temperature vector."""
+        n = self.network.n_nodes
+        temperatures = _vector(temperatures, n)
+        rhs = self._c_over_dt * temperatures + _vector(power, n) + self.network.boundary
+        return _finite(self._core.solve_linear(rhs, temperatures), "transient step")
 
     def run(
         self,
@@ -256,48 +333,22 @@ class _Stepper:
         return state
 
 
-class TransientSolver(_Stepper):
-    """Backward-Euler transient integrator with a stored factorization.
-
-    Parameters
-    ----------
-    network:
-        The assembled RC network.
-    dt:
-        Time step in seconds (the paper's 100 ms sampling interval by
-        default at the call sites).
-    """
-
-    def __init__(self, network: RCNetwork, dt: float) -> None:
-        self._c_over_dt = _c_over_dt(network, dt)
-        self.network = network
-        self.dt = dt
-        self._lu = factorize(
-            network.conductance + sp.diags(self._c_over_dt), "transient"
-        )
-
-    def step(self, temperatures: np.ndarray, power: np.ndarray) -> np.ndarray:
-        """Advance one time step; returns the new temperature vector."""
-        n = self.network.n_nodes
-        temperatures = _vector(temperatures, n)
-        rhs = self._c_over_dt * temperatures + _vector(power, n) + self.network.boundary
-        return _finite(self._lu.solve(rhs), "transient step")
-
-# --- iterative tier: neighbor-preconditioned Krylov solvers -------------------
+# --- iterative core: neighbor-preconditioned GMRES ---------------------------
 #
 # A sweep over ``thermal_params.*`` (or grid/geometry) changes the
 # matrix *values* but not its sparsity structure, and nearby design
-# points produce nearly identical systems. The classes below exploit
-# that: instead of a fresh sparse LU per design point, they solve with
+# points produce nearly identical systems. The iterative core exploits
+# that: instead of a fresh sparse LU per design point, it solves with
 # preconditioned GMRES (the advection rows make G asymmetric, so CG is
 # out) using the *closest already-factorized neighbor's* LU as the
-# preconditioner, and only factorize when no usable neighbor exists or
+# preconditioner, and only factorizes when no usable neighbor exists or
 # the iteration stalls.
 
 KRYLOV_TOLERANCE = 1.0e-10
 """Relative residual (``||b - Ax|| / ||b||``) each Krylov linear solve
-is driven to. Tight enough that temperature trajectories agree with
-the exact LU path to :data:`KRYLOV_TEMPERATURE_TOLERANCE`."""
+is driven to, read at solve time. Tight enough that temperature
+trajectories agree with the exact LU path to
+:data:`KRYLOV_TEMPERATURE_TOLERANCE`."""
 
 KRYLOV_TEMPERATURE_TOLERANCE = 1.0e-6
 """Documented accuracy contract of ``solver="krylov"``: maximum
@@ -307,10 +358,11 @@ Well below the 0.5 K controller hysteresis and the paper's reported
 0.1 K sensor resolution."""
 
 KRYLOV_MAX_ITERATIONS = 64
-"""GMRES iteration budget per solve (one un-restarted cycle). A
-usable neighbor preconditioner converges in a handful of iterations;
-hitting this budget means the neighbor was too far away, and the
-solver falls back to an exact factorization of its own matrix."""
+"""GMRES iteration budget per solve (one un-restarted cycle), read at
+solve time. A usable neighbor preconditioner converges in a handful
+of iterations; hitting this budget means the neighbor was too far
+away, and the solver falls back to an exact factorization of its own
+matrix."""
 
 _KRYLOV_STAT_KEYS = (
     "preconditioner_hits",
@@ -326,11 +378,12 @@ _KRYLOV_COUNTERS = {
 """The monotonic ``solver.krylov.*`` counters (measure a campaign by
 diffing two :func:`repro.telemetry.metrics.snapshot`\\ s).
 ``preconditioner_hits``/``preconditioner_misses`` count solver
-constructions that found / failed to find a retained neighbor LU;
+constructions that found / failed to find a retained neighbor LU (a
+hit at distance 0.0 is the design point's own LU);
 ``fallbacks`` counts GMRES stalls that forced an exact factorization;
 ``iterations``/``gmres_solves`` accumulate inner GMRES work;
 ``direct_solves`` counts solves served by an exact LU (own
-factorization, exact cache hit, or post-fallback)."""
+factorization, distance-0 neighbor, or post-fallback)."""
 
 
 def _bump_krylov(**deltas: int) -> None:
@@ -386,12 +439,12 @@ class NeighborFactorCache:
     :class:`~repro.thermal.rc_network.ThermalParams` the matrix was
     assembled from. :meth:`nearest` returns the retained LU with the
     same structure whose parameter vector minimizes
-    :func:`params_distance` — the preconditioner a
-    :class:`KrylovTransientSolver` steps with; :meth:`exact` shortcuts
-    the identical design point (same structure *and* params), whose LU
-    solves directly with no iteration at all. Thread-safe; least
-    recently used entries evict beyond ``capacity`` (each retained LU
-    at 64x64 is tens of MB, so the pool must stay small).
+    :func:`params_distance` — the preconditioner a Krylov solver steps
+    with. Distance 0.0 means identical params, hence the identical
+    design point, whose LU solves directly with no iteration at all.
+    Thread-safe; least recently used entries evict beyond ``capacity``
+    (each retained LU at 64x64 is tens of MB, so the pool must stay
+    small).
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -402,16 +455,6 @@ class NeighborFactorCache:
         self._entries: "OrderedDict[tuple, tuple[np.ndarray, Factorization]]" = (
             OrderedDict()
         )
-
-    def exact(self, structure: tuple, params: ThermalParams) -> Optional[Factorization]:
-        """The retained LU of this exact design point, if any."""
-        key = (structure, params)
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is None:
-                return None
-            self._entries.move_to_end(key)
-            return hit[1]
 
     def nearest(
         self, structure: tuple, params_vec: np.ndarray
@@ -487,56 +530,49 @@ def _gmres(matrix, rhs, x0, M, rtol, restart, maxiter, callback):
         )
 
 
-class _KrylovLinearSolver:
-    """Shared machinery of the Krylov steady/transient solvers.
+class _KrylovCore:
+    """The iterative linear core: neighbor-LU preconditioned GMRES.
 
-    Owns one system matrix and solves ``A x = b`` with neighbor-LU
-    preconditioned GMRES, maintaining the invariant: every answer it
-    returns satisfies ``||b - Ax|| <= tolerance * ||b||`` (verified
-    with an explicit residual, not trusted from the iteration), or an
-    exact LU produced it. The first design point of a structure (no
-    retained neighbor) and any stalled iteration factorize exactly —
-    so krylov mode is never *less* robust than exact, only cheaper
-    when neighbors exist.
+    Owns one system matrix and solves ``A x = b`` with GMRES,
+    preconditioned by the closest retained LU in the
+    :class:`NeighborFactorCache`, and keeps the invariant: every answer
+    it returns satisfies ``||b - Ax|| <= KRYLOV_TOLERANCE * ||b||``
+    (verified with an explicit residual, not trusted from the
+    iteration), or an exact LU produced it. A neighbor at distance 0.0
+    is this very design point (canonical assembly makes its matrix
+    bit-identical), so its LU solves direct. The first design point of
+    a structure (no retained neighbor) and any stalled iteration
+    factorize exactly — so krylov mode is never *less* robust than
+    exact, only cheaper when neighbors exist.
     """
+
+    warm_start = True
+    """Successive solves start GMRES from the caller's guess."""
 
     def __init__(
         self,
         matrix: sp.spmatrix,
         structure: tuple,
         params: ThermalParams,
-        tolerance: float,
-        max_iterations: int,
         cache: Optional[NeighborFactorCache],
     ) -> None:
-        if tolerance <= 0.0:
-            raise SolverError("krylov tolerance must be positive")
-        if max_iterations < 1:
-            raise SolverError("krylov max_iterations must be >= 1")
-        self.tolerance = float(tolerance)
-        self.max_iterations = int(max_iterations)
         self.structure = structure
         self._params = params
         self._cache = cache if cache is not None else _neighbor_cache
         self._matrix = matrix.tocsr()
         self._lu: Optional[Factorization] = None
         self._precond: Optional[Factorization] = None
-        self.neighbor_distance: Optional[float] = None
-        self.fallback_count = 0
-        lu = self._cache.exact(structure, params)
-        if lu is not None:
-            # Same structure + params => bit-identical matrix (canonical
-            # assembly), so this LU solves exactly, no iteration needed.
-            self._lu = lu
-            _bump_krylov(preconditioner_hits=1)
-            return
         near = self._cache.nearest(structure, _params_vector(params))
-        if near is not None:
-            self._precond, self.neighbor_distance = near
-            _bump_krylov(preconditioner_hits=1)
-        else:
+        if near is None:
             _bump_krylov(preconditioner_misses=1)
             self._factorize()
+            return
+        _bump_krylov(preconditioner_hits=1)
+        lu, distance = near
+        if distance == 0.0:
+            self._lu = lu
+        else:
+            self._precond = lu
 
     def _factorize(self) -> Factorization:
         """Exact LU of *this* matrix; retained for future neighbors."""
@@ -546,7 +582,7 @@ class _KrylovLinearSolver:
         return self._lu
 
     def solve_linear(self, rhs: np.ndarray, x0: Optional[np.ndarray]) -> np.ndarray:
-        """Solve ``A x = rhs`` to the residual tolerance."""
+        """Solve ``A x = rhs`` to :data:`KRYLOV_TOLERANCE`, from ``x0``."""
         if self._lu is not None:
             _bump_krylov(direct_solves=1)
             return self._lu.solve(rhs)
@@ -559,8 +595,8 @@ class _KrylovLinearSolver:
 
         with _trace.span("gmres", n_nodes=n) as gmres_span:
             x, info = _gmres(
-                self._matrix, rhs, x0=x0, M=precond, rtol=self.tolerance,
-                restart=self.max_iterations, maxiter=1, callback=_count,
+                self._matrix, rhs, x0=x0, M=precond, rtol=KRYLOV_TOLERANCE,
+                restart=KRYLOV_MAX_ITERATIONS, maxiter=1, callback=_count,
             )
             gmres_span.set_attrs(iterations=iterations[0], info=int(info))
         _bump_krylov(gmres_solves=1, iterations=iterations[0])
@@ -569,12 +605,11 @@ class _KrylovLinearSolver:
             # residual, not GMRES's preconditioned estimate.
             rhs_norm = float(np.linalg.norm(rhs))
             residual = float(np.linalg.norm(rhs - self._matrix @ x))
-            if residual <= self.tolerance * max(rhs_norm, 1.0e-300):
+            if residual <= KRYLOV_TOLERANCE * max(rhs_norm, 1.0e-300):
                 return x
         # Stalled (or residual floor unmet): this neighbor is not good
         # enough — factorize our own matrix and answer exactly. The LU
-        # is kept, so subsequent steps of this solver are direct.
-        self.fallback_count += 1
+        # is kept, so subsequent solves of this core are direct.
         _bump_krylov(fallbacks=1, direct_solves=1)
         return self._factorize().solve(rhs)
 
@@ -589,17 +624,19 @@ class _KrylovLinearSolver:
         return out
 
 
-class KrylovTransientSolver(_Stepper):
-    """Backward-Euler stepping via neighbor-preconditioned GMRES.
+class KrylovTransientSolver(TransientSolver):
+    """Backward-Euler stepping on the GMRES core.
 
-    Drop-in for :class:`TransientSolver` (same ``step``/``run`` surface) that does *not* factorize its own system matrix
-    when a nearby design point's LU is retained in the
-    :class:`NeighborFactorCache`: each step solves
-    ``(C/dt + G) T' = (C/dt) T + P + b`` iteratively, preconditioned by
-    the closest neighbor, warm-started from the current state. Results
-    agree with the exact path to :data:`KRYLOV_TEMPERATURE_TOLERANCE`;
-    a stalled iteration falls back to an exact factorization
-    (recorded in ``fallback_count``), after which stepping is direct.
+    Drop-in for :class:`TransientSolver` that does *not* factorize its
+    own system matrix when a nearby design point's LU is retained in
+    the :class:`NeighborFactorCache` (``cache``, the process-wide pool
+    by default): each step solves ``(C/dt + G) T' = (C/dt) T + P + b``
+    iteratively, preconditioned by the closest neighbor, warm-started
+    from the current state. Results agree with the exact path to
+    :data:`KRYLOV_TEMPERATURE_TOLERANCE`; a stalled iteration falls
+    back to an exact factorization, after which stepping is direct.
+    ``structure`` is the pool key (default: the network's
+    :func:`structure_signature` plus ``dt``).
     """
 
     def __init__(
@@ -608,47 +645,28 @@ class KrylovTransientSolver(_Stepper):
         dt: float,
         params: ThermalParams,
         structure: Optional[tuple] = None,
-        tolerance: float = KRYLOV_TOLERANCE,
-        max_iterations: int = KRYLOV_MAX_ITERATIONS,
         cache: Optional[NeighborFactorCache] = None,
     ) -> None:
-        self._c_over_dt = _c_over_dt(network, dt)
-        self.network = network
-        self.dt = dt
         if structure is None:
             structure = structure_signature(network) + ("dt", float(dt))
-        self._core = _KrylovLinearSolver(
-            network.conductance + sp.diags(self._c_over_dt),
-            structure, params, tolerance, max_iterations, cache,
-        )
+        self._krylov = (structure, params, cache)
+        super().__init__(network, dt)
 
-    @property
-    def fallback_count(self) -> int:
-        """Exact-factorization fallbacks this solver has performed."""
-        return self._core.fallback_count
+    def _linear_core(self, matrix: sp.spmatrix) -> _KrylovCore:
+        return _KrylovCore(matrix, *self._krylov)
 
-    @property
-    def neighbor_distance(self) -> Optional[float]:
-        """Parameter distance to the preconditioning neighbor (None if
-        this solver factorized its own matrix up front)."""
-        return self._core.neighbor_distance
+    step = TransientSolver.step
 
-    def step(self, temperatures: np.ndarray, power: np.ndarray) -> np.ndarray:
-        """Advance one time step; returns the new temperature vector."""
-        n = self.network.n_nodes
-        temperatures = _vector(temperatures, n)
-        rhs = self._c_over_dt * temperatures + _vector(power, n) + self.network.boundary
-        out = self._core.solve_linear(rhs, x0=temperatures)
-        return _finite(out, "transient step")
 
-class KrylovSteadySolver:
-    """Steady-state ``G T = P + b`` via neighbor-preconditioned GMRES.
+class KrylovSteadySolver(SteadyStateSolver):
+    """Steady-state ``G T = P + b`` on the GMRES core.
 
-    Drop-in for :class:`SteadyStateSolver` under ``solver="krylov"``.
-    Consecutive solves warm-start from the previous solution — the
-    leakage fixed point's successive iterates differ by well under a
-    kelvin, so after the first solve GMRES converges in very few
-    iterations.
+    Drop-in for :class:`SteadyStateSolver` under ``solver="krylov"``
+    (``structure`` defaults to the network's
+    :func:`structure_signature` plus ``"steady"``). Consecutive solves
+    warm-start from the previous solution — the leakage fixed point's
+    successive iterates differ by well under a kelvin, so after the
+    first solve GMRES converges in very few iterations.
     """
 
     def __init__(
@@ -656,46 +674,15 @@ class KrylovSteadySolver:
         network: RCNetwork,
         params: ThermalParams,
         structure: Optional[tuple] = None,
-        tolerance: float = KRYLOV_TOLERANCE,
-        max_iterations: int = KRYLOV_MAX_ITERATIONS,
         cache: Optional[NeighborFactorCache] = None,
     ) -> None:
-        self.network = network
         if structure is None:
             structure = structure_signature(network) + ("steady",)
-        self._core = _KrylovLinearSolver(
-            network.conductance, structure, params, tolerance, max_iterations, cache
-        )
-        self._last: Optional[np.ndarray] = None
-        self._last_block: Optional[np.ndarray] = None
+        self._krylov = (structure, params, cache)
+        super().__init__(network)
 
-    @property
-    def fallback_count(self) -> int:
-        """Exact-factorization fallbacks this solver has performed."""
-        return self._core.fallback_count
+    def _linear_core(self, matrix: sp.spmatrix) -> _KrylovCore:
+        return _KrylovCore(matrix, *self._krylov)
 
-    def solve(self, power: np.ndarray) -> np.ndarray:
-        """Equilibrium temperatures for a per-node power injection (W)."""
-        power = _vector(power, self.network.n_nodes)
-        with _trace.span("steady", tier="krylov", n_nodes=self.network.n_nodes):
-            temps = self._core.solve_linear(
-                power + self.network.boundary, x0=self._last
-            )
-        self._last = _finite(temps, "steady-state solve")
-        return temps
-
-    def solve_many(self, powers: np.ndarray) -> np.ndarray:
-        """Equilibrium fields for many injections (column-wise GMRES)."""
-        powers = _block(powers, self.network.n_nodes)
-        x0 = self._last_block
-        if x0 is not None and x0.shape != powers.shape:
-            x0 = None
-        with _trace.span(
-            "steady", tier="krylov",
-            n_nodes=self.network.n_nodes, n_rhs=powers.shape[1],
-        ):
-            temps = self._core.solve_linear_many(
-                powers + self.network.boundary[:, None], x0=x0
-            )
-        self._last_block = _finite(temps, "steady-state solve")
-        return temps
+    solve = SteadyStateSolver.solve
+    solve_many = SteadyStateSolver.solve_many

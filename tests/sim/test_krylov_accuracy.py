@@ -127,18 +127,12 @@ class TestSolverModeSelection:
     def test_system_returns_mode_matched_solvers(self):
         clear_neighbor_cache()
         exact_sys = ThermalSystem(nx=4, ny=4)
-        assert isinstance(exact_sys.transient_solver(0, 0.1), TransientSolver)
-        assert isinstance(exact_sys.steady_solver(0), SteadyStateSolver)
+        # The krylov classes subclass the exact ones: check the type.
+        assert type(exact_sys.transient_solver(0, 0.1)) is TransientSolver
+        assert type(exact_sys.steady_solver(0)) is SteadyStateSolver
         krylov_sys = ThermalSystem(nx=4, ny=4, solver="krylov")
         assert isinstance(
             krylov_sys.transient_solver(0, 0.1), KrylovTransientSolver
         )
         assert isinstance(krylov_sys.steady_solver(0), KrylovSteadySolver)
-        # Per-call override wins over the system-wide tier and caches
-        # separately.
-        assert isinstance(
-            exact_sys.transient_solver(0, 0.1, solver="krylov"),
-            KrylovTransientSolver,
-        )
-        assert isinstance(exact_sys.transient_solver(0, 0.1), TransientSolver)
         clear_neighbor_cache()

@@ -70,6 +70,21 @@ class TestValidation:
         with pytest.raises(SolverError):
             step_response(liquid_network, np.zeros(liquid_network.n_nodes), dt=0.0)
 
+    @pytest.mark.parametrize("field", ["dt", "max_time"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0, 0.0])
+    def test_non_finite_or_non_positive_time_names_the_field(
+        self, liquid_network, field, bad
+    ):
+        times = {"dt": 0.005, "max_time": 2.0, field: bad}
+        with pytest.raises(SolverError, match=field):
+            step_response(liquid_network, np.zeros(liquid_network.n_nodes), **times)
+
+    def test_max_time_must_exceed_dt(self, liquid_network):
+        with pytest.raises(SolverError, match="max_time"):
+            step_response(
+                liquid_network, np.zeros(liquid_network.n_nodes), dt=0.5, max_time=0.5
+            )
+
     def test_constant_input_degenerate(self):
         r = StepResponse(
             times=np.array([0.1, 0.2]),

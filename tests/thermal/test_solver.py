@@ -126,7 +126,7 @@ class TestSteadySolverMemo:
         net = self._fresh_network()
         s1 = SteadyStateSolver(net)
         s2 = SteadyStateSolver(net)
-        assert s1._lu is s2._lu
+        assert s1._core is s2._core
 
     def test_identical_content_shares_one_factorization(self):
         net_a = self._fresh_network(resistance_scale=1.3)
@@ -135,7 +135,7 @@ class TestSteadySolverMemo:
         counts = Counters()
         s_a = SteadyStateSolver(net_a)
         s_b = SteadyStateSolver(net_b)
-        assert s_a._lu is s_b._lu
+        assert s_a._core is s_b._core
         assert counts.factorizations() == 1
 
     def test_distinct_networks_get_distinct_factorizations(self):
@@ -143,14 +143,14 @@ class TestSteadySolverMemo:
         net_b = self._fresh_network(resistance_scale=2.0)
         s_a = SteadyStateSolver(net_a)
         s_b = SteadyStateSolver(net_b)
-        assert s_a._lu is not s_b._lu
-        assert s_a._lu.digest != s_b._lu.digest
+        assert s_a._core is not s_b._core
+        assert s_a._core.digest != s_b._core.digest
 
     def test_dropped_network_is_released(self):
         net = self._fresh_network(resistance_scale=1.7)
         net_ref = weakref.ref(net)
         solver = SteadyStateSolver(net)
-        lu_ref = weakref.ref(solver._lu)
+        lu_ref = weakref.ref(solver._core)
         del net, solver
         gc.collect()
         assert net_ref() is None, "the store must not pin the network alive"
@@ -205,10 +205,10 @@ class TestFactorizationCounter:
         # Reusing a live LU is free and counted as a hit.
         hits = metrics.counter("solver.lu_store.hits")
         hits_before = hits.value(kind="steady")
-        assert SteadyStateSolver(net)._lu is steady._lu
+        assert SteadyStateSolver(net)._core is steady._core
         assert counts.factorizations() == 2
         assert hits.value(kind="steady") == hits_before + 1
         # Clearing the store makes the next solver factorize afresh.
         clear_lu_store()
-        assert SteadyStateSolver(net)._lu is not steady._lu
+        assert SteadyStateSolver(net)._core is not steady._core
         assert counts.factorizations() == 3
