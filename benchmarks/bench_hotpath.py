@@ -468,7 +468,9 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
     for n in (32, 64):
         net_n = build_network(grids[n], ThermalParams(), cavity_flows=[FLOW])
         solver = TransientSolver(net_n, dt=0.1)
-        power = grids[n].power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+        unit_power = np.zeros(grids[n].n_units)
+        unit_power[grids[n].core_index] = 3.0
+        power = grids[n].power_vector_from_array(unit_power)
         state = np.full(net_n.n_nodes, 60.0)
         results[f"transient_step_{n}x{n}"] = _median_time(
             lambda solver=solver, state=state, power=power: solver.step(state, power),

@@ -33,9 +33,16 @@ def network(grid):
     return build_network(grid, ThermalParams(), cavity_flows=[FLOW])
 
 
+def _cores_at_3w(grid):
+    """Per-node injection with every core at 3 W."""
+    unit_power = np.zeros(grid.n_units)
+    unit_power[grid.core_index] = 3.0
+    return grid.power_vector_from_array(unit_power)
+
+
 @pytest.fixture(scope="module")
 def power(grid):
-    return grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+    return _cores_at_3w(grid)
 
 
 def test_bench_network_assembly(benchmark, grid):
@@ -110,7 +117,7 @@ def test_bench_network_assembly_paper_scale(benchmark, paper_grid):
 def test_bench_transient_step_paper_scale(benchmark, paper_grid):
     network = build_network(paper_grid, ThermalParams(), cavity_flows=[FLOW])
     solver = TransientSolver(network, dt=0.1)
-    power = paper_grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+    power = _cores_at_3w(paper_grid)
     state = np.full(network.n_nodes, 60.0)
     out = benchmark(lambda: solver.step(state, power))
     assert np.all(np.isfinite(out))

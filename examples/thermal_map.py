@@ -13,23 +13,14 @@ paper's timing argument (thermal tau << 250-300 ms pump transition).
 Run:  python examples/thermal_map.py
 """
 
+import numpy as np
+
 from repro import units
-from repro.power.components import CoreState, PowerModel
+from repro.power.components import PowerModel
 from repro.power.leakage import LeakageModel
 from repro.sim.system import ThermalSystem
 from repro.thermal.analysis import step_response
 from repro.thermal.ascii_map import render_stack
-
-
-def solve(system, model, core_util, states):
-    solver = system.steady_solver(setting_index=0)
-    unit_temps = None
-    temps = None
-    for _ in range(5):
-        powers = model.unit_powers(core_util, states, 0.5, unit_temps)
-        temps = solver.solve(system.grid.power_vector(powers))
-        unit_temps = system.grid.unit_temperatures(temps)
-    return temps
 
 
 def main() -> None:
@@ -46,16 +37,17 @@ def main() -> None:
     print(render_stack(system.grid, temps_hi))
 
     print("\n### One core pinned at 100%, others idle (lowest setting)")
-    util = {name: 0.0 for name in cores}
-    states = {name: CoreState.IDLE for name in cores}
-    util["core5"] = 1.0
-    states["core5"] = CoreState.ACTIVE
-    temps_one = solve(system, model, util, states)
+    util = [1.0 if name == "core5" else 0.0 for name in cores]
+    temps_one, _ = system.leakage_fixed_point(
+        system.steady_solver(setting_index=0), model, util, [False] * len(cores), 0.5, 5
+    )
     print(render_stack(system.grid, temps_one))
 
     print("\n### Step-response timing (the controller's raison d'etre)")
     network = system.network(2)
-    power = system.grid.power_vector({(0, name): 3.0 for name in cores[:8]})
+    unit_power = np.zeros(system.grid.n_units)
+    unit_power[system.grid.core_index] = 3.0  # every core at full power
+    power = system.grid.power_vector_from_array(unit_power)
     response = step_response(network, power, dt=0.005, max_time=2.0)
     tau = response.time_constant()
     print(f"thermal time constant   : {units.to_ms(tau):.0f} ms "

@@ -28,7 +28,8 @@ import numpy as np
 from repro.errors import ControlError
 from repro.telemetry import metrics as _metrics
 
-_PASSES = _metrics.counter("control.forecast.passes")  # innovations passes
+# Innovations passes, full or one-sample extensions.
+_PASSES = _metrics.counter("control.forecast.passes")
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,18 @@ class ArmaModel:
         _PASSES.inc()
         return y, e
 
+    def extend_innovations(self, y: list[float], e: list[float], value: float) -> None:
+        """Append one sample to a demeaned series ``y`` and its
+        innovations ``e`` from :meth:`innovations`, in place.
+
+        The new innovation reads only the prefix, so the lists equal a
+        fresh :meth:`innovations` over the longer series, bitwise.
+        """
+        t = len(y)
+        y.append(float(value) - self.mean)
+        e.append(y[t] - _one_step(self.ar, self.ma, y, e, t) if t >= max(self.p, self.q) else 0.0)
+        _PASSES.inc()
+
     def residuals(self, series: Sequence[float]) -> np.ndarray:
         """One-step-ahead innovation sequence over a series."""
         return np.asarray(self.innovations(series)[1])
@@ -132,9 +145,11 @@ class ArmaModel:
         future innovations are zero."""
         if steps < 1:
             raise ControlError("steps must be >= 1")
-        if len(y) < max(self.p, self.q):
+        lags = max(self.p, self.q)
+        if len(y) < lags:
             raise ControlError("series shorter than the model order")
-        y, e = list(y), list(e)
+        # The recursion reads only the last ``lags`` values of each list.
+        y, e = list(y[len(y) - lags:]), list(e[len(e) - lags:])
         for _ in range(steps):
             y.append(_one_step(self.ar, self.ma, y, e, len(y)))
             e.append(0.0)

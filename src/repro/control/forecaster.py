@@ -27,6 +27,7 @@ from repro.telemetry import metrics as _metrics
 
 _REFITS = _metrics.counter("control.forecast.refits")  # reason=initial|sprt
 _REFIT_FAILURES = _metrics.counter("control.forecast.refit_failures")
+_REBUILDS = _metrics.counter("control.forecast.rebuilds")  # full innovations passes
 
 
 class TemperatureForecaster:
@@ -45,11 +46,15 @@ class TemperatureForecaster:
     sprt_shift, sprt_alpha, sprt_beta:
         SPRT configuration (see :class:`SprtDetector`).
 
-    Cost per observed sample with a fitted model: one innovations pass
-    over the window, O(window * (p + q)), in :meth:`observe`; the SPRT's
-    one-step and :meth:`predict`'s horizon forecasts recurse from the
-    kept innovations in O(horizon * (p + q)). A refit (initial, or on
-    an SPRT alarm) adds one Hannan-Rissanen least-squares fit.
+    Cost per observed sample with a fitted model, in :meth:`observe`:
+    while the history window fills and the model is unchanged, one new
+    innovation, O(p + q); after a refit, and on every sample once the
+    window slides (dropping the oldest sample restarts the recursion),
+    a full innovations pass over the window, O(window * (p + q)). Both
+    give the same innovations bitwise. The SPRT's one-step and
+    :meth:`predict`'s horizon forecasts recurse from the kept
+    innovations in O(horizon * (p + q)). A refit (initial, or on an
+    SPRT alarm) adds one Hannan-Rissanen least-squares fit.
     """
 
     def __init__(
@@ -77,9 +82,10 @@ class TemperatureForecaster:
         self._history: deque[float] = deque(maxlen=window)
         self._model: ArmaModel | None = None
         self._sprt: SprtDetector | None = None
-        # The demeaned history and its innovations under the model.
+        # The demeaned history and its innovations under _chain_model.
         self._y: list[float] = []
         self._e: list[float] = []
+        self._chain_model: ArmaModel | None = None
         self.retrain_count = 0
 
     @property
@@ -101,12 +107,20 @@ class TemperatureForecaster:
             residual = value - self._model.forecast_from(self._y, self._e, 1)
             if self._sprt.update(residual):
                 self._refit("sprt")
+        slides = len(self._history) == self.window
         self._history.append(float(value))
         if self._model is None and len(self._history) >= self.min_history:
             self._refit("initial")
-        if self._model is not None:
-            # A fitted model implies len(history) >= min_history > max(p, q).
+        if self._model is None:
+            return
+        if self._model is self._chain_model and not slides:
+            # Same model, same prefix: extend the innovations one step.
+            self._model.extend_innovations(self._y, self._e, value)
+        else:
+            # A new model, or a slid window that restarts the chain.
             self._y, self._e = self._model.innovations(self._history)
+            self._chain_model = self._model
+            _REBUILDS.inc()
 
     def predict(self) -> float:
         """Forecast ``horizon_steps`` ahead of the last observation.

@@ -16,7 +16,7 @@ import numpy as np
 from repro import units
 from repro.constants import CONTROL, MICROCHANNEL
 from repro.geometry.stack import CoolingKind
-from repro.power.components import CoreState, PowerModel
+from repro.power.components import PowerModel
 from repro.power.leakage import LeakageModel
 from repro.sim.system import ThermalSystem
 from repro.thermal.solver import SteadyStateSolver
@@ -26,12 +26,12 @@ def _steady_tmax_at_flow(
     system: ThermalSystem, model: PowerModel, utilization: float, flow: float
 ) -> float:
     """Self-consistent steady T_max at an arbitrary continuous flow."""
-    core_names = system.core_names
+    n_cores = len(system.core_names)
     temps, _ = system.leakage_fixed_point(
         SteadyStateSolver(system.network_for_flow(flow)),
         model,
-        {name: utilization for name in core_names},
-        {name: CoreState.ACTIVE for name in core_names},
+        [utilization] * n_cores,
+        [False] * n_cores,
         memory_intensity=0.8,
         leakage_iterations=6,
     )

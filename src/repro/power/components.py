@@ -105,102 +105,6 @@ class PowerModel:
             for unit in die.floorplan
         }
 
-    def _active_fraction(
-        self,
-        core_utilization: Mapping[str, float],
-        core_states: Mapping[str, CoreState],
-    ) -> float:
-        awake = [
-            name
-            for name, state in core_states.items()
-            if state is not CoreState.SLEEP
-        ]
-        total_cores = max(len(core_states), 1)
-        return sum(core_utilization.get(name, 0.0) for name in awake) / total_cores
-
-    def _unit_power(
-        self,
-        unit: Unit,
-        temperature: float,
-        core_utilization: Mapping[str, float],
-        core_states: Mapping[str, CoreState],
-        memory_intensity: float,
-        active_fraction: float,
-    ) -> float:
-        """Total (dynamic + leakage) power of one unit."""
-        # Each L2 bank serves two cores (T1: one shared L2 per two
-        # cores); with cores and caches on different tiers we pair
-        # bank k of a cache die with cores 2k, 2k+1 of the core die
-        # below it in stacking order.
-        if unit.kind is UnitKind.CORE:
-            state = core_states.get(unit.name, CoreState.IDLE)
-            util = core_utilization.get(unit.name, 0.0)
-            dynamic = self.core_power(util, state)
-            asleep = state is CoreState.SLEEP
-        elif unit.kind is UnitKind.L2:
-            pair_util = self._bank_pair_utilization(
-                unit.name, core_utilization, core_states
-            )
-            dynamic = self.l2_bank_power(pair_util)
-            asleep = False
-        elif unit.kind is UnitKind.CROSSBAR:
-            dynamic = self.crossbar_power(active_fraction, memory_intensity)
-            asleep = False
-        else:
-            dynamic = self.misc_power
-            asleep = False
-        total = dynamic
-        if self.leakage is not None:
-            total += self.leakage.unit_leakage(
-                unit.kind, unit.area, temperature, asleep=asleep
-            )
-        return total
-
-    def unit_powers(
-        self,
-        core_utilization: Mapping[str, float],
-        core_states: Mapping[str, CoreState],
-        memory_intensity: float,
-        unit_temperatures: Optional[Mapping[tuple[int, str], float]] = None,
-    ) -> dict[tuple[int, str], float]:
-        """Per-unit total power map for the thermal model.
-
-        Parameters
-        ----------
-        core_utilization:
-            Busy fraction per core name over the interval.
-        core_states:
-            Power state per core name (DPM output).
-        memory_intensity:
-            Workload memory intensity in [0, 1] for the crossbar.
-        unit_temperatures:
-            Last known per-unit temperatures, for leakage; omit on the
-            first interval (leakage evaluates at its reference point).
-
-        Returns
-        -------
-        ``{(die_index, unit_name): watts}`` covering every floorplan unit.
-        """
-        active_fraction = self._active_fraction(core_utilization, core_states)
-        powers: dict[tuple[int, str], float] = {}
-        for die_index, die in enumerate(self.stack.dies):
-            for unit in die.floorplan:
-                key = (die_index, unit.name)
-                temperature = (
-                    unit_temperatures.get(key, self._leakage_ref())
-                    if unit_temperatures
-                    else self._leakage_ref()
-                )
-                powers[key] = self._unit_power(
-                    unit,
-                    temperature,
-                    core_utilization,
-                    core_states,
-                    memory_intensity,
-                    active_fraction,
-                )
-        return powers
-
     @cached_property
     def _vector_plans(self) -> dict:
         """Per-``unit_keys`` static layout cache for the vector path."""
@@ -211,8 +115,9 @@ class PowerModel:
         if plan is not None:
             return plan
         lookup = self._unit_lookup
-        core_pos, core_names = [], []
-        l2_pos, l2_names = [], []
+        core_order = {name: i for i, name in enumerate(self.stack.core_names())}
+        core_pos, core_index = [], []
+        l2_pos, l2_partners = [], []
         xbar_pos, misc_pos = [], []
         leak_base = np.empty(len(unit_keys))
         for u, key in enumerate(unit_keys):
@@ -229,19 +134,22 @@ class PowerModel:
             )
             if unit.kind is UnitKind.CORE:
                 core_pos.append(u)
-                core_names.append(unit.name)
+                core_index.append(core_order[unit.name])
             elif unit.kind is UnitKind.L2:
                 l2_pos.append(u)
-                l2_names.append(unit.name)
+                l2_partners.append(_bank_partners(unit.name, core_order))
             elif unit.kind is UnitKind.CROSSBAR:
                 xbar_pos.append(u)
             else:
                 misc_pos.append(u)
+        partners = np.array(l2_partners, dtype=np.int64).reshape(-1, 2)
         plan = {
+            "core_names": tuple(core_order),
             "core_pos": np.array(core_pos, dtype=np.int64),
-            "core_names": core_names,
+            "core_index": np.array(core_index, dtype=np.int64),
             "l2_pos": np.array(l2_pos, dtype=np.int64),
-            "l2_names": l2_names,
+            "l2_a": partners[:, 0],
+            "l2_b": partners[:, 1],
             "xbar_pos": np.array(xbar_pos, dtype=np.int64),
             "misc_pos": np.array(misc_pos, dtype=np.int64),
             "leak_base": leak_base,
@@ -252,50 +160,60 @@ class PowerModel:
     def unit_power_vector(
         self,
         unit_keys: Sequence[tuple[int, str]],
-        core_utilization: Mapping[str, float],
-        core_states: Mapping[str, CoreState],
+        utilization: Sequence[float],
+        asleep: Sequence[bool],
         memory_intensity: float,
         unit_temperatures: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Per-unit total power as an array aligned to ``unit_keys``.
+        """Per-unit total (dynamic + leakage) power, aligned to ``unit_keys``.
 
-        The vector-native sibling of :meth:`unit_powers` used by the
-        engine hot path: ``unit_keys`` is the grid's stable unit
-        ordering (:attr:`repro.thermal.grid.ThermalGrid.unit_keys`) and
-        ``unit_temperatures`` the matching temperature vector from the
-        previous interval (``None`` evaluates leakage at its reference
-        point). Per-unit values are identical to :meth:`unit_powers`
-        (same elementwise arithmetic, applied over arrays).
+        Parameters
+        ----------
+        unit_keys:
+            The grid's stable unit ordering
+            (:attr:`repro.thermal.grid.ThermalGrid.unit_keys`).
+        utilization:
+            Busy fraction of each core over the interval, in
+            ``stack.core_names()`` order.
+        asleep:
+            Whether each core is in DPM sleep, same order. A sleeping
+            core draws the sleep power and no leakage (power-gated), and
+            counts as idle for its L2 bank and the crossbar.
+        memory_intensity:
+            Workload memory intensity in [0, 1] for the crossbar.
+        unit_temperatures:
+            The previous interval's unit temperatures, aligned to
+            ``unit_keys``, for leakage; ``None`` evaluates leakage at its
+            reference point.
         """
         plan = self._vector_plan(tuple(unit_keys))
-        active_fraction = self._active_fraction(core_utilization, core_states)
-        out = np.empty(len(unit_keys))
+        names = plan["core_names"]
+        if len(utilization) != len(names) or len(asleep) != len(names):
+            raise ModelError(
+                f"need a utilization and a sleep flag for each of {len(names)} cores"
+            )
+        # The crossbar's active fraction sums left to right in core order;
+        # a numpy reduction may round differently.
+        awake_util = 0
+        for name, u, sleeping in zip(names, utilization, asleep):
+            if not 0.0 <= u <= 1.0:
+                raise ModelError(f"utilization {u} of {name} outside [0, 1]")
+            if not sleeping:
+                awake_util += u
+        active_fraction = awake_util / len(names)
 
-        util = np.array(
-            [core_utilization.get(name, 0.0) for name in plan["core_names"]]
-        )
-        if np.any((util < 0.0) | (util > 1.0)):
-            bad = util[(util < 0.0) | (util > 1.0)][0]
-            raise ModelError(f"utilization {bad} outside [0, 1]")
-        asleep = np.array(
-            [
-                core_states.get(name, CoreState.IDLE) is CoreState.SLEEP
-                for name in plan["core_names"]
-            ]
-        )
+        util = np.array(utilization, dtype=float)
+        sleep = np.array(asleep, dtype=bool)
+        core_util = util[plan["core_index"]]
+        core_asleep = sleep[plan["core_index"]]
+        out = np.empty(len(unit_keys))
         out[plan["core_pos"]] = np.where(
-            asleep,
+            core_asleep,
             self.sleep_power,
-            util * self.active_power + (1.0 - util) * self.idle_power,
+            core_util * self.active_power + (1.0 - core_util) * self.idle_power,
         )
-        pair_util = np.array(
-            [
-                self._bank_pair_utilization(name, core_utilization, core_states)
-                for name in plan["l2_names"]
-            ]
-        )
-        if np.any((pair_util < 0.0) | (pair_util > 1.0)):
-            raise ModelError("pair utilization outside [0, 1]")
+        served = np.where(sleep, 0.0, util)
+        pair_util = (served[plan["l2_a"]] + served[plan["l2_b"]]) / 2
         out[plan["l2_pos"]] = self.l2_power * (0.4 + 0.6 * pair_util)
         out[plan["xbar_pos"]] = self.crossbar_power(active_fraction, memory_intensity)
         out[plan["misc_pos"]] = self.misc_power
@@ -309,40 +227,29 @@ class PowerModel:
                 dt = t - lk.reference_temperature
                 factor = np.maximum(1.0 + lk.linear * dt + lk.quadratic * dt * dt, 0.1)
                 leak = plan["leak_base"] * factor
-            if np.any(asleep):
-                leak[plan["core_pos"][asleep]] = 0.0  # power-gated cores
+            if any(asleep):
+                leak[plan["core_pos"][core_asleep]] = 0.0  # power-gated cores
             out += leak
         return out
 
-    def _leakage_ref(self) -> float:
-        if self.leakage is None:
-            return 60.0
-        return self.leakage.reference_temperature
 
-    def _bank_pair_utilization(
-        self,
-        bank_name: str,
-        core_utilization: Mapping[str, float],
-        core_states: Mapping[str, CoreState],
-    ) -> float:
-        """Mean utilization of the two cores served by an L2 bank.
+def _bank_partners(bank_name: str, core_order: Mapping[str, int]) -> tuple[int, int]:
+    """Core-order indices of the two cores an L2 bank serves.
 
-        Bank ``l2_k`` serves cores ``2k`` and ``2k+1``; a sleeping core
-        contributes zero.
-        """
-        try:
-            bank_index = int(bank_name.rsplit("_", 1)[1])
-        except (IndexError, ValueError):
-            raise ModelError(f"unrecognized L2 bank name {bank_name!r}")
-        utils = []
-        for core_index in (2 * bank_index, 2 * bank_index + 1):
-            name = f"core{core_index}"
-            if core_states.get(name) is CoreState.SLEEP:
-                utils.append(0.0)
-            else:
-                utils.append(core_utilization.get(name, 0.0))
-        return sum(utils) / len(utils)
-
-    def total_power(self, unit_powers: Mapping[tuple[int, str], float]) -> float:
-        """Total chip power (W) of a per-unit power map."""
-        return float(sum(unit_powers.values()))
+    Each L2 bank serves two cores (T1: one shared L2 per two cores);
+    with cores and caches on different tiers, bank ``l2_k`` of a cache
+    die serves cores ``core{2k}`` and ``core{2k+1}`` of the core die
+    below it in stacking order.
+    """
+    try:
+        k = int(bank_name.rsplit("_", 1)[1])
+    except (IndexError, ValueError):
+        raise ModelError(f"unrecognized L2 bank name {bank_name!r}")
+    partners = []
+    for name in (f"core{2 * k}", f"core{2 * k + 1}"):
+        if name not in core_order:
+            raise ModelError(
+                f"L2 bank {bank_name!r} serves {name!r}, which this stack lacks"
+            )
+        partners.append(core_order[name])
+    return partners[0], partners[1]

@@ -3,7 +3,10 @@
 Each control interval (100 ms):
 
 1. the scheduler substrate runs at a 10 ms quantum — thread arrivals
-   are dispatched, per-core queues execute, DPM updates sleep states;
+   are dispatched and per-core queues execute — and DPM then updates
+   the sleep states once, from each core's last dispatch or busy
+   quantum (exactly what a per-quantum update would end the interval
+   with; see :mod:`repro.power.dpm`);
 2. the interval's per-unit power map is computed (dynamic + leakage at
    the previous interval's temperatures);
 3. the thermal RC network advances one backward-Euler step at the
@@ -12,6 +15,11 @@ Each control interval (100 ms):
    maximum temperature and predicts 500 ms ahead;
 5. the flow-rate controller commands the pump (variable-flow mode);
 6. the scheduling policy rebalances the queues.
+
+Per-core state in the loop (queues, busy time, utilization, sleep
+flags, sensor readings) lives in lists and arrays indexed in
+``ThermalSystem.core_names`` order; the ``{core: temperature}`` dict
+is built once per interval, for the policy interface only.
 
 The loop is exposed one interval at a time: :meth:`Simulator.step`
 executes stages 1-6 once and returns an :class:`IntervalState`;
@@ -158,7 +166,8 @@ class _RunState:
     locals), so the loop can advance one `step()` at a time."""
 
     __slots__ = (
-        "n_intervals", "steps", "queues", "dpm", "forecaster", "spec",
+        "n_intervals", "steps", "queues", "core_queues", "core_pos", "dpm",
+        "forecaster", "spec",
         "temperatures", "unit_vec", "core_vec", "core_temps", "unit_keys",
         "arrivals", "arrival_ptr", "sojourn_sum", "sojourn_count", "k",
         "rec_times", "rec_tmax", "rec_tmax_cell", "rec_core_t", "rec_unit_t",
@@ -299,6 +308,9 @@ class Simulator:
         st.n_intervals = self.interval_count
         st.steps = int(round(interval / config.quantum))
         st.queues = CoreQueues(core_names)
+        # Per-core state in the quanta loop is indexed in core order.
+        st.core_queues = [st.queues.queue(name) for name in core_names]
+        st.core_pos = {name: i for i, name in enumerate(core_names)}
         st.dpm = DpmPolicy(core_names, enabled=config.dpm_enabled)
         st.spec = config.spec
 
@@ -308,9 +320,9 @@ class Simulator:
         st.temperatures = self.system.initial_temperatures(
             self.power_model, st.spec.utilization, setting_index=setting0
         )
-        # Vector-native per-interval state: unit/core temperatures live
-        # in arrays aligned to the grid's stable unit ordering; the
-        # small per-core dict is rebuilt only for the policy interface.
+        # Unit/core temperatures live in arrays aligned to the grid's
+        # stable unit ordering; the small per-core dict is rebuilt only
+        # for the policy interface.
         st.unit_keys = list(grid.unit_keys)
         st.unit_vec = grid.unit_temperature_vector(st.temperatures)
         st.core_vec = st.unit_vec[grid.core_index]
@@ -371,18 +383,15 @@ class Simulator:
             k = st.k
             t_start = k * interval
 
-            busy_time, states, completed_in_interval = self._run_quanta(
+            utilization, asleep, completed_in_interval = self._run_quanta(
                 st, t_start
             )
             t_end = t_start + interval
             if self._pump_state is not None:
                 self._pump_state.advance(t_end)
 
-            core_util = {
-                name: min(1.0, busy_time[name] / interval) for name in core_names
-            }
             unit_powers = self.power_model.unit_power_vector(
-                st.unit_keys, core_util, states, st.spec.memory_intensity, st.unit_vec
+                st.unit_keys, utilization, asleep, st.spec.memory_intensity, st.unit_vec
             )
             # The solve setting: the commanded pump setting for liquid
             # cooling, -1 (the air network) otherwise.
@@ -494,59 +503,65 @@ class Simulator:
 
     def _run_quanta(
         self, st: _RunState, t_start: float
-    ) -> tuple[dict[str, float], dict, int]:
+    ) -> tuple[list[float], list[bool], int]:
         """Stage 1: dispatch arrivals and execute the per-core queues at
-        the scheduler quantum for one interval; returns the per-core
-        busy time, the DPM states, and the threads completed."""
-        config = self.config
-        core_names = self.system.core_names
-        busy_time = {name: 0.0 for name in core_names}
+        the scheduler quantum for one interval, then close the interval
+        in DPM. Returns each core's utilization and sleep flag (core
+        order) and the threads completed."""
+        quantum = self.config.quantum
+        queues = st.core_queues
+        core_pos = st.core_pos
+        busy_time = [0.0] * len(queues)
+        # Each core's last dispatch (quantum start) or busy quantum
+        # (quantum end), overwritten in quantum order.
+        last_event: list[Optional[float]] = [None] * len(queues)
         completed_in_interval = 0
-        states = st.dpm.states()
 
         for s in range(st.steps):
-            now = t_start + s * config.quantum
+            now = t_start + s * quantum
+            end = now + quantum
             # Dispatch arrivals that landed in this quantum.
             while (
                 st.arrival_ptr < len(st.arrivals)
-                and st.arrivals[st.arrival_ptr].arrival < now + config.quantum
+                and st.arrivals[st.arrival_ptr].arrival < end
             ):
                 thread = st.arrivals[st.arrival_ptr]
                 target = self._policy.dispatch_target(st.queues, st.core_temps)
                 st.queues.enqueue(target, thread)
-                st.dpm.wake(target, now)
+                last_event[core_pos[target]] = now
                 st.arrival_ptr += 1
             # Execute queue heads. A thread dispatched mid-quantum
             # only gets the post-arrival fraction of the quantum:
             # without the clamp it would execute before its own
             # arrival and could complete with a negative sojourn.
-            busy = {}
-            for name in core_names:
-                q = st.queues.queue(name)
-                if q:
-                    head = q[0]
-                    start = now if head.arrival <= now else head.arrival
-                    available = max(0.0, (now + config.quantum) - start)
-                    used = head.execute(available)
-                    busy_time[name] += used
-                    busy[name] = used > 0.0
-                    if head.done:
-                        finished = q.popleft()
-                        completed_in_interval += 1
-                        sojourn = (start + used) - finished.arrival
-                        if sojourn < 0.0:
-                            raise SchedulingError(
-                                f"negative sojourn {sojourn:.6f}s for thread "
-                                f"{finished.thread_id} (arrival "
-                                f"{finished.arrival:.6f}s)"
-                            )
-                        st.sojourn_sum += sojourn
-                        st.sojourn_count += 1
-                else:
-                    busy[name] = False
-            states = st.dpm.observe(now + config.quantum, busy)
+            busy = [False] * len(queues)
+            for i, q in enumerate(queues):
+                if not q:
+                    continue
+                head = q[0]
+                start = now if head.arrival <= now else head.arrival
+                used = head.execute(max(0.0, end - start))
+                if used > 0.0:
+                    busy_time[i] += used
+                    busy[i] = True
+                    last_event[i] = end
+                if head.done:
+                    finished = q.popleft()
+                    completed_in_interval += 1
+                    sojourn = (start + used) - finished.arrival
+                    if sojourn < 0.0:
+                        raise SchedulingError(
+                            f"negative sojourn {sojourn:.6f}s for thread "
+                            f"{finished.thread_id} (arrival "
+                            f"{finished.arrival:.6f}s)"
+                        )
+                    st.sojourn_sum += sojourn
+                    st.sojourn_count += 1
 
-        return busy_time, states, completed_in_interval
+        asleep = st.dpm.observe(end, last_event, busy)
+        interval = self.config.sampling_interval
+        utilization = [min(1.0, b / interval) for b in busy_time]
+        return utilization, asleep, completed_in_interval
 
     def result(self) -> SimulationResult:
         """The recorded series through the last executed interval.

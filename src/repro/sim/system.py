@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.geometry.stack import CoolingKind, Stack3D, build_stack
 from repro.microchannel.geometry import ChannelGeometry
 from repro.microchannel.model import MicrochannelModel
-from repro.power.components import CoreState, PowerModel
+from repro.power.components import PowerModel
 from repro.pump.laing_ddc import PumpModel, laing_ddc
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.package import AirPackage
@@ -210,35 +210,35 @@ class ThermalSystem:
         )
         return temps
 
-    def _uniform_load(self, utilization: float) -> tuple[dict, dict]:
-        """Per-core utilizations and power states for a uniform load."""
-        state = CoreState.IDLE if utilization == 0.0 else CoreState.ACTIVE
-        return (
-            {name: utilization for name in self.core_names},
-            {name: state for name in self.core_names},
-        )
+    def _uniform_load(self, utilization: float) -> tuple[list, list]:
+        """Per-core utilizations and sleep flags (core order) for a
+        uniform load; no core sleeps."""
+        n = len(self.core_names)
+        return [utilization] * n, [False] * n
 
     def leakage_fixed_point(
         self,
         solver: SteadyStateSolver,
         power_model: PowerModel,
-        core_util: dict,
-        core_states: dict,
+        core_util: list,
+        asleep: list,
         memory_intensity: float,
         leakage_iterations: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Iterate power(T) -> solve -> T for one load pattern.
 
         ``solver`` is a steady solver on one of this system's networks
-        (a pump setting's, or an arbitrary flow's for Figure 5).
-        Returns the final node field and its unit-temperature vector.
+        (a pump setting's, or an arbitrary flow's for Figure 5);
+        ``core_util`` and ``asleep`` are per core, in
+        :attr:`core_names` order. Returns the final node field and its
+        unit-temperature vector.
         """
         grid = self.grid
         unit_vec: Optional[np.ndarray] = None
         temps = np.zeros(grid.n_nodes)
         for _ in range(max(1, leakage_iterations)):
             unit_powers = power_model.unit_power_vector(
-                grid.unit_keys, core_util, core_states, memory_intensity, unit_vec
+                grid.unit_keys, core_util, asleep, memory_intensity, unit_vec
             )
             temps = solver.solve(grid.power_vector_from_array(unit_powers))
             unit_vec = grid.unit_temperature_vector(temps)
@@ -271,10 +271,9 @@ class ThermalSystem:
         temps = np.zeros((grid.n_nodes, len(utils)))
         for _ in range(max(1, leakage_iterations)):
             injections = np.empty((grid.n_nodes, len(utils)))
-            for c, (core_util, core_states) in enumerate(per_util):
+            for c, (core_util, asleep) in enumerate(per_util):
                 unit_powers = power_model.unit_power_vector(
-                    grid.unit_keys, core_util, core_states,
-                    memory_intensity, unit_vecs[c],
+                    grid.unit_keys, core_util, asleep, memory_intensity, unit_vecs[c]
                 )
                 injections[:, c] = grid.power_vector_from_array(unit_powers)
             temps = solver.solve_many(injections)
@@ -321,16 +320,12 @@ class ThermalSystem:
         core_names = self.core_names
         if not 1 <= n_active <= len(core_names):
             raise ConfigurationError("n_active outside the core count")
-        core_util = {name: 0.0 for name in core_names}
-        core_states = {name: CoreState.IDLE for name in core_names}
-        for name in core_names[:n_active]:
-            core_util[name] = 1.0
-            core_states[name] = CoreState.ACTIVE
+        core_util = [1.0] * n_active + [0.0] * (len(core_names) - n_active)
         _, unit_vec = self.leakage_fixed_point(
             self.steady_solver(setting_index),
             power_model,
             core_util,
-            core_states,
+            [False] * len(core_names),
             memory_intensity,
             leakage_iterations,
         )

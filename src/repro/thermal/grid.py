@@ -27,16 +27,15 @@ with cached unit<->cell operators:
   so :meth:`unit_temperature_vector` is one sparse matvec plus an
   elementwise division by the cell counts.
 
-The dict-returning APIs (:meth:`power_vector`, :meth:`unit_temperatures`,
-:meth:`core_temperatures`) are thin adapters over the vector forms; no
-per-unit or per-cell Python loops remain in the per-interval path.
+Every per-unit quantity is an array aligned to :attr:`unit_keys` (and
+per-core readings to ``stack.core_names()``); there are no dict forms
+and no per-unit or per-cell Python loops in the per-interval path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -330,21 +329,6 @@ class ThermalGrid:
         out[self._unit_cells_flat] = (p / self._counts_safe)[self._cell_owner]
         return out
 
-    def power_vector(self, unit_powers: Mapping[tuple[int, str], float]) -> np.ndarray:
-        """Per-node power injection (W) from per-unit powers.
-
-        ``unit_powers`` maps ``(die_index, unit_name)`` to watts; each
-        unit's power is spread uniformly over its grid cells. Thin
-        adapter over :meth:`power_vector_from_array`.
-        """
-        p = np.zeros(self.n_units)
-        for (die_index, unit_name), watts in unit_powers.items():
-            u = self.unit_position(die_index, unit_name)
-            if self._unit_cells[u].size == 0:
-                self._require_cells([(die_index, unit_name)])
-            p[u] = watts
-        return self.power_vector_from_array(p)
-
     # --- temperature extraction -----------------------------------------------
 
     def _unit_means(self, temperatures: np.ndarray) -> np.ndarray:
@@ -360,8 +344,7 @@ class ThermalGrid:
     def unit_temperature_vector(self, temperatures: np.ndarray) -> np.ndarray:
         """Mean temperature of every unit, aligned to :attr:`unit_keys`.
 
-        One sparse matvec plus an elementwise division — the
-        vector-native form behind :meth:`unit_temperatures`.
+        One sparse matvec plus an elementwise division.
         """
         if self._empty_units:
             self._require_cells(self._empty_units)
@@ -381,23 +364,6 @@ class ThermalGrid:
         if self._unit_cells[u].size == 0:
             self._require_cells([(die_index, unit_name)])
         return float(self._unit_means(temperatures)[u])
-
-    def unit_temperatures(self, temperatures: np.ndarray) -> dict[tuple[int, str], float]:
-        """Mean temperature of every floorplan unit on every die.
-
-        Thin adapter over :meth:`unit_temperature_vector`; keys follow
-        :attr:`unit_keys` order.
-        """
-        vec = self.unit_temperature_vector(temperatures)
-        return dict(zip(self.unit_keys, vec.tolist()))
-
-    def core_temperatures(self, temperatures: np.ndarray) -> dict[str, float]:
-        """Per-core sensor readings, keyed by core name.
-
-        Thin adapter over :meth:`core_temperature_vector`.
-        """
-        vec = self.core_temperature_vector(temperatures)
-        return dict(zip((name for _, name in self.core_keys), vec.tolist()))
 
     def die_temperature_field(self, temperatures: np.ndarray, die_index: int) -> np.ndarray:
         """Temperature field of one die as an ``(ny, nx)`` array."""

@@ -5,6 +5,10 @@ import pytest
 
 from repro.control.forecaster import TemperatureForecaster
 from repro.errors import ControlError
+from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
+from repro.sim.engine import Simulator
+
+from counters import Counters
 
 
 def feed(forecaster, series):
@@ -89,3 +93,65 @@ class TestValidation:
         f = TemperatureForecaster()
         with pytest.raises(ControlError):
             f.observe(float("inf"))
+
+
+class TestIncrementalInnovations:
+    """While the window fills, the forecaster extends its innovations by
+    one step per sample instead of rerunning the recursion; the kept
+    lists must equal a fresh full pass at every sample, bitwise."""
+
+    def test_matches_a_full_pass_at_every_sample_of_a_run(self):
+        config = SimulationConfig(
+            benchmark_name="Database",
+            policy=PolicyKind.LB,
+            cooling=CoolingMode.LIQUID_VARIABLE,
+            duration=20.0,
+            seed=0,
+        )
+        sim = Simulator(config)
+        counts = Counters()
+        checked = 0
+        while not sim.finished:
+            sim.step()
+            f = sim._state.forecaster
+            if f.model is None:
+                continue
+            y, e = f.model.innovations(f._history)
+            assert f._y == y and f._e == e, sim.intervals_completed
+            checked += 1
+        # The run fits, refits on an SPRT alarm, and slides the window.
+        assert f.retrain_count >= 2
+        assert checked > f.window + 10
+        # Every fitted sample makes one pass (the check above, one more).
+        assert counts.delta("control.forecast.passes") == 2 * checked
+        # Full passes: one per fit while the window fills, then one per
+        # sample once it slides.
+        slid = sim.interval_count - f.window
+        fill_rebuilds = counts.delta("control.forecast.rebuilds") - slid
+        assert 1 <= fill_rebuilds <= f.retrain_count
+
+    def test_matches_a_full_pass_across_a_refit_while_filling(self):
+        f = TemperatureForecaster(min_history=40, window=200)
+        rng = np.random.default_rng(2)
+        series = np.concatenate(
+            [
+                70.0 + rng.normal(0, 0.2, 80),
+                85.0 + 0.5 * np.arange(40.0) + rng.normal(0, 0.2, 40),
+                rng.normal(90.0, 0.2, 120),
+            ]
+        )
+        counts = Counters()
+        refit_while_filling = False
+        for value in series:
+            model = f.model
+            f.observe(float(value))
+            if f.model is None:
+                continue
+            refit_while_filling |= model is not None and f.model is not model and (
+                len(f._history) < f.window
+            )
+            y, e = f.model.innovations(f._history)
+            assert f._y == y and f._e == e, len(f._history)
+        assert refit_while_filling
+        slid = len(series) - f.window
+        assert counts.delta("control.forecast.rebuilds") - slid == f.retrain_count

@@ -44,3 +44,12 @@ def make_result(
         forecast_tmax=np.full(n, np.nan),
         migrations=np.zeros(n, dtype=int),
     )
+
+
+def power_vector(grid, unit_powers: dict) -> np.ndarray:
+    """Per-node power injection (W) from ``{(die_index, unit_name): watts}``;
+    units left out draw nothing."""
+    p = np.zeros(grid.n_units)
+    for (die_index, unit_name), watts in unit_powers.items():
+        p[grid.unit_position(die_index, unit_name)] = watts
+    return grid.power_vector_from_array(p)

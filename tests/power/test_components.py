@@ -1,9 +1,13 @@
 """Component power model (Section V constants and scaling)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.geometry.stack import build_stack
+from repro.geometry.floorplan import Floorplan, t1_cache_layer, t1_core_layer
+from repro.geometry.stack import Die, build_stack
 from repro.power.components import CoreState, PowerModel
 from repro.power.leakage import LeakageModel
 
@@ -64,83 +68,112 @@ class TestCrossbarPower:
             model.crossbar_power(0.5, -0.1)
 
 
+def _unit_keys(model):
+    return [(d, u.name) for d, die in enumerate(model.stack.dies) for u in die.floorplan]
+
+
+def _powers(model, util, asleep, memory_intensity, temps=None):
+    """``{(die_index, unit_name): watts}`` from the vector power map."""
+    keys = _unit_keys(model)
+    vec = model.unit_power_vector(keys, util, asleep, memory_intensity, temps)
+    return dict(zip(keys, vec.tolist()))
+
+
 class TestUnitPowers:
     def _inputs(self, util=0.5):
-        names = [f"core{i}" for i in range(8)]
-        return (
-            {n: util for n in names},
-            {n: CoreState.ACTIVE for n in names},
-        )
+        return [util] * 8, [False] * 8
 
     def test_covers_every_unit(self, model):
-        core_util, states = self._inputs()
-        powers = model.unit_powers(core_util, states, 0.5)
+        util, asleep = self._inputs()
+        powers = _powers(model, util, asleep, 0.5)
         expected_units = sum(len(d.floorplan.units) for d in model.stack.dies)
         assert len(powers) == expected_units
 
     def test_total_power_plausible(self, model):
-        core_util, states = self._inputs(util=1.0)
-        powers = model.unit_powers(core_util, states, 1.0)
-        total = model.total_power(powers)
+        util, asleep = self._inputs(util=1.0)
+        total = sum(_powers(model, util, asleep, 1.0).values())
         # 8*3 + 4*1.28 + crossbars + misc: roughly 30-35 W (no leakage).
         assert 29.0 < total < 36.0
 
     def test_leakage_adds_power(self, model, model_with_leakage):
-        core_util, states = self._inputs()
-        base = model.total_power(model.unit_powers(core_util, states, 0.5))
-        with_leak = model_with_leakage.total_power(
-            model_with_leakage.unit_powers(core_util, states, 0.5)
-        )
+        util, asleep = self._inputs()
+        base = sum(_powers(model, util, asleep, 0.5).values())
+        with_leak = sum(_powers(model_with_leakage, util, asleep, 0.5).values())
         assert with_leak > base + 2.0
 
     def test_leakage_grows_with_temperature(self, model_with_leakage):
-        core_util, states = self._inputs()
-        cold = {
-            (d, u.name): 60.0
-            for d, die in enumerate(model_with_leakage.stack.dies)
-            for u in die.floorplan
-        }
-        hot = {k: 90.0 for k in cold}
-        p_cold = model_with_leakage.total_power(
-            model_with_leakage.unit_powers(core_util, states, 0.5, cold)
+        util, asleep = self._inputs()
+        n_units = len(_unit_keys(model_with_leakage))
+        p_cold = sum(
+            _powers(model_with_leakage, util, asleep, 0.5, np.full(n_units, 60.0)).values()
         )
-        p_hot = model_with_leakage.total_power(
-            model_with_leakage.unit_powers(core_util, states, 0.5, hot)
+        p_hot = sum(
+            _powers(model_with_leakage, util, asleep, 0.5, np.full(n_units, 90.0)).values()
         )
         assert p_hot > p_cold + 1.0
 
     def test_sleeping_core_drops_to_sleep_power(self, model):
-        core_util, states = self._inputs(util=0.0)
-        states["core0"] = CoreState.SLEEP
-        powers = model.unit_powers(core_util, states, 0.0)
+        util, asleep = self._inputs(util=0.0)
+        asleep[0] = True
+        powers = _powers(model, util, asleep, 0.0)
         assert powers[(0, "core0")] == pytest.approx(0.02)
 
     def test_l2_bank_pairing(self, model):
         """Bank l2_k serves cores 2k and 2k+1: sleeping both cores
         drops that bank to its background power."""
-        core_util, states = self._inputs(util=1.0)
-        states["core0"] = CoreState.SLEEP
-        states["core1"] = CoreState.SLEEP
-        powers = model.unit_powers(core_util, states, 0.5)
+        util, asleep = self._inputs(util=1.0)
+        asleep[0] = asleep[1] = True
+        powers = _powers(model, util, asleep, 0.5)
         sleepy_bank = powers[(1, "l2_0")]
         busy_bank = powers[(1, "l2_1")]
         assert sleepy_bank == pytest.approx(1.28 * 0.4)
         assert busy_bank == pytest.approx(1.28)
 
-    def test_bad_bank_name_raises(self, model):
-        with pytest.raises(ModelError):
-            model._bank_pair_utilization("l2cache", {}, {})
+    def test_bad_bank_name_raises(self):
+        cache_die = build_stack(2).dies[1]
+        units = [
+            dataclasses.replace(u, name="l2cache") if u.name == "l2_0" else u
+            for u in cache_die.floorplan
+        ]
+        plan = cache_die.floorplan
+        stack = dataclasses.replace(
+            build_stack(2),
+            dies=(
+                Die(t1_core_layer()),
+                Die(Floorplan(plan.name, plan.width, plan.height, units)),
+            ),
+        )
+        model = PowerModel(stack, leakage=None)
+        with pytest.raises(ModelError, match="'l2cache'"):
+            _powers(model, [0.5] * 8, [False] * 8, 0.5)
+
+    def test_bank_without_partner_cores_raises(self):
+        # Banks l2_4..l2_7 serve cores 8-15, which a single core die lacks.
+        stack = dataclasses.replace(
+            build_stack(2), dies=(Die(t1_core_layer()), Die(t1_cache_layer(l2_offset=4)))
+        )
+        model = PowerModel(stack, leakage=None)
+        with pytest.raises(ModelError, match="'l2_4' serves 'core8'"):
+            _powers(model, [0.5] * 8, [False] * 8, 0.5)
+
+    @pytest.mark.parametrize("sleeping", [False, True])
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_bad_utilization_names_the_core(self, model, bad, sleeping):
+        util, asleep = self._inputs()
+        util[3] = bad
+        asleep[3] = sleeping
+        with pytest.raises(ModelError, match=r"utilization .* of core3 outside"):
+            _powers(model, util, asleep, 0.5)
+
+    def test_needs_one_entry_per_core(self, model):
+        with pytest.raises(ModelError, match="each of 8 cores"):
+            _powers(model, [0.5] * 7, [False] * 7, 0.5)
 
 
 class TestFourLayer:
     def test_16_core_power(self):
         model = PowerModel(build_stack(4), leakage=None)
-        names = [f"core{i}" for i in range(16)]
-        powers = model.unit_powers(
-            {n: 1.0 for n in names},
-            {n: CoreState.ACTIVE for n in names},
-            1.0,
-        )
+        powers = _powers(model, [1.0] * 16, [False] * 16, 1.0)
         core_total = sum(
             w for (d, name), w in powers.items() if name.startswith("core")
         )

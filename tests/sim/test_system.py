@@ -8,6 +8,8 @@ from repro.power.components import PowerModel
 from repro.power.leakage import LeakageModel
 from repro.sim.system import ThermalSystem
 
+from helpers import power_vector
+
 
 @pytest.fixture(scope="module")
 def system():
@@ -97,9 +99,7 @@ class TestSteadyState:
         net_mid = system.network_for_flow(0.5 * (f1 + f2))
         from repro.thermal.solver import SteadyStateSolver
 
-        p = system.grid.power_vector(
-            {(0, f"core{i}"): 3.0 for i in range(8)}
-        )
+        p = power_vector(system.grid, {(0, f"core{i}"): 3.0 for i in range(8)})
         t_mid = system.grid.max_unit_temperature(SteadyStateSolver(net_mid).solve(p))
         t1 = system.grid.max_unit_temperature(
             SteadyStateSolver(system.network(1)).solve(p)

@@ -18,6 +18,8 @@ from repro.thermal.rc_network import ThermalParams, build_network
 from repro.thermal.solver import SteadyStateSolver
 from repro.workload.threads import Thread
 
+from helpers import power_vector
+
 slow_settings = settings(
     max_examples=8,
     deadline=None,
@@ -44,7 +46,7 @@ class TestNetworkPassivity:
         solver = SteadyStateSolver(net)
         zero = solver.solve(np.zeros(net.n_nodes))
         assert np.allclose(zero, params.inlet_temperature, atol=1e-6)
-        p = grid.power_vector({(0, "core0"): 2.0, (1, "l2_1"): 1.0})
+        p = power_vector(grid, {(0, "core0"): 2.0, (1, "l2_1"): 1.0})
         temps = solver.solve(p)
         assert np.all(temps >= params.inlet_temperature - 1e-9)
 
@@ -60,7 +62,7 @@ class TestNetworkPassivity:
         net = build_network(
             grid, ThermalParams(), cavity_flows=[units.ml_per_minute(flow_mlmin)]
         )
-        p = grid.power_vector({(0, "core3"): watts})
+        p = power_vector(grid, {(0, "core3"): watts})
         temps = SteadyStateSolver(net).solve(p)
         residual = net.conductance @ temps - net.boundary - p
         assert np.abs(residual).max() < 1e-8

@@ -10,6 +10,8 @@ from repro.thermal.analysis import StepResponse, step_response
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.rc_network import ThermalParams, build_network
 
+from helpers import power_vector
+
 
 @pytest.fixture(scope="module")
 def liquid_network():
@@ -22,7 +24,7 @@ def liquid_network():
 @pytest.fixture(scope="module")
 def response(liquid_network):
     grid = liquid_network.grid
-    power = grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+    power = power_vector(grid, {(0, f"core{i}"): 3.0 for i in range(8)})
     return step_response(liquid_network, power, dt=0.005, max_time=2.0)
 
 
@@ -60,7 +62,7 @@ class TestAirResponseSlower:
         see TestStepResponse) cannot."""
         grid = ThermalGrid(build_stack(2, CoolingKind.AIR), nx=8, ny=8)
         net = build_network(grid, ThermalParams())
-        power = grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+        power = power_vector(grid, {(0, f"core{i}"): 3.0 for i in range(8)})
         resp = step_response(net, power, dt=0.1, max_time=120.0)
         assert resp.settling_time(0.02) > 2.0
 

@@ -11,6 +11,8 @@ from repro.errors import ModelError
 from repro.microchannel.model import MicrochannelModel
 from repro.thermal.analytic import AnalyticUnitCell
 
+from helpers import power_vector
+
 FLOW = units.litres_per_minute(0.5)
 
 
@@ -119,7 +121,7 @@ class TestGridAgreement:
         grid = ThermalGrid(build_stack(2), nx=10, ny=10)
         net = build_network(grid, ThermalParams(), cavity_flows=[FLOW])
         total_power = 24.0
-        p = grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+        p = power_vector(grid, {(0, f"core{i}"): 3.0 for i in range(8)})
         temps = SteadyStateSolver(net).solve(p)
 
         coolant = MicrochannelModel().coolant

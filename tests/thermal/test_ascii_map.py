@@ -11,6 +11,8 @@ from repro.thermal.grid import ThermalGrid
 from repro.thermal.rc_network import ThermalParams, build_network
 from repro.thermal.solver import SteadyStateSolver
 
+from helpers import power_vector
+
 
 class TestRenderField:
     def test_shape(self):
@@ -53,7 +55,7 @@ class TestRenderDieAndStack:
         net = build_network(
             grid, ThermalParams(), cavity_flows=[units.ml_per_minute(300.0)]
         )
-        p = grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+        p = power_vector(grid, {(0, f"core{i}"): 3.0 for i in range(8)})
         return grid, SteadyStateSolver(net).solve(p)
 
     def test_render_die_has_header(self, solved):

@@ -7,6 +7,8 @@ from repro.errors import GeometryError
 from repro.geometry.stack import CoolingKind, build_stack
 from repro.thermal.grid import SlabKind, ThermalGrid
 
+from helpers import power_vector
+
 
 @pytest.fixture
 def liquid_grid():
@@ -82,11 +84,11 @@ class TestNodeIndexing:
 class TestPowerMapping:
     def test_power_vector_conserves_power(self, liquid_grid):
         powers = {(0, "core0"): 3.0, (0, "core5"): 2.0, (1, "l2_1"): 1.28}
-        p = liquid_grid.power_vector(powers)
+        p = power_vector(liquid_grid, powers)
         assert p.sum() == pytest.approx(6.28)
 
     def test_power_lands_on_die_slab(self, liquid_grid):
-        p = liquid_grid.power_vector({(0, "core0"): 3.0})
+        p = power_vector(liquid_grid, {(0, "core0"): 3.0})
         die_nodes = liquid_grid.slab_nodes(liquid_grid.die_slab_index(0)).ravel()
         assert p[die_nodes].sum() == pytest.approx(3.0)
         other = np.setdiff1d(np.arange(liquid_grid.n_nodes), die_nodes)
@@ -112,8 +114,9 @@ class TestTemperatureExtraction:
 
     def test_core_temperatures_keys(self, liquid_grid):
         temps = np.full(liquid_grid.n_nodes, 50.0)
-        cores = liquid_grid.core_temperatures(temps)
-        assert set(cores) == {f"core{i}" for i in range(8)}
+        cores = liquid_grid.core_temperature_vector(temps)
+        assert [name for _, name in liquid_grid.core_keys] == [f"core{i}" for i in range(8)]
+        assert cores.tolist() == [50.0] * 8
 
     def test_max_die_ge_max_unit(self, liquid_grid):
         rng = np.random.default_rng(0)

@@ -26,6 +26,7 @@ from repro.thermal.solver import (
 )
 
 from counters import Counters
+from helpers import power_vector
 
 FLOW = units.ml_per_minute(400.0)
 
@@ -48,7 +49,7 @@ def net(grid):
 
 @pytest.fixture(scope="module")
 def power(net):
-    return net.grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+    return power_vector(net.grid, {(0, f"core{i}"): 3.0 for i in range(8)})
 
 
 def _singular(net, zero_capacitance=False):

@@ -26,6 +26,7 @@ from repro.thermal.solver import (
 )
 
 from counters import Counters
+from helpers import power_vector
 
 FLOW = units.ml_per_minute(400.0)
 
@@ -144,7 +145,7 @@ class TestSymmetricModeAccuracy:
         matrix = _time_step_matrix(net, dt)
         assert _symmetric_mode_safe(matrix)
         lu = factorize(matrix, "transient")
-        power = net.grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+        power = power_vector(net.grid, {(0, f"core{i}"): 3.0 for i in range(8)})
         rhs = net.capacitance / dt * np.full(net.n_nodes, 60.0) + power + net.boundary
         temps = lu.solve(rhs)
         residual = np.linalg.norm(rhs - matrix @ temps) / np.linalg.norm(rhs)

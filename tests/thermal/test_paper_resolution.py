@@ -19,6 +19,8 @@ from repro.thermal.grid import ThermalGrid
 from repro.thermal.rc_network import ThermalParams, build_network
 from repro.thermal.solver import TransientSolver
 
+from helpers import power_vector
+
 FLOW = units.ml_per_minute(400.0)
 
 #: Generous ceilings: the vectorized path runs the 64x64 smoke in ~1 s
@@ -32,7 +34,7 @@ def _run_smoke(n: int, steps: int) -> tuple[float, np.ndarray]:
     grid = ThermalGrid(build_stack(2), nx=n, ny=n)
     network = build_network(grid, ThermalParams(), cavity_flows=[FLOW])
     solver = TransientSolver(network, dt=0.1)
-    power = grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+    power = power_vector(grid, {(0, f"core{i}"): 3.0 for i in range(8)})
     state = np.full(network.n_nodes, 60.0)
     for _ in range(steps):
         state = solver.step(state, power)
@@ -54,7 +56,7 @@ def test_paper_resolution_smoke_107():
     assert grid.n_nodes == 5 * 107 * 107
     network = build_network(grid, ThermalParams(), cavity_flows=[FLOW])
     solver = TransientSolver(network, dt=0.1)
-    power = grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+    power = power_vector(grid, {(0, f"core{i}"): 3.0 for i in range(8)})
     state = np.full(network.n_nodes, 60.0)
     state = solver.step(state, power)
     assert np.all(np.isfinite(state))

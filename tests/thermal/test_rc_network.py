@@ -10,6 +10,8 @@ from repro.thermal.grid import ThermalGrid
 from repro.thermal.rc_network import ThermalParams, build_network
 from repro.thermal.solver import SteadyStateSolver
 
+from helpers import power_vector
+
 FLOW = units.ml_per_minute(400.0)
 
 
@@ -104,7 +106,7 @@ class TestSteadyStatePhysics:
 
     def test_power_raises_temperature(self, liquid_net):
         grid = liquid_net.grid
-        p = grid.power_vector({(0, "core0"): 3.0})
+        p = power_vector(grid, {(0, "core0"): 3.0})
         temps = SteadyStateSolver(liquid_net).solve(p)
         assert grid.unit_temperature(temps, 0, "core0") > 60.0
 
@@ -112,8 +114,8 @@ class TestSteadyStatePhysics:
         """The network is linear: responses to power maps add."""
         grid = liquid_net.grid
         solver = SteadyStateSolver(liquid_net)
-        p1 = grid.power_vector({(0, "core0"): 3.0})
-        p2 = grid.power_vector({(1, "l2_0"): 1.28})
+        p1 = power_vector(grid, {(0, "core0"): 3.0})
+        p2 = power_vector(grid, {(1, "l2_0"): 1.28})
         t0 = solver.solve(np.zeros(liquid_net.n_nodes))
         t1 = solver.solve(p1) - t0
         t2 = solver.solve(p2) - t0
@@ -122,7 +124,7 @@ class TestSteadyStatePhysics:
 
     def test_more_flow_cools_better(self):
         grid = ThermalGrid(build_stack(2), nx=10, ny=10)
-        p = grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+        p = power_vector(grid, {(0, f"core{i}"): 3.0 for i in range(8)})
         tmax = []
         for ml in (150.0, 400.0, 1000.0):
             net = build_network(
@@ -151,7 +153,7 @@ class TestSteadyStatePhysics:
         """The cavity fluid temperature is non-decreasing along the
         channel under any non-negative power map."""
         grid = liquid_net.grid
-        p = grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+        p = power_vector(grid, {(0, f"core{i}"): 3.0 for i in range(8)})
         temps = SteadyStateSolver(liquid_net).solve(p)
         for s in grid.cavity_slab_indices():
             profile = temps[grid.slab_nodes(s)].mean(axis=0)
@@ -162,7 +164,7 @@ class TestSteadyStatePhysics:
         boundaries; for a liquid stack that is the coolant enthalpy
         flux, i.e. sum(G T) - b = P must hold exactly."""
         grid = liquid_net.grid
-        p = grid.power_vector({(0, f"core{i}"): 3.0 for i in range(8)})
+        p = power_vector(grid, {(0, f"core{i}"): 3.0 for i in range(8)})
         temps = SteadyStateSolver(liquid_net).solve(p)
         residual = liquid_net.conductance @ temps - liquid_net.boundary - p
         assert np.abs(residual).max() < 1.0e-8
@@ -178,13 +180,13 @@ class TestTsvRegion:
         net = build_network(grid, ThermalParams(), cavity_flows=[FLOW])
         solver = SteadyStateSolver(net)
 
-        p_xbar = grid.power_vector({(0, "xbar"): 3.0})
+        p_xbar = power_vector(grid, {(0, "xbar"): 3.0})
         t_xbar = solver.solve(p_xbar)
         xbar_ratio = (grid.unit_temperature(t_xbar, 1, "xbar") - 60.0) / (
             grid.unit_temperature(t_xbar, 0, "xbar") - 60.0
         )
 
-        p_core = grid.power_vector({(0, "core0"): 3.0})
+        p_core = power_vector(grid, {(0, "core0"): 3.0})
         t_core = solver.solve(p_core)
         core_ratio = (grid.unit_temperature(t_core, 1, "l2_0") - 60.0) / (
             grid.unit_temperature(t_core, 0, "core0") - 60.0
@@ -202,7 +204,7 @@ class TestTsvRegion:
             ThermalParams(tsv_conductivity=1.0 / 0.25),
             cavity_flows=[FLOW],
         )
-        p = grid.power_vector({(0, "xbar"): 3.0})
+        p = power_vector(grid, {(0, "xbar"): 3.0})
         t_with = SteadyStateSolver(with_tsv).solve(p)
         t_without = SteadyStateSolver(no_tsv).solve(p)
         rise_with = grid.unit_temperature(t_with, 1, "xbar") - 60.0
@@ -246,7 +248,7 @@ class TestInletBoundaryCoupling:
         moved = build_network(
             grid, ThermalParams(inlet_temperature=55.0), cavity_flows=[FLOW]
         )
-        p = grid.power_vector({(0, "core0"): 2.0})
+        p = power_vector(grid, {(0, "core0"): 2.0})
         delta = base.inlet_boundary_delta(55.0)
         assert delta is not None
         t_patched = SteadyStateSolver(base).solve(p + delta)
@@ -258,7 +260,7 @@ class TestInletBoundaryCoupling:
         power (energy conservation through the advection rows)."""
         grid = ThermalGrid(build_stack(2), nx=8, ny=8)
         net = build_network(grid, ThermalParams(), cavity_flows=[FLOW])
-        p = grid.power_vector({(0, "core0"): 2.0, (1, "l2_1"): 1.0})
+        p = power_vector(grid, {(0, "core0"): 2.0, (1, "l2_1"): 1.0})
         temps = SteadyStateSolver(net).solve(p)
         assert net.coolant_heat_rejected(temps) == pytest.approx(3.0, rel=1e-6)
 

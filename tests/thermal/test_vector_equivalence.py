@@ -3,11 +3,14 @@
 Pins the array-oriented substrate (PR 3) to the retained loop-based
 reference implementations in ``tests/naive_thermal.py``:
 
-* the unit<->cell operators (``power_vector``, ``unit_temperatures``,
-  ``core_temperatures``, the maxima) agree *exactly* on random fields;
+* the unit<->cell operators (``power_vector_from_array``,
+  ``unit_temperature_vector``, ``core_temperature_vector``, the maxima)
+  agree *exactly* on random fields;
 * the assembled CSR matrices (liquid 2/4-layer, air 2/4-layer) are
   bit-identical — same dense matrix, same boundary and capacitance
   vectors;
+* the power map (``PowerModel.unit_power_vector``) matches the
+  dict-keyed reference in ``tests/naive_power.py`` unit for unit;
 * the batched steady characterization path matches the sequential one
   column-for-column.
 
@@ -18,6 +21,7 @@ or per-cell Python loop semantics changed while they were vectorized.
 
 import numpy as np
 import pytest
+from naive_power import naive_unit_powers
 from naive_thermal import (
     naive_build_air,
     naive_build_liquid,
@@ -35,7 +39,7 @@ from repro import units
 from repro.geometry.stack import CoolingKind, build_stack
 from repro.microchannel.geometry import ChannelGeometry
 from repro.microchannel.model import MicrochannelModel
-from repro.power.components import PowerModel
+from repro.power.components import CoreState, PowerModel
 from repro.power.leakage import LeakageModel
 from repro.sim.system import ThermalSystem
 from repro.thermal.grid import ThermalGrid
@@ -71,7 +75,8 @@ class TestUnitCellOperators:
                 k for k in keys if rng.random() < 0.6
             ]
             powers = {k: float(rng.normal(3.0, 2.0)) for k in chosen}
-            vec = grid.power_vector(powers)
+            p = np.array([powers.get(k, 0.0) for k in keys])
+            vec = grid.power_vector_from_array(p)
             ref = naive_power_vector(grid, powers)
             assert np.array_equal(vec, ref)  # bitwise, no tolerance
 
@@ -88,18 +93,18 @@ class TestUnitCellOperators:
         rng = np.random.default_rng(1)
         for _ in range(3):
             temps = rng.normal(70.0, 8.0, grid.n_nodes)
-            got = grid.unit_temperatures(temps)
+            got = grid.unit_temperature_vector(temps)
             ref = naive_unit_temperatures(grid, temps)
-            assert set(got) == set(ref)
-            for key in ref:
-                assert got[key] == ref[key], key
+            assert set(grid.unit_keys) == set(ref)
+            for u, key in enumerate(grid.unit_keys):
+                assert got[u] == ref[key], key
 
     def test_core_temperatures_exact(self, grid):
         rng = np.random.default_rng(2)
         temps = rng.normal(70.0, 8.0, grid.n_nodes)
-        got = grid.core_temperatures(temps)
+        got = grid.core_temperature_vector(temps)
         ref = naive_core_temperatures(grid, temps)
-        assert got == ref
+        assert dict(zip(grid.stack.core_names(), got.tolist())) == ref
 
     def test_maxima_exact(self, grid):
         rng = np.random.default_rng(3)
@@ -175,12 +180,21 @@ class TestAssemblyEquivalence:
 
 class TestPowerVectorEquivalence:
     """``PowerModel.unit_power_vector`` is elementwise identical to the
-    per-unit dict path for every state mix."""
+    retained dict-keyed reference (``tests/naive_power.py``) for every
+    state mix."""
+
+    @staticmethod
+    def _vector(model, grid, core_util, core_states, *args):
+        names = grid.stack.core_names()
+        return model.unit_power_vector(
+            grid.unit_keys,
+            [core_util[n] for n in names],
+            [core_states[n] is CoreState.SLEEP for n in names],
+            *args,
+        )
 
     @pytest.mark.parametrize("n_layers", [2, 4])
     def test_vector_matches_dict(self, n_layers):
-        from repro.power.components import CoreState
-
         grid = ThermalGrid(build_stack(n_layers, CoolingKind.LIQUID), nx=8, ny=8)
         model = PowerModel(grid.stack, leakage=LeakageModel())
         rng = np.random.default_rng(11)
@@ -192,10 +206,9 @@ class TestPowerVectorEquivalence:
                 n: states_cycle[(i + trial) % 3] for i, n in enumerate(core_names)
             }
             temps = rng.normal(70.0, 6.0, grid.n_units) if trial % 2 else None
-            vec = model.unit_power_vector(
-                grid.unit_keys, core_util, core_states, 0.4, temps
-            )
-            ref = model.unit_powers(
+            vec = self._vector(model, grid, core_util, core_states, 0.4, temps)
+            ref = naive_unit_powers(
+                model,
                 core_util,
                 core_states,
                 0.4,
@@ -209,11 +222,9 @@ class TestPowerVectorEquivalence:
         model = PowerModel(grid.stack, leakage=None)
         core_names = grid.stack.core_names()
         core_util = {n: 0.5 for n in core_names}
-        from repro.power.components import CoreState
-
         core_states = {n: CoreState.ACTIVE for n in core_names}
-        vec = model.unit_power_vector(grid.unit_keys, core_util, core_states, 0.5)
-        ref = model.unit_powers(core_util, core_states, 0.5)
+        vec = self._vector(model, grid, core_util, core_states, 0.5)
+        ref = naive_unit_powers(model, core_util, core_states, 0.5)
         for u, key in enumerate(grid.unit_keys):
             assert vec[u] == ref[key]
 
