@@ -132,7 +132,10 @@ class ArmaModel:
         """
         t = len(y)
         y.append(float(value) - self.mean)
-        e.append(y[t] - _one_step(self.ar, self.ma, y, e, t) if t >= max(self.p, self.q) else 0.0)
+        innovation = 0.0  # as in innovations: zero until every lag exists
+        if t >= max(self.p, self.q):
+            innovation = y[t] - _one_step(self.ar, self.ma, y, e, t)
+        e.append(innovation)
         _PASSES.inc()
 
     def residuals(self, series: Sequence[float]) -> np.ndarray:
