@@ -75,6 +75,12 @@ symmetric mode (it is strictly row-diagonally dominant);
 ``pivoted_transient`` is the fill SuperLU's default COLAMD + partial
 pivoting gives the same matrix, for the before/after. Informational:
 ``compare_bench.py`` prints it and never warns.
+
+Schema v10 adds ``characterization_32x32``: a cold flow table plus burst
+floor (``CharacterizationCache.table`` then ``.floor``) on a freshly
+built 32x32 variable-flow system whose steady LUs are already in the
+LU store, so it times the characterization's own solves and leakage
+fixed points, not factorization.
 """
 
 from __future__ import annotations
@@ -96,7 +102,9 @@ import scipy.sparse.linalg as spla
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro import units  # noqa: E402
-from repro.geometry.stack import build_stack  # noqa: E402
+from repro.geometry.stack import CoolingKind, build_stack  # noqa: E402
+from repro.power.components import PowerModel  # noqa: E402
+from repro.power.leakage import LeakageModel  # noqa: E402
 from repro.runner import BatchRunner  # noqa: E402
 from repro.sim.cache import (  # noqa: E402
     CharacterizationCache,
@@ -104,6 +112,7 @@ from repro.sim.cache import (  # noqa: E402
 )
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
+from repro.sim.system import ThermalSystem  # noqa: E402
 from repro.thermal.grid import ThermalGrid  # noqa: E402
 from repro.thermal.rc_network import ThermalParams, build_network  # noqa: E402
 from repro.telemetry import metrics as telemetry_metrics  # noqa: E402
@@ -117,7 +126,7 @@ from repro.thermal.solver import (  # noqa: E402
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
 
@@ -425,6 +434,30 @@ def collect_lu_fill(sizes) -> dict:
     return fill
 
 
+def time_characterization(n: int, repeats: int) -> float:
+    """Median cold flow table + burst floor on a fresh ``n x n`` system
+    (schema v10), its steady LUs already stored."""
+    config = SimulationConfig(nx=n, ny=n, cooling=CoolingMode.LIQUID_VARIABLE)
+
+    def fresh():
+        system = ThermalSystem(2, CoolingKind.LIQUID, nx=n, ny=n)
+        for k in range(system.pump.n_settings):
+            system.steady_solver(k)
+        return system, PowerModel(system.stack, leakage=LeakageModel())
+
+    system, model = fresh()  # factorizes each setting's steady LU once
+    samples = []
+    for _ in range(repeats):
+        # The previous system still holds the LUs while this one builds.
+        system, model = fresh()
+        start = time.perf_counter()
+        cache = CharacterizationCache()
+        cache.table(system, model, config)
+        cache.floor(system, model, config)
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
 def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
     """Run the hot-path measurements and return the JSON payload."""
     results: dict[str, float] = {}
@@ -476,6 +509,8 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
             lambda solver=solver, state=state, power=power: solver.step(state, power),
             repeats * 4,
         )
+
+    results["characterization_32x32"] = time_characterization(32, max(3, repeats // 2))
 
     # Full control interval at 32x32: fresh Simulator.run of 1 simulated
     # second (10 intervals) with warm characterizations — includes the
@@ -541,6 +576,7 @@ def test_hotpath_baseline(tmp_path):
         "assembly_16x16",
         "assembly_32x32",
         "assembly_64x64",
+        "characterization_32x32",
         "transient_step_32x32",
         "transient_step_64x64",
         "power_scatter_64x64",

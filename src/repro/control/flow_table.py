@@ -3,10 +3,11 @@
 Offline characterization sweeps workload intensity (uniform core
 utilization) and computes the steady-state maximum temperature at every
 pump setting, with the temperature-dependent leakage resolved
-self-consistently. From that matrix the table answers the controller's
-question: *given the predicted maximum temperature (observed while the
-pump runs at some setting), which is the minimum setting that keeps the
-steady state at or below the 80 degC target?*
+self-consistently (in unit space, one unit-response solve per setting).
+From that matrix the table answers the controller's question: *given
+the predicted maximum temperature (observed while the pump runs at some
+setting), which is the minimum setting that keeps the steady state at
+or below the 80 degC target?*
 
 Figure 5's semantics in this reproduction (DESIGN.md section 8): the
 x axis is the maximum temperature the workload produces at the *lowest*
@@ -34,7 +35,7 @@ SteadyTmaxBatchFn = Callable[[int, np.ndarray], np.ndarray]
 
 One call per setting instead of one per (setting, utilization) point;
 :meth:`repro.sim.system.ThermalSystem.steady_tmax_batch` implements it
-with a single multi-RHS solve per leakage iteration."""
+running every utilization's fixed point on the setting's unit response."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,15 @@ class CharacterizationResult:
             raise ControlError("tmax columns must match utilizations")
         if len(self.per_cavity_flows) != self.tmax.shape[0]:
             raise ControlError("per_cavity_flows must match tmax rows")
+        if not np.all(np.isfinite(self.utilizations)):
+            raise ControlError(f"non-finite utilizations {list(self.utilizations)}")
+        bad = np.argwhere(~np.isfinite(self.tmax))
+        if bad.size:
+            k, u = bad[0]
+            raise ControlError(
+                f"non-finite T_max {self.tmax[k, u]} at setting {k}, "
+                f"utilization {self.utilizations[u]}"
+            )
         if np.any(np.diff(self.utilizations) <= 0.0):
             raise ControlError("utilizations must be strictly ascending")
 
@@ -120,8 +130,8 @@ class FlowRateTable:
 
         Pass either ``steady_tmax`` (one evaluation per point) or
         ``steady_tmax_batch`` (one call per setting, evaluating every
-        utilization at once — preferred; the batch path amortizes the
-        factorized solves). When both are given the batch form wins.
+        utilization at once — preferred). When both are given the
+        batch form wins.
         """
         if steady_tmax is None and steady_tmax_batch is None:
             raise ControlError("characterize needs a steady_tmax evaluator")

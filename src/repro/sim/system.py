@@ -5,6 +5,17 @@ the system caches one assembled network (and one transient solver) per
 setting — the runtime cost of a flow change is a cached factorization
 lookup, matching the paper's observation that the controller overhead
 is "negligible".
+
+The characterization (flow table, burst floor, steady T_max) runs its
+leakage fixed point in unit space, exactly up to roundoff: the
+unit->cell power scatter ``S``, ``G^-1`` and the unit mean ``U`` are all
+linear, and leakage reads only unit temperatures, so steady unit
+temperatures are affine in unit powers, ``t = base + R p`` with
+``base = U G^-1 b`` and ``R = U G^-1 S`` (:meth:`ThermalSystem.unit_response`,
+one solve per setting). Each iteration is an ``n_units``-square matvec
+instead of a field solve. The initial field stays on fields (every run
+starts from it, pinned bitwise), as do the TALB weights, whose
+mirror-core ties are ordered by LU roundoff alone.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from repro.microchannel.geometry import ChannelGeometry
 from repro.microchannel.model import MicrochannelModel
 from repro.power.components import PowerModel
 from repro.pump.laing_ddc import PumpModel, laing_ddc
+from repro.telemetry import metrics as _metrics
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.package import AirPackage
 from repro.thermal.rc_network import RCNetwork, ThermalParams, build_network
@@ -29,6 +41,8 @@ from repro.thermal.solver import (
     TransientSolver,
     structure_signature,
 )
+
+_UNIT_RESPONSES = _metrics.counter("sim.characterize.unit_responses")  # memo misses
 
 
 class ThermalSystem:
@@ -94,6 +108,7 @@ class ThermalSystem:
         self._transients: dict[tuple, TransientSolver] = {}
         self._steadies: dict[int, SteadyStateSolver] = {}
         self._initial_fields: dict[tuple, tuple[PowerModel, np.ndarray]] = {}
+        self._unit_responses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # --- network/solver caches --------------------------------------------------
 
@@ -175,20 +190,12 @@ class ThermalSystem:
         memory_intensity: float = 0.5,
         leakage_iterations: int = 6,
     ) -> float:
-        """Self-consistent steady-state T_max under uniform utilization.
-
-        Iterates power(T) -> solve -> T until the leakage feedback
-        settles (a fixed small iteration count converges well within
-        0.01 K for the polynomial model).
-        """
-        temps = self.steady_temperatures(
-            power_model,
-            utilization,
-            setting_index=setting_index,
-            memory_intensity=memory_intensity,
-            leakage_iterations=leakage_iterations,
+        """Self-consistent steady-state T_max under uniform utilization
+        (:meth:`steady_tmax_batch` of one utilization)."""
+        tmax = self.steady_tmax_batch(
+            power_model, [utilization], setting_index, memory_intensity, leakage_iterations
         )
-        return self.grid.max_unit_temperature(temps)
+        return float(tmax[0])
 
     def steady_temperatures(
         self,
@@ -244,42 +251,42 @@ class ThermalSystem:
             unit_vec = grid.unit_temperature_vector(temps)
         return temps, unit_vec
 
-    def steady_temperature_fields(
-        self,
-        power_model: PowerModel,
-        utilizations: "np.ndarray | list[float]",
-        setting_index: int = -1,
-        memory_intensity: float = 0.5,
-        leakage_iterations: int = 6,
-    ) -> np.ndarray:
-        """Steady fields for many utilizations at once, shape ``(k, n_nodes)``.
+    def unit_response(self, setting_index: int = -1) -> tuple[np.ndarray, np.ndarray]:
+        """``(base, R)``: steady unit temperatures are ``base + R @ p`` for
+        unit powers ``p``. One ``solve_many`` of zero power and one watt
+        per unit, memoized per setting; the arrays are read-only."""
+        hit = self._unit_responses.get(setting_index)
+        if hit is None:
+            _UNIT_RESPONSES.inc()
+            grid = self.grid
+            injections = [np.zeros(grid.n_nodes)] + [
+                grid.power_vector_from_array(watt) for watt in np.eye(grid.n_units)
+            ]
+            fields = self.steady_solver(setting_index).solve_many(np.column_stack(injections))
+            units = np.column_stack([grid.unit_temperature_vector(f) for f in fields.T])
+            base = np.ascontiguousarray(units[:, 0])
+            response = units[:, 1:] - base[:, None]
+            base.flags.writeable = response.flags.writeable = False
+            hit = self._unit_responses[setting_index] = (base, response)
+        return hit
 
-        Runs the leakage fixed point for all utilizations in lockstep
-        with one multi-RHS triangular solve per iteration; each row
-        matches a separate :meth:`steady_temperatures` call to within
-        LU roundoff (~1e-14 K). The flow-table characterization sweep
-        (Figure 5) uses this to amortize its ``settings x
-        utilizations`` grid.
-        """
-        utils = [float(u) for u in np.atleast_1d(np.asarray(utilizations, dtype=float))]
-        if any(not 0.0 <= u <= 1.0 for u in utils):
-            raise ConfigurationError("utilization must be in [0, 1]")
-        per_util = [self._uniform_load(u) for u in utils]
-        solver = self.steady_solver(setting_index)
-        grid = self.grid
-        unit_vecs: list[Optional[np.ndarray]] = [None] * len(utils)
-        temps = np.zeros((grid.n_nodes, len(utils)))
+    def _unit_fixed_point(
+        self, power_model: PowerModel, loads: list, setting_index: int,
+        memory_intensity: float, leakage_iterations: int,
+    ) -> np.ndarray:
+        """Iterate power(T) -> T for many ``(core_util, asleep)`` loads in
+        lockstep on :meth:`unit_response`; unit temperatures ``(k, n_units)``."""
+        base, response = self.unit_response(setting_index)
+        temps: list = [None] * len(loads)
         for _ in range(max(1, leakage_iterations)):
-            injections = np.empty((grid.n_nodes, len(utils)))
-            for c, (core_util, asleep) in enumerate(per_util):
-                unit_powers = power_model.unit_power_vector(
-                    grid.unit_keys, core_util, asleep, memory_intensity, unit_vecs[c]
+            powers = np.array([
+                power_model.unit_power_vector(
+                    self.grid.unit_keys, core_util, asleep, memory_intensity, temps[c]
                 )
-                injections[:, c] = grid.power_vector_from_array(unit_powers)
-            temps = solver.solve_many(injections)
-            for c in range(len(utils)):
-                unit_vecs[c] = grid.unit_temperature_vector(temps[:, c])
-        return temps.T
+                for c, (core_util, asleep) in enumerate(loads)
+            ])
+            temps = base + powers @ response.T
+        return temps
 
     def steady_tmax_batch(
         self,
@@ -289,17 +296,16 @@ class ThermalSystem:
         memory_intensity: float = 0.5,
         leakage_iterations: int = 6,
     ) -> np.ndarray:
-        """Self-consistent steady T_max per utilization (sensor view)."""
-        fields = self.steady_temperature_fields(
-            power_model,
-            utilizations,
-            setting_index=setting_index,
-            memory_intensity=memory_intensity,
-            leakage_iterations=leakage_iterations,
-        )
-        return np.array(
-            [self.grid.max_unit_temperature(field) for field in fields]
-        )
+        """Self-consistent steady T_max per uniform utilization (sensor
+        view; six iterations converge well within 0.01 K): the flow
+        table's sweep (Figure 5), one call per setting."""
+        utils = [float(u) for u in np.atleast_1d(np.asarray(utilizations, dtype=float))]
+        if any(not 0.0 <= u <= 1.0 for u in utils):
+            raise ConfigurationError("utilization must be in [0, 1]")
+        loads = [self._uniform_load(u) for u in utils]
+        return self._unit_fixed_point(
+            power_model, loads, setting_index, memory_intensity, leakage_iterations
+        ).max(axis=1)
 
     def steady_tmax_concentrated(
         self,
@@ -317,19 +323,14 @@ class ThermalSystem:
         hot spot, so the flow controller floors its setting at the one
         that can hold this pattern (DESIGN.md section 8).
         """
-        core_names = self.core_names
-        if not 1 <= n_active <= len(core_names):
+        n = len(self.core_names)
+        if not 1 <= n_active <= n:
             raise ConfigurationError("n_active outside the core count")
-        core_util = [1.0] * n_active + [0.0] * (len(core_names) - n_active)
-        _, unit_vec = self.leakage_fixed_point(
-            self.steady_solver(setting_index),
-            power_model,
-            core_util,
-            [False] * len(core_names),
-            memory_intensity,
-            leakage_iterations,
+        load = ([1.0] * n_active + [0.0] * (n - n_active), [False] * n)
+        temps = self._unit_fixed_point(
+            power_model, [load], setting_index, memory_intensity, leakage_iterations
         )
-        return float(unit_vec.max())
+        return float(temps.max())
 
     # --- convenience ------------------------------------------------------------
 

@@ -127,7 +127,7 @@ class Factorization:
         self.solve = lu.solve
         self.digest = digest
 
-    def solve_linear(self, rhs: np.ndarray, x0: Optional[np.ndarray]) -> np.ndarray:
+    def solve_linear(self, rhs: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
         """``A x = rhs`` for one vector or an ``(n, k)`` block."""
         return self.solve(rhs)
 
@@ -248,7 +248,6 @@ class SteadyStateSolver:
         self.network = network
         self._core = self._linear_core(network.conductance)
         self._last: Optional[np.ndarray] = None
-        self._last_block: Optional[np.ndarray] = None
 
     def _linear_core(self, matrix: sp.spmatrix) -> "Factorization | _KrylovCore":
         return factorize(matrix, "steady")
@@ -270,22 +269,14 @@ class SteadyStateSolver:
         On the exact core this is one multi-RHS triangular solve whose
         columns agree with separate :meth:`solve` calls to within LU
         roundoff (~1e-14 K — SuperLU uses blocked kernels for multiple
-        right-hand sides).
+        right-hand sides). Blocks start cold on the krylov core.
         """
         powers = _block(powers, self.network.n_nodes)
-        x0 = self._last_block
-        if x0 is not None and x0.shape != powers.shape:
-            x0 = None
         with _trace.span(
             "steady", n_nodes=self.network.n_nodes, n_rhs=powers.shape[1]
         ):
-            temps = self._core.solve_linear_many(
-                powers + self.network.boundary[:, None], x0
-            )
-        temps = _finite(temps, "steady-state solve")
-        if self._core.warm_start:
-            self._last_block = temps
-        return temps
+            temps = self._core.solve_linear_many(powers + self.network.boundary[:, None])
+        return _finite(temps, "steady-state solve")
 
 
 class TransientSolver:
@@ -587,7 +578,7 @@ class _KrylovCore:
             _bump_krylov(direct_solves=1)
             return self._lu.solve(rhs)
         n = self._matrix.shape[0]
-        precond = spla.LinearOperator((n, n), matvec=self._precond.solve)
+        precond = spla.LinearOperator((n, n), self._precond.solve, dtype=float)
         iterations = [0]
 
         def _count(_pr_norm: float) -> None:
@@ -613,14 +604,11 @@ class _KrylovCore:
         _bump_krylov(fallbacks=1, direct_solves=1)
         return self._factorize().solve(rhs)
 
-    def solve_linear_many(
-        self, rhs: np.ndarray, x0: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Column-by-column :meth:`solve_linear` (GMRES is single-RHS)."""
+    def solve_linear_many(self, rhs: np.ndarray) -> np.ndarray:
+        """Column-by-column cold :meth:`solve_linear` (GMRES is single-RHS)."""
         out = np.empty_like(rhs)
         for c in range(rhs.shape[1]):
-            guess = None if x0 is None else np.ascontiguousarray(x0[:, c])
-            out[:, c] = self.solve_linear(np.ascontiguousarray(rhs[:, c]), guess)
+            out[:, c] = self.solve_linear(np.ascontiguousarray(rhs[:, c]), None)
         return out
 
 

@@ -52,6 +52,38 @@ class TestCharacterize:
         with pytest.raises(ControlError):
             FlowRateTable(bad)
 
+    def test_rejects_nan_tmax_naming_setting_and_utilization(self):
+        # NaN compares False, so it slipped past the monotonicity checks
+        # and every cap came out inf: the table silently chose setting 0.
+        tmax = np.array([toy_steady_tmax(k, u) for k in range(3) for u in (0.0, 0.5, 1.0)])
+        tmax = tmax.reshape(3, 3)
+        tmax[1, 1] = np.nan
+        with pytest.raises(ControlError, match=r"setting 1, utilization 0\.5"):
+            CharacterizationResult(
+                utilizations=np.array([0.0, 0.5, 1.0]),
+                tmax=tmax,
+                per_cavity_flows=(1.0, 2.0, 3.0),
+                target=80.0,
+            )
+
+    def test_rejects_an_infinite_row(self):
+        with pytest.raises(ControlError, match=r"setting 0, utilization 0\.0"):
+            FlowRateTable.characterize(
+                steady_tmax=lambda k, u: math.inf if k == 0 else toy_steady_tmax(k, u),
+                n_settings=3,
+                per_cavity_flows=(1.0, 2.0, 3.0),
+                target=80.0,
+            )
+
+    def test_rejects_non_finite_utilizations(self):
+        with pytest.raises(ControlError, match="non-finite utilizations"):
+            CharacterizationResult(
+                utilizations=np.array([0.0, np.nan, 1.0]),
+                tmax=np.full((2, 3), 70.0),
+                per_cavity_flows=(1.0, 2.0),
+                target=80.0,
+            )
+
     def test_rejects_too_few_points(self):
         with pytest.raises(ControlError):
             FlowRateTable.characterize(

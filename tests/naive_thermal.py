@@ -13,6 +13,12 @@ The assembly references drive the real :class:`_Assembler` through its
 scalar entry points; both paths share the canonical duplicate-summing
 :meth:`_Assembler.to_csr`, which makes the comparison emission-order
 independent.
+
+The characterization references are the field-space leakage fixed
+point the unit-space one (``ThermalSystem.unit_response``) replaced:
+every load pattern iterates in lockstep with one multi-RHS steady solve
+of the full temperature field per iteration. The two agree to roundoff,
+not bitwise, so the equivalence suite compares them with a tolerance.
 """
 
 from __future__ import annotations
@@ -104,6 +110,64 @@ def naive_cavity_slab_index(grid: ThermalGrid, cavity_index: int) -> int:
         if slab.kind is SlabKind.CAVITY and slab.cavity_index == cavity_index:
             return s
     raise LookupError(cavity_index)
+
+
+# --- steady characterization -------------------------------------------------
+
+
+def naive_steady_fields(
+    system, power_model, loads, setting_index, memory_intensity, leakage_iterations=6
+) -> np.ndarray:
+    """Steady fields of many ``(core_util, asleep)`` loads in lockstep,
+    shape ``(k, n_nodes)`` (the retained field loop)."""
+    solver = system.steady_solver(setting_index)
+    grid = system.grid
+    unit_vecs = [None] * len(loads)
+    temps = np.zeros((grid.n_nodes, len(loads)))
+    for _ in range(max(1, leakage_iterations)):
+        injections = np.empty((grid.n_nodes, len(loads)))
+        for c, (core_util, asleep) in enumerate(loads):
+            unit_powers = power_model.unit_power_vector(
+                grid.unit_keys, core_util, asleep, memory_intensity, unit_vecs[c]
+            )
+            injections[:, c] = grid.power_vector_from_array(unit_powers)
+        temps = solver.solve_many(injections)
+        for c in range(len(loads)):
+            unit_vecs[c] = grid.unit_temperature_vector(temps[:, c])
+    return temps.T
+
+
+def _uniform(system, utilization):
+    n = len(system.core_names)
+    return [utilization] * n, [False] * n
+
+
+def naive_steady_temperature_fields(
+    system, power_model, utilizations, setting_index=-1, memory_intensity=0.5
+) -> np.ndarray:
+    """Steady fields for many uniform utilizations, ``(k, n_nodes)``."""
+    loads = [_uniform(system, float(u)) for u in utilizations]
+    return naive_steady_fields(system, power_model, loads, setting_index, memory_intensity)
+
+
+def naive_steady_tmax_batch(
+    system, power_model, utilizations, setting_index=-1, memory_intensity=0.5
+) -> np.ndarray:
+    """Sensor-view steady T_max per uniform utilization, from fields."""
+    fields = naive_steady_temperature_fields(
+        system, power_model, utilizations, setting_index, memory_intensity
+    )
+    return np.array([system.grid.max_unit_temperature(field) for field in fields])
+
+
+def naive_steady_tmax_concentrated(
+    system, power_model, setting_index=-1, n_active=1, memory_intensity=0.3
+) -> float:
+    """Sensor-view steady T_max with ``n_active`` cores fully loaded."""
+    n = len(system.core_names)
+    load = ([1.0] * n_active + [0.0] * (n - n_active), [False] * n)
+    (field,) = naive_steady_fields(system, power_model, [load], setting_index, memory_intensity)
+    return system.grid.max_unit_temperature(field)
 
 
 # --- network assembly --------------------------------------------------------

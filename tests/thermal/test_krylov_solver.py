@@ -245,6 +245,31 @@ class TestKrylovSteady:
         expected = exact.solve_many(powers)
         assert np.abs(block - expected).max() < KRYLOV_TEMPERATURE_TOLERANCE
 
+    def test_gmres_applies_the_preconditioner_iterations_plus_two_times(
+        self, grid, power, monkeypatch
+    ):
+        # One application per Arnoldi step, one for the initial
+        # residual, one for the update; none to infer the dtype.
+        cache = NeighborFactorCache()
+        KrylovSteadySolver(_network(grid, resistance_scale=4.2),
+                           ThermalParams(resistance_scale=4.2), cache=cache)
+        krylov = KrylovSteadySolver(_network(grid), ThermalParams(), cache=cache)
+        neighbor = krylov._core._precond
+        lu_solve = neighbor.solve
+        applications = []
+
+        def counting(rhs):
+            applications.append(1)
+            return lu_solve(rhs)
+
+        monkeypatch.setattr(neighbor, "solve", counting)
+        counts = Counters()
+        krylov.solve(power)
+        stats = counts.krylov()
+        assert stats["gmres_solves"] == 1
+        assert stats["iterations"] > 0
+        assert len(applications) == stats["iterations"] + 2
+
     def test_shape_check(self, net):
         krylov = KrylovSteadySolver(net, ThermalParams(),
                                     cache=NeighborFactorCache())

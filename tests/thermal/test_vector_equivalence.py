@@ -11,8 +11,9 @@ reference implementations in ``tests/naive_thermal.py``:
   vectors;
 * the power map (``PowerModel.unit_power_vector``) matches the
   dict-keyed reference in ``tests/naive_power.py`` unit for unit;
-* the batched steady characterization path matches the sequential one
-  column-for-column.
+* the retained field-space batch of the steady characterization (the
+  reference ``tests/sim/test_unit_response.py`` holds the unit-space
+  path to) matches sequential solves column-for-column.
 
 Together with ``tests/sim/test_golden_runs.py`` (full-engine runs
 pinned against pre-refactor fixtures) this verifies that no per-unit
@@ -31,6 +32,7 @@ from naive_thermal import (
     naive_max_die_temperature,
     naive_max_unit_temperature,
     naive_power_vector,
+    naive_steady_temperature_fields,
     naive_unit_cells,
     naive_unit_temperatures,
 )
@@ -239,7 +241,7 @@ class TestBatchedCharacterization:
         system = ThermalSystem(2, CoolingKind.LIQUID, nx=12, ny=12)
         model = PowerModel(system.stack, leakage=LeakageModel())
         utils = [0.0, 0.3, 0.7, 1.0]
-        batch = system.steady_temperature_fields(model, utils, setting_index=2)
+        batch = naive_steady_temperature_fields(system, model, utils, setting_index=2)
         for c, u in enumerate(utils):
             single = system.steady_temperatures(model, u, setting_index=2)
             np.testing.assert_allclose(batch[c], single, rtol=0.0, atol=1.0e-10)
