@@ -139,7 +139,8 @@ class PowerConstants:
     core_idle_power: float = 1.0
     """Dynamic power of an idle (but not sleeping) core, W.
     Not stated in the paper; ~1/3 of active is typical for T1-class
-    fine-grain multithreaded cores (documented assumption, DESIGN.md)."""
+    fine-grain multithreaded cores (assumption; see
+    ``repro.experiments.sweeps.idle_power_sweep`` for its sensitivity)."""
 
     core_sleep_power: float = 0.02
     """Power of a core in the DPM sleep state, W. Paper: 0.02 W."""
@@ -149,7 +150,7 @@ class PowerConstants:
 
     crossbar_peak_power: float = 1.5
     """Peak crossbar power, W, scaled by active cores and memory accesses.
-    Not stated in the paper (documented assumption, DESIGN.md)."""
+    Not stated in the paper; an assumed value."""
 
     dpm_timeout: float = 0.2
     """DPM fixed-timeout before a core is put to sleep, s. Paper: 200 ms."""

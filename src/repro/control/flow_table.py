@@ -9,10 +9,10 @@ the predicted maximum temperature (observed while the pump runs at some
 setting), which is the minimum setting that keeps the steady state at
 or below the 80 degC target?*
 
-Figure 5's semantics in this reproduction (DESIGN.md section 8): the
-x axis is the maximum temperature the workload produces at the *lowest*
-setting, and the curve gives the minimum per-cavity flow that cools the
-same workload below the target. The runtime controller uses the same
+Figure 5's semantics in this reproduction (our reading of the figure):
+the x axis is the maximum temperature the workload produces at the
+*lowest* setting, and the curve gives the minimum per-cavity flow that
+cools the same workload below the target. The runtime controller uses the same
 characterization, inverted at whatever setting the pump currently runs.
 """
 
@@ -20,15 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.constants import CONTROL
 from repro.errors import ControlError
-
-SteadyTmaxFn = Callable[[int, float], float]
-"""Evaluator: (pump setting index, utilization) -> steady-state T_max."""
 
 SteadyTmaxBatchFn = Callable[[int, np.ndarray], np.ndarray]
 """Batch evaluator: (pump setting index, utilizations) -> T_max array.
@@ -119,22 +116,15 @@ class FlowRateTable:
     @classmethod
     def characterize(
         cls,
-        steady_tmax: Optional[SteadyTmaxFn] = None,
-        n_settings: int = 0,
+        steady_tmax_batch: SteadyTmaxBatchFn,
+        n_settings: int,
         per_cavity_flows: Sequence[float] = (),
         utilizations: Sequence[float] = tuple(np.linspace(0.0, 1.0, 11)),
         target: float = CONTROL.target_temperature,
-        steady_tmax_batch: Optional[SteadyTmaxBatchFn] = None,
     ) -> "FlowRateTable":
-        """Run the offline characterization sweep and build the table.
-
-        Pass either ``steady_tmax`` (one evaluation per point) or
-        ``steady_tmax_batch`` (one call per setting, evaluating every
-        utilization at once — preferred). When both are given the
-        batch form wins.
-        """
-        if steady_tmax is None and steady_tmax_batch is None:
-            raise ControlError("characterize needs a steady_tmax evaluator")
+        """Run the offline characterization sweep and build the table:
+        one ``steady_tmax_batch`` call per setting, evaluating every
+        utilization at once."""
         if n_settings <= 0:
             raise ControlError("characterize needs a positive n_settings")
         utils = np.asarray(sorted(set(float(u) for u in utilizations)))
@@ -142,17 +132,13 @@ class FlowRateTable:
             raise ControlError("need at least two utilization points")
         tmax = np.empty((n_settings, len(utils)))
         for k in range(n_settings):
-            if steady_tmax_batch is not None:
-                row = np.asarray(steady_tmax_batch(k, utils), dtype=float)
-                if row.shape != utils.shape:
-                    raise ControlError(
-                        f"batch evaluator returned shape {row.shape}, "
-                        f"expected {utils.shape}"
-                    )
-                tmax[k] = row
-            else:
-                for i, u in enumerate(utils):
-                    tmax[k, i] = steady_tmax(k, float(u))
+            row = np.asarray(steady_tmax_batch(k, utils), dtype=float)
+            if row.shape != utils.shape:
+                raise ControlError(
+                    f"batch evaluator returned shape {row.shape}, "
+                    f"expected {utils.shape}"
+                )
+            tmax[k] = row
         return cls(
             CharacterizationResult(
                 utilizations=utils,

@@ -1,6 +1,7 @@
 """Ablations of the controller's design choices (extension study).
 
-DESIGN.md calls out the design decisions this module isolates:
+Each design decision below is isolated by running it against its
+alternative:
 
 * **Proactive vs reactive** — the paper argues a reactive policy
   over-/under-cools because the pump transition (250-300 ms) exceeds

@@ -1,15 +1,16 @@
-"""Shared experiment infrastructure: sweep declarations and run cache.
+"""Shared experiment infrastructure: sweep declarations and execution.
 
 Figure 6's seven policy/cooling combinations, the eight Table II
-workloads, and a memoized runner so Figures 6-8 (which share the same
-underlying sweep) only simulate each point once per process. Every
-multi-run experiment is declared as a
-:class:`~repro.sweep.spec.SweepSpec` (:func:`matrix_spec`, or the
-per-figure ``sweep_spec()`` functions) and executes through
-:class:`~repro.sweep.runner.SweepRunner` streaming
-(:func:`run_spec`), so any figure/table regeneration can fan out over
-worker processes by passing ``workers=N`` and large campaigns can be
-checkpointed via the ``repro sweep`` CLI.
+workloads, and the (combo x workload) sweep builder. Every multi-run
+experiment is declared once as a :class:`~repro.sweep.spec.SweepSpec`
+(:func:`matrix_spec`, or the per-figure ``sweep_spec()`` functions)
+and executes through :class:`~repro.sweep.runner.SweepRunner`
+streaming (:func:`run_spec`), so any figure/table regeneration can fan
+out over worker processes by passing ``workers=N`` and large campaigns
+can be checkpointed via the ``repro sweep`` CLI. Nothing is memoized
+across calls: a figure's rows depend only on its own sweep, and a
+caller that needs several figures over one sweep (the report) runs it
+once and hands the results to each figure's ``rows``.
 """
 
 from __future__ import annotations
@@ -32,23 +33,12 @@ POLICY_MATRIX: tuple[tuple[PolicyKind, CoolingMode], ...] = (
     (PolicyKind.TALB, CoolingMode.LIQUID_VARIABLE),
 )
 
-#: Figure 8's reduced comparison set, in the paper's bar order.
-FIG8_MATRIX: tuple[tuple[PolicyKind, CoolingMode], ...] = (
-    (PolicyKind.LB, CoolingMode.AIR),
-    (PolicyKind.MIGRATION, CoolingMode.AIR),
-    (PolicyKind.TALB, CoolingMode.AIR),
-    (PolicyKind.LB, CoolingMode.LIQUID_MAX),
-    (PolicyKind.TALB, CoolingMode.LIQUID_VARIABLE),
-)
-
 #: All Table II workloads, in table order.
 ALL_WORKLOADS: tuple[str, ...] = tuple(TABLE_II)
 
 #: Default simulated seconds per (policy, workload) point. Short enough
 #: for the benchmark suite, long enough for stationary statistics.
 DEFAULT_DURATION = 20.0
-
-_run_cache: dict[SimulationConfig, SimulationResult] = {}
 
 
 def combo_label(policy, cooling: CoolingMode) -> str:
@@ -105,73 +95,19 @@ def run_spec(
     return collected
 
 
-def run_point(
-    policy: PolicyKind,
-    cooling: CoolingMode,
-    workload: str,
-    duration: float = DEFAULT_DURATION,
-    dpm: bool = False,
-    n_layers: int = 2,
-    seed: int = 0,
-) -> SimulationResult:
-    """Simulate one (policy, cooling, workload) point, memoized."""
-    return run_matrix(
-        combos=[(policy, cooling)],
-        workloads=[workload],
-        duration=duration,
-        dpm=dpm,
-        n_layers=n_layers,
-        seed=seed,
-    )[(combo_label(policy, cooling), workload)]
-
-
-def run_matrix(
-    combos: Iterable[tuple[PolicyKind, CoolingMode]] = POLICY_MATRIX,
-    workloads: Iterable[str] = ALL_WORKLOADS,
-    duration: float = DEFAULT_DURATION,
-    dpm: bool = False,
-    n_layers: int = 2,
-    seed: int = 0,
-    workers: Optional[int] = None,
+def run_labelled(
+    spec: SweepSpec, workers: Optional[int] = None
 ) -> dict[tuple[str, str], SimulationResult]:
-    """Simulate a full (combo x workload) sweep; keys are (label, workload).
-
-    The sweep is declared via :func:`matrix_spec` and executed
-    streaming through :class:`~repro.sweep.runner.SweepRunner` —
-    serially by default, or fanned out over ``workers`` processes
-    (results are identical either way: runs are fully determined by
-    their configs). Points already memoized in the run cache are not
-    re-simulated: the missing subset re-expands as a ``points``-only
-    spec over the same base config, which assembles exactly the same
-    :class:`~repro.sim.config.SimulationConfig` objects.
-    """
-    spec = matrix_spec(
-        combos=combos, workloads=workloads, duration=duration,
-        dpm=dpm, n_layers=n_layers, seed=seed,
-    )
-    missing: list[SweepPoint] = []
-    pending: set[SimulationConfig] = set()
-    for point in spec.iter_points():
-        if point.config not in _run_cache and point.config not in pending:
-            pending.add(point.config)
-            missing.append(point)
-    if missing:
-        subset = SweepSpec(
-            base=spec.base,
-            points=[point.overrides for point in missing],
-            name=spec.name,
-        )
-        for point, result in run_spec(subset, workers=workers):
-            _run_cache[point.config] = result
+    """Execute a :func:`matrix_spec`; results keyed by (label, workload)."""
     return {
-        (point.config.label(), point.config.benchmark_name): _run_cache[point.config]
-        for point in spec.iter_points()
+        (point.config.label(), point.config.benchmark_name): result
+        for point, result in run_spec(spec, workers=workers)
     }
 
 
-def clear_cache() -> None:
-    """Drop memoized runs (for tests that vary global state)."""
-    _run_cache.clear()
+def spec_labels(spec: SweepSpec) -> list[str]:
+    """A :func:`matrix_spec`'s combo labels, in declaration order."""
+    return [combo_label(point["policy"], point["cooling"]) for point in spec.points]
 
 
 def format_rows(rows: list[dict], columns: Optional[list[str]] = None) -> str:

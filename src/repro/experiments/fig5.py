@@ -2,7 +2,7 @@
 
 For the 2- and 4-layer systems: sweep workload intensity, report the
 maximum temperature the workload produces at the lowest pump setting
-(the x axis; see DESIGN.md section 8 for the axis semantics), the
+(the x axis, read as the workload's heat at the lowest setting), the
 minimum sufficient *discrete* setting and its per-cavity flow (the
 staircase), and the minimum sufficient *continuous* per-cavity flow
 (the paper's triangular/circular data points), found by bisection over
@@ -33,7 +33,6 @@ def _steady_tmax_at_flow(
         [utilization] * n_cores,
         [False] * n_cores,
         memory_intensity=0.8,
-        leakage_iterations=6,
     )
     return system.grid.max_unit_temperature(temps)
 

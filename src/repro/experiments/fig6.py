@@ -48,30 +48,27 @@ def run(
     workers: "int | None" = None,
 ) -> list[dict]:
     """Regenerate Figure 6's bars."""
-    results = common.run_matrix(
-        combos=common.POLICY_MATRIX,
-        workloads=workloads,
-        duration=duration,
-        dpm=False,
-        seed=seed,
-        workers=workers,
-    )
-    baseline_label = common.combo_label(*common.POLICY_MATRIX[0])  # LB (Air)
+    spec = sweep_spec(duration=duration, workloads=workloads, seed=seed)
+    return rows(common.run_labelled(spec, workers=workers), workloads)
+
+
+def rows(results: dict, workloads: tuple[str, ...]) -> list[dict]:
+    """Figure 6's bars from ``(label, workload)``-keyed results."""
+    labels = common.spec_labels(sweep_spec())  # labels[0] is LB (Air)
     baseline_chip = np.mean(
-        [results[(baseline_label, w)].chip_energy() for w in workloads]
+        [results[(labels[0], w)].chip_energy() for w in workloads]
     )
     baseline = EnergyBreakdown(chip=float(baseline_chip), pump=0.0)
 
-    rows = []
-    for policy, cooling in common.POLICY_MATRIX:
-        label = common.combo_label(policy, cooling)
+    out = []
+    for label in labels:
         hotspots = [hotspot_frequency(results[(label, w)]) for w in workloads]
         chip = np.mean([results[(label, w)].chip_energy() for w in workloads])
         pump = np.mean([results[(label, w)].pump_energy() for w in workloads])
         normalized = EnergyBreakdown(chip=float(chip), pump=float(pump)).normalized(
             baseline
         )
-        rows.append(
+        out.append(
             {
                 "policy": label,
                 "hotspots_avg_pct": float(np.mean(hotspots)),
@@ -81,4 +78,4 @@ def run(
                 "energy_total": normalized.chip + normalized.pump,
             }
         )
-    return rows
+    return out

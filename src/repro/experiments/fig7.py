@@ -42,26 +42,23 @@ def run(
     workers: "int | None" = None,
 ) -> list[dict]:
     """Regenerate Figure 7's bars (DPM on)."""
-    results = common.run_matrix(
-        combos=common.POLICY_MATRIX,
-        workloads=workloads,
-        duration=duration,
-        dpm=True,
-        seed=seed,
-        workers=workers,
-    )
-    rows = []
-    for policy, cooling in common.POLICY_MATRIX:
-        label = common.combo_label(policy, cooling)
+    spec = sweep_spec(duration=duration, workloads=workloads, seed=seed)
+    return rows(common.run_labelled(spec, workers=workers), workloads)
+
+
+def rows(results: dict, workloads: tuple[str, ...]) -> list[dict]:
+    """Figure 7's bars from ``(label, workload)``-keyed results."""
+    out = []
+    for label in common.spec_labels(sweep_spec()):
         gradients = [
             spatial_gradient_frequency(results[(label, w)]) for w in workloads
         ]
         cycles = [thermal_cycle_frequency(results[(label, w)]) for w in workloads]
-        rows.append(
+        out.append(
             {
                 "policy": label,
                 "spatial_gradients_pct": float(np.mean(gradients)),
                 "thermal_cycles_pct": float(np.mean(cycles)),
             }
         )
-    return rows
+    return out

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.experiments import common
 from repro.metrics.energy import EnergyBreakdown
+from repro.sim.config import CoolingMode, PolicyKind
 from repro.sweep import SweepSpec
 
 
@@ -23,9 +24,16 @@ def sweep_spec(
     workloads: tuple[str, ...] = common.ALL_WORKLOADS,
     seed: int = 0,
 ) -> SweepSpec:
-    """Figure 8's reduced 5-combo x 8-workload comparison sweep."""
+    """Figure 8's reduced 5-combo x 8-workload comparison sweep, in the
+    paper's bar order."""
     return common.matrix_spec(
-        combos=common.FIG8_MATRIX,
+        combos=(
+            (PolicyKind.LB, CoolingMode.AIR),
+            (PolicyKind.MIGRATION, CoolingMode.AIR),
+            (PolicyKind.TALB, CoolingMode.AIR),
+            (PolicyKind.LB, CoolingMode.LIQUID_MAX),
+            (PolicyKind.TALB, CoolingMode.LIQUID_VARIABLE),
+        ),
         workloads=workloads,
         duration=duration,
         dpm=False,
@@ -41,33 +49,31 @@ def run(
     workers: "int | None" = None,
 ) -> list[dict]:
     """Regenerate Figure 8's bars."""
-    results = common.run_matrix(
-        combos=common.FIG8_MATRIX,
-        workloads=workloads,
-        duration=duration,
-        dpm=False,
-        seed=seed,
-        workers=workers,
-    )
-    baseline_label = common.combo_label(*common.FIG8_MATRIX[0])  # LB (Air)
+    spec = sweep_spec(duration=duration, workloads=workloads, seed=seed)
+    return rows(common.run_labelled(spec, workers=workers), workloads)
+
+
+def rows(results: dict, workloads: tuple[str, ...]) -> list[dict]:
+    """Figure 8's bars from ``(label, workload)``-keyed results (any
+    superset of its combos, e.g. Figure 6's sweep)."""
+    labels = common.spec_labels(sweep_spec())  # labels[0] is LB (Air)
     baseline_chip = float(
-        np.mean([results[(baseline_label, w)].chip_energy() for w in workloads])
+        np.mean([results[(labels[0], w)].chip_energy() for w in workloads])
     )
     baseline_throughput = float(
-        np.mean([results[(baseline_label, w)].throughput() for w in workloads])
+        np.mean([results[(labels[0], w)].throughput() for w in workloads])
     )
     baseline = EnergyBreakdown(chip=baseline_chip, pump=0.0)
 
-    rows = []
-    for policy, cooling in common.FIG8_MATRIX:
-        label = common.combo_label(policy, cooling)
+    out = []
+    for label in labels:
         chip = float(np.mean([results[(label, w)].chip_energy() for w in workloads]))
         pump = float(np.mean([results[(label, w)].pump_energy() for w in workloads]))
         throughput = float(
             np.mean([results[(label, w)].throughput() for w in workloads])
         )
         normalized = EnergyBreakdown(chip=chip, pump=pump).normalized(baseline)
-        rows.append(
+        out.append(
             {
                 "policy": label,
                 "energy_chip": normalized.chip,
@@ -76,4 +82,4 @@ def run(
                 "performance": throughput / baseline_throughput,
             }
         )
-    return rows
+    return out

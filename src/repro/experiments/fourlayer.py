@@ -20,23 +20,28 @@ from repro.metrics.energy import EnergyBreakdown
 from repro.metrics.thermal_metrics import hotspot_frequency
 from repro.sim.config import CoolingMode, PolicyKind
 
-#: The 4-layer sweep uses the liquid combos only (the air-cooled
-#: 4-layer stack is far beyond its thermal envelope at full load).
-LIQUID_MATRIX: tuple[tuple[PolicyKind, CoolingMode], ...] = (
-    (PolicyKind.LB, CoolingMode.LIQUID_MAX),
-    (PolicyKind.TALB, CoolingMode.LIQUID_MAX),
-    (PolicyKind.TALB, CoolingMode.LIQUID_VARIABLE),
-)
-
 
 def sweep_spec(
     duration: float = common.DEFAULT_DURATION,
     workloads: tuple[str, ...] = ("Database", "gzip", "MPlayer"),
     seed: int = 0,
 ):
-    """The 4-layer liquid-policy sweep as a declarative spec."""
+    """The 4-layer liquid-policy sweep as a declarative spec.
+
+    The liquid combos only: the air-cooled 4-layer stack is far beyond
+    its thermal envelope at full load. Medium/high-utilization
+    workloads exceed the 80 degC target on the 4-layer stack even at
+    the maximum pump setting (625 ml/min per cavity against doubled
+    stacked power; see ``examples/stack_design_sweep.py``), so the
+    sweep uses the light rows of Table II where the controller has room
+    to work.
+    """
     return common.matrix_spec(
-        combos=LIQUID_MATRIX,
+        combos=(
+            (PolicyKind.LB, CoolingMode.LIQUID_MAX),
+            (PolicyKind.TALB, CoolingMode.LIQUID_MAX),
+            (PolicyKind.TALB, CoolingMode.LIQUID_VARIABLE),
+        ),
         workloads=workloads,
         duration=duration,
         n_layers=4,
@@ -51,36 +56,26 @@ def run(
     seed: int = 0,
     workers: "int | None" = None,
 ) -> list[dict]:
-    """Policy sweep on the 4-layer stack (light workloads).
+    """Policy sweep on the 4-layer stack (light workloads)."""
+    spec = sweep_spec(duration=duration, workloads=workloads, seed=seed)
+    return rows(common.run_labelled(spec, workers=workers), workloads)
 
-    Medium/high-utilization workloads exceed the 80 degC target on the
-    4-layer stack even at the maximum pump setting (625 ml/min per
-    cavity against doubled stacked power; see
-    ``examples/stack_design_sweep.py``), so the sweep uses the light
-    rows of Table II where the controller has room to work.
-    """
-    results = common.run_matrix(
-        combos=LIQUID_MATRIX,
-        workloads=workloads,
-        duration=duration,
-        n_layers=4,
-        seed=seed,
-        workers=workers,
-    )
-    baseline_label = common.combo_label(*LIQUID_MATRIX[0])
+
+def rows(results: dict, workloads: tuple[str, ...]) -> list[dict]:
+    """The 4-layer rows from ``(label, workload)``-keyed results."""
+    labels = common.spec_labels(sweep_spec())  # labels[0] is LB (Max)
     baseline_chip = float(
-        np.mean([results[(baseline_label, w)].chip_energy() for w in workloads])
+        np.mean([results[(labels[0], w)].chip_energy() for w in workloads])
     )
     baseline = EnergyBreakdown(chip=baseline_chip, pump=0.0)
 
-    rows = []
-    for policy, cooling in LIQUID_MATRIX:
-        label = common.combo_label(policy, cooling)
+    out = []
+    for label in labels:
         runs = [results[(label, w)] for w in workloads]
         chip = float(np.mean([r.chip_energy() for r in runs]))
         pump = float(np.mean([r.pump_energy() for r in runs]))
         normalized = EnergyBreakdown(chip=chip, pump=pump).normalized(baseline)
-        rows.append(
+        out.append(
             {
                 "policy": label,
                 "hotspots_avg_pct": float(
@@ -102,4 +97,4 @@ def run(
                 "energy_pump": normalized.pump,
             }
         )
-    return rows
+    return out

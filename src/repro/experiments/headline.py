@@ -21,21 +21,19 @@ from repro.metrics.energy import (
 )
 from repro.sim.config import CoolingMode, PolicyKind
 
-#: The headline comparison pair: the controller vs worst-case flow.
-HEADLINE_MATRIX: tuple[tuple[PolicyKind, CoolingMode], ...] = (
-    (PolicyKind.TALB, CoolingMode.LIQUID_VARIABLE),
-    (PolicyKind.TALB, CoolingMode.LIQUID_MAX),
-)
-
 
 def sweep_spec(
     duration: float = common.DEFAULT_DURATION,
     workloads: tuple[str, ...] = common.ALL_WORKLOADS,
     seed: int = 0,
 ):
-    """The headline Var-vs-Max savings sweep as a declarative spec."""
+    """The headline Var-vs-Max savings sweep as a declarative spec: the
+    controller vs worst-case flow."""
     return common.matrix_spec(
-        combos=HEADLINE_MATRIX,
+        combos=(
+            (PolicyKind.TALB, CoolingMode.LIQUID_VARIABLE),
+            (PolicyKind.TALB, CoolingMode.LIQUID_MAX),
+        ),
         workloads=workloads,
         duration=duration,
         seed=seed,
@@ -50,22 +48,21 @@ def run(
     workers: "int | None" = None,
 ) -> list[dict]:
     """Regenerate the headline per-workload savings."""
-    results = common.run_matrix(
-        combos=HEADLINE_MATRIX,
-        workloads=workloads,
-        duration=duration,
-        seed=seed,
-        workers=workers,
-    )
-    var_label = common.combo_label(PolicyKind.TALB, CoolingMode.LIQUID_VARIABLE)
-    max_label = common.combo_label(PolicyKind.TALB, CoolingMode.LIQUID_MAX)
-    rows = []
+    spec = sweep_spec(duration=duration, workloads=workloads, seed=seed)
+    return rows(common.run_labelled(spec, workers=workers), workloads)
+
+
+def rows(results: dict, workloads: tuple[str, ...]) -> list[dict]:
+    """The per-workload savings from ``(label, workload)``-keyed results
+    (any superset of the pair, e.g. Figure 6's sweep)."""
+    var_label, max_label = common.spec_labels(sweep_spec())
+    out = []
     for workload in workloads:
         variable = results[(var_label, workload)]
         max_flow = results[(max_label, workload)]
         e_var = EnergyBreakdown.from_result(variable)
         e_max = EnergyBreakdown.from_result(max_flow)
-        rows.append(
+        out.append(
             {
                 "workload": workload,
                 "cooling_savings_pct": 100.0 * cooling_energy_savings(e_var, e_max),
@@ -76,4 +73,4 @@ def run(
                 "mean_setting": variable.mean_flow_setting(),
             }
         )
-    return rows
+    return out

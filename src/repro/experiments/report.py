@@ -31,7 +31,16 @@ def _section(title: str, rows: list[dict]) -> str:
 
 
 def build_report(duration: float = common.DEFAULT_DURATION, seed: int = 0) -> str:
-    """Run every harness and return the markdown report body."""
+    """Run every harness and return the markdown report body.
+
+    Figure 8's and the headline's combos are subsets of Figure 6's on
+    the same base config, so Figure 6's sweep runs once and all three
+    read their rows off its results.
+    """
+    workloads = common.ALL_WORKLOADS
+    shared = common.run_labelled(
+        fig6.sweep_spec(duration=duration, workloads=workloads, seed=seed)
+    )
     parts = [
         "# Evaluation report",
         "",
@@ -43,21 +52,14 @@ def build_report(duration: float = common.DEFAULT_DURATION, seed: int = 0) -> st
             "Figure 5 — required flow vs T_max (2-layer)",
             fig5.run(2, include_continuous=False),
         ),
-        _section(
-            "Figure 6 — hot spots and energy",
-            fig6.run(duration=duration, seed=seed),
-        ),
+        _section("Figure 6 — hot spots and energy", fig6.rows(shared, workloads)),
         _section(
             "Figure 7 — thermal variations (DPM on)",
             fig7.run(duration=duration, seed=seed),
         ),
+        _section("Figure 8 — performance and energy", fig8.rows(shared, workloads)),
         _section(
-            "Figure 8 — performance and energy",
-            fig8.run(duration=duration, seed=seed),
-        ),
-        _section(
-            "Headline — savings vs maximum flow",
-            headline.run(duration=duration, seed=seed),
+            "Headline — savings vs maximum flow", headline.rows(shared, workloads)
         ),
         _section(
             "4-layer system (light workloads)",

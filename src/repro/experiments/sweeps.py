@@ -1,6 +1,7 @@
 """Parameter-sensitivity sweeps (extension study).
 
-The calibration (DESIGN.md §5) fixes two scales and a 60 degC inlet;
+The calibration (:mod:`repro.sim.calibration`) fixes two scales and a
+60 degC inlet;
 these sweeps show how the headline behaviour moves when those
 assumptions move — the robustness analysis a reviewer would ask for.
 """
@@ -216,7 +217,7 @@ def idle_power_sweep(
     values: tuple[float, ...] = (0.5, 1.0, 1.5),
     utilization: float = 0.2,
 ) -> list[dict]:
-    """Sensitivity to the undocumented idle-core power (DESIGN.md §8).
+    """Sensitivity to the undocumented idle-core power (an assumption).
 
     The paper does not state idle power; we assume 1 W. The sweep shows
     the low-utilization T_max (and hence the light-workload pump

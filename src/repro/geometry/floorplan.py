@@ -8,7 +8,8 @@ tiers, plus "other" units (memory control, buffering) filling the rest.
 
 Figure 1 is not published in machine-readable form, so the builders here
 lay the blocks out to match every published area exactly (cores 10 mm^2,
-L2 19 mm^2, layer 115 mm^2, central crossbar); see DESIGN.md section 8.
+L2 19 mm^2, layer 115 mm^2, central crossbar); the placement itself is
+an assumption.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def _chip_side() -> float:
 def t1_core_layer(name: str = "t1-cores", core_offset: int = 0) -> Floorplan:
     """Build the core layer: 8 cores, central crossbar, misc blocks.
 
-    Layout (matching all published areas; see DESIGN.md section 8)::
+    Layout (matching all published areas; the placement is assumed)::
 
         +------+------+------+------+   4 cores, 10 mm^2 each
         | c0   | c1   | c2   | c3   |

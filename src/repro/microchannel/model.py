@@ -14,7 +14,8 @@ developed boundary layers". At the paper's channel lengths (~1 cm) and
 velocities the thermal entrance length is a large fraction of the
 channel, so the boundary layers are developing and h rises with flow;
 without this dependence the flow rate would barely affect junction
-temperature at UltraSPARC T1-class heat fluxes (see DESIGN.md section 5).
+temperature at UltraSPARC T1-class heat fluxes, and the variable-flow
+controller would have nothing to trade.
 We anchor the correlation so that h at the maximum per-cavity flow rate
 (1 l/min, Table I) equals the paper's constant.
 """

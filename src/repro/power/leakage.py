@@ -33,7 +33,7 @@ class LeakageModel:
         Base leakage per area at T_ref, W/m^2. Defaults give ~0.5 W per
         10 mm^2 core and ~0.3 W per 19 mm^2 L2 bank at 60 degC, i.e.
         roughly 20 % of chip power at the operating point — consistent
-        with a 90 nm process (documented assumption, DESIGN.md).
+        with a 90 nm process (assumption: the paper gives no densities).
     """
 
     reference_temperature: float = 60.0

@@ -1,7 +1,7 @@
 """Batch orchestration: run many simulations, serially or in parallel.
 
 See :mod:`repro.runner.batch` for the design; the experiments layer
-(:func:`repro.experiments.common.run_matrix`), the ``repro batch`` CLI
+(:func:`repro.experiments.common.run_spec`), the ``repro batch`` CLI
 command, the sweep layer, and the distributed workers all route
 multi-run work through :class:`BatchRunner`. It executes runs in a
 stable sort by thermal signature (:func:`signature_groups`), so runs

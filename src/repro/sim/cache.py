@@ -2,7 +2,8 @@
 
 The paper's controller and TALB policy both rely on offline
 pre-processing: the flow-rate look-up table (Figure 5), the burst-floor
-setting (DESIGN.md section 8), and the per-setting thermal weight sets
+setting (the lowest setting that holds one fully loaded core below the
+target), and the per-setting thermal weight sets
 (Eq. 8). Historically these lived in module-level dictionaries inside
 ``repro.sim.engine``, which had two defects:
 
@@ -83,8 +84,8 @@ def _system_memo_key(config: SimulationConfig) -> tuple:
 
     Must cover every ``SimulationConfig`` field that
     :func:`system_for` feeds into ``ThermalSystem.__init__`` — shared
-    by the memo and :meth:`CharacterizationCache.warm` so the two can
-    never disagree about which configs share a system.
+    by the memo, :func:`system_key` and :meth:`CharacterizationCache.warm`
+    so they can never disagree about which configs share a system.
     """
     return (
         config.n_layers,
@@ -133,22 +134,17 @@ def system_for(config: SimulationConfig) -> tuple["ThermalSystem", "PowerModel"]
 
 
 def system_key(
-    config: SimulationConfig,
-    cooling: CoolingKind,
-    pump_signature: Optional[tuple] = None,
+    config: SimulationConfig, pump_signature: Optional[tuple] = None
 ) -> tuple:
     """Hashable identity of a characterized thermal system.
 
-    Includes the pump signature so systems that differ only in their
-    pump (setting ladder, cavity split, derating) never share a cached
-    flow table or weight set.
+    The system's identity (:func:`_system_memo_key`, solver tier
+    included, so a krylov-derived table never serves an exact run) plus
+    the characterization target and guard, and the pump signature so
+    systems that differ only in their pump (setting ladder, cavity
+    split, derating) never share a cached flow table or weight set.
     """
-    return (
-        config.n_layers,
-        cooling,
-        config.nx,
-        config.ny,
-        config.thermal_params,
+    return _system_memo_key(config) + (
         config.target_temperature,
         config.characterization_guard,
         pump_signature,
@@ -173,11 +169,9 @@ class CharacterizationCache:
     # --- key helpers ---------------------------------------------------------
 
     @staticmethod
-    def _key(config: SimulationConfig, cooling: CoolingKind, system) -> tuple:
+    def _key(config: SimulationConfig, system) -> tuple:
         pump = getattr(system, "pump", None)
-        return system_key(
-            config, cooling, pump.signature() if pump is not None else None
-        )
+        return system_key(config, pump.signature() if pump is not None else None)
 
     # --- cached characterizations -------------------------------------------
 
@@ -188,7 +182,7 @@ class CharacterizationCache:
         config: SimulationConfig,
     ) -> FlowRateTable:
         """The (cached) offline flow-table characterization (Figure 5)."""
-        key = self._key(config, CoolingKind.LIQUID, system)
+        key = self._key(config, system)
         if key in self.tables:
             _CHAR_HITS.inc(kind="table")
         else:
@@ -213,10 +207,9 @@ class CharacterizationCache:
 
         The characterization assumes uniform utilization; a single long
         thread concentrates its core's power and runs locally hotter,
-        so the controller never drops below this floor (DESIGN.md
-        section 8).
+        so the controller never drops below this floor.
         """
-        key = self._key(config, CoolingKind.LIQUID, system)
+        key = self._key(config, system)
         if key in self.floors:
             _CHAR_HITS.inc(kind="floor")
         else:
@@ -235,11 +228,10 @@ class CharacterizationCache:
         system: "ThermalSystem",
         setting_index: int,
         config: SimulationConfig,
-        cooling: CoolingKind,
     ) -> ThermalWeights:
         """The (cached) pre-processed TALB weights for one cooling
         condition (pump setting, or -1 for air)."""
-        key = self._key(config, cooling, system) + (
+        key = self._key(config, system) + (
             setting_index,
             config.talb_weight_target,
         )
@@ -330,7 +322,6 @@ class CharacterizationCache:
             if sys_id not in systems:
                 systems[sys_id] = system_for(config)
             system, power_model = systems[sys_id]
-            cooling = system.cooling
             needs_lut = (
                 config.cooling is CoolingMode.LIQUID_VARIABLE
                 and controller_registry().get(config.controller)
@@ -340,15 +331,15 @@ class CharacterizationCache:
                 self.table(system, power_model, config)
                 self.floor(system, power_model, config)
             if policy_registry().get(config.policy).trait("uses_thermal_weights"):
-                if cooling is CoolingKind.AIR:
-                    self.thermal_weights(system, -1, config, cooling)
+                if system.cooling is CoolingKind.AIR:
+                    self.thermal_weights(system, -1, config)
                 elif config.cooling is CoolingMode.LIQUID_MAX:
                     # The pump never leaves the top setting.
                     top = system.pump.n_settings - 1
-                    self.thermal_weights(system, top, config, cooling)
+                    self.thermal_weights(system, top, config)
                 else:
                     for k in range(system.pump.n_settings):
-                        self.thermal_weights(system, k, config, cooling)
+                        self.thermal_weights(system, k, config)
             if workload_registry().get(config.workload).trait("cache_trace"):
                 self.thread_trace(config)
         return self

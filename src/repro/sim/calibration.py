@@ -1,6 +1,7 @@
 """Calibration sweeps that produced the default resistance scales.
 
-DESIGN.md section 5 documents the two calibrated knobs:
+The paper does not state every resistance of its thermal model, so two
+knobs are calibrated to its published operating points:
 
 * ``resistance_scale`` — scales the BEOL + convective-film resistances
   of the liquid path so the hottest Table II workload (Web-high,

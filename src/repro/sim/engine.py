@@ -275,9 +275,7 @@ class Simulator:
             setting = -1
         else:
             setting = self._pump_state.current_index if self._pump_state else -1
-        return self.cache.thermal_weights(
-            self.system, setting, self.config, self._cooling_kind
-        )
+        return self.cache.thermal_weights(self.system, setting, self.config)
 
     # --- stepped execution -------------------------------------------------
 

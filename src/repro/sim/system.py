@@ -44,6 +44,10 @@ from repro.thermal.solver import (
 
 _UNIT_RESPONSES = _metrics.counter("sim.characterize.unit_responses")  # memo misses
 
+LEAKAGE_ITERATIONS = 6
+"""Fixed iteration count of every leakage fixed point (power(T) -> T);
+six iterations converge well within 0.01 K."""
+
 
 class ThermalSystem:
     """A 3D system ready to simulate: grid + per-setting networks.
@@ -188,13 +192,10 @@ class ThermalSystem:
         utilization: float,
         setting_index: int = -1,
         memory_intensity: float = 0.5,
-        leakage_iterations: int = 6,
     ) -> float:
         """Self-consistent steady-state T_max under uniform utilization
         (:meth:`steady_tmax_batch` of one utilization)."""
-        tmax = self.steady_tmax_batch(
-            power_model, [utilization], setting_index, memory_intensity, leakage_iterations
-        )
+        tmax = self.steady_tmax_batch(power_model, [utilization], setting_index, memory_intensity)
         return float(tmax[0])
 
     def steady_temperatures(
@@ -203,7 +204,6 @@ class ThermalSystem:
         utilization: float,
         setting_index: int = -1,
         memory_intensity: float = 0.5,
-        leakage_iterations: int = 6,
     ) -> np.ndarray:
         """Steady-state temperature field (see :meth:`steady_tmax`)."""
         if not 0.0 <= utilization <= 1.0:
@@ -213,7 +213,6 @@ class ThermalSystem:
             power_model,
             *self._uniform_load(utilization),
             memory_intensity,
-            leakage_iterations,
         )
         return temps
 
@@ -230,7 +229,6 @@ class ThermalSystem:
         core_util: list,
         asleep: list,
         memory_intensity: float,
-        leakage_iterations: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Iterate power(T) -> solve -> T for one load pattern.
 
@@ -243,7 +241,7 @@ class ThermalSystem:
         grid = self.grid
         unit_vec: Optional[np.ndarray] = None
         temps = np.zeros(grid.n_nodes)
-        for _ in range(max(1, leakage_iterations)):
+        for _ in range(LEAKAGE_ITERATIONS):
             unit_powers = power_model.unit_power_vector(
                 grid.unit_keys, core_util, asleep, memory_intensity, unit_vec
             )
@@ -272,13 +270,13 @@ class ThermalSystem:
 
     def _unit_fixed_point(
         self, power_model: PowerModel, loads: list, setting_index: int,
-        memory_intensity: float, leakage_iterations: int,
+        memory_intensity: float,
     ) -> np.ndarray:
         """Iterate power(T) -> T for many ``(core_util, asleep)`` loads in
         lockstep on :meth:`unit_response`; unit temperatures ``(k, n_units)``."""
         base, response = self.unit_response(setting_index)
         temps: list = [None] * len(loads)
-        for _ in range(max(1, leakage_iterations)):
+        for _ in range(LEAKAGE_ITERATIONS):
             powers = np.array([
                 power_model.unit_power_vector(
                     self.grid.unit_keys, core_util, asleep, memory_intensity, temps[c]
@@ -294,18 +292,16 @@ class ThermalSystem:
         utilizations: "np.ndarray | list[float]",
         setting_index: int = -1,
         memory_intensity: float = 0.5,
-        leakage_iterations: int = 6,
     ) -> np.ndarray:
         """Self-consistent steady T_max per uniform utilization (sensor
-        view; six iterations converge well within 0.01 K): the flow
-        table's sweep (Figure 5), one call per setting."""
+        view, :data:`LEAKAGE_ITERATIONS` iterations): the flow table's
+        sweep (Figure 5), one call per setting."""
         utils = [float(u) for u in np.atleast_1d(np.asarray(utilizations, dtype=float))]
         if any(not 0.0 <= u <= 1.0 for u in utils):
             raise ConfigurationError("utilization must be in [0, 1]")
         loads = [self._uniform_load(u) for u in utils]
-        return self._unit_fixed_point(
-            power_model, loads, setting_index, memory_intensity, leakage_iterations
-        ).max(axis=1)
+        temps = self._unit_fixed_point(power_model, loads, setting_index, memory_intensity)
+        return temps.max(axis=1)
 
     def steady_tmax_concentrated(
         self,
@@ -313,7 +309,6 @@ class ThermalSystem:
         setting_index: int = -1,
         n_active: int = 1,
         memory_intensity: float = 0.3,
-        leakage_iterations: int = 6,
     ) -> float:
         """Steady T_max with the load concentrated on ``n_active`` cores.
 
@@ -321,15 +316,13 @@ class ThermalSystem:
         pins a single core at full power while the others idle. The
         uniform-utilization characterization underestimates this local
         hot spot, so the flow controller floors its setting at the one
-        that can hold this pattern (DESIGN.md section 8).
+        that can hold this pattern (the burst floor).
         """
         n = len(self.core_names)
         if not 1 <= n_active <= n:
             raise ConfigurationError("n_active outside the core count")
         load = ([1.0] * n_active + [0.0] * (n - n_active), [False] * n)
-        temps = self._unit_fixed_point(
-            power_model, [load], setting_index, memory_intensity, leakage_iterations
-        )
+        temps = self._unit_fixed_point(power_model, [load], setting_index, memory_intensity)
         return float(temps.max())
 
     # --- convenience ------------------------------------------------------------

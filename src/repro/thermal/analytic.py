@@ -54,7 +54,7 @@ class AnalyticUnitCell:
     model:
         Microchannel heat-transfer model (geometry + coolant + h(Vdot)).
     resistance_scale:
-        The documented calibration scale (DESIGN.md §5) applied to the
+        The calibration scale (:mod:`repro.sim.calibration`) applied to the
         conduction and convection resistances, matching the grid model.
     """
 

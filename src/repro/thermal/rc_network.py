@@ -46,14 +46,14 @@ from repro.telemetry import trace as _trace
 from repro.thermal.grid import SlabKind, ThermalGrid
 from repro.thermal.package import AirPackage
 
-#: Default calibrated resistance scale for the liquid path (DESIGN.md §5):
+#: Default calibrated resistance scale for the liquid path:
 #: chosen so the hottest Table II workload (Web-high) reaches ~87.5 degC at
 #: the lowest pump setting and ~77.7 degC (sensor) at the highest — Fig. 5's
 #: operating band, with ~3 K of headroom under the 80 degC target for
 #: thread-burst transients. See repro.sim.calibration.
 DEFAULT_RESISTANCE_SCALE = 4.5
 
-#: Default calibrated resistance scale for the air path (DESIGN.md §5):
+#: Default calibrated resistance scale for the air path:
 #: puts Web-high on the air-cooled 2-layer stack at ~85 degC (sensor), at
 #: the 85 degC hot-spot threshold so load bursts cross it intermittently —
 #: Figure 6's regime, where the air system shows hot spots a fraction of
@@ -72,8 +72,8 @@ MAX_INLET_TEMPERATURE = 150.0
 class ThermalParams:
     """Material properties and calibration knobs of the network.
 
-    All defaults trace to Table I/III or to the documented calibration
-    (DESIGN.md section 5).
+    All defaults trace to Table I/III or to the calibration in
+    :mod:`repro.sim.calibration`.
     """
 
     k_silicon: float = SILICON_CONDUCTIVITY

@@ -1,7 +1,8 @@
 """Synthetic thread-arrival generator matched to Table II statistics.
 
 The paper drove its simulations with half-hour mpstat/DTrace traces of
-real workloads. We synthesize equivalent traces (DESIGN.md section 4):
+real workloads. Those traces are not published, so we synthesize
+equivalent ones from the statistics the paper does give:
 
 * thread lengths are log-normally distributed between "a few" and
   "several hundred" milliseconds (the DTrace observation), with a

@@ -17,7 +17,9 @@ def toy_steady_tmax(setting: int, utilization: float) -> float:
 def table():
     pump = laing_ddc(3)
     return FlowRateTable.characterize(
-        steady_tmax=toy_steady_tmax,
+        steady_tmax_batch=lambda k, utils: np.array(
+            [toy_steady_tmax(k, float(u)) for u in utils]
+        ),
         n_settings=pump.n_settings,
         per_cavity_flows=pump.per_cavity_flows(),
         utilizations=np.linspace(0.0, 1.0, 11),

@@ -17,10 +17,15 @@ def toy_steady_tmax(setting: int, utilization: float) -> float:
     return 65.0 + 30.0 * utilization - 4.0 * setting
 
 
+def batched(steady_tmax):
+    """A per-point evaluator in the batch form ``characterize`` takes."""
+    return lambda setting, utils: np.array([steady_tmax(setting, float(u)) for u in utils])
+
+
 @pytest.fixture
 def table():
     return FlowRateTable.characterize(
-        steady_tmax=toy_steady_tmax,
+        steady_tmax_batch=batched(toy_steady_tmax),
         n_settings=5,
         per_cavity_flows=FLOWS,
         utilizations=np.linspace(0.0, 1.0, 11),
@@ -69,7 +74,9 @@ class TestCharacterize:
     def test_rejects_an_infinite_row(self):
         with pytest.raises(ControlError, match=r"setting 0, utilization 0\.0"):
             FlowRateTable.characterize(
-                steady_tmax=lambda k, u: math.inf if k == 0 else toy_steady_tmax(k, u),
+                steady_tmax_batch=batched(
+                    lambda k, u: math.inf if k == 0 else toy_steady_tmax(k, u)
+                ),
                 n_settings=3,
                 per_cavity_flows=(1.0, 2.0, 3.0),
                 target=80.0,
@@ -87,7 +94,7 @@ class TestCharacterize:
     def test_rejects_too_few_points(self):
         with pytest.raises(ControlError):
             FlowRateTable.characterize(
-                steady_tmax=toy_steady_tmax,
+                steady_tmax_batch=batched(toy_steady_tmax),
                 n_settings=2,
                 per_cavity_flows=(1.0, 2.0),
                 utilizations=(0.5,),

@@ -19,15 +19,17 @@ from repro.sim.config import CoolingMode, PolicyKind
 DURATION = 8.0
 
 
+def _keyed(spec):
+    """Spec results keyed by (policy, cooling, workload)."""
+    return {
+        (PolicyKind(p.config.policy), p.config.cooling, p.config.benchmark_name): r
+        for p, r in common.run_spec(spec)
+    }
+
+
 @pytest.fixture(scope="module")
 def runs():
-    out = {}
-    for policy, cooling in common.POLICY_MATRIX:
-        for bench in ("Web-high", "gzip"):
-            out[(policy, cooling, bench)] = common.run_point(
-                policy, cooling, bench, duration=DURATION
-            )
-    return out
+    return _keyed(common.matrix_spec(workloads=("Web-high", "gzip"), duration=DURATION))
 
 
 class TestPaperClaims:
@@ -93,16 +95,13 @@ class TestDpmVariationStudy:
 
     @pytest.fixture(scope="class")
     def dpm_runs(self):
-        out = {}
-        for policy in (PolicyKind.LB, PolicyKind.TALB):
-            out[policy] = common.run_point(
-                policy,
-                CoolingMode.LIQUID_MAX,
-                "Database",
-                duration=DURATION,
-                dpm=True,
-            )
-        return out
+        spec = common.matrix_spec(
+            combos=[(p, CoolingMode.LIQUID_MAX) for p in (PolicyKind.LB, PolicyKind.TALB)],
+            workloads=("Database",),
+            duration=DURATION,
+            dpm=True,
+        )
+        return {policy: r for (policy, _, _), r in _keyed(spec).items()}
 
     def test_talb_reduces_spatial_gradients(self, dpm_runs):
         lb = spatial_gradient_frequency(dpm_runs[PolicyKind.LB])

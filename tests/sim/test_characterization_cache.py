@@ -1,15 +1,23 @@
 """The explicit characterization cache: pump-aware keys, pickling, warm-up."""
 
+import dataclasses
 import pickle
 
 from repro.geometry.stack import CoolingKind
 from repro.power.components import PowerModel
 from repro.power.leakage import LeakageModel
 from repro.pump.laing_ddc import PumpModel, laing_ddc
-from repro.sim.cache import CharacterizationCache, system_key
+from repro.sim.cache import (
+    CharacterizationCache,
+    clear_system_memo,
+    system_for,
+    system_key,
+)
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.system import ThermalSystem
+from repro.thermal.rc_network import ThermalParams
+from repro.thermal.solver import clear_neighbor_cache
 
 
 def _liquid_config(**overrides):
@@ -61,9 +69,9 @@ class TestPumpAwareKeys:
 
     def test_pump_signature_drives_the_key(self):
         config = _liquid_config()
-        key_stock = system_key(config, CoolingKind.LIQUID, laing_ddc(3).signature())
-        key_same = system_key(config, CoolingKind.LIQUID, laing_ddc(3).signature())
-        key_other = system_key(config, CoolingKind.LIQUID, laing_ddc(5).signature())
+        key_stock = system_key(config, laing_ddc(3).signature())
+        key_same = system_key(config, laing_ddc(3).signature())
+        key_other = system_key(config, laing_ddc(5).signature())
         assert key_stock == key_same
         assert key_stock != key_other
 
@@ -73,10 +81,36 @@ class TestPumpAwareKeys:
         )
         cache = CharacterizationCache()
         system = ThermalSystem(2, CoolingKind.AIR)
-        weights = cache.thermal_weights(system, -1, config, CoolingKind.AIR)
+        weights = cache.thermal_weights(system, -1, config)
         (key,) = cache.weight_sets
-        assert key[7] is None  # pump signature slot
-        assert weights is cache.thermal_weights(system, -1, config, CoolingKind.AIR)
+        assert key[8] is None  # pump signature slot
+        assert weights is cache.thermal_weights(system, -1, config)
+
+
+class TestSolverTierKeys:
+    def test_exact_run_after_krylov_gets_a_fresh_exact_table(self):
+        """Regression: the key left out the solver tier, so an exact run
+        that followed a krylov run of the same config reused the
+        krylov-derived table (GMRES-accurate, not bitwise exact)."""
+        clear_system_memo()
+        clear_neighbor_cache()
+        neighbor = _liquid_config(nx=12, ny=12, solver="krylov")
+        krylov = dataclasses.replace(
+            neighbor, thermal_params=ThermalParams(resistance_scale=4.3)
+        )
+        exact = dataclasses.replace(krylov, solver="exact")
+        cache = CharacterizationCache()
+        try:
+            # The first krylov system preconditions the second, so the
+            # second's table differs from the exact one at roundoff.
+            cache.table(*system_for(neighbor), neighbor)
+            cache.table(*system_for(krylov), krylov)
+            after_krylov = cache.table(*system_for(exact), exact)
+            fresh = CharacterizationCache().table(*system_for(exact), exact)
+        finally:
+            clear_system_memo()
+            clear_neighbor_cache()
+        assert after_krylov.char.tmax.tobytes() == fresh.char.tmax.tobytes()
 
 
 class TestWarmAndPickle:

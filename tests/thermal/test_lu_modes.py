@@ -245,9 +245,7 @@ class TestSteadyCharacterizationIsBitwisePinned:
     def test_talb_weights(self, characterized):
         config, system, _, cache = characterized
         for setting, expected in self.WEIGHTS.items():
-            weights = cache.thermal_weights(
-                system, setting, config, CoolingKind.LIQUID
-            ).as_dict()
+            weights = cache.thermal_weights(system, setting, config).as_dict()
             assert _digest([weights[name] for name in system.core_names]) == expected
 
     def test_flow_table_and_floor(self, characterized):
