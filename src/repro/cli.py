@@ -45,6 +45,7 @@ be driven without writing Python:
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -288,10 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--stop-after", type=int, metavar="K",
             help="fold at most K runs this session, then checkpoint and exit",
-        )
-        p.add_argument(
-            "--snapshot-every", type=int, default=1, metavar="K",
-            help="aggregator snapshot cadence in the journal (default 1)",
         )
         p.add_argument(
             "--save-json", metavar="PATH",
@@ -887,8 +884,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _trace_enable(args.trace)
     if args.stop_after is not None and args.stop_after < 1:
         raise SystemExit("--stop-after must be >= 1")
-    if args.snapshot_every < 1:
-        raise SystemExit("--snapshot-every must be >= 1")
 
     reporter = ProgressReporter(
         spec.run_count, label=spec.name or "sweep", quiet=args.quiet
@@ -902,7 +897,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec,
         max_workers=_validated_workers(args),
         checkpoint=args.checkpoint,
-        snapshot_every=args.snapshot_every,
         csv_path=args.save_csv,
         progress=None if args.quiet else _progress,
         stop_after=args.stop_after,
@@ -934,23 +928,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.checkpoint:
             # Echo every flag that shapes the spec fingerprint or the
             # outputs, so the printed command works verbatim.
-            hint = ["repro sweep resume", "--spec", str(args.spec)]
+            hint = ["repro", "sweep", "resume", "--spec", str(args.spec)]
             if args.duration is not None:
                 hint += ["--duration", str(args.duration)]
             if args.seed is not None:
                 hint += ["--seed", str(args.seed)]
+            if args.solver is not None:
+                hint += ["--solver", args.solver]
             hint += ["--checkpoint", str(args.checkpoint)]
             if args.workers != 1:
                 hint += ["--workers", str(args.workers)]
-            if args.snapshot_every != 1:
-                hint += ["--snapshot-every", str(args.snapshot_every)]
             if args.save_csv:
                 hint += ["--save-csv", str(args.save_csv)]
             if args.save_json:
                 hint += ["--save-json", str(args.save_json)]
             print(
                 f"sweep incomplete ({left} runs left); continue with: "
-                + " ".join(hint)
+                + shlex.join(hint)
             )
         else:
             print(

@@ -43,7 +43,7 @@ from repro.io.dist import (
 from repro.runner.batch import BatchRunner
 from repro.sim.cache import CharacterizationCache
 from repro.sweep.aggregate import Aggregator, aggregator_from_spec
-from repro.sweep.runner import FoldReducer
+from repro.sweep.runner import FoldReducer, run_record
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
@@ -101,32 +101,20 @@ def _execute_shard(
         ]
         batch = BatchRunner(configs, max_workers=max_workers, cache=cache)
         # Each run collapses to its row + fold payloads on whatever
-        # process executed it (payload-only transport) — the journal
-        # line is byte-identical to the historical full-result path
-        # because sweep_row/fold_payload are pure functions of
-        # (point, result).
+        # process executed it (payload-only transport); sweep_row and
+        # fold_payload are pure functions of (point, result), so the
+        # journal line does not depend on where the run executed.
         reducer = FoldReducer([agg.spec() for agg in aggregators])
         tags = [(point.index, point.key) for point in chunk]
         with contextlib.closing(batch.iter_reduced(reducer, tags)) as runs:
             for point, run in zip(chunk, runs):
-                row = run.payload["row"]
-                payloads = run.payload["agg"]
                 # Re-assert ownership *before* touching the journal:
                 # a lost lease means another worker reclaimed the shard
                 # and owns its journal now, so this attempt must stop
                 # writing immediately and never finalize.
                 if not refresh_lease(lease_path, worker_id, lease_ttl):
                     raise _LeaseLost(shard.shard_id)
-                appender.append(
-                    {
-                        "kind": "run",
-                        "index": point.index,
-                        "key": point.key,
-                        "row": row,
-                        "agg": payloads,
-                        "elapsed_s": run.elapsed,
-                    }
-                )
+                appender.append(run_record(point, run))
                 if progress is not None:
                     progress(point, shard.index, run.elapsed)
         if not refresh_lease(lease_path, worker_id, lease_ttl):

@@ -4,10 +4,10 @@ Figure 6's seven policy/cooling combinations, the eight Table II
 workloads, and the (combo x workload) sweep builder. Every multi-run
 experiment is declared once as a :class:`~repro.sweep.spec.SweepSpec`
 (:func:`matrix_spec`, or the per-figure ``sweep_spec()`` functions)
-and executes through :class:`~repro.sweep.runner.SweepRunner`
-streaming (:func:`run_spec`), so any figure/table regeneration can fan
-out over worker processes by passing ``workers=N`` and large campaigns
-can be checkpointed via the ``repro sweep`` CLI. Nothing is memoized
+and executes through :class:`~repro.runner.BatchRunner`
+(:func:`run_spec`), so any figure/table regeneration can fan out over
+worker processes by passing ``workers=N``, and large campaigns can be
+checkpointed via the ``repro sweep`` CLI. Nothing is memoized
 across calls: a figure's rows depend only on its own sweep, and a
 caller that needs several figures over one sweep (the report) runs it
 once and hands the results to each figure's ``rows``.
@@ -19,7 +19,8 @@ from typing import Iterable, Optional
 
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
 from repro.sim.results import SimulationResult
-from repro.sweep import SweepPoint, SweepRunner, SweepSpec
+from repro.runner import BatchRunner
+from repro.sweep import SweepPoint, SweepSpec
 from repro.workload.benchmarks import TABLE_II
 
 #: Figure 6's policy/cooling combinations, in the paper's bar order.
@@ -78,21 +79,19 @@ def matrix_spec(
 def run_spec(
     spec: SweepSpec, workers: Optional[int] = None
 ) -> list[tuple[SweepPoint, SimulationResult]]:
-    """Execute a spec, streaming, and collect (point, result) in order.
+    """Execute a spec and collect (point, result) in run order.
 
     The direct execution path for the modest experiment sweeps that
     need full results in memory; long campaigns should instead go
     through :class:`~repro.sweep.runner.SweepRunner` with aggregators
     and a checkpoint (``repro sweep run``).
     """
-    collected: list[tuple[SweepPoint, SimulationResult]] = []
-    SweepRunner(
-        spec,
-        aggregators=(),
-        max_workers=workers,
-        on_result=lambda point, result: collected.append((point, result)),
-    ).run()
-    return collected
+    spec.validate_all()
+    points = list(spec.iter_points())
+    runs = BatchRunner(
+        [point.config for point in points], max_workers=workers
+    ).iter_runs()
+    return [(point, run.result) for point, run in zip(points, runs)]
 
 
 def run_labelled(

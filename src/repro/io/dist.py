@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.io.jsonl import JsonlAppender, json_line, read_jsonl
+from repro.io.jsonl import JsonlAppender, atomic_write_text, json_line, read_jsonl
 
 LEDGER_NAME = "ledger.jsonl"
 SHARDS_DIR = "shards"
@@ -137,9 +137,7 @@ def write_ledger(directory: Union[str, Path], header: dict, shards: list[Shard])
         )
         for shard in shards
     )
-    tmp = directory / (LEDGER_NAME + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, directory / LEDGER_NAME)
+    atomic_write_text(directory / LEDGER_NAME, "\n".join(lines) + "\n")
 
 
 def read_ledger(directory: Union[str, Path]) -> Ledger:

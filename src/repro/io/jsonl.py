@@ -9,7 +9,10 @@ append-only JSONL files that must survive being killed mid-write:
   final line of the file — never interleave or reorder lines;
 * :func:`read_jsonl` parses a journal back, stopping at (and
   reporting) a torn trailing line instead of crashing, so resume and
-  merge paths recover from kills without manual surgery.
+  merge paths recover from kills without manual surgery;
+* :func:`atomic_write_text` is the one whole-file rewrite (journal
+  headers, torn-line repair, ledgers): a crash leaves the old file or
+  the new one, never a torn mix.
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ class JsonlAppender:
     a kill between two appends leaves a clean journal, and a kill
     *during* an append tears only the trailing line (which
     :func:`read_jsonl` detects and discards). Grouping related records
-    into one ``append`` (e.g. a run line and its snapshot) makes them
-    land atomically-together or not at all on all mainstream
-    filesystems.
+    into one ``append`` makes them land atomically-together or not at
+    all on all mainstream filesystems.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -105,19 +107,34 @@ def read_jsonl(path: Union[str, Path]) -> JsonlDocument:
     return document
 
 
+def atomic_write_text(path: Union[str, Path], text: str) -> None:
+    """Replace ``path``'s contents with ``text``, crash-consistently.
+
+    Writes a same-directory temp file, fsyncs it, then renames it over
+    ``path``: the fsync comes first so that, after a power loss, the
+    rename can never expose a file whose data blocks were not yet on
+    disk. Readers see the old file or the new one, never a torn mix.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+
+
 def truncate_to_consistent(path: Union[str, Path]) -> JsonlDocument:
     """Drop a torn trailing line from a journal in place.
 
     Reads the journal tolerantly and, when a torn line is found,
-    rewrites the file to its clean prefix (same-directory temp +
-    rename, so the repair itself cannot tear). Returns the parsed
-    clean document either way.
+    rewrites the file to its clean prefix through
+    :func:`atomic_write_text`, so the repair itself cannot tear.
+    Returns the parsed clean document either way.
     """
-    path = Path(path)
     document = read_jsonl(path)
     if document.torn:
-        text = "".join(json_line(entry) + "\n" for entry in document.entries)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        atomic_write_text(
+            path, "".join(json_line(entry) + "\n" for entry in document.entries)
+        )
     return document

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional, Union
 
@@ -169,14 +168,3 @@ def save_sweep_json(
     }
     Path(path).write_text(json.dumps(payload))
 
-
-def atomic_write_text(path: Union[str, Path], text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory temp + rename.
-
-    Checkpoint rewrites go through this so a crash mid-write leaves
-    either the old journal or the new one, never a torn file.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)

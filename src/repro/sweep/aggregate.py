@@ -12,8 +12,9 @@ streams out of the process pool and keep only O(aggregate) state:
 * :class:`CellAggregator` — per-floorplan-unit reducers: the running
   mean of each unit's time-average temperature and the running max of
   its peak, across runs (the spatial-hot-spot view of a sweep);
-* :class:`HistogramAggregator` — a fixed-bin histogram sketch of one
-  metric per group (integer counts merge exactly across shards);
+* :class:`HistogramAggregator` — a histogram sketch of one metric per
+  group, over a fixed bin range or one derived from the first
+  ``warmup`` observations (the default set's energy histogram);
 * :class:`QuantileAggregator` — P² streaming quantile estimates
   (Jain & Chlamtac 1985) of one metric per group, at O(1) memory per
   quantile however long the campaign runs;
@@ -22,21 +23,16 @@ streams out of the process pool and keep only O(aggregate) state:
   recurrence, replay/merge-exact in run-index order like every other
   reducer here.
 
-Folding is strictly in run-index order (the sweep runner guarantees
-this), and every aggregator's state round-trips losslessly through
-JSON (:meth:`Aggregator.state_dict` / :meth:`Aggregator.load_state`),
-so a checkpointed sweep resumes to *bit-identical* aggregates: Python
-floats survive JSON exactly, and the summation order is reproduced.
-
-Distributed folding splits the update into two halves:
-:meth:`Aggregator.fold_payload` extracts a run's JSON-safe
-contribution (computed on whatever worker executed the run) and
-:meth:`Aggregator.update_payload` applies it. ``update()`` is defined
-as exactly ``update_payload(fold_payload(...))``, so replaying
-journaled payloads in run-index order — however the runs were sharded
-across workers or hosts — performs the *same float operations in the
-same order* as a single-host sweep, making merged aggregates
-bit-identical (the invariant :mod:`repro.dist` builds on).
+Every fold is split into two halves: :meth:`Aggregator.fold_payload`
+extracts a run's JSON-safe contribution (computed on whatever worker
+executed the run) and :meth:`Aggregator.update_payload` applies it.
+Folding is strictly in run-index order, and a payload survives JSON
+exactly (Python floats round-trip), so replaying journaled payloads in
+run-index order performs the *same float operations in the same
+order* as folding them live. That one property makes a resumed sweep
+checkpoint (:mod:`repro.sweep.runner`) and a merged distributed
+campaign (:mod:`repro.dist`) bit-identical to an uninterrupted
+single-host sweep; no aggregator state is ever serialized.
 """
 
 from __future__ import annotations
@@ -99,7 +95,7 @@ class RunningStats:
     """Count/sum/min/max of a scalar stream (NaN values are skipped).
 
     Sums accumulate in arrival order, so two folds of the same ordered
-    stream — fresh, or checkpoint-restored mid-stream — end bit-equal.
+    stream — live, or replayed from a journal — end bit-equal.
     """
 
     __slots__ = ("count", "total", "minimum", "maximum")
@@ -123,36 +119,20 @@ class RunningStats:
     def mean(self) -> float:
         return self.total / self.count if self.count else float("nan")
 
-    def state_dict(self) -> list:
-        return [self.count, self.total, self.minimum, self.maximum]
-
-    @classmethod
-    def from_state(cls, state: Sequence) -> "RunningStats":
-        stats = cls()
-        stats.count = int(state[0])
-        stats.total = float(state[1])
-        stats.minimum = None if state[2] is None else float(state[2])
-        stats.maximum = None if state[3] is None else float(state[3])
-        return stats
-
 
 class Aggregator:
     """Interface every streaming reducer implements.
 
-    Subclasses fold results one at a time (:meth:`update`), expose
-    their full state as a JSON-serializable payload
-    (:meth:`state_dict` / :meth:`load_state`) for checkpointing, and
-    render summary rows (:meth:`rows`) for export and the CLI.
-
-    The built-in reducers implement ``update`` as
-    ``update_payload(fold_payload(config, result))``:
-    :meth:`fold_payload` is a *pure* function extracting the run's
-    JSON-safe contribution, :meth:`update_payload` mutates state. The
-    split is what lets :mod:`repro.dist` journal per-run payloads on
-    remote workers and replay them in run-index order at merge time —
-    the same float operations in the same order as a single-host fold,
-    hence bit-identical aggregates. Custom subclasses may override
-    ``update`` directly, but then cannot ride a distributed campaign.
+    A run folds in two halves: :meth:`fold_payload` is a *pure*
+    function extracting the run's JSON-safe contribution,
+    :meth:`update_payload` applies it. The split is what lets the sweep
+    checkpoint and :mod:`repro.dist` journal per-run payloads and
+    replay them in run-index order — the same float operations in the
+    same order as a live fold, hence bit-identical aggregates.
+    :meth:`rows` renders summary rows for export and the CLI, and
+    :meth:`spec` rebuilds the reducer through
+    :func:`aggregator_from_spec` (which is how workers and resumes
+    reconstruct it, so only the kinds it knows can be folded).
     """
 
     kind: str = ""
@@ -174,15 +154,6 @@ class Aggregator:
             f"{type(self).__name__} does not support payload folding, "
             "so it cannot be used in a distributed campaign"
         )
-
-    def update(self, config: SimulationConfig, result: SimulationResult) -> None:
-        self.update_payload(self.fold_payload(config, result))
-
-    def state_dict(self) -> dict:
-        raise NotImplementedError
-
-    def load_state(self, state: Mapping) -> None:
-        raise NotImplementedError
 
     def rows(self) -> list[dict]:
         raise NotImplementedError
@@ -220,8 +191,8 @@ class ScalarAggregator(Aggregator):
     Parameters
     ----------
     metrics:
-        Names from :data:`METRICS` (checkpoint state refers to metrics
-        by name, so reducers restore without pickling callables).
+        Names from :data:`METRICS` (specs refer to metrics by name,
+        so reducers rebuild without pickling callables).
     group_by:
         Config-descriptor fields that identify a group — default
         ``("label",)`` reduces per policy/cooling combination; use
@@ -267,20 +238,6 @@ class ScalarAggregator(Aggregator):
         )
         for metric, value in zip(self.metrics, payload["values"]):
             group[metric].add(value)
-
-    def state_dict(self) -> dict:
-        return {
-            key: {m: stats.state_dict() for m, stats in group.items()}
-            for key, group in self._groups.items()
-        }
-
-    def load_state(self, state: Mapping) -> None:
-        self._groups = {
-            key: {
-                m: RunningStats.from_state(s) for m, s in group.items()
-            }
-            for key, group in state.items()
-        }
 
     def rows(self) -> list[dict]:
         """One row per group: identity columns, then mean/min/max stats."""
@@ -337,25 +294,6 @@ class CellAggregator(Aggregator):
             self._mean.setdefault(name, RunningStats()).add(mean)
             self._peak.setdefault(name, RunningStats()).add(peak)
 
-    def state_dict(self) -> dict:
-        return {
-            name: {
-                "mean": self._mean[name].state_dict(),
-                "peak": self._peak[name].state_dict(),
-            }
-            for name in self._mean
-        }
-
-    def load_state(self, state: Mapping) -> None:
-        self._mean = {
-            name: RunningStats.from_state(entry["mean"])
-            for name, entry in state.items()
-        }
-        self._peak = {
-            name: RunningStats.from_state(entry["peak"])
-            for name, entry in state.items()
-        }
-
     def rows(self) -> list[dict]:
         return [
             {
@@ -377,9 +315,7 @@ class HistogramAggregator(Aggregator):
 
     ``bins`` equal-width bins over ``[lo, hi)`` (values exactly at
     ``hi`` land in the top bin), with explicit underflow/overflow/NaN
-    counters so no observation is silently dropped. Counts are
-    integers, so two explicit-range shard histograms also merge
-    *exactly* by addition (:meth:`merge`).
+    counters so no observation is silently dropped.
 
     **Data-driven range** — pass ``lo=None, hi=None`` and the range is
     derived from the data itself: the first ``warmup`` finite
@@ -392,8 +328,7 @@ class HistogramAggregator(Aggregator):
     on the observation sequence, which the sweep runner and the
     distributed merger both replay in run-index order, so auto-range
     histograms stay bit-identical across resume and across any
-    sharding; only the exact state :meth:`merge` is unavailable (it
-    raises), because two shards may have frozen different ranges.
+    sharding.
     """
 
     kind = "histogram"
@@ -524,77 +459,6 @@ class HistogramAggregator(Aggregator):
             )
             group["counts"][index] += 1
 
-    def merge(self, other: "HistogramAggregator") -> None:
-        """Fold another explicit-range histogram of the same spec in,
-        exactly. Auto-range histograms cannot state-merge (two shards
-        may have frozen different ranges) — replay their payloads in
-        run order instead, as :mod:`repro.dist` does."""
-        if self.auto_range or other.auto_range:
-            raise ConfigurationError(
-                "auto-range histograms cannot merge by state; replay "
-                "fold payloads in run-index order instead"
-            )
-        if other.spec() != self.spec():
-            raise ConfigurationError(
-                "can only merge histograms with identical specs"
-            )
-        for key, theirs in other._groups.items():
-            group = self._groups.setdefault(key, self._empty_group(self.bins))
-            group["underflow"] += theirs["underflow"]
-            group["overflow"] += theirs["overflow"]
-            group["nan"] += theirs["nan"]
-            group["counts"] = [
-                a + b for a, b in zip(group["counts"], theirs["counts"])
-            ]
-
-    def _groups_state(self) -> dict:
-        return {
-            key: {
-                "counts": list(group["counts"]),
-                "underflow": group["underflow"],
-                "overflow": group["overflow"],
-                "nan": group["nan"],
-            }
-            for key, group in self._groups.items()
-        }
-
-    def state_dict(self) -> dict:
-        if not self.auto_range:
-            # Flat legacy layout: explicit-range checkpoints written
-            # before auto-range existed restore unchanged.
-            return self._groups_state()
-        return {
-            "auto": {
-                "lo": self.lo,
-                "hi": self.hi,
-                "buffer": [list(entry) for entry in self._buffer],
-            },
-            "groups": self._groups_state(),
-        }
-
-    def _load_groups(self, state: Mapping) -> None:
-        self._groups = {
-            key: {
-                "counts": [int(n) for n in group["counts"]],
-                "underflow": int(group["underflow"]),
-                "overflow": int(group["overflow"]),
-                "nan": int(group.get("nan", 0)),
-            }
-            for key, group in state.items()
-        }
-
-    def load_state(self, state: Mapping) -> None:
-        if not self.auto_range:
-            self._load_groups(state)
-            return
-        auto = state.get("auto", {})
-        self.lo = None if auto.get("lo") is None else float(auto["lo"])
-        self.hi = None if auto.get("hi") is None else float(auto["hi"])
-        self._buffer = [
-            [str(group), float(value)] for group, value in auto.get("buffer", [])
-        ]
-        self._load_groups(state.get("groups", {}))
-
     def rows(self) -> list[dict]:
         """Non-empty bins per group (plus under/overflow/NaN pseudo-bins).
 
@@ -684,10 +548,9 @@ class P2Quantile:
 
     Tracks one quantile of a scalar stream with five markers — O(1)
     memory however long the stream — entirely in Python floats, so
-    folding the same ordered stream twice (fresh, or restored from
-    JSON state mid-stream) is bit-identical. The first five
-    observations are kept raw; estimates before that interpolate the
-    sorted prefix.
+    folding the same ordered stream twice is bit-identical. The first
+    five observations are kept raw; estimates before that interpolate
+    the sorted prefix.
     """
 
     __slots__ = ("p", "count", "heights", "positions", "desired")
@@ -776,24 +639,6 @@ class P2Quantile:
             )
         return self.heights[2]
 
-    def state_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "count": self.count,
-            "heights": list(self.heights),
-            "positions": list(self.positions),
-            "desired": list(self.desired),
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping) -> "P2Quantile":
-        estimator = cls(float(state["p"]))
-        estimator.count = int(state["count"])
-        estimator.heights = [float(h) for h in state["heights"]]
-        estimator.positions = [int(n) for n in state["positions"]]
-        estimator.desired = [float(d) for d in state["desired"]]
-        return estimator
-
 
 def quantile_column(q: float) -> str:
     """The export column name of a quantile, e.g. 0.95 -> ``"p95"``."""
@@ -803,10 +648,10 @@ def quantile_column(q: float) -> str:
 class QuantileAggregator(Aggregator):
     """P² streaming quantile estimates of one metric, per group.
 
-    The estimator is sequential, so a *state* merge across shards is
-    not exact; distributed campaigns instead replay the journaled
-    per-run payloads in run-index order (:meth:`update_payload`),
-    which reproduces the single-host estimate bit-for-bit.
+    The estimator is sequential, so shards cannot merge by state;
+    resumes and distributed merges replay the journaled per-run
+    payloads in run-index order (:meth:`update_payload`), which
+    reproduces the single-host estimate bit-for-bit.
     """
 
     kind = "quantile"
@@ -853,18 +698,6 @@ class QuantileAggregator(Aggregator):
         for estimator in estimators:
             estimator.add(payload["value"])
 
-    def state_dict(self) -> dict:
-        return {
-            key: [estimator.state_dict() for estimator in estimators]
-            for key, estimators in self._groups.items()
-        }
-
-    def load_state(self, state: Mapping) -> None:
-        self._groups = {
-            key: [P2Quantile.from_state(s) for s in states]
-            for key, states in state.items()
-        }
-
     def rows(self) -> list[dict]:
         rows = []
         for key, estimators in self._groups.items():
@@ -883,8 +716,8 @@ class WelfordMoments:
     The numerically stable recurrence (count, mean, M2 = sum of
     squared deviations); NaN values are skipped, matching
     :class:`RunningStats`. All arithmetic is in Python floats applied
-    in arrival order, so folding the same ordered stream twice — or
-    restoring from JSON state mid-stream — is bit-identical.
+    in arrival order, so folding the same ordered stream twice is
+    bit-identical.
     """
 
     __slots__ = ("count", "mean", "m2")
@@ -915,17 +748,6 @@ class WelfordMoments:
         """Sample standard deviation."""
         variance = self.variance
         return math.sqrt(variance) if not math.isnan(variance) else variance
-
-    def state_dict(self) -> list:
-        return [self.count, self.mean, self.m2]
-
-    @classmethod
-    def from_state(cls, state: Sequence) -> "WelfordMoments":
-        moments = cls()
-        moments.count = int(state[0])
-        moments.mean = float(state[1])
-        moments.m2 = float(state[2])
-        return moments
 
 
 class MomentsAggregator(Aggregator):
@@ -978,20 +800,6 @@ class MomentsAggregator(Aggregator):
         for metric, value in zip(self.metrics, payload["values"]):
             group[metric].add(value)
 
-    def state_dict(self) -> dict:
-        return {
-            key: {m: moments.state_dict() for m, moments in group.items()}
-            for key, group in self._groups.items()
-        }
-
-    def load_state(self, state: Mapping) -> None:
-        self._groups = {
-            key: {
-                m: WelfordMoments.from_state(s) for m, s in group.items()
-            }
-            for key, group in state.items()
-        }
-
     def rows(self) -> list[dict]:
         """One row per group: identity columns, then mean/var/std.
 
@@ -1026,7 +834,7 @@ _AGGREGATOR_KINDS = {
 
 def aggregator_from_spec(spec: Mapping) -> Aggregator:
     """Rebuild an aggregator from its :meth:`Aggregator.spec` payload
-    (how a checkpoint reconstructs its reducers on resume)."""
+    (how workers and checkpoint resumes reconstruct the reducers)."""
     kind = spec.get("kind")
     if kind == "scalar":
         return ScalarAggregator(

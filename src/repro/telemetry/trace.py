@@ -231,9 +231,10 @@ def install_trace_context(context: Optional[dict]) -> None:
 def export_trace(path: Union[str, Path], worker: str = "") -> Path:
     """Write header + buffered spans + metrics snapshot as JSONL.
 
-    Atomic (same-directory temp + rename); re-exporting overwrites.
+    Atomic (:func:`repro.io.jsonl.atomic_write_text`); re-exporting
+    overwrites.
     """
-    from repro.io.jsonl import json_line
+    from repro.io.jsonl import atomic_write_text, json_line
 
     recorded = events()
     header = {
@@ -257,9 +258,7 @@ def export_trace(path: Union[str, Path], worker: str = "") -> Path:
     lines.extend({"kind": "span", **event} for event in recorded)
     lines.append(metrics_line)
     text = "".join(json_line(payload) + "\n" for payload in lines)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    atomic_write_text(path, text)
     return path
 
 

@@ -1,4 +1,4 @@
-"""Streaming aggregators: reduction math and lossless state round-trip."""
+"""Streaming aggregators: reduction math and exact fold-payload replay."""
 
 import json
 
@@ -33,6 +33,27 @@ def runs():
     return [(config, simulate(config)) for config in configs]
 
 
+def fold(agg, runs):
+    """Fold full results live, as a sweep does."""
+    for config, result in runs:
+        agg.update_payload(agg.fold_payload(config, result))
+
+
+def journaled(agg, runs):
+    """The fold payloads of ``runs`` as a checkpoint journal holds
+    them: round-tripped through JSON."""
+    return [json.loads(json.dumps(agg.fold_payload(c, r))) for c, r in runs]
+
+
+def replayed(agg, runs):
+    """``agg`` restored the way a resume does: rebuilt from its JSON
+    spec, then fed ``runs``' journaled payloads in order."""
+    clone = aggregator_from_spec(json.loads(json.dumps(agg.spec())))
+    for payload in journaled(agg, runs):
+        clone.update_payload(payload)
+    return clone
+
+
 class TestRunningStats:
     def test_count_mean_min_max(self):
         stats = RunningStats()
@@ -54,23 +75,25 @@ class TestRunningStats:
         assert np.isnan(RunningStats().mean)
 
     def test_state_round_trip_is_exact(self):
-        stats = RunningStats()
-        for v in (0.1, 0.2, 0.30000000000000004):
+        """A resume rebuilds the stats by replaying the journaled
+        values, which come back from JSON bit-exact."""
+        values = (0.1, 0.2, 0.30000000000000004)
+        stats, restored = RunningStats(), RunningStats()
+        for v in values:
             stats.add(v)
-        restored = RunningStats.from_state(
-            json.loads(json.dumps(stats.state_dict()))
-        )
+        for v in json.loads(json.dumps(values)):
+            restored.add(v)
         assert restored.total == stats.total  # bit-equal, not approx
         assert restored.count == stats.count
         assert restored.minimum == stats.minimum
         assert restored.maximum == stats.maximum
 
 
+
 class TestScalarAggregator:
     def test_groups_by_label(self, runs):
         agg = ScalarAggregator(metrics=("peak_temperature", "total_energy_j"))
-        for config, result in runs:
-            agg.update(config, result)
+        fold(agg, runs)
         rows = {row["label"]: row for row in agg.rows()}
         assert set(rows) == {"TALB (Var)", "LB (Air)"}
         assert rows["TALB (Var)"]["runs"] == 2
@@ -83,8 +106,7 @@ class TestScalarAggregator:
         agg = ScalarAggregator(
             metrics=("chip_energy_j",), group_by=("benchmark",)
         )
-        for config, result in runs:
-            agg.update(config, result)
+        fold(agg, runs)
         rows = {row["benchmark"]: row for row in agg.rows()}
         assert rows["gzip"]["runs"] == 2
         assert rows["Web-med"]["runs"] == 1
@@ -94,31 +116,24 @@ class TestScalarAggregator:
             ScalarAggregator(metrics=("nope",))
 
     def test_state_round_trip_preserves_rows_exactly(self, runs):
+        """A checkpoint holds the reducer as its spec plus journaled
+        payloads; rebuilding from both restores bit-equal rows."""
         agg = ScalarAggregator()
-        for config, result in runs:
-            agg.update(config, result)
-        clone = aggregator_from_spec(agg.spec())
-        clone.load_state(json.loads(json.dumps(agg.state_dict())))
-        assert clone.rows() == agg.rows()
+        fold(agg, runs)
+        assert replayed(agg, runs).rows() == agg.rows()
 
     def test_mid_stream_restore_matches_uninterrupted(self, runs):
         full = ScalarAggregator()
-        for config, result in runs:
-            full.update(config, result)
-        half = ScalarAggregator()
-        half.update(*runs[0])
-        restored = aggregator_from_spec(half.spec())
-        restored.load_state(json.loads(json.dumps(half.state_dict())))
-        for config, result in runs[1:]:
-            restored.update(config, result)
+        fold(full, runs)
+        restored = replayed(ScalarAggregator(), runs[:1])
+        fold(restored, runs[1:])
         assert restored.rows() == full.rows()  # bit-equal sums
 
 
 class TestCellAggregator:
     def test_tracks_per_unit_extremes(self, runs):
         agg = CellAggregator()
-        for config, result in runs:
-            agg.update(config, result)
+        fold(agg, runs)
         rows = {row["unit"]: row for row in agg.rows()}
         config, result = runs[0]
         name = result.unit_names[0]
@@ -128,11 +143,8 @@ class TestCellAggregator:
 
     def test_state_round_trip(self, runs):
         agg = CellAggregator()
-        for config, result in runs:
-            agg.update(config, result)
-        clone = CellAggregator()
-        clone.load_state(json.loads(json.dumps(agg.state_dict())))
-        assert clone.rows() == agg.rows()
+        fold(agg, runs)
+        assert replayed(agg, runs).rows() == agg.rows()
 
 
 class TestWelfordMoments:
@@ -162,22 +174,24 @@ class TestWelfordMoments:
         assert moments.variance == pytest.approx(0.5)
 
     def test_state_round_trip_is_exact(self):
-        moments = WelfordMoments()
-        for v in (0.1, 0.2, 0.30000000000000004, 7.7):
+        """A resume rebuilds the moments by replaying the journaled
+        values, which come back from JSON bit-exact."""
+        values = (0.1, 0.2, 0.30000000000000004, 7.7)
+        moments, restored = WelfordMoments(), WelfordMoments()
+        for v in values:
             moments.add(v)
-        restored = WelfordMoments.from_state(
-            json.loads(json.dumps(moments.state_dict()))
-        )
+        for v in json.loads(json.dumps(values)):
+            restored.add(v)
         assert restored.count == moments.count
         assert restored.mean == moments.mean  # bit-equal, not approx
         assert restored.m2 == moments.m2
 
 
+
 class TestMomentsAggregator:
     def test_groups_by_label_and_matches_numpy(self, runs):
         agg = MomentsAggregator(metrics=("peak_temperature",))
-        for config, result in runs:
-            agg.update(config, result)
+        fold(agg, runs)
         rows = {row["label"]: row for row in agg.rows()}
         assert set(rows) == {"TALB (Var)", "LB (Air)"}
         talb = [r.peak_temperature() for c, r in runs if c.policy == "TALB"]
@@ -191,7 +205,7 @@ class TestMomentsAggregator:
 
     def test_single_run_groups_render_none_not_nan(self, runs):
         agg = MomentsAggregator(metrics=("chip_energy_j",))
-        agg.update(*runs[2])  # The lone LB (Air) run.
+        fold(agg, runs[2:])  # The lone LB (Air) run.
         (row,) = agg.rows()
         assert row["runs"] == 1
         assert row["chip_energy_j_var"] is None
@@ -202,33 +216,20 @@ class TestMomentsAggregator:
             MomentsAggregator(metrics=("nope",))
 
     def test_mid_stream_restore_matches_uninterrupted(self, runs):
-        """The checkpoint/resume contract: journal state mid-stream,
-        restore, finish folding — bit-equal rows."""
+        """The checkpoint/resume contract: replay the journaled
+        payloads of a prefix, finish folding live — bit-equal rows."""
         full = MomentsAggregator()
-        for config, result in runs:
-            full.update(config, result)
-        half = MomentsAggregator()
-        half.update(*runs[0])
-        restored = aggregator_from_spec(half.spec())
-        restored.load_state(json.loads(json.dumps(half.state_dict())))
-        for config, result in runs[1:]:
-            restored.update(config, result)
+        fold(full, runs)
+        restored = replayed(MomentsAggregator(), runs[:1])
+        fold(restored, runs[1:])
         assert restored.rows() == full.rows()
 
     def test_fold_update_split_replays_exactly(self, runs):
         """Distributed merge replays journaled fold payloads in run
         order; the result must equal direct folding bit-for-bit."""
         direct = MomentsAggregator()
-        journal = []
-        for config, result in runs:
-            payload = direct.fold_payload(config, result)
-            direct.update_payload(payload)
-            journal.append(json.loads(json.dumps(payload)))
-        replayed = MomentsAggregator()
-        for payload in journal:
-            replayed.update_payload(payload)
-        assert replayed.rows() == direct.rows()
-        assert replayed.state_dict() == direct.state_dict()
+        fold(direct, runs)
+        assert replayed(direct, runs).rows() == direct.rows()
 
 
 class TestFactory:

@@ -1,17 +1,23 @@
 """Sweep execution is byte-identical to independent runs that share
 nothing — aggregates, CSV, and completion JSON — for grid/zip/points
-sweeps, serial or parallel, with or without payload-only transport.
+sweeps, serial or parallel, and equal to folding full results in the
+parent.
 
 ``TestCohortSerialSmoke`` is the gating CI smoke (mirroring the
 2-worker distributed smoke): a small policy/controller grid through
 the shared path and the fresh reference, byte-compared end to end.
 """
 
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.io.sweep import save_sweep_json, sweep_row, write_sweep_csv
+from repro.runner import BatchRunner
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.sweep import SweepRunner, SweepSpec
-from repro.sweep.aggregate import Aggregator, default_aggregators
-from repro.sweep.runner import FoldReducer, _spec_rebuildable
+from repro.sweep.aggregate import Aggregator, aggregate_tables, default_aggregators
+from repro.sweep.runner import FoldReducer
 
 from fresh_runs import fresh_runs
 
@@ -129,28 +135,30 @@ class TestCohortSweepByteIdentity:
 
 class TestPayloadTransport:
     def test_fold_reducer_matches_full_path(self, tmp_path):
-        """on_result forces full-result transport; without it the
-        reduced path must produce the same bytes."""
-        def spec():
-            return SweepSpec(
-                base=SimulationConfig(duration=0.4, nx=12, ny=12),
-                grid={"policy": ["TALB", "RR"], "seed": [0, 1]},
-                name="transport",
-            )
+        """Worker-side payload reduction produces the same bytes as
+        folding full results in the parent."""
+        spec = SweepSpec(
+            base=SimulationConfig(duration=0.4, nx=12, ny=12),
+            grid={"policy": ["TALB", "RR"], "seed": [0, 1]},
+            name="transport",
+        )
+        points = list(spec.iter_points())
+        aggregators = default_aggregators()
+        rows = []
+        for point, run in zip(
+            points, BatchRunner([p.config for p in points]).iter_runs()
+        ):
+            assert isinstance(run.result, SimulationResult)
+            rows.append(sweep_row(point.index, point.key, point.config, run.result))
+            for agg in aggregators:
+                agg.update_payload(agg.fold_payload(point.config, run.result))
+        write_sweep_csv(rows, tmp_path / "full.csv")
+        save_sweep_json(
+            rows, aggregate_tables(aggregators), tmp_path / "full.json",
+            name=spec.name, fingerprint=spec.fingerprint(),
+        )
 
-        seen = []
-
-        def on_result(point, result):
-            assert isinstance(result, SimulationResult)
-            seen.append(point.index)
-
-        full = SweepRunner(
-            spec(), csv_path=tmp_path / "full.csv", on_result=on_result
-        ).run()
-        full.save_json(tmp_path / "full.json")
-        assert seen == [0, 1, 2, 3]
-
-        reduced = SweepRunner(spec(), csv_path=tmp_path / "red.csv").run()
+        reduced = SweepRunner(spec, csv_path=tmp_path / "red.csv").run()
         reduced.save_json(tmp_path / "red.json")
         assert (
             (tmp_path / "red.json").read_bytes()
@@ -169,36 +177,25 @@ class TestPayloadTransport:
         assert clone.aggregator_specs == reducer.aggregator_specs
         assert clone._aggregators is None
 
-    def test_custom_aggregator_disables_reduced_transport(self, tmp_path):
-        """A subclass the spec factory can't rebuild must keep getting
-        full results (and the sweep still completes)."""
+    def test_unrebuildable_aggregator_fails_at_construction(self):
+        """Every fold goes through the spec-rebuilt reducers, so an
+        aggregator the spec factory cannot rebuild is refused before
+        anything runs."""
 
         class Peaks(Aggregator):
-            def __init__(self):
-                self.peaks = []
-
             def spec(self):
                 return {"kind": "scalar"}  # lies: factory builds ScalarAggregator
 
-            def update(self, config, result):
-                self.peaks.append(result.peak_temperature())
+        class Unknown(Aggregator):
+            def spec(self):
+                return {"kind": "peaks"}
 
-            def state_dict(self):
-                return {"peaks": self.peaks}
-
-            def load_state(self, state):
-                self.peaks = list(state["peaks"])
-
-            def rows(self):
-                return []
-
-        assert not _spec_rebuildable([Peaks()])
-        agg = Peaks()
         spec = SweepSpec(
             base=SimulationConfig(duration=0.4, nx=12, ny=12),
             grid={"policy": ["TALB", "RR"]},
             name="custom",
         )
-        result = SweepRunner(spec, aggregators=[agg]).run()
-        assert result.complete
-        assert len(agg.peaks) == 2
+        with pytest.raises(ConfigurationError, match="does not rebuild"):
+            SweepRunner(spec, aggregators=[Peaks()])
+        with pytest.raises(ConfigurationError, match="unknown aggregator kind"):
+            SweepRunner(spec, aggregators=[Unknown()])

@@ -1,4 +1,4 @@
-"""Histogram and P² quantile sketches: accuracy, JSON state, exact merge."""
+"""Histogram and P² quantile sketches: accuracy, exact JSON payload replay."""
 
 import json
 
@@ -39,22 +39,19 @@ class TestP2Quantile:
         assert abs(estimator.value() - exact) < 0.05 * spread
 
     def test_state_round_trip_is_bit_identical(self):
-        """Restoring mid-stream then continuing equals never stopping."""
+        """Restoring mid-stream then continuing equals never stopping:
+        a resume replays the journaled prefix, JSON round-tripped."""
         rng = np.random.default_rng(11)
         values = [float(v) for v in rng.uniform(60, 90, size=200)]
         whole = P2Quantile(0.9)
         for value in values:
             whole.add(value)
-        first = P2Quantile(0.9)
-        for value in values[:80]:
-            first.add(value)
-        restored = P2Quantile.from_state(
-            json.loads(json.dumps(first.state_dict()))
-        )
-        for value in values[80:]:
+        restored = P2Quantile(0.9)
+        for value in json.loads(json.dumps(values[:80])) + values[80:]:
             restored.add(value)
         assert restored.value() == whole.value()
-        assert restored.state_dict() == whole.state_dict()
+        assert restored.heights == whole.heights
+        assert restored.positions == whole.positions
 
     def test_nan_is_skipped(self):
         estimator = P2Quantile(0.5)
@@ -71,6 +68,15 @@ class TestQuantileColumn:
         assert quantile_column(0.5) == "p50"
         assert quantile_column(0.95) == "p95"
         assert quantile_column(0.999) == "p99.9"
+
+
+def replayed(agg, payloads):
+    """``agg`` restored the way a checkpoint resume does: rebuilt from
+    its JSON spec, then fed the JSON-round-tripped payloads in order."""
+    clone = aggregator_from_spec(json.loads(json.dumps(agg.spec())))
+    for payload in json.loads(json.dumps(payloads)):
+        clone.update_payload(payload)
+    return clone
 
 
 class TestHistogramAggregator:
@@ -105,30 +111,15 @@ class TestHistogramAggregator:
         assert sum(row["count"] for row in agg.rows()) == 3
 
     def test_state_round_trips_through_json(self):
+        """A checkpoint holds the sketch as its spec plus journaled
+        payloads; rebuilding from both restores identical rows."""
         agg = HistogramAggregator(lo=0.0, hi=10.0, bins=4, group_by=())
-        self._fold(agg, [("all", v) for v in (1.0, 3.0, 3.5, 12.0)])
-        clone = aggregator_from_spec(json.loads(json.dumps(agg.spec())))
-        clone.load_state(json.loads(json.dumps(agg.state_dict())))
-        assert clone.rows() == agg.rows()
-
-    def test_merge_is_exact(self):
-        """Counts add, so shard histograms merge without replay."""
-        whole = HistogramAggregator(lo=0.0, hi=10.0, bins=4, group_by=())
-        left = HistogramAggregator(lo=0.0, hi=10.0, bins=4, group_by=())
-        right = HistogramAggregator(lo=0.0, hi=10.0, bins=4, group_by=())
-        values = [0.5, 2.5, 2.6, 7.0, 9.0, -3.0, 14.0]
-        self._fold(whole, [("all", v) for v in values])
-        self._fold(left, [("all", v) for v in values[:3]])
-        self._fold(right, [("all", v) for v in values[3:]])
-        left.merge(right)
-        assert left.rows() == whole.rows()
-        assert left.state_dict() == whole.state_dict()
-
-    def test_merge_requires_matching_spec(self):
-        a = HistogramAggregator(lo=0.0, hi=10.0, bins=4)
-        b = HistogramAggregator(lo=0.0, hi=10.0, bins=8)
-        with pytest.raises(ConfigurationError, match="identical specs"):
-            a.merge(b)
+        payloads = [
+            {"group": "all", "value": v} for v in (1.0, 3.0, 3.5, 12.0)
+        ]
+        for payload in payloads:
+            agg.update_payload(payload)
+        assert replayed(agg, payloads).rows() == agg.rows()
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ConfigurationError, match="unknown metric"):
@@ -154,11 +145,12 @@ class TestQuantileAggregator:
     def test_state_round_trips_through_json(self):
         agg = QuantileAggregator(group_by=())
         rng = np.random.default_rng(3)
-        for value in rng.uniform(60, 90, size=50):
-            agg.update_payload({"group": "all", "value": float(value)})
-        clone = aggregator_from_spec(json.loads(json.dumps(agg.spec())))
-        clone.load_state(json.loads(json.dumps(agg.state_dict())))
-        assert clone.rows() == agg.rows()
+        payloads = [
+            {"group": "all", "value": float(v)} for v in rng.uniform(60, 90, size=50)
+        ]
+        for payload in payloads:
+            agg.update_payload(payload)
+        assert replayed(agg, payloads).rows() == agg.rows()
 
     def test_replay_merge_is_bit_identical(self):
         """Sharded payload replay in run order == one-shot folding (the
@@ -169,14 +161,13 @@ class TestQuantileAggregator:
             for v in rng.uniform(60, 90, size=100)
         ]
         whole = QuantileAggregator(group_by=())
-        replayed = QuantileAggregator(group_by=())
+        sharded = QuantileAggregator(group_by=())
         for payload in payloads:
             whole.update_payload(payload)
         for shard in (payloads[:37], payloads[37:70], payloads[70:]):
             for payload in shard:
-                replayed.update_payload(payload)
-        assert replayed.state_dict() == whole.state_dict()
-        assert replayed.rows() == whole.rows()
+                sharded.update_payload(payload)
+        assert sharded.rows() == whole.rows()
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ConfigurationError, match="unknown metric"):

@@ -8,7 +8,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runner import BatchRunner
 from repro.sim.config import SimulationConfig
-from repro.sweep import Aggregator, SweepRunner, SweepSpec, read_status
+from repro.sweep import HistogramAggregator, SweepRunner, SweepSpec, read_status
+
+
+def recorder(executed):
+    """A ``progress`` callback that records each folded run's index."""
+    return lambda folded, total, point, elapsed: executed.append(point.index)
 
 
 def small_spec(name="small", duration=1.0):
@@ -67,15 +72,17 @@ class TestStreamingRun:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert resumed.rows == whole.rows
 
-    def test_on_result_streams_in_index_order(self):
+    def test_progress_streams_in_index_order(self):
         spec = small_spec()
         seen = []
         SweepRunner(
             spec,
             aggregators=(),
-            on_result=lambda point, result: seen.append(point.index),
+            progress=lambda folded, total, point, elapsed: seen.append(
+                (folded, total, point.index)
+            ),
         ).run()
-        assert seen == [0, 1, 2, 3]
+        assert seen == [(1, 4, 0), (2, 4, 1), (3, 4, 2), (4, 4, 3)]
 
     def test_stop_after_folds_prefix_only(self, tmp_path):
         result = SweepRunner(
@@ -93,9 +100,7 @@ class TestStreamingRun:
         executed = []
         with pytest.raises(ConfigurationError, match="invalid"):
             SweepRunner(
-                spec,
-                aggregators=(),
-                on_result=lambda p, r: executed.append(p.index),
+                spec, aggregators=(), progress=recorder(executed)
             ).run()
         assert executed == []  # Nothing simulated before the failure.
 
@@ -148,9 +153,7 @@ class TestCheckpointResume:
         SweepRunner(small_spec(), checkpoint=ck, stop_after=3).run()
         executed = []
         result = SweepRunner(
-            small_spec(),
-            checkpoint=ck,
-            on_result=lambda p, r: executed.append(p.index),
+            small_spec(), checkpoint=ck, progress=recorder(executed)
         ).run(resume=True)
         assert result.complete
         assert executed == [3]  # Only the unfinished tail ran.
@@ -164,23 +167,6 @@ class TestCheckpointResume:
         assert status.folded == 2
         result = SweepRunner(small_spec(), checkpoint=ck).run(resume=True)
         assert result.complete
-
-    def test_run_line_without_snapshot_is_rerun(self, tmp_path):
-        """A kill between the run append and its snapshot loses at most
-        that run; the resume recomputes it."""
-        ck = tmp_path / "ck.jsonl"
-        SweepRunner(small_spec(), checkpoint=ck, stop_after=3).run()
-        lines = ck.read_text().splitlines()
-        assert json.loads(lines[-1])["kind"] == "snapshot"
-        ck.write_text("\n".join(lines[:-1]) + "\n")  # Drop the last snapshot.
-        executed = []
-        result = SweepRunner(
-            small_spec(),
-            checkpoint=ck,
-            on_result=lambda p, r: executed.append(p.index),
-        ).run(resume=True)
-        assert result.complete
-        assert executed == [2, 3]
 
     def test_existing_checkpoint_without_resume_is_refused(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
@@ -198,61 +184,152 @@ class TestCheckpointResume:
         with pytest.raises(ConfigurationError, match="different sweep"):
             SweepRunner(other, checkpoint=ck).run(resume=True)
 
-    def test_snapshot_every_reduces_journal_snapshots(self, tmp_path):
-        ck = tmp_path / "ck.jsonl"
-        SweepRunner(small_spec(), checkpoint=ck, snapshot_every=2).run()
-        kinds = [json.loads(line)["kind"] for line in ck.read_text().splitlines()]
-        assert kinds.count("snapshot") == 2  # After runs 2 and 4.
-
-    def test_stop_after_snapshots_at_session_end(self, tmp_path):
-        """A deliberate session end must not lose cleanly-folded runs
-        to the snapshot cadence."""
-        ck = tmp_path / "ck.jsonl"
-        SweepRunner(
-            small_spec(), checkpoint=ck, stop_after=3, snapshot_every=2
+    def test_torn_tail_of_any_prefix_resumes_only_the_rest(self, tmp_path):
+        """A journal cut to header + k run lines + half a line keeps
+        the k journaled runs, executes exactly runs k..n-1, and exports
+        byte-identically to an uninterrupted run."""
+        spec = small_spec()
+        reference = SweepRunner(
+            spec, checkpoint=tmp_path / "ref.jsonl", csv_path=tmp_path / "ref.csv"
         ).run()
-        assert read_status(ck).folded == 3  # Not 2.
-        result = SweepRunner(
-            small_spec(), checkpoint=ck, snapshot_every=2
-        ).run(resume=True)
-        assert result.resumed == 3
+        reference.save_json(tmp_path / "ref.json")
+        lines = (tmp_path / "ref.jsonl").read_text().splitlines(keepends=True)
+        for k in (0, 1, 3):
+            ck = tmp_path / f"cut{k}.jsonl"
+            torn = lines[1 + k]
+            ck.write_text("".join(lines[: 1 + k]) + torn[: len(torn) // 2])
+            executed = []
+            result = SweepRunner(
+                spec, checkpoint=ck, csv_path=tmp_path / f"cut{k}.csv",
+                progress=recorder(executed),
+            ).run(resume=True)
+            result.save_json(tmp_path / f"cut{k}.json")
+            assert result.resumed == k
+            assert executed == list(range(k, 4))
+            assert (tmp_path / f"cut{k}.csv").read_bytes() == (
+                tmp_path / "ref.csv"
+            ).read_bytes()
+            assert (tmp_path / f"cut{k}.json").read_bytes() == (
+                tmp_path / "ref.json"
+            ).read_bytes()
+            indices = [
+                json.loads(line)["index"] for line in ck.read_text().splitlines()[1:]
+            ]
+            assert indices == [0, 1, 2, 3]
 
-    def test_custom_aggregator_instances_survive_resume(self, tmp_path):
-        class CompletedCounter(Aggregator):
-            kind = "completed-counter"
+    def test_journal_is_header_plus_one_payload_line_per_run(self, tmp_path):
+        """Run lines carry the same records a dist shard journal does:
+        the export row and every aggregator's fold payload."""
+        ck = tmp_path / "ck.jsonl"
+        result = SweepRunner(small_spec(), checkpoint=ck).run()
+        entries = [json.loads(line) for line in ck.read_text().splitlines()]
+        assert [e["kind"] for e in entries] == ["header"] + ["run"] * 4
+        assert entries[0]["version"] == 2
+        for i, entry in enumerate(entries[1:]):
+            assert list(entry) == ["kind", "index", "key", "row", "agg", "elapsed_s"]
+            assert entry["index"] == i
+            assert entry["row"] == result.rows[i]
+            assert sorted(entry["agg"], key=int) == [
+                str(j) for j in range(len(result.aggregators))
+            ]
 
-            def __init__(self):
-                self.total = 0
-
-            def spec(self):
-                return {"kind": self.kind}
-
-            def update(self, config, result):
-                self.total += result.total_completed()
-
-            def state_dict(self):
-                return {"total": self.total}
-
-            def load_state(self, state):
-                self.total = int(state["total"])
-
-            def rows(self):
-                return [{"total_completed": self.total}]
+    def test_auto_range_histogram_freezes_across_resume(self, tmp_path):
+        """Interrupted before its range freezes, resumed after: the
+        replayed warm-up buffer freezes exactly as an uninterrupted
+        sweep's does."""
+        def aggregators():
+            return [
+                HistogramAggregator(
+                    metric="total_energy_j", lo=None, hi=None, warmup=3
+                )
+            ]
 
         spec = small_spec()
-        reference = SweepRunner(spec, aggregators=[CompletedCounter()]).run()
+        whole = SweepRunner(spec, aggregators=aggregators()).run()
         ck = tmp_path / "ck.jsonl"
-        SweepRunner(
-            spec, aggregators=[CompletedCounter()], checkpoint=ck, stop_after=2
+        first = SweepRunner(
+            spec, aggregators=aggregators(), checkpoint=ck, stop_after=2
         ).run()
-        # The factory cannot build this kind; the caller's matching
-        # instance must be kept and restored instead.
+        assert not first.aggregators[0].frozen
         resumed = SweepRunner(
-            spec, aggregators=[CompletedCounter()], checkpoint=ck
+            spec, aggregators=aggregators(), checkpoint=ck
         ).run(resume=True)
-        assert resumed.complete
-        assert isinstance(resumed.aggregators[0], CompletedCounter)
-        assert resumed.aggregators[0].rows() == reference.aggregators[0].rows()
+        assert resumed.aggregators[0].frozen
+        assert (resumed.aggregators[0].lo, resumed.aggregators[0].hi) == (
+            whole.aggregators[0].lo, whole.aggregators[0].hi
+        )
+        assert resumed.aggregate_rows() == whole.aggregate_rows()
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        ck = tmp_path / "ck.jsonl"
+        SweepRunner(small_spec(), checkpoint=ck, stop_after=1).run()
+        lines = ck.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["version"] = 1
+        ck.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        before = ck.read_bytes()
+        with pytest.raises(
+            ConfigurationError, match="unsupported checkpoint version 1"
+        ):
+            SweepRunner(small_spec(), checkpoint=ck).run(resume=True)
+        assert ck.read_bytes() == before  # Refused, never rewritten.
+
+    def test_gap_in_run_lines_is_refused(self, tmp_path):
+        ck = tmp_path / "ck.jsonl"
+        SweepRunner(small_spec(), checkpoint=ck, stop_after=3).run()
+        lines = ck.read_text().splitlines()
+        ck.write_text("\n".join(lines[:2] + lines[3:]) + "\n")  # Drop run 1.
+        with pytest.raises(ConfigurationError, match="contiguous from 0"):
+            SweepRunner(small_spec(), checkpoint=ck).run(resume=True)
+
+    def test_status_leaves_a_torn_journal_untouched(self, tmp_path):
+        """Only a resume repairs a torn tail; status is read-only."""
+        ck = tmp_path / "ck.jsonl"
+        SweepRunner(small_spec(), checkpoint=ck, stop_after=1).run()
+        with open(ck, "a") as handle:
+            handle.write('{"kind": "run", "ind')  # torn
+        before = ck.read_bytes()
+        assert read_status(ck).folded == 1
+        assert ck.read_bytes() == before
+
+    def test_resume_rebuilds_aggregators_from_the_header(self, tmp_path):
+        """Journaled payloads replay into the reducers the journal was
+        written with, whatever the resuming caller passes."""
+        spec = small_spec()
+        whole = SweepRunner(spec).run()
+        ck = tmp_path / "ck.jsonl"
+        SweepRunner(spec, checkpoint=ck, stop_after=2).run()
+        resumed = SweepRunner(spec, aggregators=(), checkpoint=ck).run(resume=True)
+        assert [a.spec() for a in resumed.aggregators] == [
+            a.spec() for a in whole.aggregators
+        ]
+        assert resumed.aggregate_rows() == whole.aggregate_rows()
+
+    def test_run_lines_are_dist_shard_run_lines(self, tmp_path):
+        """A checkpoint's run lines are the records a one-shard dist
+        journal holds for the same spec (wall time aside)."""
+        from repro.dist import plan_campaign, read_ledger, run_worker
+
+        def records(lines):
+            runs = [json.loads(line) for line in lines]
+            return [
+                json.dumps({k: v for k, v in run.items() if k != "elapsed_s"})
+                for run in runs
+                if run["kind"] == "run"
+            ]
+
+        spec = small_spec(duration=0.5)
+        ck = tmp_path / "ck.jsonl"
+        SweepRunner(spec, checkpoint=ck).run()
+        camp = tmp_path / "camp"
+        plan_campaign(spec, camp, chunk_size=spec.run_count)
+        run_worker(camp, worker_id="w1")
+        ledger = read_ledger(camp)
+        shard = ledger.shard_journal_path(ledger.shards[0])
+        assert records(ck.read_text().splitlines()) == records(
+            shard.read_text().splitlines()
+        )
+        assert len(records(ck.read_text().splitlines())) == 4
 
     def test_status_reports_progress(self, tmp_path):
         ck = tmp_path / "ck.jsonl"

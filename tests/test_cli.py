@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import shlex
 
 import pytest
 
@@ -290,6 +291,25 @@ class TestSweepCommand:
         ])
         assert code == 0
         assert "2 restored from checkpoint, 2 run now" in capsys.readouterr().out
+
+    def test_printed_resume_command_runs_verbatim(self, tmp_path, capsys):
+        """The resume hint echoes every fingerprint-shaping flag, --solver
+        included, so pasting it continues the same sweep."""
+        ck = tmp_path / "ck.jsonl"
+        code = main([
+            "sweep", "run", "--spec", self._spec_file(tmp_path, duration=0.5),
+            "--solver", "krylov", "--checkpoint", str(ck),
+            "--stop-after", "1", "--quiet",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        hint = out.split("continue with: ", 1)[1].splitlines()[0]
+        argv = shlex.split(hint)
+        assert argv[:3] == ["repro", "sweep", "resume"]
+        assert "--solver" in argv
+        code = main(argv[1:] + ["--quiet"])
+        assert code == 0
+        assert "1 restored from checkpoint, 3 run now" in capsys.readouterr().out
 
     def test_unknown_spec_is_clear_error(self):
         with pytest.raises(SystemExit, match="neither a built-in name"):

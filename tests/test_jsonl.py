@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.io import jsonl
 from repro.io.jsonl import (
     JsonlAppender,
+    atomic_write_text,
     json_line,
     read_jsonl,
     truncate_to_consistent,
@@ -78,3 +80,38 @@ class TestTruncateToConsistent:
         path.write_text(text)
         truncate_to_consistent(path)
         assert path.read_text() == text
+
+
+class TestAtomicWriteText:
+    def _record(self, monkeypatch):
+        """Record fsync and replace calls, in order, and still perform them."""
+        calls = []
+        real_fsync, real_replace = jsonl.os.fsync, jsonl.os.replace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(jsonl.os, "fsync", fsync)
+        monkeypatch.setattr(jsonl.os, "replace", replace)
+        return calls
+
+    def test_fsyncs_the_temp_before_the_rename(self, tmp_path, monkeypatch):
+        calls = self._record(monkeypatch)
+        path = tmp_path / "j.jsonl"
+        path.write_text("old\n")
+        atomic_write_text(path, "new\n")
+        assert calls == ["fsync", "replace"]
+        assert path.read_text() == "new\n"
+        assert list(tmp_path.iterdir()) == [path]  # No temp left behind.
+
+    def test_torn_line_repair_goes_through_it(self, tmp_path, monkeypatch):
+        calls = self._record(monkeypatch)
+        path = tmp_path / "j.jsonl"
+        path.write_text(json_line({"a": 1}) + "\n" + '{"torn')
+        truncate_to_consistent(path)
+        assert calls == ["fsync", "replace"]
