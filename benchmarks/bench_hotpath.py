@@ -167,15 +167,15 @@ def collect_warm_sweep_metrics(repeats: int = 5) -> dict:
     """
     cache = CharacterizationCache()
     before = telemetry_metrics.snapshot()
-    BatchRunner(_policy_sweep_configs(), cache=cache).run()  # warm
+    list(BatchRunner(_policy_sweep_configs(), cache=cache).iter_runs())  # warm
     first_campaign_factorizations = _counter_delta(
         before, telemetry_metrics.snapshot(), "solver.factorizations"
     )
     warm_s = _median_time(
-        lambda: BatchRunner(_policy_sweep_configs(), cache=cache).run(), repeats
+        lambda: list(BatchRunner(_policy_sweep_configs(), cache=cache).iter_runs()), repeats
     )
     before = telemetry_metrics.snapshot()
-    BatchRunner(_policy_sweep_configs(), cache=cache).run()
+    list(BatchRunner(_policy_sweep_configs(), cache=cache).iter_runs())
     warm_refactorizations = _counter_delta(
         before, telemetry_metrics.snapshot(), "solver.factorizations"
     )
@@ -229,7 +229,7 @@ def collect_cross_network_metrics(repeats: int = 3) -> dict:
             _cross_network_configs(solver), cache=CharacterizationCache()
         )
         start = time.perf_counter()
-        runs = batch.run().runs
+        runs = list(batch.iter_runs())
         elapsed = time.perf_counter() - start
         after = telemetry_metrics.snapshot()
         stats = {
@@ -293,7 +293,7 @@ def collect_timing_breakdown() -> dict:
     clear_system_memo()
     before = telemetry_metrics.snapshot()
     start = time.perf_counter()
-    BatchRunner(_policy_sweep_configs(), cache=CharacterizationCache()).run()
+    list(BatchRunner(_policy_sweep_configs(), cache=CharacterizationCache()).iter_runs())
     wall = time.perf_counter() - start
     delta = telemetry_metrics.snapshot_diff(before, telemetry_metrics.snapshot())
     telemetry_trace.disable()
@@ -346,7 +346,7 @@ def collect_inlet_sweep_metrics() -> dict:
         telemetry_trace.enable()
         telemetry_trace.clear()
         before = telemetry_metrics.snapshot()
-        BatchRunner(_inlet_configs(inlets), cache=CharacterizationCache()).run()
+        list(BatchRunner(_inlet_configs(inlets), cache=CharacterizationCache()).iter_runs())
         factorizations = _counter_delta(
             before, telemetry_metrics.snapshot(), "solver.factorizations"
         )

@@ -57,7 +57,7 @@ def campaign(solver: str):
     clear_neighbor_cache()
     before = metrics.snapshot()
     batch = BatchRunner(neighborhood(solver), cache=CharacterizationCache())
-    runs = batch.run().runs
+    runs = list(batch.iter_runs())
     counters = metrics.snapshot_diff(before, metrics.snapshot())["counters"]
     return [run.result for run in runs], counters
 

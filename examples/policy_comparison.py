@@ -5,7 +5,8 @@ workload and prints hot spots, energy (normalized to LB (Air) chip
 energy), and relative throughput — the quickest way to see who wins
 where.
 
-The 14 runs execute through :class:`repro.runner.BatchRunner`: the
+The 14 runs are one :func:`repro.experiments.common.matrix_spec` sweep
+executed by :func:`repro.experiments.common.run_labelled`: the
 flow-table/weight characterizations are derived once in the parent,
 then the runs fan out over worker processes (results are bit-identical
 to serial execution).
@@ -14,6 +15,8 @@ Run:  python examples/policy_comparison.py [--workers N]
 """
 
 import argparse
+import os
+import time
 
 from repro.experiments import common
 from repro.metrics.energy import EnergyBreakdown
@@ -21,8 +24,6 @@ from repro.metrics.thermal_metrics import (
     hotspot_frequency,
     spatial_gradient_frequency,
 )
-from repro.runner import BatchRunner
-from repro.sim.config import SimulationConfig
 
 WORKLOADS = ("Web-high", "gzip")
 DURATION = 12.0
@@ -33,30 +34,18 @@ def main() -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        default=BatchRunner.suggested_workers(),
+        default=os.cpu_count() or 1,
         help="worker processes for the 14-run batch (default: all cores)",
     )
     args = parser.parse_args()
 
-    configs = [
-        SimulationConfig(
-            benchmark_name=workload,
-            policy=policy,
-            cooling=cooling,
-            duration=DURATION,
-        )
-        for policy, cooling in common.POLICY_MATRIX
-        for workload in WORKLOADS
-    ]
-    batch = BatchRunner(configs, max_workers=args.workers).run()
-    # Key by the same combo_label the lookups below use, so the two
-    # can never drift apart.
-    results = {
-        (common.combo_label(cfg.policy, cfg.cooling), cfg.benchmark_name): res
-        for cfg, res in zip(batch.configs, batch.results)
-    }
+    spec = common.matrix_spec(workloads=WORKLOADS, duration=DURATION)
+    start = time.perf_counter()
+    results = common.run_labelled(spec, workers=args.workers)
+    wall_time = time.perf_counter() - start
 
-    baseline_label = common.combo_label(*common.POLICY_MATRIX[0])
+    labels = common.spec_labels(spec)
+    baseline_label = labels[0]
     base_chip = sum(
         results[(baseline_label, w)].chip_energy() for w in WORKLOADS
     ) / len(WORKLOADS)
@@ -66,8 +55,7 @@ def main() -> None:
     baseline = EnergyBreakdown(chip=base_chip, pump=0.0)
 
     rows = []
-    for policy, cooling in common.POLICY_MATRIX:
-        label = common.combo_label(policy, cooling)
+    for label in labels:
         runs = [results[(label, w)] for w in WORKLOADS]
         chip = sum(r.chip_energy() for r in runs) / len(runs)
         pump = sum(r.pump_energy() for r in runs) / len(runs)
@@ -86,8 +74,8 @@ def main() -> None:
         )
     print(
         f"Workloads: {', '.join(WORKLOADS)} - {DURATION:.0f} s each "
-        f"({len(batch)} runs, {batch.n_workers} worker(s), "
-        f"{batch.wall_time:.1f} s)\n"
+        f"({len(results)} runs, {args.workers} worker(s), "
+        f"{wall_time:.1f} s)\n"
     )
     print(common.format_rows(rows))
     print(

@@ -90,7 +90,7 @@ from repro.dist import (
     plan_campaign,
     run_worker,
 )
-from repro.runner import BatchResult, BatchRunner
+from repro.runner import BatchRunner
 from repro.sweep import (
     HistogramAggregator,
     QuantileAggregator,
@@ -194,7 +194,6 @@ __all__ = [
     "SimulationConfig",
     "CharacterizationCache",
     "BatchRunner",
-    "BatchResult",
     "SweepSpec",
     "SweepPoint",
     "SweepRunner",

@@ -4,9 +4,11 @@ Commands mirror the library's entry points so the whole evaluation can
 be driven without writing Python:
 
 * ``simulate`` — one configured run, with optional JSON/CSV export;
-* ``batch`` — a (workload x policy x cooling) sweep through the
-  :class:`repro.runner.BatchRunner`, optionally fanned out over worker
-  processes, with JSON/CSV export of the whole batch;
+* ``batch`` — a (workload x policy x cooling) grid declared as a
+  :class:`repro.sweep.SweepSpec` named ``batch`` and run through
+  :class:`repro.sweep.SweepRunner` (no checkpoint), optionally fanned
+  out over worker processes; its JSON/CSV exports are the sweep
+  exports, byte-identical to ``sweep run`` on the equivalent spec;
 * ``sweep run | resume | status`` — declarative checkpointed campaigns
   through :class:`repro.sweep.SweepRunner`: ``--spec`` names a built-in
   declaration (``fig6``, ``fig7``, ``fig8``, ``fourlayer``,
@@ -52,7 +54,7 @@ from typing import Optional, Sequence
 
 from repro.dist.plan import DEFAULT_CHUNK_SIZE
 from repro.dist.worker import DEFAULT_LEASE_TTL
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.experiments import (
     ablations,
     common,
@@ -207,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay an mpstat-style utilization trace (second,"
         "utilization_pct CSV) instead of the stationary generator; "
         "the run length becomes the trace length (shorthand for "
-        "--workload trace-replay --workload-param path=...)",
+        "--workload trace-replay --workload-param path=PATH "
+        "--duration <trace length>)",
     )
     sim.add_argument("--save-json", metavar="PATH", help="write the full result as JSON")
     sim.add_argument("--save-csv", metavar="PATH", help="write the time series as CSV")
@@ -220,10 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch = sub.add_parser(
         "batch",
         help="run a (workload x policy x cooling) sweep, optionally in parallel",
-        description="Cross-product sweep through the BatchRunner: every "
-        "combination of --workloads, --policies, and --cooling becomes one "
-        "run. Characterizations are derived once in the parent and shipped "
-        "to the workers; results are identical for any --workers value.",
+        description="Cross-product sweep: every combination of --workloads, "
+        "--policies, and --cooling becomes one run of a sweep spec named "
+        "'batch' (workloads outermost, cooling fastest), executed like "
+        "'repro sweep run' without a checkpoint. --save-csv/--save-json "
+        "write the sweep export format, byte-identical to 'repro sweep "
+        "run' on the equivalent spec file and to any --workers value.",
     )
     batch.add_argument(
         "--workloads",
@@ -259,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = serial; results are identical)",
     )
     batch.add_argument(
-        "--save-json", metavar="PATH", help="write the batch summaries as JSON"
+        "--save-json", metavar="PATH",
+        help="write rows + aggregates as sweep completion JSON",
     )
     batch.add_argument(
         "--save-csv", metavar="PATH", help="write one CSV row per run"
@@ -387,6 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE, metavar="N",
         help=f"runs per leased shard (default {DEFAULT_CHUNK_SIZE})",
     )
+    d_plan.add_argument(
+        "--solver", default=None, choices=("exact", "krylov"),
+        help="override the base config's thermal-solver tier; it enters "
+        "the spec and the campaign fingerprint, so every worker runs the "
+        "planned tier (krylov reuses neighbor factorizations across "
+        "thermal_params design points, within the documented tolerance "
+        "of exact)",
+    )
 
     d_work = dsub.add_parser(
         "work",
@@ -421,14 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     d_work.add_argument(
         "--quiet", action="store_true", help="suppress per-run progress"
-    )
-    d_work.add_argument(
-        "--solver", default=None, choices=("exact", "krylov"),
-        help="override every run's thermal-solver tier for this worker "
-        "(krylov reuses neighbor factorizations across thermal_params "
-        "design points; results match exact within the documented "
-        "tolerance but the merged campaign loses the bitwise "
-        "guarantee)",
     )
     d_work.add_argument(
         "--trace", metavar="PATH",
@@ -580,18 +586,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _checked_output(args.save_json, "JSON output")
     _checked_output(args.save_csv, "CSV output")
     _trace_enable(args.trace)
-    thread_trace = None
+    workload = args.workload
+    workload_params = _parse_cli_params(args.workload_param, "--workload-param")
     duration = args.duration
     if args.trace_csv:
-        from repro.workload.traces import UtilizationTrace, generate_from_utilization
+        # Shorthand for the trace-replay model over the whole file.
+        from repro.workload.traces import UtilizationTrace
 
-        n_cores = 8 if args.layers == 2 else 16
-        profile = UtilizationTrace.from_csv(args.trace_csv, n_cores=n_cores)
-        from repro.workload.benchmarks import benchmark as lookup
-
-        thread_trace = generate_from_utilization(
-            profile, lookup(args.benchmark), seed=args.seed
-        )
+        if workload != "table2" or workload_params:
+            raise SystemExit(
+                "error: --trace-csv selects the trace-replay workload; "
+                "drop --workload/--workload-param"
+            )
+        try:
+            # Only the profile's length is read here; the model rebuilds
+            # the profile for the config's core count.
+            profile = UtilizationTrace.from_csv(args.trace_csv, n_cores=1)
+        except (OSError, WorkloadError) as exc:
+            raise SystemExit(f"error: cannot read --trace-csv: {exc}") from None
+        workload = "trace-replay"
+        workload_params = {"path": args.trace_csv}
         duration = profile.duration
     try:
         config = SimulationConfig(
@@ -607,10 +621,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             forecaster_params=_parse_cli_params(
                 args.forecaster_param, "--forecaster-param"
             ),
-            workload=args.workload,
-            workload_params=_parse_cli_params(
-                args.workload_param, "--workload-param"
-            ),
+            workload=workload,
+            workload_params=workload_params,
             facility=args.facility,
             facility_params=_parse_cli_params(
                 args.facility_param, "--facility-param"
@@ -623,7 +635,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     except ConfigurationError as exc:
         raise SystemExit(f"error: {exc}") from None
-    result = simulate(config, trace=thread_trace)
+    result = simulate(config)
     print(f"run: {config.label()} / {config.benchmark_name} / "
           f"{config.n_layers}-layer / {config.duration:.0f}s")
     for key, value in result_summary(result).items():
@@ -725,63 +737,56 @@ def _split_choices(raw: str, values: list[str], what: str) -> list[str]:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from repro.io.batch import save_batch, write_batch_csv
-    from repro.runner import BatchRunner, reseeded
+    from repro.sweep import SweepRunner, SweepSpec
 
     _checked_output(args.save_json, "JSON output")
     _checked_output(args.save_csv, "CSV output")
-    registry = policy_registry()
     workloads = _split_choices(args.workloads, list(TABLE_II), "workload")
     if args.policies.strip().lower() == "all":
-        policies = registry.keys()
+        policies = policy_registry().keys()
     else:
-        policies = []
-        for item in (p.strip() for p in args.policies.split(",") if p.strip()):
-            try:
-                policies.append(registry.normalize(item))
-            except ConfigurationError as exc:
-                raise SystemExit(f"error: {exc}") from None
+        policies = [p.strip() for p in args.policies.split(",") if p.strip()]
         if not policies:
             raise SystemExit("no policy selected")
     cooling_modes = _split_choices(
         args.cooling, [c.value for c in CoolingMode], "cooling mode"
     )
-    configs = [
-        SimulationConfig(
-            benchmark_name=workload,
-            policy=policy,
-            cooling=CoolingMode(cooling),
-            n_layers=args.layers,
-            duration=args.duration,
-            seed=args.seed,
-            dpm_enabled=args.dpm,
+    workers = _validated_workers(args)
+    try:
+        # Grid order is run order: workloads outermost, cooling fastest.
+        spec = SweepSpec(
+            base=SimulationConfig(
+                n_layers=args.layers,
+                duration=args.duration,
+                seed=args.seed,
+                dpm_enabled=args.dpm,
+            ),
+            grid={
+                "benchmark_name": workloads,
+                "policy": policies,
+                "cooling": cooling_modes,
+            },
+            reseed=args.reseed,
+            name="batch",
         )
-        for workload in workloads
-        for policy in policies
-        for cooling in cooling_modes
-    ]
-    if args.reseed is not None:
-        configs = reseeded(configs, args.reseed)
-    runner = BatchRunner(configs, max_workers=_validated_workers(args))
-    batch = runner.run()
+        result = SweepRunner(
+            spec, max_workers=workers, csv_path=args.save_csv
+        ).run()
+    except ConfigurationError as exc:
+        raise SystemExit(f"error: {exc}") from None
     print(
-        f"batch: {len(batch)} runs x {args.duration:.0f}s, "
-        f"{batch.n_workers} worker(s), warm {batch.warm_time:.2f}s, "
-        f"run {batch.wall_time:.2f}s"
+        f"batch: {result.n_runs} runs x {args.duration:g}s, "
+        f"{workers} worker(s), {result.wall_time:.2f}s"
     )
     columns = [
         "run", "label", "benchmark", "seed", "peak_temperature_sensor",
-        "hotspot_pct", "total_energy_j", "throughput_tps", "elapsed_s",
+        "hotspot_pct", "total_energy_j", "throughput_tps",
     ]
-    rows = [
-        {k: row[k] for k in columns} for row in batch.summary_rows()
-    ]
-    _print_rows(rows)
+    _print_rows([{k: row[k] for k in columns} for row in result.rows])
     if args.save_json:
-        save_batch(batch, args.save_json)
+        result.save_json(args.save_json)
         print(f"wrote JSON -> {args.save_json}")
     if args.save_csv:
-        write_batch_csv(batch, args.save_csv)
         print(f"wrote CSV  -> {args.save_csv}")
     return 0
 
@@ -973,7 +978,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     )
 
     if args.dist_command == "plan":
-        spec = _resolve_spec(args)
+        spec = _solver_override(_resolve_spec(args), args.solver)
         if args.chunk_size < 1:
             raise SystemExit("--chunk-size must be >= 1")
         try:
@@ -1011,7 +1016,6 @@ def _cmd_dist(args: argparse.Namespace) -> int:
                 poll_interval=args.poll_interval,
                 wait=not args.no_wait,
                 progress=None if args.quiet else _progress,
-                solver=args.solver,
             )
         except ConfigurationError as exc:
             raise SystemExit(f"error: {exc}") from None

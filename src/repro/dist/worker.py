@@ -22,7 +22,7 @@ import contextlib
 import os
 import socket
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -84,7 +84,6 @@ def _execute_shard(
     lease_ttl: float,
     max_workers: Optional[int],
     progress: Optional[Callable[[SweepPoint, int, float], None]],
-    solver: Optional[str] = None,
 ) -> int:
     """Run one shard's chunk and journal it; returns runs executed."""
     chunk = list(spec.iter_points(shard.start, shard.stop))
@@ -94,11 +93,7 @@ def _execute_shard(
         ledger.shard_journal_path(shard), ledger.fingerprint, shard, worker_id
     )
     try:
-        configs = [
-            point.config if solver is None
-            else replace(point.config, solver=solver)
-            for point in chunk
-        ]
+        configs = [point.config for point in chunk]
         batch = BatchRunner(configs, max_workers=max_workers, cache=cache)
         # Each run collapses to its row + fold payloads on whatever
         # process executed it (payload-only transport); sweep_row and
@@ -150,7 +145,6 @@ def run_worker(
     poll_interval: float = 0.5,
     wait: bool = True,
     progress: Optional[Callable[[SweepPoint, int, float], None]] = None,
-    solver: Optional[str] = None,
 ) -> WorkerReport:
     """Work a campaign until it is done (or ``max_shards`` is reached).
 
@@ -178,19 +172,11 @@ def run_worker(
         instead of waiting for other workers' shards to finish.
     progress:
         Callback ``(point, shard_index, elapsed_s)`` per completed run.
-    solver:
-        When set (``"exact"`` or ``"krylov"``), override every run's
-        thermal-solver tier for this worker session. ``"krylov"``
-        trades bitwise identity for neighbor-LU preconditioner reuse
-        across thermal-parameter design points (agreement within
-        :data:`repro.thermal.solver.KRYLOV_TEMPERATURE_TOLERANCE`), so
-        campaigns merged from krylov workers lose the bitwise
-        guarantee. ``None`` (the default) runs each config as planned.
+
+    Every run executes exactly as planned, solver tier included: the
+    tier is part of the ledger's spec and fingerprint (``repro dist
+    plan --solver``), so all workers of a campaign run the same tier.
     """
-    if solver is not None and solver not in ("exact", "krylov"):
-        raise ConfigurationError(
-            f"solver must be 'exact' or 'krylov', got {solver!r}"
-        )
     if lease_ttl <= 0:
         raise ConfigurationError("lease_ttl must be positive")
     if max_shards is not None and max_shards < 1:
@@ -250,7 +236,6 @@ def run_worker(
                     report.runs_executed += _execute_shard(
                         ledger, spec, aggregators, shard, cache,
                         report.worker_id, lease_ttl, max_workers, progress,
-                        solver,
                     )
                     report.shards_executed.append(shard.shard_id)
                 done.add(shard.shard_id)

@@ -1,11 +1,10 @@
 """Result and trace serialization (JSON summaries, CSV time series),
-for single runs (:mod:`repro.io.serialize`), batches
-(:mod:`repro.io.batch`), streaming sweep exports
-(:mod:`repro.io.sweep`), crash-consistent JSONL journals
+for single runs (:mod:`repro.io.serialize`), streaming sweep exports
+(:mod:`repro.io.sweep`, also what ``repro batch`` writes),
+crash-consistent JSONL journals
 (:mod:`repro.io.jsonl`), and distributed campaign ledgers/shard
 journals/leases (:mod:`repro.io.dist`)."""
 
-from repro.io.batch import config_descriptor, save_batch, write_batch_csv
 from repro.io.jsonl import JsonlAppender, json_line, read_jsonl, truncate_to_consistent
 from repro.io.serialize import (
     load_result,
@@ -17,6 +16,7 @@ from repro.io.serialize import (
 )
 from repro.io.sweep import (
     SweepCsvWriter,
+    config_descriptor,
     save_sweep_json,
     sweep_row,
     write_sweep_csv,
@@ -30,8 +30,6 @@ __all__ = [
     "load_result",
     "write_timeseries_csv",
     "config_descriptor",
-    "save_batch",
-    "write_batch_csv",
     "sweep_row",
     "SweepCsvWriter",
     "write_sweep_csv",

@@ -1,7 +1,8 @@
 """Streaming serialization of sweep results.
 
-Sweep exports must satisfy two constraints the batch exporters
-(:mod:`repro.io.batch`) do not:
+The one export format for multi-run work: ``repro sweep run``,
+``repro batch`` and ``repro dist merge`` all write it. It satisfies
+two constraints:
 
 * **streaming** — rows are written as runs fold, not from an in-memory
   list of results, so hour-long campaigns export at O(1) result memory;
@@ -24,12 +25,51 @@ import math
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional, Union
 
-from repro.io.batch import config_descriptor
 from repro.io.serialize import result_summary
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 
 _SWEEP_FORMAT_VERSION = 1
+
+
+def _params_cell(params) -> str:
+    """Component params as a canonical compact JSON string column
+    (empty string when the mapping is empty, for clean CSV)."""
+    if not params:
+        return ""
+    return json.dumps(dict(sorted(params.items())), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def config_descriptor(config: SimulationConfig) -> dict:
+    """Flat, JSON-friendly identity of a run configuration.
+
+    Captures the experiment-matrix axes (benchmark, policy registry key
+    + params, cooling, controller key + params, workload model key +
+    params, layers, duration, seed,
+    DPM); thermal/grid parameters are omitted because they are constant
+    across a sweep — archive the code revision for those. Component
+    parameter mappings render as canonical JSON strings so two runs
+    differing only in a swept gain stay distinguishable in exports and
+    aggregator groupings.
+    """
+    return {
+        "benchmark": config.benchmark_name,
+        "policy": config.policy,
+        "policy_params": _params_cell(config.policy_params),
+        "cooling": config.cooling.value,
+        "controller": config.controller,
+        "controller_params": _params_cell(config.controller_params),
+        "workload": config.workload,
+        "workload_params": _params_cell(config.workload_params),
+        "facility": config.facility,
+        "facility_params": _params_cell(config.facility_params),
+        "n_layers": config.n_layers,
+        "duration": config.duration,
+        "seed": config.seed,
+        "dpm": config.dpm_enabled,
+        "label": config.label(),
+    }
 
 
 def sweep_row(

@@ -1,21 +1,19 @@
 """Batch orchestration: run many simulations, serially or in parallel.
 
 See :mod:`repro.runner.batch` for the design; the experiments layer
-(:func:`repro.experiments.common.run_spec`), the ``repro batch`` CLI
-command, the sweep layer, and the distributed workers all route
-multi-run work through :class:`BatchRunner`. It executes runs in a
-stable sort by thermal signature (:func:`signature_groups`), so runs
-sharing one thermal system reuse its networks, LUs, and memoized
-steady initial field back to back, and emits results in submission
-order.
+(:func:`repro.experiments.common.run_spec`), the sweep layer (and
+through it the ``repro batch`` and ``repro sweep`` CLI commands), and
+the distributed workers all route multi-run work through
+:class:`BatchRunner`. It executes runs in a stable sort by thermal
+signature (:func:`signature_groups`), so runs sharing one thermal
+system reuse its networks, LUs, and memoized steady initial field back
+to back, and emits results in submission order.
 """
 
 from repro.runner.batch import (
-    BatchResult,
     BatchRun,
     BatchRunner,
     ReducedRun,
-    reseeded,
     signature_groups,
     structural_signature,
     thermal_signature,
@@ -23,10 +21,8 @@ from repro.runner.batch import (
 
 __all__ = [
     "BatchRunner",
-    "BatchResult",
     "BatchRun",
     "ReducedRun",
-    "reseeded",
     "signature_groups",
     "structural_signature",
     "thermal_signature",

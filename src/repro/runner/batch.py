@@ -3,34 +3,32 @@
 The paper's evaluation is inherently a batch problem — Table II
 workloads x policies x cooling modes x 2/4-layer stacks — and every
 design-space sweep built on top of it (hysteresis, inlet-temperature,
-stack-depth studies) multiplies that matrix further. This module runs
-such batches:
+stack-depth studies) multiplies that matrix further. This module is
+the one execution engine those batches run on:
 
 * :class:`BatchRunner` takes a list of
-  :class:`~repro.sim.config.SimulationConfig` (plus optional
-  pre-generated traces), pre-warms one
+  :class:`~repro.sim.config.SimulationConfig`, pre-warms one
   :class:`~repro.sim.cache.CharacterizationCache` in the parent
   process, and fans the runs out over a
   :class:`concurrent.futures.ProcessPoolExecutor`;
-* results come back as a structured :class:`BatchResult` in input
-  order, bit-identical to serial execution: every run is fully
-  determined by its config (the trace is generated from
+* :meth:`BatchRunner.iter_runs` streams full results (the experiments
+  layer, :func:`repro.experiments.common.run_spec`) and
+  :meth:`BatchRunner.iter_reduced` streams worker-side reduced
+  payloads (the sweep and distributed layers); both yield in
+  submission order, bit-identical to serial execution: every run is
+  fully determined by its config (the trace is generated from
   ``config.seed`` inside the worker) and the characterizations are
-  finished artifacts shipped to the workers, never re-derived;
-* :mod:`repro.io.batch` exports a :class:`BatchResult` as JSON or CSV.
+  finished artifacts shipped to the workers, never re-derived.
 
-Deterministic per-run seeding: configs carry their own seeds; when a
-sweep wants distinct stochastic instances of one scenario,
-:func:`reseeded` derives ``seed = base_seed + index`` replacements so a
-batch is reproducible run-for-run regardless of worker scheduling.
+Per-run seeding and exports belong to the sweep layer
+(:class:`repro.sweep.SweepSpec` ``reseed``, :mod:`repro.io.sweep`).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -41,19 +39,6 @@ from repro.sim.results import SimulationResult
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 from repro.thermal.rc_network import ThermalParams
-from repro.workload.generator import ThreadTrace
-
-
-def reseeded(
-    configs: Sequence[SimulationConfig], base_seed: int
-) -> list[SimulationConfig]:
-    """Copies of ``configs`` with deterministic per-run seeds.
-
-    Run ``i`` gets ``seed = base_seed + i``, so a batch of otherwise
-    identical configs becomes distinct-but-reproducible stochastic
-    instances (and the assignment never depends on worker scheduling).
-    """
-    return [replace(config, seed=base_seed + i) for i, config in enumerate(configs)]
 
 
 def thermal_signature(config: SimulationConfig) -> tuple:
@@ -143,60 +128,6 @@ class BatchRun:
 
 
 @dataclass
-class BatchResult:
-    """All runs of a batch, in submission order.
-
-    Attributes
-    ----------
-    runs:
-        One :class:`BatchRun` per submitted config.
-    wall_time:
-        Wall-clock seconds for the whole batch (excluding cache
-        warm-up, which is shared and reported separately).
-    warm_time:
-        Seconds spent pre-warming the characterization cache.
-    n_workers:
-        Worker processes used (1 = serial in-process execution).
-    """
-
-    runs: list[BatchRun]
-    wall_time: float
-    warm_time: float
-    n_workers: int
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    @property
-    def results(self) -> list[SimulationResult]:
-        """The bare simulation results, in submission order."""
-        return [run.result for run in self.runs]
-
-    @property
-    def configs(self) -> list[SimulationConfig]:
-        """The run configurations, in submission order."""
-        return [run.config for run in self.runs]
-
-    def summary_rows(self) -> list[dict]:
-        """One flat dict per run: config descriptor + scalar digest.
-
-        The row layout feeds :func:`repro.io.batch.write_batch_csv`
-        and the ``repro batch`` CLI table.
-        """
-        from repro.io.batch import config_descriptor
-        from repro.io.serialize import result_summary
-
-        rows = []
-        for run in self.runs:
-            row = {"run": run.index}
-            row.update(config_descriptor(run.config))
-            row.update(result_summary(run.result))
-            row["elapsed_s"] = run.elapsed
-            rows.append(row)
-        return rows
-
-
-@dataclass
 class ReducedRun:
     """One completed run, collapsed to its reducer payload.
 
@@ -219,13 +150,11 @@ class ReducedRun:
 RunReducer = Callable[[Any, SimulationConfig, Any], Any]
 
 
-def _execute_one(
-    index: int, config: SimulationConfig, trace: Optional[ThreadTrace]
-) -> BatchRun:
+def _execute_one(index: int, config: SimulationConfig) -> BatchRun:
     """Run one configured simulation (worker side and serial path)."""
     start = time.perf_counter()
     with _trace.span("run", index=index, policy=config.policy, solver=config.solver):
-        result = engine.Simulator(config, trace=trace).run()
+        result = engine.Simulator(config).run()
     return BatchRun(
         index=index,
         config=config,
@@ -238,13 +167,13 @@ def _execute_group(
     task: tuple[list[tuple], Optional[RunReducer]],
 ) -> list:
     """Run one task group in order; ``task`` is ``(group, reducer)``
-    with ``group`` a list of ``(index, config, trace, tag)``. With a
+    with ``group`` a list of ``(index, config, tag)``. With a
     reducer, results collapse to :class:`ReducedRun` before leaving
     the process."""
     group, reducer = task
     items = []
-    for index, config, trace, tag in group:
-        run = _execute_one(index, config, trace)
+    for index, config, tag in group:
+        run = _execute_one(index, config)
         _metrics.counter("runner.runs").inc()
         if reducer is not None:
             run = ReducedRun(
@@ -292,11 +221,6 @@ class BatchRunner:
     ----------
     configs:
         The runs to execute, in order.
-    traces:
-        Optional pre-generated traces, one per config (``None`` entries
-        fall back to the config's own seeded generator). Useful for
-        replayed mpstat traces or the diurnal scenario shared across
-        policies.
     max_workers:
         ``None`` or ``<= 1`` executes serially in-process; otherwise a
         :class:`~concurrent.futures.ProcessPoolExecutor` with that many
@@ -304,11 +228,10 @@ class BatchRunner:
     cache:
         The characterization cache to warm and ship to workers;
         defaults to the process-wide engine cache so batches share
-        characterizations with prior in-process runs.
-    warm:
-        Pre-derive all needed characterizations in the parent before
-        fanning out (strongly recommended for parallel runs: the
-        artifacts are computed once instead of once per worker).
+        characterizations with prior in-process runs. Every batch
+        pre-derives its characterizations in the parent before fanning
+        out, so the artifacts are computed once instead of once per
+        worker (warming an already-warm cache is all hits).
 
     Runs execute in a stable sort by :func:`signature_groups`, so runs
     sharing a thermal system reuse its networks, LUs, and memoized
@@ -321,40 +244,19 @@ class BatchRunner:
     def __init__(
         self,
         configs: Sequence[SimulationConfig],
-        traces: Optional[Sequence[Optional[ThreadTrace]]] = None,
         max_workers: Optional[int] = None,
         cache: Optional[CharacterizationCache] = None,
-        warm: bool = True,
     ) -> None:
         if not configs:
             raise ConfigurationError("a batch needs at least one config")
-        if traces is not None and len(traces) != len(configs):
-            raise ConfigurationError(
-                f"got {len(traces)} traces for {len(configs)} configs"
-            )
         self.configs = list(configs)
-        self.traces: list[Optional[ThreadTrace]] = (
-            list(traces) if traces is not None else [None] * len(configs)
-        )
         self.cache = cache if cache is not None else engine.default_cache()
-        self.warm = warm
         if max_workers is None:
             self.max_workers = 1
         elif max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1")
         else:
             self.max_workers = min(max_workers, len(self.configs))
-
-    @classmethod
-    def suggested_workers(cls) -> int:
-        """A sensible default worker count for this machine."""
-        return max(1, os.cpu_count() or 1)
-
-    def warm_cache(self) -> float:
-        """Pre-warm the cache for every config; returns elapsed seconds."""
-        start = time.perf_counter()
-        self.cache.warm(self.configs)
-        return time.perf_counter() - start
 
     def _plan_groups(self) -> list[list[int]]:
         """The task groups this batch executes, as index lists, in
@@ -381,16 +283,10 @@ class BatchRunner:
         every earlier index has landed, so downstream folds stay
         deterministic however runs were grouped or scheduled.
         """
-        if self.warm:
-            self.warm_cache()
+        self.cache.warm(self.configs)
         groups = [
             [
-                (
-                    i,
-                    self.configs[i],
-                    self.traces[i],
-                    None if tags is None else tags[i],
-                )
+                (i, self.configs[i], None if tags is None else tags[i])
                 for i in members
             ]
             for members in self._plan_groups()
@@ -437,9 +333,10 @@ class BatchRunner:
     def iter_runs(self) -> Iterator[BatchRun]:
         """Stream completed runs in submission order.
 
-        The workhorse behind :meth:`run` and the sweep layer
-        (:class:`repro.sweep.SweepRunner`): each :class:`BatchRun` is
-        yielded as soon as it (and everything before it) has finished,
+        The path for callers that need full results in memory
+        (:func:`repro.experiments.common.run_spec`): each
+        :class:`BatchRun` is yielded as soon as it (and everything
+        before it) has finished,
         so a consumer holds O(signature group) results instead of
         O(batch). Yield order is always submission order — downstream
         folds (aggregators, journals) are therefore deterministic
@@ -467,19 +364,3 @@ class BatchRunner:
                 f"got {len(tags)} tags for {len(self.configs)} configs"
             )
         return self._iter_grouped(reducer, tags)
-
-    def run(self) -> BatchResult:
-        """Execute the batch; results come back in submission order."""
-        warm_time = self.warm_cache() if self.warm else 0.0
-        was_warm, self.warm = self.warm, False
-        start = time.perf_counter()
-        try:
-            runs = list(self.iter_runs())
-        finally:
-            self.warm = was_warm
-        return BatchResult(
-            runs=runs,
-            wall_time=time.perf_counter() - start,
-            warm_time=warm_time,
-            n_workers=self.max_workers,
-        )

@@ -344,13 +344,6 @@ class CharacterizationCache:
                 self.thread_trace(config)
         return self
 
-    def merge(self, other: "CharacterizationCache") -> None:
-        """Fold another cache's entries into this one (first writer wins)."""
-        for name in ("tables", "floors", "weight_sets", "traces"):
-            mine, theirs = getattr(self, name), getattr(other, name)
-            for key, value in theirs.items():
-                mine.setdefault(key, value)
-
     def clear(self) -> None:
         """Drop every cached characterization."""
         self.tables.clear()

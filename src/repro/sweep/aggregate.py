@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.constants import CONTROL
 from repro.errors import ConfigurationError
-from repro.io.batch import config_descriptor
+from repro.io.sweep import config_descriptor
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 

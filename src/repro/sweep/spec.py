@@ -215,7 +215,7 @@ def _encode_value(value: Any) -> Any:
 def config_signature(config: SimulationConfig) -> dict:
     """Every operative field of a config as a JSON-stable dict.
 
-    Unlike :func:`repro.io.batch.config_descriptor` (the human-facing
+    Unlike :func:`repro.io.sweep.config_descriptor` (the human-facing
     sweep-axis subset), this captures *all* fields, so two configs with
     equal signatures produce bit-identical runs. The registry-era
     fields (``forecaster``, ``workload``, and the ``*_params``

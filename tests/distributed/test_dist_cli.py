@@ -17,6 +17,9 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.io.dist import read_ledger
+
+from counters import Counters
 
 
 def spec_file(tmp_path, duration=1.0):
@@ -78,6 +81,45 @@ class TestPlanStatus:
         out = capsys.readouterr().out
         assert "2/4 done" in out
         assert "2/4 journaled-complete" in out
+
+
+class TestPlanSolver:
+    """The solver tier is planned: it enters the spec and fingerprint,
+    and workers run exactly what the ledger says."""
+
+    @staticmethod
+    def _plan(tmp_path, name, *extra):
+        camp = str(tmp_path / name)
+        path = tmp_path / "solver-spec.json"
+        path.write_text(json.dumps({
+            "name": "distsolver",
+            "base": {"duration": 0.5, "nx": 12, "ny": 12, "cooling": "Max"},
+            "grid": {"thermal_params.resistance_scale": [4.0, 4.4]},
+        }))
+        assert main(["dist", "plan", "--spec", str(path), "--dir", camp, *extra]) == 0
+        return camp
+
+    def test_krylov_plan_changes_the_fingerprint(self, tmp_path):
+        default = read_ledger(self._plan(tmp_path, "default")).fingerprint
+        exact = read_ledger(self._plan(tmp_path, "exact", "--solver", "exact")).fingerprint
+        krylov = read_ledger(self._plan(tmp_path, "krylov", "--solver", "krylov")).fingerprint
+        assert exact == default
+        assert krylov != exact
+
+    def test_krylov_plan_workers_run_gmres(self, tmp_path):
+        exact = self._plan(tmp_path, "exact", "--solver", "exact")
+        krylov = self._plan(tmp_path, "krylov", "--solver", "krylov")
+        counts = Counters()
+        assert main(["dist", "work", "--dir", exact, "--quiet"]) == 0
+        assert sum(counts.krylov().values()) == 0
+        counts = Counters()
+        assert main(["dist", "work", "--dir", krylov, "--quiet"]) == 0
+        assert counts.krylov()["gmres_solves"] > 0
+
+    def test_work_rejects_solver(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dist", "work", "--dir", str(tmp_path), "--solver", "krylov"])
+        assert excinfo.value.code == 2
 
 
 class TestWorkMerge:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.io.batch import config_descriptor
+from repro.io.sweep import config_descriptor
 from repro.io.serialize import (
     load_result,
     result_summary,

@@ -20,15 +20,15 @@ from repro.sim.cache import clear_system_memo
 from repro.sim.engine import simulate
 
 
-def fresh_simulate(config, trace=None):
+def fresh_simulate(config):
     """One run on a freshly built system (nothing memoized)."""
     clear_system_memo()
-    return simulate(config, trace=trace)
+    return simulate(config)
 
 
-def _fresh_execute_one(index, config, trace):
+def _fresh_execute_one(index, config):
     start = time.perf_counter()
-    result = fresh_simulate(config, trace=trace)
+    result = fresh_simulate(config)
     return batch.BatchRun(
         index=index,
         config=config,

@@ -223,9 +223,9 @@ class TestInitialFieldMemo:
         ]
         cache = CharacterizationCache()
         clear_system_memo()
-        cold = steady_solves(lambda: BatchRunner(configs, cache=cache).run())
+        cold = steady_solves(lambda: list(BatchRunner(configs, cache=cache).iter_runs()))
         assert cold > 0
-        warm = steady_solves(lambda: BatchRunner(configs, cache=cache).run())
+        warm = steady_solves(lambda: list(BatchRunner(configs, cache=cache).iter_runs()))
         assert warm == 0
 
 
@@ -233,16 +233,16 @@ class TestCohortByteIdentity:
     def test_exact_cohort_equals_serial(self):
         configs = policy_seed_configs(6)
         reference = fresh_reference(configs)
-        batch = BatchRunner(configs).run()
-        assert [r.index for r in batch.runs] == list(range(len(configs)))
-        for expected, run in zip(reference, batch.runs):
+        runs = list(BatchRunner(configs).iter_runs())
+        assert [r.index for r in runs] == list(range(len(configs)))
+        for expected, run in zip(reference, runs):
             assert_results_identical(expected, run.result)
 
     def test_exact_cohort_equals_serial_parallel(self):
         configs = policy_seed_configs(4, duration=0.3)
         reference = fresh_reference(configs)
-        batch = BatchRunner(configs, max_workers=2).run()
-        for expected, run in zip(reference, batch.runs):
+        runs = list(BatchRunner(configs, max_workers=2).iter_runs())
+        for expected, run in zip(reference, runs):
             assert_results_identical(expected, run.result)
 
     def test_mixed_networks_partition_and_match(self):
@@ -254,8 +254,8 @@ class TestCohortByteIdentity:
         configs.append(SimulationConfig(cooling=CoolingMode.AIR, nx=8, ny=8, duration=0.4))
         assert [len(c) for c in signature_groups(configs)] == [2, 2, 1]
         reference = fresh_reference(configs)
-        batch = BatchRunner(configs).run()
-        for expected, run in zip(reference, batch.runs):
+        runs = list(BatchRunner(configs).iter_runs())
+        for expected, run in zip(reference, runs):
             assert_results_identical(expected, run.result)
 
 
@@ -265,9 +265,9 @@ class TestFactorizationSharing:
         factorizations — every (network, dt) system is hit at most once
         per process, however many runs step through it."""
         configs = policy_seed_configs(8, duration=0.3)
-        BatchRunner(configs).run()
+        list(BatchRunner(configs).iter_runs())
         counts = Counters()
-        BatchRunner(configs).run()
+        list(BatchRunner(configs).iter_runs())
         assert counts.factorizations() == 0
 
     def test_cold_factorizations_independent_of_cohort_size(self):
@@ -279,7 +279,7 @@ class TestFactorizationSharing:
             clear_system_memo()
             configs = policy_seed_configs(n, duration=0.3, cooling=CoolingMode.LIQUID_MAX)
             counts = Counters()
-            BatchRunner(configs, cache=CharacterizationCache()).run()
+            list(BatchRunner(configs, cache=CharacterizationCache()).iter_runs())
             return counts.factorizations()
 
         assert cold_count(8) == cold_count(2)

@@ -131,15 +131,6 @@ class TestWarmAndPickle:
         assert clone.stats() == cache.stats()
         assert set(clone.tables) == set(cache.tables)
 
-    def test_merge_first_writer_wins(self):
-        config = _liquid_config()
-        a = CharacterizationCache().warm([config])
-        b = CharacterizationCache().warm([config])
-        table_a = next(iter(a.tables.values()))
-        a.merge(b)
-        assert a.stats() == b.stats()
-        assert next(iter(a.tables.values())) is table_a
-
     def test_clear_and_len(self):
         cache = CharacterizationCache().warm([_liquid_config()])
         assert len(cache) > 0

@@ -54,7 +54,7 @@ def _campaign(solver: str):
     clear_neighbor_cache()
     counts = Counters()
     batch = BatchRunner(_sweep_configs(solver), cache=CharacterizationCache())
-    results = [run.result for run in batch.run().runs]
+    results = [run.result for run in batch.iter_runs()]
     return results, counts.factorizations(), counts.krylov()
 
 
@@ -108,7 +108,7 @@ class TestKrylovVariableFlow:
                 policy="RR", nx=16, ny=16, duration=2.0, solver=solver
             )
             batch = BatchRunner([config], cache=CharacterizationCache())
-            return batch.run().runs[0].result
+            return list(batch.iter_runs())[0].result
 
         exact, krylov = run("exact"), run("krylov")
         assert float(np.abs(exact.tmax - krylov.tmax).max()) < 0.5

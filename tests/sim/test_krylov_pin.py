@@ -72,7 +72,7 @@ def sweep():
         )
         for scale in SCALES
     ]
-    runs = BatchRunner(configs, cache=CharacterizationCache()).run().runs
+    runs = list(BatchRunner(configs, cache=CharacterizationCache()).iter_runs())
     out = runs[1], counts.factorizations(), counts.krylov()
     fresh()
     return out

@@ -110,11 +110,11 @@ class TestNeighborCohorts:
         executed = []
         execute_one = batch_module._execute_one
 
-        def recording(index, config, trace):
+        def recording(index, config):
             executed.append(index)
-            return execute_one(index, config, trace)
+            return execute_one(index, config)
 
         monkeypatch.setattr(batch_module, "_execute_one", recording)
-        result = BatchRunner(configs).run()
+        runs = list(BatchRunner(configs).iter_runs())
         assert executed == [0, 2, 4, 1, 3]
-        assert [run.index for run in result.runs] == [0, 1, 2, 3, 4]
+        assert [run.index for run in runs] == [0, 1, 2, 3, 4]

@@ -31,8 +31,8 @@ class TestStreamingRun:
         result = SweepRunner(spec).run()
         assert result.complete
         assert result.folded == result.n_runs == 4
-        batch = BatchRunner([p.config for p in spec.iter_points()]).run()
-        for row, run in zip(result.rows, batch.runs):
+        runs = list(BatchRunner([p.config for p in spec.iter_points()]).iter_runs())
+        for row, run in zip(result.rows, runs):
             assert row["run"] == run.index
             assert row["peak_temperature_sensor"] == run.result.peak_temperature()
             assert row["total_energy_j"] == run.result.total_energy()
@@ -345,7 +345,7 @@ class TestAggregateCorrectness:
     def test_scalar_aggregates_match_direct_computation(self):
         spec = small_spec()
         result = SweepRunner(spec).run()
-        batch = BatchRunner([p.config for p in spec.iter_points()]).run()
+        runs = list(BatchRunner([p.config for p in spec.iter_points()]).iter_runs())
         scalar_rows = {
             row["label"]: row for row in result.aggregators[0].rows()
         }
@@ -353,7 +353,7 @@ class TestAggregateCorrectness:
             expected = np.mean(
                 [
                     run.result.peak_temperature()
-                    for run in batch.runs
+                    for run in runs
                     if run.config.label() == label
                 ]
             )

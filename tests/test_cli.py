@@ -170,6 +170,55 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "intervals                 : 30" in out  # 3 s, not 99 s.
 
+    def test_trace_csv_is_the_trace_replay_model(self, tmp_path):
+        """--trace-csv X equals --workload trace-replay
+        --workload-param path=X --duration <trace length>."""
+        trace_path = tmp_path / "load.csv"
+        lines = ["second,utilization_pct"]
+        lines += [f"{s},{pct}" for s, pct in enumerate((20.0, 75.0, 50.0, 90.0))]
+        trace_path.write_text("\n".join(lines) + "\n")
+        common = ["simulate", "--benchmark", "gzip", "--policy", "LB", "--seed", "3"]
+        shorthand, explicit = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(common + [
+            "--trace-csv", str(trace_path), "--save-json", str(shorthand),
+        ]) == 0
+        assert main(common + [
+            "--workload", "trace-replay",
+            "--workload-param", f"path={trace_path}",
+            "--duration", "4", "--save-json", str(explicit),
+        ]) == 0
+        assert shorthand.read_bytes() == explicit.read_bytes()
+
+    @pytest.mark.parametrize("benchmark_name", ["Web-med", "gzip"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_trace_replay_threads_match_direct_replay(self, benchmark_name, seed):
+        """The trace-replay model over a whole file yields exactly the
+        threads of replaying the profile directly."""
+        from repro.sim.cache import CharacterizationCache
+        from repro.sim.config import SimulationConfig
+        from repro.workload.benchmarks import benchmark
+        from repro.workload.models import SAMPLE_TRACE_PATH
+        from repro.workload.traces import UtilizationTrace, generate_from_utilization
+
+        profile = UtilizationTrace.from_csv(SAMPLE_TRACE_PATH, n_cores=8)
+        direct = generate_from_utilization(profile, benchmark(benchmark_name), seed=seed)
+        config = SimulationConfig(
+            benchmark_name=benchmark_name, seed=seed, duration=profile.duration,
+            workload="trace-replay", workload_params={"path": str(SAMPLE_TRACE_PATH)},
+        )
+        replayed = CharacterizationCache().thread_trace(config)
+        assert replayed.duration == direct.duration
+        assert [(t.thread_id, t.arrival, t.length) for t in replayed.threads] == [
+            (t.thread_id, t.arrival, t.length) for t in direct.threads
+        ]
+
+    def test_trace_csv_refuses_another_workload(self, tmp_path):
+        with pytest.raises(SystemExit, match="trace-replay"):
+            main([
+                "simulate", "--trace-csv", str(tmp_path / "x.csv"),
+                "--workload", "diurnal",
+            ])
+
 
 class TestBatchCommand:
     def test_batch_defaults(self):
@@ -199,7 +248,44 @@ class TestBatchCommand:
         assert "LB (Air)" in out and "LB (Max)" in out
         payload = json.loads(json_path.read_text())
         assert payload["n_runs"] == 4
-        assert csv_path.read_text().startswith("run,benchmark,")
+        assert payload["name"] == "batch"
+        assert csv_path.read_text().startswith("run,key,benchmark,")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_batch_exports_equal_sweep_run(self, tmp_path, workers):
+        """repro batch is a spec builder: its CSV/JSON are byte-identical
+        to repro sweep run on the equivalent spec file."""
+        batch_csv, batch_json = tmp_path / "batch.csv", tmp_path / "batch.json"
+        assert main([
+            "batch", "--workloads", "gzip,Web-high", "--policies", "TALB,LB",
+            "--cooling", "Var,Air", "--duration", "0.5", "--reseed", "7",
+            "--workers", workers,
+            "--save-csv", str(batch_csv), "--save-json", str(batch_json),
+        ]) == 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "batch",
+            "base": {"layers": 2, "duration": 0.5, "seed": 0, "dpm": False},
+            "grid": {
+                "benchmark": ["gzip", "Web-high"],
+                "policy": ["TALB", "LB"],
+                "cooling": ["Var", "Air"],
+            },
+            "reseed": 7,
+        }))
+        sweep_csv, sweep_json = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        assert main([
+            "sweep", "run", "--spec", str(spec), "--quiet",
+            "--save-csv", str(sweep_csv), "--save-json", str(sweep_json),
+        ]) == 0
+        assert batch_csv.read_bytes() == sweep_csv.read_bytes()
+        assert batch_json.read_bytes() == sweep_json.read_bytes()
+        rows = json.loads(batch_json.read_text())["rows"]
+        # Workloads outermost, cooling fastest: the old nested-loop order.
+        assert [(r["benchmark"], r["policy"], r["cooling"]) for r in rows[:3]] == [
+            ("gzip", "TALB", "Var"), ("gzip", "TALB", "Air"), ("gzip", "LB", "Var"),
+        ]
+        assert [r["seed"] for r in rows] == list(range(7, 15))
 
     def test_batch_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):

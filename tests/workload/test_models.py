@@ -261,14 +261,13 @@ class TestEngineIntegration:
         # Only the cache_trace-trait model (trace-replay) is stored.
         assert cache.stats()["traces"] == 1
 
-    def test_cache_merge_and_clear_cover_traces(self):
-        a, b = CharacterizationCache(), CharacterizationCache()
+    def test_cache_clear_covers_traces(self):
+        cache = CharacterizationCache()
         config = SimulationConfig(duration=2.0, workload="trace-replay")
-        b.thread_trace(config)
-        a.merge(b)
-        assert a.stats()["traces"] == 1
-        a.clear()
-        assert len(a) == 0
+        cache.thread_trace(config)
+        assert cache.stats()["traces"] == 1
+        cache.clear()
+        assert len(cache) == 0
 
     def test_explicit_trace_argument_still_wins(self):
         config = SimulationConfig(duration=2.0)
