@@ -81,6 +81,11 @@ floor (``CharacterizationCache.table`` then ``.floor``) on a freshly
 built 32x32 variable-flow system whose steady LUs are already in the
 LU store, so it times the characterization's own solves and leakage
 fixed points, not factorization.
+
+Schema v11 adds ``krylov_iterations`` and ``krylov_gmres_solves`` to
+``cross_network``: the krylov campaign's GMRES work, which the
+right-preconditioned kernel pays one neighbor-LU solve per iteration
+for. Informational: ``compare_bench.py`` prints them and never warns.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ from repro.thermal.solver import (  # noqa: E402
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
 
@@ -234,7 +239,10 @@ def collect_cross_network_metrics(repeats: int = 3) -> dict:
         after = telemetry_metrics.snapshot()
         stats = {
             key: _counter_delta(before, after, "solver.krylov." + key)
-            for key in ("preconditioner_hits", "preconditioner_misses", "fallbacks")
+            for key in (
+                "preconditioner_hits", "preconditioner_misses", "fallbacks",
+                "iterations", "gmres_solves",
+            )
         }
         factorizations = _counter_delta(before, after, "solver.factorizations")
         return elapsed, factorizations, stats, runs
@@ -276,6 +284,8 @@ def collect_cross_network_metrics(repeats: int = 3) -> dict:
             hits / (hits + misses) if hits + misses else 0.0
         ),
         "krylov_fallbacks": k_stats["fallbacks"],
+        "krylov_iterations": k_stats["iterations"],
+        "krylov_gmres_solves": k_stats["gmres_solves"],
         "max_abs_dT_vs_exact_K": max_abs_dT,
     }
 
@@ -599,6 +609,7 @@ def test_hotpath_baseline(tmp_path):
     assert cross["krylov_factorizations"] < cross["n_points"]
     assert cross["preconditioner_hit_rate"] > 0.0
     assert cross["max_abs_dT_vs_exact_K"] < 1.0e-6
+    assert 0 < cross["krylov_gmres_solves"] <= cross["krylov_iterations"]
     breakdown = loaded["timing_breakdown"]
     assert breakdown["wall_s"] > 0.0
     # The traced cold campaign must surface the core hot-path spans.
@@ -667,6 +678,10 @@ def main(argv=None) -> int:
         f" (hit rate {cross['preconditioner_hit_rate']:.0%},"
         f" {cross['krylov_fallbacks']} fallbacks,"
         f" max |dT| {cross['max_abs_dT_vs_exact_K']:.2e} K)"
+    )
+    print(
+        f"  GMRES: {cross['krylov_gmres_solves']} solves,"
+        f" {cross['krylov_iterations']} iterations"
     )
     breakdown = payload["timing_breakdown"]
     print(f"\ntiming breakdown: {breakdown['sweep']} ({breakdown['wall_s']:.2f}s)")

@@ -32,7 +32,9 @@ note) section is a note, not an error. The current payload must carry
 ``warm_sweep.warm_refactorizations``: without it the warm gate fails.
 The ``lu_nnz`` section (schema v9, transient LU fill per grid) is
 printed for the trajectory only; a pre-v9 baseline without it is a
-note.
+note. So are the ``cross_network`` GMRES counters (schema v11,
+``krylov_iterations`` and ``krylov_gmres_solves``); a pre-v11 baseline
+prints ``-`` for them.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ REGRESSION_THRESHOLD = 0.20
 #: samples are long enough to drift with the machine, and the forecaster
 #: cost they show is pinned by the telemetry pass-count gate instead.
 INFORMATIONAL_RESULTS = frozenset({"control_interval_arma_32x32"})
+
+#: ``cross_network`` counters printed for the trajectory, never warned on.
+CROSS_NETWORK_INFORMATIONAL = ("krylov_iterations", "krylov_gmres_solves")
 
 
 def _warn(message: str) -> None:
@@ -77,6 +82,11 @@ def _compare_cross_network(cur: dict | None, base: dict | None) -> int:
         if c < b * (1.0 - REGRESSION_THRESHOLD):
             warnings += 1
             _warn(f"{key}: {c:.2f} vs baseline {b:.2f}")
+    # GMRES work (schema v11): printed for the trajectory, never warned
+    # on; a pre-v11 baseline shows "-".
+    for key in CROSS_NETWORK_INFORMATIONAL:
+        if key in cur:
+            print(f"{key:32s} {base.get(key, '-'):>9}   {cur[key]:>9}  (informational)")
     return warnings
 
 

@@ -13,6 +13,8 @@ The acceptance properties of the telemetry subsystem:
   the process counter's delta exactly;
 * ``factorize`` spans carry a matrix digest, so duplicate LUs are
   visible from the trace alone (an inlet sweep has none);
+* every ``gmres`` span carries its iteration count and the verified
+  relative residual of its answer;
 * the forecaster makes one ARMA innovations pass per observed sample
   with a fitted model (none in ``predict``), counts its refits by
   reason, and counts failed refits instead of swallowing them.
@@ -265,6 +267,37 @@ class TestLUStoreTelemetry:
         assert len(digests) == counts.factorizations() > 0
         assert len(set(digests)) == len(digests)
         assert hits.value(kind="steady") > before_h
+
+
+class TestKrylovTelemetry:
+    def test_gmres_spans_carry_iterations_and_residual(self, tracing):
+        """A traced two-point krylov sweep: one ``gmres`` span per GMRES
+        solve, each with its ``iterations`` and a verified ``residual``
+        within ``KRYLOV_TOLERANCE``; the spans add up to the counters."""
+        from repro.runner import BatchRunner
+        from repro.sim.cache import CharacterizationCache, clear_system_memo
+        from repro.thermal.rc_network import ThermalParams
+        from repro.thermal.solver import KRYLOV_TOLERANCE, clear_neighbor_cache
+
+        clear_system_memo()
+        clear_neighbor_cache()
+        counts = Counters()
+        configs = [
+            SimulationConfig(
+                duration=0.5, nx=8, ny=8, solver="krylov",
+                thermal_params=ThermalParams(resistance_scale=scale),
+            )
+            for scale in (4.0, 4.06)
+        ]
+        list(BatchRunner(configs, cache=CharacterizationCache()).iter_runs())
+        clear_neighbor_cache()
+        spans = [e for e in trace.events() if e["name"] == "gmres"]
+        stats = counts.krylov()
+        assert stats["fallbacks"] == 0
+        assert len(spans) == stats["gmres_solves"] > 0
+        assert sum(e["attrs"]["iterations"] for e in spans) == stats["iterations"]
+        for e in spans:
+            assert 0.0 <= e["attrs"]["residual"] <= KRYLOV_TOLERANCE
 
 
 class TestForecasterTelemetry:

@@ -5,7 +5,8 @@ gate reads ``warm_sweep.warm_refactorizations`` from the current
 payload, and a baseline from before schema v8 (a ``cohort`` section
 instead of ``warm_sweep``) is read without error. The schema v9
 ``lu_nnz`` fill section is printed only, and a v8 baseline without it
-is read without error.
+is read without error. The schema v11 ``cross_network`` GMRES counters
+are printed only, against a baseline with or without them.
 """
 
 import importlib.util
@@ -91,3 +92,40 @@ class TestLuFill:
         out = capsys.readouterr().out
         assert "lu_nnz_32x32" in out and "300000" in out
         assert "::warning" not in out
+
+
+def with_cross_network(base, **gmres):
+    """``base`` plus a passing ``cross_network`` section."""
+    return {
+        **base,
+        "cross_network": {
+            "n_points": 16,
+            "krylov_factorizations": 2,
+            "krylov_speedup": 1.2,
+            "preconditioner_hit_rate": 0.94,
+            **gmres,
+        },
+    }
+
+
+class TestCrossNetworkGmresCounters:
+    def test_more_iterations_are_printed_but_never_warn(self, capsys):
+        current = with_cross_network(
+            payload(), krylov_iterations=9000, krylov_gmres_solves=900
+        )
+        baseline = with_cross_network(
+            payload(), krylov_iterations=3000, krylov_gmres_solves=900
+        )
+        assert compare_bench.compare(current, baseline) == 0
+        out = capsys.readouterr().out
+        assert "krylov_iterations" in out and "9000" in out
+        assert "krylov_gmres_solves" in out
+        assert "::warning" not in out
+
+    def test_pre_v11_baseline_without_them_is_read(self, capsys):
+        current = with_cross_network(
+            payload(), krylov_iterations=3000, krylov_gmres_solves=900
+        )
+        assert compare_bench.compare(current, with_cross_network(payload())) == 0
+        out = capsys.readouterr().out
+        assert "krylov_iterations" in out and "3000" in out

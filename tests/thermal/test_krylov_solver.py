@@ -245,11 +245,11 @@ class TestKrylovSteady:
         expected = exact.solve_many(powers)
         assert np.abs(block - expected).max() < KRYLOV_TEMPERATURE_TOLERANCE
 
-    def test_gmres_applies_the_preconditioner_iterations_plus_two_times(
+    def test_gmres_applies_the_preconditioner_once_per_iteration(
         self, grid, power, monkeypatch
     ):
-        # One application per Arnoldi step, one for the initial
-        # residual, one for the update; none to infer the dtype.
+        # Right preconditioning: one application per Arnoldi step, none
+        # for the initial residual or the update (Z = M^-1 V is kept).
         cache = NeighborFactorCache()
         KrylovSteadySolver(_network(grid, resistance_scale=4.2),
                            ThermalParams(resistance_scale=4.2), cache=cache)
@@ -268,7 +268,7 @@ class TestKrylovSteady:
         stats = counts.krylov()
         assert stats["gmres_solves"] == 1
         assert stats["iterations"] > 0
-        assert len(applications) == stats["iterations"] + 2
+        assert len(applications) == stats["iterations"]
 
     def test_shape_check(self, net):
         krylov = KrylovSteadySolver(net, ThermalParams(),
