@@ -86,6 +86,13 @@ Schema v11 adds ``krylov_iterations`` and ``krylov_gmres_solves`` to
 ``cross_network``: the krylov campaign's GMRES work, which the
 right-preconditioned kernel pays one neighbor-LU solve per iteration
 for. Informational: ``compare_bench.py`` prints them and never warns.
+
+Schema v12 adds the unit-response counts to ``inlet_sweep``:
+``responses`` (``R = U G^-1 S`` blocks solved, one per distinct steady
+matrix) and ``bases`` (boundary columns, one per system and setting),
+each next to its single-inlet count. ``R`` hangs on the shared steady
+LU, so the sweep must solve exactly as many ``R`` blocks as one inlet
+(gated like the duplicate LUs).
 """
 
 from __future__ import annotations
@@ -131,7 +138,7 @@ from repro.thermal.solver import (  # noqa: E402
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
 
@@ -341,25 +348,24 @@ def _inlet_configs(inlets) -> list:
 
 
 def collect_inlet_sweep_metrics() -> dict:
-    """LU counts of a cold inlet-temperature sweep (schema v6).
+    """LU and unit-response counts of a cold inlet-temperature sweep
+    (schema v6; responses since v12).
 
     Runs the 4-inlet sweep and its first inlet alone, each cold (system
-    memo, LU store, and neighbor pool cleared) and traced. The gate is
-    algorithmic: the sweep must factorize exactly as often as the single
-    inlet, and no two ``factorize`` spans may carry the same matrix
-    digest.
+    memo, LU store, and neighbor pool cleared) and traced. The gates are
+    algorithmic: the sweep must factorize, and solve ``R`` blocks,
+    exactly as often as the single inlet, and no two ``factorize`` spans
+    may carry the same matrix digest.
     """
 
-    def campaign(inlets) -> tuple[int, int]:
+    def campaign(inlets) -> dict:
         clear_system_memo()
         clear_neighbor_cache()
         telemetry_trace.enable()
         telemetry_trace.clear()
         before = telemetry_metrics.snapshot()
         list(BatchRunner(_inlet_configs(inlets), cache=CharacterizationCache()).iter_runs())
-        factorizations = _counter_delta(
-            before, telemetry_metrics.snapshot(), "solver.factorizations"
-        )
+        after = telemetry_metrics.snapshot()
         digests = {
             event["attrs"]["digest"]
             for event in telemetry_trace.events()
@@ -367,17 +373,27 @@ def collect_inlet_sweep_metrics() -> dict:
         }
         telemetry_trace.disable()
         telemetry_trace.clear()
-        return factorizations, len(digests)
+        responses = "sim.characterize.unit_responses{kind=%s}"
+        return {
+            "factorizations": _counter_delta(before, after, "solver.factorizations"),
+            "distinct": len(digests),
+            "responses": _counter_delta(before, after, responses % "response"),
+            "bases": _counter_delta(before, after, responses % "base"),
+        }
 
-    single, _ = campaign(INLETS[:1])
-    swept, distinct = campaign(INLETS)
+    single = campaign(INLETS[:1])
+    swept = campaign(INLETS)
     return {
         "sweep": "TALB Var, inlet 45/55/65/75 degC, 16x16, 0.5 s simulated, cold",
         "n_inlets": len(INLETS),
-        "single_inlet_factorizations": single,
-        "factorizations": swept,
-        "distinct_matrices": distinct,
-        "duplicate_factorizations": swept - distinct,
+        "single_inlet_factorizations": single["factorizations"],
+        "factorizations": swept["factorizations"],
+        "distinct_matrices": swept["distinct"],
+        "duplicate_factorizations": swept["factorizations"] - swept["distinct"],
+        "single_inlet_responses": single["responses"],
+        "responses": swept["responses"],
+        "single_inlet_bases": single["bases"],
+        "bases": swept["bases"],
     }
 
 
@@ -446,13 +462,14 @@ def collect_lu_fill(sizes) -> dict:
 
 def time_characterization(n: int, repeats: int) -> float:
     """Median cold flow table + burst floor on a fresh ``n x n`` system
-    (schema v10), its steady LUs already stored."""
+    (schema v10), its steady LUs already stored but no unit response
+    memoized on them (since v12 ``R`` lives on the shared LU)."""
     config = SimulationConfig(nx=n, ny=n, cooling=CoolingMode.LIQUID_VARIABLE)
 
     def fresh():
         system = ThermalSystem(2, CoolingKind.LIQUID, nx=n, ny=n)
         for k in range(system.pump.n_settings):
-            system.steady_solver(k)
+            system.steady_solver(k).memo.clear()
         return system, PowerModel(system.stack, leakage=LeakageModel())
 
     system, model = fresh()  # factorizes each setting's steady LU once
@@ -629,6 +646,11 @@ def test_hotpath_baseline(tmp_path):
     # factorizes exactly as often as one inlet, with no duplicate LU.
     assert inlet["factorizations"] == inlet["single_inlet_factorizations"]
     assert inlet["duplicate_factorizations"] == 0
+    # The unit-response gate: R hangs on the shared steady LU, so the
+    # sweep solves one R per setting, as one inlet does, and one base
+    # column per system and setting.
+    assert 0 < inlet["responses"] == inlet["single_inlet_responses"]
+    assert inlet["bases"] == inlet["n_inlets"] * inlet["single_inlet_bases"]
     fill = loaded["lu_nnz"]
     assert set(fill) == {"32x32", "64x64"}
     for grid_fill in fill.values():
@@ -715,6 +737,12 @@ def main(argv=None) -> int:
         f" {inlet['single_inlet_factorizations']}"
         f" ({inlet['distinct_matrices']} distinct matrices,"
         f" {inlet['duplicate_factorizations']} duplicates)"
+    )
+    print(
+        f"  unit responses: {inlet['n_inlets']} inlets"
+        f" {inlet['responses']} R + {inlet['bases']} base, one inlet"
+        f" {inlet['single_inlet_responses']} R"
+        f" + {inlet['single_inlet_bases']} base"
     )
     print("\ntransient LU fill (nnz): symmetric mode vs pivoted")
     for size, grid_fill in payload["lu_nnz"].items():

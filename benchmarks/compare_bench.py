@@ -19,9 +19,11 @@ Two kinds of checks, deliberately different in severity:
   krylov campaign factorizing as often as it has design points means
   neighbor-LU preconditioning broke, and a cold inlet-temperature
   sweep factorizing more often than a single inlet (or factorizing any
-  matrix twice) means the content-addressed LU store broke — those are
-  properties of the code, not the machine, so each exits nonzero and
-  fails CI.
+  matrix twice) means the content-addressed LU store broke, and the
+  same sweep solving more unit-response ``R`` blocks than a single
+  inlet means ``R`` stopped being shared through the steady LU — those
+  are properties of the code, not the machine, so each exits nonzero
+  and fails CI.
 
 Schema changes are tolerated in both directions: benchmarks present on
 only one side are reported as "new" / "not measured" instead of
@@ -34,7 +36,8 @@ The ``lu_nnz`` section (schema v9, transient LU fill per grid) is
 printed for the trajectory only; a pre-v9 baseline without it is a
 note. So are the ``cross_network`` GMRES counters (schema v11,
 ``krylov_iterations`` and ``krylov_gmres_solves``); a pre-v11 baseline
-prints ``-`` for them.
+prints ``-`` for them. A current payload of schema v12 or later must
+carry ``inlet_sweep.responses``; an older one without it is a note.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ INFORMATIONAL_RESULTS = frozenset({"control_interval_arma_32x32"})
 
 #: ``cross_network`` counters printed for the trajectory, never warned on.
 CROSS_NETWORK_INFORMATIONAL = ("krylov_iterations", "krylov_gmres_solves")
+
+#: First schema whose ``inlet_sweep`` must carry the unit-response counts.
+RESPONSES_SCHEMA = 12
 
 
 def _warn(message: str) -> None:
@@ -209,19 +215,24 @@ def _gate_warm_sweep(warm: dict | None) -> int:
     return 0
 
 
-def _gate_inlet_sweep(inlet: dict | None) -> int:
-    """The LU-store gate (schema v6); returns the failure count.
+def _gate_inlet_sweep(inlet: dict | None, schema: int = 0) -> int:
+    """The LU-store gate (schema v6) and the unit-response gate (v12);
+    returns the failure count.
 
     Inlets share every matrix, so a cold inlet sweep must factorize
-    exactly as often as its single-inlet run, with no duplicate LU.
+    exactly as often as its single-inlet run, with no duplicate LU, and
+    solve exactly as many unit-response ``R`` blocks as it (``R`` hangs
+    on the shared steady LU).
     """
     if inlet is None:
         print("(inlet_sweep: not measured this run)")
         return 0
+    failures = 0
     swept = inlet.get("factorizations")
     single = inlet.get("single_inlet_factorizations")
     duplicates = inlet.get("duplicate_factorizations")
     if swept is None or swept != single or duplicates != 0:
+        failures += 1
         print(
             "::error title=perf gate::cold inlet sweep performed"
             f" {swept} LU factorizations ({duplicates} duplicates) vs"
@@ -229,12 +240,27 @@ def _gate_inlet_sweep(inlet: dict | None) -> int:
             " — the inlet moves only the boundary vector, so every matrix"
             " must be factorized once)"
         )
-        return 1
-    print(
-        f"inlet_sweep_factorizations {swept:9d}"
-        "  (gate: ok, = single inlet, 0 duplicates)"
-    )
-    return 0
+    else:
+        print(
+            f"inlet_sweep_factorizations {swept:9d}"
+            "  (gate: ok, = single inlet, 0 duplicates)"
+        )
+    responses = inlet.get("responses")
+    if responses is None and schema < RESPONSES_SCHEMA:
+        print("(inlet_sweep responses: not measured, pre-v12 payload)")
+        return failures
+    single = inlet.get("single_inlet_responses")
+    if not responses or responses != single:
+        failures += 1
+        print(
+            "::error title=perf gate::cold inlet sweep solved"
+            f" {responses} unit-response R blocks vs {single} for a single"
+            " inlet (expected equal — R depends on the steady matrix alone,"
+            " so the inlets must share it)"
+        )
+    else:
+        print(f"inlet_sweep_responses {responses:14d}  (gate: ok, = single inlet)")
+    return failures
 
 
 def compare(current: dict, baseline: dict) -> int:
@@ -310,7 +336,9 @@ def compare(current: dict, baseline: dict) -> int:
                 f"  (gate: ok, < {n_points} design points)"
             )
 
-    failures += _gate_inlet_sweep(current.get("inlet_sweep"))
+    failures += _gate_inlet_sweep(
+        current.get("inlet_sweep"), current.get("schema_version", 0)
+    )
 
     print(
         f"\n{len(shared)} benchmarks compared, {warnings} regression"

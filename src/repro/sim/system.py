@@ -11,11 +11,14 @@ leakage fixed point in unit space, exactly up to roundoff: the
 unit->cell power scatter ``S``, ``G^-1`` and the unit mean ``U`` are all
 linear, and leakage reads only unit temperatures, so steady unit
 temperatures are affine in unit powers, ``t = base + R p`` with
-``base = U G^-1 b`` and ``R = U G^-1 S`` (:meth:`ThermalSystem.unit_response`,
-one solve per setting). Each iteration is an ``n_units``-square matvec
-instead of a field solve. The initial field stays on fields (every run
-starts from it, pinned bitwise), as do the TALB weights, whose
-mirror-core ties are ordered by LU roundoff alone.
+``base = U G^-1 b`` and ``R = U G^-1 S`` (:meth:`ThermalSystem.unit_response`).
+``R`` depends on the matrix and the grid alone, so it is solved once per
+steady LU and shared by every system on that matrix (the points of an
+inlet sweep); ``base`` is one boundary column per system and setting.
+Each iteration is an ``n_units``-square matvec instead of a field
+solve. The initial field stays on fields (every run starts from it,
+pinned bitwise), as do the TALB weights, whose mirror-core ties are
+ordered by LU roundoff alone.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ from repro.thermal.solver import (
     structure_signature,
 )
 
-_UNIT_RESPONSES = _metrics.counter("sim.characterize.unit_responses")  # memo misses
+_UNIT_RESPONSES = _metrics.counter("sim.characterize.unit_responses")
+"""Unit-response solves: ``kind=response`` per distinct ``R`` (one per
+steady matrix and grid), ``kind=base`` per system and setting."""
 
 LEAKAGE_ITERATIONS = 6
 """Fixed iteration count of every leakage fixed point (power(T) -> T);
@@ -251,20 +256,39 @@ class ThermalSystem:
 
     def unit_response(self, setting_index: int = -1) -> tuple[np.ndarray, np.ndarray]:
         """``(base, R)``: steady unit temperatures are ``base + R @ p`` for
-        unit powers ``p``. One ``solve_many`` of zero power and one watt
-        per unit, memoized per setting; the arrays are read-only."""
+        unit powers ``p``; memoized per setting, the arrays read-only.
+
+        ``R = U G^-1 S`` is one ``n_units``-column solve of one watt per
+        unit with no boundary vector, so it depends on the matrix and
+        the grid alone. It lives in the steady solver's
+        :attr:`~repro.thermal.solver.SteadyStateSolver.memo`, keyed by
+        the grid's unit-operator digest: on the exact tier that is the
+        LU store's handle, so every system whose steady ``G`` is the
+        same matrix shares one ``R`` object, freed with the LU; on the
+        krylov tier it stays with the system's own core.
+        ``base = U G^-1 b`` is one boundary-only column per system.
+        """
         hit = self._unit_responses.get(setting_index)
         if hit is None:
-            _UNIT_RESPONSES.inc()
             grid = self.grid
-            injections = [np.zeros(grid.n_nodes)] + [
-                grid.power_vector_from_array(watt) for watt in np.eye(grid.n_units)
-            ]
-            fields = self.steady_solver(setting_index).solve_many(np.column_stack(injections))
-            units = np.column_stack([grid.unit_temperature_vector(f) for f in fields.T])
-            base = np.ascontiguousarray(units[:, 0])
-            response = units[:, 1:] - base[:, None]
-            base.flags.writeable = response.flags.writeable = False
+            solver = self.steady_solver(setting_index)
+            key = ("unit_response", grid.unit_operator_digest)
+            response = solver.memo.get(key)
+            if response is None:
+                _UNIT_RESPONSES.inc(kind="response")
+                scatter = np.column_stack(
+                    [grid.power_vector_from_array(watt) for watt in np.eye(grid.n_units)]
+                )
+                fields = solver.solve_many(scatter, boundary=False)
+                response = np.column_stack(
+                    [grid.unit_temperature_vector(f) for f in fields.T]
+                )
+                response.flags.writeable = False
+                response = solver.memo.setdefault(key, response)
+            _UNIT_RESPONSES.inc(kind="base")
+            field = solver.solve_many(np.zeros((grid.n_nodes, 1)))[:, 0]
+            base = grid.unit_temperature_vector(field)
+            base.flags.writeable = False
             hit = self._unit_responses[setting_index] = (base, response)
         return hit
 

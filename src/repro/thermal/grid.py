@@ -34,6 +34,7 @@ and no per-unit or per-cell Python loops in the per-interval path.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -100,6 +101,10 @@ class ThermalGrid:
         index array (``unit_vector[core_index]`` gives per-core values).
     unit_cell_counts:
         Grid cells assigned to each unit, aligned to :attr:`unit_keys`.
+    unit_operator_digest:
+        sha256 of the node count and every unit's cells: two grids with
+        the same digest have bitwise-equal scatter and mean-gather
+        operators, so results derived from them can be shared.
     """
 
     def __init__(self, stack: Stack3D, nx: int = 16, ny: int = 16) -> None:
@@ -222,6 +227,12 @@ class ThermalGrid:
             (np.ones(flat_cells.size), flat_cells, indptr),
             shape=(self.n_units, self.n_nodes),
         )
+        # Content identity of S and M_sum: equal digests mean equal
+        # operators, whatever grid object built them.
+        hasher = hashlib.sha256(repr((self.n_nodes, self.n_units)).encode())
+        hasher.update(flat_cells.astype(np.int64).tobytes())
+        hasher.update(self.unit_cell_counts.tobytes())
+        self.unit_operator_digest: str = hasher.hexdigest()
 
         # Cores in stack order (== stack.core_names() order).
         self.core_keys: tuple[tuple[int, str], ...] = tuple(

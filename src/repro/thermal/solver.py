@@ -116,10 +116,14 @@ class Factorization:
     so the store forgets an LU with its last holder. ``solve`` is the
     LU's own bound method (no extra Python frame per solve);
     ``solve_linear``/``solve_linear_many`` are the linear-core interface
-    the solver wrappers call, and ignore the initial guess.
+    the solver wrappers call, and ignore the initial guess. ``memo``
+    holds results that depend on this matrix alone (see
+    :attr:`SteadyStateSolver.memo`): the store shares the handle, so
+    every solver of the same matrix shares them, and they die with the
+    LU.
     """
 
-    __slots__ = ("lu", "solve", "digest", "__weakref__")
+    __slots__ = ("lu", "solve", "digest", "memo", "__weakref__")
 
     warm_start = False
     """A triangular solve takes no initial guess."""
@@ -128,6 +132,7 @@ class Factorization:
         self.lu = lu
         self.solve = lu.solve
         self.digest = digest
+        self.memo: dict = {}
 
     def solve_linear(self, rhs: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
         """``A x = rhs`` for one vector or an ``(n, k)`` block."""
@@ -264,7 +269,20 @@ class SteadyStateSolver:
             self._last = temps
         return temps
 
-    def solve_many(self, powers: np.ndarray) -> np.ndarray:
+    @property
+    def memo(self) -> dict:
+        """Results that depend on ``G`` alone, kept on the linear core.
+
+        The exact core is the LU store's handle, so every exact solver
+        of the same matrix (systems that differ only in the boundary
+        vector, such as an inlet sweep) shares one memo, freed with the
+        LU. A krylov core is private to its solver, so nothing derived
+        by GMRES reaches an exact solver. Callers key entries by what
+        else they depend on.
+        """
+        return self._core.memo
+
+    def solve_many(self, powers: np.ndarray, boundary: bool = True) -> np.ndarray:
         """Equilibrium fields for many injections at once.
 
         ``powers`` has shape ``(n_nodes, k)``; returns the same shape.
@@ -272,12 +290,16 @@ class SteadyStateSolver:
         columns agree with separate :meth:`solve` calls to within LU
         roundoff (~1e-14 K — SuperLU uses blocked kernels for multiple
         right-hand sides). Blocks start cold on the krylov core.
+        ``boundary=False`` solves ``G T = P`` without the boundary
+        vector: the response to ``P`` alone, a property of the matrix.
         """
         powers = _block(powers, self.network.n_nodes)
+        if boundary:
+            powers = powers + self.network.boundary[:, None]
         with _trace.span(
             "steady", n_nodes=self.network.n_nodes, n_rhs=powers.shape[1]
         ):
-            temps = self._core.solve_linear_many(powers + self.network.boundary[:, None])
+            temps = self._core.solve_linear_many(powers)
         return _finite(temps, "steady-state solve")
 
 
@@ -599,7 +621,8 @@ class _KrylovCore:
     bit-identical), so its LU solves direct. The first design point of
     a structure (no retained neighbor) and any stalled iteration
     factorize exactly — so krylov mode is never *less* robust than
-    exact, only cheaper when neighbors exist.
+    exact, only cheaper when neighbors exist. Its ``memo`` is its own,
+    never the borrowed LU's, so GMRES results stay on the krylov tier.
     """
 
     warm_start = True
@@ -618,6 +641,7 @@ class _KrylovCore:
         self._matrix = matrix.tocsr()
         self._lu: Optional[Factorization] = None
         self._precond: Optional[Factorization] = None
+        self.memo: dict = {}
         near = self._cache.nearest(structure, _params_vector(params))
         if near is None:
             _bump_krylov(preconditioner_misses=1)

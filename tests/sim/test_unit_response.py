@@ -22,7 +22,11 @@ from repro.sim.config import CoolingMode, SimulationConfig
 from repro.sim.system import ThermalSystem
 from repro.telemetry import trace
 from repro.thermal.rc_network import ThermalParams
-from repro.thermal.solver import KRYLOV_TEMPERATURE_TOLERANCE, clear_neighbor_cache
+from repro.thermal.solver import (
+    KRYLOV_TEMPERATURE_TOLERANCE,
+    clear_lu_store,
+    clear_neighbor_cache,
+)
 
 from counters import Counters
 from naive_thermal import naive_steady_tmax_batch, naive_steady_tmax_concentrated
@@ -32,6 +36,7 @@ TOLERANCE = 1.0e-9
 
 N_SETTINGS = 5
 N_CORES = 8
+RESPONSES = "sim.characterize.unit_responses{kind=%s}"
 
 
 def _pair(n, **kwargs):
@@ -110,6 +115,121 @@ class TestSameDecisions:
         assert cache.floor(system, model, config) == reference_floor
 
 
+INLETS = (45.0, 55.0, 65.0, 75.0)
+
+
+def _inlet_systems(n, inlets=INLETS, **kwargs):
+    """One ``(system, model)`` per inlet temperature: the systems differ
+    only in the boundary vector, so they share every steady matrix."""
+    return [
+        _pair(n, params=ThermalParams(inlet_temperature=inlet), **kwargs)
+        for inlet in inlets
+    ]
+
+
+def _responses(systems):
+    """``[setting][system] -> (base, R)``."""
+    return [[system.unit_response(k) for system, _ in systems] for k in range(N_SETTINGS)]
+
+
+@pytest.fixture(scope="module", params=(16, 32), ids=lambda n: f"{n}x{n}")
+def inlet_sweep(request):
+    """Four inlet systems characterized from a cleared LU store, their
+    responses and the response/base counter deltas."""
+    clear_lu_store()
+    systems = _inlet_systems(request.param)
+    counts = Counters()
+    responses = _responses(systems)
+    deltas = {kind: counts.delta(RESPONSES % kind) for kind in ("response", "base")}
+    return systems, responses, deltas
+
+
+class TestInletSweepSharesR:
+    """Inlets move only the boundary vector: one ``R`` per setting on the
+    shared steady LU, one ``base`` per system, the field loop's answers."""
+
+    def test_one_r_object_per_setting_and_a_base_per_system(self, inlet_sweep):
+        _, responses, deltas = inlet_sweep
+        for per_system in responses:
+            (first_base, first_r), *rest = per_system
+            for base, r in rest:
+                assert r is first_r
+                assert not np.array_equal(base, first_base)
+        assert deltas == {"response": N_SETTINGS, "base": len(INLETS) * N_SETTINGS}
+
+    def test_tables_and_floors_match_field_loop(self, inlet_sweep):
+        systems, _, _ = inlet_sweep
+        for system, model in systems:
+            n = system.grid.nx
+            config = SimulationConfig(
+                nx=n, ny=n, cooling=CoolingMode.LIQUID_VARIABLE,
+                thermal_params=system.params,
+            )
+            cache = CharacterizationCache()
+            table = cache.table(system, model, config)
+            reference = FlowRateTable.characterize(
+                steady_tmax_batch=lambda k, utils: naive_steady_tmax_batch(
+                    system, model, utils, k
+                ),
+                n_settings=system.pump.n_settings,
+                per_cavity_flows=system.pump.per_cavity_flows(),
+                target=config.target_temperature - config.characterization_guard,
+            )
+            np.testing.assert_allclose(
+                table.char.tmax, reference.char.tmax, rtol=0.0, atol=TOLERANCE
+            )
+            for u in np.linspace(0.0, 1.0, 1001):
+                got = table.required_setting_for_utilization(u)
+                assert got == reference.required_setting_for_utilization(u), u
+            reference_floor = next(
+                (
+                    k
+                    for k in range(system.pump.n_settings)
+                    if naive_steady_tmax_concentrated(system, model, k)
+                    <= config.target_temperature - 0.5
+                ),
+                system.pump.n_settings - 1,
+            )
+            assert cache.floor(system, model, config) == reference_floor
+
+    def test_r_is_bitwise_the_same_whichever_inlet_solves_it(self, inlet_sweep):
+        systems, responses, _ = inlet_sweep
+        clear_lu_store()  # fresh LUs: the last inlet now solves R first
+        reversed_systems = _inlet_systems(systems[0][0].grid.nx, INLETS[::-1])
+        again = _responses(reversed_systems)
+        for first, second in zip(responses, again):
+            assert second[0][1] is not first[0][1]
+            np.testing.assert_array_equal(second[0][1], first[0][1])
+            for (base, _), (base_again, _) in zip(first, second[::-1]):
+                np.testing.assert_array_equal(base_again, base)
+
+
+class TestKrylovRStaysOnTheKrylovTier:
+    """A krylov core keeps its ``R`` to itself, even on a stored LU."""
+
+    def test_exact_system_solves_its_own_r(self):
+        clear_lu_store()
+        clear_neighbor_cache()
+        try:
+            # An empty neighbor pool: the krylov core factorizes its own
+            # G through the LU store, the handle an exact system gets.
+            [(krylov, _)] = _inlet_systems(16, INLETS[:1], solver="krylov")
+            krylov_r = [krylov.unit_response(k)[1] for k in range(N_SETTINGS)]
+            counts = Counters()
+            [(exact, _)] = _inlet_systems(16, INLETS[1:2])
+            exact_r = [exact.unit_response(k)[1] for k in range(N_SETTINGS)]
+            assert counts.delta(RESPONSES % "response") == N_SETTINGS
+            for k in range(N_SETTINGS):
+                assert exact.steady_solver(k)._core is krylov.steady_solver(k)._core._lu
+                assert exact_r[k] is not krylov_r[k]
+            clear_lu_store()
+            [(fresh, _)] = _inlet_systems(16, INLETS[1:2])
+            for k in range(N_SETTINGS):
+                np.testing.assert_array_equal(fresh.unit_response(k)[1], exact_r[k])
+        finally:
+            clear_neighbor_cache()
+
+
 class TestKrylovTier:
     @pytest.fixture
     def neighbors(self):
@@ -154,22 +274,27 @@ class TestMemo:
         return [e for e in trace.events() if e["name"] == "steady"]
 
     def test_one_solve_per_setting_then_none(self, tracing):
+        """Per setting: one ``R`` block of ``n_units`` columns and one
+        ``base`` column; a repeat table solves nothing."""
+        clear_lu_store()  # fresh steady LUs: no response memoized on them
         system, model = _pair(16)
         config = SimulationConfig(nx=16, ny=16, cooling=CoolingMode.LIQUID_VARIABLE)
+        settings = system.pump.n_settings
         counts = Counters()
         cache = CharacterizationCache()
         cache.table(system, model, config)
         cache.floor(system, model, config)
-        spans = self._steady_spans()
-        assert len(spans) == system.pump.n_settings
-        assert all(s["attrs"]["n_rhs"] == system.grid.n_units + 1 for s in spans)
-        assert counts.delta("sim.characterize.unit_responses") == system.pump.n_settings
+        widths = sorted(s["attrs"]["n_rhs"] for s in self._steady_spans())
+        assert widths == [1] * settings + [system.grid.n_units] * settings
+        assert counts.delta(RESPONSES % "response") == settings
+        assert counts.delta(RESPONSES % "base") == settings
 
         trace.clear()
         counts = Counters()
         CharacterizationCache().table(system, model, config)
         assert self._steady_spans() == []
-        assert counts.delta("sim.characterize.unit_responses") == 0
+        assert counts.delta(RESPONSES % "response") == 0
+        assert counts.delta(RESPONSES % "base") == 0
 
     def test_memoized_and_read_only(self):
         system, _ = _pair(16)

@@ -6,7 +6,9 @@ payload, and a baseline from before schema v8 (a ``cohort`` section
 instead of ``warm_sweep``) is read without error. The schema v9
 ``lu_nnz`` fill section is printed only, and a v8 baseline without it
 is read without error. The schema v11 ``cross_network`` GMRES counters
-are printed only, against a baseline with or without them.
+are printed only, against a baseline with or without them. From schema
+v12 the inlet sweep must solve as many unit-response ``R`` blocks as a
+single inlet; an older payload without the counts is a note.
 """
 
 import importlib.util
@@ -129,3 +131,28 @@ class TestCrossNetworkGmresCounters:
         assert compare_bench.compare(current, with_cross_network(payload())) == 0
         out = capsys.readouterr().out
         assert "krylov_iterations" in out and "3000" in out
+
+
+def with_responses(base, responses, single=5, schema=12):
+    """``base`` at ``schema`` with the v12 unit-response counts."""
+    inlet = {**base["inlet_sweep"]}
+    if responses is not None:
+        inlet.update(responses=responses, single_inlet_responses=single)
+    return {**base, "schema_version": schema, "inlet_sweep": inlet}
+
+
+class TestInletSweepResponseGate:
+    def test_shared_r_passes(self, capsys):
+        assert compare_bench.compare(with_responses(payload(), 5), payload()) == 0
+        assert "inlet_sweep_responses" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("responses", [20, 0, None])
+    def test_unshared_zero_or_missing_r_fails(self, responses, capsys):
+        current = with_responses(payload(), responses)
+        assert compare_bench.compare(current, payload()) == 1
+        assert "unit-response R blocks" in capsys.readouterr().out
+
+    def test_pre_v12_payload_without_them_is_a_note(self, capsys):
+        current = with_responses(payload(), None, schema=11)
+        assert compare_bench.compare(current, payload()) == 0
+        assert "pre-v12 payload" in capsys.readouterr().out
