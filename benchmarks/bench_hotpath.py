@@ -93,6 +93,15 @@ matrix) and ``bases`` (boundary columns, one per system and setting),
 each next to its single-inlet count. ``R`` hangs on the shared steady
 LU, so the sweep must solve exactly as many ``R`` blocks as one inlet
 (gated like the duplicate LUs).
+
+Schema v13 adds the assembly counts to ``inlet_sweep``: ``assemblies``
+(``thermal.assembly{kind=build}``, fresh ``G``/``C`` assemblies) next
+to ``single_inlet_assemblies``. The inlet enters only the boundary
+vector, so ``build_network`` shares one operator across the inlets and
+the sweep must assemble exactly as often as one inlet (gated). The
+``facility`` coupling overhead is now the median ratio of interleaved
+(fixed, closed-loop) run pairs instead of the difference of two small
+medians, which swung by several points between runs of the same code.
 """
 
 from __future__ import annotations
@@ -138,7 +147,7 @@ from repro.thermal.solver import (  # noqa: E402
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
 
@@ -348,14 +357,14 @@ def _inlet_configs(inlets) -> list:
 
 
 def collect_inlet_sweep_metrics() -> dict:
-    """LU and unit-response counts of a cold inlet-temperature sweep
-    (schema v6; responses since v12).
+    """LU, unit-response and assembly counts of a cold inlet-temperature
+    sweep (schema v6; responses since v12, assemblies since v13).
 
     Runs the 4-inlet sweep and its first inlet alone, each cold (system
-    memo, LU store, and neighbor pool cleared) and traced. The gates are
-    algorithmic: the sweep must factorize, and solve ``R`` blocks,
-    exactly as often as the single inlet, and no two ``factorize`` spans
-    may carry the same matrix digest.
+    memo, operator and LU stores, and neighbor pool cleared) and traced.
+    The gates are algorithmic: the sweep must assemble, factorize, and
+    solve ``R`` blocks exactly as often as the single inlet, and no two
+    ``factorize`` spans may carry the same matrix digest.
     """
 
     def campaign(inlets) -> dict:
@@ -379,6 +388,9 @@ def collect_inlet_sweep_metrics() -> dict:
             "distinct": len(digests),
             "responses": _counter_delta(before, after, responses % "response"),
             "bases": _counter_delta(before, after, responses % "base"),
+            "assemblies": _counter_delta(
+                before, after, "thermal.assembly{kind=build}"
+            ),
         }
 
     single = campaign(INLETS[:1])
@@ -394,6 +406,8 @@ def collect_inlet_sweep_metrics() -> dict:
         "responses": swept["responses"],
         "single_inlet_bases": single["bases"],
         "bases": swept["bases"],
+        "single_inlet_assemblies": single["assemblies"],
+        "assemblies": swept["assemblies"],
     }
 
 
@@ -403,10 +417,15 @@ def collect_facility_metrics(repeats: int = 5) -> dict:
     Times the warm 1-simulated-second 32x32 run with and without the
     closed-loop facility. The coupling is a per-interval RHS update
     plus the plant energy balance — no extra factorizations — so the
-    overhead is the honest price of closing the loop. The convergence
-    residual (final inlet vs the supply setpoint after a 5 s pull-down
-    with a small tank) is the algorithmic sanity value: it is a
-    property of the control law, not the machine.
+    overhead is the honest price of closing the loop. A run takes ~10
+    ms and single ratios scatter by ~±10 %, so the overhead is the
+    median of ``12 * repeats + 1`` paired ratios (at least 25; ~1 s at
+    the default): the two runs of a pair are adjacent, and which goes
+    first alternates, so machine drift cancels within a pair instead of
+    between two separate medians. The convergence residual (final inlet
+    vs the supply setpoint after a 5 s pull-down with a small tank) is
+    the algorithmic sanity value: it is a property of the control law,
+    not the machine.
     """
     base_kwargs = dict(
         benchmark_name="gzip",
@@ -421,9 +440,16 @@ def collect_facility_metrics(repeats: int = 5) -> dict:
     cache = CharacterizationCache()
     Simulator(fixed_config, cache=cache).run()  # warm
     Simulator(loop_config, cache=cache).run()
-    n = max(3, repeats // 2)
-    fixed_s = _median_time(lambda: Simulator(fixed_config, cache=cache).run(), n)
-    loop_s = _median_time(lambda: Simulator(loop_config, cache=cache).run(), n)
+    configs = {"fixed": fixed_config, "loop": loop_config}
+    samples = {"fixed": [], "loop": []}
+    for pair in range(max(25, 12 * repeats + 1)):
+        for name in ("fixed", "loop") if pair % 2 == 0 else ("loop", "fixed"):
+            start = time.perf_counter()
+            Simulator(configs[name], cache=cache).run()
+            samples[name].append(time.perf_counter() - start)
+    ratio = statistics.median(
+        loop / fixed for fixed, loop in zip(samples["fixed"], samples["loop"])
+    )
 
     setpoint = 55.0
     pulldown = SimulationConfig(
@@ -436,9 +462,9 @@ def collect_facility_metrics(repeats: int = 5) -> dict:
 
     return {
         "sweep": "warm 1 s simulated at 32x32, fixed inlet vs closed loop",
-        "fixed_inlet_s": fixed_s,
-        "closed_loop_s": loop_s,
-        "coupling_overhead_pct": 100.0 * (loop_s - fixed_s) / fixed_s,
+        "fixed_inlet_s": statistics.median(samples["fixed"]),
+        "closed_loop_s": statistics.median(samples["loop"]),
+        "coupling_overhead_pct": 100.0 * (ratio - 1.0),
         "setpoint_c": setpoint,
         "converged_inlet_c": final_inlet,
         "inlet_error_K": abs(final_inlet - setpoint),
@@ -651,6 +677,8 @@ def test_hotpath_baseline(tmp_path):
     # column per system and setting.
     assert 0 < inlet["responses"] == inlet["single_inlet_responses"]
     assert inlet["bases"] == inlet["n_inlets"] * inlet["single_inlet_bases"]
+    # The assembly gate: G and C are shared by content across inlets.
+    assert 0 < inlet["assemblies"] == inlet["single_inlet_assemblies"]
     fill = loaded["lu_nnz"]
     assert set(fill) == {"32x32", "64x64"}
     for grid_fill in fill.values():
@@ -743,6 +771,10 @@ def main(argv=None) -> int:
         f" {inlet['responses']} R + {inlet['bases']} base, one inlet"
         f" {inlet['single_inlet_responses']} R"
         f" + {inlet['single_inlet_bases']} base"
+    )
+    print(
+        f"  assemblies: {inlet['n_inlets']} inlets {inlet['assemblies']},"
+        f" one inlet {inlet['single_inlet_assemblies']}"
     )
     print("\ntransient LU fill (nnz): symmetric mode vs pivoted")
     for size, grid_fill in payload["lu_nnz"].items():

@@ -21,9 +21,10 @@ Two kinds of checks, deliberately different in severity:
   sweep factorizing more often than a single inlet (or factorizing any
   matrix twice) means the content-addressed LU store broke, and the
   same sweep solving more unit-response ``R`` blocks than a single
-  inlet means ``R`` stopped being shared through the steady LU — those
-  are properties of the code, not the machine, so each exits nonzero
-  and fails CI.
+  inlet means ``R`` stopped being shared through the steady LU, and the
+  same sweep assembling more networks than a single inlet means ``G``
+  and ``C`` stopped being shared by content — those are properties of
+  the code, not the machine, so each exits nonzero and fails CI.
 
 Schema changes are tolerated in both directions: benchmarks present on
 only one side are reported as "new" / "not measured" instead of
@@ -37,7 +38,8 @@ printed for the trajectory only; a pre-v9 baseline without it is a
 note. So are the ``cross_network`` GMRES counters (schema v11,
 ``krylov_iterations`` and ``krylov_gmres_solves``); a pre-v11 baseline
 prints ``-`` for them. A current payload of schema v12 or later must
-carry ``inlet_sweep.responses``; an older one without it is a note.
+carry ``inlet_sweep.responses``, and one of schema v13 or later
+``inlet_sweep.assemblies``; an older one without them is a note.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ CROSS_NETWORK_INFORMATIONAL = ("krylov_iterations", "krylov_gmres_solves")
 
 #: First schema whose ``inlet_sweep`` must carry the unit-response counts.
 RESPONSES_SCHEMA = 12
+
+#: First schema whose ``inlet_sweep`` must carry the assembly counts.
+ASSEMBLIES_SCHEMA = 13
 
 
 def _warn(message: str) -> None:
@@ -216,13 +221,14 @@ def _gate_warm_sweep(warm: dict | None) -> int:
 
 
 def _gate_inlet_sweep(inlet: dict | None, schema: int = 0) -> int:
-    """The LU-store gate (schema v6) and the unit-response gate (v12);
-    returns the failure count.
+    """The LU-store gate (schema v6), the unit-response gate (v12) and
+    the assembly gate (v13); returns the failure count.
 
     Inlets share every matrix, so a cold inlet sweep must factorize
-    exactly as often as its single-inlet run, with no duplicate LU, and
+    exactly as often as its single-inlet run, with no duplicate LU,
     solve exactly as many unit-response ``R`` blocks as it (``R`` hangs
-    on the shared steady LU).
+    on the shared steady LU), and assemble exactly as many networks as
+    it (``G`` and ``C`` are shared by content).
     """
     if inlet is None:
         print("(inlet_sweep: not measured this run)")
@@ -245,22 +251,39 @@ def _gate_inlet_sweep(inlet: dict | None, schema: int = 0) -> int:
             f"inlet_sweep_factorizations {swept:9d}"
             "  (gate: ok, = single inlet, 0 duplicates)"
         )
-    responses = inlet.get("responses")
-    if responses is None and schema < RESPONSES_SCHEMA:
-        print("(inlet_sweep responses: not measured, pre-v12 payload)")
-        return failures
-    single = inlet.get("single_inlet_responses")
-    if not responses or responses != single:
-        failures += 1
-        print(
-            "::error title=perf gate::cold inlet sweep solved"
-            f" {responses} unit-response R blocks vs {single} for a single"
-            " inlet (expected equal — R depends on the steady matrix alone,"
-            " so the inlets must share it)"
-        )
-    else:
-        print(f"inlet_sweep_responses {responses:14d}  (gate: ok, = single inlet)")
+    failures += _gate_as_single_inlet(
+        inlet, "responses", schema, RESPONSES_SCHEMA,
+        "solved {swept} unit-response R blocks vs {single} for a single inlet"
+        " (expected equal — R depends on the steady matrix alone, so the"
+        " inlets must share it)",
+    )
+    failures += _gate_as_single_inlet(
+        inlet, "assemblies", schema, ASSEMBLIES_SCHEMA,
+        "assembled {swept} networks vs {single} for a single inlet (expected"
+        " equal — the inlet moves only the boundary vector, so the inlets"
+        " must share G and C)",
+    )
     return failures
+
+
+def _gate_as_single_inlet(
+    inlet: dict, key: str, schema: int, first_schema: int, failure: str
+) -> int:
+    """Gate ``inlet[key]`` (positive, equal to ``single_inlet_<key>``) for
+    payloads of ``first_schema`` or later; an older payload without the
+    count is a note. Returns the failure count."""
+    swept = inlet.get(key)
+    if swept is None and schema < first_schema:
+        print(f"(inlet_sweep {key}: not measured, pre-v{first_schema} payload)")
+        return 0
+    single = inlet.get("single_inlet_" + key)
+    if not swept or swept != single:
+        print("::error title=perf gate::cold inlet sweep " + failure.format(
+            swept=swept, single=single
+        ))
+        return 1
+    print(f"{'inlet_sweep_' + key:26s} {swept:9d}  (gate: ok, = single inlet)")
+    return 0
 
 
 def compare(current: dict, baseline: dict) -> int:

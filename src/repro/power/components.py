@@ -232,6 +232,72 @@ class PowerModel:
             out += leak
         return out
 
+    def unit_power_matrix(
+        self,
+        unit_keys: Sequence[tuple[int, str]],
+        utilization: Sequence[Sequence[float]],
+        asleep: Sequence[Sequence[bool]],
+        memory_intensity: float,
+        unit_temperatures: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """:meth:`unit_power_vector` of ``k`` loads in one array pass:
+        ``(k, n_units)``, row ``c`` from ``utilization[c]``, ``asleep[c]``
+        and ``unit_temperatures[c]`` (``None`` for every row evaluates
+        leakage at its reference point). Every operation is elementwise
+        or per row, so each row is bitwise what the single call gives.
+        The flow table's leakage fixed point iterates all its loads in
+        one call; the per-interval path keeps the one-load method, which
+        is faster for a single load.
+        """
+        plan = self._vector_plan(tuple(unit_keys))
+        names = plan["core_names"]
+        util = np.array(utilization, dtype=float)
+        sleep = np.array(asleep, dtype=bool)
+        if util.ndim != 2 or util.shape[1] != len(names) or sleep.shape != util.shape:
+            raise ModelError(
+                f"need a utilization and a sleep flag for each of {len(names)} cores"
+            )
+        # The crossbar's active fraction sums left to right in core order,
+        # per load; a numpy reduction may round differently.
+        crossbar = []
+        for row, row_asleep in zip(util.tolist(), sleep.tolist()):
+            awake_util = 0
+            for name, u, sleeping in zip(names, row, row_asleep):
+                if not 0.0 <= u <= 1.0:
+                    raise ModelError(f"utilization {u} of {name} outside [0, 1]")
+                if not sleeping:
+                    awake_util += u
+            crossbar.append(self.crossbar_power(awake_util / len(names), memory_intensity))
+
+        core_util = util[:, plan["core_index"]]
+        core_asleep = sleep[:, plan["core_index"]]
+        out = np.empty((len(util), len(unit_keys)))
+        out[:, plan["core_pos"]] = np.where(
+            core_asleep,
+            self.sleep_power,
+            core_util * self.active_power + (1.0 - core_util) * self.idle_power,
+        )
+        served = np.where(sleep, 0.0, util)
+        pair_util = (served[:, plan["l2_a"]] + served[:, plan["l2_b"]]) / 2
+        out[:, plan["l2_pos"]] = self.l2_power * (0.4 + 0.6 * pair_util)
+        out[:, plan["xbar_pos"]] = np.array(crossbar)[:, None]
+        out[:, plan["misc_pos"]] = self.misc_power
+
+        if self.leakage is not None:
+            lk = self.leakage
+            if unit_temperatures is None:
+                leak = np.tile(plan["leak_base"], (len(util), 1))  # factor(T_ref) == 1.0
+            else:
+                t = np.asarray(unit_temperatures, dtype=float)
+                dt = t - lk.reference_temperature
+                factor = np.maximum(1.0 + lk.linear * dt + lk.quadratic * dt * dt, 0.1)
+                leak = plan["leak_base"] * factor
+            core_leak = leak[:, plan["core_pos"]]
+            core_leak[core_asleep] = 0.0  # power-gated cores
+            leak[:, plan["core_pos"]] = core_leak
+            out += leak
+        return out
+
 
 def _bank_partners(bank_name: str, core_order: Mapping[str, int]) -> tuple[int, int]:
     """Core-order indices of the two cores an L2 bank serves.

@@ -39,6 +39,7 @@ from repro.registry import (
 from repro.sched.weights import ThermalWeights
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.telemetry import metrics as _metrics
+from repro.thermal.rc_network import clear_operator_store
 from repro.thermal.solver import clear_lu_store
 from repro.workload.generator import ThreadTrace
 
@@ -73,9 +74,10 @@ resident LU memory at paper-scale grids."""
 
 
 def clear_system_memo() -> None:
-    """Drop all memoized thermal systems and forget every stored LU, so
-    the next campaign assembles and factorizes afresh."""
+    """Drop all memoized thermal systems and forget every stored operator
+    and LU, so the next campaign assembles and factorizes afresh."""
     _system_memo.clear()
+    clear_operator_store()
     clear_lu_store()
 
 

@@ -4,7 +4,12 @@ The conductance matrix changes only when the pump setting changes, so
 the system caches one assembled network (and one transient solver) per
 setting — the runtime cost of a flow change is a cached factorization
 lookup, matching the paper's observation that the controller overhead
-is "negligible".
+is "negligible". Assembly, like the LUs and ``R`` below, is shared by
+content across systems: the coolant inlet enters only the boundary
+vector, so :func:`~repro.thermal.rc_network.build_network` hands every
+system of an inlet sweep the same read-only ``G`` and ``C`` (and their
+time-step matrices and LU-store digests) and fills only ``b`` per
+system.
 
 The characterization (flow table, burst floor, steady T_max) runs its
 leakage fixed point in unit space, exactly up to roundoff: the
@@ -122,7 +127,9 @@ class ThermalSystem:
     # --- network/solver caches --------------------------------------------------
 
     def network(self, setting_index: int = -1) -> RCNetwork:
-        """The RC network for a pump setting (-1 = air cooling)."""
+        """The RC network for a pump setting (-1 = air cooling); its
+        ``G`` and ``C`` are shared with any live system that differs
+        only in coolant inlet (see :func:`build_network`)."""
         if setting_index in self._networks:
             return self._networks[setting_index]
         if self.cooling is CoolingKind.AIR:
@@ -299,14 +306,13 @@ class ThermalSystem:
         """Iterate power(T) -> T for many ``(core_util, asleep)`` loads in
         lockstep on :meth:`unit_response`; unit temperatures ``(k, n_units)``."""
         base, response = self.unit_response(setting_index)
-        temps: list = [None] * len(loads)
+        utils = [core_util for core_util, _ in loads]
+        asleep = [flags for _, flags in loads]
+        temps = None
         for _ in range(LEAKAGE_ITERATIONS):
-            powers = np.array([
-                power_model.unit_power_vector(
-                    self.grid.unit_keys, core_util, asleep, memory_intensity, temps[c]
-                )
-                for c, (core_util, asleep) in enumerate(loads)
-            ])
+            powers = power_model.unit_power_matrix(
+                self.grid.unit_keys, utils, asleep, memory_intensity, temps
+            )
             temps = base + powers @ response.T
         return temps
 

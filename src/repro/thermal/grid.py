@@ -105,6 +105,11 @@ class ThermalGrid:
         sha256 of the node count and every unit's cells: two grids with
         the same digest have bitwise-equal scatter and mean-gather
         operators, so results derived from them can be shared.
+    layout_key:
+        Hashable content identity of everything network assembly reads
+        from the grid; part of the key under which
+        :func:`repro.thermal.rc_network.build_network` shares ``G``
+        and ``C``.
     """
 
     def __init__(self, stack: Stack3D, nx: int = 16, ny: int = 16) -> None:
@@ -120,6 +125,18 @@ class ThermalGrid:
         self.rasters: list[np.ndarray] = [
             die.floorplan.rasterize(nx, ny) for die in stack.dies
         ]
+        # Resolution, slabs, die outlines and units: grids with equal keys
+        # assemble bitwise-equal networks, whatever objects built them.
+        self.layout_key: tuple = (
+            nx,
+            ny,
+            stack.cooling,
+            tuple(self.slabs),
+            tuple(
+                (die.floorplan.width, die.floorplan.height, tuple(die.floorplan.units))
+                for die in stack.dies
+            ),
+        )
         self._cells_per_slab = nx * ny
         self.has_package = stack.cooling is CoolingKind.AIR
         n_grid = len(self.slabs) * self._cells_per_slab

@@ -10,6 +10,15 @@ the current per-cavity flow rate, and the network is rebuilt when the
 pump setting changes (the simulator caches one factorization per pump
 setting).
 
+The coolant inlet temperature is a fixed boundary on the channel rows:
+it enters only the source vector ``b``, never ``G`` or ``C``. So a
+network is two parts. The inlet-independent part (:class:`RCOperator`:
+``G``, ``C`` and the advection bookkeeping) is assembled once per
+content key and shared through a weak store, like the LU store; the
+boundary vector is filled per network with the same ``b[inlet] += g *
+T_in`` operations assembly always used, so every matrix and result is
+bitwise what a fresh assembly gives.
+
 Energy balance at a coolant node f with upstream node u::
 
     C_f dT_f/dt = g_film * (T_wall - T_f) + m_dot*c_p * (T_u - T_f)
@@ -23,8 +32,12 @@ the absorbed heat, i.e. Eq. 4/5 generalized to non-uniform power.
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,6 +55,7 @@ from repro.geometry.floorplan import UnitKind
 from repro.geometry.stack import CoolingKind
 from repro.microchannel.geometry import ChannelGeometry
 from repro.microchannel.model import MicrochannelModel
+from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 from repro.thermal.grid import SlabKind, ThermalGrid
 from repro.thermal.package import AirPackage
@@ -117,6 +131,130 @@ _POSITIVE_PARAM_FIELDS = (
 temperature (checked against its own band): each must be finite and
 > 0, or the network assembles with NaN, infinite or negative entries."""
 
+_OPERATOR_PARAM_FIELDS = tuple(
+    f.name for f in fields(ThermalParams) if f.name != "inlet_temperature"
+)
+"""The :class:`ThermalParams` fields in the operator store's key: every
+one but the inlet temperature, which enters only the boundary vector."""
+
+_ASSEMBLIES = _metrics.counter("thermal.assembly")
+""":func:`build_network` calls by how the operator was obtained:
+``kind=build`` assembled ``G`` and ``C`` afresh, ``kind=shared`` reused
+a live network's operator from the store."""
+
+
+def matrix_digest(matrix: sp.spmatrix) -> str:
+    """The LU-store key of a sparse matrix: the sha256 of its shape and
+    CSR arrays. Assembly is canonical, so equal matrices hash equal, and
+    the solvers' CSR matrices hash without a format conversion."""
+    csr = matrix.tocsr()
+    hasher = hashlib.sha256(repr(csr.shape).encode())
+    for array in (csr.indptr, csr.indices, csr.data):
+        hasher.update(np.ascontiguousarray(array).tobytes())
+    return hasher.hexdigest()
+
+
+class KeyedMatrix:
+    """A solver's system matrix with its LU-store key.
+
+    ``digest`` (:func:`matrix_digest`) is computed on first use and
+    kept, so a matrix that many solvers look up is hashed once.
+    """
+
+    def __init__(self, matrix: sp.spmatrix) -> None:
+        self.matrix = matrix
+
+    @cached_property
+    def digest(self) -> str:
+        return matrix_digest(self.matrix)
+
+
+class RCOperator:
+    """The inlet-independent part of an RC network: ``G``, ``C`` and the
+    coolant bookkeeping, plus the matrices solvers derive from them.
+
+    :func:`build_network` keeps one operator per content key (the grid
+    layout, the cavity flows, the channel model or package, and every
+    :class:`ThermalParams` field but the inlet temperature) in a weak
+    store, so networks that differ only in coolant inlet hold the same
+    read-only arrays, and the operator is freed with its last network.
+    A network constructed directly gets a private operator.
+
+    :meth:`steady_matrix` (``G``) and :meth:`step_matrix` (``C/dt + G``
+    per ``dt``) are memoized here with their LU-store digests, so
+    :func:`repro.thermal.solver.factorize` hashes each matrix once,
+    however many solvers ask for it.
+
+    Attributes
+    ----------
+    conductance, capacitance:
+        ``G`` (CSR) and the diagonal of ``C``.
+    fixed_boundary:
+        The source vector from boundaries other than the coolant inlet
+        (the air package's ambient), or ``None`` for none.
+    advection_inlets / advection_outlets / advection_conductances:
+        As on :class:`RCNetwork`.
+    """
+
+    __slots__ = (
+        "conductance",
+        "capacitance",
+        "fixed_boundary",
+        "advection_inlets",
+        "advection_outlets",
+        "advection_conductances",
+        "_derived",
+        "__weakref__",
+    )
+
+    def __init__(
+        self,
+        conductance: sp.csr_matrix,
+        capacitance: np.ndarray,
+        fixed_boundary: Optional[np.ndarray] = None,
+        advection_inlets: tuple[np.ndarray, ...] = (),
+        advection_outlets: tuple[np.ndarray, ...] = (),
+        advection_conductances: tuple[float, ...] = (),
+    ) -> None:
+        self.conductance = conductance
+        self.capacitance = capacitance
+        self.fixed_boundary = fixed_boundary
+        self.advection_inlets = advection_inlets
+        self.advection_outlets = advection_outlets
+        self.advection_conductances = advection_conductances
+        self._derived: dict = {}
+
+    def boundary(self, t_inlet: float) -> np.ndarray:
+        """The source vector ``b`` at a coolant inlet of ``t_inlet`` degC:
+        the fixed part plus ``b[inlet] += g * t_inlet`` per cavity, the
+        operations assembly performs."""
+        if self.fixed_boundary is None:
+            boundary = np.zeros(self.conductance.shape[0])
+        else:
+            boundary = self.fixed_boundary.copy()
+        for nodes, g in zip(self.advection_inlets, self.advection_conductances):
+            boundary[nodes] += g * t_inlet
+        return boundary
+
+    def steady_matrix(self) -> KeyedMatrix:
+        """``G`` with its LU-store key."""
+        hit = self._derived.get("steady")
+        if hit is None:
+            hit = self._derived.setdefault("steady", KeyedMatrix(self.conductance))
+        return hit
+
+    def step_matrix(self, dt: float) -> tuple[np.ndarray, KeyedMatrix]:
+        """``(C/dt, C/dt + G)`` for a backward-Euler step of ``dt``,
+        memoized per ``dt``; ``C/dt`` is read-only. The caller validates
+        ``dt`` and ``C/dt``."""
+        hit = self._derived.get(dt)
+        if hit is None:
+            c_over_dt = self.capacitance / dt
+            c_over_dt.flags.writeable = False
+            matrix = KeyedMatrix(self.conductance + sp.diags(c_over_dt))
+            hit = self._derived.setdefault(dt, (c_over_dt, matrix))
+        return hit
+
 
 @dataclass(eq=False)
 class RCNetwork:
@@ -126,6 +264,11 @@ class RCNetwork:
     sparse matrices and arrays has no single truth value. Solvers share
     LUs by matrix content (:func:`repro.thermal.solver.factorize`),
     never by network identity or equality.
+
+    ``G``, ``C`` and the advection arrays are the :attr:`operator`'s,
+    which :func:`build_network` shares by content among networks that
+    differ only in coolant inlet (read-only there); ``boundary`` is
+    each network's own.
 
     Attributes
     ----------
@@ -151,6 +294,12 @@ class RCNetwork:
         The coolant inlet temperature (degC) baked into ``boundary``
         at assembly time; reference point for
         :meth:`inlet_boundary_delta`.
+    operator:
+        The :class:`RCOperator` holding ``conductance`` and
+        ``capacitance``. One that holds other arrays (or ``None``) is
+        replaced by a private operator on these, so
+        ``dataclasses.replace`` never pairs new matrices with an old
+        operator's memoized ones.
     """
 
     conductance: sp.csr_matrix
@@ -162,6 +311,16 @@ class RCNetwork:
     advection_outlets: tuple[np.ndarray, ...] = ()
     advection_conductances: tuple[float, ...] = ()
     inlet_temperature: float = 0.0
+    operator: Optional[RCOperator] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        op = self.operator
+        if (
+            op is None
+            or op.conductance is not self.conductance
+            or op.capacitance is not self.capacitance
+        ):
+            self.operator = RCOperator(self.conductance, self.capacitance)
 
     @property
     def n_nodes(self) -> int:
@@ -304,14 +463,14 @@ class _Assembler:
             )
         )
 
-    def add_advection_rows(self, nodes: np.ndarray, g: float, t_inlet: float) -> None:
+    def add_advection_rows(self, nodes: np.ndarray, g: float) -> None:
         """Directed advection along every row of a slab's node grid.
 
         ``nodes`` is the slab's ``(ny, nx)`` node array; flow runs along
-        x, so column 0 holds the inlet cells (coupled to the fixed
-        inlet temperature) and every other cell is fed by its left
-        neighbour. Emits the same entries as per-cell
-        :meth:`add_advection` calls.
+        x, so column 0 holds the inlet cells and every other cell is fed
+        by its left neighbour. Emits the same matrix entries as per-cell
+        :meth:`add_advection` calls; the inlet cells' boundary term is
+        left to :meth:`RCOperator.boundary`, per network.
         """
         if g < 0.0:
             raise SolverError("advective conductance must be non-negative")
@@ -320,7 +479,6 @@ class _Assembler:
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.ndim != 2:
             raise SolverError("advection expects a (ny, nx) node grid")
-        inlet = nodes[:, 0].ravel()
         interior = nodes[:, 1:].ravel()
         upstream = nodes[:, :-1].ravel()
         all_nodes = nodes.ravel()
@@ -333,7 +491,6 @@ class _Assembler:
                 ),
             )
         )
-        self.boundary[inlet] += g * t_inlet
 
     # --- assembly ------------------------------------------------------------
 
@@ -397,7 +554,19 @@ def build_network(
     channel_model: Optional[MicrochannelModel] = None,
     package: Optional[AirPackage] = None,
 ) -> RCNetwork:
-    """Assemble the RC network for a grid at given operating conditions.
+    """The RC network for a grid at given operating conditions.
+
+    ``G``, ``C`` and the advection bookkeeping (the :class:`RCOperator`)
+    are assembled only when no live network shares their content key:
+    the grid's :attr:`~repro.thermal.grid.ThermalGrid.layout_key`, the
+    cavity flows, the channel model or package, and every
+    :class:`ThermalParams` field but ``inlet_temperature``. Otherwise
+    the new network holds that network's read-only arrays (an inlet
+    sweep assembles once per pump setting, not once per inlet). The
+    boundary vector is the network's own. Both paths give bitwise the
+    same network; ``thermal.assembly{kind=build|shared}`` counts them.
+    Two threads missing on one key at once may both assemble; every
+    network gets the operator stored first.
 
     Parameters
     ----------
@@ -424,17 +593,72 @@ def build_network(
             geometry=ChannelGeometry(length=stack.width),
             die_height=stack.height,
         )
-        with _trace.span(
-            "assemble", cooling="liquid", grid=(grid.nx, grid.ny),
-            n_nodes=grid.n_nodes,
-        ):
-            return _build_liquid(grid, params, flows, model)
-    if cavity_flows is not None:
-        raise ConfigurationError("air-cooled networks take no cavity_flows")
+        conditions = (flows, model)
+        inlet_temperature = params.inlet_temperature
+    else:
+        if cavity_flows is not None:
+            raise ConfigurationError("air-cooled networks take no cavity_flows")
+        flows = ()
+        package = package or AirPackage()
+        conditions = (package,)
+        inlet_temperature = 0.0
+    key = (grid.layout_key, conditions) + tuple(
+        getattr(params, name) for name in _OPERATOR_PARAM_FIELDS
+    )
+    with _operator_store_lock:
+        op = _operator_store.get(key)
+    if op is not None:
+        _ASSEMBLIES.inc(kind="shared")
+    else:
+        op = _assemble_operator(grid, params, *conditions)
+        _ASSEMBLIES.inc(kind="build")
+        with _operator_store_lock:
+            op = _operator_store.setdefault(key, op)
+    return RCNetwork(
+        conductance=op.conductance,
+        capacitance=op.capacitance,
+        boundary=op.boundary(inlet_temperature),
+        grid=grid,
+        cavity_flows=flows,
+        advection_inlets=op.advection_inlets,
+        advection_outlets=op.advection_outlets,
+        advection_conductances=op.advection_conductances,
+        inlet_temperature=inlet_temperature,
+        operator=op,
+    )
+
+
+_operator_store: "weakref.WeakValueDictionary[tuple, RCOperator]" = (
+    weakref.WeakValueDictionary()
+)
+_operator_store_lock = threading.Lock()
+
+
+def clear_operator_store() -> None:
+    """Forget every stored operator, so later networks assemble afresh.
+
+    Networks already built keep theirs."""
+    with _operator_store_lock:
+        _operator_store.clear()
+
+
+def _assemble_operator(grid: ThermalGrid, params: ThermalParams, *conditions) -> RCOperator:
+    """Assemble ``G``, ``C`` and the advection bookkeeping afresh, with
+    every array read-only (the store shares them). ``conditions`` is
+    ``(flows, channel_model)`` for liquid cooling, ``(package,)`` for air."""
+    liquid = grid.stack.cooling is CoolingKind.LIQUID
     with _trace.span(
-        "assemble", cooling="air", grid=(grid.nx, grid.ny), n_nodes=grid.n_nodes,
+        "assemble", cooling="liquid" if liquid else "air", grid=(grid.nx, grid.ny),
+        n_nodes=grid.n_nodes,
     ):
-        return _build_air(grid, params, package or AirPackage())
+        op = (_build_liquid if liquid else _build_air)(grid, params, *conditions)
+    arrays = [op.capacitance, *op.advection_inlets, *op.advection_outlets]
+    arrays += [op.conductance.data, op.conductance.indices, op.conductance.indptr]
+    if op.fixed_boundary is not None:
+        arrays.append(op.fixed_boundary)
+    for array in arrays:
+        array.flags.writeable = False
+    return op
 
 
 def _broadcast_flows(cavity_flows: Sequence[float], n_cavities: int) -> tuple[float, ...]:
@@ -503,7 +727,7 @@ def _build_liquid(
     params: ThermalParams,
     flows: tuple[float, ...],
     model: MicrochannelModel,
-) -> RCNetwork:
+) -> RCOperator:
     asm = _Assembler(grid.n_nodes)
     capacitance = np.zeros(grid.n_nodes)
     adv_inlets: list[np.ndarray] = []
@@ -560,7 +784,7 @@ def _build_liquid(
             r_down[die_above] = _die_half_resistance(grid, t_d, params)
 
         fluid_nodes = grid.slab_nodes(slab_idx)
-        asm.add_advection_rows(fluid_nodes, g_adv_row, params.inlet_temperature)
+        asm.add_advection_rows(fluid_nodes, g_adv_row)
         if g_adv_row > 0.0:
             adv_inlets.append(fluid_nodes[:, 0].copy())
             adv_outlets.append(fluid_nodes[:, -1].copy())
@@ -601,23 +825,19 @@ def _build_liquid(
                     below_nodes[positive], above_nodes[positive], 1.0 / r_total
                 )
 
-    return RCNetwork(
-        conductance=asm.to_csr(),
-        capacitance=capacitance,
-        boundary=asm.boundary,
-        grid=grid,
-        cavity_flows=flows,
+    return RCOperator(
+        asm.to_csr(),
+        capacitance,
         advection_inlets=tuple(adv_inlets),
         advection_outlets=tuple(adv_outlets),
         advection_conductances=tuple(adv_conductances),
-        inlet_temperature=params.inlet_temperature,
     )
 
 
 # --- air-cooled assembly -----------------------------------------------------
 
 
-def _build_air(grid: ThermalGrid, params: ThermalParams, package: AirPackage) -> RCNetwork:
+def _build_air(grid: ThermalGrid, params: ThermalParams, package: AirPackage) -> RCOperator:
     asm = _Assembler(grid.n_nodes)
     capacitance = np.zeros(grid.n_nodes)
     stack = grid.stack
@@ -676,10 +896,4 @@ def _build_air(grid: ThermalGrid, params: ThermalParams, package: AirPackage) ->
     capacitance[grid.spreader_node] += package.spreader_capacitance
     capacitance[grid.sink_node] += package.sink_capacitance
 
-    return RCNetwork(
-        conductance=asm.to_csr(),
-        capacitance=capacitance,
-        boundary=asm.boundary,
-        grid=grid,
-        cavity_flows=(),
-    )
+    return RCOperator(asm.to_csr(), capacitance, fixed_boundary=asm.boundary)

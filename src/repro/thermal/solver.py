@@ -63,7 +63,7 @@ import scipy.sparse.linalg as spla
 from repro.errors import SolverError
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
-from repro.thermal.rc_network import RCNetwork, ThermalParams
+from repro.thermal.rc_network import KeyedMatrix, RCNetwork, ThermalParams
 
 _FACTORIZATIONS = _metrics.counter("solver.factorizations")
 """Monotonic count of sparse LU factorizations this process has
@@ -147,15 +147,20 @@ _lu_store: "weakref.WeakValueDictionary[str, Factorization]" = (
 _lu_store_lock = threading.Lock()
 
 
-def factorize(matrix: sp.spmatrix, kind: str) -> Factorization:
+def factorize(matrix: "sp.spmatrix | KeyedMatrix", kind: str) -> Factorization:
     """The LU of ``matrix`` from the process-wide store, keyed by the
-    sha256 of its shape and CSC arrays; factorized only on a miss.
+    sha256 of its shape and CSR arrays; factorized only on a miss.
 
     Every exact factorization (steady, transient, TALB weights, the
     krylov tier's own) comes through here, so a matrix is factorized
     once however many systems share it — an inlet sweep moves only the
-    boundary vector, so its points share every LU. Identical CSC arrays
-    give an identical LU, so sharing never changes a result bit.
+    boundary vector, so its points share every LU. Identical CSR arrays
+    convert to identical CSC arrays, which give an identical LU, so
+    sharing never changes a result bit. The
+    solvers pass the :class:`~repro.thermal.rc_network.KeyedMatrix` that
+    their network's shared operator memoizes (``G``, or ``C/dt + G`` per
+    ``dt``), so each matrix is hashed once, not once per solver; a bare
+    sparse matrix is hashed here.
     ``kind`` (``steady``, ``transient`` or ``krylov``) labels the hit
     counter and the ``factorize`` span. Two threads missing on the same
     matrix at once may both factorize; the first stored handle wins.
@@ -173,16 +178,15 @@ def factorize(matrix: sp.spmatrix, kind: str) -> Factorization:
     as ``lu_nnz`` (SuperLU's own count, which includes supernodal
     padding).
     """
-    csc = matrix.tocsc()
-    hasher = hashlib.sha256(repr(csc.shape).encode())
-    for array in (csc.indptr, csc.indices, csc.data):
-        hasher.update(np.ascontiguousarray(array).tobytes())
-    digest = hasher.hexdigest()
+    if not isinstance(matrix, KeyedMatrix):
+        matrix = KeyedMatrix(matrix)
+    digest = matrix.digest
     with _lu_store_lock:
         hit = _lu_store.get(digest)
     if hit is not None:
         _LU_STORE_HITS.inc(kind=kind)
         return hit
+    csc = matrix.matrix.tocsr().tocsc()
     symmetric = _symmetric_mode_safe(csc)
     ordering = "symmetric" if symmetric else "pivoted"
     with _trace.span(
@@ -236,16 +240,17 @@ def _finite(temps: np.ndarray, what: str) -> np.ndarray:
     return temps
 
 
-def _c_over_dt(network: RCNetwork, dt: float) -> np.ndarray:
-    """The backward-Euler diagonal ``C/dt``, validated."""
+def _step_matrix(network: RCNetwork, dt: float) -> tuple[np.ndarray, KeyedMatrix]:
+    """The backward-Euler diagonal ``C/dt``, validated, and ``C/dt + G``,
+    both shared through the network's operator."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise SolverError(f"time step must be finite and positive, got {dt}")
-    c_over_dt = network.capacitance / dt
+    c_over_dt, matrix = network.operator.step_matrix(dt)
     if not np.all(np.isfinite(c_over_dt)):
         raise SolverError("non-finite capacitance in network")
     if np.any(c_over_dt < 0.0):
         raise SolverError("negative capacitance in network")
-    return c_over_dt
+    return c_over_dt, matrix
 
 
 class SteadyStateSolver:
@@ -253,10 +258,10 @@ class SteadyStateSolver:
 
     def __init__(self, network: RCNetwork) -> None:
         self.network = network
-        self._core = self._linear_core(network.conductance)
+        self._core = self._linear_core(network.operator.steady_matrix())
         self._last: Optional[np.ndarray] = None
 
-    def _linear_core(self, matrix: sp.spmatrix) -> "Factorization | _KrylovCore":
+    def _linear_core(self, matrix: KeyedMatrix) -> "Factorization | _KrylovCore":
         return factorize(matrix, "steady")
 
     def solve(self, power: np.ndarray) -> np.ndarray:
@@ -316,14 +321,12 @@ class TransientSolver:
     """
 
     def __init__(self, network: RCNetwork, dt: float) -> None:
-        self._c_over_dt = _c_over_dt(network, dt)
+        self._c_over_dt, matrix = _step_matrix(network, dt)
         self.network = network
         self.dt = dt
-        self._core = self._linear_core(
-            network.conductance + sp.diags(self._c_over_dt)
-        )
+        self._core = self._linear_core(matrix)
 
-    def _linear_core(self, matrix: sp.spmatrix) -> "Factorization | _KrylovCore":
+    def _linear_core(self, matrix: KeyedMatrix) -> "Factorization | _KrylovCore":
         return factorize(matrix, "transient")
 
     def step(self, temperatures: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -630,7 +633,7 @@ class _KrylovCore:
 
     def __init__(
         self,
-        matrix: sp.spmatrix,
+        matrix: KeyedMatrix,
         structure: tuple,
         params: ThermalParams,
         cache: Optional[NeighborFactorCache],
@@ -638,7 +641,8 @@ class _KrylovCore:
         self.structure = structure
         self._params = params
         self._cache = cache if cache is not None else _neighbor_cache
-        self._matrix = matrix.tocsr()
+        self._keyed = matrix
+        self._matrix = matrix.matrix.tocsr()
         self._lu: Optional[Factorization] = None
         self._precond: Optional[Factorization] = None
         self.memo: dict = {}
@@ -657,7 +661,7 @@ class _KrylovCore:
     def _factorize(self) -> Factorization:
         """Exact LU of *this* matrix; retained for future neighbors."""
         if self._lu is None:
-            self._lu = factorize(self._matrix, "krylov")
+            self._lu = factorize(self._keyed, "krylov")
             self._cache.retain(self.structure, self._params, self._lu)
         return self._lu
 
@@ -718,7 +722,7 @@ class KrylovTransientSolver(TransientSolver):
         self._krylov = (structure, params, cache)
         super().__init__(network, dt)
 
-    def _linear_core(self, matrix: sp.spmatrix) -> _KrylovCore:
+    def _linear_core(self, matrix: KeyedMatrix) -> _KrylovCore:
         return _KrylovCore(matrix, *self._krylov)
 
     step = TransientSolver.step
@@ -747,7 +751,7 @@ class KrylovSteadySolver(SteadyStateSolver):
         self._krylov = (structure, params, cache)
         super().__init__(network)
 
-    def _linear_core(self, matrix: sp.spmatrix) -> _KrylovCore:
+    def _linear_core(self, matrix: KeyedMatrix) -> _KrylovCore:
         return _KrylovCore(matrix, *self._krylov)
 
     solve = SteadyStateSolver.solve

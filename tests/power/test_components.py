@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
 from repro.geometry.floorplan import Floorplan, t1_cache_layer, t1_core_layer
@@ -178,3 +180,52 @@ class TestFourLayer:
             w for (d, name), w in powers.items() if name.startswith("core")
         )
         assert core_total == pytest.approx(48.0)
+
+
+_LOADS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda k: st.tuples(
+        st.lists(
+            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=8, max_size=8),
+            min_size=k, max_size=k,
+        ),
+        st.lists(st.lists(st.booleans(), min_size=8, max_size=8), min_size=k, max_size=k),
+        st.one_of(
+            st.none(),
+            st.lists(
+                st.lists(
+                    st.floats(min_value=20.0, max_value=120.0), min_size=18, max_size=18
+                ),
+                min_size=k, max_size=k,
+            ),
+        ),
+    )
+)
+
+
+class TestUnitPowerMatrix:
+    """``unit_power_matrix`` is ``unit_power_vector`` of many loads at
+    once: each row is bitwise the single call, sleep flags, leakage and
+    ``None`` temperatures included."""
+
+    @pytest.mark.parametrize("leakage", [None, LeakageModel()], ids=["dynamic", "leakage"])
+    @settings(max_examples=60, deadline=None)
+    @given(loads=_LOADS, memory_intensity=st.floats(min_value=0.0, max_value=1.0))
+    def test_rows_are_single_calls_bitwise(self, leakage, loads, memory_intensity):
+        model = PowerModel(build_stack(2), leakage=leakage)
+        keys = _unit_keys(model)
+        utils, asleep, temps = loads
+        temps = None if temps is None else np.array(temps)
+        batch = model.unit_power_matrix(keys, utils, asleep, memory_intensity, temps)
+        assert batch.shape == (len(utils), len(keys))
+        for c in range(len(utils)):
+            row = model.unit_power_vector(
+                keys, utils[c], asleep[c], memory_intensity,
+                None if temps is None else temps[c],
+            )
+            assert batch[c].tobytes() == row.tobytes()
+
+    def test_bad_utilization_names_the_core(self, model):
+        util = [[0.5] * 8, [0.5] * 8]
+        util[1][5] = 1.5
+        with pytest.raises(ModelError, match=r"utilization 1.5 of core5 outside"):
+            model.unit_power_matrix(_unit_keys(model), util, [[False] * 8] * 2, 0.5)

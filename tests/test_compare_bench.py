@@ -8,7 +8,9 @@ instead of ``warm_sweep``) is read without error. The schema v9
 is read without error. The schema v11 ``cross_network`` GMRES counters
 are printed only, against a baseline with or without them. From schema
 v12 the inlet sweep must solve as many unit-response ``R`` blocks as a
-single inlet; an older payload without the counts is a note.
+single inlet; an older payload without the counts is a note. From
+schema v13 it must assemble as many networks as a single inlet, with
+the same note for older payloads.
 """
 
 import importlib.util
@@ -156,3 +158,32 @@ class TestInletSweepResponseGate:
         current = with_responses(payload(), None, schema=11)
         assert compare_bench.compare(current, payload()) == 0
         assert "pre-v12 payload" in capsys.readouterr().out
+
+
+def with_assemblies(base, assemblies, single=5, schema=13):
+    """``base`` at ``schema`` with passing v12 responses and the v13
+    assembly counts."""
+    current = with_responses(base, 5, schema=schema)
+    if assemblies is not None:
+        current["inlet_sweep"].update(
+            assemblies=assemblies, single_inlet_assemblies=single
+        )
+    return current
+
+
+class TestInletSweepAssemblyGate:
+    def test_shared_assembly_passes(self, capsys):
+        assert compare_bench.compare(with_assemblies(payload(), 5), payload()) == 0
+        out = capsys.readouterr().out
+        assert "inlet_sweep_assemblies" in out and "gate: ok" in out
+
+    @pytest.mark.parametrize("assemblies", [20, 0, None])
+    def test_unshared_zero_or_missing_assemblies_fail(self, assemblies, capsys):
+        current = with_assemblies(payload(), assemblies)
+        assert compare_bench.compare(current, payload()) == 1
+        assert "perf gate::cold inlet sweep assembled" in capsys.readouterr().out
+
+    def test_pre_v13_payload_without_them_is_a_note(self, capsys):
+        current = with_assemblies(payload(), None, schema=12)
+        assert compare_bench.compare(current, payload()) == 0
+        assert "pre-v13 payload" in capsys.readouterr().out
