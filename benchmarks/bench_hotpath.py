@@ -102,6 +102,16 @@ the sweep must assemble exactly as often as one inlet (gated). The
 ``facility`` coupling overhead is now the median ratio of interleaved
 (fixed, closed-loop) run pairs instead of the difference of two small
 medians, which swung by several points between runs of the same code.
+
+Schema v14 adds per-interval kernel timings at 32x32, next to the 64x64
+``power_scatter``/``unit_gather`` entries: ``unit_power_32x32`` (one
+``PowerModel.unit_power_vector`` call with leakage and two sleeping
+cores), ``unit_gather_32x32`` (``unit_temperature_vector``) and
+``forecast_32x32`` (one forecaster ``observe`` + ``predict``, averaged
+over the T_max series of the 15 s ARMA run). ``grid_construction_*``,
+``steady_factorization_32x32`` and ``transient_step_*`` are now medians
+of round-robin samples (each a short burst of calls), so a slow spell of
+the machine no longer lands on one of them alone.
 """
 
 from __future__ import annotations
@@ -123,6 +133,7 @@ import scipy.sparse.linalg as spla
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro import units  # noqa: E402
+from repro.control.forecaster import TemperatureForecaster  # noqa: E402
 from repro.geometry.stack import CoolingKind, build_stack  # noqa: E402
 from repro.power.components import PowerModel  # noqa: E402
 from repro.power.leakage import LeakageModel  # noqa: E402
@@ -147,7 +158,7 @@ from repro.thermal.solver import (  # noqa: E402
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
 
@@ -159,6 +170,39 @@ def _median_time(fn, repeats: int) -> float:
         fn()
         samples.append(time.perf_counter() - start)
     return statistics.median(samples)
+
+
+def _interleaved_medians(fns: dict, rounds: int, burst: int = 1) -> dict[str, float]:
+    """Median time of each callable over ``rounds`` round-robin passes.
+
+    Each pass samples every callable once, so the machine's speed swings
+    fall on all of them alike instead of on whichever ran during a slow
+    spell; a handful of back-to-back samples of one call can read 1.5x
+    on an unchanged tree. A sample is the mean of ``burst`` consecutive
+    calls, so a short call is not timed only right after a neighbor has
+    evicted its data from the caches.
+    """
+    samples: dict[str, list[float]] = {name: [] for name in fns}
+    for _ in range(rounds):
+        for name, fn in fns.items():
+            start = time.perf_counter()
+            for _ in range(burst):
+                fn()
+            samples[name].append((time.perf_counter() - start) / burst)
+    return {name: statistics.median(times) for name, times in samples.items()}
+
+
+def _forecast_cost(series: list[float], rounds: int) -> float:
+    """Median cost per sample of one forecaster ``observe`` + ``predict``
+    over ``series``, a fresh forecaster per round."""
+
+    def feed():
+        forecaster = TemperatureForecaster()
+        for value in series:
+            forecaster.observe(value)
+            forecaster.predict()
+
+    return _median_time(feed, rounds) / len(series)
 
 
 def _counter_delta(before: dict, after: dict, name: str) -> int:
@@ -516,12 +560,18 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
     results: dict[str, float] = {}
 
     sizes = [16, 32, 64] + ([107] if include_107 else [])
-    grids = {}
-    for n in sizes:
-        results[f"grid_construction_{n}x{n}"] = _median_time(
-            lambda n=n: ThermalGrid(build_stack(2), nx=n, ny=n), max(3, repeats // 2)
+    grids = {n: ThermalGrid(build_stack(2), nx=n, ny=n) for n in sizes}
+    # Grid construction and the 32x32 steady LU, interleaved.
+    setup_calls = {
+        f"grid_construction_{n}x{n}": (
+            lambda n=n: ThermalGrid(build_stack(2), nx=n, ny=n)
         )
-        grids[n] = ThermalGrid(build_stack(2), nx=n, ny=n)
+        for n in sizes
+    }
+    setup_calls["steady_factorization_32x32"] = lambda: SteadyStateSolver(
+        build_network(grids[32], ThermalParams(), cavity_flows=[FLOW])
+    )
+    results.update(_interleaved_medians(setup_calls, max(5, 2 * repeats), burst=3))
 
     for n in sizes:
         results[f"assembly_{n}x{n}"] = _median_time(
@@ -544,13 +594,7 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
         lambda: grid.max_die_temperature(temps), repeats * 20
     )
 
-    results["steady_factorization_32x32"] = _median_time(
-        lambda: SteadyStateSolver(
-            build_network(grids[32], ThermalParams(), cavity_flows=[FLOW])
-        ),
-        max(3, repeats // 2),
-    )
-
+    step_calls = {}
     for n in (32, 64):
         net_n = build_network(grids[n], ThermalParams(), cavity_flows=[FLOW])
         solver = TransientSolver(net_n, dt=0.1)
@@ -558,10 +602,30 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
         unit_power[grids[n].core_index] = 3.0
         power = grids[n].power_vector_from_array(unit_power)
         state = np.full(net_n.n_nodes, 60.0)
-        results[f"transient_step_{n}x{n}"] = _median_time(
-            lambda solver=solver, state=state, power=power: solver.step(state, power),
-            repeats * 4,
+        step_calls[f"transient_step_{n}x{n}"] = (
+            lambda solver=solver, state=state, power=power: solver.step(state, power)
         )
+    results.update(_interleaved_medians(step_calls, repeats * 4, burst=10))
+
+    # Per-interval kernels at 32x32 (schema v14): the power map and the
+    # unit readout, interleaved, on a loaded two-tier state.
+    grid32 = grids[32]
+    model = PowerModel(grid32.stack, leakage=LeakageModel())
+    unit_keys = list(grid32.unit_keys)
+    utilization = [0.9, 0.2, 0.0, 0.6, 1.0, 0.35, 0.0, 0.75]
+    asleep = [False, False, True, False, False, False, True, False]
+    field = np.linspace(55.0, 80.0, grid32.n_nodes)
+    unit_temps = grid32.unit_temperature_vector(field)
+    results.update(_interleaved_medians(
+        {
+            "unit_power_32x32": lambda: model.unit_power_vector(
+                unit_keys, utilization, asleep, 0.5, unit_temps
+            ),
+            "unit_gather_32x32": lambda: grid32.unit_temperature_vector(field),
+        },
+        repeats * 40,
+        burst=10,
+    ))
 
     results["characterization_32x32"] = time_characterization(32, max(3, repeats // 2))
 
@@ -592,6 +656,10 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
     results["control_interval_arma_32x32"] = _median_time(
         lambda: Simulator(arma_config, cache=cache).run(), max(3, repeats // 2)
     ) / 150.0
+    # The forecaster alone on that run's T_max series: it fits at sample
+    # 40 and reruns the innovations over the sliding window from 120.
+    tmax_series = Simulator(arma_config, cache=cache).run().tmax.tolist()
+    results["forecast_32x32"] = _forecast_cost(tmax_series, repeats * 4)
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -634,6 +702,9 @@ def test_hotpath_baseline(tmp_path):
         "transient_step_64x64",
         "power_scatter_64x64",
         "unit_gather_64x64",
+        "unit_power_32x32",
+        "unit_gather_32x32",
+        "forecast_32x32",
         "simulated_second_32x32",
         "control_interval_32x32",
         "control_interval_arma_32x32",

@@ -118,8 +118,19 @@ class ArmaModel:
         ar, ma, mean = self.ar, self.ma, self.mean
         y = [float(v) - mean for v in series]
         e = [0.0] * len(y)
+        # _one_step inlined: this pass reruns over the whole window on
+        # every sample once the window slides.
         for t in range(max(len(ar), len(ma)), len(y)):
-            e[t] = y[t] - _one_step(ar, ma, y, e, t)
+            pred = 0.0
+            i = t
+            for c in ar:
+                i -= 1
+                pred += c * y[i]
+            i = t
+            for c in ma:
+                i -= 1
+                pred += c * e[i]
+            e[t] = y[t] - pred
         _PASSES.inc()
         return y, e
 
@@ -151,8 +162,9 @@ class ArmaModel:
         lags = max(self.p, self.q)
         if len(y) < lags:
             raise ControlError("series shorter than the model order")
-        # The recursion reads only the last ``lags`` values of each list.
-        y, e = list(y[len(y) - lags:]), list(e[len(e) - lags:])
+        # The recursion reads only the last ``lags`` values of each list
+        # (the slices are fresh lists, extended below).
+        y, e = y[len(y) - lags:], e[len(e) - lags:]
         for _ in range(steps):
             y.append(_one_step(self.ar, self.ma, y, e, len(y)))
             e.append(0.0)

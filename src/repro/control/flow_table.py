@@ -112,6 +112,10 @@ class FlowRateTable:
             self._compute_utilization_cap(k)
             for k in range(characterization.n_settings)
         )
+        # The curves as Python floats for the per-interval end tests and
+        # slopes (the same IEEE values and operations as the arrays).
+        self._utils = characterization.utilizations.tolist()
+        self._temps = characterization.tmax.tolist()
 
     @classmethod
     def characterize(
@@ -157,15 +161,17 @@ class FlowRateTable:
         extrapolates linearly (then clamps at zero below).
         """
         self._check_setting(setting)
-        utils = self.char.utilizations
-        temps = self.char.tmax[setting]
+        utils = self._utils
+        temps = self._temps[setting]
         if temperature <= temps[0]:
             slope = _end_slope(temps, utils, left=True)
             return max(0.0, float(utils[0] + (temperature - temps[0]) * slope))
         if temperature >= temps[-1]:
             slope = _end_slope(temps, utils, left=False)
             return float(utils[-1] + (temperature - temps[-1]) * slope)
-        return float(np.interp(temperature, temps, utils))
+        return float(
+            np.interp(temperature, self.char.tmax[setting], self.char.utilizations)
+        )
 
     def utilization_cap(self, setting: int) -> float:
         """Highest utilization a setting can hold at/below the target.
@@ -192,10 +198,10 @@ class FlowRateTable:
         Saturates at the maximum setting when none suffices (the caller
         should treat a saturated answer as a thermal-capacity warning).
         """
-        for k in range(self.char.n_settings):
-            if self.utilization_cap(k) >= utilization:
+        for k, cap in enumerate(self._caps):
+            if cap >= utilization:
                 return k
-        return self.char.n_settings - 1
+        return len(self._caps) - 1
 
     def required_setting(self, predicted_tmax: float, observed_setting: int) -> int:
         """The LUT lookup: minimum setting for a predicted T_max.
@@ -259,7 +265,7 @@ class FlowRateTable:
             )
 
 
-def _end_slope(x: np.ndarray, y: np.ndarray, left: bool) -> float:
+def _end_slope(x: Sequence[float], y: Sequence[float], left: bool) -> float:
     """Finite-difference slope dy/dx at an end of a curve (for gentle
     extrapolation); zero when the end is flat."""
     if left:

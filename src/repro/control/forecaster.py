@@ -80,6 +80,11 @@ class TemperatureForecaster:
         self.min_history = min_history
         self._sprt_params = {"shift": sprt_shift, "alpha": sprt_alpha, "beta": sprt_beta}
         self._history: deque[float] = deque(maxlen=window)
+        # Running window extremes for the predict clamp: monotone deques
+        # of (sample number, value), the oldest surviving extreme first.
+        self._observed = 0
+        self._lows: deque[tuple[int, float]] = deque()
+        self._highs: deque[tuple[int, float]] = deque()
         self._model: ArmaModel | None = None
         self._sprt: SprtDetector | None = None
         # The demeaned history and its innovations under _chain_model.
@@ -108,7 +113,9 @@ class TemperatureForecaster:
             if self._sprt.update(residual):
                 self._refit("sprt")
         slides = len(self._history) == self.window
-        self._history.append(float(value))
+        value = float(value)
+        self._history.append(value)
+        self._track_extremes(value)
         if self._model is None and len(self._history) >= self.min_history:
             self._refit("initial")
         if self._model is None:
@@ -135,9 +142,30 @@ class TemperatureForecaster:
         forecast = self._model.forecast_from(self._y, self._e, self.horizon_steps)
         # Clamp to a physical band around the recent history; a rogue
         # unstable fit must not command absurd flow rates (np.clip order).
-        lo = min(self._history) - 20.0
-        hi = max(self._history) + 20.0
+        lo = self._lows[0][1] - 20.0
+        hi = self._highs[0][1] + 20.0
         return min(max(forecast, lo), hi)
+
+    def _track_extremes(self, value: float) -> None:
+        """Keep the window's min and max at the front of their deques.
+
+        Samples are finite, so the running extremes equal ``min`` and
+        ``max`` of the history, whatever the tie order (the clamp's
+        20 K offset erases the sign of a zero)."""
+        n = self._observed
+        self._observed = n + 1
+        oldest = n - self.window
+        lows, highs = self._lows, self._highs
+        while lows and lows[-1][1] >= value:
+            lows.pop()
+        lows.append((n, value))
+        if lows[0][0] <= oldest:
+            lows.popleft()
+        while highs and highs[-1][1] <= value:
+            highs.pop()
+        highs.append((n, value))
+        if highs[0][0] <= oldest:
+            highs.popleft()
 
     def _refit(self, reason: str) -> None:
         p, q = self.order

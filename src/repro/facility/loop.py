@@ -53,6 +53,9 @@ __all__ = ["FacilityModel", "FacilityState", "ClosedLoopFacility"]
 _LOOP_TEMP_MIN = 2.0
 _LOOP_TEMP_MAX = 98.0
 
+_INTERVALS = telemetry.counter("facility.intervals")  # mode=free|chiller
+_LOOP_TEMPERATURE = telemetry.gauge("facility.loop_temperature_c")
+
 
 @dataclass(frozen=True)
 class FacilityState:
@@ -194,10 +197,8 @@ class ClosedLoopFacility:
             sp.set_attrs(
                 inlet=state.inlet_temperature, free_cooling=state.free_cooling
             )
-        telemetry.counter("facility.intervals").inc(
-            mode="free" if state.free_cooling else "chiller"
-        )
-        telemetry.gauge("facility.loop_temperature_c").set(state.loop_temperature)
+        _INTERVALS.inc(mode="free" if state.free_cooling else "chiller")
+        _LOOP_TEMPERATURE.set(state.loop_temperature)
         return state
 
     def _advance(self, dt: float, chip_heat: float) -> FacilityState:

@@ -153,6 +153,11 @@ class PowerModel:
             "xbar_pos": np.array(xbar_pos, dtype=np.int64),
             "misc_pos": np.array(misc_pos, dtype=np.int64),
             "leak_base": leak_base,
+            # The same layout as Python lists for the one-load path.
+            "core_items": list(zip(core_pos, core_index)),
+            "l2_items": [(u, a, b) for u, (a, b) in zip(l2_pos, l2_partners)],
+            "xbar_list": list(xbar_pos),
+            "leak_list": leak_base.tolist(),
         }
         self._vector_plans[unit_keys] = plan
         return plan
@@ -188,49 +193,64 @@ class PowerModel:
         """
         plan = self._vector_plan(tuple(unit_keys))
         names = plan["core_names"]
-        if len(utilization) != len(names) or len(asleep) != len(names):
+        n_cores = len(names)
+        if len(utilization) != n_cores or len(asleep) != n_cores:
             raise ModelError(
-                f"need a utilization and a sleep flag for each of {len(names)} cores"
+                f"need a utilization and a sleep flag for each of {n_cores} cores"
             )
-        # The crossbar's active fraction sums left to right in core order;
-        # a numpy reduction may round differently.
+        # Python floats over the ~22 units: every value is the same IEEE
+        # operation sequence the array form ran (numpy ufuncs do not
+        # fuse), without ~25 small-array calls. The crossbar's active
+        # fraction sums left to right in core order.
+        sleep_power = self.sleep_power
+        active_power = self.active_power
+        idle_power = self.idle_power
         awake_util = 0
+        core = []
+        served = []
         for name, u, sleeping in zip(names, utilization, asleep):
             if not 0.0 <= u <= 1.0:
                 raise ModelError(f"utilization {u} of {name} outside [0, 1]")
-            if not sleeping:
+            if sleeping:
+                core.append(sleep_power)
+                served.append(0.0)
+            else:
                 awake_util += u
-        active_fraction = awake_util / len(names)
-
-        util = np.array(utilization, dtype=float)
-        sleep = np.array(asleep, dtype=bool)
-        core_util = util[plan["core_index"]]
-        core_asleep = sleep[plan["core_index"]]
-        out = np.empty(len(unit_keys))
-        out[plan["core_pos"]] = np.where(
-            core_asleep,
-            self.sleep_power,
-            core_util * self.active_power + (1.0 - core_util) * self.idle_power,
-        )
-        served = np.where(sleep, 0.0, util)
-        pair_util = (served[plan["l2_a"]] + served[plan["l2_b"]]) / 2
-        out[plan["l2_pos"]] = self.l2_power * (0.4 + 0.6 * pair_util)
-        out[plan["xbar_pos"]] = self.crossbar_power(active_fraction, memory_intensity)
-        out[plan["misc_pos"]] = self.misc_power
+                core.append(u * active_power + (1.0 - u) * idle_power)
+                served.append(u)
+        out = [self.misc_power] * len(plan["leak_list"])
+        for pos, c in plan["core_items"]:
+            out[pos] = core[c]
+        l2_power = self.l2_power
+        for pos, a, b in plan["l2_items"]:
+            out[pos] = l2_power * (0.4 + 0.6 * ((served[a] + served[b]) / 2))
+        crossbar = self.crossbar_power(awake_util / n_cores, memory_intensity)
+        for pos in plan["xbar_list"]:
+            out[pos] = crossbar
 
         if self.leakage is not None:
             lk = self.leakage
             if unit_temperatures is None:
-                leak = plan["leak_base"].copy()  # factor(T_ref) == 1.0 exactly
+                leak = list(plan["leak_list"])  # factor(T_ref) == 1.0 exactly
             else:
-                t = np.asarray(unit_temperatures, dtype=float)
-                dt = t - lk.reference_temperature
-                factor = np.maximum(1.0 + lk.linear * dt + lk.quadratic * dt * dt, 0.1)
-                leak = plan["leak_base"] * factor
-            if any(asleep):
-                leak[plan["core_pos"][core_asleep]] = 0.0  # power-gated cores
-            out += leak
-        return out
+                temps = np.asarray(unit_temperatures, dtype=float).tolist()
+                if len(temps) != len(out):
+                    raise ModelError(
+                        f"need a temperature for each of {len(out)} units"
+                    )
+                ref, linear, quadratic = (
+                    lk.reference_temperature, lk.linear, lk.quadratic
+                )
+                leak = []
+                for base, t in zip(plan["leak_list"], temps):
+                    dt = t - ref
+                    # max() keeps a NaN factor, as np.maximum does.
+                    leak.append(base * max(1.0 + linear * dt + quadratic * dt * dt, 0.1))
+            for pos, c in plan["core_items"]:
+                if asleep[c]:
+                    leak[pos] = 0.0  # power-gated cores
+            out = [p + q for p, q in zip(out, leak)]
+        return np.array(out)
 
     def unit_power_matrix(
         self,

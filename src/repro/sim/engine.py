@@ -44,8 +44,14 @@ fan-out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Protocol, runtime_checkable
+from typing import (
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Protocol,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -71,6 +77,7 @@ from repro.sim.config import CoolingMode, SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.telemetry import trace as _trace
 from repro.workload.generator import ThreadTrace
+from repro.workload.threads import DONE_TOLERANCE
 
 _default_cache = CharacterizationCache()
 
@@ -87,9 +94,10 @@ def set_default_cache(cache: CharacterizationCache) -> None:
     _default_cache = cache
 
 
-@dataclass(frozen=True)
-class IntervalState:
+class IntervalState(NamedTuple):
     """What one control interval produced — the observer's view.
+
+    An immutable named tuple, built once per interval.
 
     Attributes
     ----------
@@ -168,7 +176,8 @@ class _RunState:
     __slots__ = (
         "n_intervals", "steps", "queues", "core_queues", "core_pos", "dpm",
         "forecaster", "spec",
-        "temperatures", "unit_vec", "core_vec", "core_temps", "unit_keys",
+        "temperatures", "unit_vec", "core_index", "core_names", "core_temps",
+        "unit_keys",
         "arrivals", "arrival_ptr", "sojourn_sum", "sojourn_count", "k",
         "rec_times", "rec_tmax", "rec_tmax_cell", "rec_core_t", "rec_unit_t",
         "rec_chip_p", "rec_pump_p", "rec_setting", "rec_completed",
@@ -219,6 +228,7 @@ class Simulator:
         )
         self._cooling_kind = cooling
         self._observers = list(observers)
+        self._weights: dict[int, ThermalWeights] = {}
         self._policy = policy_registry().create(
             config.policy,
             config.policy_params,
@@ -270,12 +280,17 @@ class Simulator:
 
     def _talb_weights(self, tmax: float) -> ThermalWeights:
         """Weight provider: the pre-processed set for the current
-        cooling condition (pump setting or air)."""
-        if self._cooling_kind is CoolingKind.AIR:
+        cooling condition (pump setting or air), fetched from the cache
+        once per setting this run visits."""
+        if self._cooling_kind is CoolingKind.AIR or self._pump_state is None:
             setting = -1
         else:
-            setting = self._pump_state.current_index if self._pump_state else -1
-        return self.cache.thermal_weights(self.system, setting, self.config)
+            setting = self._pump_state.current_index
+        weights = self._weights.get(setting)
+        if weights is None:
+            weights = self.cache.thermal_weights(self.system, setting, self.config)
+            self._weights[setting] = weights
+        return weights
 
     # --- stepped execution -------------------------------------------------
 
@@ -323,8 +338,10 @@ class Simulator:
         # for the policy interface.
         st.unit_keys = list(grid.unit_keys)
         st.unit_vec = grid.unit_temperature_vector(st.temperatures)
-        st.core_vec = st.unit_vec[grid.core_index]
-        st.core_temps = dict(zip(core_names, st.core_vec.tolist()))
+        st.core_index = grid.core_index.tolist()
+        st.core_names = list(core_names)
+        unit_temps = st.unit_vec.tolist()
+        st.core_temps = dict(zip(core_names, [unit_temps[i] for i in st.core_index]))
         st.forecaster = forecaster_registry().create(
             config.forecaster,
             config.forecaster_params,
@@ -377,7 +394,8 @@ class Simulator:
             config = self.config
             grid = self.system.grid
             interval = config.sampling_interval
-            core_names = self.system.core_names
+            pump_state = self._pump_state
+            facility = self._facility
             k = st.k
             t_start = k * interval
 
@@ -385,8 +403,8 @@ class Simulator:
                 st, t_start
             )
             t_end = t_start + interval
-            if self._pump_state is not None:
-                self._pump_state.advance(t_end)
+            if pump_state is not None:
+                pump_state.advance(t_end)
 
             unit_powers = self.power_model.unit_power_vector(
                 st.unit_keys, utilization, asleep, st.spec.memory_intensity, st.unit_vec
@@ -394,35 +412,39 @@ class Simulator:
             # The solve setting: the commanded pump setting for liquid
             # cooling, -1 (the air network) otherwise.
             setting = (
-                self._pump_state.current_index
-                if self._pump_state is not None
+                pump_state.current_index
+                if pump_state is not None
                 and self._cooling_kind is CoolingKind.LIQUID
                 else -1
             )
             step_span.set_attrs(index=k, setting=setting)
             node_power = grid.power_vector_from_array(unit_powers)
             inlet_temperature = float("nan")
-            if self._facility is not None:
+            if facility is not None:
                 # Closed-loop coupling: the facility's current loop
                 # temperature is this interval's coolant inlet. The inlet
                 # enters the ODE only through the (linear) boundary term,
                 # so the change is folded into the right-hand side here —
                 # the memoized network and its factorization are reused
                 # untouched, on the exact and krylov solve paths alike.
-                inlet_temperature = self._facility.inlet_temperature
-                delta = self.system.network(setting).inlet_boundary_delta(
-                    inlet_temperature
-                )
+                network = self.system.network(setting)
+                inlet_temperature = facility.inlet_temperature
+                delta = network.inlet_boundary_delta(inlet_temperature)
                 if delta is not None:
-                    node_power = node_power + delta
+                    node_power += delta
             solver = self.system.transient_solver(setting, interval)
             st.temperatures = solver.step(st.temperatures, node_power)
+            # Sensor readings as Python floats: one conversion feeds the
+            # peak, the per-core list and the policy's dict.
             st.unit_vec = grid.unit_temperature_vector(st.temperatures)
-            st.core_vec = st.unit_vec[grid.core_index]
-            st.core_temps = dict(zip(core_names, st.core_vec.tolist()))
+            unit_temps = st.unit_vec.tolist()
+            core_temps = [unit_temps[i] for i in st.core_index]
+            st.core_temps = dict(zip(st.core_names, core_temps))
             # Runtime policies observe sensors (unit means), as in the
             # paper; the cell-level peak is recorded as ground truth.
-            tmax = float(st.unit_vec.max())
+            # The field is finite (the solver checks), so the Python max
+            # is the array max.
+            tmax = max(unit_temps)
             tmax_cell = grid.max_die_temperature(st.temperatures)
 
             st.forecaster.observe(tmax)
@@ -444,36 +466,36 @@ class Simulator:
 
             self._policy.rebalance(st.queues, st.core_temps, t_end)
 
+            chip_power = float(unit_powers.sum())
+            pump_power = 0.0
+            flow_setting = -1
+            if pump_state is not None:
+                pump_power = float(pump_state.electrical_power())
+                flow_setting = pump_state.commanded_index
+            migrations = self._policy.migration_count
             st.rec_times[k] = t_end
             st.rec_tmax[k] = tmax
             st.rec_tmax_cell[k] = tmax_cell
-            st.rec_core_t[k] = st.core_vec
+            st.rec_core_t[k] = core_temps
             st.rec_unit_t[k] = st.unit_vec
-            st.rec_chip_p[k] = float(unit_powers.sum())
-            if self._pump_state is not None:
-                st.rec_pump_p[k] = self._pump_state.electrical_power()
-                st.rec_setting[k] = self._pump_state.commanded_index
+            st.rec_chip_p[k] = chip_power
+            st.rec_pump_p[k] = pump_power
+            st.rec_setting[k] = flow_setting
             st.rec_completed[k] = completed_in_interval
             st.rec_forecast[k] = prediction
-            st.rec_migrations[k] = self._policy.migration_count
+            st.rec_migrations[k] = migrations
 
             fac_inlet = float("nan")
             fac_cooling = float("nan")
-            if self._facility is not None:
+            if facility is not None:
                 # Close the loop: the heat the coolant carried out this
                 # interval (sensible-heat balance over the channel rows)
                 # drives the facility energy balance, whose new loop
                 # temperature becomes the next interval's inlet.
-                network = self.system.network(setting)
                 q_chip = network.coolant_heat_rejected(
                     st.temperatures, inlet_temperature
                 )
-                fac_state = self._facility.advance(
-                    config.sampling_interval,
-                    q_chip,
-                    float(st.rec_chip_p[k]),
-                    float(st.rec_pump_p[k]),
-                )
+                fac_state = facility.advance(interval, q_chip, chip_power, pump_power)
                 st.rec_fac_inlet[k] = inlet_temperature
                 st.rec_fac_cooling[k] = fac_state.cooling_power
                 st.rec_fac_water[k] = fac_state.water_use
@@ -490,11 +512,11 @@ class Simulator:
                 tmax_cell=tmax_cell,
                 forecast_tmax=prediction,
                 core_temperatures=dict(st.core_temps),
-                chip_power=float(st.rec_chip_p[k]),
-                pump_power=float(st.rec_pump_p[k]),
-                flow_setting=int(st.rec_setting[k]),
+                chip_power=chip_power,
+                pump_power=pump_power,
+                flow_setting=flow_setting,
                 completed_threads=completed_in_interval,
-                migrations=int(st.rec_migrations[k]),
+                migrations=int(migrations),
                 facility_inlet_temperature=fac_inlet,
                 facility_cooling_power=fac_cooling,
             )
@@ -509,56 +531,76 @@ class Simulator:
         quantum = self.config.quantum
         queues = st.core_queues
         core_pos = st.core_pos
-        busy_time = [0.0] * len(queues)
+        arrivals = st.arrivals
+        n_arrivals = len(arrivals)
+        ptr = st.arrival_ptr
+        dispatch_target = self._policy.dispatch_target
+        enqueue = st.queues.enqueue
+        n_cores = len(queues)
+        busy_time = [0.0] * n_cores
         # Each core's last dispatch (quantum start) or busy quantum
-        # (quantum end), overwritten in quantum order.
-        last_event: list[Optional[float]] = [None] * len(queues)
+        # (quantum end), overwritten in quantum order, and the index of
+        # its last busy quantum.
+        last_event: list[Optional[float]] = [None] * n_cores
+        busy_step = [-1] * n_cores
         completed_in_interval = 0
+        sojourn_sum = st.sojourn_sum
+        sojourn_count = st.sojourn_count
 
+        end = t_start
         for s in range(st.steps):
             now = t_start + s * quantum
             end = now + quantum
             # Dispatch arrivals that landed in this quantum.
-            while (
-                st.arrival_ptr < len(st.arrivals)
-                and st.arrivals[st.arrival_ptr].arrival < end
-            ):
-                thread = st.arrivals[st.arrival_ptr]
-                target = self._policy.dispatch_target(st.queues, st.core_temps)
-                st.queues.enqueue(target, thread)
+            while ptr < n_arrivals and arrivals[ptr].arrival < end:
+                target = dispatch_target(st.queues, st.core_temps)
+                enqueue(target, arrivals[ptr])
                 last_event[core_pos[target]] = now
-                st.arrival_ptr += 1
+                ptr += 1
             # Execute queue heads. A thread dispatched mid-quantum
             # only gets the post-arrival fraction of the quantum:
             # without the clamp it would execute before its own
             # arrival and could complete with a negative sojourn.
-            busy = [False] * len(queues)
             for i, q in enumerate(queues):
                 if not q:
                     continue
                 head = q[0]
-                start = now if head.arrival <= now else head.arrival
-                used = head.execute(max(0.0, end - start))
+                arrival = head.arrival
+                start = now if arrival <= now else arrival
+                span = end - start
+                # head.execute(max(0.0, span)) and head.done, inlined:
+                # the ~40 head executions per interval make no calls.
+                remaining = head.remaining
+                span = span if span > 0.0 else 0.0
+                used = span if span < remaining else remaining
+                remaining -= used
+                head.remaining = remaining
                 if used > 0.0:
                     busy_time[i] += used
-                    busy[i] = True
+                    busy_step[i] = s
                     last_event[i] = end
-                if head.done:
-                    finished = q.popleft()
+                if remaining <= DONE_TOLERANCE:
+                    q.popleft()
                     completed_in_interval += 1
-                    sojourn = (start + used) - finished.arrival
+                    sojourn = (start + used) - arrival
                     if sojourn < 0.0:
                         raise SchedulingError(
                             f"negative sojourn {sojourn:.6f}s for thread "
-                            f"{finished.thread_id} (arrival "
-                            f"{finished.arrival:.6f}s)"
+                            f"{head.thread_id} (arrival {arrival:.6f}s)"
                         )
-                    st.sojourn_sum += sojourn
-                    st.sojourn_count += 1
+                    sojourn_sum += sojourn
+                    sojourn_count += 1
+        st.arrival_ptr = ptr
+        st.sojourn_sum = sojourn_sum
+        st.sojourn_count = sojourn_count
 
-        asleep = st.dpm.observe(end, last_event, busy)
+        last = st.steps - 1
+        asleep = st.dpm.observe(end, last_event, [b == last for b in busy_step])
         interval = self.config.sampling_interval
-        utilization = [min(1.0, b / interval) for b in busy_time]
+        utilization = []
+        for b in busy_time:
+            u = b / interval
+            utilization.append(u if u < 1.0 else 1.0)  # min(1.0, u)
         return utilization, asleep, completed_in_interval
 
     def result(self) -> SimulationResult:

@@ -366,7 +366,7 @@ class RCNetwork:
             t_inlet = self.inlet_temperature
         total = 0.0
         for nodes, g in zip(self.advection_outlets, self.advection_conductances):
-            total += g * float(np.sum(temperatures[nodes] - t_inlet))
+            total += g * float((temperatures[nodes] - t_inlet).sum())
         return total
 
 

@@ -235,7 +235,10 @@ def _block(array, n: int) -> np.ndarray:
 
 
 def _finite(temps: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(temps)):
+    # A finite sum proves every entry finite (a NaN or an infinity
+    # makes the sum NaN or infinite); only an overflowing sum of
+    # finite entries needs the full scan.
+    if not math.isfinite(temps.sum()) and not np.all(np.isfinite(temps)):
         raise SolverError(f"{what} produced non-finite temperatures")
     return temps
 
@@ -333,7 +336,10 @@ class TransientSolver:
         """Advance one time step; returns the new temperature vector."""
         n = self.network.n_nodes
         temperatures = _vector(temperatures, n)
-        rhs = self._c_over_dt * temperatures + _vector(power, n) + self.network.boundary
+        # (C/dt T + P) + b, summed in place.
+        rhs = self._c_over_dt * temperatures
+        rhs += _vector(power, n)
+        rhs += self.network.boundary
         return _finite(self._core.solve_linear(rhs, temperatures), "transient step")
 
     def run(

@@ -160,6 +160,7 @@ class WorkloadGenerator:
         thread_id = 0
         # Rate modulation updates once per second (mpstat's granularity).
         n_slots = int(np.ceil(duration))
+        log_median = np.log(_MEDIAN_LENGTH)
         modulation = 1.0
         for slot in range(n_slots):
             noise = rng.normal(0.0, self.rate_jitter)
@@ -167,7 +168,9 @@ class WorkloadGenerator:
                 self.rate_correlation * modulation
                 + (1.0 - self.rate_correlation) * (1.0 + noise)
             )
-            modulation = float(np.clip(modulation, 0.2, 2.0))
+            # min(max(...)) is np.clip on a scalar, NaN included, without
+            # an array round trip per slot and thread.
+            modulation = min(max(modulation, 0.2), 2.0)
             rate = base_rate * modulation
             t = float(slot)
             end = min(duration, t + 1.0)
@@ -175,12 +178,9 @@ class WorkloadGenerator:
                 t += float(rng.exponential(1.0 / rate)) if rate > 0 else end
                 if t >= end:
                     break
-                length = float(
-                    np.clip(
-                        rng.lognormal(np.log(_MEDIAN_LENGTH), _LENGTH_SIGMA),
-                        _MIN_LENGTH,
-                        _MAX_LENGTH,
-                    )
+                length = min(
+                    max(rng.lognormal(log_median, _LENGTH_SIGMA), _MIN_LENGTH),
+                    _MAX_LENGTH,
                 )
                 threads.append(Thread(thread_id, t, length))
                 thread_id += 1

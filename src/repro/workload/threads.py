@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
 
+DONE_TOLERANCE = 1.0e-12
+"""Remaining execution time (s) at or below which a thread is done."""
+
 
 @dataclass
 class Thread:
@@ -49,7 +52,7 @@ class Thread:
     @property
     def done(self) -> bool:
         """Whether the thread has finished executing."""
-        return self.remaining <= 1.0e-12
+        return self.remaining <= DONE_TOLERANCE
 
     def execute(self, quantum: float) -> float:
         """Run for up to ``quantum`` seconds; returns time consumed."""
