@@ -112,6 +112,15 @@ over the T_max series of the 15 s ARMA run). ``grid_construction_*``,
 ``steady_factorization_32x32`` and ``transient_step_*`` are now medians
 of round-robin samples (each a short burst of calls), so a slow spell of
 the machine no longer lands on one of them alone.
+
+Schema v15 records a speed probe in ``environment``: the time of a
+fixed pure-Python loop, timed after a sample (or round of samples) of
+the timing helpers at most every ``PROBE_INTERVAL_S``, as its mean
+over the whole run (``speed_probe_s``) and over each timing's own
+section (``section_probe_s``). The 2-vCPU machine the baseline is
+recorded on switches between two speeds about 1.6x apart for spells of
+a second or more, so ``compare_bench.py`` divides each wall-clock ratio
+by the two payloads' probe ratio for that section before it warns.
 """
 
 from __future__ import annotations
@@ -158,9 +167,44 @@ from repro.thermal.solver import (  # noqa: E402
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 14
+SCHEMA_VERSION = 15
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
+
+#: Iterations of the speed-probe loop, and the least time between two
+#: probes taken by the timing helpers (schema v15).
+PROBE_ITERATIONS = 3000
+PROBE_INTERVAL_S = 0.02
+
+
+class SpeedProbe:
+    """Times a fixed pure-Python loop, at most once per
+    ``PROBE_INTERVAL_S``, whenever a timing helper finishes a sample,
+    so its times follow the machine's speed while those samples ran."""
+
+    def __init__(self) -> None:
+        self.samples: list[float] = []
+        self._last = float("-inf")
+
+    def sample(self, due_only: bool = True) -> None:
+        start = time.perf_counter()
+        if due_only and start - self._last < PROBE_INTERVAL_S:
+            return
+        total = 0
+        for i in range(PROBE_ITERATIONS):
+            total += i * i % 7
+        self._last = time.perf_counter()
+        self.samples.append(self._last - start)
+
+    def mean_since(self, first: int) -> float:
+        """Mean loop time over the samples from index ``first`` on (one
+        taken now if there are none)."""
+        if len(self.samples) == first:
+            self.sample(due_only=False)
+        return statistics.fmean(self.samples[first:])
+
+
+PROBE = SpeedProbe()
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -169,6 +213,7 @@ def _median_time(fn, repeats: int) -> float:
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
+        PROBE.sample()
     return statistics.median(samples)
 
 
@@ -189,6 +234,7 @@ def _interleaved_medians(fns: dict, rounds: int, burst: int = 1) -> dict[str, fl
             for _ in range(burst):
                 fn()
             samples[name].append((time.perf_counter() - start) / burst)
+        PROBE.sample()
     return {name: statistics.median(times) for name, times in samples.items()}
 
 
@@ -552,12 +598,69 @@ def time_characterization(n: int, repeats: int) -> float:
         cache.table(system, model, config)
         cache.floor(system, model, config)
         samples.append(time.perf_counter() - start)
+        PROBE.sample()
     return statistics.median(samples)
 
 
 def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
-    """Run the hot-path measurements and return the JSON payload."""
+    """Run the hot-path measurements and return the JSON payload.
+
+    ``environment.speed_probe_s`` is the speed probe's mean over the
+    whole run, and ``environment.section_probe_s`` its mean over each
+    timing's own section (keyed like ``results``, plus ``warm_sweep``),
+    since the machine's speed can change between sections a second
+    apart.
+    """
+    first = len(PROBE.samples)
+    results, sections = _collect_results(repeats, include_107)
+    mark = len(PROBE.samples)
+    warm_sweep = collect_warm_sweep_metrics(repeats=repeats)
+    sections["warm_sweep"] = PROBE.mean_since(mark)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "suite": "hotpath",
+        "units": "seconds (median wall clock)",
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "machine": platform.machine(),
+        },
+        "results": results,
+        "warm_sweep": warm_sweep,
+        "cross_network": collect_cross_network_metrics(
+            repeats=max(1, repeats // 2)
+        ),
+        "timing_breakdown": collect_timing_breakdown(),
+        "facility": collect_facility_metrics(repeats=repeats),
+        "inlet_sweep": collect_inlet_sweep_metrics(),
+        "lu_nnz": collect_lu_fill([32, 64] + ([107] if include_107 else [])),
+    }
+    payload["environment"].update(
+        speed_probe_s=PROBE.mean_since(first),
+        speed_probe_samples=len(PROBE.samples) - first,
+        section_probe_s=sections,
+    )
+    return payload
+
+
+def _collect_results(
+    repeats: int, include_107: bool
+) -> tuple[dict[str, float], dict[str, float]]:
+    """The ``results`` timings, and the probe's mean over each one's
+    section."""
     results: dict[str, float] = {}
+    sections: dict[str, float] = {}
+    mark = len(PROBE.samples)
+
+    def note() -> None:
+        """Credit the probe samples since the last note to the timings
+        taken since then."""
+        nonlocal mark
+        speed = PROBE.mean_since(mark)
+        mark = len(PROBE.samples)
+        for name in results:
+            sections.setdefault(name, speed)
 
     sizes = [16, 32, 64] + ([107] if include_107 else [])
     grids = {n: ThermalGrid(build_stack(2), nx=n, ny=n) for n in sizes}
@@ -572,12 +675,14 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
         build_network(grids[32], ThermalParams(), cavity_flows=[FLOW])
     )
     results.update(_interleaved_medians(setup_calls, max(5, 2 * repeats), burst=3))
+    note()
 
     for n in sizes:
         results[f"assembly_{n}x{n}"] = _median_time(
             lambda n=n: build_network(grids[n], ThermalParams(), cavity_flows=[FLOW]),
             repeats if n < 107 else max(2, repeats // 2),
         )
+        note()
 
     # Per-interval operators at 64x64.
     grid = grids[64]
@@ -593,6 +698,7 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
     results["max_die_temperature_64x64"] = _median_time(
         lambda: grid.max_die_temperature(temps), repeats * 20
     )
+    note()
 
     step_calls = {}
     for n in (32, 64):
@@ -606,6 +712,7 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
             lambda solver=solver, state=state, power=power: solver.step(state, power)
         )
     results.update(_interleaved_medians(step_calls, repeats * 4, burst=10))
+    note()
 
     # Per-interval kernels at 32x32 (schema v14): the power map and the
     # unit readout, interleaved, on a loaded two-tier state.
@@ -626,8 +733,10 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
         repeats * 40,
         burst=10,
     ))
+    note()
 
     results["characterization_32x32"] = time_characterization(32, max(3, repeats // 2))
+    note()
 
     # Full control interval at 32x32: fresh Simulator.run of 1 simulated
     # second (10 intervals) with warm characterizations — includes the
@@ -648,6 +757,7 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
     )
     results["simulated_second_32x32"] = run_1s
     results["control_interval_32x32"] = run_1s / 10.0
+    note()
 
     # The same interval once the forecaster runs ARMA: 15 s (150
     # intervals) fits at sample 40 and slides the 120-sample window.
@@ -656,31 +766,13 @@ def collect_timings(repeats: int = 5, include_107: bool = True) -> dict:
     results["control_interval_arma_32x32"] = _median_time(
         lambda: Simulator(arma_config, cache=cache).run(), max(3, repeats // 2)
     ) / 150.0
+    note()
     # The forecaster alone on that run's T_max series: it fits at sample
     # 40 and reruns the innovations over the sliding window from 120.
     tmax_series = Simulator(arma_config, cache=cache).run().tmax.tolist()
     results["forecast_32x32"] = _forecast_cost(tmax_series, repeats * 4)
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "suite": "hotpath",
-        "units": "seconds (median wall clock)",
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "machine": platform.machine(),
-        },
-        "results": results,
-        "warm_sweep": collect_warm_sweep_metrics(repeats=repeats),
-        "cross_network": collect_cross_network_metrics(
-            repeats=max(1, repeats // 2)
-        ),
-        "timing_breakdown": collect_timing_breakdown(),
-        "facility": collect_facility_metrics(repeats=repeats),
-        "inlet_sweep": collect_inlet_sweep_metrics(),
-        "lu_nnz": collect_lu_fill([32, 64] + ([107] if include_107 else [])),
-    }
+    note()
+    return results, sections
 
 
 def test_hotpath_baseline(tmp_path):
@@ -690,6 +782,9 @@ def test_hotpath_baseline(tmp_path):
     out.write_text(json.dumps(payload))
     loaded = json.loads(out.read_text())
     assert loaded["schema_version"] == SCHEMA_VERSION
+    environment = loaded["environment"]
+    assert environment["speed_probe_s"] > 0.0
+    assert set(environment["section_probe_s"]) == set(loaded["results"]) | {"warm_sweep"}
     assert loaded["results"]["assembly_64x64"] > 0.0
     assert loaded["results"]["control_interval_32x32"] > 0.0
     assert loaded["results"]["control_interval_arma_32x32"] > 0.0
@@ -853,7 +948,12 @@ def main(argv=None) -> int:
             f"  {size:8s} {grid_fill['transient']:>10d}"
             f"  vs {grid_fill['pivoted_transient']:>10d}"
         )
-    print(f"\nwrote {args.out}")
+    environment = payload["environment"]
+    print(
+        f"\nspeed probe: {environment['speed_probe_s'] * 1e6:.0f} us mean over"
+        f" {environment['speed_probe_samples']} samples"
+    )
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -9,11 +9,16 @@ Usage (what CI's perf-trajectory job runs)::
 Two kinds of checks, deliberately different in severity:
 
 * **Timing regressions are non-gating.** Absolute wall-clock depends on
-  the runner; a >20% median slowdown (or warm-sweep throughput loss)
-  prints a
-  GitHub ``::warning::`` annotation so it shows up on the PR, but the
-  exit code stays 0. Timings in ``INFORMATIONAL_RESULTS`` (the ARMA
-  control interval) are printed only, never warned on.
+  the runner and on its momentary speed, so each wall-clock ratio is
+  first divided by the two payloads' speed-probe ratio (schema v15: the
+  mean time of one fixed pure-Python loop sampled while that timing's
+  section ran, ``environment.section_probe_s``, else over the whole
+  run, ``environment.speed_probe_s``); without a probe on both sides
+  the raw ratio is used. A >20% corrected median slowdown
+  (or warm-sweep throughput loss) prints a GitHub ``::warning::``
+  annotation so it shows up on the PR, but the exit code stays 0.
+  Timings in ``INFORMATIONAL_RESULTS`` (the ARMA control interval) are
+  printed only, never warned on.
 * **The algorithmic counters gate.** A warm policy sweep performing
   any LU factorization means kernel sharing broke, and a cross-network
   krylov campaign factorizing as often as it has design points means
@@ -69,6 +74,37 @@ ASSEMBLIES_SCHEMA = 13
 
 def _warn(message: str) -> None:
     print(f"::warning title=perf regression::{message}")
+
+
+def _speed_ratios(current: dict, baseline: dict):
+    """A function of a timing's name: how many times slower the machine
+    ran while ``current`` took it than while ``baseline`` did.
+
+    It divides the speed probes of that timing's own section
+    (``environment.section_probe_s``, schema v15), or of the whole runs
+    (``environment.speed_probe_s``) where a section is missing on
+    either side; it is 1.0 when either payload has no probe.
+    """
+    cur_env = current.get("environment", {})
+    base_env = baseline.get("environment", {})
+    cur, base = cur_env.get("speed_probe_s"), base_env.get("speed_probe_s")
+    if not cur or not base:
+        print("(speed probe: not on both sides, wall-clock ratios are raw)")
+        return lambda name: 1.0
+    cur_sections = cur_env.get("section_probe_s", {})
+    base_sections = base_env.get("section_probe_s", {})
+    print(
+        f"speed probe: baseline {base * 1e6:.0f} us, current {cur * 1e6:.0f} us"
+        " (run means); each wall-clock ratio is divided by its section's"
+        " probe ratio"
+    )
+
+    def ratio(name: str) -> float:
+        if name in cur_sections and name in base_sections:
+            return cur_sections[name] / base_sections[name]
+        return cur / base
+
+    return ratio
 
 
 def _compare_cross_network(cur: dict | None, base: dict | None) -> int:
@@ -173,12 +209,15 @@ def _compare_lu_fill(cur: dict | None, base: dict | None) -> None:
         print("(lu_nnz: new this run, no baseline yet)")
 
 
-def _compare_warm_sweep(cur: dict | None, base: dict | None, old: dict | None) -> int:
+def _compare_warm_sweep(
+    cur: dict | None, base: dict | None, old: dict | None, speed: float = 1.0
+) -> int:
     """Non-gating warm-sweep throughput comparison; returns warning count.
 
-    A pre-v8 baseline has a ``cohort`` section (``old``) instead, whose
-    serial/exact/block timings measured paths that no longer exist; it
-    is noted, never compared.
+    The current throughput is multiplied by ``speed`` (the speed-probe
+    ratio) before it is compared. A pre-v8 baseline has a ``cohort``
+    section (``old``) instead, whose serial/exact/block timings
+    measured paths that no longer exist; it is noted, never compared.
     """
     if not cur:
         print("(warm_sweep: not measured this run)")
@@ -191,8 +230,11 @@ def _compare_warm_sweep(cur: dict | None, base: dict | None, old: dict | None) -
     if b is None or c is None:
         return 0
     print(f"{'warm_sweep_runs_per_sec_per_core':32s} {b:9.2f}   {c:9.2f}")
-    if c < b * (1.0 - REGRESSION_THRESHOLD):
-        _warn(f"warm sweep: {c:.2f} runs/s vs baseline {b:.2f}")
+    if c * speed < b * (1.0 - REGRESSION_THRESHOLD):
+        _warn(
+            f"warm sweep: {c:.2f} runs/s ({c * speed:.2f} speed-corrected)"
+            f" vs baseline {b:.2f}"
+        )
         return 1
     return 0
 
@@ -290,6 +332,7 @@ def compare(current: dict, baseline: dict) -> int:
     """Print the comparison; return the number of gating failures."""
     failures = 0
     warnings = 0
+    speed = _speed_ratios(current, baseline)
 
     cur_results = current.get("results", {})
     base_results = baseline.get("results", {})
@@ -299,10 +342,14 @@ def compare(current: dict, baseline: dict) -> int:
     # benchmarks the old baseline lacks ("new"), and a trimmed run may
     # omit benchmarks the baseline has ("not measured this run").
     new = sorted(set(cur_results) - set(base_results))
-    print(f"{'benchmark':32s} {'baseline':>10s} {'current':>10s} {'ratio':>7s}")
+    print(
+        f"{'benchmark':32s} {'baseline':>10s} {'current':>10s} {'ratio':>7s}"
+        f" {'probe':>6s}"
+    )
     for name in shared:
         base, cur = base_results[name], cur_results[name]
-        ratio = cur / base if base > 0 else float("inf")
+        probe = speed(name)
+        ratio = cur / base / probe if base > 0 else float("inf")
         flag = ""
         if name in INFORMATIONAL_RESULTS:
             flag = "  (informational)"
@@ -311,11 +358,11 @@ def compare(current: dict, baseline: dict) -> int:
             warnings += 1
             _warn(
                 f"{name}: {cur * 1e3:.3f} ms vs baseline "
-                f"{base * 1e3:.3f} ms ({ratio:.2f}x)"
+                f"{base * 1e3:.3f} ms ({ratio:.2f}x speed-corrected)"
             )
         print(
             f"{name:32s} {base * 1e3:9.3f}ms {cur * 1e3:9.3f}ms "
-            f"{ratio:6.2f}x{flag}"
+            f"{ratio:6.2f}x {probe:5.2f}x{flag}"
         )
     if skipped:
         print(f"(not measured this run: {', '.join(skipped)})")
@@ -326,6 +373,7 @@ def compare(current: dict, baseline: dict) -> int:
         current.get("warm_sweep"),
         baseline.get("warm_sweep"),
         baseline.get("cohort"),
+        speed("warm_sweep"),
     )
     warnings += _compare_cross_network(
         current.get("cross_network"), baseline.get("cross_network")

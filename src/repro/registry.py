@@ -331,17 +331,6 @@ class Registry:
             self._lookup[form] = key
         return entry
 
-    def unregister(self, key: str) -> None:
-        """Remove an entry if present (tests and interactive use)."""
-        raw = getattr(key, "value", key)
-        canonical = self._lookup.get(str(raw).lower())
-        entry = self._entries.pop(canonical, None) if canonical else None
-        if entry is None:
-            return
-        for form in {entry.key.lower(), *(a.lower() for a in entry.aliases)}:
-            if self._lookup.get(form) == entry.key:
-                del self._lookup[form]
-
     # --- lookup -------------------------------------------------------------
 
     def keys(self) -> list[str]:

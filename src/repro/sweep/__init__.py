@@ -1,4 +1,4 @@
-"""Declarative sweeps: lazy axis expansion, streaming aggregation,
+"""Declarative sweeps: lazy axis expansion, exact aggregation,
 checkpoint/resume.
 
 The layer the paper's evaluation actually is — figs 6-8, Table II, the
@@ -6,11 +6,12 @@ four-layer study are all parameter sweeps over policies, workloads, and
 stack geometries. :class:`SweepSpec` declares such a campaign over any
 :class:`~repro.sim.config.SimulationConfig` field;
 :class:`SweepRunner` executes it through
-:class:`repro.runner.BatchRunner` process fan-out, folds results into
-incremental :class:`Aggregator`\\ s at O(aggregate) memory, and
-journals progress to a checkpoint so interrupted campaigns resume
-bit-identically. See :mod:`repro.sweep.runner` for the checkpoint
-format and :mod:`repro.io.sweep` for the streaming exporters.
+:class:`repro.runner.BatchRunner` process fan-out, folds each run's
+small fold payloads into :class:`Aggregator`\\ s that render exact
+summary tables from them, and journals progress to a checkpoint so
+interrupted campaigns resume bit-identically. See
+:mod:`repro.sweep.runner` for the checkpoint format and
+:mod:`repro.io.sweep` for the streaming exporters.
 """
 
 from repro.sweep.aggregate import (
@@ -20,11 +21,8 @@ from repro.sweep.aggregate import (
     CellAggregator,
     HistogramAggregator,
     MomentsAggregator,
-    P2Quantile,
     QuantileAggregator,
-    RunningStats,
     ScalarAggregator,
-    WelfordMoments,
     aggregate_tables,
     aggregator_from_spec,
     default_aggregators,
@@ -51,9 +49,6 @@ __all__ = [
     "HistogramAggregator",
     "QuantileAggregator",
     "MomentsAggregator",
-    "P2Quantile",
-    "RunningStats",
-    "WelfordMoments",
     "METRICS",
     "DEFAULT_METRICS",
     "aggregate_tables",

@@ -1,44 +1,48 @@
-"""Incremental (streaming) aggregation of sweep results.
+"""Exact reductions of sweep results, from the runs' fold payloads.
 
 A long sweep must not hold its :class:`~repro.sim.results.SimulationResult`
 time series in memory — a fig7-sized campaign is hundreds of runs and a
-pump-envelope study thousands. Aggregators fold each result as it
-streams out of the process pool and keep only O(aggregate) state:
+pump-envelope study thousands. Each run instead collapses, on whatever
+worker executed it, to one small JSON-safe *fold payload* per
+aggregator (:meth:`Aggregator.fold_payload`: a group key and a few
+floats, or a mean/peak pair per floorplan unit). An aggregator keeps
+the payloads it is fed in run-index order
+(:meth:`Aggregator.update_payload`), and every table it renders is a
+pure function of that list (:meth:`Aggregator.rows`):
 
 * :class:`ScalarAggregator` — named scalar metrics (peak/mean
   temperature, energies, throughput, migrations, ...) reduced to
   count/mean/min/max per group (grouped by any config-descriptor
   fields, e.g. per policy label or per workload);
-* :class:`CellAggregator` — per-floorplan-unit reducers: the running
-  mean of each unit's time-average temperature and the running max of
-  its peak, across runs (the spatial-hot-spot view of a sweep);
-* :class:`HistogramAggregator` — a histogram sketch of one metric per
-  group, over a fixed bin range or one derived from the first
-  ``warmup`` observations (the default set's energy histogram);
-* :class:`QuantileAggregator` — P² streaming quantile estimates
-  (Jain & Chlamtac 1985) of one metric per group, at O(1) memory per
-  quantile however long the campaign runs;
+* :class:`CellAggregator` — per-floorplan-unit reducers: the mean of
+  each unit's time-average temperature and the max of its peak, across
+  runs (the spatial-hot-spot view of a sweep);
+* :class:`HistogramAggregator` — a histogram of one metric per group,
+  over a fixed bin range or the campaign's exact finite min/max padded
+  by :attr:`HistogramAggregator.RANGE_PAD` (the default set's energy
+  histogram);
+* :class:`QuantileAggregator` — exact quantiles of one metric per
+  group: linear interpolation at ``p * (n - 1)`` over the group's
+  sorted finite values;
 * :class:`MomentsAggregator` — Welford mean/variance (second central
-  moment) of named metrics per group: the numerically stable online
-  recurrence, replay/merge-exact in run-index order like every other
-  reducer here.
+  moment) of named metrics per group.
 
-Every fold is split into two halves: :meth:`Aggregator.fold_payload`
-extracts a run's JSON-safe contribution (computed on whatever worker
-executed the run) and :meth:`Aggregator.update_payload` applies it.
-Folding is strictly in run-index order, and a payload survives JSON
-exactly (Python floats round-trip), so replaying journaled payloads in
-run-index order performs the *same float operations in the same
-order* as folding them live. That one property makes a resumed sweep
-checkpoint (:mod:`repro.sweep.runner`) and a merged distributed
-campaign (:mod:`repro.dist`) bit-identical to an uninterrupted
-single-host sweep; no aggregator state is ever serialized.
+The payloads are exactly what a sweep checkpoint
+(:mod:`repro.sweep.runner`) and a distributed shard (:mod:`repro.dist`)
+journal, and a payload survives JSON exactly (Python floats
+round-trip). A resume or a merge replays them in run-index order, so
+its list, and every table rendered from it, equals an uninterrupted
+single-host sweep's: sums, Welford updates, minima and maxima run over
+the list in that order, bit for bit. No aggregator state is ever
+serialized. The memory cost is the list itself: about 6 KB of Python
+objects per run with the default set, 60 % of it the cell map.
 """
 
 from __future__ import annotations
 
-import bisect
+import inspect
 import math
+import sys
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -91,51 +95,43 @@ DEFAULT_METRICS: tuple[str, ...] = (
 )
 
 
-class RunningStats:
-    """Count/sum/min/max of a scalar stream (NaN values are skipped).
+def _observed(values) -> list[float]:
+    """``values`` as floats in arrival order, NaN skipped."""
+    return [v for v in map(float, values) if not math.isnan(v)]
 
-    Sums accumulate in arrival order, so two folds of the same ordered
-    stream — live, or replayed from a journal — end bit-equal.
-    """
 
-    __slots__ = ("count", "total", "minimum", "maximum")
+def _mean(values: Sequence[float]) -> float:
+    """Mean summed left to right from 0.0 (NaN when empty)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else float("nan")
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
 
-    def add(self, value: float) -> None:
-        value = float(value)
-        if math.isnan(value):
-            return
-        self.count += 1
-        self.total += value
-        self.minimum = value if self.minimum is None else min(self.minimum, value)
-        self.maximum = value if self.maximum is None else max(self.maximum, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
+def _none_if_nan(value: float):
+    """NaN rendered as None: JSON-clean and equal across replays."""
+    return None if math.isnan(value) else value
 
 
 class Aggregator:
-    """Interface every streaming reducer implements.
+    """Interface every reducer implements.
 
     A run folds in two halves: :meth:`fold_payload` is a *pure*
     function extracting the run's JSON-safe contribution,
-    :meth:`update_payload` applies it. The split is what lets the sweep
+    :meth:`update_payload` records it. The split is what lets the sweep
     checkpoint and :mod:`repro.dist` journal per-run payloads and
-    replay them in run-index order — the same float operations in the
-    same order as a live fold, hence bit-identical aggregates.
-    :meth:`rows` renders summary rows for export and the CLI, and
-    :meth:`spec` rebuilds the reducer through
-    :func:`aggregator_from_spec` (which is how workers and resumes
-    reconstruct it, so only the kinds it knows can be folded).
+    replay them in run-index order into the same list a live fold
+    builds. :meth:`rows` renders summary rows from that list (for
+    export and the CLI) without changing it, and :meth:`spec` rebuilds
+    the reducer through :func:`aggregator_from_spec` (which is how
+    workers and resumes reconstruct it, so only the kinds it knows can
+    be folded).
     """
 
     kind: str = ""
+
+    def __init__(self) -> None:
+        self._payloads: list[Mapping] = []
 
     def spec(self) -> dict:
         """Constructor payload for :func:`aggregator_from_spec`."""
@@ -149,14 +145,19 @@ class Aggregator:
         )
 
     def update_payload(self, payload: Mapping) -> None:
-        """Apply a contribution produced by :meth:`fold_payload`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support payload folding, "
-            "so it cannot be used in a distributed campaign"
-        )
+        """Record a contribution produced by :meth:`fold_payload`
+        (callers fold in run-index order)."""
+        self._payloads.append(payload)
 
     def rows(self) -> list[dict]:
         raise NotImplementedError
+
+    def _grouped(self, field: str) -> dict[str, list]:
+        """``payload[field]`` per group, groups in first-seen order."""
+        groups: dict[str, list] = {}
+        for payload in self._payloads:
+            groups.setdefault(payload["group"], []).append(payload[field])
+        return groups
 
 
 def group_key(config: SimulationConfig, group_by: Sequence[str]) -> str:
@@ -180,12 +181,60 @@ def _group_columns(group_by: Sequence[str], key: str) -> dict:
     return {"group": key}
 
 
-def _none_if_nan(value: float):
-    """NaN rendered as None: JSON-clean and equal across replays."""
-    return None if math.isnan(value) else value
+class _MetricSetAggregator(Aggregator):
+    """Several named metrics per group, one row per group.
+
+    ``runs`` counts the first metric's non-NaN values; each subclass
+    reduces one metric's non-NaN values (in arrival order) to its
+    columns in :meth:`_reduce`.
+    """
+
+    def __init__(
+        self,
+        metrics: Sequence[str] = DEFAULT_METRICS,
+        group_by: Sequence[str] = ("label",),
+    ) -> None:
+        super().__init__()
+        unknown = [m for m in metrics if m not in METRICS]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown metrics {', '.join(unknown)}; "
+                f"choose from {', '.join(METRICS)}"
+            )
+        self.metrics = tuple(metrics)
+        self.group_by = tuple(group_by)
+
+    def spec(self) -> dict:
+        return {
+            "kind": self.kind,
+            "metrics": list(self.metrics),
+            "group_by": list(self.group_by),
+        }
+
+    def fold_payload(self, config: SimulationConfig, result: SimulationResult) -> dict:
+        return {
+            "group": group_key(config, self.group_by),
+            "values": [METRICS[metric](result) for metric in self.metrics],
+        }
+
+    def _reduce(self, metric: str, values: list[float]) -> dict:
+        raise NotImplementedError
+
+    def rows(self) -> list[dict]:
+        rows = []
+        for key, runs in self._grouped("values").items():
+            row: dict = dict(_group_columns(self.group_by, key))
+            columns = [
+                _observed(run[i] for run in runs) for i in range(len(self.metrics))
+            ]
+            row["runs"] = len(columns[0]) if columns else 0
+            for metric, values in zip(self.metrics, columns):
+                row.update(self._reduce(metric, values))
+            rows.append(row)
+        return rows
 
 
-class ScalarAggregator(Aggregator):
+class ScalarAggregator(_MetricSetAggregator):
     """Grouped count/mean/min/max over named scalar metrics.
 
     Parameters
@@ -202,77 +251,52 @@ class ScalarAggregator(Aggregator):
 
     kind = "scalar"
 
-    def __init__(
-        self,
-        metrics: Sequence[str] = DEFAULT_METRICS,
-        group_by: Sequence[str] = ("label",),
-    ) -> None:
-        unknown = [m for m in metrics if m not in METRICS]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown metrics {', '.join(unknown)}; "
-                f"choose from {', '.join(METRICS)}"
-            )
-        self.metrics = tuple(metrics)
-        self.group_by = tuple(group_by)
-        # group key -> metric name -> RunningStats; insertion-ordered so
-        # rows come out in first-seen order deterministically.
-        self._groups: dict[str, dict[str, RunningStats]] = {}
-
-    def spec(self) -> dict:
+    def _reduce(self, metric: str, values: list[float]) -> dict:
+        nan = float("nan")
         return {
-            "kind": self.kind,
-            "metrics": list(self.metrics),
-            "group_by": list(self.group_by),
+            f"{metric}_mean": _mean(values),
+            f"{metric}_min": min(values, default=nan),
+            f"{metric}_max": max(values, default=nan),
         }
 
-    def fold_payload(self, config: SimulationConfig, result: SimulationResult) -> dict:
+
+class MomentsAggregator(_MetricSetAggregator):
+    """Grouped Welford mean/variance over named scalar metrics.
+
+    The spread companion to :class:`ScalarAggregator`'s min/mean/max:
+    per group, every metric gets the numerically stable Welford mean,
+    sample variance (ddof=1) and standard deviation. Undefined moments
+    (no observations; variance below two) render as ``None`` rather
+    than NaN so rows stay JSON-clean and compare equal across replays
+    (NaN never equals itself).
+    """
+
+    kind = "moments"
+
+    def _reduce(self, metric: str, values: list[float]) -> dict:
+        count, mean, m2 = 0, 0.0, 0.0
+        for value in values:
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        variance = m2 / (count - 1) if count >= 2 else float("nan")
         return {
-            "group": group_key(config, self.group_by),
-            "values": [METRICS[metric](result) for metric in self.metrics],
+            f"{metric}_mean": mean if count else None,
+            f"{metric}_var": _none_if_nan(variance),
+            f"{metric}_std": _none_if_nan(math.sqrt(variance)),
         }
-
-    def update_payload(self, payload: Mapping) -> None:
-        group = self._groups.setdefault(
-            payload["group"], {m: RunningStats() for m in self.metrics}
-        )
-        for metric, value in zip(self.metrics, payload["values"]):
-            group[metric].add(value)
-
-    def rows(self) -> list[dict]:
-        """One row per group: identity columns, then mean/min/max stats."""
-        rows = []
-        for key, group in self._groups.items():
-            row: dict = dict(_group_columns(self.group_by, key))
-            first = next(iter(group.values()), None)
-            row["runs"] = first.count if first is not None else 0
-            for metric in self.metrics:
-                stats = group[metric]
-                row[f"{metric}_mean"] = stats.mean
-                row[f"{metric}_min"] = (
-                    float("nan") if stats.minimum is None else stats.minimum
-                )
-                row[f"{metric}_max"] = (
-                    float("nan") if stats.maximum is None else stats.maximum
-                )
-            rows.append(row)
-        return rows
 
 
 class CellAggregator(Aggregator):
     """Per-floorplan-unit temperature reducers across runs.
 
-    For every unit name seen in the sweep, keeps the running mean of
-    the unit's time-average temperature and the running max of its
-    per-run peak — the sweep-wide spatial hot-spot map, at O(units)
-    memory however long the campaign runs.
+    For every unit name seen in the sweep (first-seen order), the mean
+    of the unit's per-run time-average temperature and the max of its
+    per-run peak — the sweep-wide spatial hot-spot map.
     """
 
     kind = "cells"
-
-    def __init__(self) -> None:
-        self._mean = {}  # unit -> RunningStats over per-run time-means
-        self._peak = {}  # unit -> RunningStats over per-run time-maxima
 
     def spec(self) -> dict:
         return {"kind": self.kind}
@@ -289,53 +313,70 @@ class CellAggregator(Aggregator):
             ]
         }
 
-    def update_payload(self, payload: Mapping) -> None:
-        for name, mean, peak in payload["units"]:
-            self._mean.setdefault(name, RunningStats()).add(mean)
-            self._peak.setdefault(name, RunningStats()).add(peak)
-
     def rows(self) -> list[dict]:
-        return [
-            {
-                "unit": name,
-                "runs": self._mean[name].count,
-                "mean_temperature": self._mean[name].mean,
-                "peak_temperature": (
-                    float("nan")
-                    if self._peak[name].maximum is None
-                    else self._peak[name].maximum
-                ),
-            }
-            for name in self._mean
-        ]
+        units: dict[str, tuple[list, list]] = {}
+        for payload in self._payloads:
+            for name, mean, peak in payload["units"]:
+                means, peaks = units.setdefault(name, ([], []))
+                means.append(mean)
+                peaks.append(peak)
+        rows = []
+        for name, (means, peaks) in units.items():
+            means = _observed(means)
+            rows.append(
+                {
+                    "unit": name,
+                    "runs": len(means),
+                    "mean_temperature": _mean(means),
+                    "peak_temperature": max(_observed(peaks), default=float("nan")),
+                }
+            )
+        return rows
 
 
-class HistogramAggregator(Aggregator):
-    """Fixed-bin histogram sketch of one metric, per group.
+class _OneMetricAggregator(Aggregator):
+    """One named metric per group; a run's payload is its group and
+    value."""
+
+    def __init__(
+        self, metric: str = "peak_temperature", group_by: Sequence[str] = ("label",)
+    ) -> None:
+        super().__init__()
+        if metric not in METRICS:
+            raise ConfigurationError(
+                f"unknown metric {metric!r}; choose from {', '.join(METRICS)}"
+            )
+        self.metric = metric
+        self.group_by = tuple(group_by)
+
+    def fold_payload(self, config: SimulationConfig, result: SimulationResult) -> dict:
+        return {
+            "group": group_key(config, self.group_by),
+            "value": float(METRICS[self.metric](result)),
+        }
+
+
+class HistogramAggregator(_OneMetricAggregator):
+    """Equal-width histogram of one metric, per group.
 
     ``bins`` equal-width bins over ``[lo, hi)`` (values exactly at
     ``hi`` land in the top bin), with explicit underflow/overflow/NaN
     counters so no observation is silently dropped.
 
     **Data-driven range** — pass ``lo=None, hi=None`` and the range is
-    derived from the data itself: the first ``warmup`` finite
-    observations are buffered raw, then the bin range freezes to their
-    span padded by 5% each side and the buffer replays into the bins.
-    This is what metrics whose scale varies by orders of magnitude
-    across sweeps need (energy grows with duration and layer count, so
-    any fixed range clips some campaigns — the ROADMAP's "energy
-    histograms need a data-driven range"). The derivation depends only
-    on the observation sequence, which the sweep runner and the
-    distributed merger both replay in run-index order, so auto-range
-    histograms stay bit-identical across resume and across any
-    sharding.
+    the campaign's exact finite min/max (over every group), padded by
+    :attr:`RANGE_PAD` of the span each side, so no finite value
+    overflows (below ~1e306 in magnitude); infinities land in
+    under/overflow. This is what metrics
+    whose scale varies by orders of magnitude across sweeps need
+    (energy grows with duration and layer count, so any fixed range
+    clips some campaigns).
     """
 
     kind = "histogram"
 
-    #: Default finite observations buffered before an auto range freezes.
-    DEFAULT_WARMUP = 64
-    #: Fraction of the observed span padded onto each side at freeze.
+    #: Fraction of the observed span padded onto each side of an auto
+    #: range.
     RANGE_PAD = 0.05
 
     def __init__(
@@ -345,12 +386,8 @@ class HistogramAggregator(Aggregator):
         hi: Optional[float] = 120.0,
         bins: int = 32,
         group_by: Sequence[str] = ("label",),
-        warmup: int = DEFAULT_WARMUP,
     ) -> None:
-        if metric not in METRICS:
-            raise ConfigurationError(
-                f"unknown metric {metric!r}; choose from {', '.join(METRICS)}"
-            )
+        super().__init__(metric, group_by)
         if (lo is None) != (hi is None):
             raise ConfigurationError(
                 "histogram range must be both explicit (lo and hi) or "
@@ -360,284 +397,86 @@ class HistogramAggregator(Aggregator):
             raise ConfigurationError(f"histogram needs lo < hi, got [{lo}, {hi})")
         if bins < 1:
             raise ConfigurationError("histogram needs at least one bin")
-        if warmup < 1:
-            raise ConfigurationError("histogram warmup must be >= 1")
-        self.metric = metric
         self.auto_range = lo is None
         self.lo = None if lo is None else float(lo)
         self.hi = None if hi is None else float(hi)
         self.bins = int(bins)
-        self.warmup = int(warmup)
-        self.group_by = tuple(group_by)
-        # group key -> {"counts": [bins ints], "underflow", "overflow", "nan"}
-        self._groups: dict[str, dict] = {}
-        # Auto-range warm-up: [group, value] in arrival order until the
-        # range freezes (order matters — replay must reproduce it).
-        self._buffer: list[list] = []
-
-    @staticmethod
-    def _empty_group(bins: int) -> dict:
-        return {"counts": [0] * bins, "underflow": 0, "overflow": 0, "nan": 0}
 
     def spec(self) -> dict:
         return {
             "kind": self.kind,
             "metric": self.metric,
-            "lo": self.lo if not self.auto_range else None,
-            "hi": self.hi if not self.auto_range else None,
+            "lo": self.lo,
+            "hi": self.hi,
             "bins": self.bins,
-            "warmup": self.warmup,
             "group_by": list(self.group_by),
         }
 
-    @property
-    def frozen(self) -> bool:
-        """Whether the bin range is decided (always True with an
-        explicit range)."""
-        return self.lo is not None
-
-    @staticmethod
-    def _derive_range(values: Sequence[float], pad: float) -> tuple[float, float]:
-        lo, hi = min(values), max(values)
+    def _bin_range(self) -> tuple[float, float]:
+        """The bin range: explicit, or the padded finite min/max of the
+        values folded so far (``(0.0, 1.0)`` before any finite one),
+        clipped to ``±float_max / (2 * bins)`` so that edges and bin
+        indices stay finite (only magnitudes beyond ~1e306 are cut)."""
+        if not self.auto_range:
+            return self.lo, self.hi
+        finite = [
+            v for v in map(float, (p["value"] for p in self._payloads))
+            if math.isfinite(v)
+        ]
+        if not finite:
+            return 0.0, 1.0
+        lo, hi = min(finite), max(finite)
         span = hi - lo
+        pad = self.RANGE_PAD
         margin = pad * span if span > 0.0 else max(1.0, abs(lo) * pad)
-        return lo - margin, hi + margin
-
-    def _freeze(self) -> None:
-        values = [value for _, value in self._buffer]
-        self.lo, self.hi = self._derive_range(values, self.RANGE_PAD)
-        buffered, self._buffer = self._buffer, []
-        for group, value in buffered:
-            self._bin({"group": group, "value": value})
+        limit = sys.float_info.max / (2 * self.bins)
+        return max(lo - margin, -limit), min(hi + margin, limit)
 
     def _edge(self, i: int, lo: float, hi: float) -> float:
         return lo + (hi - lo) * i / self.bins
-
-    def fold_payload(self, config: SimulationConfig, result: SimulationResult) -> dict:
-        return {
-            "group": group_key(config, self.group_by),
-            "value": float(METRICS[self.metric](result)),
-        }
-
-    def update_payload(self, payload: Mapping) -> None:
-        value = float(payload["value"])
-        if math.isnan(value):
-            group = self._groups.setdefault(
-                payload["group"], self._empty_group(self.bins)
-            )
-            group["nan"] += 1
-            return
-        if not self.frozen:
-            if math.isinf(value):
-                # Infinities must not enter the range derivation (any
-                # finite range excludes them anyway): count them where
-                # the frozen histogram would — under/overflow.
-                group = self._groups.setdefault(
-                    payload["group"], self._empty_group(self.bins)
-                )
-                group["overflow" if value > 0 else "underflow"] += 1
-                return
-            self._buffer.append([str(payload["group"]), value])
-            if len(self._buffer) >= self.warmup:
-                self._freeze()
-            return
-        self._bin(payload)
-
-    def _bin(self, payload: Mapping) -> None:
-        value = float(payload["value"])
-        group = self._groups.setdefault(
-            payload["group"], self._empty_group(self.bins)
-        )
-        if value < self.lo:
-            group["underflow"] += 1
-        elif value > self.hi:
-            group["overflow"] += 1
-        else:
-            index = min(
-                int((value - self.lo) * self.bins / (self.hi - self.lo)),
-                self.bins - 1,
-            )
-            group["counts"][index] += 1
 
     def rows(self) -> list[dict]:
         """Non-empty bins per group (plus under/overflow/NaN pseudo-bins).
 
         ``bin`` is -1 for underflow, ``bins`` for overflow, and None
         for NaN observations; open edges are None (null in JSON
-        exports, empty in CSV). An auto-range histogram whose stream
-        ended inside the warm-up renders with a provisional range
-        derived from the buffered values (state is not mutated).
+        exports, empty in CSV).
         """
-        groups: Mapping[str, dict] = self._groups
-        lo, hi = self.lo, self.hi
-        if not self.frozen:
-            if not self._buffer and not groups:
-                return []
-            if self._buffer:
-                lo, hi = self._derive_range(
-                    [value for _, value in self._buffer], self.RANGE_PAD
-                )
-                rendered = {
-                    key: dict(group, counts=list(group["counts"]))
-                    for key, group in groups.items()
-                }
-                shadow = HistogramAggregator(
-                    metric=self.metric, lo=lo, hi=hi, bins=self.bins,
-                    group_by=self.group_by,
-                )
-                shadow._groups = rendered
-                for group, value in self._buffer:
-                    shadow._bin({"group": group, "value": value})
-                groups = shadow._groups
-            else:
-                # Only NaN observations so far: render the pseudo-bins.
-                lo, hi = 0.0, 1.0
+        lo, hi = self._bin_range()
         rows = []
-        for key, group in groups.items():
-            identity = _group_columns(self.group_by, key)
-            if group["underflow"]:
-                rows.append(
-                    {
-                        **identity,
-                        "metric": self.metric,
-                        "bin": -1,
-                        "lo": None,
-                        "hi": lo,
-                        "count": group["underflow"],
-                    }
-                )
-            for i, count in enumerate(group["counts"]):
-                if count:
-                    rows.append(
-                        {
-                            **identity,
-                            "metric": self.metric,
-                            "bin": i,
-                            "lo": self._edge(i, lo, hi),
-                            "hi": self._edge(i + 1, lo, hi),
-                            "count": count,
-                        }
-                    )
-            if group["overflow"]:
-                rows.append(
-                    {
-                        **identity,
-                        "metric": self.metric,
-                        "bin": self.bins,
-                        "lo": hi,
-                        "hi": None,
-                        "count": group["overflow"],
-                    }
-                )
-            if group["nan"]:
-                rows.append(
-                    {
-                        **identity,
-                        "metric": self.metric,
-                        "bin": None,
-                        "lo": None,
-                        "hi": None,
-                        "count": group["nan"],
-                    }
-                )
-        return rows
-
-
-class P2Quantile:
-    """The P² streaming quantile estimator (Jain & Chlamtac 1985).
-
-    Tracks one quantile of a scalar stream with five markers — O(1)
-    memory however long the stream — entirely in Python floats, so
-    folding the same ordered stream twice is bit-identical. The first
-    five observations are kept raw; estimates before that interpolate
-    the sorted prefix.
-    """
-
-    __slots__ = ("p", "count", "heights", "positions", "desired")
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ConfigurationError(f"quantile must be in (0, 1), got {p}")
-        self.p = float(p)
-        self.count = 0
-        self.heights: list[float] = []  # <5 obs: raw sorted values
-        self.positions: list[int] = []
-        self.desired: list[float] = []
-
-    def _increments(self) -> tuple[float, ...]:
-        return (0.0, self.p / 2.0, self.p, (1.0 + self.p) / 2.0, 1.0)
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        if math.isnan(value):
-            return
-        self.count += 1
-        if self.count <= 5:
-            bisect.insort(self.heights, value)
-            if self.count == 5:
-                self.positions = [1, 2, 3, 4, 5]
-                self.desired = [
-                    1.0,
-                    1.0 + 2.0 * self.p,
-                    1.0 + 4.0 * self.p,
-                    3.0 + 2.0 * self.p,
-                    5.0,
-                ]
-            return
-        q, n, d = self.heights, self.positions, self.desired
-        if value < q[0]:
-            q[0] = value
-            cell = 0
-        elif value >= q[4]:
-            if value > q[4]:
-                q[4] = value
-            cell = 3
-        else:
-            cell = next(i for i in range(4) if q[i] <= value < q[i + 1])
-        for i in range(cell + 1, 5):
-            n[i] += 1
-        increments = self._increments()
-        for i in range(5):
-            d[i] += increments[i]
-        for i in (1, 2, 3):
-            delta = d[i] - n[i]
-            if (delta >= 1.0 and n[i + 1] - n[i] > 1) or (
-                delta <= -1.0 and n[i - 1] - n[i] < -1
-            ):
-                step = 1 if delta >= 1.0 else -1
-                candidate = self._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
+        for key, values in self._grouped("value").items():
+            counts = [0] * self.bins
+            underflow = overflow = nans = 0
+            for value in map(float, values):
+                if math.isnan(value):
+                    nans += 1
+                elif value < lo:
+                    underflow += 1
+                elif value > hi:
+                    overflow += 1
                 else:
-                    q[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        q, n = self.heights, self.positions
-        return q[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: int) -> float:
-        q, n = self.heights, self.positions
-        return q[i] + step * (q[i + step] - q[i]) / (n[i + step] - n[i])
-
-    def value(self) -> float:
-        """The current quantile estimate (NaN with no observations)."""
-        if self.count == 0:
-            return float("nan")
-        if self.count <= 5:
-            # Linear interpolation over the raw sorted prefix.
-            scaled = self.p * (self.count - 1)
-            low = int(scaled)
-            frac = scaled - low
-            if low + 1 >= self.count:
-                return self.heights[-1]
-            return self.heights[low] + frac * (
-                self.heights[low + 1] - self.heights[low]
+                    slot = int((value - lo) * self.bins / (hi - lo))
+                    counts[min(slot, self.bins - 1)] += 1
+            cells = [(-1, None, lo, underflow)]
+            cells += [
+                (i, self._edge(i, lo, hi), self._edge(i + 1, lo, hi), count)
+                for i, count in enumerate(counts)
+            ]
+            cells += [(self.bins, hi, None, overflow), (None, None, None, nans)]
+            identity = _group_columns(self.group_by, key)
+            rows.extend(
+                {
+                    **identity,
+                    "metric": self.metric,
+                    "bin": index,
+                    "lo": low,
+                    "hi": high,
+                    "count": count,
+                }
+                for index, low, high, count in cells
+                if count
             )
-        return self.heights[2]
+        return rows
 
 
 def quantile_column(q: float) -> str:
@@ -645,13 +484,25 @@ def quantile_column(q: float) -> str:
     return f"p{100.0 * q:g}"
 
 
-class QuantileAggregator(Aggregator):
-    """P² streaming quantile estimates of one metric, per group.
+def _quantile(ordered: Sequence[float], p: float) -> float:
+    """Linear interpolation at ``p * (n - 1)`` over ascending values
+    (NaN when empty)."""
+    n = len(ordered)
+    if not n:
+        return float("nan")
+    scaled = p * (n - 1)
+    low = int(scaled)
+    if low + 1 >= n:
+        return ordered[-1]
+    return ordered[low] + (scaled - low) * (ordered[low + 1] - ordered[low])
 
-    The estimator is sequential, so shards cannot merge by state;
-    resumes and distributed merges replay the journaled per-run
-    payloads in run-index order (:meth:`update_payload`), which
-    reproduces the single-host estimate bit-for-bit.
+
+class QuantileAggregator(_OneMetricAggregator):
+    """Exact quantiles of one metric, per group.
+
+    Each quantile ``p`` interpolates linearly at ``p * (n - 1)`` over
+    the group's ``n`` sorted finite values (numpy's default ``linear``
+    method); ``runs`` is ``n``.
     """
 
     kind = "quantile"
@@ -662,20 +513,13 @@ class QuantileAggregator(Aggregator):
         quantiles: Sequence[float] = (0.5, 0.95),
         group_by: Sequence[str] = ("label",),
     ) -> None:
-        if metric not in METRICS:
-            raise ConfigurationError(
-                f"unknown metric {metric!r}; choose from {', '.join(METRICS)}"
-            )
+        super().__init__(metric, group_by)
         if not quantiles:
             raise ConfigurationError("need at least one quantile")
-        self.metric = metric
         self.quantiles = tuple(float(q) for q in quantiles)
         for q in self.quantiles:
             if not 0.0 < q < 1.0:
                 raise ConfigurationError(f"quantile must be in (0, 1), got {q}")
-        self.group_by = tuple(group_by)
-        # group key -> [one P2Quantile per requested quantile]
-        self._groups: dict[str, list[P2Quantile]] = {}
 
     def spec(self) -> dict:
         return {
@@ -685,140 +529,15 @@ class QuantileAggregator(Aggregator):
             "group_by": list(self.group_by),
         }
 
-    def fold_payload(self, config: SimulationConfig, result: SimulationResult) -> dict:
-        return {
-            "group": group_key(config, self.group_by),
-            "value": float(METRICS[self.metric](result)),
-        }
-
-    def update_payload(self, payload: Mapping) -> None:
-        estimators = self._groups.setdefault(
-            payload["group"], [P2Quantile(q) for q in self.quantiles]
-        )
-        for estimator in estimators:
-            estimator.add(payload["value"])
-
     def rows(self) -> list[dict]:
         rows = []
-        for key, estimators in self._groups.items():
+        for key, values in self._grouped("value").items():
+            ordered = sorted(v for v in map(float, values) if math.isfinite(v))
             row = dict(_group_columns(self.group_by, key))
             row["metric"] = self.metric
-            row["runs"] = estimators[0].count if estimators else 0
-            for q, estimator in zip(self.quantiles, estimators):
-                row[quantile_column(q)] = estimator.value()
-            rows.append(row)
-        return rows
-
-
-class WelfordMoments:
-    """Welford's online mean/variance of a scalar stream.
-
-    The numerically stable recurrence (count, mean, M2 = sum of
-    squared deviations); NaN values are skipped, matching
-    :class:`RunningStats`. All arithmetic is in Python floats applied
-    in arrival order, so folding the same ordered stream twice is
-    bit-identical.
-    """
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        if math.isnan(value):
-            return
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1; NaN below two observations)."""
-        if self.count < 2:
-            return float("nan")
-        return self.m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        variance = self.variance
-        return math.sqrt(variance) if not math.isnan(variance) else variance
-
-
-class MomentsAggregator(Aggregator):
-    """Grouped Welford mean/variance over named scalar metrics.
-
-    The spread companion to :class:`ScalarAggregator`'s min/mean/max:
-    per group, every metric gets a numerically stable streaming mean,
-    sample variance, and standard deviation. Like every built-in
-    reducer the update is split into a pure :meth:`fold_payload` and a
-    mutating :meth:`update_payload`, so distributed campaigns replay
-    journaled payloads in run-index order and merge bit-identically to
-    a single-host fold.
-    """
-
-    kind = "moments"
-
-    def __init__(
-        self,
-        metrics: Sequence[str] = DEFAULT_METRICS,
-        group_by: Sequence[str] = ("label",),
-    ) -> None:
-        unknown = [m for m in metrics if m not in METRICS]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown metrics {', '.join(unknown)}; "
-                f"choose from {', '.join(METRICS)}"
-            )
-        self.metrics = tuple(metrics)
-        self.group_by = tuple(group_by)
-        # group key -> metric name -> WelfordMoments, insertion-ordered.
-        self._groups: dict[str, dict[str, WelfordMoments]] = {}
-
-    def spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "metrics": list(self.metrics),
-            "group_by": list(self.group_by),
-        }
-
-    def fold_payload(self, config: SimulationConfig, result: SimulationResult) -> dict:
-        return {
-            "group": group_key(config, self.group_by),
-            "values": [METRICS[metric](result) for metric in self.metrics],
-        }
-
-    def update_payload(self, payload: Mapping) -> None:
-        group = self._groups.setdefault(
-            payload["group"], {m: WelfordMoments() for m in self.metrics}
-        )
-        for metric, value in zip(self.metrics, payload["values"]):
-            group[metric].add(value)
-
-    def rows(self) -> list[dict]:
-        """One row per group: identity columns, then mean/var/std.
-
-        Undefined moments (no observations; variance below two) render
-        as ``None`` rather than NaN so rows stay JSON-clean and compare
-        equal across replays (NaN never equals itself).
-        """
-        rows = []
-        for key, group in self._groups.items():
-            row: dict = dict(_group_columns(self.group_by, key))
-            first = next(iter(group.values()), None)
-            row["runs"] = first.count if first is not None else 0
-            for metric in self.metrics:
-                moments = group[metric]
-                row[f"{metric}_mean"] = (
-                    moments.mean if moments.count else None
-                )
-                row[f"{metric}_var"] = _none_if_nan(moments.variance)
-                row[f"{metric}_std"] = _none_if_nan(moments.std)
+            row["runs"] = len(ordered)
+            for q in self.quantiles:
+                row[quantile_column(q)] = _quantile(ordered, q)
             rows.append(row)
         return rows
 
@@ -834,39 +553,29 @@ _AGGREGATOR_KINDS = {
 
 def aggregator_from_spec(spec: Mapping) -> Aggregator:
     """Rebuild an aggregator from its :meth:`Aggregator.spec` payload
-    (how workers and checkpoint resumes reconstruct the reducers)."""
-    kind = spec.get("kind")
-    if kind == "scalar":
-        return ScalarAggregator(
-            metrics=spec.get("metrics", DEFAULT_METRICS),
-            group_by=spec.get("group_by", ("label",)),
+    (how workers and checkpoint resumes reconstruct the reducers).
+
+    A key the kind's constructor does not take is refused, so a spec
+    this version cannot honour (say, a histogram ``warmup`` from a
+    journal written before auto ranges became exact) fails loudly
+    instead of folding differently.
+    """
+    params = dict(spec)
+    kind = params.pop("kind", None)
+    if kind not in _AGGREGATOR_KINDS:
+        raise ConfigurationError(
+            f"unknown aggregator kind {kind!r}; "
+            f"choose from {', '.join(_AGGREGATOR_KINDS)}"
         )
-    if kind == "cells":
-        return CellAggregator()
-    if kind == "histogram":
-        return HistogramAggregator(
-            metric=spec.get("metric", "peak_temperature"),
-            lo=spec.get("lo", 40.0),
-            hi=spec.get("hi", 120.0),
-            bins=spec.get("bins", 32),
-            group_by=spec.get("group_by", ("label",)),
-            warmup=spec.get("warmup", HistogramAggregator.DEFAULT_WARMUP),
+    cls = _AGGREGATOR_KINDS[kind]
+    accepted = inspect.signature(cls).parameters
+    unknown = [key for key in params if key not in accepted]
+    if unknown:
+        raise ConfigurationError(
+            f"{kind} aggregator spec has unknown key(s) {', '.join(unknown)}; "
+            f"it takes {', '.join(accepted) or 'no keys'}"
         )
-    if kind == "quantile":
-        return QuantileAggregator(
-            metric=spec.get("metric", "peak_temperature"),
-            quantiles=spec.get("quantiles", (0.5, 0.95)),
-            group_by=spec.get("group_by", ("label",)),
-        )
-    if kind == "moments":
-        return MomentsAggregator(
-            metrics=spec.get("metrics", DEFAULT_METRICS),
-            group_by=spec.get("group_by", ("label",)),
-        )
-    raise ConfigurationError(
-        f"unknown aggregator kind {kind!r}; "
-        f"choose from {', '.join(_AGGREGATOR_KINDS)}"
-    )
+    return cls(**params)
 
 
 def aggregate_tables(aggregators: Sequence[Aggregator]) -> dict[str, list[dict]]:
@@ -886,7 +595,7 @@ def aggregate_tables(aggregators: Sequence[Aggregator]) -> dict[str, list[dict]]
 
 def default_aggregators() -> list[Aggregator]:
     """The standard reduction set: per-label scalars, the cell map,
-    the peak-temperature distribution sketches, Welford mean/variance
+    the peak-temperature histogram and quantiles, Welford mean/variance
     moments, and a data-driven energy histogram (energy scales with
     duration and layer count, so its range must come from the campaign
     itself)."""

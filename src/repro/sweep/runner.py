@@ -259,7 +259,7 @@ class SweepRunner:
     spec:
         The declarative sweep to execute.
     aggregators:
-        Streaming reducers fed in run order; defaults to
+        Reducers fed each run's fold payload in run order; defaults to
         :func:`repro.sweep.aggregate.default_aggregators`. Pass ``()``
         to aggregate nothing. Each must rebuild from its
         :meth:`~repro.sweep.aggregate.Aggregator.spec` through

@@ -37,16 +37,6 @@ def mm2(value: float) -> float:
     return value * MILLIMETRE**2
 
 
-def to_mm(value_m: float) -> float:
-    """Convert metres to millimetres."""
-    return value_m / MILLIMETRE
-
-
-def to_mm2(value_m2: float) -> float:
-    """Convert square metres to square millimetres."""
-    return value_m2 / MILLIMETRE**2
-
-
 # --- volumetric flow rate ---------------------------------------------------
 
 LITRE = 1.0e-3  # m^3
@@ -75,11 +65,6 @@ def to_litres_per_hour(value_m3s: float) -> float:
     return value_m3s * HOUR / LITRE
 
 
-def to_litres_per_minute(value_m3s: float) -> float:
-    """Convert m^3/s to l/min."""
-    return value_m3s * MINUTE / LITRE
-
-
 def to_ml_per_minute(value_m3s: float) -> float:
     """Convert m^3/s to ml/min."""
     return value_m3s * MINUTE / MILLILITRE
@@ -93,22 +78,12 @@ def w_per_cm2(value: float) -> float:
     return value * 1.0e4
 
 
-def to_w_per_cm2(value_w_m2: float) -> float:
-    """Convert W/m^2 to W/cm^2."""
-    return value_w_m2 * 1.0e-4
-
-
 # --- per-area thermal resistance ---------------------------------------------
 
 
 def k_mm2_per_w(value: float) -> float:
     """Convert K*mm^2/W (Table I's R_BEOL unit) to K*m^2/W."""
     return value * MILLIMETRE**2
-
-
-def to_k_mm2_per_w(value_si: float) -> float:
-    """Convert K*m^2/W to K*mm^2/W."""
-    return value_si / MILLIMETRE**2
 
 
 # --- time ---------------------------------------------------------------------

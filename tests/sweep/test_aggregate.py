@@ -1,4 +1,4 @@
-"""Streaming aggregators: reduction math and exact fold-payload replay."""
+"""Sweep aggregators: reduction math and exact fold-payload replay."""
 
 import json
 
@@ -11,9 +11,7 @@ from repro.sim.engine import simulate
 from repro.sweep import (
     CellAggregator,
     MomentsAggregator,
-    RunningStats,
     ScalarAggregator,
-    WelfordMoments,
     aggregator_from_spec,
     default_aggregators,
 )
@@ -54,40 +52,48 @@ def replayed(agg, runs):
     return clone
 
 
-class TestRunningStats:
+def reduced(agg, values):
+    """The one-group row of ``agg`` fed one metric's ``values``."""
+    for value in values:
+        agg.update_payload({"group": "all", "values": [value]})
+    (row,) = agg.rows()
+    return row
+
+
+def scalar_row(values):
+    return reduced(ScalarAggregator(metrics=("migrations",), group_by=()), values)
+
+
+def moments_row(values):
+    return reduced(MomentsAggregator(metrics=("migrations",), group_by=()), values)
+
+
+class TestScalarReduction:
     def test_count_mean_min_max(self):
-        stats = RunningStats()
-        for v in (2.0, 4.0, 9.0):
-            stats.add(v)
-        assert stats.count == 3
-        assert stats.mean == pytest.approx(5.0)
-        assert stats.minimum == 2.0
-        assert stats.maximum == 9.0
+        row = scalar_row((2.0, 4.0, 9.0))
+        assert row["runs"] == 3
+        assert row["migrations_mean"] == pytest.approx(5.0)
+        assert row["migrations_min"] == 2.0
+        assert row["migrations_max"] == 9.0
 
     def test_nan_values_are_skipped(self):
-        stats = RunningStats()
-        stats.add(float("nan"))
-        stats.add(1.0)
-        assert stats.count == 1
-        assert stats.mean == 1.0
+        row = scalar_row((float("nan"), 1.0))
+        assert row["runs"] == 1
+        assert row["migrations_mean"] == 1.0
 
-    def test_empty_mean_is_nan(self):
-        assert np.isnan(RunningStats().mean)
+    def test_all_nan_group_renders_nan(self):
+        row = scalar_row((float("nan"),))
+        assert row["runs"] == 0
+        for column in ("mean", "min", "max"):
+            assert np.isnan(row[f"migrations_{column}"])
 
-    def test_state_round_trip_is_exact(self):
-        """A resume rebuilds the stats by replaying the journaled
-        values, which come back from JSON bit-exact."""
+    def test_json_round_trip_is_exact(self):
+        """A resume replays the journaled values, which come back from
+        JSON bit-exact, so the left-to-right sum is bit-equal."""
         values = (0.1, 0.2, 0.30000000000000004)
-        stats, restored = RunningStats(), RunningStats()
-        for v in values:
-            stats.add(v)
-        for v in json.loads(json.dumps(values)):
-            restored.add(v)
-        assert restored.total == stats.total  # bit-equal, not approx
-        assert restored.count == stats.count
-        assert restored.minimum == stats.minimum
-        assert restored.maximum == stats.maximum
-
+        restored = scalar_row(json.loads(json.dumps(values)))
+        assert restored == scalar_row(values)  # bit-equal, not approx
+        assert restored["migrations_mean"] == ((0.0 + 0.1) + 0.2 + values[2]) / 3
 
 
 class TestScalarAggregator:
@@ -147,45 +153,29 @@ class TestCellAggregator:
         assert replayed(agg, runs).rows() == agg.rows()
 
 
-class TestWelfordMoments:
+class TestMomentsReduction:
     def test_matches_numpy_mean_and_sample_variance(self):
         values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        moments = WelfordMoments()
-        for v in values:
-            moments.add(v)
-        assert moments.count == len(values)
-        assert moments.mean == pytest.approx(np.mean(values))
-        assert moments.variance == pytest.approx(np.var(values, ddof=1))
-        assert moments.std == pytest.approx(np.std(values, ddof=1))
+        row = moments_row(values)
+        assert row["runs"] == len(values)
+        assert row["migrations_mean"] == pytest.approx(np.mean(values))
+        assert row["migrations_var"] == pytest.approx(np.var(values, ddof=1))
+        assert row["migrations_std"] == pytest.approx(np.std(values, ddof=1))
 
     def test_nan_values_are_skipped(self):
-        moments = WelfordMoments()
-        moments.add(float("nan"))
-        moments.add(3.0)
-        assert moments.count == 1
-        assert moments.mean == 3.0
+        row = moments_row((float("nan"), 3.0))
+        assert row["runs"] == 1
+        assert row["migrations_mean"] == 3.0
 
     def test_variance_undefined_below_two_observations(self):
-        moments = WelfordMoments()
-        assert np.isnan(moments.variance)
-        moments.add(1.0)
-        assert np.isnan(moments.variance)
-        moments.add(2.0)
-        assert moments.variance == pytest.approx(0.5)
+        assert moments_row((float("nan"),))["migrations_var"] is None
+        assert moments_row((1.0,))["migrations_var"] is None
+        assert moments_row((1.0, 2.0))["migrations_var"] == pytest.approx(0.5)
 
-    def test_state_round_trip_is_exact(self):
-        """A resume rebuilds the moments by replaying the journaled
-        values, which come back from JSON bit-exact."""
+    def test_json_round_trip_is_exact(self):
         values = (0.1, 0.2, 0.30000000000000004, 7.7)
-        moments, restored = WelfordMoments(), WelfordMoments()
-        for v in values:
-            moments.add(v)
-        for v in json.loads(json.dumps(values)):
-            restored.add(v)
-        assert restored.count == moments.count
-        assert restored.mean == moments.mean  # bit-equal, not approx
-        assert restored.m2 == moments.m2
-
+        restored = moments_row(json.loads(json.dumps(values)))
+        assert restored == moments_row(values)  # bit-equal, not approx
 
 
 class TestMomentsAggregator:
@@ -246,6 +236,16 @@ class TestFactory:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown aggregator"):
             aggregator_from_spec({"kind": "nope"})
+
+    def test_unknown_spec_key_is_refused_by_name(self):
+        """A spec this version cannot honour fails loudly, never folds
+        differently (a pre-exact-range histogram carried ``warmup``)."""
+        with pytest.raises(ConfigurationError, match="warmup"):
+            aggregator_from_spec(
+                {"kind": "histogram", "lo": None, "hi": None, "warmup": 64}
+            )
+        with pytest.raises(ConfigurationError, match="bogus"):
+            aggregator_from_spec({"kind": "cells", "bogus": 1})
 
     def test_spec_round_trip(self):
         agg = ScalarAggregator(metrics=("migrations",), group_by=("benchmark",))

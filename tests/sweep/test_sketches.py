@@ -1,4 +1,4 @@
-"""Histogram and P² quantile sketches: accuracy, exact JSON payload replay."""
+"""Histogram and quantile aggregators: rendering, exact JSON payload replay."""
 
 import json
 
@@ -8,59 +8,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sweep import (
     HistogramAggregator,
-    P2Quantile,
     QuantileAggregator,
     aggregator_from_spec,
 )
 from repro.sweep.aggregate import quantile_column
-
-
-class TestP2Quantile:
-    def test_empty_is_nan(self):
-        import math
-
-        assert math.isnan(P2Quantile(0.5).value())
-
-    def test_small_streams_are_exact_interpolation(self):
-        estimator = P2Quantile(0.5)
-        for value in (3.0, 1.0, 2.0):
-            estimator.add(value)
-        assert estimator.value() == 2.0
-
-    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 0.95])
-    def test_tracks_numpy_percentile(self, p):
-        rng = np.random.default_rng(7)
-        values = rng.normal(75.0, 8.0, size=5000)
-        estimator = P2Quantile(p)
-        for value in values:
-            estimator.add(float(value))
-        exact = float(np.percentile(values, 100.0 * p))
-        spread = float(values.std())
-        assert abs(estimator.value() - exact) < 0.05 * spread
-
-    def test_state_round_trip_is_bit_identical(self):
-        """Restoring mid-stream then continuing equals never stopping:
-        a resume replays the journaled prefix, JSON round-tripped."""
-        rng = np.random.default_rng(11)
-        values = [float(v) for v in rng.uniform(60, 90, size=200)]
-        whole = P2Quantile(0.9)
-        for value in values:
-            whole.add(value)
-        restored = P2Quantile(0.9)
-        for value in json.loads(json.dumps(values[:80])) + values[80:]:
-            restored.add(value)
-        assert restored.value() == whole.value()
-        assert restored.heights == whole.heights
-        assert restored.positions == whole.positions
-
-    def test_nan_is_skipped(self):
-        estimator = P2Quantile(0.5)
-        estimator.add(float("nan"))
-        assert estimator.count == 0
-
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(ConfigurationError):
-            P2Quantile(1.5)
 
 
 class TestQuantileColumn:
@@ -141,6 +92,31 @@ class TestQuantileAggregator:
         assert row["runs"] == 3
         assert row["p50"] == 80.0
         assert row["p90"] == pytest.approx(88.0)
+
+    def test_empty_and_nan_only_groups_are_nan(self):
+        agg = QuantileAggregator(group_by=())
+        agg.update_payload({"group": "all", "value": float("nan")})
+        (row,) = agg.rows()
+        assert row["runs"] == 0
+        assert np.isnan(row["p50"]) and np.isnan(row["p95"])
+
+    def test_exact_order_statistics(self):
+        """Linear interpolation at p * (n - 1) over the sorted values,
+        however many there are (no streaming estimate)."""
+        agg = QuantileAggregator(quantiles=(0.5, 0.9), group_by=())
+        for value in [float(v) for v in range(100, 0, -1)]:
+            agg.update_payload({"group": "all", "value": value})
+        (row,) = agg.rows()
+        assert row["runs"] == 100
+        assert row["p50"] == 50.5
+        assert row["p90"] == pytest.approx(90.1)
+
+    def test_infinities_are_not_order_statistics(self):
+        agg = QuantileAggregator(quantiles=(0.5,), group_by=())
+        for value in (1.0, float("inf"), 3.0, float("-inf")):
+            agg.update_payload({"group": "all", "value": value})
+        (row,) = agg.rows()
+        assert (row["runs"], row["p50"]) == (2, 2.0)
 
     def test_state_round_trips_through_json(self):
         agg = QuantileAggregator(group_by=())

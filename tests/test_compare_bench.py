@@ -10,7 +10,8 @@ are printed only, against a baseline with or without them. From schema
 v12 the inlet sweep must solve as many unit-response ``R`` blocks as a
 single inlet; an older payload without the counts is a note. From
 schema v13 it must assemble as many networks as a single inlet, with
-the same note for older payloads.
+the same note for older payloads. From schema v15 each wall-clock ratio
+is divided by the payloads' speed-probe ratio before it can warn.
 """
 
 import importlib.util
@@ -187,3 +188,56 @@ class TestInletSweepAssemblyGate:
         current = with_assemblies(payload(), None, schema=12)
         assert compare_bench.compare(current, payload()) == 0
         assert "pre-v13 payload" in capsys.readouterr().out
+
+
+def probed(current, probe_s, scale=1.0):
+    """``current`` with a speed probe (schema v15) and every timing
+    scaled by ``scale``."""
+    current["environment"] = {"speed_probe_s": probe_s}
+    current["results"] = {k: v * scale for k, v in current["results"].items()}
+    current["warm_sweep"]["runs_per_sec_per_core"] /= scale
+    return current
+
+
+class TestSpeedProbe:
+    def test_a_slow_machine_state_does_not_warn(self, capsys):
+        """Unchanged code timed while the machine ran 1.6x slower: the
+        probe ran 1.6x slower too, so the corrected ratios are 1.0."""
+        slow = probed(payload(), 3.2e-4, scale=1.6)
+        assert compare_bench.compare(slow, probed(payload(), 2.0e-4)) == 0
+        out = capsys.readouterr().out
+        assert "1.60x" in out
+        assert "::warning" not in out
+
+    def test_each_timing_is_corrected_by_its_own_section(self, capsys):
+        """A section that ran in a slow spell of an otherwise fast run
+        is corrected by its own probe, not the run's mean."""
+        current = payload()
+        current["results"]["assembly_16x16"] *= 1.6
+        current["environment"] = {
+            "speed_probe_s": 2.0e-4,
+            "section_probe_s": {"assembly_16x16": 3.2e-4, "warm_sweep": 2.0e-4},
+        }
+        baseline = probed(payload(), 2.0e-4)
+        baseline["environment"]["section_probe_s"] = {
+            "assembly_16x16": 2.0e-4, "warm_sweep": 2.0e-4,
+        }
+        assert compare_bench.compare(current, baseline) == 0
+        assert "::warning" not in capsys.readouterr().out
+        del current["environment"]["section_probe_s"]
+        assert compare_bench.compare(current, baseline) == 0
+        assert "assembly_16x16" in capsys.readouterr().out.split("::warning")[1]
+
+    def test_a_slowdown_beyond_the_probe_still_warns(self, capsys):
+        slow = probed(payload(), 2.0e-4, scale=1.6)
+        assert compare_bench.compare(slow, probed(payload(), 2.0e-4)) == 0
+        out = capsys.readouterr().out
+        assert "assembly_16x16" in out and "speed-corrected" in out
+        assert "warm sweep" in out
+
+    def test_without_a_probe_on_both_sides_ratios_are_raw(self, capsys):
+        slow = probed(payload(), 3.2e-4, scale=1.6)
+        assert compare_bench.compare(slow, payload()) == 0
+        out = capsys.readouterr().out
+        assert "wall-clock ratios are raw" in out
+        assert "::warning" in out

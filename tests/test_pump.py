@@ -36,8 +36,8 @@ class TestFigure3Values:
         """Table I gives 0.1-1 l/min per cavity; the 2-layer ladder
         covers within 2x of both ends."""
         pump = laing_ddc(n_cavities=3)
-        lo = units.to_litres_per_minute(pump.min_setting.per_cavity_flow)
-        hi = units.to_litres_per_minute(pump.max_setting.per_cavity_flow)
+        lo = units.to_ml_per_minute(pump.min_setting.per_cavity_flow) / 1000.0
+        hi = units.to_ml_per_minute(pump.max_setting.per_cavity_flow) / 1000.0
         assert 0.1 <= lo * 2
         assert hi <= 1.1
 

@@ -135,12 +135,6 @@ class TestRegistry:
         assert reg.get("alpha").trait("absent") is False
         assert "a" in reg and "beta" not in reg
 
-    def test_unregister(self):
-        reg = self._registry()
-        reg.unregister("alpha")
-        assert len(reg) == 0
-        reg.unregister("alpha")  # idempotent
-
 
 class TestBuiltinRegistrations:
     def test_policy_keys_match_legacy_enum_values(self):

@@ -21,14 +21,6 @@ class TestLength:
     def test_mm2(self):
         assert units.mm2(115) == pytest.approx(1.15e-4)
 
-    @given(finite_positive)
-    def test_mm_round_trip(self, value):
-        assert units.to_mm(units.mm(value)) == pytest.approx(value)
-
-    @given(finite_positive)
-    def test_mm2_round_trip(self, value):
-        assert units.to_mm2(units.mm2(value)) == pytest.approx(value)
-
 
 class TestFlow:
     def test_litres_per_hour(self):
@@ -56,12 +48,6 @@ class TestFlow:
         )
 
     @given(finite_positive)
-    def test_lmin_round_trip(self, value):
-        assert units.to_litres_per_minute(
-            units.litres_per_minute(value)
-        ) == pytest.approx(value)
-
-    @given(finite_positive)
     def test_mlmin_round_trip(self, value):
         assert units.to_ml_per_minute(units.ml_per_minute(value)) == pytest.approx(
             value
@@ -73,18 +59,10 @@ class TestHeatFlux:
         # The paper's 200 W/cm^2 heat-removal figure.
         assert units.w_per_cm2(200) == pytest.approx(2.0e6)
 
-    @given(finite_positive)
-    def test_round_trip(self, value):
-        assert units.to_w_per_cm2(units.w_per_cm2(value)) == pytest.approx(value)
-
 
 class TestResistance:
     def test_k_mm2_per_w(self):
         assert units.k_mm2_per_w(5.333) == pytest.approx(5.333e-6)
-
-    @given(finite_positive)
-    def test_round_trip(self, value):
-        assert units.to_k_mm2_per_w(units.k_mm2_per_w(value)) == pytest.approx(value)
 
 
 class TestTime:
