@@ -121,12 +121,21 @@ section (``section_probe_s``). The 2-vCPU machine the baseline is
 recorded on switches between two speeds about 1.6x apart for spells of
 a second or more, so ``compare_bench.py`` divides each wall-clock ratio
 by the two payloads' probe ratio for that section before it warns.
+
+Schema v16 adds LU residency to ``inlet_sweep``: ``resident_after_warm``
+and ``resident_after_campaign``, the ``solver.lu.resident`` gauges (LU
+count and SuperLU ``nnz`` held by the LU store, per ``ordering``) read
+after ``CharacterizationCache.warm`` of the cold 4-inlet sweep and after
+its runs. Warm-up keeps only the steady LU the runs start on, which the
+inlets share, so one pivoted LU stays resident (gated), and neither
+reading may exceed the baseline's.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import platform
 import statistics
@@ -167,7 +176,7 @@ from repro.thermal.solver import (  # noqa: E402
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 15
+SCHEMA_VERSION = 16
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
 
@@ -446,9 +455,27 @@ def _inlet_configs(inlets) -> list:
     ]
 
 
+def _resident_lus() -> dict:
+    """The LU store's residency gauges, per SuperLU ordering (schema v16),
+    once every dropped solver has been collected."""
+    gc.collect()
+    return {
+        ordering: {
+            "count": int(telemetry_metrics.gauge("solver.lu.resident").value(
+                ordering=ordering
+            )),
+            "nnz": int(telemetry_metrics.gauge("solver.lu.resident_nnz").value(
+                ordering=ordering
+            )),
+        }
+        for ordering in ("pivoted", "symmetric")
+    }
+
+
 def collect_inlet_sweep_metrics() -> dict:
     """LU, unit-response and assembly counts of a cold inlet-temperature
-    sweep (schema v6; responses since v12, assemblies since v13).
+    sweep (schema v6; responses since v12, assemblies since v13), and
+    the LUs it keeps resident after warm-up and after its runs (v16).
 
     Runs the 4-inlet sweep and its first inlet alone, each cold (system
     memo, operator and LU stores, and neighbor pool cleared) and traced.
@@ -463,7 +490,10 @@ def collect_inlet_sweep_metrics() -> dict:
         telemetry_trace.enable()
         telemetry_trace.clear()
         before = telemetry_metrics.snapshot()
-        list(BatchRunner(_inlet_configs(inlets), cache=CharacterizationCache()).iter_runs())
+        configs = _inlet_configs(inlets)
+        cache = CharacterizationCache().warm(configs)
+        after_warm = _resident_lus()
+        list(BatchRunner(configs, cache=cache).iter_runs())
         after = telemetry_metrics.snapshot()
         digests = {
             event["attrs"]["digest"]
@@ -481,6 +511,8 @@ def collect_inlet_sweep_metrics() -> dict:
             "assemblies": _counter_delta(
                 before, after, "thermal.assembly{kind=build}"
             ),
+            "resident_after_warm": after_warm,
+            "resident_after_campaign": _resident_lus(),
         }
 
     single = campaign(INLETS[:1])
@@ -498,6 +530,8 @@ def collect_inlet_sweep_metrics() -> dict:
         "bases": swept["bases"],
         "single_inlet_assemblies": single["assemblies"],
         "assemblies": swept["assemblies"],
+        "resident_after_warm": swept["resident_after_warm"],
+        "resident_after_campaign": swept["resident_after_campaign"],
     }
 
 
@@ -845,6 +879,12 @@ def test_hotpath_baseline(tmp_path):
     assert inlet["bases"] == inlet["n_inlets"] * inlet["single_inlet_bases"]
     # The assembly gate: G and C are shared by content across inlets.
     assert 0 < inlet["assemblies"] == inlet["single_inlet_assemblies"]
+    # The residency gate: warm-up keeps only the shared steady LU the
+    # runs start on; the runs add time-step LUs, no steady one.
+    for reading in ("resident_after_warm", "resident_after_campaign"):
+        assert inlet[reading]["pivoted"]["count"] == 1
+        assert inlet[reading]["pivoted"]["nnz"] > 0
+    assert inlet["resident_after_warm"]["symmetric"]["count"] == 0
     fill = loaded["lu_nnz"]
     assert set(fill) == {"32x32", "64x64"}
     for grid_fill in fill.values():
@@ -942,6 +982,15 @@ def main(argv=None) -> int:
         f"  assemblies: {inlet['n_inlets']} inlets {inlet['assemblies']},"
         f" one inlet {inlet['single_inlet_assemblies']}"
     )
+    for reading in ("resident_after_warm", "resident_after_campaign"):
+        resident = inlet[reading]
+        print(
+            f"  {reading.replace('_', ' ')}: "
+            + ", ".join(
+                f"{ordering} {lus['count']} LU(s), nnz {lus['nnz']}"
+                for ordering, lus in resident.items()
+            )
+        )
     print("\ntransient LU fill (nnz): symmetric mode vs pivoted")
     for size, grid_fill in payload["lu_nnz"].items():
         print(

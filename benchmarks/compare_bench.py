@@ -28,8 +28,12 @@ Two kinds of checks, deliberately different in severity:
   same sweep solving more unit-response ``R`` blocks than a single
   inlet means ``R`` stopped being shared through the steady LU, and the
   same sweep assembling more networks than a single inlet means ``G``
-  and ``C`` stopped being shared by content — those are properties of
-  the code, not the machine, so each exits nonzero and fails CI.
+  and ``C`` stopped being shared by content, and the same sweep keeping
+  other than one steady LU resident after warm-up, or more LUs (or, on
+  the same scipy, more LU fill) than the baseline after warm-up or after
+  its runs, means characterization scaffolding stayed resident — those
+  are properties of the code, not the machine, so each exits nonzero
+  and fails CI.
 
 Schema changes are tolerated in both directions: benchmarks present on
 only one side are reported as "new" / "not measured" instead of
@@ -43,8 +47,10 @@ printed for the trajectory only; a pre-v9 baseline without it is a
 note. So are the ``cross_network`` GMRES counters (schema v11,
 ``krylov_iterations`` and ``krylov_gmres_solves``); a pre-v11 baseline
 prints ``-`` for them. A current payload of schema v12 or later must
-carry ``inlet_sweep.responses``, and one of schema v13 or later
-``inlet_sweep.assemblies``; an older one without them is a note.
+carry ``inlet_sweep.responses``, one of schema v13 or later
+``inlet_sweep.assemblies``, and one of schema v16 or later the
+``inlet_sweep`` residency readings; an older one without them is a
+note, and so is a baseline without them.
 """
 
 from __future__ import annotations
@@ -70,6 +76,13 @@ RESPONSES_SCHEMA = 12
 
 #: First schema whose ``inlet_sweep`` must carry the assembly counts.
 ASSEMBLIES_SCHEMA = 13
+
+#: First schema whose ``inlet_sweep`` must carry the LU residency readings.
+RESIDENCY_SCHEMA = 16
+
+#: The ``inlet_sweep`` residency readings: LUs the store holds after
+#: warm-up and after the runs, per SuperLU ordering.
+RESIDENCY_READINGS = ("resident_after_warm", "resident_after_campaign")
 
 
 def _warn(message: str) -> None:
@@ -328,6 +341,60 @@ def _gate_as_single_inlet(
     return 0
 
 
+def _gate_residency(
+    inlet: dict | None, base: dict | None, schema: int, same_superlu: bool
+) -> int:
+    """The residency gate (schema v16); returns the failure count.
+
+    After warm-up the cold inlet sweep must hold exactly one steady
+    (pivoted) LU: the one its runs start on, shared by the inlets. No
+    LU count, after warm-up or after the runs, may exceed the
+    baseline's, nor may its fill (``nnz``) when both payloads ran the
+    same scipy, whose SuperLU sets the fill.
+    """
+    if inlet is None:
+        return 0
+    if any(reading not in inlet for reading in RESIDENCY_READINGS):
+        if schema < RESIDENCY_SCHEMA:
+            print(f"(inlet_sweep residency: not measured, pre-v{RESIDENCY_SCHEMA} payload)")
+            return 0
+        print("::error title=perf gate::current payload has no inlet_sweep residency readings")
+        return 1
+    failures = 0
+    steady = inlet["resident_after_warm"]["pivoted"]["count"]
+    if steady != 1:
+        failures += 1
+        print(
+            "::error title=perf gate::cold inlet sweep kept"
+            f" {steady} steady LUs resident after warm-up (expected 1 — the"
+            " steady LU its runs start on, shared by the inlets)"
+        )
+    else:
+        print("resident_steady_after_warm         1  (gate: ok)")
+    base = base or {}
+    if any(reading not in base for reading in RESIDENCY_READINGS):
+        print("(inlet_sweep residency: no baseline readings)")
+        return failures
+    fields = ("count", "nnz") if same_superlu else ("count",)
+    if not same_superlu:
+        print("(inlet_sweep residency nnz: scipy differs from the baseline's, not gated)")
+    for reading in RESIDENCY_READINGS:
+        for ordering, lus in sorted(inlet[reading].items()):
+            for field in fields:
+                cur = lus[field]
+                ref = base[reading].get(ordering, {}).get(field, 0)
+                name = f"{reading}.{ordering}.{field}"
+                if cur > ref:
+                    failures += 1
+                    print(
+                        f"::error title=perf gate::cold inlet sweep {name} is"
+                        f" {cur}, above the baseline's {ref}"
+                    )
+                else:
+                    print(f"{name:42s} {cur:10d}  (gate: ok, <= {ref})")
+    return failures
+
+
 def compare(current: dict, baseline: dict) -> int:
     """Print the comparison; return the number of gating failures."""
     failures = 0
@@ -409,6 +476,13 @@ def compare(current: dict, baseline: dict) -> int:
 
     failures += _gate_inlet_sweep(
         current.get("inlet_sweep"), current.get("schema_version", 0)
+    )
+    failures += _gate_residency(
+        current.get("inlet_sweep"),
+        baseline.get("inlet_sweep"),
+        current.get("schema_version", 0),
+        current.get("environment", {}).get("scipy")
+        == baseline.get("environment", {}).get("scipy"),
     )
 
     print(

@@ -153,6 +153,18 @@ def system_key(
     )
 
 
+def _needs_flow_table(config: SimulationConfig) -> bool:
+    """Whether a config's runs read the flow table and burst floor."""
+    return config.cooling is CoolingMode.LIQUID_VARIABLE and (
+        controller_registry().get(config.controller).trait("needs_flow_table")
+    )
+
+
+def _uses_weights(config: SimulationConfig) -> bool:
+    """Whether a config's policy reads the TALB weight sets."""
+    return policy_registry().get(config.policy).trait("uses_thermal_weights")
+
+
 class CharacterizationCache:
     """Caches the offline pre-processing artifacts of the paper.
 
@@ -230,25 +242,39 @@ class CharacterizationCache:
         system: "ThermalSystem",
         setting_index: int,
         config: SimulationConfig,
+        on_system_solver: bool = False,
     ) -> ThermalWeights:
         """The (cached) pre-processed TALB weights for one cooling
-        condition (pump setting, or -1 for air)."""
-        key = self._key(config, system) + (
-            setting_index,
-            config.talb_weight_target,
-        )
+        condition (pump setting, or -1 for air).
+
+        A missing set is derived on a fresh exact steady solver, which
+        shares any live LU through the store and drops it afterwards.
+        With ``on_system_solver`` an exact-tier system derives it on its
+        own cached steady solver instead, which stays with the system
+        (:meth:`warm` uses it where the runs will need that LU anyway).
+        The krylov tier ignores it: its steady solver answers by GMRES,
+        and the weights' mirror-core ties are ordered by LU roundoff.
+        """
+        key = self._key(config, system) + (setting_index, config.talb_weight_target)
         if key in self.weight_sets:
             _CHAR_HITS.inc(kind="weights")
         else:
             _CHAR_MISSES.inc(kind="weights")
-            self.weight_sets[key] = ThermalWeights.from_network(
-                system.network(setting_index),
+            # Probe with the non-core units at a representative power so
+            # crossbar/L2 heating is reflected in the per-core budgets.
+            probe = dict(
                 target_temperature=config.talb_weight_target,
-                # Probe with the non-core units at a representative power
-                # so crossbar/L2 heating is reflected in the per-core
-                # budgets.
                 background_power=1.0,
             )
+            if on_system_solver and system.solver == "exact":
+                weights = ThermalWeights.from_solver(
+                    system.steady_solver(setting_index), **probe
+                )
+            else:
+                weights = ThermalWeights.from_network(
+                    system.network(setting_index), **probe
+                )
+            self.weight_sets[key] = weights
         return self.weight_sets[key]
 
     # --- workload traces ------------------------------------------------------
@@ -317,34 +343,88 @@ class CharacterizationCache:
         controllers, ``uses_thermal_weights`` on policies), so a
         user-registered component warms correctly without this method
         knowing it exists. Returns ``self``.
+
+        The steady LUs behind the artifacts are scaffolding: a system
+        leaves warm-up holding only the steady LU its runs start on
+        (:attr:`~repro.sim.system.ThermalSystem.start_setting`). On the
+        exact tier, the per-setting work of variable-flow runs (the flow
+        table's unit responses and the TALB weights of every setting)
+        runs setting by setting in :meth:`_warm_settings`, and the
+        LIQUID_MAX and air weights are derived on the steady solver the
+        runs' initial field then reuses. Krylov-tier systems
+        characterize config by config, each as it is built.
         """
         systems: dict[tuple, tuple["ThermalSystem", "PowerModel"]] = {}
+        per_setting: dict[tuple, list[SimulationConfig]] = {}
         for config in configs:
             sys_id = _system_memo_key(config)
             if sys_id not in systems:
                 systems[sys_id] = system_for(config)
             system, power_model = systems[sys_id]
-            needs_lut = (
-                config.cooling is CoolingMode.LIQUID_VARIABLE
-                and controller_registry().get(config.controller)
-                .trait("needs_flow_table")
-            )
-            if needs_lut:
-                self.table(system, power_model, config)
-                self.floor(system, power_model, config)
-            if policy_registry().get(config.policy).trait("uses_thermal_weights"):
-                if system.cooling is CoolingKind.AIR:
-                    self.thermal_weights(system, -1, config)
-                elif config.cooling is CoolingMode.LIQUID_MAX:
-                    # The pump never leaves the top setting.
-                    top = system.pump.n_settings - 1
-                    self.thermal_weights(system, top, config)
-                else:
-                    for k in range(system.pump.n_settings):
-                        self.thermal_weights(system, k, config)
+            needs_lut = _needs_flow_table(config)
+            talb = _uses_weights(config)
+            if config.cooling is CoolingMode.LIQUID_VARIABLE and system.solver == "exact":
+                if needs_lut or talb:
+                    per_setting.setdefault(sys_id, []).append(config)
+            else:
+                if needs_lut:
+                    self.table(system, power_model, config)
+                    self.floor(system, power_model, config)
+                if talb:
+                    if config.cooling is CoolingMode.LIQUID_VARIABLE:
+                        for k in range(system.pump.n_settings):
+                            self.thermal_weights(system, k, config)
+                    else:
+                        # The pump never leaves the top setting.
+                        self.thermal_weights(
+                            system, system.start_setting, config,
+                            on_system_solver=True,
+                        )
             if workload_registry().get(config.workload).trait("cache_trace"):
                 self.thread_trace(config)
+        self._warm_settings(
+            [(*systems[sys_id], group) for sys_id, group in per_setting.items()]
+        )
         return self
+
+    def _warm_settings(
+        self, groups: list[tuple["ThermalSystem", "PowerModel", list[SimulationConfig]]]
+    ) -> None:
+        """The per-setting work of exact-tier variable-flow configs,
+        setting-major.
+
+        ``groups`` holds each system with its power model and configs.
+        For each pump setting in ascending order, every system solves
+        its unit response and derives its TALB weights while that
+        setting's steady LU is resident (systems that differ only in
+        coolant inlet share it, and its ``R``, through the LU store);
+        then every system drops its steady solver for that setting
+        unless its runs start there. The flow tables and burst floors
+        are then read off the memoized responses. Only work still
+        missing from the cache touches a solver, so a second warm-up of
+        the same configs factorizes nothing.
+        """
+        n_settings = max((system.pump.n_settings for system, _, _ in groups), default=0)
+        for k in range(n_settings):
+            for system, _, configs in groups:
+                if k >= system.pump.n_settings:
+                    continue
+                for config in configs:
+                    key = self._key(config, system)
+                    if _needs_flow_table(config) and (
+                        key not in self.tables or key not in self.floors
+                    ):
+                        system.unit_response(k)
+                    if _uses_weights(config):
+                        self.thermal_weights(system, k, config, on_system_solver=True)
+            for system, _, _ in groups:
+                if k != system.start_setting:
+                    system.release_steady(k)
+        for system, power_model, configs in groups:
+            for config in configs:
+                if _needs_flow_table(config):
+                    self.table(system, power_model, config)
+                    self.floor(system, power_model, config)
 
     def clear(self) -> None:
         """Drop every cached characterization."""

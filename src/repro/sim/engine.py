@@ -243,8 +243,9 @@ class Simulator:
         self._pump_state: Optional[PumpState] = None
         self._controller = None
         if config.cooling.is_liquid:
-            initial = self.system.pump.n_settings - 1  # Start safe (max flow).
-            self._pump_state = PumpState(self.system.pump, current_index=initial)
+            self._pump_state = PumpState(
+                self.system.pump, current_index=self.system.start_setting
+            )
             if config.cooling is CoolingMode.LIQUID_VARIABLE:
                 self._controller = controller_registry().create(
                     config.controller,

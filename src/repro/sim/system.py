@@ -179,6 +179,22 @@ class ThermalSystem:
             )
         return self._steadies[setting_index]
 
+    @property
+    def start_setting(self) -> int:
+        """The cooling condition every run starts from: the top pump
+        setting (start safe, at max flow), or -1 for air."""
+        return -1 if self.pump is None else self.pump.n_settings - 1
+
+    def release_steady(self, setting_index: int) -> None:
+        """Drop the cached steady solver of a setting, if any.
+
+        Its LU leaves the store once no other solver holds it. What was
+        derived from it stays: unit responses, initial fields and
+        weight sets are plain arrays. A later :meth:`steady_solver`
+        call builds a fresh solver, bitwise the same on the exact tier.
+        """
+        self._steadies.pop(setting_index, None)
+
     def _solver(self, exact, krylov, setting_index: int, tail: tuple, *args):
         """A solver of this system's tier on a setting's network.
 

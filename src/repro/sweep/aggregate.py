@@ -34,8 +34,9 @@ round-trip). A resume or a merge replays them in run-index order, so
 its list, and every table rendered from it, equals an uninterrupted
 single-host sweep's: sums, Welford updates, minima and maxima run over
 the list in that order, bit for bit. No aggregator state is ever
-serialized. The memory cost is the list itself: about 6 KB of Python
-objects per run with the default set, 60 % of it the cell map.
+serialized. The memory cost is the list itself: about 3.3 KB per run
+with the default set (18 units), of which the cell map, kept as
+columns by :class:`CellAggregator`, is 0.8 KB.
 """
 
 from __future__ import annotations
@@ -294,9 +295,19 @@ class CellAggregator(Aggregator):
     For every unit name seen in the sweep (first-seen order), the mean
     of the unit's per-run time-average temperature and the max of its
     per-run peak — the sweep-wide spatial hot-spot map.
+
+    A run is recorded as columns, not as its ``[name, mean, peak]``
+    lists: one unit-name tuple shared by every run with the same unit
+    sequence, plus a float array of means and one of peaks. Float64
+    holds every payload float exactly, so the rows are bitwise those of
+    the lists, at about a fifth of their memory.
     """
 
     kind = "cells"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._unit_sets: dict[tuple, tuple] = {}
 
     def spec(self) -> dict:
         return {"kind": self.kind}
@@ -313,10 +324,19 @@ class CellAggregator(Aggregator):
             ]
         }
 
+    def update_payload(self, payload: Mapping) -> None:
+        units = payload["units"]
+        names = tuple(unit[0] for unit in units)
+        self._payloads.append((
+            self._unit_sets.setdefault(names, names),
+            np.array([unit[1] for unit in units], dtype=float),
+            np.array([unit[2] for unit in units], dtype=float),
+        ))
+
     def rows(self) -> list[dict]:
         units: dict[str, tuple[list, list]] = {}
-        for payload in self._payloads:
-            for name, mean, peak in payload["units"]:
+        for names, run_means, run_peaks in self._payloads:
+            for name, mean, peak in zip(names, run_means.tolist(), run_peaks.tolist()):
                 means, peaks = units.setdefault(name, ([], []))
                 means.append(mean)
                 peaks.append(peak)

@@ -167,7 +167,9 @@ class MetricsRegistry:
     """Thread-safe store behind the counter/gauge/timer handles."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # Reentrant: a gauge may be set from a weakref finalizer, which
+        # garbage collection can run inside a locked region.
+        self._lock = threading.RLock()
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
         self._timers: dict[str, _TimerState] = {}

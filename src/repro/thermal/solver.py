@@ -82,6 +82,13 @@ _LU_ORDERINGS = _metrics.counter("solver.lu.orderings")
 """LU-store misses by SuperLU mode and asking tier:
 ``ordering=symmetric|pivoted``, ``kind=steady|transient|krylov``."""
 
+_LU_RESIDENT = _metrics.gauge("solver.lu.resident")
+_LU_RESIDENT_NNZ = _metrics.gauge("solver.lu.resident_nnz")
+"""The LUs the store holds right now, and their fill (SuperLU's
+``nnz``), labeled ``ordering=pivoted|symmetric``: what a campaign keeps
+resident, not what it factorized. Republished whenever a handle is
+stored, finalized or cleared from the store."""
+
 SYMMETRIC_MODE_MARGIN = 1.0e-10
 """Relative row-dominance margin (``row_sum > margin * diagonal``) a
 Z-matrix needs to be factorized without pivoting. Far above roundoff:
@@ -123,15 +130,16 @@ class Factorization:
     LU.
     """
 
-    __slots__ = ("lu", "solve", "digest", "memo", "__weakref__")
+    __slots__ = ("lu", "solve", "digest", "ordering", "memo", "__weakref__")
 
     warm_start = False
     """A triangular solve takes no initial guess."""
 
-    def __init__(self, lu: spla.SuperLU, digest: str) -> None:
+    def __init__(self, lu: spla.SuperLU, digest: str, ordering: str) -> None:
         self.lu = lu
         self.solve = lu.solve
         self.digest = digest
+        self.ordering = ordering
         self.memo: dict = {}
 
     def solve_linear(self, rhs: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
@@ -145,6 +153,18 @@ _lu_store: "weakref.WeakValueDictionary[str, Factorization]" = (
     weakref.WeakValueDictionary()
 )
 _lu_store_lock = threading.Lock()
+
+
+def _publish_residency() -> None:
+    """Set the ``solver.lu.resident`` gauges from the store's live
+    handles. Recounted rather than adjusted, so it takes no lock and is
+    safe in a finalizer; the metrics registry's lock is reentrant for
+    the same reason."""
+    live = [ref() for ref in _lu_store.valuerefs()]
+    for ordering in ("pivoted", "symmetric"):
+        fills = [h.lu.nnz for h in live if h is not None and h.ordering == ordering]
+        _LU_RESIDENT.set(len(fills), ordering=ordering)
+        _LU_RESIDENT_NNZ.set(sum(fills), ordering=ordering)
 
 
 def factorize(matrix: "sp.spmatrix | KeyedMatrix", kind: str) -> Factorization:
@@ -206,8 +226,13 @@ def factorize(matrix: "sp.spmatrix | KeyedMatrix", kind: str) -> Factorization:
         span.set_attrs(lu_nnz=int(lu.nnz))
     _FACTORIZATIONS.inc()
     _LU_ORDERINGS.inc(ordering=ordering, kind=kind)
+    handle = Factorization(lu, digest, ordering)
     with _lu_store_lock:
-        return _lu_store.setdefault(digest, Factorization(lu, digest))
+        stored = _lu_store.setdefault(digest, handle)
+    if stored is handle:
+        weakref.finalize(handle, _publish_residency).atexit = False
+        _publish_residency()
+    return stored
 
 
 def clear_lu_store() -> None:
@@ -216,6 +241,7 @@ def clear_lu_store() -> None:
     Solvers already holding a :class:`Factorization` keep it."""
     with _lu_store_lock:
         _lu_store.clear()
+    _publish_residency()
 
 
 def _vector(array, n: int) -> np.ndarray:

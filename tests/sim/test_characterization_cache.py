@@ -3,10 +3,13 @@
 import dataclasses
 import pickle
 
+import pytest
+
 from repro.geometry.stack import CoolingKind
 from repro.power.components import PowerModel
 from repro.power.leakage import LeakageModel
 from repro.pump.laing_ddc import PumpModel, laing_ddc
+from repro.runner import BatchRunner
 from repro.sim.cache import (
     CharacterizationCache,
     clear_system_memo,
@@ -16,8 +19,11 @@ from repro.sim.cache import (
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.system import ThermalSystem
+from repro.sweep import SweepRunner, SweepSpec
 from repro.thermal.rc_network import ThermalParams
 from repro.thermal.solver import clear_neighbor_cache
+
+from counters import Counters
 
 
 def _liquid_config(**overrides):
@@ -136,6 +142,68 @@ class TestWarmAndPickle:
         assert len(cache) > 0
         cache.clear()
         assert len(cache) == 0
+
+
+class TestWarmResidency:
+    """Warm-up leaves each system only the steady LU its runs start on,
+    and keeps every artifact bitwise what a cold derivation gives."""
+
+    @pytest.mark.parametrize("cooling", [CoolingMode.LIQUID_MAX, CoolingMode.AIR])
+    def test_fixed_cooling_talb_factorizes_each_lu_once(self, cooling):
+        """The weights are derived on the steady solver the runs'
+        initial field then reuses: one steady and one time-step LU."""
+        clear_system_memo()
+        spec = SweepSpec(
+            base=SimulationConfig(
+                benchmark_name="Web-med", policy="TALB", cooling=cooling,
+                nx=16, ny=16, duration=1.0,
+            ),
+            grid={"seed": [0, 1]},
+            name="fixed-cooling-talb",
+        )
+        counts = Counters()
+        SweepRunner(spec).run()
+        assert counts.factorizations() == 2
+
+    def test_artifacts_match_a_cold_derivation(self):
+        config = _liquid_config(nx=12, ny=12)
+        clear_system_memo()
+        warmed = CharacterizationCache().warm([config])
+        system, model = system_for(config)
+        assert list(system._steadies) == [system.start_setting]
+        clear_system_memo()
+        cold = CharacterizationCache()
+        system, model = system_for(config)
+        table = cold.table(system, model, config)
+        ((key, warm_table),) = warmed.tables.items()
+        assert warm_table.char.tmax.tobytes() == table.char.tmax.tobytes()
+        assert warmed.floors[key] == cold.floor(system, model, config)
+        for k in range(system.pump.n_settings):
+            fresh = cold.thermal_weights(system, k, config).as_dict()
+            assert warmed.weight_sets[key + (k, config.talb_weight_target)].as_dict() == fresh
+        clear_system_memo()
+
+    def test_pool_workers_given_a_warmed_cache_derive_nothing(self):
+        """Worker metric deltas merge into this process: with the cache
+        warmed here, the workers solve no ``R`` and derive no weights."""
+        configs = [_liquid_config(nx=12, ny=12, seed=seed) for seed in (1, 2)]
+        clear_system_memo()
+        cache = CharacterizationCache().warm(configs)
+        counts = Counters()
+        list(BatchRunner(configs, max_workers=2, cache=cache).iter_runs())
+        assert counts.delta("sim.characterize.unit_responses{kind=response}") == 0
+        assert counts.delta("sim.characterize.unit_responses{kind=base}") == 0
+        assert counts.delta("cache.characterization.misses{kind=weights}") == 0
+        clear_system_memo()
+
+    def test_second_warm_up_touches_no_solver(self):
+        config = _liquid_config(nx=12, ny=12)
+        clear_system_memo()
+        cache = CharacterizationCache().warm([config])
+        counts = Counters()
+        cache.warm([config])
+        assert counts.factorizations() == 0
+        clear_system_memo()
 
 
 class TestEngineDelegation:

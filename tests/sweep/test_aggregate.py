@@ -1,10 +1,13 @@
 """Sweep aggregators: reduction math and exact fold-payload replay."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from naive_aggregate import cell_rows
 from repro.errors import ConfigurationError
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
 from repro.sim.engine import simulate
@@ -151,6 +154,36 @@ class TestCellAggregator:
         agg = CellAggregator()
         fold(agg, runs)
         assert replayed(agg, runs).rows() == agg.rows()
+
+
+    def test_runs_are_held_as_columns(self, runs):
+        """10^3 JSON-parsed payloads (every unit name a fresh string,
+        every value a float object) cost at least three times what the
+        aggregator keeps of them: one shared name tuple per unit
+        sequence and two float arrays per run."""
+        agg = CellAggregator()
+        config, result = runs[0]
+        text = json.dumps(agg.fold_payload(config, result))
+
+        def held(build) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                kept = build()
+                size = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del kept
+            return size
+
+        def feed():
+            for _ in range(1000):
+                agg.update_payload(json.loads(text))
+            return agg
+
+        as_lists = held(lambda: [json.loads(text) for _ in range(1000)])
+        assert 3 * held(feed) <= as_lists
+        assert json.dumps(agg.rows()) == json.dumps(cell_rows([json.loads(text)] * 1000))
 
 
 class TestMomentsReduction:

@@ -13,6 +13,9 @@ The acceptance properties of the telemetry subsystem:
   the process counter's delta exactly;
 * ``factorize`` spans carry a matrix digest, so duplicate LUs are
   visible from the trace alone (an inlet sweep has none);
+* the ``solver.lu.resident`` gauges count the LUs the store holds, and
+  their fill, per SuperLU ordering: a warmed inlet sweep holds one
+  steady LU, and each of its systems one steady solver;
 * every ``gmres`` span carries its iteration count and the verified
   relative residual of its answer;
 * the forecaster makes one ARMA innovations pass per observed sample
@@ -267,6 +270,69 @@ class TestLUStoreTelemetry:
         assert len(digests) == counts.factorizations() > 0
         assert len(set(digests)) == len(digests)
         assert hits.value(kind="steady") > before_h
+
+
+class TestLUResidency:
+    @staticmethod
+    def resident(ordering):
+        return (
+            metrics.gauge("solver.lu.resident").value(ordering=ordering),
+            metrics.gauge("solver.lu.resident_nnz").value(ordering=ordering),
+        )
+
+    def test_gauges_follow_the_store(self):
+        """Storing a handle adds its LU and fill; the handle's finalizer
+        and clearing the store take them out again."""
+        import gc
+
+        from repro.sim.system import ThermalSystem
+        from repro.thermal.solver import (
+            SteadyStateSolver,
+            TransientSolver,
+            clear_lu_store,
+        )
+
+        clear_lu_store()
+        gc.collect()
+        assert self.resident("pivoted") == self.resident("symmetric") == (0, 0)
+        network = ThermalSystem(nx=8, ny=8).network(0)
+        steady = SteadyStateSolver(network)
+        step = TransientSolver(network, 0.1)
+        assert self.resident("pivoted") == (1, steady._core.lu.nnz)
+        assert self.resident("symmetric") == (1, step._core.lu.nnz)
+        del steady
+        gc.collect()
+        assert self.resident("pivoted") == (0, 0)
+        clear_lu_store()
+        assert self.resident("symmetric") == (0, 0)
+        del step
+
+    def test_warmed_inlet_sweep_holds_one_steady_lu(self):
+        """After warm-up each system keeps only the steady solver its
+        runs start on (the top setting), and the inlets share its LU."""
+        from repro.sim.cache import (
+            CharacterizationCache,
+            clear_system_memo,
+            system_for,
+        )
+        from repro.sim.config import CoolingMode
+        from repro.thermal.rc_network import ThermalParams
+
+        clear_system_memo()
+        configs = [
+            SimulationConfig(
+                policy="TALB", cooling=CoolingMode.LIQUID_VARIABLE, nx=16, ny=16,
+                thermal_params=ThermalParams(inlet_temperature=inlet),
+            )
+            for inlet in (45.0, 55.0, 65.0, 75.0)
+        ]
+        CharacterizationCache().warm(configs)
+        assert self.resident("pivoted")[0] == 1
+        assert self.resident("symmetric")[0] == 0
+        for config in configs:
+            system, _ = system_for(config)
+            assert list(system._steadies) == [system.start_setting]
+        clear_system_memo()
 
 
 class TestKrylovTelemetry:

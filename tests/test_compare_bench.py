@@ -11,7 +11,10 @@ v12 the inlet sweep must solve as many unit-response ``R`` blocks as a
 single inlet; an older payload without the counts is a note. From
 schema v13 it must assemble as many networks as a single inlet, with
 the same note for older payloads. From schema v15 each wall-clock ratio
-is divided by the payloads' speed-probe ratio before it can warn.
+is divided by the payloads' speed-probe ratio before it can warn. From
+schema v16 the inlet sweep must keep exactly one steady LU resident
+after warm-up, and no more LUs (nor, on the same scipy, more fill) than
+the baseline after warm-up or after its runs.
 """
 
 import importlib.util
@@ -188,6 +191,71 @@ class TestInletSweepAssemblyGate:
         current = with_assemblies(payload(), None, schema=12)
         assert compare_bench.compare(current, payload()) == 0
         assert "pre-v13 payload" in capsys.readouterr().out
+
+
+def resident(steady=1, steady_nnz=50_000, steps=2, steps_nnz=60_000):
+    """One v16 residency reading: LU count and fill per ordering."""
+    return {
+        "pivoted": {"count": steady, "nnz": steady_nnz},
+        "symmetric": {"count": steps, "nnz": steps_nnz},
+    }
+
+
+def with_residency(base, after_warm, after_campaign=None, schema=16, scipy="1.17.1"):
+    """``base`` at ``schema`` with passing v12/v13 counts and the v16
+    residency readings (omitted when ``after_warm`` is None)."""
+    current = with_assemblies(base, 5, schema=schema)
+    current["environment"] = {"scipy": scipy}
+    if after_warm is not None:
+        current["inlet_sweep"].update(
+            resident_after_warm=after_warm,
+            resident_after_campaign=after_campaign or resident(),
+        )
+    return current
+
+
+class TestInletSweepResidencyGate:
+    BASELINE = with_residency(payload(), resident(steps=0, steps_nnz=0))
+
+    def test_one_steady_lu_passes(self, capsys):
+        current = with_residency(payload(), resident(steps=0, steps_nnz=0))
+        assert compare_bench.compare(current, self.BASELINE) == 0
+        out = capsys.readouterr().out
+        assert "resident_steady_after_warm" in out and "gate: ok" in out
+
+    @pytest.mark.parametrize("steady", [0, 5])
+    def test_other_than_one_steady_lu_fails(self, steady, capsys):
+        current = with_residency(payload(), resident(steady=steady, steps=0, steps_nnz=0))
+        assert compare_bench.compare(current, self.BASELINE) >= 1
+        assert "steady LUs resident after warm-up" in capsys.readouterr().out
+
+    def test_more_than_the_baseline_fails(self, capsys):
+        current = with_residency(
+            payload(), resident(steps=0, steps_nnz=0), resident(steps=3, steps_nnz=90_000)
+        )
+        assert compare_bench.compare(current, self.BASELINE) == 2
+        out = capsys.readouterr().out
+        assert "resident_after_campaign.symmetric.count is 3" in out
+
+    def test_fill_is_not_gated_across_scipy_versions(self, capsys):
+        current = with_residency(
+            payload(), resident(steady_nnz=70_000, steps=0, steps_nnz=0), scipy="1.18.0"
+        )
+        assert compare_bench.compare(current, self.BASELINE) == 0
+        assert "scipy differs" in capsys.readouterr().out
+
+    def test_missing_readings_fail(self, capsys):
+        current = with_residency(payload(), None)
+        assert compare_bench.compare(current, self.BASELINE) == 1
+        assert "no inlet_sweep residency readings" in capsys.readouterr().out
+
+    def test_pre_v16_payload_or_baseline_is_a_note(self, capsys):
+        current = with_residency(payload(), None, schema=15)
+        assert compare_bench.compare(current, self.BASELINE) == 0
+        assert "pre-v16 payload" in capsys.readouterr().out
+        current = with_residency(payload(), resident(steps=0, steps_nnz=0))
+        assert compare_bench.compare(current, payload()) == 0
+        assert "no baseline readings" in capsys.readouterr().out
 
 
 def probed(current, probe_s, scale=1.0):
