@@ -81,34 +81,15 @@ class ThermalWeights:
             Power (W) placed uniformly on every non-core unit while
             probing, so crossbar/L2 heating is reflected in the offsets.
         """
-        # The LU store hands back the factorization of any live solver
-        # of the same matrix (e.g. the flow-table characterization's),
-        # so deriving weights adds only triangular solves.
-        return cls.from_solver(
-            SteadyStateSolver(network), target_temperature, background_power
-        )
-
-    @classmethod
-    def from_solver(
-        cls,
-        solver: SteadyStateSolver,
-        target_temperature: float = 75.0,
-        background_power: float = 0.0,
-    ) -> "ThermalWeights":
-        """:meth:`from_network` on an existing steady solver of the
-        network (say, one its system keeps for the runs' initial
-        field), so the weights add no factorization of their own.
-
-        Mirror-image cores have mathematically equal weights, ordered
-        by LU roundoff alone: an exact solver of the same matrix gives
-        bitwise the weights :meth:`from_network` gives, a krylov one
-        does not.
-        """
-        grid = solver.network.grid
+        grid = network.grid
         core_keys = list(grid.core_keys)
         if not core_keys:
             raise SchedulingError("stack has no cores")
 
+        # The LU store hands back the factorization of any live solver
+        # of the same matrix (e.g. the flow-table characterization's),
+        # so deriving weights adds only triangular solves.
+        solver = SteadyStateSolver(network)
         base_units = np.zeros(grid.n_units)
         if background_power > 0.0:
             non_core = np.setdiff1d(

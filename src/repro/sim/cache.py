@@ -242,40 +242,43 @@ class CharacterizationCache:
         system: "ThermalSystem",
         setting_index: int,
         config: SimulationConfig,
-        on_system_solver: bool = False,
     ) -> ThermalWeights:
         """The (cached) pre-processed TALB weights for one cooling
-        condition (pump setting, or -1 for air).
-
-        A missing set is derived on a fresh exact steady solver, which
-        shares any live LU through the store and drops it afterwards.
-        With ``on_system_solver`` an exact-tier system derives it on its
-        own cached steady solver instead, which stays with the system
-        (:meth:`warm` uses it where the runs will need that LU anyway).
-        The krylov tier ignores it: its steady solver answers by GMRES,
-        and the weights' mirror-core ties are ordered by LU roundoff.
-        """
-        key = self._key(config, system) + (setting_index, config.talb_weight_target)
+        condition (pump setting, or -1 for air)."""
+        key = self._key(config, system) + (
+            setting_index,
+            config.talb_weight_target,
+        )
         if key in self.weight_sets:
             _CHAR_HITS.inc(kind="weights")
         else:
             _CHAR_MISSES.inc(kind="weights")
-            # Probe with the non-core units at a representative power so
-            # crossbar/L2 heating is reflected in the per-core budgets.
-            probe = dict(
+            self.weight_sets[key] = ThermalWeights.from_network(
+                system.network(setting_index),
                 target_temperature=config.talb_weight_target,
+                # Probe with the non-core units at a representative power
+                # so crossbar/L2 heating is reflected in the per-core
+                # budgets.
                 background_power=1.0,
             )
-            if on_system_solver and system.solver == "exact":
-                weights = ThermalWeights.from_solver(
-                    system.steady_solver(setting_index), **probe
-                )
-            else:
-                weights = ThermalWeights.from_network(
-                    system.network(setting_index), **probe
-                )
-            self.weight_sets[key] = weights
         return self.weight_sets[key]
+
+    def _system_weights(
+        self, system: "ThermalSystem", setting_index: int, config: SimulationConfig
+    ) -> None:
+        """Warm one weight set on the steady LU the system itself keeps.
+
+        On the exact tier a miss first builds the system's own steady
+        solver of the setting, so the probe solver
+        :meth:`ThermalWeights.from_network` builds shares that LU
+        through the store (bitwise the same weights) instead of
+        factorizing one to drop. Krylov-tier systems answer steady
+        solves by GMRES, so their weights keep a throwaway exact LU.
+        """
+        key = self._key(config, system) + (setting_index, config.talb_weight_target)
+        if system.solver == "exact" and key not in self.weight_sets:
+            system.steady_solver(setting_index)
+        self.thermal_weights(system, setting_index, config)
 
     # --- workload traces ------------------------------------------------------
 
@@ -350,7 +353,7 @@ class CharacterizationCache:
         exact tier, the per-setting work of variable-flow runs (the flow
         table's unit responses and the TALB weights of every setting)
         runs setting by setting in :meth:`_warm_settings`, and the
-        LIQUID_MAX and air weights are derived on the steady solver the
+        LIQUID_MAX and air weights are derived on the steady LU the
         runs' initial field then reuses. Krylov-tier systems
         characterize config by config, each as it is built.
         """
@@ -375,11 +378,10 @@ class CharacterizationCache:
                         for k in range(system.pump.n_settings):
                             self.thermal_weights(system, k, config)
                     else:
-                        # The pump never leaves the top setting.
-                        self.thermal_weights(
-                            system, system.start_setting, config,
-                            on_system_solver=True,
-                        )
+                        # The pump never leaves the top setting, and the
+                        # runs' initial field reuses the LU the weights
+                        # were derived on.
+                        self._system_weights(system, system.start_setting, config)
             if workload_registry().get(config.workload).trait("cache_trace"):
                 self.thread_trace(config)
         self._warm_settings(
@@ -416,7 +418,7 @@ class CharacterizationCache:
                     ):
                         system.unit_response(k)
                     if _uses_weights(config):
-                        self.thermal_weights(system, k, config, on_system_solver=True)
+                        self._system_weights(system, k, config)
             for system, _, _ in groups:
                 if k != system.start_setting:
                     system.release_steady(k)

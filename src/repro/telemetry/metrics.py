@@ -174,13 +174,19 @@ class MetricsRegistry:
         self._gauges: dict[str, float] = {}
         self._timers: dict[str, _TimerState] = {}
         self._handles: dict[tuple[str, str], object] = {}
+        self._local_gauges: set[str] = set()
 
     # --- handle factories -----------------------------------------------------
 
     def counter(self, name: str) -> Counter:
         return self._handle("counter", name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
+    def gauge(self, name: str, local: bool = False) -> Gauge:
+        """A gauge handle; ``local`` marks one that reads this
+        process's own state, which :meth:`merge` never overwrites."""
+        if local:
+            with self._lock:
+                self._local_gauges.add(name)
         return self._handle("gauge", name, Gauge)
 
     def timer(self, name: str) -> Timer:
@@ -252,15 +258,18 @@ class MetricsRegistry:
     def merge(self, delta: dict) -> None:
         """Fold a snapshot (or snapshot diff) from another process in.
 
-        Counters and timer histograms add; gauges last-write-win. This
-        is how per-worker metric deltas shipped alongside fold payloads
-        aggregate into the coordinating process's registry.
+        Counters and timer histograms add; gauges last-write-win,
+        except local ones (``gauge(name, local=True)``), which keep
+        reading this process's own state. This is how per-worker metric
+        deltas shipped alongside fold payloads aggregate into the
+        coordinating process's registry.
         """
         with self._lock:
             for key, value in (delta.get("counters") or {}).items():
                 self._counters[key] = self._counters.get(key, 0) + int(value)
             for key, value in (delta.get("gauges") or {}).items():
-                self._gauges[key] = float(value)
+                if key.partition("{")[0] not in self._local_gauges:
+                    self._gauges[key] = float(value)
             for key, stats in (delta.get("timers") or {}).items():
                 state = self._timers.get(key)
                 if state is None:
@@ -335,9 +344,10 @@ def counter(name: str) -> Counter:
     return _registry.counter(name)
 
 
-def gauge(name: str) -> Gauge:
-    """Named gauge on the process registry."""
-    return _registry.gauge(name)
+def gauge(name: str, local: bool = False) -> Gauge:
+    """Named gauge on the process registry (see
+    :meth:`MetricsRegistry.gauge`)."""
+    return _registry.gauge(name, local)
 
 
 def timer(name: str) -> Timer:

@@ -82,12 +82,13 @@ _LU_ORDERINGS = _metrics.counter("solver.lu.orderings")
 """LU-store misses by SuperLU mode and asking tier:
 ``ordering=symmetric|pivoted``, ``kind=steady|transient|krylov``."""
 
-_LU_RESIDENT = _metrics.gauge("solver.lu.resident")
-_LU_RESIDENT_NNZ = _metrics.gauge("solver.lu.resident_nnz")
-"""The LUs the store holds right now, and their fill (SuperLU's
-``nnz``), labeled ``ordering=pivoted|symmetric``: what a campaign keeps
-resident, not what it factorized. Republished whenever a handle is
-stored, finalized or cleared from the store."""
+_LU_RESIDENT = _metrics.gauge("solver.lu.resident", local=True)
+_LU_RESIDENT_NNZ = _metrics.gauge("solver.lu.resident_nnz", local=True)
+"""The LUs this process's store holds right now, and their fill
+(SuperLU's ``nnz``), labeled ``ordering=pivoted|symmetric``: what a
+campaign keeps resident, not what it factorized. Republished whenever a
+handle is stored, finalized or cleared from the store; process-local,
+so pool workers' deltas do not overwrite the parent's readings."""
 
 SYMMETRIC_MODE_MARGIN = 1.0e-10
 """Relative row-dominance margin (``row_sum > margin * diagonal``) a

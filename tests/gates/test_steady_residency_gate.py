@@ -3,15 +3,16 @@
 The steady LUs behind the flow table and the TALB weights are
 scaffolding. After ``CharacterizationCache.warm`` of a cold 4-inlet
 variable-flow TALB sweep, the LU store must hold exactly one steady
-(pivoted) LU: the top setting's, which every run starts from and which
-the inlets share. Releasing the others must cost no extra
-factorization: the whole sweep, warm-up and runs, factorizes exactly
-as often as a single inlet. Read through the ``solver.lu.resident``
-gauge and the ``solver.factorizations`` counter.
+(pivoted) LU and no time-step (symmetric) LU: the top setting's, which
+every run starts from and which the inlets share. Each system must keep
+only that setting's steady solver. Releasing the others must cost no
+extra factorization: the whole sweep, warm-up and runs, factorizes
+exactly as often as a single inlet. Read through the
+``solver.lu.resident`` gauges and the ``solver.factorizations`` counter.
 """
 
 from repro.runner import BatchRunner
-from repro.sim.cache import CharacterizationCache, clear_system_memo
+from repro.sim.cache import CharacterizationCache, clear_system_memo, system_for
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.telemetry import metrics
 from repro.thermal.rc_network import ThermalParams
@@ -20,8 +21,10 @@ INLETS = [45.0, 55.0, 65.0, 75.0]
 
 
 def campaign(inlets):
-    """Cold warm-up then runs: (resident steady LUs after the warm-up,
-    factorizations over the whole campaign)."""
+    """Cold warm-up then runs: the LUs resident after the warm-up
+    (pivoted, symmetric), whether every system kept only its start
+    setting's steady solver, and the factorizations over the whole
+    campaign."""
     clear_system_memo()  # cold: drops systems and stored LUs
     configs = [
         SimulationConfig(
@@ -34,16 +37,22 @@ def campaign(inlets):
     counter = metrics.counter("solver.factorizations")
     before = counter.value()
     cache = CharacterizationCache().warm(configs)
-    resident = metrics.gauge("solver.lu.resident").value(ordering="pivoted")
+    gauge = metrics.gauge("solver.lu.resident")
+    resident = (gauge.value(ordering="pivoted"), gauge.value(ordering="symmetric"))
+    systems = [system_for(config)[0] for config in configs]
+    start_only = all(list(s._steadies) == [s.start_setting] for s in systems)
     list(BatchRunner(configs, cache=cache).iter_runs())
-    return resident, counter.value() - before
+    return resident, start_only, counter.value() - before
 
 
 def test_warm_up_keeps_one_steady_lu():
-    one_resident, one = campaign(INLETS[:1])
-    four_resident, four = campaign(INLETS)
-    assert one_resident == four_resident == 1, (
-        f"steady LUs resident after warm-up: {one_resident} for one inlet,"
-        f" {four_resident} for four (expected 1)"
+    one_resident, one_start_only, one = campaign(INLETS[:1])
+    four_resident, four_start_only, four = campaign(INLETS)
+    assert one_resident == four_resident == (1, 0), (
+        f"(steady, time-step) LUs resident after warm-up: {one_resident} for"
+        f" one inlet, {four_resident} for four (expected (1, 0))"
+    )
+    assert one_start_only and four_start_only, (
+        "a system kept a steady solver besides its start setting's"
     )
     assert four == one, f"4-inlet sweep: {four} LUs vs {one} for one inlet"

@@ -195,6 +195,15 @@ class TestMerge:
             == 8
         )
 
+    def test_local_gauges_keep_their_own_reading(self, registry):
+        worker = MetricsRegistry()
+        for reg, value in ((registry, 1.0), (worker, 5.0)):
+            reg.gauge("own", local=True).set(value, kind="a")
+            reg.gauge("shared").set(value)
+        registry.merge(worker.snapshot())
+        assert registry.gauge("own").value(kind="a") == 1.0
+        assert registry.gauge("shared").value() == 5.0
+
     def test_reset_zeroes_everything(self, registry):
         registry.counter("c").inc()
         registry.gauge("g").set(1)

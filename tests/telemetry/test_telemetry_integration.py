@@ -13,9 +13,9 @@ The acceptance properties of the telemetry subsystem:
   the process counter's delta exactly;
 * ``factorize`` spans carry a matrix digest, so duplicate LUs are
   visible from the trace alone (an inlet sweep has none);
-* the ``solver.lu.resident`` gauges count the LUs the store holds, and
-  their fill, per SuperLU ordering: a warmed inlet sweep holds one
-  steady LU, and each of its systems one steady solver;
+* the ``solver.lu.resident`` gauges count the LUs this process's store
+  holds, and their fill, per SuperLU ordering, whatever pool workers
+  report;
 * every ``gmres`` span carries its iteration count and the verified
   relative residual of its answer;
 * the forecaster makes one ARMA innovations pass per observed sample
@@ -307,32 +307,28 @@ class TestLUResidency:
         assert self.resident("symmetric") == (0, 0)
         del step
 
-    def test_warmed_inlet_sweep_holds_one_steady_lu(self):
-        """After warm-up each system keeps only the steady solver its
-        runs start on (the top setting), and the inlets share its LU."""
-        from repro.sim.cache import (
-            CharacterizationCache,
-            clear_system_memo,
-            system_for,
-        )
-        from repro.sim.config import CoolingMode
-        from repro.thermal.rc_network import ThermalParams
+    def test_pool_workers_leave_the_parent_readings(self):
+        """The gauges read this process's own store: the metric deltas
+        of a 2-worker pool, whose workers hold LUs of their own, do not
+        overwrite them."""
+        import gc
+
+        from repro.runner import BatchRunner
+        from repro.sim.cache import clear_system_memo
+        from repro.thermal import solver
 
         clear_system_memo()
-        configs = [
-            SimulationConfig(
-                policy="TALB", cooling=CoolingMode.LIQUID_VARIABLE, nx=16, ny=16,
-                thermal_params=ThermalParams(inlet_temperature=inlet),
-            )
-            for inlet in (45.0, 55.0, 65.0, 75.0)
-        ]
-        CharacterizationCache().warm(configs)
-        assert self.resident("pivoted")[0] == 1
-        assert self.resident("symmetric")[0] == 0
-        for config in configs:
-            system, _ = system_for(config)
-            assert list(system._steadies) == [system.start_setting]
-        clear_system_memo()
+        gc.collect()
+        configs = [SimulationConfig(nx=8, ny=8, duration=0.2, seed=s) for s in (1, 2)]
+        list(BatchRunner(configs, max_workers=2).iter_runs())
+        gc.collect()
+        for ordering in ("pivoted", "symmetric"):
+            own = [
+                h.lu.nnz for h in list(solver._lu_store.values())
+                if h.ordering == ordering
+            ]
+            assert self.resident(ordering) == (len(own), sum(own))
+        assert self.resident("symmetric") == (0, 0)
 
 
 class TestKrylovTelemetry:
