@@ -1,7 +1,11 @@
 """Ablations — the controller's design choices, isolated.
 
-Extension study (DESIGN.md): proactive forecasting vs reactive control,
-the 2 degC hysteresis, TALB's weight target, and grid resolution.
+Extension study, not a paper figure: the paper fixes these choices
+without isolating them. Each is run against its alternative: proactive
+forecasting vs reactive control (the pump's 250-300 ms transition
+exceeds the stack's <100 ms time constant), the 2 degC hysteresis
+(against setting oscillation), TALB's weight target, and grid
+resolution (the paper's 100 um cells vs the coarse default).
 """
 
 

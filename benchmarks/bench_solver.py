@@ -2,8 +2,9 @@
 
 These are true pytest-benchmark timings (multiple rounds): network
 assembly, factorization, steady solve, transient step, and a full
-engine control interval. They track the cost claims in DESIGN.md
-(cached factorization per pump setting; triangular solve per step).
+engine control interval. They track the solver's cost model: one
+factorization per pump setting, cached, so that each transient step
+after it is a pair of triangular solves.
 """
 
 import numpy as np

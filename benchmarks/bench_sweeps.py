@@ -38,7 +38,8 @@ def test_idle_power_sweep(benchmark):
         iterations=1,
     )
     print("\n" + common.format_rows(rows))
-    # A +/-0.5 W idle-power assumption moves low-utilization T_max by
-    # a few kelvin only (DESIGN.md section 8).
+    # The paper does not state idle-core power; 1 W is an assumption.
+    # +/-0.5 W of it moves low-utilization T_max by a few kelvin only,
+    # so the light-workload pump setting and the ranking hold.
     span = rows[-1]["tmax_low_util_min_flow"] - rows[0]["tmax_low_util_min_flow"]
     assert span < 8.0

@@ -46,11 +46,7 @@ from repro.errors import (
 from repro.geometry import CoolingKind, Floorplan, Stack3D, build_stack
 from repro.metrics import (
     EnergyBreakdown,
-    coffin_manson_damage,
-    electromigration_acceleration,
     hotspot_frequency,
-    normalized_throughput,
-    relative_mttf,
     spatial_gradient_frequency,
     thermal_cycle_frequency,
 )
@@ -113,7 +109,6 @@ from repro.sim import (
     simulate,
 )
 from repro.thermal import (
-    AnalyticUnitCell,
     SteadyStateSolver,
     ThermalGrid,
     ThermalParams,
@@ -151,7 +146,6 @@ __all__ = [
     "build_network",
     "SteadyStateSolver",
     "TransientSolver",
-    "AnalyticUnitCell",
     "PumpModel",
     "PumpState",
     "laing_ddc",
@@ -220,8 +214,4 @@ __all__ = [
     "hotspot_frequency",
     "spatial_gradient_frequency",
     "thermal_cycle_frequency",
-    "normalized_throughput",
-    "coffin_manson_damage",
-    "electromigration_acceleration",
-    "relative_mttf",
 ]

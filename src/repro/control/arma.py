@@ -174,10 +174,6 @@ class ArmaModel:
         """Forecast the value ``steps`` samples ahead of the series end."""
         return self.forecast_from(*self.innovations(series), steps)
 
-    def one_step_prediction(self, series: Sequence[float]) -> float:
-        """Convenience: the 1-step-ahead forecast."""
-        return self.forecast(series, steps=1)
-
 
 def _one_step(ar: tuple, ma: tuple, y: list[float], e: list[float], t: int) -> float:
     """Predict y[t] (demeaned) from lags strictly before t: the AR terms

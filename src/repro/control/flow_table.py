@@ -238,26 +238,6 @@ class FlowRateTable:
                 out.append(float(np.interp(cap, utils, temps)))
         return out
 
-    def fig5_rows(self) -> list[dict[str, float]]:
-        """Figure 5's series: required flow vs T_max at the lowest setting.
-
-        Returns one row per characterized utilization with the
-        temperature at the lowest setting, the minimum sufficient
-        setting, and that setting's per-cavity flow.
-        """
-        rows = []
-        for i, u in enumerate(self.char.utilizations):
-            setting = self.required_setting_for_utilization(float(u))
-            rows.append(
-                {
-                    "utilization": float(u),
-                    "tmax_at_lowest": float(self.char.tmax[0, i]),
-                    "required_setting": setting,
-                    "per_cavity_flow": self.char.per_cavity_flows[setting],
-                }
-            )
-        return rows
-
     def _check_setting(self, setting: int) -> None:
         if not 0 <= setting < self.char.n_settings:
             raise ControlError(

@@ -12,11 +12,7 @@ from repro.facility.components import (
     CoolingTower,
     PumpCurve,
 )
-from repro.facility.coolant import (
-    water_density,
-    water_heat_capacity,
-    water_volumetric_heat_capacity,
-)
+from repro.facility.coolant import water_density, water_heat_capacity
 from repro.facility.loop import ClosedLoopFacility, FacilityModel, FacilityState
 
 __all__ = [
@@ -26,7 +22,6 @@ __all__ = [
     "PumpCurve",
     "water_density",
     "water_heat_capacity",
-    "water_volumetric_heat_capacity",
     "ClosedLoopFacility",
     "FacilityModel",
     "FacilityState",

@@ -51,8 +51,3 @@ def water_density(temperature_c: float) -> float:
     """
     t = _check_range(temperature_c, "water density")
     return 1001.90 - 0.12167 * t - 0.0031667 * t * t
-
-
-def water_volumetric_heat_capacity(temperature_c: float) -> float:
-    """rho(T) * c_p(T), J/(m^3*K)."""
-    return water_density(temperature_c) * water_heat_capacity(temperature_c)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class Unit:
     def center(self) -> tuple[float, float]:
         """Geometric centre ``(x, y)``."""
         return (self.x + 0.5 * self.width, self.y + 0.5 * self.height)
-
-    def contains(self, x: float, y: float) -> bool:
-        """Whether point ``(x, y)`` lies in the block (half-open box)."""
-        return self.x <= x < self.x2 and self.y <= y < self.y2
 
     def overlaps(self, other: "Unit") -> bool:
         """Whether this block overlaps ``other`` with positive area."""
@@ -170,13 +166,6 @@ class Floorplan:
         """All units of the given kind, in insertion order."""
         return [u for u in self.units if u.kind is kind]
 
-    def unit_at(self, x: float, y: float) -> Optional[Unit]:
-        """The unit containing point ``(x, y)``, or ``None`` if outside."""
-        for unit in self.units:
-            if unit.contains(x, y):
-                return unit
-        return None
-
     def __iter__(self) -> Iterator[Unit]:
         return iter(self.units)
 
@@ -219,16 +208,6 @@ class Floorplan:
             dists = (ox[:, None] - cx[None, :]) ** 2 + (oy[:, None] - cy[None, :]) ** 2
             out[orphan] = np.argmin(dists, axis=1)
         return out
-
-    def area_fractions(self, nx: int, ny: int) -> np.ndarray:
-        """Per-unit fraction of grid cells assigned by :meth:`rasterize`.
-
-        Useful to distribute a unit's power over its cells: a unit with
-        power P spreads ``P / count`` over each of its ``count`` cells.
-        """
-        raster = self.rasterize(nx, ny)
-        counts = np.bincount(raster.ravel(), minlength=len(self.units))
-        return counts / float(nx * ny)
 
 
 # --- UltraSPARC T1-like layer builders (Figure 1) ------------------------------

@@ -88,16 +88,6 @@ class Stack3D:
         return self.n_dies + 1
 
     @property
-    def n_channels(self) -> int:
-        """Total number of microchannels in the stack.
-
-        Paper: 65 per cavity, hence 195 (2-layer) and 325 (4-layer).
-        """
-        from repro.constants import MICROCHANNEL
-
-        return self.n_cavities * MICROCHANNEL.channels_per_cavity
-
-    @property
     def width(self) -> float:
         """Die outline width (x, the channel flow direction), m."""
         return self.dies[0].floorplan.width
@@ -112,14 +102,6 @@ class Stack3D:
         names: list[str] = []
         for die in self.dies:
             for unit in die.floorplan.units_of_kind(UnitKind.CORE):
-                names.append(unit.name)
-        return names
-
-    def l2_names(self) -> list[str]:
-        """Names of every L2 unit, bottom die first."""
-        names: list[str] = []
-        for die in self.dies:
-            for unit in die.floorplan.units_of_kind(UnitKind.L2):
                 names.append(unit.name)
         return names
 

@@ -1,12 +1,6 @@
-"""Evaluation metrics for Figures 6-8, plus reliability proxies."""
+"""Evaluation metrics for Figures 6-8."""
 
 from repro.metrics.energy import EnergyBreakdown
-from repro.metrics.performance import normalized_sojourn, normalized_throughput
-from repro.metrics.reliability import (
-    coffin_manson_damage,
-    electromigration_acceleration,
-    relative_mttf,
-)
 from repro.metrics.thermal_metrics import (
     count_thermal_cycles,
     hotspot_frequency,
@@ -20,9 +14,4 @@ __all__ = [
     "thermal_cycle_frequency",
     "count_thermal_cycles",
     "EnergyBreakdown",
-    "normalized_throughput",
-    "normalized_sojourn",
-    "coffin_manson_damage",
-    "electromigration_acceleration",
-    "relative_mttf",
 ]

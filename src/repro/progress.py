@@ -63,7 +63,6 @@ class ProgressReporter:
         self.clock = clock
         self.start = clock()
         self._last_print: Optional[float] = None
-        self._lines_printed = 0
 
     def _format(self, done: int, detail: str) -> str:
         prefix = f"{self.label}: " if self.label else ""
@@ -74,10 +73,6 @@ class ProgressReporter:
             counted = str(done)
         suffix = f"  {detail}" if detail else ""
         return f"  {prefix}{counted}{suffix}"
-
-    def _emit(self, text: str) -> None:
-        print(text, file=self.stream)
-        self._lines_printed += 1
 
     def update(self, done: int, detail: str = "") -> None:
         """Report progress; prints only if ``min_interval`` has passed."""
@@ -90,7 +85,7 @@ class ProgressReporter:
         ):
             return
         self._last_print = now
-        self._emit(self._format(done, detail))
+        print(self._format(done, detail), file=self.stream)
 
     def finish(self, done: int, detail: str = "") -> None:
         """Report the final state, bypassing the rate limit (so the
@@ -99,9 +94,4 @@ class ProgressReporter:
             return
         elapsed = self.clock() - self.start
         summary = detail or f"{elapsed:.1f}s"
-        self._emit(self._format(done, summary))
-
-    @property
-    def lines_printed(self) -> int:
-        """How many lines actually reached the stream (test hook)."""
-        return self._lines_printed
+        print(self._format(done, summary), file=self.stream)

@@ -12,12 +12,11 @@ impeller 250-300 ms.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro import units
 from repro.constants import CONTROL
-from repro.errors import ConfigurationError, ModelError
+from repro.errors import ConfigurationError
 
 LAING_DDC_SETTINGS_LH: tuple[float, ...] = (75.0, 150.0, 225.0, 300.0, 375.0)
 """Figure 3's five pump flow-rate settings, litres/hour."""
@@ -141,11 +140,6 @@ class PumpModel:
         """The highest (worst-case) setting."""
         return self.settings[-1]
 
-    @property
-    def min_setting(self) -> FlowSetting:
-        """The lowest setting."""
-        return self.settings[0]
-
     def setting(self, index: int) -> FlowSetting:
         """Setting by ladder index (0 = lowest)."""
         if not 0 <= index < len(self.settings):
@@ -161,24 +155,6 @@ class PumpModel:
     def powers(self) -> list[float]:
         """Pump powers (W) across the ladder (Figure 3 right axis)."""
         return [s.power for s in self.settings]
-
-    def min_setting_reaching(self, per_cavity_flow: float) -> FlowSetting:
-        """Lowest setting whose per-cavity flow is >= the requirement.
-
-        Raises :class:`ModelError` if even the maximum setting falls
-        short (the caller should then saturate at maximum and flag the
-        thermal violation).
-        """
-        flows = [s.per_cavity_flow for s in self.settings]
-        idx = bisect_right(flows, per_cavity_flow)
-        if idx > 0 and flows[idx - 1] >= per_cavity_flow:
-            idx -= 1
-        if idx >= len(self.settings):
-            raise ModelError(
-                f"required per-cavity flow {per_cavity_flow:.3e} m^3/s exceeds "
-                f"the maximum setting {flows[-1]:.3e} m^3/s"
-            )
-        return self.settings[idx]
 
 
 @dataclass
@@ -221,10 +197,6 @@ class PumpState:
         if self._pending_index >= 0 and now >= self._pending_effective_at:
             self.current_index = self._pending_index
             self._pending_index = -1
-
-    def effective_setting(self) -> FlowSetting:
-        """The setting whose flow the channels currently receive."""
-        return self.pump.setting(self.current_index)
 
     def electrical_power(self) -> float:
         """Instantaneous pump electrical power, W (commanded setting)."""

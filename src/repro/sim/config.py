@@ -14,7 +14,8 @@ config, with identical labels, fingerprints, and runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, Mapping, Union
 
@@ -155,6 +156,14 @@ class SimulationConfig:
     "wet_bulb_c": 18.0}`` for ``closed-loop``)."""
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.n_layers not in (2, 4):
             raise ConfigurationError("n_layers must be 2 or 4")
         if self.duration <= 0.0:
@@ -219,3 +228,8 @@ class SimulationConfig:
     def label(self) -> str:
         """Figure-style label, e.g. ``"TALB (Var)"``."""
         return f"{self.policy} ({self.cooling.value})"
+
+
+_FLOAT_FIELDS = tuple(f.name for f in fields(SimulationConfig) if f.type == "float")
+"""The fields that must hold finite numbers (checked first, so a NaN
+or infinity never reaches the range and ratio checks)."""

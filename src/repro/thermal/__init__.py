@@ -7,7 +7,6 @@ TSVs and coolant microchannels are modelled distinctly, and coolant
 cells change conductance with the flow rate.
 """
 
-from repro.thermal.analytic import AnalyticUnitCell, UnitCellResult
 from repro.thermal.grid import Slab, SlabKind, ThermalGrid
 from repro.thermal.package import AirPackage
 from repro.thermal.rc_network import RCNetwork, ThermalParams, build_network
@@ -26,8 +25,6 @@ from repro.thermal.solver import (
 )
 
 __all__ = [
-    "AnalyticUnitCell",
-    "UnitCellResult",
     "ThermalGrid",
     "Slab",
     "SlabKind",

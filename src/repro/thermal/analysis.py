@@ -66,18 +66,6 @@ class StepResponse:
             return float(t1)
         return float(t0 + (target - f0) * (t1 - t0) / (f1 - f0))
 
-    def settling_time(self, tolerance: float = 0.05) -> float:
-        """Time after which the response stays within ``tolerance`` of
-        the final value (2 % or 5 % settling time in control terms)."""
-        fraction = self.settling_fraction()
-        outside = np.nonzero(np.abs(fraction - 1.0) > tolerance)[0]
-        if len(outside) == 0:
-            return float(self.times[0])
-        last = outside[-1]
-        if last + 1 >= len(self.times):
-            return float("nan")
-        return float(self.times[last + 1])
-
 
 def step_response(
     network: RCNetwork,

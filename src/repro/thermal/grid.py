@@ -378,14 +378,6 @@ class ThermalGrid:
             self._require_cells(self._empty_units)
         return self._unit_means(temperatures)
 
-    def core_temperature_vector(self, temperatures: np.ndarray) -> np.ndarray:
-        """Per-core sensor readings, aligned to ``stack.core_names()``."""
-        if self._empty_units:
-            empty_cores = [k for k in self._empty_units if k in set(self.core_keys)]
-            if empty_cores:
-                self._require_cells(empty_cores)
-        return self._unit_means(temperatures)[self.core_index]
-
     def unit_temperature(self, temperatures: np.ndarray, die_index: int, unit_name: str) -> float:
         """Mean temperature of one unit's cells (a block thermal sensor)."""
         u = self.unit_position(die_index, unit_name)

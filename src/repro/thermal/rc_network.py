@@ -355,7 +355,8 @@ class RCNetwork:
 
         Sensible-heat balance summed over every channel row of every
         cavity: ``sum g * (T_outlet - T_inlet)`` — the generalized
-        Eq. 4/5 accounting (see :mod:`repro.thermal.validation`).
+        Eq. 4/5 accounting (the paper's uniform-power form
+        ``(q1 + q2) * R_th-heat`` is the special case).
         ``t_inlet`` defaults to the assembled inlet temperature; pass
         the interval's actual inlet when co-simulating a facility.
         Returns 0 for air-cooled networks.

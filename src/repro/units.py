@@ -70,14 +70,6 @@ def to_ml_per_minute(value_m3s: float) -> float:
     return value_m3s * MINUTE / MILLILITRE
 
 
-# --- heat flux ---------------------------------------------------------------
-
-
-def w_per_cm2(value: float) -> float:
-    """Convert W/cm^2 (the paper's heat-flux unit) to W/m^2."""
-    return value * 1.0e4
-
-
 # --- per-area thermal resistance ---------------------------------------------
 
 

@@ -6,7 +6,7 @@ registrations, the same at-import idiom the scheduler policies use.
 """
 
 from repro.workload.benchmarks import TABLE_II, BenchmarkSpec, benchmark
-from repro.workload.generator import ThreadTrace, WorkloadGenerator, diurnal_trace
+from repro.workload.generator import ThreadTrace, WorkloadGenerator
 from repro.workload.threads import Thread
 from repro.workload.traces import UtilizationTrace, generate_from_utilization
 from repro.workload.models import SAMPLE_TRACE_PATH, WorkloadModel
@@ -18,7 +18,6 @@ __all__ = [
     "Thread",
     "WorkloadGenerator",
     "ThreadTrace",
-    "diurnal_trace",
     "UtilizationTrace",
     "generate_from_utilization",
     "WorkloadModel",

@@ -20,7 +20,6 @@ A generator is deterministic for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -70,37 +69,6 @@ class ThreadTrace:
             spec=self.spec,
             n_cores=self.n_cores,
         )
-
-    def _arrival_index(self) -> Optional[np.ndarray]:
-        """Lazily built (and memoized) sorted arrival-time array.
-
-        Returns ``None`` for a hand-built trace whose threads are not
-        time-sorted — the documented contract, but the old linear scan
-        tolerated it, so window queries quietly fall back rather than
-        change behaviour.
-        """
-        cached = self.__dict__.get("_arrivals_cache", False)
-        if cached is not False:
-            return cached
-        arrivals = np.fromiter(
-            (t.arrival for t in self.threads), dtype=float, count=len(self.threads)
-        )
-        index = arrivals if np.all(np.diff(arrivals) >= 0.0) else None
-        object.__setattr__(self, "_arrivals_cache", index)
-        return index
-
-    def arrivals_between(self, t0: float, t1: float) -> list[Thread]:
-        """Threads arriving in the half-open window [t0, t1).
-
-        Runs once per control interval, so the window is found by
-        binary search over a precomputed arrival array instead of an
-        O(n) scan over the whole trace.
-        """
-        arrivals = self._arrival_index()
-        if arrivals is None:  # Unsorted hand-built trace: exact old behaviour.
-            return [t for t in self.threads if t0 <= t.arrival < t1]
-        lo, hi = np.searchsorted(arrivals, (t0, t1), side="left")
-        return list(self.threads[lo:hi])
 
 
 class WorkloadGenerator:
@@ -190,34 +158,3 @@ class WorkloadGenerator:
             spec=self.spec,
             n_cores=self.n_cores,
         )
-
-
-def diurnal_trace(
-    day_spec: BenchmarkSpec,
-    night_spec: BenchmarkSpec,
-    phase_duration: float,
-    n_cores: int = 8,
-    seed: int = 0,
-) -> ThreadTrace:
-    """Concatenate two workload phases (the paper's day/night scenario).
-
-    Section IV motivates SPRT-triggered ARMA retraining with workloads
-    that "dramatically change (e.g., day-time and night-time workload
-    patterns for a server)"; this builds such a two-phase trace.
-    """
-    if phase_duration <= 0.0:
-        raise WorkloadError("phase duration must be positive")
-    day = WorkloadGenerator(day_spec, n_cores=n_cores, seed=seed).generate(phase_duration)
-    night = WorkloadGenerator(night_spec, n_cores=n_cores, seed=seed + 1).generate(
-        phase_duration
-    )
-    shifted = [
-        Thread(t.thread_id + len(day.threads), t.arrival + phase_duration, t.length)
-        for t in night.threads
-    ]
-    return ThreadTrace(
-        threads=tuple(list(day.threads) + shifted),
-        duration=2.0 * phase_duration,
-        spec=day_spec,
-        n_cores=n_cores,
-    )

@@ -4,8 +4,6 @@ Section V: "we sample the utilization percentage for each hardware
 thread at every second using mpstat for half an hour". This module
 carries such traces: per-second system utilization series that can be
 
-* recorded from any :class:`ThreadTrace` (what did the generator
-  actually offer?),
 * loaded from / saved to CSV or JSONL (interchange with real mpstat
   logs),
 * used to drive the generator directly, reproducing a measured load
@@ -155,35 +153,6 @@ class UtilizationTrace:
         if path.suffix.lower() in (".jsonl", ".ndjson"):
             return cls.from_jsonl(path, n_cores=n_cores, name=name)
         return cls.from_csv(path, n_cores=n_cores, name=name)
-
-    @classmethod
-    def from_thread_trace(cls, trace: ThreadTrace) -> "UtilizationTrace":
-        """Record the offered per-second utilization of a thread trace.
-
-        Each thread's execution demand is attributed to the seconds it
-        spans (assuming it runs as soon as it arrives — offered load,
-        not queued load).
-        """
-        n_slots = int(np.ceil(trace.duration))
-        demand = np.zeros(n_slots)
-        for thread in trace.threads:
-            start = thread.arrival
-            remaining = thread.length
-            slot = int(start)
-            position = start
-            while remaining > 1.0e-12 and slot < n_slots:
-                slot_end = float(slot + 1)
-                chunk = min(remaining, slot_end - position)
-                demand[slot] += chunk
-                remaining -= chunk
-                position = slot_end
-                slot += 1
-        capacity = float(trace.n_cores)
-        return cls(
-            utilization=np.clip(demand / capacity, 0.0, 1.0),
-            n_cores=trace.n_cores,
-            name=trace.spec.name,
-        )
 
 
 def generate_from_utilization(

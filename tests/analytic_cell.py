@@ -12,9 +12,9 @@ three components::
   position: ``dTheat(n+1) = sum_i<=n dTheat(i)``;
 * ``dTconv = (q1 + q2) / h_eff`` — the convective film drop (Eqs. 6-7).
 
-This module is used to validate the grid RC network (both must agree
-for uniform power) and to provide the fast characterization behind the
-flow look-up table of Figure 5.
+A reference oracle, not part of the model: the grid RC network must
+agree with it wherever the unit cell's assumptions hold (uniform heat
+flux, developed flow), which ``tests/thermal/test_analytic.py`` pins.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ class TestForecast:
         errors, persistence = [], []
         history = list(train)
         for value in test:
-            pred = model.one_step_prediction(np.asarray(history))
+            pred = model.forecast(np.asarray(history), steps=1)
             errors.append(abs(pred - value))
             persistence.append(abs(history[-1] - value))
             history.append(value)

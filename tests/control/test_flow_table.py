@@ -173,19 +173,3 @@ class TestBoundaries:
                 continue
             assert table.required_setting(b - 0.01, 0) <= m
             assert table.required_setting(b + 0.01, 0) == m + 1
-
-
-class TestFig5Rows:
-    def test_staircase_monotone(self, table):
-        rows = table.fig5_rows()
-        settings = [r["required_setting"] for r in rows]
-        assert settings == sorted(settings)
-        flows = [r["per_cavity_flow"] for r in rows]
-        assert flows == sorted(flows)
-
-    def test_x_axis_is_lowest_setting_temperature(self, table):
-        rows = table.fig5_rows()
-        for row in rows:
-            assert row["tmax_at_lowest"] == pytest.approx(
-                toy_steady_tmax(0, row["utilization"]), abs=1e-9
-            )

@@ -21,13 +21,6 @@ class TestUnit:
         u = Unit("u", UnitKind.MISC, 0.0, 0.0, 2.0e-3, 5.0e-3)
         assert u.area == pytest.approx(1.0e-5)
 
-    def test_contains_half_open(self):
-        u = Unit("u", UnitKind.MISC, 0.0, 0.0, 1.0, 1.0)
-        assert u.contains(0.0, 0.0)
-        assert u.contains(0.5, 0.99)
-        assert not u.contains(1.0, 0.5)
-        assert not u.contains(0.5, 1.0)
-
     def test_overlap_detection(self):
         a = Unit("a", UnitKind.MISC, 0.0, 0.0, 1.0, 1.0)
         b = Unit("b", UnitKind.MISC, 0.5, 0.5, 1.0, 1.0)
@@ -149,19 +142,11 @@ class TestRasterize:
     @given(st.integers(min_value=12, max_value=40))
     def test_cell_fractions_approximate_area_fractions(self, n):
         fp = t1_core_layer()
-        fractions = fp.area_fractions(n, n)
+        raster = fp.rasterize(n, n)
+        fractions = np.bincount(raster.ravel(), minlength=len(fp.units)) / (n * n)
         for unit, fraction in zip(fp.units, fractions):
             assert fraction == pytest.approx(unit.area / fp.area, abs=0.08)
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(GeometryError):
             t1_core_layer().rasterize(0, 4)
-
-    def test_unit_at_center_of_core(self):
-        fp = t1_core_layer()
-        core0 = fp.unit("core0")
-        assert fp.unit_at(*core0.center) is core0
-
-    def test_unit_at_outside_returns_none(self):
-        fp = t1_core_layer()
-        assert fp.unit_at(fp.width * 2, 0.0) is None

@@ -30,6 +30,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimulationConfig(quantum=0.2, sampling_interval=0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", [
+        "duration", "quantum", "sampling_interval", "target_temperature",
+        "hysteresis", "talb_weight_target", "characterization_guard",
+    ])
+    def test_rejects_non_finite_float_field(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            SimulationConfig(**{name: value})
+
     def test_rejects_unknown_benchmark(self):
         with pytest.raises(Exception):
             SimulationConfig(benchmark_name="SPECjbb")

@@ -38,16 +38,16 @@ class TestThrottling:
         for i in range(50):
             reporter.update(i + 1)
             clock.advance(0.001)  # 1000 folds/s — must not print 1000 lines
-        assert reporter.lines_printed == 1
+        assert len(stream.getvalue().splitlines()) == 1
 
     def test_updates_past_interval_print(self):
-        reporter, _, clock = make(min_interval=0.25)
+        reporter, stream, clock = make(min_interval=0.25)
         reporter.update(1)
         clock.advance(0.3)
         reporter.update(2)
         clock.advance(0.1)
         reporter.update(3)  # throttled
-        assert reporter.lines_printed == 2
+        assert len(stream.getvalue().splitlines()) == 2
 
     def test_finish_bypasses_rate_limit(self):
         """The stream must never end on a stale intermediate count."""

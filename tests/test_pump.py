@@ -1,11 +1,9 @@
 """The Laing DDC pump model (Figure 3) and its runtime state."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro import units
-from repro.errors import ConfigurationError, ModelError
+from repro.errors import ConfigurationError
 from repro.pump.laing_ddc import (
     LAING_DDC_SETTINGS_LH,
     PumpModel,
@@ -36,7 +34,7 @@ class TestFigure3Values:
         """Table I gives 0.1-1 l/min per cavity; the 2-layer ladder
         covers within 2x of both ends."""
         pump = laing_ddc(n_cavities=3)
-        lo = units.to_ml_per_minute(pump.min_setting.per_cavity_flow) / 1000.0
+        lo = units.to_ml_per_minute(pump.settings[0].per_cavity_flow) / 1000.0
         hi = units.to_ml_per_minute(pump.max_setting.per_cavity_flow) / 1000.0
         assert 0.1 <= lo * 2
         assert hi <= 1.1
@@ -44,7 +42,7 @@ class TestFigure3Values:
     def test_power_endpoints(self):
         """Figure 3's right axis: ~3.7 W lowest, 21 W highest."""
         pump = laing_ddc(n_cavities=3)
-        assert pump.min_setting.power == pytest.approx(3.72, rel=1e-3)
+        assert pump.settings[0].power == pytest.approx(3.72, rel=1e-3)
         assert pump.max_setting.power == pytest.approx(21.0, rel=1e-3)
 
     def test_power_quadratic_in_flow(self):
@@ -96,35 +94,6 @@ class TestPumpModelValidation:
             pump.setting(-1)
 
 
-class TestMinSettingReaching:
-    def test_exact_match(self):
-        pump = laing_ddc(3)
-        for s in pump.settings:
-            assert pump.min_setting_reaching(s.per_cavity_flow).index == s.index
-
-    def test_between_settings_rounds_up(self):
-        pump = laing_ddc(3)
-        need = 0.5 * (
-            pump.settings[1].per_cavity_flow + pump.settings[2].per_cavity_flow
-        )
-        assert pump.min_setting_reaching(need).index == 2
-
-    def test_unreachable_raises(self):
-        pump = laing_ddc(3)
-        with pytest.raises(ModelError):
-            pump.min_setting_reaching(pump.max_setting.per_cavity_flow * 2)
-
-    @given(st.floats(min_value=1e-7, max_value=1.7e-5))
-    def test_returned_setting_suffices(self, need):
-        pump = laing_ddc(3)
-        if need > pump.max_setting.per_cavity_flow:
-            return
-        setting = pump.min_setting_reaching(need)
-        assert setting.per_cavity_flow >= need * (1 - 1e-12)
-        if setting.index > 0:
-            assert pump.settings[setting.index - 1].per_cavity_flow < need
-
-
 class TestPumpState:
     def test_transition_delay(self):
         """A commanded change only takes effect after 300 ms."""
@@ -153,10 +122,6 @@ class TestPumpState:
         state.command(1, now=0.1)  # Changed mind mid-transition.
         state.advance(0.41)
         assert state.current_index == 1
-
-    def test_effective_setting(self):
-        state = PumpState(laing_ddc(3), current_index=2)
-        assert state.effective_setting().index == 2
 
     def test_rejects_bad_initial(self):
         with pytest.raises(ConfigurationError):

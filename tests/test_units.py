@@ -54,12 +54,6 @@ class TestFlow:
         )
 
 
-class TestHeatFlux:
-    def test_w_per_cm2(self):
-        # The paper's 200 W/cm^2 heat-removal figure.
-        assert units.w_per_cm2(200) == pytest.approx(2.0e6)
-
-
 class TestResistance:
     def test_k_mm2_per_w(self):
         assert units.k_mm2_per_w(5.333) == pytest.approx(5.333e-6)

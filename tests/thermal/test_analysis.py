@@ -43,9 +43,6 @@ class TestStepResponse:
         assert tau < 0.1
         assert tau < 0.25  # Strictly below the pump transition.
 
-    def test_settling_time_exceeds_time_constant(self, response):
-        assert response.settling_time(0.05) > response.time_constant()
-
     def test_settling_fraction_bounds(self, response):
         fraction = response.settling_fraction()
         assert fraction[0] >= 0.0
@@ -64,7 +61,8 @@ class TestAirResponseSlower:
         net = build_network(grid, ThermalParams())
         power = power_vector(grid, {(0, f"core{i}"): 3.0 for i in range(8)})
         resp = step_response(net, power, dt=0.1, max_time=120.0)
-        assert resp.settling_time(0.02) > 2.0
+        outside_band = np.abs(resp.settling_fraction() - 1.0) > 0.02
+        assert resp.times[outside_band].max() > 2.0
 
 
 class TestValidation:

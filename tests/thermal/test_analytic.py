@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 from repro import units
 from repro.constants import MICROCHANNEL
 from repro.errors import ModelError
+from repro.geometry.stack import build_stack
+from repro.microchannel.geometry import ChannelGeometry
 from repro.microchannel.model import MicrochannelModel
-from repro.thermal.analytic import AnalyticUnitCell
+from repro.thermal.grid import ThermalGrid
+from repro.thermal.rc_network import ThermalParams, build_network
+from repro.thermal.solver import SteadyStateSolver
 
-from helpers import power_vector
+from analytic_cell import AnalyticUnitCell
 
 FLOW = units.litres_per_minute(0.5)
+W_PER_CM2 = 1.0e4  # the paper's heat-flux unit, in W/m^2
 
 
 @pytest.fixture
@@ -24,7 +29,7 @@ def cell():
 class TestComponents:
     def test_dt_cond_eq2(self, cell):
         # dTcond = R_BEOL * q1; 30 W/cm^2 -> 5.333 K*mm^2/W * 0.3 W/mm^2.
-        q = units.w_per_cm2(30.0)
+        q = 30.0 * W_PER_CM2
         assert cell.dt_cond(q) == pytest.approx(MICROCHANNEL.r_beol * q)
         assert cell.dt_cond(q) == pytest.approx(1.6, rel=1e-3)
 
@@ -33,25 +38,25 @@ class TestComponents:
         assert cell.dt_cond(1.0e5) == cell.dt_cond(1.0e5)
 
     def test_dt_conv_uses_both_fluxes(self, cell):
-        q = units.w_per_cm2(20.0)
+        q = 20.0 * W_PER_CM2
         one = cell.dt_conv(q, 0.0, FLOW)
         both = cell.dt_conv(q, q, FLOW)
         assert both == pytest.approx(2 * one)
 
     def test_dt_conv_falls_with_flow(self, cell):
-        q = units.w_per_cm2(20.0)
+        q = 20.0 * W_PER_CM2
         assert cell.dt_conv(q, q, MICROCHANNEL.flow_rate_min) > cell.dt_conv(
             q, q, MICROCHANNEL.flow_rate_max
         )
 
     def test_dt_heat_uniform_eq45(self, cell):
-        q = units.w_per_cm2(20.0)
+        q = 20.0 * W_PER_CM2
         area = 1.0e-4
         r_heat = cell.model.r_heat(area, FLOW)
         assert cell.dt_heat_uniform(q, q, area, FLOW) == pytest.approx(2 * q * r_heat)
 
     def test_junction_rise_is_sum(self, cell):
-        q = units.w_per_cm2(20.0)
+        q = 20.0 * W_PER_CM2
         result = cell.junction_rise(q, q, 1.0e-4, FLOW)
         assert result.dt_junction == pytest.approx(
             result.dt_cond + result.dt_heat + result.dt_conv
@@ -70,7 +75,7 @@ class TestHeatProfile:
         Eq. 4/5 gives for the whole heater."""
         n = 50
         area_total = 1.0e-4
-        q = units.w_per_cm2(20.0)
+        q = 20.0 * W_PER_CM2
         fluxes = np.full(n, 2 * q)  # q1 + q2.
         profile = cell.heat_profile(fluxes, area_total / n, FLOW)
         assert profile[-1] == pytest.approx(
@@ -110,26 +115,61 @@ class TestHeatProfile:
 
 
 class TestGridAgreement:
-    def test_grid_tracks_analytic_sensible_heat(self):
-        """The grid model's coolant outlet rise equals the analytic
-        m_dot*c_p energy balance for the heat actually absorbed."""
-        from repro.geometry.stack import build_stack
-        from repro.thermal.grid import ThermalGrid
-        from repro.thermal.rc_network import ThermalParams, build_network
-        from repro.thermal.solver import SteadyStateSolver
+    """The grid model against the oracle: uniform heat flux over the
+    whole bottom die, where the unit cell's assumptions hold."""
 
-        grid = ThermalGrid(build_stack(2), nx=10, ny=10)
-        net = build_network(grid, ThermalParams(), cavity_flows=[FLOW])
-        total_power = 24.0
-        p = power_vector(grid, {(0, f"core{i}"): 3.0 for i in range(8)})
-        temps = SteadyStateSolver(net).solve(p)
+    FLOWS = (3.3e-6, 6.7e-6, 1.0e-5, 1.67e-5)
+    HEAT_FLUX = 2.0e5
 
-        coolant = MicrochannelModel().coolant
-        capacity_rate_total = coolant.mass_flow(FLOW) * coolant.heat_capacity * 3
-        expected_mean_rise = total_power / capacity_rate_total
-
+    @pytest.fixture(scope="class")
+    def outlet_rises(self):
+        """Grid mean coolant outlet rise above inlet, K, per flow."""
+        stack = build_stack(2)
+        grid = ThermalGrid(stack, nx=12, ny=12)
+        die_nodes = grid.slab_nodes(grid.die_slab_index(0)).ravel()
         outlet_nodes = np.concatenate(
             [grid.slab_nodes(s)[:, -1] for s in grid.cavity_slab_indices()]
         )
-        mean_outlet_rise = float(temps[outlet_nodes].mean()) - 60.0
-        assert mean_outlet_rise == pytest.approx(expected_mean_rise, rel=0.05)
+        params = ThermalParams()
+        rises = {}
+        for flow in self.FLOWS:
+            net = build_network(grid, params, cavity_flows=[flow])
+            power = np.zeros(net.n_nodes)
+            power[die_nodes] = self.HEAT_FLUX * stack.width * stack.height / die_nodes.size
+            temps = SteadyStateSolver(net).solve(power)
+            rises[flow] = float(temps[outlet_nodes].mean()) - params.inlet_temperature
+        return rises
+
+    @pytest.mark.parametrize("flow", FLOWS)
+    def test_grid_tracks_analytic_sensible_heat(self, outlet_rises, flow):
+        """The grid model's mean coolant outlet rise equals Eq. 4/5 for
+        the heat actually absorbed: the cavities run in parallel, so
+        each carries its share of the die's flux. Energy conservation
+        is exact in both models."""
+        stack = build_stack(2)
+        cell = AnalyticUnitCell(
+            model=MicrochannelModel(
+                geometry=ChannelGeometry(length=stack.width), die_height=stack.height
+            )
+        )
+        area = stack.width * stack.height
+        expected = cell.dt_heat_uniform(
+            self.HEAT_FLUX / stack.n_cavities, 0.0, area, flow
+        )
+        # Eq. 5 in capacity-rate form: the same rise from m_dot * c_p.
+        assert expected == pytest.approx(
+            self.HEAT_FLUX * area
+            / (cell.model.cavity_heat_capacity_rate(flow) * stack.n_cavities),
+            rel=1e-12,
+        )
+        assert abs(outlet_rises[flow] - expected) / expected < 1.0e-6
+
+    def test_rise_falls_with_flow(self, outlet_rises):
+        rises = [outlet_rises[flow] for flow in self.FLOWS]
+        assert rises == sorted(rises, reverse=True)
+
+    def test_rise_inversely_proportional_to_flow(self, outlet_rises):
+        """Eq. 5: R_heat ~ 1/Vdot, so rise * flow is constant."""
+        products = [outlet_rises[flow] * flow for flow in self.FLOWS]
+        for product in products[1:]:
+            assert product == pytest.approx(products[0], rel=1e-3)

@@ -114,7 +114,7 @@ class TestTemperatureExtraction:
 
     def test_core_temperatures_keys(self, liquid_grid):
         temps = np.full(liquid_grid.n_nodes, 50.0)
-        cores = liquid_grid.core_temperature_vector(temps)
+        cores = liquid_grid.unit_temperature_vector(temps)[liquid_grid.core_index]
         assert [name for _, name in liquid_grid.core_keys] == [f"core{i}" for i in range(8)]
         assert cores.tolist() == [50.0] * 8
 

@@ -4,7 +4,7 @@ Pins the array-oriented substrate (PR 3) to the retained loop-based
 reference implementations in ``tests/naive_thermal.py``:
 
 * the unit<->cell operators (``power_vector_from_array``,
-  ``unit_temperature_vector``, ``core_temperature_vector``, the maxima)
+  ``unit_temperature_vector`` and its core rows, the maxima)
   agree *exactly* on random fields;
 * the assembled CSR matrices (liquid 2/4-layer, air 2/4-layer) are
   bit-identical — same dense matrix, same boundary and capacitance
@@ -104,7 +104,7 @@ class TestUnitCellOperators:
     def test_core_temperatures_exact(self, grid):
         rng = np.random.default_rng(2)
         temps = rng.normal(70.0, 8.0, grid.n_nodes)
-        got = grid.core_temperature_vector(temps)
+        got = grid.unit_temperature_vector(temps)[grid.core_index]
         ref = naive_core_temperatures(grid, temps)
         assert dict(zip(grid.stack.core_names(), got.tolist())) == ref
 

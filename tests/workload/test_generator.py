@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workload.benchmarks import TABLE_II, benchmark
-from repro.workload.generator import WorkloadGenerator, diurnal_trace
+from repro.workload.generator import WorkloadGenerator
 
 
 class TestDeterminism:
@@ -65,15 +65,6 @@ class TestTrace:
         )
         assert len(t16.threads) > 1.5 * len(t8.threads)
 
-    def test_arrivals_between(self):
-        trace = WorkloadGenerator(benchmark("Web-high"), seed=0).generate(10.0)
-        window = trace.arrivals_between(2.0, 3.0)
-        assert all(2.0 <= t.arrival < 3.0 for t in window)
-        total = sum(
-            len(trace.arrivals_between(i, i + 1.0)) for i in range(10)
-        )
-        assert total == len(trace.threads)
-
 
 class TestValidation:
     def test_rejects_bad_duration(self):
@@ -87,19 +78,3 @@ class TestValidation:
     def test_rejects_bad_correlation(self):
         with pytest.raises(WorkloadError):
             WorkloadGenerator(benchmark("gzip"), rate_correlation=1.0)
-
-
-class TestDiurnal:
-    def test_two_phases(self):
-        trace = diurnal_trace(
-            benchmark("Web-high"), benchmark("gzip"), phase_duration=10.0, seed=0
-        )
-        assert trace.duration == pytest.approx(20.0)
-        day = [t for t in trace.threads if t.arrival < 10.0]
-        night = [t for t in trace.threads if t.arrival >= 10.0]
-        # Day (Web-high) is much denser than night (gzip).
-        assert len(day) > 3 * len(night)
-
-    def test_rejects_bad_phase(self):
-        with pytest.raises(WorkloadError):
-            diurnal_trace(benchmark("gzip"), benchmark("gcc"), 0.0)

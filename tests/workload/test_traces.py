@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workload.benchmarks import benchmark
-from repro.workload.generator import WorkloadGenerator
 from repro.workload.traces import UtilizationTrace, generate_from_utilization
 
 
@@ -48,32 +47,6 @@ class TestCsvRoundTrip:
             UtilizationTrace.from_csv(path, n_cores=8)
 
 
-class TestFromThreadTrace:
-    def test_recorded_mean_matches_offered(self):
-        spec = benchmark("Web-med")
-        threads = WorkloadGenerator(spec, seed=0).generate(60.0)
-        recorded = UtilizationTrace.from_thread_trace(threads)
-        assert recorded.mean_utilization() == pytest.approx(
-            threads.offered_utilization(), rel=0.05
-        )
-
-    def test_thread_spanning_slots_is_split(self):
-        from repro.workload.generator import ThreadTrace
-        from repro.workload.threads import Thread
-
-        spec = benchmark("gzip")
-        # One 0.8 s thread arriving at t=0.9 spans slots 0 and 1.
-        trace = ThreadTrace(
-            threads=(Thread(0, arrival=0.9, length=0.8),),
-            duration=2.0,
-            spec=spec,
-            n_cores=1,
-        )
-        recorded = UtilizationTrace.from_thread_trace(trace)
-        assert recorded.utilization[0] == pytest.approx(0.1)
-        assert recorded.utilization[1] == pytest.approx(0.7)
-
-
 class TestGenerateFromUtilization:
     def test_follows_the_profile(self):
         spec = benchmark("Web-med")
@@ -82,9 +55,13 @@ class TestGenerateFromUtilization:
             n_cores=8,
         )
         threads = generate_from_utilization(profile, spec, seed=1)
-        recorded = UtilizationTrace.from_thread_trace(threads)
-        busy = recorded.utilization[:30].mean()
-        quiet = recorded.utilization[30:].mean()
+
+        def offered(t0, t1):
+            work = sum(t.length for t in threads.threads if t0 <= t.arrival < t1)
+            return work / ((t1 - t0) * threads.n_cores)
+
+        busy = offered(0.0, 30.0)
+        quiet = offered(30.0, 60.0)
         assert busy > 4 * quiet
         assert busy == pytest.approx(0.8, rel=0.25)
 
