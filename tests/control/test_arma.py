@@ -120,3 +120,21 @@ class TestValueSemantics:
         model = ArmaModel.fit(ar2_series(300), p=3, q=2)
         assert isinstance(model.ar, tuple) and isinstance(model.ma, tuple)
         assert all(type(c) is float for c in model.ar + model.ma)
+
+
+class TestExtendInnovations:
+    def test_appending_matches_a_fresh_pass_bitwise(self):
+        series = ar2_series(200)
+        model = ArmaModel.fit(series, p=3, q=2)
+        y, e = model.innovations(series[:5])
+        for value in series[5:]:
+            model.extend_innovations(y, e, float(value))
+        assert (y, e) == model.innovations(series)
+
+    def test_innovations_zero_until_every_lag_exists(self):
+        model = ArmaModel.fit(ar2_series(300), p=3, q=2)
+        y, e = [], []
+        for value in (70.1, 69.8, 70.4, 70.2):
+            model.extend_innovations(y, e, value)
+        assert e[:3] == [0.0, 0.0, 0.0]
+        assert y[0] == 70.1 - model.mean

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.control.forecaster import TemperatureForecaster
+from repro.control.forecaster import PersistenceForecaster, TemperatureForecaster
 from repro.errors import ControlError
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
 from repro.sim.engine import Simulator
@@ -155,3 +155,19 @@ class TestIncrementalInnovations:
         assert refit_while_filling
         slid = len(series) - f.window
         assert counts.delta("control.forecast.rebuilds") - slid == f.retrain_count
+
+
+class TestPersistenceForecaster:
+    def test_predicts_the_last_observation(self):
+        f = PersistenceForecaster()
+        for value in (70.0, 72.5, 71.25):
+            f.observe(value)
+        assert f.predict() == 71.25
+        assert f.retrain_count == 0
+
+    def test_rejects_non_finite_samples_and_early_predictions(self):
+        f = PersistenceForecaster()
+        with pytest.raises(ControlError, match="no observations"):
+            f.predict()
+        with pytest.raises(ControlError, match="finite"):
+            f.observe(float("nan"))

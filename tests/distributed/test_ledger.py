@@ -158,6 +158,19 @@ class TestLeases:
         assert refresh_lease(path, "w1", ttl=60.0, now=1050.0)
         assert read_lease(path).deadline == 1110.0
 
+    def test_heartbeat_age_counts_from_the_last_refresh(self, tmp_path):
+        path = tmp_path / "s.json"
+        try_claim_lease(path, "w1", ttl=60.0, now=1000.0)
+        assert read_lease(path).heartbeat_age(now=1020.0) == 20.0
+        refresh_lease(path, "w1", ttl=60.0, now=1050.0)
+        assert read_lease(path).heartbeat_age(now=1055.0) == 5.0
+        assert read_lease(path).heartbeat_age(now=1040.0) == 0.0  # clock skew
+
+    def test_torn_lease_has_no_heartbeat_age(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"worker": "w1", "acqu')
+        assert read_lease(path).heartbeat_age(now=0.0) is None
+
     def test_refresh_fails_after_reclaim_by_other_worker(self, tmp_path):
         path = tmp_path / "s.json"
         try_claim_lease(path, "w1", ttl=60.0, now=1000.0)

@@ -29,6 +29,11 @@ class TestStaircase:
         settings = [r["required_setting"] for r in rows_2layer]
         assert settings == sorted(settings)
 
+    def test_discrete_flow_follows_required_setting(self, rows_2layer):
+        flows = [r["discrete_flow_mlmin"] for r in rows_2layer]
+        assert flows == sorted(flows)
+        assert len(set(flows)) == len({r["required_setting"] for r in rows_2layer})
+
     def test_x_axis_spans_paper_band(self, rows_2layer):
         """Figure 5's x axis runs from ~70 to ~90 degC."""
         temps = [r["tmax_at_lowest"] for r in rows_2layer]
@@ -73,6 +78,28 @@ class TestContinuousFlowTmaxIsBitwisePinned:
             for flow in self.FLOWS
         )
         assert got == self.TMAX
+
+
+class TestContinuousRequiredFlow:
+    @pytest.fixture(scope="class")
+    def system_and_model(self):
+        system = ThermalSystem(2, CoolingKind.LIQUID)
+        return system, PowerModel(system.stack, leakage=LeakageModel())
+
+    def test_unreachable_target_is_nan(self, system_and_model):
+        system, model = system_and_model
+        assert np.isnan(fig5.continuous_required_flow(system, model, 0.9, target=30.0))
+
+    def test_any_flow_suffices_returns_the_lower_bound(self, system_and_model):
+        system, model = system_and_model
+        flow = fig5.continuous_required_flow(system, model, 0.0, target=200.0)
+        assert flow == MICROCHANNEL.flow_rate_min * 0.5
+
+    def test_returned_flow_holds_the_target(self, system_and_model):
+        system, model = system_and_model
+        flow = fig5.continuous_required_flow(system, model, 0.6, target=80.0, iters=6)
+        assert MICROCHANNEL.flow_rate_min * 0.5 < flow <= MICROCHANNEL.flow_rate_max
+        assert fig5._steady_tmax_at_flow(system, model, 0.6, flow) <= 80.0
 
 
 @pytest.mark.slow

@@ -40,6 +40,10 @@ class TestUnit:
         u = Unit("u", UnitKind.MISC, 1.0, 2.0, 2.0, 4.0)
         assert u.center == (2.0, 4.0)
 
+    def test_far_edges(self):
+        u = Unit("u", UnitKind.MISC, 1.0, 2.0, 2.0, 4.0)
+        assert (u.x2, u.y2) == (3.0, 6.0)
+
 
 class TestCoreLayer:
     def test_core_count(self):
@@ -146,6 +150,19 @@ class TestRasterize:
         fractions = np.bincount(raster.ravel(), minlength=len(fp.units)) / (n * n)
         for unit, fraction in zip(fp.units, fractions):
             assert fraction == pytest.approx(unit.area / fp.area, abs=0.08)
+
+    def test_cell_at_each_core_centre_maps_to_that_core(self):
+        """The raster answers "which unit is at (x, y)" for the grid."""
+        fp = t1_core_layer()
+        n = 32
+        raster = fp.rasterize(n, n)
+        for index, unit in enumerate(fp.units):
+            if unit.kind is not UnitKind.CORE:
+                continue
+            x, y = unit.center
+            row = int(y / fp.height * n)
+            col = int(x / fp.width * n)
+            assert raster[row, col] == index, unit.name
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(GeometryError):

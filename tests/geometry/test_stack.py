@@ -4,7 +4,7 @@ import pytest
 
 from repro.constants import MICROCHANNEL
 from repro.errors import GeometryError
-from repro.geometry.floorplan import t1_core_layer
+from repro.geometry.floorplan import UnitKind, t1_core_layer
 from repro.geometry.stack import CoolingKind, Die, Stack3D, build_stack
 
 
@@ -41,6 +41,15 @@ class TestBuildStack:
 
     def test_core_names_4layer(self):
         assert build_stack(4).core_names() == [f"core{i}" for i in range(16)]
+
+    def test_l2_banks_4layer(self):
+        """Each cache die carries four L2 banks, named bottom die first."""
+        names = [
+            unit.name
+            for die in build_stack(4).dies
+            for unit in die.floorplan.units_of_kind(UnitKind.L2)
+        ]
+        assert names == [f"l2_{i}" for i in range(8)]
 
     def test_rejects_other_layer_counts(self):
         for n in (0, 1, 3, 5, 8):

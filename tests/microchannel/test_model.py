@@ -9,6 +9,7 @@ from repro.constants import MICROCHANNEL
 from repro.errors import ModelError
 from repro.microchannel.model import (
     MicrochannelModel,
+    graetz_number,
     nusselt_developing,
     reynolds_number,
 )
@@ -30,6 +31,13 @@ class TestDimensionlessNumbers:
         r1 = reynolds_number(model.geometry, model.coolant, 1.0e-5)
         r2 = reynolds_number(model.geometry, model.coolant, 2.0e-5)
         assert r2 == pytest.approx(2 * r1)
+
+    def test_graetz_is_dh_re_pr_over_length(self, model):
+        g, c = model.geometry, model.coolant
+        re = reynolds_number(g, c, MICROCHANNEL.flow_rate_min)
+        gz = graetz_number(g, c, MICROCHANNEL.flow_rate_min)
+        assert gz == pytest.approx(g.hydraulic_diameter * re * c.prandtl / g.length)
+        assert graetz_number(g, c, 2 * MICROCHANNEL.flow_rate_min) == pytest.approx(2 * gz)
 
     def test_nusselt_floor_is_fully_developed(self):
         assert nusselt_developing(0.0) == pytest.approx(3.66)

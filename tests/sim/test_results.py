@@ -1,5 +1,7 @@
 """Simulation result containers and derived quantities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,24 @@ class TestDerivedQuantities:
     def test_interval(self):
         r = make_result(np.full(5, 70.0), interval=0.1)
         assert r.interval == pytest.approx(0.1)
+
+
+class TestCoolingEnergy:
+    def test_nan_without_a_facility_loop(self):
+        r = make_result(np.full(4, 70.0), pump_power=np.full(4, 10.0))
+        assert np.isnan(r.cooling_energy())
+
+    def test_plant_plus_replicated_chip_pumps(self):
+        base = make_result(np.full(10, 70.0), pump_power=np.full(10, 21.0))
+        r = dataclasses.replace(
+            base,
+            facility_inlet=np.full(10, 30.0),
+            facility_cooling_power=np.full(10, 500.0),
+            facility_scale=100.0,
+        )
+        # 500 W of plant for 1 s, plus 100 chips' 21 J of pumping.
+        assert r.cooling_energy() == pytest.approx(500.0 + 100.0 * 21.0)
+        assert r.total_cooling_power() == pytest.approx(r.cooling_energy() / r.duration)
 
 
 class TestValidation:

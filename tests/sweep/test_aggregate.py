@@ -17,6 +17,7 @@ from repro.sweep import (
     ScalarAggregator,
     aggregator_from_spec,
     default_aggregators,
+    group_key,
 )
 
 
@@ -97,6 +98,18 @@ class TestScalarReduction:
         restored = scalar_row(json.loads(json.dumps(values)))
         assert restored == scalar_row(values)  # bit-equal, not approx
         assert restored["migrations_mean"] == ((0.0 + 0.1) + 0.2 + values[2]) / 3
+
+
+class TestGroupKey:
+    def test_joins_descriptor_fields_in_group_by_order(self):
+        config = SimulationConfig(benchmark_name="gzip", policy="TALB")
+        assert group_key(config, ()) == "all"
+        assert group_key(config, ("benchmark", "policy")) == "gzip|TALB"
+        assert group_key(config, ("policy", "benchmark")) == "TALB|gzip"
+
+    def test_rejects_fields_outside_the_descriptor(self):
+        with pytest.raises(ConfigurationError, match="not_a_field"):
+            group_key(SimulationConfig(), ("benchmark", "not_a_field"))
 
 
 class TestScalarAggregator:

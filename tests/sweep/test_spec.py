@@ -12,7 +12,8 @@ from repro.sim.config import (
     PolicyKind,
     SimulationConfig,
 )
-from repro.sweep import SweepSpec
+from repro.sweep import SweepSpec, point_key
+from repro.sweep.spec import canonical_field
 
 
 class TestExpansion:
@@ -62,6 +63,31 @@ class TestExpansion:
         assert "benchmark_name=gzip" in points[0].key
         # Two expansions produce identical keys.
         assert [p.key for p in spec.iter_points()] == [p.key for p in points]
+
+    def test_shape_and_summary(self):
+        spec = SweepSpec(
+            points=[{"policy": "LB"}, {"policy": "TALB"}],
+            zip_axes={"seed": [1, 2]},
+            grid={"benchmark_name": ["gzip", "Database", "MPlayer"]},
+            name="demo",
+        )
+        assert spec.zip_length == 2
+        assert spec.grid_shape == (3,)
+        assert spec.describe() == (
+            "demo: 12 runs · 2 points · zip[seed]x2 · benchmark_namex3"
+        )
+        bare = SweepSpec()
+        assert (bare.zip_length, bare.grid_shape) == (1, ())
+        assert bare.describe() == "sweep: 1 runs"
+
+    def test_point_key_sorts_fields_and_canonicalizes_mappings(self):
+        assert point_key(7, {"seed": 3, "benchmark_name": "gzip"}) == (
+            "00007 benchmark_name=gzip,seed=3"
+        )
+        assert point_key(0, {}) == "00000"
+        assert point_key(1, {"policy_params": {"b": 2, "a": 1}}) == (
+            '00001 policy_params={"a":1,"b":2}'
+        )
 
     def test_expansion_is_lazy(self):
         spec = SweepSpec(grid={"seed": list(range(100_000))})
@@ -130,6 +156,14 @@ class TestCoercionAndValidation:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown sweep field"):
             SweepSpec(grid={"not_a_field": [1]})
+
+    def test_canonical_field_resolves_aliases_and_dotted_axes(self):
+        assert canonical_field("layers") == "n_layers"
+        assert canonical_field("policy_params.gain") == "policy_params.gain"
+        with pytest.raises(ConfigurationError, match="bad component-parameter"):
+            canonical_field("policy_params.a.b")
+        with pytest.raises(ConfigurationError, match="unknown thermal_params"):
+            canonical_field("thermal_params.bogus")
 
     def test_bad_enum_value_rejected(self):
         with pytest.raises(ConfigurationError, match="choose from"):

@@ -87,6 +87,11 @@ class TestRegistry:
         for spelling in ("Alpha", "alpha", "ALPHA", "a", "A"):
             assert reg.normalize(spelling) == "Alpha"
 
+    def test_known_names_lists_keys_and_aliases_sorted(self):
+        reg = self._registry()
+        reg.register("Beta", lambda ctx: None, aliases=("b", "second"))
+        assert reg.known_names() == ["a", "alpha", "b", "beta", "second"]
+
     def test_unknown_key_lists_choices(self):
         reg = self._registry()
         with pytest.raises(ConfigurationError, match="choose from Alpha"):

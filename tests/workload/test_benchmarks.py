@@ -49,6 +49,15 @@ class TestMemoryIntensity:
         lows = min(TABLE_II.values(), key=lambda s: s.memory_intensity)
         assert lows.name == "gzip"
 
+    def test_total_l2_miss_sums_instruction_and_data_misses(self):
+        for spec in TABLE_II.values():
+            assert spec.total_l2_miss == spec.l2_i_miss + spec.l2_d_miss
+
+    def test_normalized_by_the_largest_combined_miss_rate(self):
+        top = max(spec.total_l2_miss for spec in TABLE_II.values())
+        for spec in TABLE_II.values():
+            assert spec.memory_intensity == pytest.approx(spec.total_l2_miss / top)
+
 
 class TestLookup:
     def test_case_insensitive(self):

@@ -46,6 +46,14 @@ class TestTrace:
         assert lengths.max() <= 0.8
         assert 0.05 < np.median(lengths) < 0.2
 
+    def test_mean_thread_length_matches_sampled_lengths(self):
+        """The analytic log-normal mean the arrival rate is set from
+        agrees with the clamped lengths the generator draws."""
+        generator = WorkloadGenerator(benchmark("Web-high"), seed=0)
+        trace = generator.generate(60.0)
+        lengths = np.array([t.length for t in trace.threads])
+        assert lengths.mean() == pytest.approx(generator.mean_thread_length(), rel=0.05)
+
     @pytest.mark.parametrize("name", list(TABLE_II))
     def test_offered_utilization_matches_table2(self, name):
         spec = benchmark(name)

@@ -47,6 +47,35 @@ class TestCsvRoundTrip:
             UtilizationTrace.from_csv(path, n_cores=8)
 
 
+class TestJsonlRoundTrip:
+    def test_round_trip(self, tmp_path):
+        original = UtilizationTrace(np.array([0.1, 0.55, 0.93]), n_cores=8)
+        path = tmp_path / "trace.jsonl"
+        original.to_jsonl(path)
+        loaded = UtilizationTrace.from_jsonl(path, n_cores=8)
+        assert np.allclose(loaded.utilization, original.utilization, atol=1e-5)
+        assert loaded.name == "trace"
+
+    def test_from_file_dispatches_on_suffix(self, tmp_path):
+        original = UtilizationTrace(np.array([0.25, 0.75]), n_cores=4)
+        path = tmp_path / "profile.jsonl"
+        original.to_jsonl(path)
+        loaded = UtilizationTrace.from_file(path, n_cores=4)
+        assert np.allclose(loaded.utilization, [0.25, 0.75])
+
+    def test_rejects_malformed_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"second": 0, "utilization_pct": 40}\n{"second": 1}\n')
+        with pytest.raises(WorkloadError, match="bad.jsonl:2"):
+            UtilizationTrace.from_jsonl(path, n_cores=8)
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n")
+        with pytest.raises(WorkloadError, match="empty trace"):
+            UtilizationTrace.from_jsonl(path, n_cores=8)
+
+
 class TestGenerateFromUtilization:
     def test_follows_the_profile(self):
         spec = benchmark("Web-med")
