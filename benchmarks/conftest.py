@@ -6,8 +6,7 @@ Every figure/table benchmark prints the regenerated rows (run with
 
 Each figure benchmark times its own sweep: nothing is memoized across
 figures, so the Figure 8 and headline benchmarks simulate their runs
-even after the Figure 6 benchmark in the same pytest run. (They used to
-time a hit in a process-global result memo there, about 0.01 s.)
+even after the Figure 6 benchmark in the same pytest run.
 """
 
 #: Simulated seconds per (policy, workload) point in the figure sweeps.

@@ -11,10 +11,9 @@ be driven without writing Python:
   exports, byte-identical to ``sweep run`` on the equivalent spec;
 * ``sweep run | resume | status`` — declarative checkpointed campaigns
   through :class:`repro.sweep.SweepRunner`: ``--spec`` names a built-in
-  declaration (``fig6``, ``fig7``, ``fig8``, ``fourlayer``,
-  ``headline``, ``ablations``, ``hysteresis``, ``workloads``,
-  ``facility``) or a JSON/YAML spec
-  file, progress streams (rate-limited) as runs fold, and an
+  declaration (a figure name from :data:`repro.experiments.FIGURES`,
+  ``ablations``, ``hysteresis``, ``controllers``, ``workloads``,
+  ``facility``) or a JSON/YAML spec file, progress streams (rate-limited) as runs fold, and an
   interrupted campaign resumes from its checkpoint with bit-identical
   aggregates and exports;
 * ``dist plan | work | merge | status`` — the same campaigns sharded
@@ -37,9 +36,10 @@ be driven without writing Python:
   (repeatable) or the dotted ``policy_params.<name>`` /
   ``controller_params.<name>`` / ``workload_params.<name>`` /
   ``facility_params.<name>`` sweep axes;
-* ``fig3 | fig5 | fig6 | fig7 | fig8 | table2 | headline | ablations``
-  — regenerate a table/figure and print its rows (the multi-run
-  figures accept ``--workers`` for process fan-out);
+* ``fig3 | fig5 | table2 | ablations`` and one command per
+  :data:`repro.experiments.FIGURES` entry (``fig6 | fig7 | fig8 |
+  headline | fourlayer``) — regenerate a table/figure and print its
+  rows (the figure sweeps accept ``--workers`` for process fan-out);
 * ``calibrate`` — re-derive the documented resistance scales;
 * ``workloads`` — list the Table II benchmarks.
 """
@@ -56,15 +56,12 @@ from repro.dist.plan import DEFAULT_CHUNK_SIZE
 from repro.dist.worker import DEFAULT_LEASE_TTL
 from repro.errors import ConfigurationError, WorkloadError
 from repro.experiments import (
+    FIGURES,
     ablations,
     common,
     fig3,
     fig5,
-    fig6,
-    fig7,
-    fig8,
-    fourlayer,
-    headline,
+    run_figures,
     sweeps as experiment_sweeps,
     table2,
 )
@@ -85,11 +82,7 @@ from repro.workload.benchmarks import TABLE_II
 #: Built-in sweep declarations ``repro sweep run --spec <name>`` and
 #: ``repro dist plan --spec <name>`` accept.
 BUILTIN_SPECS = {
-    "fig6": fig6.sweep_spec,
-    "fig7": fig7.sweep_spec,
-    "fig8": fig8.sweep_spec,
-    "fourlayer": fourlayer.sweep_spec,
-    "headline": headline.sweep_spec,
+    **{name: figure.sweep_spec for name, figure in FIGURES.items()},
     "ablations": ablations.controller_ablation_spec,
     "hysteresis": experiment_sweeps.hysteresis_spec,
     "controllers": experiment_sweeps.controller_family_spec,
@@ -487,26 +480,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t_validate.add_argument("path", metavar="PATH", help="trace JSONL file")
 
-    for name, help_text in (
-        ("fig3", "pump power and per-cavity flows"),
-        ("fig6", "hot spots and energy, all policies"),
-        ("fig7", "thermal variations (DPM on)"),
-        ("fig8", "performance and energy"),
-        ("table2", "workload characteristics"),
-        ("headline", "energy savings vs maximum flow"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        if name != "fig3":
-            p.add_argument("--duration", type=float, default=common.DEFAULT_DURATION)
-            p.add_argument("--seed", type=int, default=0)
-        if name in ("fig6", "fig7", "fig8", "headline"):
-            # table2 is generator statistics only — nothing to fan out.
-            p.add_argument(
-                "--workers",
-                type=int,
-                default=1,
-                help="worker processes for the sweep (results are identical)",
-            )
+    sub.add_parser("fig3", help="pump power and per-cavity flows")
+    # table2 is generator statistics only — nothing to fan out.
+    t2 = sub.add_parser("table2", help="workload characteristics")
+    t2.add_argument("--duration", type=float, default=common.DEFAULT_DURATION)
+    t2.add_argument("--seed", type=int, default=0)
+    for name, figure in FIGURES.items():
+        p = sub.add_parser(name, help=figure.HELP)
+        p.add_argument("--duration", type=float, default=common.DEFAULT_DURATION)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="worker processes for the sweep (results are identical)",
+        )
 
     f5 = sub.add_parser("fig5", help="flow required to cool a given T_max")
     f5.add_argument("--layers", type=int, default=2, choices=(2, 4))
@@ -1230,32 +1218,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fig5.run(n_layers=args.layers, include_continuous=args.continuous)
         )
         return 0
-    if command == "fig6":
-        _print_rows(
-            fig6.run(duration=args.duration, seed=args.seed,
-                     workers=_validated_workers(args))
+    if command in FIGURES:
+        figure_rows = run_figures(
+            [command], duration=args.duration, seed=args.seed,
+            workers=_validated_workers(args),
         )
-        return 0
-    if command == "fig7":
-        _print_rows(
-            fig7.run(duration=args.duration, seed=args.seed,
-                     workers=_validated_workers(args))
-        )
-        return 0
-    if command == "fig8":
-        _print_rows(
-            fig8.run(duration=args.duration, seed=args.seed,
-                     workers=_validated_workers(args))
-        )
+        _print_rows(figure_rows[command])
         return 0
     if command == "table2":
         _print_rows(table2.run(duration=max(args.duration, 60.0), seed=args.seed))
-        return 0
-    if command == "headline":
-        _print_rows(
-            headline.run(duration=args.duration, seed=args.seed,
-                     workers=_validated_workers(args))
-        )
         return 0
     if command == "ablations":
         return _cmd_ablations(args)

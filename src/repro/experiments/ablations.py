@@ -16,8 +16,6 @@ alternative:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.constants import CONTROL
 from repro.experiments import common
 from repro.geometry.stack import CoolingKind
@@ -26,13 +24,6 @@ from repro.power.leakage import LeakageModel
 from repro.sim.config import ControllerKind, CoolingMode, PolicyKind, SimulationConfig
 from repro.sim.system import ThermalSystem
 from repro.sweep import SweepSpec
-
-
-def _setting_switches(flow_setting: np.ndarray) -> int:
-    valid = flow_setting[flow_setting >= 0]
-    if len(valid) < 2:
-        return 0
-    return int(np.sum(np.diff(valid) != 0))
 
 
 #: The controller ablation variants: (label, forecast_enabled, hysteresis).
@@ -79,7 +70,7 @@ def run_controller_ablation(
                 "peak_temperature": result.peak_temperature(),
                 "pct_above_target": 100.0
                 * result.time_above(CONTROL.target_temperature),
-                "setting_switches": _setting_switches(result.flow_setting),
+                "setting_switches": common.setting_switches(result.flow_setting),
                 "pump_energy": result.pump_energy(),
                 "mean_setting": result.mean_flow_setting(),
             }
@@ -129,7 +120,7 @@ def run_controller_comparison(
                 * result.time_above(CONTROL.target_temperature),
                 "pump_energy": result.pump_energy(),
                 "mean_setting": result.mean_flow_setting(),
-                "setting_switches": _setting_switches(result.flow_setting),
+                "setting_switches": common.setting_switches(result.flow_setting),
             }
         )
     return rows

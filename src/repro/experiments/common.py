@@ -8,14 +8,16 @@ and executes through :class:`~repro.runner.BatchRunner`
 (:func:`run_spec`), so any figure/table regeneration can fan out over
 worker processes by passing ``workers=N``, and large campaigns can be
 checkpointed via the ``repro sweep`` CLI. Nothing is memoized
-across calls: a figure's rows depend only on its own sweep, and a
-caller that needs several figures over one sweep (the report) runs it
-once and hands the results to each figure's ``rows``.
+across calls: a figure's rows depend only on its own sweep, and
+:func:`repro.experiments.figures.run_figures` runs the configs that
+several figures share once.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
+
+import numpy as np
 
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
 from repro.sim.results import SimulationResult
@@ -107,6 +109,15 @@ def run_labelled(
 def spec_labels(spec: SweepSpec) -> list[str]:
     """A :func:`matrix_spec`'s combo labels, in declaration order."""
     return [combo_label(point["policy"], point["cooling"]) for point in spec.points]
+
+
+def setting_switches(flow_setting: np.ndarray) -> int:
+    """How often a run's pump setting changed; air samples (``-1``)
+    are skipped."""
+    valid = flow_setting[flow_setting >= 0]
+    if len(valid) < 2:
+        return 0
+    return int(np.sum(np.diff(valid) != 0))
 
 
 def format_rows(rows: list[dict], columns: Optional[list[str]] = None) -> str:

@@ -25,6 +25,10 @@ from repro.metrics.thermal_metrics import hotspot_frequency
 from repro.sweep import SweepSpec
 
 
+HELP = "hot spots and energy, all policies"
+TITLE = "Figure 6 — hot spots and energy"
+
+
 def sweep_spec(
     duration: float = common.DEFAULT_DURATION,
     workloads: tuple[str, ...] = common.ALL_WORKLOADS,
@@ -39,17 +43,6 @@ def sweep_spec(
         seed=seed,
         name="fig6",
     )
-
-
-def run(
-    duration: float = common.DEFAULT_DURATION,
-    workloads: tuple[str, ...] = common.ALL_WORKLOADS,
-    seed: int = 0,
-    workers: "int | None" = None,
-) -> list[dict]:
-    """Regenerate Figure 6's bars."""
-    spec = sweep_spec(duration=duration, workloads=workloads, seed=seed)
-    return rows(common.run_labelled(spec, workers=workers), workloads)
 
 
 def rows(results: dict, workloads: tuple[str, ...]) -> list[dict]:

@@ -19,6 +19,10 @@ from repro.metrics.thermal_metrics import (
 from repro.sweep import SweepSpec
 
 
+HELP = "thermal variations (DPM on)"
+TITLE = "Figure 7 — thermal variations (DPM on)"
+
+
 def sweep_spec(
     duration: float = common.DEFAULT_DURATION,
     workloads: tuple[str, ...] = common.ALL_WORKLOADS,
@@ -33,17 +37,6 @@ def sweep_spec(
         seed=seed,
         name="fig7",
     )
-
-
-def run(
-    duration: float = common.DEFAULT_DURATION,
-    workloads: tuple[str, ...] = common.ALL_WORKLOADS,
-    seed: int = 0,
-    workers: "int | None" = None,
-) -> list[dict]:
-    """Regenerate Figure 7's bars (DPM on)."""
-    spec = sweep_spec(duration=duration, workloads=workloads, seed=seed)
-    return rows(common.run_labelled(spec, workers=workers), workloads)
 
 
 def rows(results: dict, workloads: tuple[str, ...]) -> list[dict]:

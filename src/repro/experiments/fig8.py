@@ -19,6 +19,10 @@ from repro.sim.config import CoolingMode, PolicyKind
 from repro.sweep import SweepSpec
 
 
+HELP = "performance and energy"
+TITLE = "Figure 8 — performance and energy"
+
+
 def sweep_spec(
     duration: float = common.DEFAULT_DURATION,
     workloads: tuple[str, ...] = common.ALL_WORKLOADS,
@@ -40,17 +44,6 @@ def sweep_spec(
         seed=seed,
         name="fig8",
     )
-
-
-def run(
-    duration: float = common.DEFAULT_DURATION,
-    workloads: tuple[str, ...] = common.ALL_WORKLOADS,
-    seed: int = 0,
-    workers: "int | None" = None,
-) -> list[dict]:
-    """Regenerate Figure 8's bars."""
-    spec = sweep_spec(duration=duration, workloads=workloads, seed=seed)
-    return rows(common.run_labelled(spec, workers=workers), workloads)
 
 
 def rows(results: dict, workloads: tuple[str, ...]) -> list[dict]:

@@ -21,6 +21,10 @@ from repro.metrics.thermal_metrics import hotspot_frequency
 from repro.sim.config import CoolingMode, PolicyKind
 
 
+HELP = "policy sweep on the 4-layer stack (light workloads)"
+TITLE = "4-layer system (light workloads)"
+
+
 def sweep_spec(
     duration: float = common.DEFAULT_DURATION,
     workloads: tuple[str, ...] = ("Database", "gzip", "MPlayer"),
@@ -48,17 +52,6 @@ def sweep_spec(
         seed=seed,
         name="fourlayer",
     )
-
-
-def run(
-    duration: float = common.DEFAULT_DURATION,
-    workloads: tuple[str, ...] = ("Database", "gzip", "MPlayer"),
-    seed: int = 0,
-    workers: "int | None" = None,
-) -> list[dict]:
-    """Policy sweep on the 4-layer stack (light workloads)."""
-    spec = sweep_spec(duration=duration, workloads=workloads, seed=seed)
-    return rows(common.run_labelled(spec, workers=workers), workloads)
 
 
 def rows(results: dict, workloads: tuple[str, ...]) -> list[dict]:

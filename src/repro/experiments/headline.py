@@ -22,6 +22,10 @@ from repro.metrics.energy import (
 from repro.sim.config import CoolingMode, PolicyKind
 
 
+HELP = "energy savings vs maximum flow"
+TITLE = "Headline — savings vs maximum flow"
+
+
 def sweep_spec(
     duration: float = common.DEFAULT_DURATION,
     workloads: tuple[str, ...] = common.ALL_WORKLOADS,
@@ -39,17 +43,6 @@ def sweep_spec(
         seed=seed,
         name="headline",
     )
-
-
-def run(
-    duration: float = common.DEFAULT_DURATION,
-    workloads: tuple[str, ...] = common.ALL_WORKLOADS,
-    seed: int = 0,
-    workers: "int | None" = None,
-) -> list[dict]:
-    """Regenerate the headline per-workload savings."""
-    spec = sweep_spec(duration=duration, workloads=workloads, seed=seed)
-    return rows(common.run_labelled(spec, workers=workers), workloads)
 
 
 def rows(results: dict, workloads: tuple[str, ...]) -> list[dict]:

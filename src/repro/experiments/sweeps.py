@@ -192,19 +192,15 @@ def hysteresis_sweep(
     shows the trade: less hysteresis means more switching, more
     hysteresis means higher average flow (more pump energy).
     """
-    import numpy as np
-
     spec = hysteresis_spec(
         values=values, workload=workload, duration=duration, seed=seed
     )
     rows = []
     for point, result in common.run_spec(spec):
-        settings = result.flow_setting[result.flow_setting >= 0]
-        switches = int(np.sum(np.diff(settings) != 0)) if len(settings) > 1 else 0
         rows.append(
             {
                 "hysteresis_K": point.config.hysteresis,
-                "setting_switches": switches,
+                "setting_switches": common.setting_switches(result.flow_setting),
                 "mean_setting": result.mean_flow_setting(),
                 "pump_energy": result.pump_energy(),
                 "peak_temperature": result.peak_temperature(),

@@ -1,10 +1,14 @@
-"""Shared experiment helpers: combo labels and text tables."""
+"""Shared experiment helpers: combo labels, text tables and the
+setting-switch count."""
+
+import numpy as np
 
 from repro.experiments.common import (
     POLICY_MATRIX,
     combo_label,
     format_rows,
     matrix_spec,
+    setting_switches,
     spec_labels,
 )
 from repro.sim.config import CoolingMode, PolicyKind
@@ -34,3 +38,18 @@ class TestFormatRows:
     def test_column_subset_and_empty_table(self):
         assert format_rows([{"a": 1, "b": 2}], columns=["b"]).splitlines()[-1] == "2"
         assert format_rows([]) == "(no rows)"
+
+
+class TestSettingSwitches:
+    def test_counts_changes_between_consecutive_settings(self):
+        assert setting_switches(np.array([0, 0, 2, 2, 1])) == 2
+
+    def test_air_samples_are_ignored(self):
+        # -1 marks an air-cooled sample; 0 -> 2 is one switch across it.
+        assert setting_switches(np.array([0, -1, 0, -1, 2])) == 1
+        assert setting_switches(np.array([-1, -1, -1])) == 0
+
+    def test_fewer_than_two_valid_samples_give_zero(self):
+        assert setting_switches(np.array([], dtype=int)) == 0
+        assert setting_switches(np.array([3])) == 0
+        assert setting_switches(np.array([-1, 4, -1])) == 0

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.experiments import fourlayer
+from repro.experiments import run_figures
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return fourlayer.run(duration=8.0, workloads=("Database", "gzip"))
+    return run_figures(
+        ["fourlayer"], duration=8.0, workloads=("Database", "gzip")
+    )["fourlayer"]
 
 
 class TestFourLayer:

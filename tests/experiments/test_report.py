@@ -1,17 +1,17 @@
-"""The one-shot evaluation report generator and its shared sweep."""
+"""The one-shot evaluation report and the figure runs it shares."""
 
 import pytest
 
-from repro.experiments import common, fig6, fig8, headline
-from repro.experiments.report import write_report
+from counters import Counters
+from repro.experiments import run_figures
+from repro.experiments.report import build_report
 
 WORKLOADS = ("gzip", "Web-high")
 
 
 @pytest.fixture(scope="module")
-def report(tmp_path_factory):
-    path = write_report(tmp_path_factory.mktemp("report") / "report.md", duration=6.0)
-    return path.read_text()
+def report():
+    return build_report(duration=6.0)
 
 
 @pytest.mark.slow
@@ -35,19 +35,29 @@ class TestReport:
         assert "```" in report
 
 
-class TestSharedSweep:
-    """The report reads Figure 8's and the headline's rows off Figure
-    6's sweep; that must equal running each figure's own sweep."""
+class TestSharedRuns:
+    """Figure 8's and the headline's combos are a subset of Figure 6's:
+    one call runs each distinct config once, and every figure's rows
+    equal its own single-figure call."""
+
+    NAMES = ("fig6", "fig8", "headline")
 
     @pytest.fixture(scope="class")
     def shared(self):
-        spec = fig6.sweep_spec(duration=2.0, workloads=WORKLOADS)
-        return common.run_labelled(spec)
+        counters = Counters()
+        rows = run_figures(list(self.NAMES), duration=1.0, workloads=WORKLOADS)
+        return rows, counters.delta("runner.runs")
 
-    def test_fig8_rows_from_fig6_sweep(self, shared):
-        assert fig8.rows(shared, WORKLOADS) == fig8.run(duration=2.0, workloads=WORKLOADS)
+    def test_each_distinct_config_runs_once(self, shared):
+        _, runs = shared
+        assert runs == 7 * len(WORKLOADS)  # Figure 6's combos x workloads.
 
-    def test_headline_rows_from_fig6_sweep(self, shared):
-        assert headline.rows(shared, WORKLOADS) == headline.run(
-            duration=2.0, workloads=WORKLOADS
-        )
+    def test_returns_rows_in_requested_order(self, shared):
+        rows, _ = shared
+        assert list(rows) == list(self.NAMES)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_rows_equal_single_figure_call(self, shared, name):
+        rows, _ = shared
+        alone = run_figures([name], duration=1.0, workloads=WORKLOADS)
+        assert rows[name] == alone[name]

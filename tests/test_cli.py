@@ -5,7 +5,8 @@ import shlex
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import BUILTIN_SPECS, build_parser, main
+from repro.experiments import FIGURES
 
 
 class TestParser:
@@ -218,6 +219,41 @@ class TestCommands:
                 "simulate", "--trace-csv", str(tmp_path / "x.csv"),
                 "--workload", "diurnal",
             ])
+
+
+class TestFigureCommands:
+    """One subcommand per :data:`FIGURES` entry, built from the table."""
+
+    @pytest.mark.parametrize("name", list(FIGURES))
+    def test_parses_sweep_flags(self, name):
+        args = build_parser().parse_args(
+            [name, "--duration", "3.5", "--seed", "7", "--workers", "2"]
+        )
+        assert (args.command, args.duration, args.seed, args.workers) == (
+            name, 3.5, 7, 2,
+        )
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(SystemExit, match="--workers must be >= 1"):
+            main(["headline", "--duration", "0.5", "--workers", "0"])
+
+    def test_fourlayer_prints_liquid_rows(self, capsys):
+        assert main(["fourlayer", "--duration", "0.5"]) == 0
+        out = capsys.readouterr().out
+        for label in ("LB (Max)", "TALB (Max)", "TALB (Var)"):
+            assert label in out
+
+    def test_workers_print_what_serial_prints(self, capsys):
+        assert main(["headline", "--duration", "0.5"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["headline", "--duration", "0.5", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_builtin_spec_names(self):
+        assert set(BUILTIN_SPECS) == {
+            "fig6", "fig7", "fig8", "headline", "fourlayer",
+            "ablations", "hysteresis", "controllers", "workloads", "facility",
+        }
 
 
 class TestBatchCommand:
