@@ -139,8 +139,11 @@ class PowerConstants:
     core_idle_power: float = 1.0
     """Dynamic power of an idle (but not sleeping) core, W.
     Not stated in the paper; ~1/3 of active is typical for T1-class
-    fine-grain multithreaded cores (assumption; see
-    ``repro.experiments.sweeps.idle_power_sweep`` for its sensitivity)."""
+    fine-grain multithreaded cores (assumption). The headline savings
+    depend strongly on it: gzip's cooling savings read 54.3 % at 1.0 W
+    and 4.4 % at 2.0 W (16x16, 20 s);
+    ``repro.experiments.sweeps.idle_power_sweep`` shows only its effect
+    on steady T_max at low utilization."""
 
     core_sleep_power: float = 0.02
     """Power of a core in the DPM sleep state, W. Paper: 0.02 W."""

@@ -82,8 +82,8 @@ class ThermalSystem:
         Thermal linear-solver tier: ``"exact"`` (sparse LU, the
         default) or ``"krylov"`` (neighbor-LU preconditioned GMRES —
         reuses nearby design points' factorizations from the
-        process-wide :func:`repro.thermal.solver.neighbor_factor_cache`
-        instead of factorizing per system).
+        process-wide :class:`~repro.thermal.solver.NeighborFactorCache`
+        pool instead of factorizing per system).
     """
 
     def __init__(

@@ -20,7 +20,6 @@ from repro.thermal.solver import (
     SteadyStateSolver,
     TransientSolver,
     clear_neighbor_cache,
-    neighbor_factor_cache,
     structure_signature,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "KRYLOV_TEMPERATURE_TOLERANCE",
     "KRYLOV_MAX_ITERATIONS",
     "clear_neighbor_cache",
-    "neighbor_factor_cache",
     "structure_signature",
 ]

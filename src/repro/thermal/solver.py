@@ -22,8 +22,8 @@ matrix. There are two cores behind one interface (``solve_linear``,
 * the iterative core (``_KrylovCore``): right-preconditioned GMRES
   (:func:`_right_gmres`) with the nearest retained neighbor design
   point's LU as the preconditioner, one LU solve and one matvec per
-  iteration, stopped on the true residual, verified explicitly, with an
-  exact fallback.
+  iteration, stopped on the true residual, verified explicitly, with a
+  direct fallback on an LU of its own matrix.
 
 :class:`KrylovSteadySolver` and :class:`KrylovTransientSolver` differ
 from :class:`SteadyStateSolver` and :class:`TransientSolver` only in the
@@ -34,16 +34,20 @@ an entry point only where the class itself defines it, so an inherited
 method would leave the krylov tier's ``thermal.step``/``thermal.steady``
 layers unmeasured.
 
-:func:`factorize` picks the SuperLU mode from the matrix itself. The
-time-step matrix ``C/dt + G`` is a strictly row-diagonally-dominant
-Z-matrix (conduction is symmetric, advection is upwind, and ``C/dt > 0``
-adds a margin to every row), so it needs no pivoting and is factorized
-in symmetric mode with an ``A + A^T`` minimum-degree ordering, which
-fills in less and solves faster. The steady ``G`` is only weakly
-dominant (its interior rows sum to roundoff) and keeps SuperLU's default
-pivoting path: the TALB weights of mirror-image cores are mathematically
-equal and ordered by LU roundoff alone, so a different steady LU would
-change dispatch.
+:func:`factorize` picks the SuperLU mode from the matrix and from what
+the LU is for. The time-step matrix ``C/dt + G`` is a strictly
+row-diagonally-dominant Z-matrix (conduction is symmetric, advection is
+upwind, and ``C/dt > 0`` adds a margin to every row), so it needs no
+pivoting and is factorized in symmetric mode with an ``A + A^T``
+minimum-degree ordering, which fills in less and solves faster. The
+steady ``G`` is only weakly dominant (its interior rows sum to
+roundoff). It is still an irreducible nonsingular M-matrix, which
+factorizes stably without pivoting, so the krylov tier's own LUs of it
+are symmetric too. Only the exact tier's steady LUs keep SuperLU's
+default pivoting path: the TALB weights of mirror-image cores are
+mathematically equal and ordered by LU roundoff alone, so a different
+steady LU would change dispatch. The LU store keys each LU by matrix
+and mode, so an exact-tier request never receives a krylov-tier LU.
 """
 
 from __future__ import annotations
@@ -91,11 +95,23 @@ handle is stored, finalized or cleared from the store; process-local,
 so pool workers' deltas do not overwrite the parent's readings."""
 
 SYMMETRIC_MODE_MARGIN = 1.0e-10
-"""Relative row-dominance margin (``row_sum > margin * diagonal``) a
-Z-matrix needs to be factorized without pivoting. Far above roundoff:
-the steady ``G``'s interior rows sum to ~1e-16 relative and stay
-pivoted, while the 100 ms time-step matrices clear it by ~1e-3 or
-more, and still by ~1e-5 at a 10 s step."""
+"""Relative row-dominance margin (``row_sum > margin * diagonal``) that
+makes a Z-matrix strictly dominant: the exact tier factorizes a matrix
+without pivoting only when every row clears it. Far above roundoff:
+the steady ``G``'s interior rows sum to ~1e-16 relative and fail it,
+so every exact-tier steady LU stays pivoted, while the 100 ms
+time-step matrices clear it by ~1e-3 or more, and still by ~1e-5 at a
+10 s step. The krylov tier's weaker rule
+(:func:`_weakly_dominant_m_matrix`) asks it of one row only."""
+
+
+def _row_sums(csc: sp.csc_matrix) -> np.ndarray:
+    return np.bincount(csc.indices, weights=csc.data, minlength=csc.shape[0])
+
+
+def _off_diagonal_nonpositive(csc: sp.csc_matrix) -> bool:
+    cols = np.repeat(np.arange(csc.shape[0]), np.diff(csc.indptr))
+    return bool(np.all(csc.data[csc.indices != cols] <= 0.0))
 
 
 def _symmetric_mode_safe(csc: sp.csc_matrix) -> bool:
@@ -103,17 +119,57 @@ def _symmetric_mode_safe(csc: sp.csc_matrix) -> bool:
     every row sum exceeds :data:`SYMMETRIC_MODE_MARGIN` times its
     diagonal — strictly row-diagonally dominant, hence a nonsingular
     M-matrix that LU-factorizes stably without pivoting under any
-    symmetric permutation. O(nnz); NaN or inf entries fail it. The
-    row sums are checked first: the steady ``G`` fails there, at a
-    third of the full check's cost."""
+    symmetric permutation. The exact tier's rule. O(nnz); NaN or inf
+    entries fail it. The row sums are checked first: the steady ``G``
+    fails there, at a third of the full check's cost."""
     n = csc.shape[0]
     if csc.shape != (n, n):
         return False
-    row_sums = np.bincount(csc.indices, weights=csc.data, minlength=n)
-    if not np.all(row_sums > SYMMETRIC_MODE_MARGIN * csc.diagonal()):
+    if not np.all(_row_sums(csc) > SYMMETRIC_MODE_MARGIN * csc.diagonal()):
         return False
-    cols = np.repeat(np.arange(n), np.diff(csc.indptr))
-    return bool(np.all(csc.data[csc.indices != cols] <= 0.0))
+    return _off_diagonal_nonpositive(csc)
+
+
+def _weakly_dominant_m_matrix(csc: sp.csc_matrix) -> bool:
+    """Whether ``csc`` is an irreducibly diagonally dominant Z-matrix —
+    the steady ``G``'s case — hence a nonsingular M-matrix that
+    LU-factorizes stably without pivoting. The krylov tier's rule.
+
+    Every entry is finite and every diagonal positive; every
+    off-diagonal is <= 0; every row sum is >= 0 up to the rounding
+    bound of summing the row (``nnz_row * eps * sum |a_ij|``, about
+    14 eps of the diagonal on an interior row), so rows that sum to
+    zero exactly pass whatever order the sum takes; at least one row
+    clears :data:`SYMMETRIC_MODE_MARGIN` (a boundary path to ambient
+    or coolant); and the nonzero pattern is one strongly connected
+    component (irreducible). A graph Laplacian, a positive coupling or
+    a block with no path to a dominant row fails it. O(nnz)."""
+    n = csc.shape[0]
+    if csc.shape != (n, n) or not np.all(np.isfinite(csc.data)):
+        return False
+    diagonal = csc.diagonal()
+    if not np.all(diagonal > 0.0):
+        return False
+    row_sums = _row_sums(csc)
+    slack = (
+        np.finfo(float).eps
+        * np.bincount(csc.indices, minlength=n)
+        * np.bincount(csc.indices, weights=np.abs(csc.data), minlength=n)
+    )
+    if not np.all(row_sums >= -slack):
+        return False
+    if not np.any(row_sums > SYMMETRIC_MODE_MARGIN * diagonal):
+        return False
+    if not _off_diagonal_nonpositive(csc):
+        return False
+    # Imported here: csgraph adds ~1 MB of resident memory to every
+    # process, and only krylov-tier factorizations need it.
+    from scipy.sparse.csgraph import connected_components
+
+    if not csc.data.all():  # an explicit zero is no coupling
+        csc = csc.copy()
+        csc.eliminate_zeros()
+    return connected_components(csc, connection="strong", return_labels=False) == 1
 
 
 class Factorization:
@@ -128,19 +184,25 @@ class Factorization:
     holds results that depend on this matrix alone (see
     :attr:`SteadyStateSolver.memo`): the store shares the handle, so
     every solver of the same matrix shares them, and they die with the
-    LU.
+    LU. ``exact`` says whether this is the LU the exact tier's rule
+    gives for its matrix (pivoted, or symmetric on a strictly dominant
+    matrix), so exact-tier requests may share it; a krylov-tier LU of
+    the steady ``G`` is not.
     """
 
-    __slots__ = ("lu", "solve", "digest", "ordering", "memo", "__weakref__")
+    __slots__ = ("lu", "solve", "digest", "ordering", "exact", "memo", "__weakref__")
 
     warm_start = False
     """A triangular solve takes no initial guess."""
 
-    def __init__(self, lu: spla.SuperLU, digest: str, ordering: str) -> None:
+    def __init__(
+        self, lu: spla.SuperLU, digest: str, ordering: str, exact: bool
+    ) -> None:
         self.lu = lu
         self.solve = lu.solve
         self.digest = digest
         self.ordering = ordering
+        self.exact = exact
         self.memo: dict = {}
 
     def solve_linear(self, rhs: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
@@ -150,9 +212,12 @@ class Factorization:
     solve_linear_many = solve_linear
 
 
-_lu_store: "weakref.WeakValueDictionary[str, Factorization]" = (
+_ORDERINGS = ("pivoted", "symmetric")
+
+_lu_store: "weakref.WeakValueDictionary[tuple[str, str], Factorization]" = (
     weakref.WeakValueDictionary()
 )
+"""Every live LU, keyed by ``(matrix digest, ordering)``."""
 _lu_store_lock = threading.Lock()
 
 
@@ -162,22 +227,35 @@ def _publish_residency() -> None:
     safe in a finalizer; the metrics registry's lock is reentrant for
     the same reason."""
     live = [ref() for ref in _lu_store.valuerefs()]
-    for ordering in ("pivoted", "symmetric"):
+    for ordering in _ORDERINGS:
         fills = [h.lu.nnz for h in live if h is not None and h.ordering == ordering]
         _LU_RESIDENT.set(len(fills), ordering=ordering)
         _LU_RESIDENT_NNZ.set(sum(fills), ordering=ordering)
 
 
+def _stored(digest: str, kind: str) -> Optional[Factorization]:
+    """The stored LU of a matrix that a ``kind`` request may use: any
+    mode for ``krylov``, the exact tier's LU first; only an ``exact``
+    handle for the exact kinds."""
+    with _lu_store_lock:
+        for ordering in _ORDERINGS:
+            hit = _lu_store.get((digest, ordering))
+            if hit is not None and (hit.exact or kind == "krylov"):
+                return hit
+    return None
+
+
 def factorize(matrix: "sp.spmatrix | KeyedMatrix", kind: str) -> Factorization:
     """The LU of ``matrix`` from the process-wide store, keyed by the
-    sha256 of its shape and CSR arrays; factorized only on a miss.
+    sha256 of its shape and CSR arrays plus the SuperLU mode;
+    factorized only on a miss.
 
-    Every exact factorization (steady, transient, TALB weights, the
-    krylov tier's own) comes through here, so a matrix is factorized
-    once however many systems share it — an inlet sweep moves only the
-    boundary vector, so its points share every LU. Identical CSR arrays
-    convert to identical CSC arrays, which give an identical LU, so
-    sharing never changes a result bit. The
+    Every sparse LU (steady, transient, TALB weights, the krylov
+    tier's own) comes through here, so a matrix is factorized
+    once per mode however many systems share it — an inlet sweep moves
+    only the boundary vector, so its points share every LU. Identical
+    CSR arrays convert to identical CSC arrays, which give an identical
+    LU, so sharing never changes a result bit. The
     solvers pass the :class:`~repro.thermal.rc_network.KeyedMatrix` that
     their network's shared operator memoizes (``G``, or ``C/dt + G`` per
     ``dt``), so each matrix is hashed once, not once per solver; a bare
@@ -186,29 +264,36 @@ def factorize(matrix: "sp.spmatrix | KeyedMatrix", kind: str) -> Factorization:
     counter and the ``factorize`` span. Two threads missing on the same
     matrix at once may both factorize; the first stored handle wins.
 
-    The SuperLU mode is a property of the matrix, not a setting. A
-    strictly row-diagonally-dominant Z-matrix (every time-step matrix
-    ``C/dt + G`` with positive capacitance) is factorized in symmetric
-    mode — ``MMD_AT_PLUS_A`` ordering, no pivoting — which cuts fill
-    and solve time. Every other matrix, the steady ``G`` included
-    (its rows sum to roundoff), keeps SuperLU's default COLAMD ordering
-    with partial pivoting, so the steady LU and everything derived
-    from it (TALB weights, flow table, burst floor, initial fields) is
-    bitwise what the pivoting path gives. The ``factorize`` span
-    records the choice as ``ordering=symmetric|pivoted`` and the fill
-    as ``lu_nnz`` (SuperLU's own count, which includes supernodal
-    padding).
+    The SuperLU mode depends on the matrix and on what the LU is for.
+    Symmetric mode — ``MMD_AT_PLUS_A`` ordering, no pivoting — cuts
+    fill and solve time; it is taken for a strictly
+    row-diagonally-dominant Z-matrix (:func:`_symmetric_mode_safe`:
+    every time-step matrix ``C/dt + G`` with positive capacitance)
+    whatever the kind, and on a ``krylov`` request also for an
+    irreducibly diagonally dominant Z-matrix
+    (:func:`_weakly_dominant_m_matrix`: the steady ``G``, whose rows sum
+    to roundoff), because a preconditioner needs no particular
+    roundoff. Every other exact-tier matrix, the steady ``G`` included,
+    keeps SuperLU's default COLAMD ordering with partial pivoting, so
+    the exact tier's steady LU and everything derived from it (TALB
+    weights, flow table, burst floor, initial fields) is bitwise what
+    the pivoting path gives. An exact-tier request receives only such
+    an LU; a ``krylov`` request adopts any stored LU of the matrix,
+    preferring the exact tier's, and factorizes only when none is
+    resident. The ``factorize`` span records the choice as
+    ``ordering=symmetric|pivoted`` and the fill as ``lu_nnz``
+    (SuperLU's own count, which includes supernodal padding).
     """
     if not isinstance(matrix, KeyedMatrix):
         matrix = KeyedMatrix(matrix)
     digest = matrix.digest
-    with _lu_store_lock:
-        hit = _lu_store.get(digest)
+    hit = _stored(digest, kind)
     if hit is not None:
         _LU_STORE_HITS.inc(kind=kind)
         return hit
     csc = matrix.matrix.tocsr().tocsc()
-    symmetric = _symmetric_mode_safe(csc)
+    strict = _symmetric_mode_safe(csc)
+    symmetric = strict or (kind == "krylov" and _weakly_dominant_m_matrix(csc))
     ordering = "symmetric" if symmetric else "pivoted"
     with _trace.span(
         "factorize", kind=kind, ordering=ordering,
@@ -227,9 +312,11 @@ def factorize(matrix: "sp.spmatrix | KeyedMatrix", kind: str) -> Factorization:
         span.set_attrs(lu_nnz=int(lu.nnz))
     _FACTORIZATIONS.inc()
     _LU_ORDERINGS.inc(ordering=ordering, kind=kind)
-    handle = Factorization(lu, digest, ordering)
+    # Only an LU that the krylov rule alone made unpivoted is kept from
+    # the exact tier.
+    handle = Factorization(lu, digest, ordering, exact=strict or not symmetric)
     with _lu_store_lock:
-        stored = _lu_store.setdefault(digest, handle)
+        stored = _lu_store.setdefault((digest, ordering), handle)
     if stored is handle:
         weakref.finalize(handle, _publish_residency).atexit = False
         _publish_residency()
@@ -416,8 +503,7 @@ KRYLOV_MAX_ITERATIONS = 64
 """GMRES iteration budget per solve (one un-restarted cycle), read at
 solve time. A usable neighbor preconditioner converges in a handful
 of iterations; hitting this budget means the neighbor was too far
-away, and the solver falls back to an exact factorization of its own
-matrix."""
+away, and the solver falls back to an LU of its own matrix."""
 
 _KRYLOV_STAT_KEYS = (
     "preconditioner_hits",
@@ -436,10 +522,10 @@ diffing two :func:`repro.telemetry.metrics.snapshot`\\ s).
 constructions that found / failed to find a retained neighbor LU (a
 hit at distance 0.0 is the design point's own LU);
 ``fallbacks`` counts GMRES solves that missed the residual bar (budget
-spent or a broken-down step) and forced an exact factorization;
+spent or a broken-down step) and forced an LU of the core's own matrix;
 ``iterations``/``gmres_solves`` accumulate inner GMRES work;
-``direct_solves`` counts solves served by an exact LU (own
-factorization, distance-0 neighbor, or post-fallback)."""
+``direct_solves`` counts solves served by an LU of the core's own
+matrix (own factorization, distance-0 neighbor, or post-fallback)."""
 
 
 def _bump_krylov(**deltas: int) -> None:
@@ -560,11 +646,6 @@ groups them (the system memo's small capacity means *systems* come and
 go; retained LUs outlive them)."""
 
 
-def neighbor_factor_cache() -> NeighborFactorCache:
-    """The process-wide :class:`NeighborFactorCache`."""
-    return _neighbor_cache
-
-
 def clear_neighbor_cache() -> None:
     """Drop every retained preconditioner LU (frees their memory)."""
     _neighbor_cache.clear()
@@ -650,14 +731,15 @@ class _KrylovCore:
     LU in the :class:`NeighborFactorCache` (one LU solve per
     iteration), and keeps the invariant: every answer it returns
     satisfies ``||b - Ax|| <= KRYLOV_TOLERANCE * ||b||`` (verified with
-    an explicit residual, not trusted from the iteration), or an exact
-    LU produced it. The ``gmres`` span records ``iterations`` and the
+    an explicit residual, not trusted from the iteration), or an LU of
+    its own matrix produced it. The ``gmres`` span records ``iterations`` and the
     verified relative ``residual``. A neighbor at distance 0.0
     is this very design point (canonical assembly makes its matrix
     bit-identical), so its LU solves direct. The first design point of
-    a structure (no retained neighbor) and any stalled iteration
-    factorize exactly — so krylov mode is never *less* robust than
-    exact, only cheaper when neighbors exist. Its ``memo`` is its own,
+    a structure (no retained neighbor) and any stalled iteration solve
+    on an LU of their own matrix — the exact tier's if it is resident,
+    else an unpivoted one (:func:`factorize`) — so krylov mode is never
+    *less* robust than exact, only cheaper when neighbors exist. Its ``memo`` is its own,
     never the borrowed LU's, so GMRES results stay on the krylov tier.
     """
 
@@ -692,7 +774,9 @@ class _KrylovCore:
             self._precond = lu
 
     def _factorize(self) -> Factorization:
-        """Exact LU of *this* matrix; retained for future neighbors."""
+        """An LU of *this* matrix — any stored one, else a fresh one,
+        unpivoted wherever :func:`factorize` allows; retained for
+        future neighbors."""
         if self._lu is None:
             self._lu = factorize(self._keyed, "krylov")
             self._cache.retain(self.structure, self._params, self._lu)
@@ -714,7 +798,7 @@ class _KrylovCore:
         if residual <= KRYLOV_TOLERANCE:
             return x
         # Stalled (or residual floor unmet): this neighbor is not good
-        # enough — factorize our own matrix and answer exactly. The LU
+        # enough — answer on an LU of our own matrix. The LU
         # is kept, so subsequent solves of this core are direct.
         _bump_krylov(fallbacks=1, direct_solves=1)
         return self._factorize().solve(rhs)
@@ -737,7 +821,7 @@ class KrylovTransientSolver(TransientSolver):
     iteratively, preconditioned by the closest neighbor, warm-started
     from the current state. Results agree with the exact path to
     :data:`KRYLOV_TEMPERATURE_TOLERANCE`; a stalled iteration falls
-    back to an exact factorization, after which stepping is direct.
+    back to an LU of its own matrix, after which stepping is direct.
     ``structure`` is the pool key (default: the network's
     :func:`structure_signature` plus ``dt``).
     """

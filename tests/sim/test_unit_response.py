@@ -8,6 +8,8 @@ table and floor built from them must decide exactly as the reference
 does. The krylov tier holds the same bound it holds for fields.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,27 +207,36 @@ class TestInletSweepSharesR:
 
 
 class TestKrylovRStaysOnTheKrylovTier:
-    """A krylov core keeps its ``R`` to itself, even on a stored LU."""
+    """A krylov core's unpivoted LU never reaches the exact tier."""
 
     def test_exact_system_solves_its_own_r(self):
         clear_lu_store()
         clear_neighbor_cache()
         try:
             # An empty neighbor pool: the krylov core factorizes its own
-            # G through the LU store, the handle an exact system gets.
+            # G through the LU store, unpivoted.
             [(krylov, _)] = _inlet_systems(16, INLETS[:1], solver="krylov")
             krylov_r = [krylov.unit_response(k)[1] for k in range(N_SETTINGS)]
             counts = Counters()
             [(exact, _)] = _inlet_systems(16, INLETS[1:2])
             exact_r = [exact.unit_response(k)[1] for k in range(N_SETTINGS)]
             assert counts.delta(RESPONSES % "response") == N_SETTINGS
+            assert counts.factorizations() == N_SETTINGS
             for k in range(N_SETTINGS):
-                assert exact.steady_solver(k)._core is krylov.steady_solver(k)._core._lu
+                krylov_lu = krylov.steady_solver(k)._core._lu
+                exact_lu = exact.steady_solver(k)._core
+                assert krylov_lu.ordering == "symmetric"
+                assert exact_lu.ordering == "pivoted"
+                assert exact_lu is not krylov_lu
                 assert exact_r[k] is not krylov_r[k]
-            clear_lu_store()
+            # Free the exact LUs; the krylov ones stay in the store.
+            del exact, exact_lu
+            gc.collect()
+            counts = Counters()
             [(fresh, _)] = _inlet_systems(16, INLETS[1:2])
             for k in range(N_SETTINGS):
                 np.testing.assert_array_equal(fresh.unit_response(k)[1], exact_r[k])
+            assert counts.factorizations() == N_SETTINGS
         finally:
             clear_neighbor_cache()
 

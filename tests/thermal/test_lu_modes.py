@@ -19,8 +19,10 @@ from repro.telemetry import trace
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.rc_network import ThermalParams, build_network
 from repro.thermal.solver import (
+    KRYLOV_TOLERANCE,
     TransientSolver,
     _symmetric_mode_safe,
+    _weakly_dominant_m_matrix,
     clear_lu_store,
     factorize,
 )
@@ -46,7 +48,8 @@ def _time_step_matrix(net, dt=0.1) -> sp.csc_matrix:
 
 
 class TestClassifier:
-    """Symmetric mode only for strictly row-dominant Z-matrices."""
+    """The exact tier's rule: symmetric mode only for strictly
+    row-dominant Z-matrices."""
 
     def test_liquid_time_step_matrix_is_symmetric_safe(self):
         assert _symmetric_mode_safe(_time_step_matrix(_liquid()))
@@ -84,6 +87,132 @@ class TestClassifier:
 
     def test_non_square_matrix_is_pivoted(self):
         assert not _symmetric_mode_safe(sp.csc_matrix(np.eye(3)[:, :2]))
+
+
+def _interior_row(matrix) -> int:
+    """The row of ``matrix`` (CSR) whose sum is closest to zero."""
+    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
+    return int(np.argmin(np.abs(row_sums) / matrix.diagonal()))
+
+
+class TestKrylovPredicate:
+    """The krylov tier's rule: an irreducibly diagonally dominant
+    Z-matrix, the steady ``G``'s case, factorizes without pivoting."""
+
+    def test_accepts_liquid_steady_conductance(self):
+        for flow_ml_min in (50.0, 400.0, 1500.0):
+            net = _liquid(flow=units.ml_per_minute(flow_ml_min))
+            assert _weakly_dominant_m_matrix(net.conductance.tocsc())
+
+    def test_accepts_air_steady_conductance(self):
+        assert _weakly_dominant_m_matrix(_air().conductance.tocsc())
+
+    def test_long_rows_get_their_summation_slack(self):
+        # At 64x64 the air package's spreader row sums 4098 entries and
+        # lands ~25 eps of its diagonal below zero: roundoff, not a sign.
+        conductance = _air(nx=64, ny=64).conductance.tocsc()
+        row_sums = np.bincount(conductance.indices, weights=conductance.data)
+        assert np.min(row_sums / conductance.diagonal()) < -8 * np.finfo(float).eps
+        assert _weakly_dominant_m_matrix(conductance)
+
+    def test_accepts_time_step_matrix(self):
+        assert _weakly_dominant_m_matrix(_time_step_matrix(_liquid()))
+
+    def test_rejects_positive_off_diagonal(self):
+        matrix = _liquid().conductance.tolil()
+        matrix[0, 1] = 1.0e-6
+        assert not _weakly_dominant_m_matrix(matrix.tocsc())
+
+    def test_rejects_row_sum_negative_beyond_roundoff(self):
+        matrix = _liquid().conductance.copy()  # assembled arrays are read-only
+        row = _interior_row(matrix)
+        start, end = matrix.indptr[row], matrix.indptr[row + 1]
+        off = start + int(np.argmin(matrix.data[start:end]))  # an off-diagonal
+        matrix.data[off] -= 1.0e-12 * matrix.diagonal()[row]
+        assert not _weakly_dominant_m_matrix(matrix.tocsc())
+
+    def test_rejects_reducible_matrix(self):
+        # G next to a block with no path to a dominant row (a two-node
+        # Laplacian): every row is weakly dominant, but it is singular.
+        laplacian = sp.csc_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        matrix = sp.block_diag([_liquid().conductance, laplacian], format="csc")
+        assert not _weakly_dominant_m_matrix(matrix)
+
+    def test_rejects_coupling_through_an_explicit_zero(self):
+        # Two strictly dominant nodes whose only link is a stored zero.
+        matrix = sp.csc_matrix(
+            (np.array([2.0, 0.0, 0.0, 1.0]), np.array([0, 1, 0, 1]),
+             np.array([0, 2, 4])), shape=(2, 2),
+        )
+        assert matrix.nnz == 4
+        assert not _weakly_dominant_m_matrix(matrix)
+
+    def test_rejects_laplacian_without_a_dominant_row(self):
+        laplacian = sp.csc_matrix(
+            np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+        )
+        assert not _weakly_dominant_m_matrix(laplacian)
+
+    def test_rejects_non_finite_and_non_square(self):
+        matrix = _liquid().conductance.tocsc()
+        matrix.data[0] = np.inf
+        assert not _weakly_dominant_m_matrix(matrix)
+        assert not _weakly_dominant_m_matrix(sp.csc_matrix(np.eye(3)[:, :2]))
+
+
+class TestUnpivotedSteadyLU:
+    """Direct solves on the krylov tier's unpivoted LU of ``G`` meet the
+    tier's own residual bar."""
+
+    @pytest.mark.parametrize("n", (16, 32, 48))
+    def test_residual_meets_krylov_tolerance(self, n):
+        net = _liquid(nx=n, ny=n)
+        matrix = net.conductance
+        clear_lu_store()
+        lu = factorize(matrix, "krylov")
+        assert lu.ordering == "symmetric" and not lu.exact
+        power = power_vector(net.grid, {(0, f"core{i}"): 3.0 for i in range(8)})
+        rhs = power + net.boundary
+        temps = lu.solve(rhs)
+        residual = np.linalg.norm(rhs - matrix @ temps) / np.linalg.norm(rhs)
+        assert residual <= KRYLOV_TOLERANCE
+        pivoted = factorize(matrix, "steady")
+        assert pivoted.ordering == "pivoted"
+        assert np.max(np.abs(temps - pivoted.solve(rhs))) <= 1.0e-10
+
+
+class TestStoreKeysByMode:
+    """An exact-tier request never receives a krylov-tier LU; a krylov
+    request adopts whatever LU of its matrix is resident."""
+
+    def test_exact_request_beside_a_krylov_lu(self):
+        matrix = _liquid(nx=6, ny=6).conductance
+        clear_lu_store()
+        counts = Counters()
+        krylov = factorize(matrix, "krylov")
+        exact = factorize(matrix, "steady")
+        assert counts.factorizations() == 2
+        assert (krylov.ordering, exact.ordering) == ("symmetric", "pivoted")
+        assert exact.exact and not krylov.exact
+        assert factorize(matrix, "steady") is exact
+        assert factorize(matrix, "krylov") is exact  # the exact LU first
+        assert counts.factorizations() == 2
+
+    def test_krylov_request_adopts_a_resident_exact_lu(self):
+        matrix = _liquid(nx=6, ny=6).conductance
+        clear_lu_store()
+        exact = factorize(matrix, "steady")
+        counts = Counters()
+        assert factorize(matrix, "krylov") is exact
+        assert counts.factorizations() == 0
+        assert counts.delta("solver.lu_store.hits{kind=krylov}") == 1
+
+    def test_time_step_lu_is_shared_across_tiers(self):
+        matrix = _time_step_matrix(_liquid(nx=6, ny=6))
+        clear_lu_store()
+        krylov = factorize(matrix, "krylov")
+        assert krylov.ordering == "symmetric" and krylov.exact
+        assert factorize(matrix, "transient") is krylov
 
 
 class TestFactorizeProvenance:
@@ -204,8 +333,9 @@ def _digest(*arrays) -> str:
 
 
 class TestSteadyCharacterizationIsBitwisePinned:
-    """Steady ``G`` stays on the pivoting path, so every artifact built
-    from its LU is bitwise what it was before the symmetric mode existed.
+    """The exact tier's steady ``G`` stays on the pivoting path, so every
+    artifact built from its LU is bitwise what it was before the
+    symmetric mode existed.
 
     TALB's mirror-core weights are mathematically equal and ordered by
     LU roundoff alone; any change to the steady LU reorders them and
