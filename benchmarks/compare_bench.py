@@ -29,7 +29,7 @@ Two kinds of checks, deliberately different in severity:
   inlet means ``R`` stopped being shared through the steady LU, and the
   same sweep assembling more networks than a single inlet means ``G``
   and ``C`` stopped being shared by content, and the same sweep keeping
-  other than one steady LU resident after warm-up, or more LUs (or, on
+  any steady LU resident after warm-up, or more LUs (or, on
   the same scipy, more LU fill) than the baseline after warm-up or after
   its runs, means characterization scaffolding stayed resident — those
   are properties of the code, not the machine, so each exits nonzero
@@ -68,8 +68,12 @@ REGRESSION_THRESHOLD = 0.20
 #: cost they show is pinned by the telemetry pass-count gate instead.
 INFORMATIONAL_RESULTS = frozenset({"control_interval_arma_32x32"})
 
-#: ``cross_network`` counters printed for the trajectory, never warned on.
-CROSS_NETWORK_INFORMATIONAL = ("krylov_iterations", "krylov_gmres_solves")
+#: ``cross_network`` readings printed for the trajectory, never warned
+#: on: the GMRES work, and each tier's own time, so a change to one tier
+#: is not read only through the other's noise in ``krylov_speedup``.
+CROSS_NETWORK_INFORMATIONAL = (
+    "krylov_iterations", "krylov_gmres_solves", "exact_s", "krylov_s"
+)
 
 #: First schema whose ``inlet_sweep`` must carry the unit-response counts.
 RESPONSES_SCHEMA = 12
@@ -142,11 +146,15 @@ def _compare_cross_network(cur: dict | None, base: dict | None) -> int:
         if c < b * (1.0 - REGRESSION_THRESHOLD):
             warnings += 1
             _warn(f"{key}: {c:.2f} vs baseline {b:.2f}")
-    # GMRES work (schema v11): printed for the trajectory, never warned
-    # on; a pre-v11 baseline shows "-".
+    # GMRES work (schema v11) and the tiers' times: printed for the
+    # trajectory, never warned on; a baseline without one shows "-".
     for key in CROSS_NETWORK_INFORMATIONAL:
         if key in cur:
-            print(f"{key:32s} {base.get(key, '-'):>9}   {cur[key]:>9}  (informational)")
+            b, c = base.get(key, "-"), cur[key]
+            if isinstance(c, float):
+                b = b if isinstance(b, str) else f"{b:.3f}"
+                c = f"{c:.3f}"
+            print(f"{key:32s} {b:>9}   {c:>9}  (informational)")
     return warnings
 
 
@@ -346,11 +354,11 @@ def _gate_residency(
 ) -> int:
     """The residency gate (schema v16); returns the failure count.
 
-    After warm-up the cold inlet sweep must hold exactly one steady
-    (pivoted) LU: the one its runs start on, shared by the inlets. No
-    LU count, after warm-up or after the runs, may exceed the
-    baseline's, nor may its fill (``nnz``) when both payloads ran the
-    same scipy, whose SuperLU sets the fill.
+    After warm-up the cold inlet sweep must hold no steady (pivoted)
+    LU: its runs start from the kept start-setting fields. No LU count,
+    after warm-up or after the runs, may exceed the baseline's, nor may
+    its fill (``nnz``) when both payloads ran the same scipy, whose
+    SuperLU sets the fill.
     """
     if inlet is None:
         return 0
@@ -362,15 +370,15 @@ def _gate_residency(
         return 1
     failures = 0
     steady = inlet["resident_after_warm"]["pivoted"]["count"]
-    if steady != 1:
+    if steady != 0:
         failures += 1
         print(
             "::error title=perf gate::cold inlet sweep kept"
-            f" {steady} steady LUs resident after warm-up (expected 1 — the"
-            " steady LU its runs start on, shared by the inlets)"
+            f" {steady} steady LUs resident after warm-up (expected 0 — its"
+            " runs start from the kept start-setting fields)"
         )
     else:
-        print("resident_steady_after_warm         1  (gate: ok)")
+        print("resident_steady_after_warm         0  (gate: ok)")
     base = base or {}
     if any(reading not in base for reading in RESIDENCY_READINGS):
         print("(inlet_sweep residency: no baseline readings)")

@@ -38,9 +38,7 @@ def main() -> None:
 
     print("\n### One core pinned at 100%, others idle (lowest setting)")
     util = [1.0 if name == "core5" else 0.0 for name in cores]
-    temps_one, _ = system.leakage_fixed_point(
-        system.steady_solver(setting_index=0), model, util, [False] * len(cores), 0.5
-    )
+    temps_one = system.steady_field(model, util, [False] * len(cores), 0.5, setting_index=0)
     print(render_stack(system.grid, temps_one))
 
     print("\n### Step-response timing (the controller's raison d'etre)")

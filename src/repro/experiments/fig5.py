@@ -27,12 +27,12 @@ def _steady_tmax_at_flow(
 ) -> float:
     """Self-consistent steady T_max at an arbitrary continuous flow."""
     n_cores = len(system.core_names)
-    temps, _ = system.leakage_fixed_point(
-        SteadyStateSolver(system.network_for_flow(flow)),
+    temps = system.steady_field(
         model,
         [utilization] * n_cores,
         [False] * n_cores,
         memory_intensity=0.8,
+        solver=SteadyStateSolver(system.network_for_flow(flow)),
     )
     return system.grid.max_unit_temperature(temps)
 

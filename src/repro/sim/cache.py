@@ -179,6 +179,10 @@ class CharacterizationCache:
         self.floors: dict[tuple, int] = {}
         self.weight_sets: dict[tuple, ThermalWeights] = {}
         self.traces: dict[tuple, ThreadTrace] = {}
+        # System identity -> (pump signature, start setting) of every
+        # system a warm-up built: enough to key its artifacts later
+        # without building it again.
+        self._systems_seen: dict[tuple, tuple[Optional[tuple], int]] = {}
 
     # --- key helpers ---------------------------------------------------------
 
@@ -266,14 +270,15 @@ class CharacterizationCache:
     def _system_weights(
         self, system: "ThermalSystem", setting_index: int, config: SimulationConfig
     ) -> None:
-        """Warm one weight set on the steady LU the system itself keeps.
+        """Warm one weight set on the system's own steady LU.
 
         On the exact tier a miss first builds the system's own steady
         solver of the setting, so the probe solver
         :meth:`ThermalWeights.from_network` builds shares that LU
-        through the store (bitwise the same weights) instead of
-        factorizing one to drop. Krylov-tier systems answer steady
-        solves by GMRES, so their weights keep a throwaway exact LU.
+        through the store (bitwise the same weights) with the unit
+        response solved on it, instead of factorizing a second copy.
+        Krylov-tier systems answer steady solves by GMRES, so their
+        weights keep a throwaway exact LU.
         """
         key = self._key(config, system) + (setting_index, config.talb_weight_target)
         if system.solver == "exact" and key not in self.weight_sets:
@@ -345,25 +350,37 @@ class CharacterizationCache:
         components' registry traits (``needs_flow_table`` on
         controllers, ``uses_thermal_weights`` on policies), so a
         user-registered component warms correctly without this method
-        knowing it exists. Returns ``self``.
+        knowing it exists. A config whose artifacts are all cached
+        builds no system (a batch re-warming what its sweep warmed).
+        Returns ``self``.
 
-        The steady LUs behind the artifacts are scaffolding: a system
-        leaves warm-up holding only the steady LU its runs start on
-        (:attr:`~repro.sim.system.ThermalSystem.start_setting`). On the
-        exact tier, the per-setting work of variable-flow runs (the flow
-        table's unit responses and the TALB weights of every setting)
-        runs setting by setting in :meth:`_warm_settings`, and the
-        LIQUID_MAX and air weights are derived on the steady LU the
-        runs' initial field then reuses. Krylov-tier systems
-        characterize config by config, each as it is built.
+        The steady LUs behind the artifacts are scaffolding: an
+        exact-tier system leaves warm-up holding no steady solver.
+        Wherever warm-up factorizes the start setting's steady LU (flow
+        table or TALB weights), it also solves the ``Phi`` and ``phi``
+        of that setting on it
+        (:meth:`~repro.sim.system.ThermalSystem.unit_response`), which
+        the runs' initial fields then read without an LU. The
+        per-setting work of exact-tier variable-flow runs runs setting
+        by setting in :meth:`_warm_settings`; the LIQUID_MAX and air
+        weights share the start setting's LU with ``Phi``. Runs that
+        need neither artifact solve their start setting's ``Phi`` when
+        they start. Krylov-tier systems characterize config by config,
+        each as it is built, and solve their initial fields by GMRES.
         """
         systems: dict[tuple, tuple["ThermalSystem", "PowerModel"]] = {}
         per_setting: dict[tuple, list[SimulationConfig]] = {}
         for config in configs:
+            if self._already_warm(config):
+                continue
             sys_id = _system_memo_key(config)
             if sys_id not in systems:
                 systems[sys_id] = system_for(config)
             system, power_model = systems[sys_id]
+            pump = system.pump
+            self._systems_seen[sys_id] = (
+                None if pump is None else pump.signature(), system.start_setting
+            )
             needs_lut = _needs_flow_table(config)
             talb = _uses_weights(config)
             if config.cooling is CoolingMode.LIQUID_VARIABLE and system.solver == "exact":
@@ -378,39 +395,67 @@ class CharacterizationCache:
                         for k in range(system.pump.n_settings):
                             self.thermal_weights(system, k, config)
                     else:
-                        # The pump never leaves the top setting, and the
-                        # runs' initial field reuses the LU the weights
-                        # were derived on.
-                        self._system_weights(system, system.start_setting, config)
-            if workload_registry().get(config.workload).trait("cache_trace"):
+                        # The pump never leaves the top setting; the runs'
+                        # initial fields read the Phi solved on the same LU.
+                        start = system.start_setting
+                        self._system_weights(system, start, config)
+                        if system.solver == "exact":
+                            system.unit_response(start)
+                            system.release_steady(start)
+            if self._caches_trace(config):
                 self.thread_trace(config)
         self._warm_settings(
             [(*systems[sys_id], group) for sys_id, group in per_setting.items()]
         )
         return self
 
+    @staticmethod
+    def _caches_trace(config: SimulationConfig) -> bool:
+        return workload_registry().get(config.workload).trait("cache_trace")
+
+    def _already_warm(self, config: SimulationConfig) -> bool:
+        """Whether every artifact a config's runs read is cached, judged
+        from a system this cache saw warmed, without building it again."""
+        seen = self._systems_seen.get(_system_memo_key(config))
+        if seen is None:
+            return False
+        signature, start = seen
+        key = system_key(config, signature)
+        if _needs_flow_table(config) and (key not in self.tables or key not in self.floors):
+            return False
+        if _uses_weights(config):
+            variable = config.cooling is CoolingMode.LIQUID_VARIABLE
+            settings = range(start + 1) if variable else (start,)
+            if any(key + (k, config.talb_weight_target) not in self.weight_sets for k in settings):
+                return False
+        return not self._caches_trace(config) or self._trace_key(config) in self.traces
+
     def _warm_settings(
         self, groups: list[tuple["ThermalSystem", "PowerModel", list[SimulationConfig]]]
     ) -> None:
-        """The per-setting work of exact-tier variable-flow configs,
+        """The per-setting work of exact-tier variable-flow systems,
         setting-major.
 
-        ``groups`` holds each system with its power model and configs.
-        For each pump setting in ascending order, every system solves
-        its unit response and derives its TALB weights while that
+        ``groups`` holds each system with its power model and the
+        configs that read its flow table or weights. For each pump
+        setting in ascending order, every system solves its unit
+        response (at the start setting always: the runs' initial fields
+        read its ``Phi``) and derives its TALB weights while that
         setting's steady LU is resident (systems that differ only in
-        coolant inlet share it, and its ``R``, through the LU store);
-        then every system drops its steady solver for that setting
-        unless its runs start there. The flow tables and burst floors
-        are then read off the memoized responses. Only work still
-        missing from the cache touches a solver, so a second warm-up of
-        the same configs factorizes nothing.
+        coolant inlet share it, and its ``R`` and ``Phi``, through the
+        LU store); then every system drops its steady solver for that
+        setting. The flow tables and burst floors are then read off the
+        memoized responses. Only work still missing from the cache
+        touches a solver, so a second warm-up of the same configs
+        factorizes nothing.
         """
         n_settings = max((system.pump.n_settings for system, _, _ in groups), default=0)
         for k in range(n_settings):
             for system, _, configs in groups:
                 if k >= system.pump.n_settings:
                     continue
+                if k == system.start_setting:
+                    system.unit_response(k)
                 for config in configs:
                     key = self._key(config, system)
                     if _needs_flow_table(config) and (
@@ -420,8 +465,7 @@ class CharacterizationCache:
                     if _uses_weights(config):
                         self._system_weights(system, k, config)
             for system, _, _ in groups:
-                if k != system.start_setting:
-                    system.release_steady(k)
+                system.release_steady(k)
         for system, power_model, configs in groups:
             for config in configs:
                 if _needs_flow_table(config):
@@ -434,6 +478,7 @@ class CharacterizationCache:
         self.floors.clear()
         self.weight_sets.clear()
         self.traces.clear()
+        self._systems_seen.clear()
 
     def __len__(self) -> int:
         return (

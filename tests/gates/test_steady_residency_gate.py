@@ -1,14 +1,14 @@
-"""The steady-residency gate: warm-up leaves one steady LU per start.
+"""The steady-residency gate: warm-up leaves no steady LU.
 
-The steady LUs behind the flow table and the TALB weights are
-scaffolding. After ``CharacterizationCache.warm`` of a cold 4-inlet
-variable-flow TALB sweep, the LU store must hold exactly one steady
-(pivoted) LU and no time-step (symmetric) LU: the top setting's, which
-every run starts from and which the inlets share. Each system must keep
-only that setting's steady solver. Releasing the others must cost no
-extra factorization: the whole sweep, warm-up and runs, factorizes
-exactly as often as a single inlet. Read through the
-``solver.lu.resident`` gauges and the ``solver.factorizations`` counter.
+The steady LUs behind the flow table, the TALB weights and the initial
+field are scaffolding: the runs start from the affine map of the start
+setting's kept ``Phi`` and ``phi``. After ``CharacterizationCache.warm``
+of a cold 4-inlet variable-flow TALB sweep, the LU store must hold no
+steady (pivoted) LU and no time-step (symmetric) LU, and no system may
+hold a steady solver. Releasing them must cost no extra factorization:
+the whole sweep, warm-up and runs, factorizes exactly as often as a
+single inlet. Read through the ``solver.lu.resident`` gauges and the
+``solver.factorizations`` counter.
 """
 
 from repro.runner import BatchRunner
@@ -22,9 +22,8 @@ INLETS = [45.0, 55.0, 65.0, 75.0]
 
 def campaign(inlets):
     """Cold warm-up then runs: the LUs resident after the warm-up
-    (pivoted, symmetric), whether every system kept only its start
-    setting's steady solver, and the factorizations over the whole
-    campaign."""
+    (pivoted, symmetric), whether every system dropped all its steady
+    solvers, and the factorizations over the whole campaign."""
     clear_system_memo()  # cold: drops systems and stored LUs
     configs = [
         SimulationConfig(
@@ -40,19 +39,17 @@ def campaign(inlets):
     gauge = metrics.gauge("solver.lu.resident")
     resident = (gauge.value(ordering="pivoted"), gauge.value(ordering="symmetric"))
     systems = [system_for(config)[0] for config in configs]
-    start_only = all(list(s._steadies) == [s.start_setting] for s in systems)
+    none_held = all(not s._steadies for s in systems)
     list(BatchRunner(configs, cache=cache).iter_runs())
-    return resident, start_only, counter.value() - before
+    return resident, none_held, counter.value() - before
 
 
-def test_warm_up_keeps_one_steady_lu():
-    one_resident, one_start_only, one = campaign(INLETS[:1])
-    four_resident, four_start_only, four = campaign(INLETS)
-    assert one_resident == four_resident == (1, 0), (
+def test_warm_up_keeps_no_steady_lu():
+    one_resident, one_none_held, one = campaign(INLETS[:1])
+    four_resident, four_none_held, four = campaign(INLETS)
+    assert one_resident == four_resident == (0, 0), (
         f"(steady, time-step) LUs resident after warm-up: {one_resident} for"
-        f" one inlet, {four_resident} for four (expected (1, 0))"
+        f" one inlet, {four_resident} for four (expected (0, 0))"
     )
-    assert one_start_only and four_start_only, (
-        "a system kept a steady solver besides its start setting's"
-    )
+    assert one_none_held and four_none_held, "a system kept a steady solver"
     assert four == one, f"4-inlet sweep: {four} LUs vs {one} for one inlet"

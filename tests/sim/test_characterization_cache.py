@@ -145,13 +145,14 @@ class TestWarmAndPickle:
 
 
 class TestWarmResidency:
-    """Warm-up leaves each system only the steady LU its runs start on,
-    and keeps every artifact bitwise what a cold derivation gives."""
+    """Warm-up leaves each exact-tier system no steady LU, and keeps
+    every artifact bitwise what a cold derivation gives."""
 
     @pytest.mark.parametrize("cooling", [CoolingMode.LIQUID_MAX, CoolingMode.AIR])
     def test_fixed_cooling_talb_factorizes_each_lu_once(self, cooling):
-        """The weights are derived on the steady solver the runs'
-        initial field then reuses: one steady and one time-step LU."""
+        """The weights and the start setting's ``Phi`` share one steady
+        LU, and the runs' initial fields need none: one steady and one
+        time-step LU."""
         clear_system_memo()
         spec = SweepSpec(
             base=SimulationConfig(
@@ -170,7 +171,7 @@ class TestWarmResidency:
         clear_system_memo()
         warmed = CharacterizationCache().warm([config])
         system, model = system_for(config)
-        assert list(system._steadies) == [system.start_setting]
+        assert list(system._steadies) == []
         clear_system_memo()
         cold = CharacterizationCache()
         system, model = system_for(config)

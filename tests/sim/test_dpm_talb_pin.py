@@ -10,6 +10,12 @@ series and sojourn totals were recorded in ``tests/data/golden_dpm.json``
 and must match with ``==``. Two fresh processes produce identical bytes
 for these runs.
 
+Re-recorded once, when the exact tier's initial field became the affine
+map ``Phi p + phi`` of the kept start-setting fields instead of six
+leakage field solves: ``tmax`` and ``core_temperatures`` moved by at most
+2.2e-14 K; ``chip_power``, ``flow_setting`` and the sojourn totals are
+identical.
+
 Regenerate the fixture (only with a stated reason) with
 ``PYTHONPATH=src python tests/sim/test_dpm_talb_pin.py``.
 """

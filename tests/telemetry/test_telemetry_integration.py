@@ -218,7 +218,8 @@ class TestHotPathInstrumentation:
         names = {e["name"] for e in trace.events()}
         assert {"assemble", "factorize", "steady", "step"} <= names
         # One step span per interval, in order; the fresh system's
-        # steady initial field (six leakage solves) nests in the first.
+        # steady initial field (its start setting's Phi block of one
+        # column per unit and its boundary column) nests in the first.
         events = trace.events()
         by_id = {e["span"]: e for e in events}
         steps = [e for e in events if e["name"] == "step"]
@@ -228,7 +229,7 @@ class TestHotPathInstrumentation:
             if e["name"] == "steady" and e["parent"] in by_id
             and by_id[e["parent"]]["name"] == "step"
         ]
-        assert len(init) == 6
+        assert sorted(e["attrs"]["n_rhs"] for e in init) == [1, 18]
         assert {by_id[e["parent"]]["attrs"]["index"] for e in init} == {0}
 
     def test_system_memo_counters_track_hits_and_misses(self):
