@@ -64,11 +64,6 @@ class SprtDetector:
         self._llr_neg = 0.0
         self.alarm_count = 0
 
-    @property
-    def thresholds(self) -> tuple[float, float]:
-        """(accept-H0 threshold, accept-H1 threshold) for the LLRs."""
-        return (self._lower, self._upper)
-
     def update(self, residual: float) -> bool:
         """Feed one residual; returns True when divergence is detected.
 

@@ -3,10 +3,10 @@
 The sweep-backed figures (Figures 6-8, the headline savings and the
 4-layer study) are declared once in :data:`FIGURES`; each module there
 holds its ``sweep_spec()``, a pure ``rows(results, workloads)`` and
-its CLI help and report heading, and :func:`run_figures` executes any
-subset of them. ``fig3``, ``fig5``, ``table2`` and ``ablations`` are
-not sweeps and keep their own harness functions. Each returns
-plain row dicts, printed with :func:`common.format_rows`. The
+its CLI help, and :func:`run_figures` executes any subset of them.
+``fig3``, ``fig5``, ``table2`` and ``ablations`` are not sweeps and
+keep their own harness functions. Each returns plain row dicts,
+printed with :func:`common.format_rows`. The
 pytest-benchmark suite in ``benchmarks/`` calls these, so ``pytest
 benchmarks/ --benchmark-only`` regenerates the whole evaluation.
 """
@@ -22,7 +22,6 @@ from repro.experiments import (  # noqa: F401
     figures,
     fourlayer,
     headline,
-    report,
     sweeps,
     table2,
 )
@@ -43,5 +42,4 @@ __all__ = [
     "ablations",
     "fourlayer",
     "sweeps",
-    "report",
 ]

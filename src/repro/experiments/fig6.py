@@ -26,7 +26,6 @@ from repro.sweep import SweepSpec
 
 
 HELP = "hot spots and energy, all policies"
-TITLE = "Figure 6 — hot spots and energy"
 
 
 def sweep_spec(

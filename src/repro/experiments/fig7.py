@@ -20,7 +20,6 @@ from repro.sweep import SweepSpec
 
 
 HELP = "thermal variations (DPM on)"
-TITLE = "Figure 7 — thermal variations (DPM on)"
 
 
 def sweep_spec(

@@ -20,7 +20,6 @@ from repro.sweep import SweepSpec
 
 
 HELP = "performance and energy"
-TITLE = "Figure 8 — performance and energy"
 
 
 def sweep_spec(

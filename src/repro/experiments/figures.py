@@ -1,12 +1,11 @@
 """The sweep-backed figures, declared once.
 
-:data:`FIGURES` maps each figure's name to its module, in report
-order. A figure module holds the figure's ``sweep_spec()`` (the spec
-``repro sweep run --spec <name>`` runs), a pure ``rows(results,
-workloads)`` over ``(label, workload)``-keyed results, its ``repro
-<name>`` help text ``HELP`` and its report heading ``TITLE``. The CLI's
-figure commands and built-in specs, the evaluation report and the
-figure benchmarks all iterate this table.
+:data:`FIGURES` maps each figure's name to its module. A figure
+module holds the figure's ``sweep_spec()`` (the spec ``repro sweep run
+--spec <name>`` runs), a pure ``rows(results, workloads)`` over
+``(label, workload)``-keyed results and its ``repro <name>`` help text
+``HELP``. The CLI's figure commands and built-in specs and the figure
+benchmarks all iterate this table.
 
 :func:`run_figures` executes any subset of it. Figures whose sweeps
 overlap (Figure 8's and the headline's combos are a subset of Figure

@@ -22,7 +22,6 @@ from repro.sim.config import CoolingMode, PolicyKind
 
 
 HELP = "policy sweep on the 4-layer stack (light workloads)"
-TITLE = "4-layer system (light workloads)"
 
 
 def sweep_spec(

@@ -23,7 +23,6 @@ from repro.sim.config import CoolingMode, PolicyKind
 
 
 HELP = "energy savings vs maximum flow"
-TITLE = "Headline — savings vs maximum flow"
 
 
 def sweep_spec(

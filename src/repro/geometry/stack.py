@@ -36,17 +36,12 @@ class CoolingKind(Enum):
 class Die:
     """One active silicon tier of the stack.
 
-    ``hosts_cores`` marks layers carrying cores (thermal sensors live on
-    cores); the cache layers carry L2 banks instead.
+    Core layers carry the cores (and the thermal sensors on them); the
+    cache layers carry L2 banks instead.
     """
 
     floorplan: Floorplan
     thickness: float = STACK.die_thickness
-
-    @property
-    def hosts_cores(self) -> bool:
-        """Whether this die carries any core units."""
-        return bool(self.floorplan.units_of_kind(UnitKind.CORE))
 
 
 @dataclass(frozen=True)

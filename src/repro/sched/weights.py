@@ -56,11 +56,6 @@ class ThermalWeights:
         return dict(self._weights)
 
     @classmethod
-    def uniform(cls, core_names: list[str]) -> "ThermalWeights":
-        """Weights of 1 for every core (degenerates TALB to plain LB)."""
-        return cls({name: 1.0 for name in core_names})
-
-    @classmethod
     def from_network(
         cls,
         network: RCNetwork,

@@ -177,6 +177,11 @@ class SimulationConfig:
             raise ConfigurationError(
                 "sampling interval must be an integer multiple of the quantum"
             )
+        if round(self.duration / self.sampling_interval) < 1:
+            raise ConfigurationError(
+                f"duration {self.duration!r} s runs no interval: it must cover more "
+                f"than half a sampling interval ({self.sampling_interval!r} s)"
+            )
         if any(
             isinstance(n, bool) or not isinstance(n, int) or n < 1
             for n in (self.nx, self.ny)

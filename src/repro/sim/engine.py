@@ -205,7 +205,7 @@ class Simulator:
         process-wide cache).
     observers:
         :class:`IntervalObserver`\\ s notified per interval by
-        :meth:`run` (more can be added with :meth:`add_observer`).
+        :meth:`run`.
 
     A simulator is one-shot: :meth:`step` walks the configured
     intervals exactly once (``run()`` is a thin loop over it), and
@@ -274,10 +274,6 @@ class Simulator:
                 "(use facility='none')"
             )
         self._state: Optional[_RunState] = None
-
-    def add_observer(self, observer: IntervalObserver) -> None:
-        """Register another per-interval observer."""
-        self._observers.append(observer)
 
     def _talb_weights(self, tmax: float) -> ThermalWeights:
         """Weight provider: the pre-processed set for the current
@@ -569,8 +565,8 @@ class Simulator:
                 arrival = head.arrival
                 start = now if arrival <= now else arrival
                 span = end - start
-                # head.execute(max(0.0, span)) and head.done, inlined:
-                # the ~40 head executions per interval make no calls.
+                # Execution is inlined: the ~40 head executions per
+                # interval make no calls.
                 remaining = head.remaining
                 span = span if span > 0.0 else 0.0
                 used = span if span < remaining else remaining

@@ -81,11 +81,6 @@ def k_mm2_per_w(value: float) -> float:
 # --- time ---------------------------------------------------------------------
 
 
-def ms(value: float) -> float:
-    """Convert milliseconds to seconds."""
-    return value * 1.0e-3
-
-
 def to_ms(value_s: float) -> float:
     """Convert seconds to milliseconds."""
     return value_s * 1.0e3

@@ -48,16 +48,3 @@ class Thread:
             raise WorkloadError(f"thread {self.thread_id}: arrival must be >= 0")
         if self.remaining < 0.0:
             self.remaining = self.length
-
-    @property
-    def done(self) -> bool:
-        """Whether the thread has finished executing."""
-        return self.remaining <= DONE_TOLERANCE
-
-    def execute(self, quantum: float) -> float:
-        """Run for up to ``quantum`` seconds; returns time consumed."""
-        if quantum < 0.0:
-            raise WorkloadError("quantum must be non-negative")
-        used = min(self.remaining, quantum)
-        self.remaining -= used
-        return used

@@ -4,8 +4,7 @@ Section V: "we sample the utilization percentage for each hardware
 thread at every second using mpstat for half an hour". This module
 carries such traces: per-second system utilization series that can be
 
-* loaded from / saved to CSV or JSONL (interchange with real mpstat
-  logs),
+* loaded from CSV or JSONL (interchange with real mpstat logs),
 * used to drive the generator directly, reproducing a measured load
   profile instead of a stationary Table II average.
 """
@@ -72,20 +71,14 @@ class UtilizationTrace:
 
     # --- I/O -------------------------------------------------------------
 
-    def to_csv(self, path: Union[str, Path]) -> None:
-        """Write as two-column CSV (second, utilization_pct)."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["second", "utilization_pct"])
-            for second, value in enumerate(self.utilization):
-                writer.writerow([second, f"{100.0 * value:.3f}"])
-
     @classmethod
     def from_csv(
         cls, path: Union[str, Path], n_cores: int, name: str | None = None
     ) -> "UtilizationTrace":
-        """Read a CSV written by :meth:`to_csv` (or a real mpstat dump
-        reduced to the same two columns)."""
+        """Read a two-column CSV: a header row, then one ``second,
+        utilization_pct`` row per 1 s slot (a real mpstat dump reduced
+        to those two columns). Only the second column is read, as a
+        percentage of total capacity."""
         path = Path(path)
         values: list[float] = []
         with open(path, newline="") as handle:
@@ -106,24 +99,14 @@ class UtilizationTrace:
             name=name or path.stem,
         )
 
-    def to_jsonl(self, path: Union[str, Path]) -> None:
-        """Write as JSON lines (``{"second": s, "utilization_pct": u}``)."""
-        with open(path, "w") as handle:
-            for second, value in enumerate(self.utilization):
-                handle.write(
-                    json.dumps(
-                        {"second": second,
-                         "utilization_pct": round(100.0 * float(value), 3)}
-                    )
-                    + "\n"
-                )
-
     @classmethod
     def from_jsonl(
         cls, path: Union[str, Path], n_cores: int, name: str | None = None
     ) -> "UtilizationTrace":
-        """Read a JSONL trace (one ``{"second", "utilization_pct"}``
-        object per line, as written by :meth:`to_jsonl`)."""
+        """Read a JSONL trace: one ``{"second": s, "utilization_pct":
+        u}`` object per 1 s slot, one per line; blank lines are skipped.
+        Only ``utilization_pct`` is read, as a percentage of total
+        capacity."""
         path = Path(path)
         values: list[float] = []
         with open(path) as handle:

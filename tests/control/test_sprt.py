@@ -63,12 +63,15 @@ class TestDetection:
         assert not det.update(0.0)
 
     def test_accepting_h0_restarts(self):
+        """Accepting H0 restarts the test, so a long null stretch builds
+        no negative evidence that would delay a later alarm: a fresh
+        detector flags a 3-sigma residual on the second sample, and one
+        that has seen 1000 zero residuals on the third at the latest."""
         det = SprtDetector(sigma=1.0, shift=2.0)
-        lower, upper = det.thresholds
-        assert lower < 0 < upper
-        for _ in range(50):
-            det.update(-0.001)  # Consistently near zero: accept H0.
+        assert not any(det.update(0.0) for _ in range(1000))
         assert det.alarm_count == 0
+        assert [det.update(3.0) for _ in range(3)].count(True) == 1
+        assert det.alarm_count == 1
 
 
 class TestValidation:

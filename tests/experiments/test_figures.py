@@ -1,38 +1,11 @@
-"""The one-shot evaluation report and the figure runs it shares."""
+"""The figure table's shared runs."""
 
 import pytest
 
 from counters import Counters
 from repro.experiments import run_figures
-from repro.experiments.report import build_report
 
 WORKLOADS = ("gzip", "Web-high")
-
-
-@pytest.fixture(scope="module")
-def report():
-    return build_report(duration=6.0)
-
-
-@pytest.mark.slow
-class TestReport:
-    def test_report_contains_every_section(self, report):
-        for heading in (
-            "Table II",
-            "Figure 3",
-            "Figure 5",
-            "Figure 6",
-            "Figure 7",
-            "Figure 8",
-            "Headline",
-            "4-layer",
-            "prior work",
-        ):
-            assert heading in report
-
-    def test_report_is_markdown(self, report):
-        assert report.startswith("# Evaluation report")
-        assert "```" in report
 
 
 class TestSharedRuns:

@@ -12,13 +12,14 @@ class TestBuildStack:
     def test_two_layer_structure(self):
         stack = build_stack(2)
         assert stack.n_dies == 2
-        assert stack.dies[0].hosts_cores
-        assert not stack.dies[1].hosts_cores
+        assert stack.dies[0].floorplan.units_of_kind(UnitKind.CORE)
+        assert not stack.dies[1].floorplan.units_of_kind(UnitKind.CORE)
 
     def test_four_layer_structure(self):
         stack = build_stack(4)
         assert stack.n_dies == 4
-        assert [d.hosts_cores for d in stack.dies] == [True, False, True, False]
+        hosts_cores = [bool(d.floorplan.units_of_kind(UnitKind.CORE)) for d in stack.dies]
+        assert hosts_cores == [True, False, True, False]
 
     def test_paper_cavity_counts(self):
         # "cooling layers on the very top and the bottom": N+1 cavities.

@@ -32,10 +32,6 @@ class TestNormalization:
         with pytest.raises(SchedulingError):
             ThermalWeights({"a": 1.0})["b"]
 
-    def test_uniform_factory(self):
-        w = ThermalWeights.uniform(["a", "b", "c"])
-        assert all(v == pytest.approx(1.0) for v in w.as_dict().values())
-
 
 class TestFromNetwork:
     @pytest.fixture(scope="class")

@@ -18,9 +18,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimulationConfig(n_layers=3)
 
-    def test_rejects_bad_duration(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(duration=0.0)
+    @pytest.mark.parametrize("duration", [0.0, 0.04, 0.05])
+    def test_rejects_bad_duration(self, duration):
+        """``round(duration / sampling_interval)`` intervals run, so a
+        duration of half an interval or less would run none."""
+        with pytest.raises(ConfigurationError, match="duration"):
+            SimulationConfig(duration=duration)
+
+    def test_accepts_duration_of_one_interval(self):
+        assert SimulationConfig(duration=0.06).duration == 0.06
 
     def test_rejects_non_multiple_interval(self):
         with pytest.raises(ConfigurationError):

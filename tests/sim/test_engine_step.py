@@ -105,9 +105,10 @@ class TestObservers:
 
     def test_all_observers_see_interval_even_when_one_stops(self):
         calls = {"a": 0, "b": 0}
-        sim = Simulator(_config(duration=1.0))
-        sim.add_observer(lambda s: calls.__setitem__("a", calls["a"] + 1) or True)
-        sim.add_observer(lambda s: calls.__setitem__("b", calls["b"] + 1))
+        sim = Simulator(_config(duration=1.0), observers=[
+            lambda s: calls.__setitem__("a", calls["a"] + 1) or True,
+            lambda s: calls.__setitem__("b", calls["b"] + 1),
+        ])
         sim.run()
         assert calls == {"a": 1, "b": 1}  # No short-circuit, then stop.
 

@@ -125,6 +125,10 @@ class TestCommands:
         assert code == 0
         assert "peak_temperature_sensor" in capsys.readouterr().out
 
+    def test_simulate_duration_that_runs_no_interval_is_an_error(self):
+        with pytest.raises(SystemExit, match="error: duration 0.04 s runs no interval"):
+            main(["simulate", "--duration", "0.04"])
+
     def test_simulate_bad_param_is_clear_error(self):
         with pytest.raises(SystemExit, match="no parameter"):
             main([

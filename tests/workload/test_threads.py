@@ -1,4 +1,4 @@
-"""Thread execution accounting."""
+"""Thread construction and validation."""
 
 import pytest
 
@@ -7,29 +7,6 @@ from repro.workload.threads import Thread
 
 
 class TestThread:
-    def test_execute_consumes_remaining(self):
-        t = Thread(0, arrival=0.0, length=0.05)
-        used = t.execute(0.01)
-        assert used == pytest.approx(0.01)
-        assert t.remaining == pytest.approx(0.04)
-        assert not t.done
-
-    def test_execute_caps_at_remaining(self):
-        t = Thread(0, arrival=0.0, length=0.005)
-        used = t.execute(0.01)
-        assert used == pytest.approx(0.005)
-        assert t.done
-
-    def test_done_tolerance(self):
-        t = Thread(0, arrival=0.0, length=0.01)
-        t.execute(0.01)
-        assert t.done
-
-    def test_rejects_negative_quantum(self):
-        t = Thread(0, arrival=0.0, length=0.01)
-        with pytest.raises(WorkloadError):
-            t.execute(-0.01)
-
     def test_rejects_bad_length(self):
         with pytest.raises(WorkloadError):
             Thread(0, arrival=0.0, length=0.0)

@@ -25,13 +25,10 @@ class TestUtilizationTrace:
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
-        original = UtilizationTrace(
-            np.array([0.1, 0.55, 0.93]), n_cores=8, name="web"
-        )
         path = tmp_path / "trace.csv"
-        original.to_csv(path)
+        path.write_text("second,utilization_pct\n0,10.000\n1,55.000\n2,93.000\n")
         loaded = UtilizationTrace.from_csv(path, n_cores=8)
-        assert np.allclose(loaded.utilization, original.utilization, atol=1e-4)
+        assert np.allclose(loaded.utilization, [0.1, 0.55, 0.93], atol=1e-4)
         assert loaded.name == "trace"
 
     def test_rejects_malformed(self, tmp_path):
@@ -49,17 +46,22 @@ class TestCsvRoundTrip:
 
 class TestJsonlRoundTrip:
     def test_round_trip(self, tmp_path):
-        original = UtilizationTrace(np.array([0.1, 0.55, 0.93]), n_cores=8)
         path = tmp_path / "trace.jsonl"
-        original.to_jsonl(path)
+        path.write_text(
+            '{"second": 0, "utilization_pct": 10.0}\n'
+            '{"second": 1, "utilization_pct": 55.0}\n'
+            '{"second": 2, "utilization_pct": 93.0}\n'
+        )
         loaded = UtilizationTrace.from_jsonl(path, n_cores=8)
-        assert np.allclose(loaded.utilization, original.utilization, atol=1e-5)
+        assert np.allclose(loaded.utilization, [0.1, 0.55, 0.93], atol=1e-5)
         assert loaded.name == "trace"
 
     def test_from_file_dispatches_on_suffix(self, tmp_path):
-        original = UtilizationTrace(np.array([0.25, 0.75]), n_cores=4)
         path = tmp_path / "profile.jsonl"
-        original.to_jsonl(path)
+        path.write_text(
+            '{"second": 0, "utilization_pct": 25.0}\n'
+            '{"second": 1, "utilization_pct": 75.0}\n'
+        )
         loaded = UtilizationTrace.from_file(path, n_cores=4)
         assert np.allclose(loaded.utilization, [0.25, 0.75])
 
