@@ -114,22 +114,6 @@ class PumpModel:
 
     # --- queries ---------------------------------------------------------
 
-    def signature(self) -> tuple:
-        """Hashable identity of this pump's physical behaviour.
-
-        Two pumps with the same signature deliver the same flows and
-        draw the same power at every setting, so characterizations
-        (flow tables, burst floors, TALB weights) derived for one are
-        valid for the other. Used as the pump component of
-        :func:`repro.sim.cache.system_key`.
-        """
-        return (
-            tuple((s.pump_flow, s.per_cavity_flow, s.power) for s in self.settings),
-            self.n_cavities,
-            self.efficiency,
-            self.transition_time,
-        )
-
     @property
     def n_settings(self) -> int:
         """Number of discrete settings."""

@@ -5,16 +5,14 @@ pre-processing: the flow-rate look-up table (Figure 5), the burst-floor
 setting (the lowest setting that holds one fully loaded core below the
 target), and the per-setting thermal weight sets
 (Eq. 8). Historically these lived in module-level dictionaries inside
-``repro.sim.engine``, which had two defects:
+``repro.sim.engine``, which could not be handed to worker processes
+explicitly, so a process fan-out re-derived every characterization in
+every worker.
 
-* the cache key omitted the pump model, so two systems with different
-  pumps but otherwise equal configurations would share one
-  characterized flow table;
-* module globals cannot be handed to worker processes explicitly, so a
-  process fan-out re-derived every characterization in every worker.
-
-:class:`CharacterizationCache` fixes both: keys include the pump
-signature, and the object holds only plain picklable values
+:class:`CharacterizationCache` keys every artifact by the config alone
+(:func:`system_key`: the system identity, the characterization target
+and guard; no config field chooses the pump or the air package) and
+holds only plain picklable values
 (:class:`~repro.control.flow_table.FlowRateTable`, ints,
 :class:`~repro.sched.weights.ThermalWeights`), so a pre-warmed cache
 can be shipped to ``ProcessPoolExecutor`` workers by
@@ -24,7 +22,7 @@ can be shipped to ``ProcessPoolExecutor`` workers by
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 from repro.control.flow_table import FlowRateTable
 from repro.geometry.stack import CoolingKind
@@ -135,21 +133,18 @@ def system_for(config: SimulationConfig) -> tuple["ThermalSystem", "PowerModel"]
     return pair
 
 
-def system_key(
-    config: SimulationConfig, pump_signature: Optional[tuple] = None
-) -> tuple:
+def system_key(config: SimulationConfig) -> tuple:
     """Hashable identity of a characterized thermal system.
 
     The system's identity (:func:`_system_memo_key`, solver tier
     included, so a krylov-derived table never serves an exact run) plus
-    the characterization target and guard, and the pump signature so
-    systems that differ only in their pump (setting ladder, cavity
-    split, derating) never share a cached flow table or weight set.
+    the characterization target and guard. Every system a config builds
+    has the same pump and package, so the config alone keys its flow
+    table, burst floor and weight sets.
     """
     return _system_memo_key(config) + (
         config.target_temperature,
         config.characterization_guard,
-        pump_signature,
     )
 
 
@@ -163,6 +158,15 @@ def _needs_flow_table(config: SimulationConfig) -> bool:
 def _uses_weights(config: SimulationConfig) -> bool:
     """Whether a config's policy reads the TALB weight sets."""
     return policy_registry().get(config.policy).trait("uses_thermal_weights")
+
+
+def _settings(config: SimulationConfig, system: "ThermalSystem") -> "range | tuple[int]":
+    """The cooling conditions whose artifacts a config's runs read:
+    every pump setting under variable flow, else the start setting
+    alone (the top setting, or -1 for air)."""
+    if config.cooling is CoolingMode.LIQUID_VARIABLE:
+        return range(system.pump.n_settings)
+    return (system.start_setting,)
 
 
 class CharacterizationCache:
@@ -179,17 +183,9 @@ class CharacterizationCache:
         self.floors: dict[tuple, int] = {}
         self.weight_sets: dict[tuple, ThermalWeights] = {}
         self.traces: dict[tuple, ThreadTrace] = {}
-        # System identity -> (pump signature, start setting) of every
-        # system a warm-up built: enough to key its artifacts later
-        # without building it again.
-        self._systems_seen: dict[tuple, tuple[Optional[tuple], int]] = {}
-
-    # --- key helpers ---------------------------------------------------------
-
-    @staticmethod
-    def _key(config: SimulationConfig, system) -> tuple:
-        pump = getattr(system, "pump", None)
-        return system_key(config, pump.signature() if pump is not None else None)
+        # Every item (:meth:`_reads`) a warm-up covered, so a later
+        # warm-up of configs that read nothing more builds no system.
+        self._warmed: set[tuple] = set()
 
     # --- cached characterizations -------------------------------------------
 
@@ -200,7 +196,7 @@ class CharacterizationCache:
         config: SimulationConfig,
     ) -> FlowRateTable:
         """The (cached) offline flow-table characterization (Figure 5)."""
-        key = self._key(config, system)
+        key = system_key(config)
         if key in self.tables:
             _CHAR_HITS.inc(kind="table")
         else:
@@ -227,7 +223,7 @@ class CharacterizationCache:
         thread concentrates its core's power and runs locally hotter,
         so the controller never drops below this floor.
         """
-        key = self._key(config, system)
+        key = system_key(config)
         if key in self.floors:
             _CHAR_HITS.inc(kind="floor")
         else:
@@ -249,7 +245,7 @@ class CharacterizationCache:
     ) -> ThermalWeights:
         """The (cached) pre-processed TALB weights for one cooling
         condition (pump setting, or -1 for air)."""
-        key = self._key(config, system) + (
+        key = system_key(config) + (
             setting_index,
             config.talb_weight_target,
         )
@@ -266,24 +262,6 @@ class CharacterizationCache:
                 background_power=1.0,
             )
         return self.weight_sets[key]
-
-    def _system_weights(
-        self, system: "ThermalSystem", setting_index: int, config: SimulationConfig
-    ) -> None:
-        """Warm one weight set on the system's own steady LU.
-
-        On the exact tier a miss first builds the system's own steady
-        solver of the setting, so the probe solver
-        :meth:`ThermalWeights.from_network` builds shares that LU
-        through the store (bitwise the same weights) with the unit
-        response solved on it, instead of factorizing a second copy.
-        Krylov-tier systems answer steady solves by GMRES, so their
-        weights keep a throwaway exact LU.
-        """
-        key = self._key(config, system) + (setting_index, config.talb_weight_target)
-        if system.solver == "exact" and key not in self.weight_sets:
-            system.steady_solver(setting_index)
-        self.thermal_weights(system, setting_index, config)
 
     # --- workload traces ------------------------------------------------------
 
@@ -350,120 +328,120 @@ class CharacterizationCache:
         components' registry traits (``needs_flow_table`` on
         controllers, ``uses_thermal_weights`` on policies), so a
         user-registered component warms correctly without this method
-        knowing it exists. A config whose artifacts are all cached
-        builds no system (a batch re-warming what its sweep warmed).
-        Returns ``self``.
+        knowing it exists. A config whose reads (:meth:`_reads`) an
+        earlier warm-up covered builds no system (a batch re-warming
+        what its sweep warmed, or a config reading a subset of what
+        another warmed). Returns ``self``.
 
         The steady LUs behind the artifacts are scaffolding: an
         exact-tier system leaves warm-up holding no steady solver.
-        Wherever warm-up factorizes the start setting's steady LU (flow
-        table or TALB weights), it also solves the ``Phi`` and ``phi``
-        of that setting on it
-        (:meth:`~repro.sim.system.ThermalSystem.unit_response`), which
-        the runs' initial fields then read without an LU. The
-        per-setting work of exact-tier variable-flow runs runs setting
-        by setting in :meth:`_warm_settings`; the LIQUID_MAX and air
-        weights share the start setting's LU with ``Phi``. Runs that
+        Every exact-tier config that reads a flow table or TALB
+        weights, at any cooling, goes through one setting-major pass
+        (:meth:`_warm_settings`), which also solves the ``Phi`` and
+        ``phi`` of the start setting on its LU
+        (:meth:`~repro.sim.system.ThermalSystem.unit_response`); the
+        runs' initial fields then read them without an LU. Runs that
         need neither artifact solve their start setting's ``Phi`` when
         they start. Krylov-tier systems characterize config by config,
-        each as it is built, and solve their initial fields by GMRES.
+        each as it is built (their weights factorize a throwaway exact
+        LU), and solve their initial fields by GMRES.
         """
         systems: dict[tuple, tuple["ThermalSystem", "PowerModel"]] = {}
-        per_setting: dict[tuple, list[SimulationConfig]] = {}
+        exact: dict[tuple, list[SimulationConfig]] = {}
+        warmed: set[tuple] = set()
         for config in configs:
-            if self._already_warm(config):
+            reads = self._reads(config)
+            if all(item in self._warmed or item in warmed for item in reads):
                 continue
+            warmed.update(reads)
             sys_id = _system_memo_key(config)
             if sys_id not in systems:
                 systems[sys_id] = system_for(config)
             system, power_model = systems[sys_id]
-            pump = system.pump
-            self._systems_seen[sys_id] = (
-                None if pump is None else pump.signature(), system.start_setting
-            )
             needs_lut = _needs_flow_table(config)
             talb = _uses_weights(config)
-            if config.cooling is CoolingMode.LIQUID_VARIABLE and system.solver == "exact":
+            if config.solver == "exact":
                 if needs_lut or talb:
-                    per_setting.setdefault(sys_id, []).append(config)
+                    exact.setdefault(sys_id, []).append(config)
             else:
                 if needs_lut:
                     self.table(system, power_model, config)
                     self.floor(system, power_model, config)
                 if talb:
-                    if config.cooling is CoolingMode.LIQUID_VARIABLE:
-                        for k in range(system.pump.n_settings):
-                            self.thermal_weights(system, k, config)
-                    else:
-                        # The pump never leaves the top setting; the runs'
-                        # initial fields read the Phi solved on the same LU.
-                        start = system.start_setting
-                        self._system_weights(system, start, config)
-                        if system.solver == "exact":
-                            system.unit_response(start)
-                            system.release_steady(start)
+                    for k in _settings(config, system):
+                        self.thermal_weights(system, k, config)
             if self._caches_trace(config):
                 self.thread_trace(config)
         self._warm_settings(
-            [(*systems[sys_id], group) for sys_id, group in per_setting.items()]
+            [(*systems[sys_id], group) for sys_id, group in exact.items()]
         )
+        self._warmed |= warmed
         return self
 
     @staticmethod
     def _caches_trace(config: SimulationConfig) -> bool:
         return workload_registry().get(config.workload).trait("cache_trace")
 
-    def _already_warm(self, config: SimulationConfig) -> bool:
-        """Whether every artifact a config's runs read is cached, judged
-        from a system this cache saw warmed, without building it again."""
-        seen = self._systems_seen.get(_system_memo_key(config))
-        if seen is None:
-            return False
-        signature, start = seen
-        key = system_key(config, signature)
-        if _needs_flow_table(config) and (key not in self.tables or key not in self.floors):
-            return False
+    @classmethod
+    def _reads(cls, config: SimulationConfig) -> tuple:
+        """What a config's runs read, each item keyed by the config
+        alone: its system, its flow table and burst floor, its weight
+        sets (the start setting's, and under variable flow every
+        setting's) and its cached trace. A config is warm when an
+        earlier warm-up covered every item."""
+        key = system_key(config)
+        reads = [("system", _system_memo_key(config))]
+        if _needs_flow_table(config):
+            reads.append(("table", key))
         if _uses_weights(config):
-            variable = config.cooling is CoolingMode.LIQUID_VARIABLE
-            settings = range(start + 1) if variable else (start,)
-            if any(key + (k, config.talb_weight_target) not in self.weight_sets for k in settings):
-                return False
-        return not self._caches_trace(config) or self._trace_key(config) in self.traces
+            reads.append(("weights", key, config.talb_weight_target, "start"))
+            if config.cooling is CoolingMode.LIQUID_VARIABLE:
+                reads.append(("weights", key, config.talb_weight_target, "all"))
+        if cls._caches_trace(config):
+            reads.append(("trace", cls._trace_key(config)))
+        return tuple(reads)
 
     def _warm_settings(
         self, groups: list[tuple["ThermalSystem", "PowerModel", list[SimulationConfig]]]
     ) -> None:
-        """The per-setting work of exact-tier variable-flow systems,
-        setting-major.
+        """The per-setting work of exact-tier systems, setting-major.
 
         ``groups`` holds each system with its power model and the
-        configs that read its flow table or weights. For each pump
-        setting in ascending order, every system solves its unit
-        response (at the start setting always: the runs' initial fields
-        read its ``Phi``) and derives its TALB weights while that
-        setting's steady LU is resident (systems that differ only in
-        coolant inlet share it, and its ``R`` and ``Phi``, through the
-        LU store); then every system drops its steady solver for that
-        setting. The flow tables and burst floors are then read off the
-        memoized responses. Only work still missing from the cache
-        touches a solver, so a second warm-up of the same configs
-        factorizes nothing.
+        configs that read its flow table or weights. For each cooling
+        condition some config reads (:func:`_settings`), in ascending
+        order (air's -1 first), every system solves its unit response
+        (at the start setting always: the runs' initial fields read its
+        ``Phi``) and derives its TALB weights while that setting's
+        steady LU is resident; then every system drops its steady
+        solver for that setting. Systems that differ only in coolant
+        inlet share that LU, and its ``R`` and ``Phi``, through the LU
+        store, and so does the probe solver
+        :meth:`~repro.sched.weights.ThermalWeights.from_network` builds
+        for a missing weight set: the system builds its own steady
+        solver first, so the weights are bitwise the same and no second
+        copy is factorized. The flow tables and burst floors are then
+        read off the memoized responses. Only work still missing from
+        the cache touches a solver.
         """
-        n_settings = max((system.pump.n_settings for system, _, _ in groups), default=0)
-        for k in range(n_settings):
+        settings = sorted(
+            {k for system, _, configs in groups for c in configs for k in _settings(c, system)}
+        )
+        for k in settings:
             for system, _, configs in groups:
-                if k >= system.pump.n_settings:
-                    continue
                 if k == system.start_setting:
                     system.unit_response(k)
                 for config in configs:
-                    key = self._key(config, system)
+                    if k not in _settings(config, system):
+                        continue
+                    key = system_key(config)
                     if _needs_flow_table(config) and (
                         key not in self.tables or key not in self.floors
                     ):
                         system.unit_response(k)
                     if _uses_weights(config):
-                        self._system_weights(system, k, config)
+                        if key + (k, config.talb_weight_target) not in self.weight_sets:
+                            system.steady_solver(k)
+                        self.thermal_weights(system, k, config)
             for system, _, _ in groups:
                 system.release_steady(k)
         for system, power_model, configs in groups:
@@ -478,7 +456,7 @@ class CharacterizationCache:
         self.floors.clear()
         self.weight_sets.clear()
         self.traces.clear()
-        self._systems_seen.clear()
+        self._warmed.clear()
 
     def __len__(self) -> int:
         return (

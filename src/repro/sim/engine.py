@@ -33,8 +33,8 @@ the config, and behavioral differences are declared capabilities —
 signal, ``SchedulerPolicy.migration_count`` is recorded uniformly.
 
 The engine caches flow-table characterizations and TALB weight sets per
-thermal-system signature, since these are offline pre-processing steps
-in the paper. The cache is an explicit
+config identity (:func:`~repro.sim.cache.system_key`), since these are
+offline pre-processing steps in the paper. The cache is an explicit
 :class:`~repro.sim.cache.CharacterizationCache`: a process-wide default
 instance (:func:`default_cache`) serves every simulator built without
 one, and a pre-warmed cache can be injected per :class:`Simulator` (or

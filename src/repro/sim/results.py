@@ -125,10 +125,9 @@ class SimulationResult:
 
     @property
     def interval(self) -> float:
-        """Sampling interval, s."""
-        if len(self.times) < 2:
-            return 0.0
-        return float(self.times[1] - self.times[0])
+        """Sampling interval, s: the first sample's time, since every
+        sample closes an interval counted from t = 0 (0.0 when empty)."""
+        return float(self.times[0]) if len(self.times) else 0.0
 
     @property
     def duration(self) -> float:

@@ -44,7 +44,7 @@ from repro.geometry.stack import CoolingKind, Stack3D, build_stack
 from repro.microchannel.geometry import ChannelGeometry
 from repro.microchannel.model import MicrochannelModel
 from repro.power.components import PowerModel
-from repro.pump.laing_ddc import PumpModel, laing_ddc
+from repro.pump.laing_ddc import laing_ddc
 from repro.telemetry import metrics as _metrics
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.package import AirPackage
@@ -77,6 +77,11 @@ gauge)."""
 class ThermalSystem:
     """A 3D system ready to simulate: grid + per-setting networks.
 
+    A liquid-cooled system pumps with the Laing DDC sized to the
+    stack's cavities, an air-cooled one sits in the default
+    :class:`AirPackage`. Neither is a parameter, so a system's config
+    alone keys its characterizations (:func:`repro.sim.cache.system_key`).
+
     Parameters
     ----------
     n_layers:
@@ -87,12 +92,6 @@ class ThermalSystem:
         Grid resolution per slab.
     params:
         Material/calibration parameters.
-    pump:
-        The pump; defaults to the Laing DDC sized to the stack's
-        cavities. Ignored for air cooling.
-    package:
-        Air package; defaults to :class:`AirPackage`. Ignored for
-        liquid cooling.
     solver:
         Thermal linear-solver tier: ``"exact"`` (sparse LU, the
         default) or ``"krylov"`` (neighbor-LU preconditioned GMRES —
@@ -108,8 +107,6 @@ class ThermalSystem:
         nx: int = 16,
         ny: int = 16,
         params: ThermalParams = ThermalParams(),
-        pump: Optional[PumpModel] = None,
-        package: Optional[AirPackage] = None,
         solver: str = "exact",
     ) -> None:
         if solver not in ("exact", "krylov"):
@@ -124,11 +121,11 @@ class ThermalSystem:
         self.params = params
         self.cooling = cooling
         if cooling is CoolingKind.LIQUID:
-            self.pump = pump or laing_ddc(self.stack.n_cavities)
+            self.pump = laing_ddc(self.stack.n_cavities)
             self.package = None
         else:
             self.pump = None
-            self.package = package or AirPackage()
+            self.package = AirPackage()
         self.channel_model = MicrochannelModel(
             geometry=ChannelGeometry(length=self.stack.width),
             die_height=self.stack.height,

@@ -1,4 +1,4 @@
-"""The explicit characterization cache: pump-aware keys, pickling, warm-up."""
+"""The explicit characterization cache: config keys, pickling, warm-up."""
 
 import dataclasses
 import pickle
@@ -8,7 +8,7 @@ import pytest
 from repro.geometry.stack import CoolingKind
 from repro.power.components import PowerModel
 from repro.power.leakage import LeakageModel
-from repro.pump.laing_ddc import PumpModel, laing_ddc
+from repro.pump.laing_ddc import laing_ddc
 from repro.runner import BatchRunner
 from repro.sim.cache import (
     CharacterizationCache,
@@ -37,15 +37,15 @@ def _liquid_config(**overrides):
     return SimulationConfig(**defaults)
 
 
-def _system_with(pump=None):
-    return ThermalSystem(2, CoolingKind.LIQUID, pump=pump)
+def _liquid_system():
+    return ThermalSystem(2, CoolingKind.LIQUID)
 
 
-class TestPumpAwareKeys:
-    def test_same_pump_shares_one_table(self):
+class TestConfigKeys:
+    def test_two_systems_of_one_config_share_one_table(self):
         cache = CharacterizationCache()
         config = _liquid_config()
-        sys_a, sys_b = _system_with(), _system_with()
+        sys_a, sys_b = _liquid_system(), _liquid_system()
         model_a = PowerModel(sys_a.stack, leakage=LeakageModel())
         model_b = PowerModel(sys_b.stack, leakage=LeakageModel())
         table_a = cache.table(sys_a, model_a, config)
@@ -53,35 +53,24 @@ class TestPumpAwareKeys:
         assert table_a is table_b
         assert len(cache.tables) == 1
 
-    def test_different_pumps_get_distinct_tables(self):
-        """Regression: the old module-level cache keyed only on the
-        config, so a second system with a different pump silently
-        reused the first pump's characterized flow table."""
+    @pytest.mark.parametrize(
+        "field, value", [("target_temperature", 70.0), ("characterization_guard", 2.0)]
+    )
+    def test_target_and_guard_get_distinct_entries(self, field, value):
+        config = _liquid_config(nx=8, ny=8)
+        other = dataclasses.replace(config, **{field: value})
+        assert getattr(other, field) != getattr(config, field)
         cache = CharacterizationCache()
-        config = _liquid_config()
-        stock = _system_with()
-        upsized = _system_with(
-            pump=PumpModel(
-                settings_lh=(150.0, 300.0, 450.0, 600.0, 750.0), n_cavities=3
-            )
-        )
-        model_s = PowerModel(stock.stack, leakage=LeakageModel())
-        model_u = PowerModel(upsized.stack, leakage=LeakageModel())
-        table_s = cache.table(stock, model_s, config)
-        table_u = cache.table(upsized, model_u, config)
-        assert len(cache.tables) == 2
-        assert table_s is not table_u
-        assert table_s.char.per_cavity_flows != table_u.char.per_cavity_flows
+        system, model = system_for(config)
+        for each in (config, other):
+            cache.table(system, model, each)
+            cache.floor(system, model, each)
+            cache.thermal_weights(system, system.start_setting, each)
+        assert system_key(config) != system_key(other)
+        assert len(cache.tables) == len(cache.floors) == len(cache.weight_sets) == 2
+        assert cache.tables[system_key(config)] is not cache.tables[system_key(other)]
 
-    def test_pump_signature_drives_the_key(self):
-        config = _liquid_config()
-        key_stock = system_key(config, laing_ddc(3).signature())
-        key_same = system_key(config, laing_ddc(3).signature())
-        key_other = system_key(config, laing_ddc(5).signature())
-        assert key_stock == key_same
-        assert key_stock != key_other
-
-    def test_air_system_keys_have_no_pump(self):
+    def test_air_weights_are_keyed_by_the_config(self):
         config = SimulationConfig(
             benchmark_name="gzip", cooling=CoolingMode.AIR, duration=1.0
         )
@@ -89,7 +78,7 @@ class TestPumpAwareKeys:
         system = ThermalSystem(2, CoolingKind.AIR)
         weights = cache.thermal_weights(system, -1, config)
         (key,) = cache.weight_sets
-        assert key[8] is None  # pump signature slot
+        assert key == system_key(config) + (-1, config.talb_weight_target)
         assert weights is cache.thermal_weights(system, -1, config)
 
 
@@ -206,6 +195,23 @@ class TestWarmResidency:
         assert counts.factorizations() == 0
         clear_system_memo()
 
+    @pytest.mark.parametrize(
+        "overrides", [dict(policy=PolicyKind.LB), dict(cooling=CoolingMode.LIQUID_MAX)]
+    )
+    def test_a_config_reading_less_builds_no_system(self, overrides):
+        """A variable-flow TALB warm-up covers an LB run's table and a
+        LIQUID_MAX run's start-setting weights, judged from the configs
+        alone: even with the system evicted, nothing is rebuilt."""
+        config = _liquid_config(nx=8, ny=8)
+        clear_system_memo()
+        cache = CharacterizationCache().warm([config])
+        clear_system_memo()
+        counts = Counters()
+        cache.warm([dataclasses.replace(config, **overrides)])
+        assert counts.delta("cache.system.misses") == 0
+        assert counts.factorizations() == 0
+        clear_system_memo()
+
 
 class TestEngineDelegation:
     def test_module_helpers_share_the_default_cache(self):
@@ -214,7 +220,7 @@ class TestEngineDelegation:
         from repro.sim import engine
 
         config = _liquid_config()
-        system = _system_with()
+        system = _liquid_system()
         model = PowerModel(system.stack, leakage=LeakageModel())
         table_a = engine.default_cache().table(system, model, config)
         table_b = engine.default_cache().table(system, model, config)

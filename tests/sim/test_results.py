@@ -51,6 +51,16 @@ class TestDerivedQuantities:
         r = make_result(np.full(5, 70.0), interval=0.1)
         assert r.interval == pytest.approx(0.1)
 
+    def test_one_interval_run_covers_its_interval(self):
+        """Regression: the interval was read as ``times[1] - times[0]``,
+        so a run of one interval reported 0 s and 0 J."""
+        from repro import SimulationConfig, simulate
+
+        r = simulate(SimulationConfig(duration=0.06, nx=8, ny=8))
+        assert len(r.times) == 1
+        assert r.duration == 0.1
+        assert r.chip_energy() == r.chip_power[0] * 0.1 > 0.0
+
 
 class TestCoolingEnergy:
     def test_nan_without_a_facility_loop(self):
