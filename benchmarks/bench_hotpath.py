@@ -154,7 +154,6 @@ from repro import units  # noqa: E402
 from repro.control.forecaster import TemperatureForecaster  # noqa: E402
 from repro.geometry.stack import CoolingKind, build_stack  # noqa: E402
 from repro.power.components import PowerModel  # noqa: E402
-from repro.power.leakage import LeakageModel  # noqa: E402
 from repro.runner import BatchRunner  # noqa: E402
 from repro.sim.cache import (  # noqa: E402
     CharacterizationCache,
@@ -620,17 +619,17 @@ def time_characterization(n: int, repeats: int) -> float:
         system = ThermalSystem(2, CoolingKind.LIQUID, nx=n, ny=n)
         for k in range(system.pump.n_settings):
             system.steady_solver(k).memo.clear()
-        return system, PowerModel(system.stack, leakage=LeakageModel())
+        return system
 
-    system, model = fresh()  # factorizes each setting's steady LU once
+    system = fresh()  # factorizes each setting's steady LU once
     samples = []
     for _ in range(repeats):
         # The previous system still holds the LUs while this one builds.
-        system, model = fresh()
+        system = fresh()
         start = time.perf_counter()
         cache = CharacterizationCache()
-        cache.table(system, model, config)
-        cache.floor(system, model, config)
+        cache.table(system, config)
+        cache.floor(system, config)
         samples.append(time.perf_counter() - start)
         PROBE.sample()
     return statistics.median(samples)
@@ -751,7 +750,7 @@ def _collect_results(
     # Per-interval kernels at 32x32 (schema v14): the power map and the
     # unit readout, interleaved, on a loaded two-tier state.
     grid32 = grids[32]
-    model = PowerModel(grid32.stack, leakage=LeakageModel())
+    model = PowerModel(grid32.stack)
     unit_keys = list(grid32.unit_keys)
     utilization = [0.9, 0.2, 0.0, 0.6, 1.0, 0.35, 0.0, 0.75]
     asleep = [False, False, True, False, False, False, True, False]

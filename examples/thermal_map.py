@@ -17,7 +17,6 @@ import numpy as np
 
 from repro import units
 from repro.power.components import PowerModel
-from repro.power.leakage import LeakageModel
 from repro.sim.system import ThermalSystem
 from repro.thermal.analysis import step_response
 from repro.thermal.ascii_map import render_stack
@@ -25,7 +24,7 @@ from repro.thermal.ascii_map import render_stack
 
 def main() -> None:
     system = ThermalSystem(2, nx=24, ny=24)
-    model = PowerModel(system.stack, leakage=LeakageModel())
+    model = PowerModel(system.stack)
     cores = system.core_names
 
     print("### Uniform 90% load, LOWEST pump setting (208 ml/min/cavity)")

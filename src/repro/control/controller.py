@@ -109,8 +109,8 @@ class FlowRateController:
     traits={"needs_flow_table": True},
 )
 def _build_lut(ctx: ControllerContext) -> FlowRateController:
-    table = ctx.cache.table(ctx.system, ctx.power_model, ctx.config)
-    floor = ctx.cache.floor(ctx.system, ctx.power_model, ctx.config)
+    table = ctx.cache.table(ctx.system, ctx.config)
+    floor = ctx.cache.floor(ctx.system, ctx.config)
     return FlowRateController(
         table,
         ctx.pump_state,

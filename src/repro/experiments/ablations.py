@@ -20,7 +20,6 @@ from repro.constants import CONTROL
 from repro.experiments import common
 from repro.geometry.stack import CoolingKind
 from repro.power.components import PowerModel
-from repro.power.leakage import LeakageModel
 from repro.sim.config import ControllerKind, CoolingMode, PolicyKind, SimulationConfig
 from repro.sim.system import ThermalSystem
 from repro.sweep import SweepSpec
@@ -134,7 +133,7 @@ def run_grid_resolution_ablation(
     rows = []
     for n in resolutions:
         system = ThermalSystem(2, CoolingKind.LIQUID, nx=n, ny=n)
-        model = PowerModel(system.stack, leakage=LeakageModel())
+        model = PowerModel(system.stack)
         tmax_min = system.steady_tmax(model, utilization, setting_index=0)
         tmax_max = system.steady_tmax(
             model, utilization, setting_index=system.pump.n_settings - 1

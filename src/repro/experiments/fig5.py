@@ -17,7 +17,6 @@ from repro import units
 from repro.constants import CONTROL, MICROCHANNEL
 from repro.geometry.stack import CoolingKind
 from repro.power.components import PowerModel
-from repro.power.leakage import LeakageModel
 from repro.sim.system import ThermalSystem
 from repro.thermal.solver import SteadyStateSolver
 
@@ -72,7 +71,7 @@ def run(
 ) -> list[dict]:
     """Regenerate Figure 5's series for one stack."""
     system = ThermalSystem(n_layers, CoolingKind.LIQUID)
-    model = PowerModel(system.stack, leakage=LeakageModel())
+    model = PowerModel(system.stack)
     pump = system.pump
     rows = []
     for u in utilizations:

@@ -419,8 +419,6 @@ class PolicyContext:
         The run's :class:`~repro.sim.config.SimulationConfig`.
     system:
         The :class:`~repro.sim.system.ThermalSystem`.
-    power_model:
-        The run's :class:`~repro.power.components.PowerModel`.
     cache:
         The :class:`~repro.sim.cache.CharacterizationCache`.
     weight_provider:
@@ -430,7 +428,6 @@ class PolicyContext:
 
     config: Any
     system: Any = None
-    power_model: Any = None
     cache: Any = None
     weight_provider: Any = None
 
@@ -447,7 +444,6 @@ class ControllerContext:
     config: Any
     pump_state: Any
     system: Any = None
-    power_model: Any = None
     cache: Any = None
 
 

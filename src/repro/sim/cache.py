@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Iterable
 from repro.control.flow_table import FlowRateTable
 from repro.geometry.stack import CoolingKind
 from repro.power.components import PowerModel
-from repro.power.leakage import LeakageModel
 from repro.registry import (
     WorkloadContext,
     controller_registry,
@@ -56,12 +55,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.sim.system import ThermalSystem
 
 
-_system_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
+_system_memo: "OrderedDict[tuple, ThermalSystem]" = OrderedDict()
 _SYSTEM_MEMO_CAPACITY = 4
-"""Process-local LRU of (ThermalSystem, PowerModel) pairs keyed by
-their config identity. Simulators for the same system share assembled
-networks and solvers — sweep/batch runs that revisit a configuration
-skip the per-run assembly cost entirely. Safe to share: ThermalSystem
+"""Process-local LRU of thermal systems keyed by their config identity
+(power changes no network, so no model rides along: :func:`power_model_for`).
+Simulators for the same system share assembled networks and solvers —
+sweep/batch runs that revisit a configuration skip the per-run
+assembly cost entirely. Safe to share: ThermalSystem
 holds no per-run mutable state (pump state, controllers, and queues
 live in the Simulator), and a rebuilt system is bit-identical to a
 cached one (canonical assembly + deterministic factorization), so
@@ -97,8 +97,8 @@ def _system_memo_key(config: SimulationConfig) -> tuple:
     )
 
 
-def system_for(config: SimulationConfig) -> tuple["ThermalSystem", "PowerModel"]:
-    """The thermal system and power model a config specifies.
+def system_for(config: SimulationConfig) -> "ThermalSystem":
+    """The thermal system a config specifies.
 
     The single construction path shared by
     :class:`repro.sim.engine.Simulator` and
@@ -126,11 +126,18 @@ def system_for(config: SimulationConfig) -> tuple["ThermalSystem", "PowerModel"]
         params=config.thermal_params,
         solver=config.solver,
     )
-    pair = (system, PowerModel(system.stack, leakage=LeakageModel()))
-    _system_memo[key] = pair
+    _system_memo[key] = system
     while len(_system_memo) > _SYSTEM_MEMO_CAPACITY:
         _system_memo.popitem(last=False)
-    return pair
+    return system
+
+
+def power_model_for(config: SimulationConfig, system: "ThermalSystem") -> PowerModel:
+    """The power model a config runs with on its system: the one place
+    that decides it, for :class:`repro.sim.engine.Simulator` and the
+    flow table and burst floor alike, so a cached artifact is computed
+    only from what its key (:func:`system_key`) covers."""
+    return PowerModel(system.stack)
 
 
 def system_key(config: SimulationConfig) -> tuple:
@@ -189,18 +196,14 @@ class CharacterizationCache:
 
     # --- cached characterizations -------------------------------------------
 
-    def table(
-        self,
-        system: "ThermalSystem",
-        power_model: "PowerModel",
-        config: SimulationConfig,
-    ) -> FlowRateTable:
+    def table(self, system: "ThermalSystem", config: SimulationConfig) -> FlowRateTable:
         """The (cached) offline flow-table characterization (Figure 5)."""
         key = system_key(config)
         if key in self.tables:
             _CHAR_HITS.inc(kind="table")
         else:
             _CHAR_MISSES.inc(kind="table")
+            power_model = power_model_for(config, system)
             self.tables[key] = FlowRateTable.characterize(
                 steady_tmax_batch=lambda setting, utils: system.steady_tmax_batch(
                     power_model, utils, setting_index=setting
@@ -211,12 +214,7 @@ class CharacterizationCache:
             )
         return self.tables[key]
 
-    def floor(
-        self,
-        system: "ThermalSystem",
-        power_model: "PowerModel",
-        config: SimulationConfig,
-    ) -> int:
+    def floor(self, system: "ThermalSystem", config: SimulationConfig) -> int:
         """Lowest setting that holds one fully loaded core below target.
 
         The characterization assumes uniform utilization; a single long
@@ -228,6 +226,7 @@ class CharacterizationCache:
             _CHAR_HITS.inc(kind="floor")
         else:
             _CHAR_MISSES.inc(kind="floor")
+            power_model = power_model_for(config, system)
             floor = system.pump.n_settings - 1
             for k in range(system.pump.n_settings):
                 tmax = system.steady_tmax_concentrated(power_model, setting_index=k)
@@ -322,7 +321,8 @@ class CharacterizationCache:
         Builds each unique thermal system once in the calling process
         (through the same :func:`system_for` path a cold
         :class:`~repro.sim.engine.Simulator` uses) and populates the
-        flow table, burst floor, and thermal weight sets, so worker
+        flow table, burst floor (on :func:`power_model_for`), and
+        thermal weight sets, so worker
         processes receive finished artifacts instead of re-deriving
         them. Which artifacts a config needs is read from its
         components' registry traits (``needs_flow_table`` on
@@ -346,7 +346,7 @@ class CharacterizationCache:
         each as it is built (their weights factorize a throwaway exact
         LU), and solve their initial fields by GMRES.
         """
-        systems: dict[tuple, tuple["ThermalSystem", "PowerModel"]] = {}
+        systems: dict[tuple, "ThermalSystem"] = {}
         exact: dict[tuple, list[SimulationConfig]] = {}
         warmed: set[tuple] = set()
         for config in configs:
@@ -357,7 +357,7 @@ class CharacterizationCache:
             sys_id = _system_memo_key(config)
             if sys_id not in systems:
                 systems[sys_id] = system_for(config)
-            system, power_model = systems[sys_id]
+            system = systems[sys_id]
             needs_lut = _needs_flow_table(config)
             talb = _uses_weights(config)
             if config.solver == "exact":
@@ -365,15 +365,15 @@ class CharacterizationCache:
                     exact.setdefault(sys_id, []).append(config)
             else:
                 if needs_lut:
-                    self.table(system, power_model, config)
-                    self.floor(system, power_model, config)
+                    self.table(system, config)
+                    self.floor(system, config)
                 if talb:
                     for k in _settings(config, system):
                         self.thermal_weights(system, k, config)
             if self._caches_trace(config):
                 self.thread_trace(config)
         self._warm_settings(
-            [(*systems[sys_id], group) for sys_id, group in exact.items()]
+            [(systems[sys_id], group) for sys_id, group in exact.items()]
         )
         self._warmed |= warmed
         return self
@@ -402,12 +402,12 @@ class CharacterizationCache:
         return tuple(reads)
 
     def _warm_settings(
-        self, groups: list[tuple["ThermalSystem", "PowerModel", list[SimulationConfig]]]
+        self, groups: list[tuple["ThermalSystem", list[SimulationConfig]]]
     ) -> None:
         """The per-setting work of exact-tier systems, setting-major.
 
-        ``groups`` holds each system with its power model and the
-        configs that read its flow table or weights. For each cooling
+        ``groups`` holds each system with the configs that read its
+        flow table or weights. For each cooling
         condition some config reads (:func:`_settings`), in ascending
         order (air's -1 first), every system solves its unit response
         (at the start setting always: the runs' initial fields read its
@@ -424,10 +424,10 @@ class CharacterizationCache:
         the cache touches a solver.
         """
         settings = sorted(
-            {k for system, _, configs in groups for c in configs for k in _settings(c, system)}
+            {k for system, configs in groups for c in configs for k in _settings(c, system)}
         )
         for k in settings:
-            for system, _, configs in groups:
+            for system, configs in groups:
                 if k == system.start_setting:
                     system.unit_response(k)
                 for config in configs:
@@ -442,13 +442,13 @@ class CharacterizationCache:
                         if key + (k, config.talb_weight_target) not in self.weight_sets:
                             system.steady_solver(k)
                         self.thermal_weights(system, k, config)
-            for system, _, _ in groups:
+            for system, _ in groups:
                 system.release_steady(k)
-        for system, power_model, configs in groups:
+        for system, configs in groups:
             for config in configs:
                 if _needs_flow_table(config):
-                    self.table(system, power_model, config)
-                    self.floor(system, power_model, config)
+                    self.table(system, config)
+                    self.floor(system, config)
 
     def clear(self) -> None:
         """Drop every cached characterization."""

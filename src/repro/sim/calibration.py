@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.geometry.stack import CoolingKind
 from repro.power.components import PowerModel
-from repro.power.leakage import LeakageModel
 from repro.sim.system import ThermalSystem
 from repro.thermal.rc_network import ThermalParams
 
@@ -46,7 +45,7 @@ class CalibrationTargets:
 def _liquid_tmax(scale: float, n_layers: int, setting_index: int) -> float:
     params = ThermalParams(resistance_scale=scale)
     system = ThermalSystem(n_layers, CoolingKind.LIQUID, params=params)
-    model = PowerModel(system.stack, leakage=LeakageModel())
+    model = PowerModel(system.stack)
     return system.steady_tmax(
         model,
         _CAL_UTILIZATION,
@@ -58,7 +57,7 @@ def _liquid_tmax(scale: float, n_layers: int, setting_index: int) -> float:
 def _air_tmax(scale: float, n_layers: int) -> float:
     params = ThermalParams(air_resistance_scale=scale)
     system = ThermalSystem(n_layers, CoolingKind.AIR, params=params)
-    model = PowerModel(system.stack, leakage=LeakageModel())
+    model = PowerModel(system.stack)
     return system.steady_tmax(
         model, _CAL_UTILIZATION, memory_intensity=_CAL_MEMORY_INTENSITY
     )

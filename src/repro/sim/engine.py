@@ -72,7 +72,7 @@ from repro.registry import (
 )
 from repro.sched.base import CoreQueues
 from repro.sched.weights import ThermalWeights
-from repro.sim.cache import CharacterizationCache, system_for
+from repro.sim.cache import CharacterizationCache, power_model_for, system_for
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.telemetry import trace as _trace
@@ -221,7 +221,8 @@ class Simulator:
     ) -> None:
         self.config = config
         self.cache = cache if cache is not None else _default_cache
-        self.system, self.power_model = system_for(config)
+        self.system = system_for(config)
+        self.power_model = power_model_for(config, self.system)
         cooling = self.system.cooling
         self.trace = (
             trace if trace is not None else self.cache.thread_trace(config)
@@ -235,7 +236,6 @@ class Simulator:
             PolicyContext(
                 config=config,
                 system=self.system,
-                power_model=self.power_model,
                 cache=self.cache,
                 weight_provider=self._talb_weights,
             ),
@@ -254,7 +254,6 @@ class Simulator:
                         config=config,
                         pump_state=self._pump_state,
                         system=self.system,
-                        power_model=self.power_model,
                         cache=self.cache,
                     ),
                 )

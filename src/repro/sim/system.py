@@ -35,6 +35,7 @@ by LU roundoff alone.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -133,7 +134,7 @@ class ThermalSystem:
         self._networks: dict[int, RCNetwork] = {}
         self._transients: dict[tuple, TransientSolver] = {}
         self._steadies: dict[int, SteadyStateSolver] = {}
-        self._initial_fields: dict[tuple, tuple[PowerModel, np.ndarray]] = {}
+        self._initial_fields: dict[tuple, np.ndarray] = {}
         self._unit_responses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._start_fields: Optional[tuple[np.ndarray, np.ndarray]] = None
 
@@ -463,23 +464,22 @@ class ThermalSystem:
         """Steady-state initialization (the paper initializes all
         simulations "with steady state temperature values").
 
-        Memoized per ``(power_model, utilization, setting_index)``: every
-        run that starts from the same condition on this system shares
-        one field, bitwise equal to deriving it afresh. On the exact
-        tier a warmed system derives it from its kept start-setting
-        ``Phi`` and ``phi`` (:meth:`steady_field`) with no steady solve
-        and no LU. The field is read-only, so no run can corrupt
-        another's start.
-        The power model is paired with its system by
-        :func:`repro.sim.cache.system_for`, so the memo lives and dies
-        with the system.
+        Memoized per power model value (its stack's name and its
+        parameter fields), utilization and setting: every run that
+        starts from the same condition on this system shares one field,
+        bitwise equal to deriving it afresh, whichever equal-valued
+        model instance it passes. On the exact tier a warmed system
+        derives it from its kept start-setting ``Phi`` and ``phi``
+        (:meth:`steady_field`) with no steady solve and no LU. The field
+        is read-only, so no run can corrupt another's start.
         """
-        key = (id(power_model), utilization, setting_index)
-        hit = self._initial_fields.get(key)
-        if hit is None:
+        key = tuple(
+            power_model.stack.name if f.name == "stack" else getattr(power_model, f.name)
+            for f in dataclasses.fields(power_model)
+        ) + (utilization, setting_index)
+        field = self._initial_fields.get(key)
+        if field is None:
             field = self.steady_temperatures(power_model, utilization, setting_index)
             field.flags.writeable = False
-            # The model rides along so its id cannot be reused while
-            # the entry lives.
-            hit = self._initial_fields[key] = (power_model, field)
-        return hit[1]
+            self._initial_fields[key] = field
+        return field

@@ -53,11 +53,11 @@ def test_krylov_steady_symmetric_exact_steady_pivoted():
         assert lus("krylov", "symmetric") > 0, counts
         assert lus("krylov", "pivoted") == 0, counts
         assert lus("steady", "symmetric") == 0, counts
-        krylov, _ = system_for(krylov_config)
+        krylov = system_for(krylov_config)
         start = krylov.start_setting
         held = krylov.steady_solver(start)._core._lu
         assert held is not None and held.ordering == "symmetric"
-        exact, _ = system_for(CONFIG)
+        exact = system_for(CONFIG)
         lu = exact.steady_solver(start)._core
         assert lu.ordering == "pivoted" and lu is not held
         assert krylov.steady_solver(start)._core._lu is held  # still resident

@@ -38,7 +38,7 @@ def campaign(inlets):
     cache = CharacterizationCache().warm(configs)
     gauge = metrics.gauge("solver.lu.resident")
     resident = (gauge.value(ordering="pivoted"), gauge.value(ordering="symmetric"))
-    systems = [system_for(config)[0] for config in configs]
+    systems = [system_for(config) for config in configs]
     none_held = all(not s._steadies for s in systems)
     list(BatchRunner(configs, cache=cache).iter_runs())
     return resident, none_held, counter.value() - before

@@ -23,7 +23,7 @@ def solved():
 
 def characterize(inlets):
     """Cold table + floor per inlet: (R blocks, base columns), and the
-    last inlet's system, power model and config."""
+    last inlet's system and config."""
     clear_system_memo()  # cold: fresh systems and LUs, nothing memoized
     before = solved()
     for inlet in inlets:
@@ -31,12 +31,12 @@ def characterize(inlets):
             cooling=CoolingMode.LIQUID_VARIABLE, nx=16, ny=16,
             thermal_params=ThermalParams(inlet_temperature=inlet),
         )
-        system, power_model = system_for(config)
+        system = system_for(config)
         cache = CharacterizationCache()
-        cache.table(system, power_model, config)
-        cache.floor(system, power_model, config)
+        cache.table(system, config)
+        cache.floor(system, config)
     after = solved()
-    return after[0] - before[0], after[1] - before[1], system, power_model, config
+    return after[0] - before[0], after[1] - before[1], system, config
 
 
 def test_inlets_share_each_response():
@@ -49,7 +49,7 @@ def test_inlets_share_each_response():
     assert four[:2] == (settings, 4 * settings), (
         f"4 inlets solved {four[:2]} (R, base); expected ({settings}, {4 * settings})"
     )
-    *_, system, power_model, config = four
+    *_, system, config = four
     before = solved()
-    CharacterizationCache().table(system, power_model, config)
+    CharacterizationCache().table(system, config)
     assert solved() == before, "a repeat table solved a unit response"

@@ -8,10 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.power.components import PowerModel
 from repro.runner import BatchRunner, signature_groups, thermal_signature
 from repro.runner.batch import balanced_slices
 from repro.sim import engine
-from repro.sim.cache import CharacterizationCache, clear_system_memo, system_for
+from repro.sim.cache import (
+    CharacterizationCache,
+    clear_system_memo,
+    power_model_for,
+    system_for,
+)
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.sweep import SweepSpec
 from repro.telemetry import metrics, trace
@@ -184,7 +190,8 @@ class TestInitialFieldMemo:
         config = SimulationConfig(duration=0.5, nx=8, ny=8)
         sim = engine.Simulator(config)
         sim.step()
-        system, model = system_for(config)
+        system = system_for(config)
+        model = power_model_for(config, system)
         setting0 = system.pump.n_settings - 1
         field = system.initial_temperatures(
             model, config.spec.utilization, setting_index=setting0
@@ -196,7 +203,9 @@ class TestInitialFieldMemo:
         ) is field
 
     def test_memo_is_keyed_by_condition(self):
-        system, model = system_for(SimulationConfig(duration=0.5, nx=8, ny=8))
+        config = SimulationConfig(duration=0.5, nx=8, ny=8)
+        system = system_for(config)
+        model = power_model_for(config, system)
         top = system.pump.n_settings - 1
         base = system.initial_temperatures(model, 0.5, setting_index=top)
         assert system.initial_temperatures(model, 0.5, setting_index=top) is base
@@ -206,6 +215,21 @@ class TestInitialFieldMemo:
         assert not np.array_equal(base, other_setting)
         np.testing.assert_array_equal(
             base, system.steady_temperatures(model, 0.5, setting_index=top)
+        )
+
+    def test_memo_is_keyed_by_model_value(self):
+        """Separately built equal models share one field; a model with
+        another idle power gets its own."""
+        system = system_for(SimulationConfig(duration=0.5, nx=8, ny=8))
+        top = system.pump.n_settings - 1
+        base = system.initial_temperatures(PowerModel(system.stack), 0.5, top)
+        assert system.initial_temperatures(PowerModel(system.stack), 0.5, top) is base
+        idle = PowerModel(system.stack, idle_power=1.5)
+        other = system.initial_temperatures(idle, 0.5, top)
+        assert system.initial_temperatures(idle, 0.5, top) is other
+        assert not np.array_equal(base, other)
+        np.testing.assert_array_equal(
+            other, system.steady_temperatures(idle, 0.5, setting_index=top)
         )
 
     def test_warm_campaign_runs_no_steady_solves(self):

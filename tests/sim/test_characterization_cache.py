@@ -6,8 +6,6 @@ import pickle
 import pytest
 
 from repro.geometry.stack import CoolingKind
-from repro.power.components import PowerModel
-from repro.power.leakage import LeakageModel
 from repro.pump.laing_ddc import laing_ddc
 from repro.runner import BatchRunner
 from repro.sim.cache import (
@@ -46,10 +44,8 @@ class TestConfigKeys:
         cache = CharacterizationCache()
         config = _liquid_config()
         sys_a, sys_b = _liquid_system(), _liquid_system()
-        model_a = PowerModel(sys_a.stack, leakage=LeakageModel())
-        model_b = PowerModel(sys_b.stack, leakage=LeakageModel())
-        table_a = cache.table(sys_a, model_a, config)
-        table_b = cache.table(sys_b, model_b, config)
+        table_a = cache.table(sys_a, config)
+        table_b = cache.table(sys_b, config)
         assert table_a is table_b
         assert len(cache.tables) == 1
 
@@ -61,10 +57,10 @@ class TestConfigKeys:
         other = dataclasses.replace(config, **{field: value})
         assert getattr(other, field) != getattr(config, field)
         cache = CharacterizationCache()
-        system, model = system_for(config)
+        system = system_for(config)
         for each in (config, other):
-            cache.table(system, model, each)
-            cache.floor(system, model, each)
+            cache.table(system, each)
+            cache.floor(system, each)
             cache.thermal_weights(system, system.start_setting, each)
         assert system_key(config) != system_key(other)
         assert len(cache.tables) == len(cache.floors) == len(cache.weight_sets) == 2
@@ -98,10 +94,10 @@ class TestSolverTierKeys:
         try:
             # The first krylov system preconditions the second, so the
             # second's table differs from the exact one at roundoff.
-            cache.table(*system_for(neighbor), neighbor)
-            cache.table(*system_for(krylov), krylov)
-            after_krylov = cache.table(*system_for(exact), exact)
-            fresh = CharacterizationCache().table(*system_for(exact), exact)
+            cache.table(system_for(neighbor), neighbor)
+            cache.table(system_for(krylov), krylov)
+            after_krylov = cache.table(system_for(exact), exact)
+            fresh = CharacterizationCache().table(system_for(exact), exact)
         finally:
             clear_system_memo()
             clear_neighbor_cache()
@@ -159,15 +155,15 @@ class TestWarmResidency:
         config = _liquid_config(nx=12, ny=12)
         clear_system_memo()
         warmed = CharacterizationCache().warm([config])
-        system, model = system_for(config)
+        system = system_for(config)
         assert list(system._steadies) == []
         clear_system_memo()
         cold = CharacterizationCache()
-        system, model = system_for(config)
-        table = cold.table(system, model, config)
+        system = system_for(config)
+        table = cold.table(system, config)
         ((key, warm_table),) = warmed.tables.items()
         assert warm_table.char.tmax.tobytes() == table.char.tmax.tobytes()
-        assert warmed.floors[key] == cold.floor(system, model, config)
+        assert warmed.floors[key] == cold.floor(system, config)
         for k in range(system.pump.n_settings):
             fresh = cold.thermal_weights(system, k, config).as_dict()
             assert warmed.weight_sets[key + (k, config.talb_weight_target)].as_dict() == fresh
@@ -221,8 +217,7 @@ class TestEngineDelegation:
 
         config = _liquid_config()
         system = _liquid_system()
-        model = PowerModel(system.stack, leakage=LeakageModel())
-        table_a = engine.default_cache().table(system, model, config)
-        table_b = engine.default_cache().table(system, model, config)
+        table_a = engine.default_cache().table(system, config)
+        table_b = engine.default_cache().table(system, config)
         assert table_a is table_b
         assert Simulator(config).cache is engine.default_cache()

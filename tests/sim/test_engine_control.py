@@ -27,8 +27,6 @@ class TestCharacterizationGuard:
 
     def test_burst_floor_is_cached_and_sane(self):
         from repro.geometry.stack import CoolingKind
-        from repro.power.components import PowerModel
-        from repro.power.leakage import LeakageModel
         from repro.sim.system import ThermalSystem
 
         config = SimulationConfig(
@@ -37,9 +35,8 @@ class TestCharacterizationGuard:
             duration=1.0,
         )
         system = ThermalSystem(2, CoolingKind.LIQUID)
-        model = PowerModel(system.stack, leakage=LeakageModel())
-        floor_a = default_cache().floor(system, model, config)
-        floor_b = default_cache().floor(system, model, config)
+        floor_a = default_cache().floor(system, config)
+        floor_b = default_cache().floor(system, config)
         assert floor_a == floor_b
         assert 0 <= floor_a < system.pump.n_settings
 
@@ -80,8 +77,6 @@ class TestPumpTransitionsInRuns:
 class TestTableCache:
     def test_characterization_shared_between_runs(self):
         from repro.geometry.stack import CoolingKind
-        from repro.power.components import PowerModel
-        from repro.power.leakage import LeakageModel
         from repro.sim.system import ThermalSystem
 
         config = SimulationConfig(
@@ -90,7 +85,6 @@ class TestTableCache:
             duration=1.0,
         )
         system = ThermalSystem(2, CoolingKind.LIQUID)
-        model = PowerModel(system.stack, leakage=LeakageModel())
-        table_a = default_cache().table(system, model, config)
-        table_b = default_cache().table(system, model, config)
+        table_a = default_cache().table(system, config)
+        table_b = default_cache().table(system, config)
         assert table_a is table_b

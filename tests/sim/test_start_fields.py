@@ -17,9 +17,13 @@ import pytest
 from repro.experiments import fig5
 from repro.geometry.stack import CoolingKind
 from repro.power.components import PowerModel
-from repro.power.leakage import LeakageModel
 from repro.runner import BatchRunner
-from repro.sim.cache import CharacterizationCache, clear_system_memo, system_for
+from repro.sim.cache import (
+    CharacterizationCache,
+    clear_system_memo,
+    power_model_for,
+    system_for,
+)
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
 from repro.sim.system import ThermalSystem
 from repro.telemetry import metrics, trace
@@ -38,7 +42,7 @@ def _digest(*arrays) -> str:
 
 def _pair(n, **kwargs):
     system = ThermalSystem(2, CoolingKind.LIQUID, nx=n, ny=n, **kwargs)
-    return system, PowerModel(system.stack, leakage=LeakageModel())
+    return system, PowerModel(system.stack)
 
 
 @pytest.fixture(scope="module", params=(16, 32), ids=lambda n: f"{n}x{n}")
@@ -102,7 +106,8 @@ class TestWarmedSystemsHoldNoSteadyLU:
             nx=16, ny=16, cooling=cooling, policy=PolicyKind.TALB, duration=0.5
         )
         CharacterizationCache().warm([config])
-        system, model = system_for(config)
+        system = system_for(config)
+        model = power_model_for(config, system)
         assert system._steadies == {}
         trace.clear()
         counts = Counters()
@@ -143,7 +148,8 @@ class TestFieldSolvedLoopsAreUnchanged:
         try:
             for cooling, expected in self.KRYLOV_INITIAL.items():
                 config = SimulationConfig(nx=16, ny=16, solver="krylov", cooling=cooling)
-                system, model = system_for(config)
+                system = system_for(config)
+                model = power_model_for(config, system)
                 field = system.initial_temperatures(
                     model, config.spec.utilization, system.start_setting
                 )
@@ -206,6 +212,6 @@ class TestRewarmBuildsNoSystem:
         counts = Counters()
         cache.warm([talb])
         assert counts.delta("cache.system.hits") == 1
-        system, _ = system_for(talb)
+        system = system_for(talb)
         assert len(cache.weight_sets) == before + system.pump.n_settings
         clear_system_memo()

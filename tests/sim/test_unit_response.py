@@ -89,7 +89,7 @@ class TestSameDecisions:
         n = system.grid.nx
         config = SimulationConfig(nx=n, ny=n, cooling=CoolingMode.LIQUID_VARIABLE)
         cache = CharacterizationCache()
-        table = cache.table(system, model, config)
+        table = cache.table(system, config)
         target = config.target_temperature - config.characterization_guard
         reference = FlowRateTable.characterize(
             steady_tmax_batch=lambda k, utils: naive_steady_tmax_batch(
@@ -114,7 +114,7 @@ class TestSameDecisions:
             ),
             system.pump.n_settings - 1,
         )
-        assert cache.floor(system, model, config) == reference_floor
+        assert cache.floor(system, config) == reference_floor
 
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
@@ -168,7 +168,7 @@ class TestInletSweepSharesR:
                 thermal_params=system.params,
             )
             cache = CharacterizationCache()
-            table = cache.table(system, model, config)
+            table = cache.table(system, config)
             reference = FlowRateTable.characterize(
                 steady_tmax_batch=lambda k, utils: naive_steady_tmax_batch(
                     system, model, utils, k
@@ -192,7 +192,7 @@ class TestInletSweepSharesR:
                 ),
                 system.pump.n_settings - 1,
             )
-            assert cache.floor(system, model, config) == reference_floor
+            assert cache.floor(system, config) == reference_floor
 
     def test_r_is_bitwise_the_same_whichever_inlet_solves_it(self, inlet_sweep):
         systems, responses, _ = inlet_sweep
@@ -293,8 +293,8 @@ class TestMemo:
         settings = system.pump.n_settings
         counts = Counters()
         cache = CharacterizationCache()
-        cache.table(system, model, config)
-        cache.floor(system, model, config)
+        cache.table(system, config)
+        cache.floor(system, config)
         widths = sorted(s["attrs"]["n_rhs"] for s in self._steady_spans())
         assert widths == [1] * settings + [system.grid.n_units] * settings
         assert counts.delta(RESPONSES % "response") == settings
@@ -302,7 +302,7 @@ class TestMemo:
 
         trace.clear()
         counts = Counters()
-        CharacterizationCache().table(system, model, config)
+        CharacterizationCache().table(system, config)
         assert self._steady_spans() == []
         assert counts.delta(RESPONSES % "response") == 0
         assert counts.delta(RESPONSES % "base") == 0

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 from repro import units
 from repro.errors import ConfigurationError, SolverError
 from repro.geometry.stack import CoolingKind, build_stack
-from repro.sim.cache import CharacterizationCache, clear_system_memo, system_for
+from repro.sim.cache import (
+    CharacterizationCache,
+    clear_system_memo,
+    power_model_for,
+    system_for,
+)
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
 from repro.telemetry import trace
 from repro.thermal.grid import ThermalGrid
@@ -373,8 +378,8 @@ class TestSteadyCharacterizationIsBitwisePinned:
             policy=PolicyKind.TALB,
             benchmark_name="gzip",
         )
-        system, power_model = system_for(config)
-        yield config, system, power_model, CharacterizationCache()
+        system = system_for(config)
+        yield config, system, power_model_for(config, system), CharacterizationCache()
         clear_system_memo()
 
     def test_talb_weights(self, characterized):
@@ -384,11 +389,11 @@ class TestSteadyCharacterizationIsBitwisePinned:
             assert _digest([weights[name] for name in system.core_names]) == expected
 
     def test_flow_table_and_floor(self, characterized):
-        config, system, power_model, cache = characterized
-        table = cache.table(system, power_model, config)
+        config, system, _, cache = characterized
+        table = cache.table(system, config)
         caps = [table.utilization_cap(k) for k in range(table.char.n_settings)]
         assert _digest(table.char.utilizations, table.char.tmax, caps) == self.TABLE
-        assert cache.floor(system, power_model, config) == self.FLOOR
+        assert cache.floor(system, config) == self.FLOOR
 
     def test_steady_initial_field(self, characterized):
         config, system, power_model, _ = characterized
