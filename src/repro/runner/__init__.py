@@ -6,8 +6,9 @@ through it the ``repro batch`` and ``repro sweep`` CLI commands), and
 the distributed workers all route multi-run work through
 :class:`BatchRunner`. It executes runs in a stable sort by thermal
 signature (:func:`signature_groups`), so runs sharing one thermal
-system reuse its networks, LUs, and memoized steady initial field back
-to back, and emits results in submission order.
+system reuse its networks and LUs back to back (their steady initial
+fields are cached characterizations), and emits results in submission
+order.
 """
 
 from repro.runner.batch import (

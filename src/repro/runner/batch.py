@@ -47,8 +47,8 @@ def thermal_signature(config: SimulationConfig) -> tuple:
     The system-memo key (layers, cooling kind, grid, thermal params,
     solver tier — see :func:`repro.sim.cache._system_memo_key`) plus
     the sampling interval (the transient LU depends on dt). Configs
-    with equal signatures step through the same assembled networks,
-    LUs, and memoized steady initial fields; nothing else about them
+    with equal signatures step through the same assembled networks
+    and LUs; nothing else about them
     (policy, controller, workload, seed, duration) reaches the numeric
     kernel.
     """
@@ -189,21 +189,28 @@ def _execute_group(
 def _execute_group_remote(task: tuple) -> tuple[list, dict]:
     """Pool entrypoint: run a group and ship its metric delta back.
 
-    Workers snapshot the telemetry registry around the group so only
+    ``task`` is ``(group, reducer, fields)``: ``fields`` are the warmed
+    initial fields the group's runs read
+    (:meth:`~repro.sim.cache.CharacterizationCache.fields_for`), kept
+    in the worker's cache before the runs. Workers snapshot the
+    telemetry registry around the group so only
     the group's *own* activity travels back (under ``fork`` the child
     inherits the parent's counter values; the diff cancels them). The
     parent merges every delta, so campaign counters aggregate across
     the pool exactly as they do serially.
     """
+    group, reducer, fields = task
+    engine.default_cache().keep_fields(fields)
     before = _metrics.snapshot()
-    items = _execute_group(task)
+    items = _execute_group((group, reducer))
     return items, _metrics.snapshot_diff(before, _metrics.snapshot())
 
 
 def _worker_init(
     cache: CharacterizationCache, trace_context: Optional[dict] = None
 ) -> None:
-    """Install the parent's pre-warmed cache as the worker's default.
+    """Install the parent's pre-warmed cache, less its initial fields
+    (each task brings those it reads), as the worker's default.
 
     Redundant under the ``fork`` start method (the child inherits the
     parent's module state) but required for ``spawn``/``forkserver``.
@@ -231,11 +238,13 @@ class BatchRunner:
         characterizations with prior in-process runs. Every batch
         pre-derives its characterizations in the parent before fanning
         out, so the artifacts are computed once instead of once per
-        worker (warming an already-warm cache is all hits).
+        worker (warming an already-warm cache is all hits). Each worker
+        receives the cache less its initial fields, and each task the
+        fields of its own runs.
 
     Runs execute in a stable sort by :func:`signature_groups`, so runs
-    sharing a thermal system reuse its networks, LUs, and memoized
-    steady initial field back to back; results are emitted in
+    sharing a thermal system reuse its networks and LUs back to back
+    (the warmed cache holds their initial fields); results are emitted in
     submission order either way. In parallel mode each signature group
     is split into balanced contiguous slices, one pool task each, so a
     single large group still fills every worker.
@@ -316,12 +325,16 @@ class BatchRunner:
             pool = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_worker_init,
-                initargs=(self.cache, _trace.trace_context()),
+                initargs=(self.cache.without_fields(), _trace.trace_context()),
             )
+            remote = [
+                (group, reducer, self.cache.fields_for(c for _, c, _ in group))
+                for group, reducer in tasks
+            ]
             try:
                 # pool.map yields groups in submission order as they land.
                 for items, delta in pool.map(
-                    _execute_group_remote, tasks, chunksize=1
+                    _execute_group_remote, remote, chunksize=1
                 ):
                     _metrics.merge(delta)
                     for item in items:

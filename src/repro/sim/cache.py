@@ -4,25 +4,31 @@ The paper's controller and TALB policy both rely on offline
 pre-processing: the flow-rate look-up table (Figure 5), the burst-floor
 setting (the lowest setting that holds one fully loaded core below the
 target), and the per-setting thermal weight sets
-(Eq. 8). Historically these lived in module-level dictionaries inside
-``repro.sim.engine``, which could not be handed to worker processes
-explicitly, so a process fan-out re-derived every characterization in
-every worker.
+(Eq. 8). Every run also starts from a steady field (the paper
+initializes all simulations "with steady state temperature values"),
+one more artifact of the same kind. Historically these lived in
+module-level dictionaries inside ``repro.sim.engine``, which could not
+be handed to worker processes explicitly, so a process fan-out
+re-derived every characterization in every worker.
 
 :class:`CharacterizationCache` keys every artifact by the config alone
 (:func:`system_key`: the system identity, the characterization target
 and guard; no config field chooses the pump or the air package) and
 holds only plain picklable values
 (:class:`~repro.control.flow_table.FlowRateTable`, ints,
-:class:`~repro.sched.weights.ThermalWeights`), so a pre-warmed cache
-can be shipped to ``ProcessPoolExecutor`` workers by
-:class:`repro.runner.BatchRunner`.
+:class:`~repro.sched.weights.ThermalWeights`, read-only initial
+fields), so a pre-warmed cache can be shipped to
+``ProcessPoolExecutor`` workers by :class:`repro.runner.BatchRunner`.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from repro.control.flow_table import FlowRateTable
 from repro.geometry.stack import CoolingKind
@@ -37,14 +43,15 @@ from repro.sched.weights import ThermalWeights
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.telemetry import metrics as _metrics
 from repro.thermal.rc_network import clear_operator_store
-from repro.thermal.solver import clear_lu_store
+from repro.thermal.solver import SteadyStateSolver, clear_lu_store
 from repro.workload.generator import ThreadTrace
 
 _CHAR_HITS = _metrics.counter("cache.characterization.hits")
 _CHAR_MISSES = _metrics.counter("cache.characterization.misses")
 """Characterization-cache traffic, labeled by artifact kind
-(``kind=table|floor|weights|trace``) — the telemetry view of whether a
-campaign's workers received finished artifacts or re-derived them."""
+(``kind=table|floor|weights|init|trace``) — the telemetry view of
+whether a campaign's workers received finished artifacts or re-derived
+them."""
 
 _SYSTEM_HITS = _metrics.counter("cache.system.hits")
 _SYSTEM_MISSES = _metrics.counter("cache.system.misses")
@@ -169,11 +176,39 @@ def _uses_weights(config: SimulationConfig) -> bool:
 
 def _settings(config: SimulationConfig, system: "ThermalSystem") -> "range | tuple[int]":
     """The cooling conditions whose artifacts a config's runs read:
-    every pump setting under variable flow, else the start setting
-    alone (the top setting, or -1 for air)."""
-    if config.cooling is CoolingMode.LIQUID_VARIABLE:
+    every pump setting for a flow table or weight sets under variable
+    flow, else the start setting alone (the top setting, or -1 for
+    air), whose initial field every run reads."""
+    if config.cooling is CoolingMode.LIQUID_VARIABLE and (
+        _needs_flow_table(config) or _uses_weights(config)
+    ):
         return range(system.pump.n_settings)
     return (system.start_setting,)
+
+
+def _field_on_exact_lu(config: SimulationConfig) -> bool:
+    """Whether a krylov config's initial field is solved on the exact LU
+    of its start setting, the LU its TALB weights factorize anyway,
+    rather than by GMRES (a krylov config without weights has no exact
+    LU to use)."""
+    return config.solver != "exact" and _uses_weights(config)
+
+
+_INITIAL_FIELD_BYTES = 32 << 20
+"""Budget of one cache's initial fields. Past it the least recently
+used field is evicted and recomputed by the next run that reads it
+(bitwise the same), so a long-lived process or a large design sweep
+holds at most this much: about 70 fields at 107x107, thousands at
+16x16."""
+
+
+def _model_value(power_model: PowerModel) -> tuple:
+    """A power model's value: its stack's name and its parameter
+    fields, so equal-valued instances key the same initial field."""
+    return tuple(
+        power_model.stack.name if f.name == "stack" else getattr(power_model, f.name)
+        for f in dataclasses.fields(power_model)
+    )
 
 
 class CharacterizationCache:
@@ -182,17 +217,24 @@ class CharacterizationCache:
     All values are plain data (numpy arrays, dicts of floats, ints), so
     instances pickle cleanly; the sparse LU factorizations live in the
     process-wide LU store (:func:`repro.thermal.solver.factorize`) and
-    are rebuilt per process.
+    are rebuilt per process. The initial fields outlive the systems they
+    were solved on, so a run whose system the memo evicted after
+    warm-up still starts without a steady solve; they are the one
+    artifact of size ``n_nodes``, so they alone are bounded
+    (:data:`_INITIAL_FIELD_BYTES`, least recently used first out).
     """
 
     def __init__(self) -> None:
         self.tables: dict[tuple, FlowRateTable] = {}
         self.floors: dict[tuple, int] = {}
         self.weight_sets: dict[tuple, ThermalWeights] = {}
+        self.initial_fields: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self.traces: dict[tuple, ThreadTrace] = {}
         # Every item (:meth:`_reads`) a warm-up covered, so a later
         # warm-up of configs that read nothing more builds no system.
         self._warmed: set[tuple] = set()
+        self._field_bytes = 0
+        self._evictions = 0
 
     # --- cached characterizations -------------------------------------------
 
@@ -261,6 +303,93 @@ class CharacterizationCache:
                 background_power=1.0,
             )
         return self.weight_sets[key]
+
+    def _init_key(self, system: "ThermalSystem", config: SimulationConfig) -> tuple:
+        return _system_memo_key(config) + _model_value(power_model_for(config, system)) + (
+            config.spec.utilization,
+            system.start_setting,
+            _field_on_exact_lu(config),
+        )
+
+    def initial_field(self, system: "ThermalSystem", config: SimulationConfig) -> np.ndarray:
+        """The (cached) steady field a config's runs start from: the
+        paper initializes all simulations "with steady state
+        temperature values".
+
+        Keyed by the system (:func:`_system_memo_key`; the target and
+        guard do not reach it) plus the power model's value
+        (:func:`power_model_for`), the benchmark's utilization, the
+        start setting and how it is solved. A miss computes it with
+        :meth:`~repro.sim.system.ThermalSystem.initial_temperatures`:
+        on the system's own tier, except that a krylov config reading
+        TALB weights holds an exact steady solver of its start setting
+        while that setting's weights derive (a store hit for them, so
+        no extra LU) and iterates on it with direct solves. A warmed
+        and a cold run of a config therefore start from the same field
+        bitwise (warm-up never solves a krylov config without weights).
+        The field is read-only, so no run can corrupt another's start.
+        """
+        key = self._init_key(system, config)
+        field = self.initial_fields.get(key)
+        if field is not None:
+            self.initial_fields.move_to_end(key)
+            _CHAR_HITS.inc(kind="init")
+            return field
+        _CHAR_MISSES.inc(kind="init")
+        model = power_model_for(config, system)
+        start = system.start_setting
+        utilization = config.spec.utilization
+        if _field_on_exact_lu(config):
+            held = SteadyStateSolver(system.network(start))
+            self.thermal_weights(system, start, config)
+            field = system.initial_temperatures(model, utilization, start, solver=held)
+        else:
+            field = system.initial_temperatures(model, utilization, start)
+        self.keep_fields({key: field})
+        return field
+
+    def keep_fields(self, fields: dict[tuple, np.ndarray]) -> None:
+        """Store initial fields (a pool task's share, or one just
+        solved), read-only (unpickling makes an array writeable again),
+        evicting the least recently used past the budget."""
+        for key, field in fields.items():
+            old = self.initial_fields.pop(key, None)
+            if old is not None:
+                self._field_bytes -= old.nbytes
+            field.flags.writeable = False
+            self.initial_fields[key] = field
+            self._field_bytes += field.nbytes
+        while self._field_bytes > _INITIAL_FIELD_BYTES and len(self.initial_fields) > 1:
+            _, old = self.initial_fields.popitem(last=False)
+            self._field_bytes -= old.nbytes
+            self._evictions += 1
+            self._forget_warmed_fields()
+
+    def _forget_warmed_fields(self) -> None:
+        """After an eviction no warm-up's field reads are known covered,
+        so a later warm-up re-checks (and re-solves) them."""
+        self._warmed = {item for item in self._warmed if item[0] != "init"}
+
+    def fields_for(self, configs: Iterable[SimulationConfig]) -> dict[tuple, np.ndarray]:
+        """The cached initial fields ``configs`` read: what a pool task
+        running them needs of this cache beyond :meth:`without_fields`."""
+        fields = {}
+        for config in configs:
+            key = self._init_key(system_for(config), config)
+            if key in self.initial_fields:
+                fields[key] = self.initial_fields[key]
+        return fields
+
+    def without_fields(self) -> "CharacterizationCache":
+        """A cache sharing every artifact of this one but its initial
+        fields: what pool workers receive (each task brings its own
+        fields, :meth:`fields_for`), and a reference run that solves its
+        own field."""
+        shell = copy.copy(self)
+        shell.initial_fields = OrderedDict()
+        shell._field_bytes = 0
+        shell._forget_warmed_fields()
+        return shell
 
     # --- workload traces ------------------------------------------------------
 
@@ -335,20 +464,22 @@ class CharacterizationCache:
 
         The steady LUs behind the artifacts are scaffolding: an
         exact-tier system leaves warm-up holding no steady solver.
-        Every exact-tier config that reads a flow table or TALB
-        weights, at any cooling, goes through one setting-major pass
-        (:meth:`_warm_settings`), which also solves the ``Phi`` and
-        ``phi`` of the start setting on its LU
-        (:meth:`~repro.sim.system.ThermalSystem.unit_response`); the
-        runs' initial fields then read them without an LU. Runs that
-        need neither artifact solve their start setting's ``Phi`` when
-        they start. Krylov-tier systems characterize config by config,
-        each as it is built (their weights factorize a throwaway exact
-        LU), and solve their initial fields by GMRES.
+        Every exact-tier config, at any cooling, goes through one
+        setting-major pass (:meth:`_warm_settings`), which also solves
+        each config's initial field (:meth:`initial_field`) on its start
+        setting's LU, so the runs start with no LU and no steady solve.
+        Krylov-tier systems characterize config by config, each as it is
+        built. One that reads TALB weights solves its initial field
+        first, on an exact steady solver of its start setting held while
+        that setting's weights derive (they factorize that LU anyway):
+        six direct solves. Any other krylov config solves its field by
+        GMRES in its first run. A warm-up that evicts a field (past
+        :data:`_INITIAL_FIELD_BYTES`) leaves its runs to recompute it.
         """
         systems: dict[tuple, "ThermalSystem"] = {}
         exact: dict[tuple, list[SimulationConfig]] = {}
         warmed: set[tuple] = set()
+        evictions = self._evictions
         for config in configs:
             reads = self._reads(config)
             if all(item in self._warmed or item in warmed for item in reads):
@@ -358,16 +489,14 @@ class CharacterizationCache:
             if sys_id not in systems:
                 systems[sys_id] = system_for(config)
             system = systems[sys_id]
-            needs_lut = _needs_flow_table(config)
-            talb = _uses_weights(config)
             if config.solver == "exact":
-                if needs_lut or talb:
-                    exact.setdefault(sys_id, []).append(config)
+                exact.setdefault(sys_id, []).append(config)
             else:
-                if needs_lut:
+                if _needs_flow_table(config):
                     self.table(system, config)
                     self.floor(system, config)
-                if talb:
+                if _uses_weights(config):
+                    self.initial_field(system, config)
                     for k in _settings(config, system):
                         self.thermal_weights(system, k, config)
             if self._caches_trace(config):
@@ -376,6 +505,8 @@ class CharacterizationCache:
             [(systems[sys_id], group) for sys_id, group in exact.items()]
         )
         self._warmed |= warmed
+        if self._evictions != evictions:
+            self._forget_warmed_fields()
         return self
 
     @staticmethod
@@ -387,8 +518,10 @@ class CharacterizationCache:
         """What a config's runs read, each item keyed by the config
         alone: its system, its flow table and burst floor, its weight
         sets (the start setting's, and under variable flow every
-        setting's) and its cached trace. A config is warm when an
-        earlier warm-up covered every item."""
+        setting's), its initial field where warm-up solves it (every
+        exact config, and krylov configs with weights) and its cached
+        trace. A config is warm when an earlier warm-up covered every
+        item."""
         key = system_key(config)
         reads = [("system", _system_memo_key(config))]
         if _needs_flow_table(config):
@@ -397,6 +530,11 @@ class CharacterizationCache:
             reads.append(("weights", key, config.talb_weight_target, "start"))
             if config.cooling is CoolingMode.LIQUID_VARIABLE:
                 reads.append(("weights", key, config.talb_weight_target, "all"))
+        if config.solver == "exact" or _uses_weights(config):
+            reads.append((
+                "init", _system_memo_key(config), config.spec.utilization,
+                _field_on_exact_lu(config),
+            ))
         if cls._caches_trace(config):
             reads.append(("trace", cls._trace_key(config)))
         return tuple(reads)
@@ -406,44 +544,59 @@ class CharacterizationCache:
     ) -> None:
         """The per-setting work of exact-tier systems, setting-major.
 
-        ``groups`` holds each system with the configs that read its
-        flow table or weights. For each cooling
+        ``groups`` holds each system with its configs. For each cooling
         condition some config reads (:func:`_settings`), in ascending
-        order (air's -1 first), every system solves its unit response
-        (at the start setting always: the runs' initial fields read its
-        ``Phi``) and derives its TALB weights while that setting's
-        steady LU is resident; then every system drops its steady
-        solver for that setting. Systems that differ only in coolant
-        inlet share that LU, and its ``R`` and ``Phi``, through the LU
-        store, and so does the probe solver
+        order (air's -1 first), every system reading it solves the
+        initial fields of its configs (at the start setting: ``Phi p +
+        phi`` on its unit response) and its unit response and TALB
+        weights while that setting's steady LU is resident. The systems
+        that share that LU drop their steady solvers once the last of
+        them is done with the setting, so an inlet sweep (one matrix
+        digest) shares one LU, and its ``R`` and ``Phi``, through the LU
+        store, while a design sweep (a digest per system) never holds two
+        steady LUs at once. The probe solver
         :meth:`~repro.sched.weights.ThermalWeights.from_network` builds
-        for a missing weight set: the system builds its own steady
-        solver first, so the weights are bitwise the same and no second
-        copy is factorized. The flow tables and burst floors are then
-        read off the memoized responses. Only work still missing from
-        the cache touches a solver.
+        for a missing weight set shares it too: the system builds its own
+        steady solver first, so the weights are bitwise the same and no
+        second copy is factorized. The flow tables and burst floors are
+        then read off the memoized responses. Only work still missing
+        from the cache touches a solver.
         """
         settings = sorted(
             {k for system, configs in groups for c in configs for k in _settings(c, system)}
         )
         for k in settings:
+            # The systems reading setting k, grouped by the steady matrix
+            # (so the LU) they share, in first-seen order.
+            sharing: dict[str, list] = {}
             for system, configs in groups:
-                if k == system.start_setting:
-                    system.unit_response(k)
-                for config in configs:
-                    if k not in _settings(config, system):
-                        continue
-                    key = system_key(config)
-                    if _needs_flow_table(config) and (
-                        key not in self.tables or key not in self.floors
+                reading = [c for c in configs if k in _settings(c, system)]
+                if reading:
+                    digest = system.network(k).operator.steady_matrix().digest
+                    sharing.setdefault(digest, []).append((system, reading))
+            for readers in sharing.values():
+                for system, configs in readers:
+                    start = k == system.start_setting
+                    if start and any(
+                        self._init_key(system, c) not in self.initial_fields for c in configs
                     ):
+                        # The fields' unit response first, so an initial
+                        # field costs only its own loop and matvec.
                         system.unit_response(k)
-                    if _uses_weights(config):
-                        if key + (k, config.talb_weight_target) not in self.weight_sets:
-                            system.steady_solver(k)
-                        self.thermal_weights(system, k, config)
-            for system, _ in groups:
-                system.release_steady(k)
+                    for config in configs:
+                        key = system_key(config)
+                        if start:
+                            self.initial_field(system, config)
+                        if _needs_flow_table(config) and (
+                            key not in self.tables or key not in self.floors
+                        ):
+                            system.unit_response(k)
+                        if _uses_weights(config):
+                            if key + (k, config.talb_weight_target) not in self.weight_sets:
+                                system.steady_solver(k)
+                            self.thermal_weights(system, k, config)
+                for system, _ in readers:
+                    system.release_steady(k)
         for system, configs in groups:
             for config in configs:
                 if _needs_flow_table(config):
@@ -455,14 +608,17 @@ class CharacterizationCache:
         self.tables.clear()
         self.floors.clear()
         self.weight_sets.clear()
+        self.initial_fields.clear()
         self.traces.clear()
         self._warmed.clear()
+        self._field_bytes = 0
 
     def __len__(self) -> int:
         return (
             len(self.tables)
             + len(self.floors)
             + len(self.weight_sets)
+            + len(self.initial_fields)
             + len(self.traces)
         )
 
@@ -472,5 +628,6 @@ class CharacterizationCache:
             "tables": len(self.tables),
             "floors": len(self.floors),
             "weight_sets": len(self.weight_sets),
+            "initial_fields": len(self.initial_fields),
             "traces": len(self.traces),
         }

@@ -323,12 +323,9 @@ class Simulator:
         st.dpm = DpmPolicy(core_names, enabled=config.dpm_enabled)
         st.spec = config.spec
 
-        # The steady initial field is memoized by the system and shared
+        # The steady initial field is a cached characterization, shared
         # read-only; each step builds a new field, never writes it.
-        setting0 = self._pump_state.current_index if self._pump_state else -1
-        st.temperatures = self.system.initial_temperatures(
-            self.power_model, st.spec.utilization, setting_index=setting0
-        )
+        st.temperatures = self.cache.initial_field(self.system, config)
         # Unit/core temperatures live in arrays aligned to the grid's
         # stable unit ordering; the small per-core dict is rebuilt only
         # for the policy interface.

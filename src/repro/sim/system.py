@@ -26,16 +26,19 @@ with ``Phi = G^-1 S`` (the fields ``R`` is read from) and
 ``phi = G^-1 b`` (the field ``base`` is read from), so on the exact tier
 the initial field every run starts from is one ``n_nodes x n_units``
 matvec on the powers of the unit-space loop's last iteration. A system
-keeps ``Phi`` and ``phi`` of its start setting only, which lets warm-up
+keeps ``Phi`` and ``phi`` of its start setting only. The initial field
+itself is not kept here: :meth:`ThermalSystem.initial_temperatures`
+computes it and :class:`~repro.sim.cache.CharacterizationCache` keeps
+it, keyed by the config, so it outlives the system and warm-up can
 release every steady LU. The krylov tier and Figure 5's per-flow
-networks run the same loop with one field solve per iteration, and the
-TALB weights stay on fields, because their mirror-core ties are ordered
-by LU roundoff alone.
+networks run the same loop with one field solve per iteration; a
+krylov config that reads TALB weights solves its initial field on the
+exact LU its weights factorize, as six direct solves. The TALB weights stay on
+fields, because their mirror-core ties are ordered by LU roundoff alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -134,7 +137,6 @@ class ThermalSystem:
         self._networks: dict[int, RCNetwork] = {}
         self._transients: dict[tuple, TransientSolver] = {}
         self._steadies: dict[int, SteadyStateSolver] = {}
-        self._initial_fields: dict[tuple, np.ndarray] = {}
         self._unit_responses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._start_fields: Optional[tuple[np.ndarray, np.ndarray]] = None
 
@@ -203,11 +205,12 @@ class ThermalSystem:
         """Drop the cached steady solver of a setting, if any.
 
         Its LU leaves the store once no other solver holds it. What was
-        derived from it stays: unit responses, the start setting's
-        ``Phi`` and ``phi``, initial fields and weight sets are plain
-        arrays, so a warmed exact-tier system starts its runs without a
-        steady LU. A later :meth:`steady_solver` call builds a fresh
-        solver, bitwise the same on the exact tier.
+        derived from it stays: unit responses and the start setting's
+        ``Phi`` and ``phi`` on the system, initial fields and weight sets
+        in the characterization cache, all plain arrays, so a warmed
+        exact-tier system starts its runs without a steady LU. A later
+        :meth:`steady_solver` call builds a fresh solver, bitwise the
+        same on the exact tier.
         """
         self._steadies.pop(setting_index, None)
 
@@ -248,6 +251,7 @@ class ThermalSystem:
         utilization: float,
         setting_index: int = -1,
         memory_intensity: float = 0.5,
+        solver: Optional[SteadyStateSolver] = None,
     ) -> np.ndarray:
         """Steady-state temperature field under uniform utilization (the
         load :meth:`steady_tmax` sees; see :meth:`steady_field`)."""
@@ -255,7 +259,7 @@ class ThermalSystem:
             raise ConfigurationError("utilization must be in [0, 1]")
         return self.steady_field(
             power_model, *self._uniform_load(utilization), memory_intensity,
-            setting_index=setting_index,
+            setting_index=setting_index, solver=solver,
         )
 
     def _uniform_load(self, utilization: float) -> tuple[list, list]:
@@ -281,9 +285,10 @@ class ThermalSystem:
         loop's last iteration (:meth:`unit_response`; the start
         setting's ``Phi`` is kept, any other setting's is solved for the
         call), on the krylov tier one GMRES field solve per iteration.
-        ``solver`` is a steady solver on another of this system's
-        networks (Figure 5's arbitrary flows), iterated with one field
-        solve per iteration.
+        ``solver`` is a steady solver to iterate on instead, with one
+        field solve per iteration: on another of this system's networks
+        (Figure 5's arbitrary flows), or the exact solver of a krylov
+        system's start setting.
         """
         loads = [(core_util, asleep)]
         if solver is None and self.solver == "exact":
@@ -459,27 +464,26 @@ class ThermalSystem:
 
     # --- convenience ------------------------------------------------------------
 
-    def initial_temperatures(self, power_model: PowerModel, utilization: float,
-                             setting_index: int = -1) -> np.ndarray:
+    def initial_temperatures(
+        self,
+        power_model: PowerModel,
+        utilization: float,
+        setting_index: int = -1,
+        solver: Optional[SteadyStateSolver] = None,
+    ) -> np.ndarray:
         """Steady-state initialization (the paper initializes all
-        simulations "with steady state temperature values").
+        simulations "with steady state temperature values"), read-only.
 
-        Memoized per power model value (its stack's name and its
-        parameter fields), utilization and setting: every run that
-        starts from the same condition on this system shares one field,
-        bitwise equal to deriving it afresh, whichever equal-valued
-        model instance it passes. On the exact tier a warmed system
-        derives it from its kept start-setting ``Phi`` and ``phi``
-        (:meth:`steady_field`) with no steady solve and no LU. The field
-        is read-only, so no run can corrupt another's start.
+        The one path that computes a run's initial field; runs read it
+        through :meth:`repro.sim.cache.CharacterizationCache.initial_field`,
+        which keys and keeps it. On the exact tier it is ``Phi p + phi``
+        on the setting's unit response (:meth:`steady_field`); with a
+        ``solver`` on the setting's network (the exact solver a krylov
+        TALB config's field is solved on) the leakage loop runs one
+        field solve per iteration on it.
         """
-        key = tuple(
-            power_model.stack.name if f.name == "stack" else getattr(power_model, f.name)
-            for f in dataclasses.fields(power_model)
-        ) + (utilization, setting_index)
-        field = self._initial_fields.get(key)
-        if field is None:
-            field = self.steady_temperatures(power_model, utilization, setting_index)
-            field.flags.writeable = False
-            self._initial_fields[key] = field
+        field = self.steady_temperatures(
+            power_model, utilization, setting_index, solver=solver
+        )
+        field.flags.writeable = False
         return field

@@ -1,11 +1,12 @@
 """Reference runs that share nothing.
 
 Batch, sweep and distributed execution share each thermal system's
-assembled networks, LUs and memoized steady initial field across runs.
-The byte-identity tests compare them against this reference: every run
-an independent :func:`repro.sim.engine.simulate` call after
-:func:`repro.sim.cache.clear_system_memo`, so each run assembles,
-factorizes and solves its own initial field.
+assembled networks and LUs across runs, and the steady initial fields
+warm-up caches. The byte-identity tests compare them against this
+reference: every run an independent :func:`repro.sim.engine.simulate`
+call after :func:`repro.sim.cache.clear_system_memo`, on a cache that
+shares the flow tables, burst floors and weight sets but holds no
+initial field, so each run assembles, factorizes and solves its own.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import pytest
 
 from repro.runner import batch
 from repro.sim.cache import clear_system_memo
-from repro.sim.engine import simulate
+from repro.sim.engine import default_cache, simulate
 
 
 def fresh_simulate(config):
-    """One run on a freshly built system (nothing memoized)."""
+    """One run on a freshly built system that solves its own initial
+    field (nothing memoized)."""
     clear_system_memo()
-    return simulate(config)
+    return simulate(config, cache=default_cache().without_fields())
 
 
 def _fresh_execute_one(index, config):

@@ -3,6 +3,9 @@ thermal signature, share each system's networks, LUs and memoized
 steady initial field, and stay byte-identical to independent runs that
 share nothing (``fresh_runs``)."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from repro.sim.cache import (
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.sweep import SweepSpec
 from repro.telemetry import metrics, trace
+from repro.thermal.rc_network import ThermalParams
 
 from counters import Counters
 from fresh_runs import fresh_simulate
@@ -188,48 +192,70 @@ class TestInitialFieldMemo:
 
     def test_memoized_field_is_read_only(self):
         config = SimulationConfig(duration=0.5, nx=8, ny=8)
-        sim = engine.Simulator(config)
+        cache = CharacterizationCache()
+        sim = engine.Simulator(config, cache=cache)
         sim.step()
         system = system_for(config)
-        model = power_model_for(config, system)
-        setting0 = system.pump.n_settings - 1
-        field = system.initial_temperatures(
-            model, config.spec.utilization, setting_index=setting0
-        )
+        field = cache.initial_field(system, config)
         with pytest.raises(ValueError):
             field[0] = 0.0
-        assert system.initial_temperatures(
-            model, config.spec.utilization, setting_index=setting0
-        ) is field
+        assert cache.initial_field(system, config) is field
+        assert cache.stats()["initial_fields"] == 1
 
     def test_memo_is_keyed_by_condition(self):
-        config = SimulationConfig(duration=0.5, nx=8, ny=8)
-        system = system_for(config)
-        model = power_model_for(config, system)
-        top = system.pump.n_settings - 1
-        base = system.initial_temperatures(model, 0.5, setting_index=top)
-        assert system.initial_temperatures(model, 0.5, setting_index=top) is base
-        other_util = system.initial_temperatures(model, 0.7, setting_index=top)
-        other_setting = system.initial_temperatures(model, 0.5, setting_index=0)
+        """Variable and maximum flow start from the same setting and
+        share a field; another utilization or air cooling gets its own."""
+        cache = CharacterizationCache()
+        var = SimulationConfig(duration=0.5, nx=8, ny=8)
+        system = system_for(var)
+        base = cache.initial_field(system, var)
+        fixed = dataclasses.replace(var, cooling=CoolingMode.LIQUID_MAX)
+        assert cache.initial_field(system_for(fixed), fixed) is base
+        gzip = dataclasses.replace(var, benchmark_name="gzip")
+        other_util = cache.initial_field(system_for(gzip), gzip)
+        air = dataclasses.replace(var, cooling=CoolingMode.AIR)
+        other_setting = cache.initial_field(system_for(air), air)
         assert not np.array_equal(base, other_util)
         assert not np.array_equal(base, other_setting)
+        assert cache.stats()["initial_fields"] == 3
+        # The target and guard shape the flow table, not the field.
+        hot = dataclasses.replace(
+            var, target_temperature=var.target_temperature + 5.0,
+            characterization_guard=var.characterization_guard + 0.5,
+        )
+        assert cache.initial_field(system_for(hot), hot) is base
+        model = power_model_for(var, system)
         np.testing.assert_array_equal(
-            base, system.steady_temperatures(model, 0.5, setting_index=top)
+            base,
+            system.steady_temperatures(
+                model, var.spec.utilization, setting_index=system.start_setting
+            ),
         )
 
-    def test_memo_is_keyed_by_model_value(self):
+    def test_memo_is_keyed_by_model_value(self, monkeypatch):
         """Separately built equal models share one field; a model with
         another idle power gets its own."""
-        system = system_for(SimulationConfig(duration=0.5, nx=8, ny=8))
-        top = system.pump.n_settings - 1
-        base = system.initial_temperatures(PowerModel(system.stack), 0.5, top)
-        assert system.initial_temperatures(PowerModel(system.stack), 0.5, top) is base
+        from repro.sim import cache as cache_module
+
+        config = SimulationConfig(duration=0.5, nx=8, ny=8)
+        system = system_for(config)
+        top = system.start_setting
+        util = config.spec.utilization
+        cache = CharacterizationCache()
+        params = {}  # each call builds a new model of these parameters
+        monkeypatch.setattr(
+            cache_module, "power_model_for", lambda c, s: PowerModel(s.stack, **params)
+        )
+        base = cache.initial_field(system, config)
+        assert cache.initial_field(system, config) is base
+        params["idle_power"] = 1.5
+        other = cache.initial_field(system, config)
+        assert cache.initial_field(system, config) is other
         idle = PowerModel(system.stack, idle_power=1.5)
-        other = system.initial_temperatures(idle, 0.5, top)
-        assert system.initial_temperatures(idle, 0.5, top) is other
+        assert other is not base
         assert not np.array_equal(base, other)
         np.testing.assert_array_equal(
-            other, system.steady_temperatures(idle, 0.5, setting_index=top)
+            other, system.steady_temperatures(idle, util, setting_index=top)
         )
 
     def test_warm_campaign_runs_no_steady_solves(self):
@@ -252,8 +278,83 @@ class TestInitialFieldMemo:
         warm = steady_solves(lambda: list(BatchRunner(configs, cache=cache).iter_runs()))
         assert warm == 0
 
+    def test_pool_workers_receive_the_warmed_fields(self):
+        """The warmed cache pickles its initial fields to pool workers:
+        an exact 4-inlet TALB sweep on two workers is byte-identical to
+        serial, and no worker computes a field."""
+        configs = [
+            SimulationConfig(
+                policy="TALB", cooling=CoolingMode.LIQUID_VARIABLE, nx=12, ny=12,
+                duration=0.5,
+                thermal_params=ThermalParams(inlet_temperature=t),
+            )
+            for t in (45.0, 55.0, 65.0, 75.0)
+        ]
+        clear_system_memo()
+        serial = [
+            run.result
+            for run in BatchRunner(configs, cache=CharacterizationCache()).iter_runs()
+        ]
+        clear_system_memo()
+        cache = CharacterizationCache().warm(configs)
+        assert cache.stats()["initial_fields"] == len(configs)
+        # Workers get the cache less its fields; each task its own.
+        assert cache.without_fields().stats()["initial_fields"] == 0
+        assert len(cache.fields_for(configs[:2])) == 2
+        shipped = CharacterizationCache()
+        shipped.keep_fields(pickle.loads(pickle.dumps(cache.fields_for(configs[:1]))))
+        (field,) = shipped.initial_fields.values()
+        assert not field.flags.writeable
+        counts = Counters()
+        pooled = [
+            run.result
+            for run in BatchRunner(configs, max_workers=2, cache=cache).iter_runs()
+        ]
+        assert counts.delta("cache.characterization.misses{kind=init}") == 0
+        assert counts.delta("cache.characterization.hits{kind=init}") == len(configs)
+        for a, b in zip(serial, pooled):
+            assert_results_identical(a, b)
+        clear_system_memo()
+
+
+    def test_fields_past_the_budget_are_evicted(self, monkeypatch):
+        """The cache holds initial fields up to a byte budget, least
+        recently used out; a warm-up after an eviction solves the
+        evicted field again instead of trusting its earlier cover."""
+        from repro.sim import cache as cache_module
+
+        configs = [
+            SimulationConfig(
+                policy="RR", cooling=CoolingMode.LIQUID_MAX, nx=8, ny=8, duration=0.3,
+                thermal_params=ThermalParams(inlet_temperature=t),
+            )
+            for t in (45.0, 55.0, 65.0)
+        ]
+        cache = CharacterizationCache()
+        first = cache.initial_field(system_for(configs[0]), configs[0])
+        monkeypatch.setattr(cache_module, "_INITIAL_FIELD_BYTES", 2 * first.nbytes)
+        cache.warm(configs)
+        assert cache.stats()["initial_fields"] == 2
+        assert all(field is not first for field in cache.initial_fields.values())
+        counts = Counters()
+        cache.warm(configs)
+        assert counts.delta("cache.characterization.misses{kind=init}") > 0
+        assert cache.stats()["initial_fields"] == 2
+
 
 class TestCohortByteIdentity:
+    def test_krylov_cohort_equals_fresh(self):
+        """Krylov TALB fields solve on the exact LU, RR fields by GMRES:
+        on one system each config reads its own, warmed or cold."""
+        configs = [
+            SimulationConfig(policy=policy, solver="krylov", nx=12, ny=12, duration=0.4)
+            for policy in ("TALB", "RR")
+        ]
+        reference = fresh_reference(configs)
+        runs = list(BatchRunner(configs, cache=CharacterizationCache()).iter_runs())
+        for expected, run in zip(reference, runs):
+            assert_results_identical(expected, run.result)
+
     def test_exact_cohort_equals_serial(self):
         configs = policy_seed_configs(6)
         reference = fresh_reference(configs)

@@ -17,7 +17,6 @@ from repro.sim.cache import (
 from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.system import ThermalSystem
-from repro.sweep import SweepRunner, SweepSpec
 from repro.thermal.rc_network import ThermalParams
 from repro.thermal.solver import clear_neighbor_cache
 
@@ -139,16 +138,15 @@ class TestWarmResidency:
         LU, and the runs' initial fields need none: one steady and one
         time-step LU."""
         clear_system_memo()
-        spec = SweepSpec(
-            base=SimulationConfig(
+        configs = [
+            SimulationConfig(
                 benchmark_name="Web-med", policy="TALB", cooling=cooling,
-                nx=16, ny=16, duration=1.0,
-            ),
-            grid={"seed": [0, 1]},
-            name="fixed-cooling-talb",
-        )
+                nx=16, ny=16, duration=1.0, seed=seed,
+            )
+            for seed in (0, 1)
+        ]
         counts = Counters()
-        SweepRunner(spec).run()
+        list(BatchRunner(configs, cache=CharacterizationCache()).iter_runs())
         assert counts.factorizations() == 2
 
     def test_artifacts_match_a_cold_derivation(self):

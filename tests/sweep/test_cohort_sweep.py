@@ -4,8 +4,10 @@ sweeps, serial or parallel, and equal to folding full results in the
 parent.
 
 ``TestCohortSerialSmoke`` is the gating CI smoke (mirroring the
-2-worker distributed smoke): a small policy/controller grid through
-the shared path and the fresh reference, byte-compared end to end.
+2-worker distributed smoke): a small policy/controller/benchmark grid
+through the shared path and the fresh reference, byte-compared end to
+end. Its two benchmarks differ in utilization on one system, so a
+cached initial field keyed too coarsely fails it.
 """
 
 import pytest
@@ -52,7 +54,8 @@ def assert_outputs_identical(fresh, shared):
 
 
 class TestCohortSerialSmoke:
-    """The gating CI smoke: policy/controller grid, shared vs fresh."""
+    """The gating CI smoke: policy/controller/benchmark grid, shared
+    vs fresh."""
 
     def test_policy_controller_grid_byte_identical(self, tmp_path):
         spec = SweepSpec(
@@ -60,6 +63,7 @@ class TestCohortSerialSmoke:
             grid={
                 "policy": ["TALB", "RR"],
                 "controller": ["lut", "stepwise"],
+                "benchmark_name": ["Web-med", "gzip"],
             },
             name="cohort-smoke",
         )

@@ -209,12 +209,20 @@ class TestStatusHeartbeat:
 
 class TestHotPathInstrumentation:
     def test_simulation_emits_expected_span_tree(self, tracing):
-        from repro.sim.cache import clear_system_memo
-        from repro.sim.engine import simulate
+        from repro.sim.cache import CharacterizationCache, clear_system_memo, system_for
+        from repro.sim.engine import Simulator
 
+        # A cache holding the flow table and burst floor but no initial
+        # field, whatever ran earlier in the process; LB reads no weights.
+        config = SimulationConfig(duration=1.0, policy="LB")
+        cache = CharacterizationCache()
+        clear_system_memo()
+        cache.table(system_for(config), config)
+        cache.floor(system_for(config), config)
         # Assembly/factorization spans only fire on memo misses.
         clear_system_memo()
-        simulate(SimulationConfig(duration=1.0))
+        trace.clear()
+        Simulator(config, cache=cache).run()
         names = {e["name"] for e in trace.events()}
         assert {"assemble", "factorize", "steady", "step"} <= names
         # One step span per interval, in order; the fresh system's
