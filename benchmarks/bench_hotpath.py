@@ -85,7 +85,7 @@ fixed points, not factorization.
 Schema v11 adds ``krylov_iterations`` and ``krylov_gmres_solves`` to
 ``cross_network``: the krylov campaign's GMRES work, which the
 right-preconditioned kernel pays one neighbor-LU solve per iteration
-for. Informational: ``compare_bench.py`` prints them and never warns.
+for. Informational until schema v17.
 
 Schema v12 adds the unit-response counts to ``inlet_sweep``:
 ``responses`` (``R = U G^-1 S`` blocks solved, one per distinct steady
@@ -129,6 +129,13 @@ after ``CharacterizationCache.warm`` of the cold 4-inlet sweep and after
 its runs. The runs start from the kept start-setting fields, not an LU,
 so warm-up keeps no steady LU resident (gated) and the runs add only
 time-step LUs; neither reading may exceed the baseline's.
+
+Schema v17 changes no field: it marks the ``cross_network`` GMRES
+counters as gated. ``compare_bench.py`` fails when, on the same scipy,
+``krylov_iterations`` or ``krylov_gmres_solves`` exceeds the baseline's.
+The baseline was re-recorded when warm-up began preconditioning a
+krylov design sweep from its medoid's LUs, which cut the campaign's
+GMRES iterations.
 """
 
 from __future__ import annotations
@@ -175,7 +182,7 @@ from repro.thermal.solver import (  # noqa: E402
 
 FLOW = units.ml_per_minute(400.0)
 
-SCHEMA_VERSION = 16
+SCHEMA_VERSION = 17
 
 INLETS = (45.0, 55.0, 65.0, 75.0)
 

@@ -22,7 +22,9 @@ Two kinds of checks, deliberately different in severity:
 * **The algorithmic counters gate.** A warm policy sweep performing
   any LU factorization means kernel sharing broke, and a cross-network
   krylov campaign factorizing as often as it has design points means
-  neighbor-LU preconditioning broke, and a cold inlet-temperature
+  neighbor-LU preconditioning broke, and the same campaign running more
+  GMRES iterations or solves than the baseline on the same scipy means
+  its preconditioners got worse, and a cold inlet-temperature
   sweep factorizing more often than a single inlet (or factorizing any
   matrix twice) means the content-addressed LU store broke, and the
   same sweep solving more unit-response ``R`` blocks than a single
@@ -44,9 +46,10 @@ note) section is a note, not an error. The current payload must carry
 ``warm_sweep.warm_refactorizations``: without it the warm gate fails.
 The ``lu_nnz`` section (schema v9, transient LU fill per grid) is
 printed for the trajectory only; a pre-v9 baseline without it is a
-note. So are the ``cross_network`` GMRES counters (schema v11,
-``krylov_iterations`` and ``krylov_gmres_solves``); a pre-v11 baseline
-prints ``-`` for them. A current payload of schema v12 or later must
+note. The ``cross_network`` GMRES counters (schema v11,
+``krylov_iterations`` and ``krylov_gmres_solves``) gate: on the same
+scipy neither may exceed the baseline's, and a payload without them on
+either side is a note. A current payload of schema v12 or later must
 carry ``inlet_sweep.responses``, one of schema v13 or later
 ``inlet_sweep.assemblies``, and one of schema v16 or later the
 ``inlet_sweep`` residency readings; an older one without them is a
@@ -69,11 +72,13 @@ REGRESSION_THRESHOLD = 0.20
 INFORMATIONAL_RESULTS = frozenset({"control_interval_arma_32x32"})
 
 #: ``cross_network`` readings printed for the trajectory, never warned
-#: on: the GMRES work, and each tier's own time, so a change to one tier
-#: is not read only through the other's noise in ``krylov_speedup``.
-CROSS_NETWORK_INFORMATIONAL = (
-    "krylov_iterations", "krylov_gmres_solves", "exact_s", "krylov_s"
-)
+#: on: each tier's own time, so a change to one tier is not read only
+#: through the other's noise in ``krylov_speedup``.
+CROSS_NETWORK_INFORMATIONAL = ("exact_s", "krylov_s")
+
+#: ``cross_network`` GMRES work (schema v11), gated against the baseline
+#: on the same scipy: neither count may rise.
+CROSS_NETWORK_GMRES = ("krylov_iterations", "krylov_gmres_solves")
 
 #: First schema whose ``inlet_sweep`` must carry the unit-response counts.
 RESPONSES_SCHEMA = 12
@@ -146,16 +151,46 @@ def _compare_cross_network(cur: dict | None, base: dict | None) -> int:
         if c < b * (1.0 - REGRESSION_THRESHOLD):
             warnings += 1
             _warn(f"{key}: {c:.2f} vs baseline {b:.2f}")
-    # GMRES work (schema v11) and the tiers' times: printed for the
-    # trajectory, never warned on; a baseline without one shows "-".
+    # The tiers' times: printed for the trajectory, never warned on; a
+    # baseline without one shows "-".
     for key in CROSS_NETWORK_INFORMATIONAL:
         if key in cur:
-            b, c = base.get(key, "-"), cur[key]
-            if isinstance(c, float):
-                b = b if isinstance(b, str) else f"{b:.3f}"
-                c = f"{c:.3f}"
-            print(f"{key:32s} {b:>9}   {c:>9}  (informational)")
+            b = base.get(key)
+            shown = "-" if b is None else f"{b:.3f}"
+            print(f"{key:32s} {shown:>9}   {cur[key]:9.3f}  (informational)")
     return warnings
+
+
+def _gate_gmres_work(cur: dict | None, base: dict | None, same_superlu: bool) -> int:
+    """The GMRES-work gate; returns the failure count.
+
+    The cross-network krylov campaign may run no more GMRES iterations
+    and no more GMRES solves than the baseline's, when both payloads ran
+    the same scipy (its SuperLU sets the preconditioner's roundoff, so
+    another version may take an iteration more or less). A count
+    missing on either side (a pre-v11 payload) is a note.
+    """
+    if not cur:
+        return 0
+    base = base or {}
+    failures = 0
+    for key in CROSS_NETWORK_GMRES:
+        c, b = cur.get(key), base.get(key)
+        if c is None or b is None:
+            print(f"({key}: not on both sides, not gated)")
+        elif not same_superlu:
+            print(f"{key:32s} {b:9d}   {c:9d}  (scipy differs from the baseline's, not gated)")
+        elif c > b:
+            failures += 1
+            print(
+                f"::error title=perf gate::cross-network krylov campaign ran"
+                f" {key} {c}, above the baseline's {b} (a worse"
+                " preconditioner, or one chosen farther from the points it"
+                " serves)"
+            )
+        else:
+            print(f"{key:32s} {b:9d}   {c:9d}  (gate: ok, <= baseline)")
+    return failures
 
 
 def _compare_facility(cur: dict | None, base: dict | None) -> int:
@@ -482,6 +517,13 @@ def compare(current: dict, baseline: dict) -> int:
                 f"  (gate: ok, < {n_points} design points)"
             )
 
+    same_superlu = (
+        current.get("environment", {}).get("scipy")
+        == baseline.get("environment", {}).get("scipy")
+    )
+    failures += _gate_gmres_work(
+        current.get("cross_network"), baseline.get("cross_network"), same_superlu
+    )
     failures += _gate_inlet_sweep(
         current.get("inlet_sweep"), current.get("schema_version", 0)
     )
@@ -489,8 +531,7 @@ def compare(current: dict, baseline: dict) -> int:
         current.get("inlet_sweep"),
         baseline.get("inlet_sweep"),
         current.get("schema_version", 0),
-        current.get("environment", {}).get("scipy")
-        == baseline.get("environment", {}).get("scipy"),
+        same_superlu,
     )
 
     print(

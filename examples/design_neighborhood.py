@@ -3,9 +3,10 @@
 A thermal design-space sweep changes the *network* at every point —
 different resistance scaling, conductivity, geometry — so sharing one
 network's LUs across runs cannot help and the exact tier pays a fresh
-sparse LU per design point. ``solver="krylov"`` factorizes the first point it
-meets and steps every neighboring point with preconditioned GMRES off
-the nearest retained LU, agreeing with exact within
+sparse LU per design point. ``solver="krylov"`` factorizes the sweep's
+centre point (its medoid, in warm-up) and steps every neighboring point
+with preconditioned GMRES off the nearest retained LU, agreeing with
+exact within
 ``KRYLOV_TEMPERATURE_TOLERANCE`` (falling back to a fresh LU if a
 solve ever misses that bar).
 

@@ -43,15 +43,18 @@ from repro.sched.weights import ThermalWeights
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.telemetry import metrics as _metrics
 from repro.thermal.rc_network import clear_operator_store
-from repro.thermal.solver import SteadyStateSolver, clear_lu_store
+from repro.thermal.solver import SteadyStateSolver, clear_lu_store, medoid
 from repro.workload.generator import ThreadTrace
 
 _CHAR_HITS = _metrics.counter("cache.characterization.hits")
 _CHAR_MISSES = _metrics.counter("cache.characterization.misses")
 """Characterization-cache traffic, labeled by artifact kind
-(``kind=table|floor|weights|init|trace``) — the telemetry view of
-whether a campaign's workers received finished artifacts or re-derived
-them."""
+(``kind=table|floor|weights|init|trace|preconditioner``) — the telemetry
+view of whether a campaign's workers received finished artifacts or
+re-derived them. ``kind=preconditioner`` counts warm-up's seeding of a
+krylov design sweep's medoid LU (:meth:`CharacterizationCache.warm`): a
+miss when warm-up factorizes it, a hit when the preconditioner pool
+already held that point."""
 
 _SYSTEM_HITS = _metrics.counter("cache.system.hits")
 _SYSTEM_MISSES = _metrics.counter("cache.system.misses")
@@ -475,7 +478,12 @@ class CharacterizationCache:
         six direct solves. Any other krylov config solves its field by
         GMRES in its first run. A warm-up that evicts a field (past
         :data:`_INITIAL_FIELD_BYTES`) leaves its runs to recompute it.
+        Last, once every steady LU of warm-up is released, each krylov
+        design sweep's medoid is factorized into the preconditioner pool
+        (:meth:`_seed_preconditioners`), so no run of the sweep
+        factorizes.
         """
+        configs = list(configs)
         systems: dict[tuple, "ThermalSystem"] = {}
         exact: dict[tuple, list[SimulationConfig]] = {}
         warmed: set[tuple] = set()
@@ -504,10 +512,57 @@ class CharacterizationCache:
         self._warm_settings(
             [(systems[sys_id], group) for sys_id, group in exact.items()]
         )
+        self._seed_preconditioners(configs, systems)
         self._warmed |= warmed
         if self._evictions != evictions:
             self._forget_warmed_fields()
         return self
+
+    def _seed_preconditioners(
+        self, configs: list[SimulationConfig], systems: dict[tuple, "ThermalSystem"]
+    ) -> None:
+        """Factorize each krylov design sweep's medoid into the
+        preconditioner pool, after the last steady LU of warm-up is gone.
+
+        Krylov configs are grouped by pool structure
+        (:func:`repro.runner.batch.structural_signature`: everything but
+        the thermal-parameter values, the sampling interval ``dt``
+        included, and the cooling kind that fixes the start setting).
+        Each group's medoid (:func:`~repro.thermal.solver.medoid`) gets
+        its start setting's time-step LU, and, for the configs whose runs
+        solve their initial field by GMRES (those without TALB weights),
+        its steady ``G``'s LU too, on the system warm-up built for it
+        (:meth:`~repro.sim.system.ThermalSystem.seed_preconditioner`). A
+        lone design point is not seeded. Each seeding is recorded in
+        ``_warmed``, so a later warm-up of the same sweep builds no
+        system and factorizes nothing (if the pool dropped the seed
+        since, the first run factorizes its own LU, as unwarmed runs do).
+        """
+        from repro.runner.batch import structural_signature
+
+        groups: dict[tuple, list[SimulationConfig]] = {}
+        for config in configs:
+            if config.solver == "exact":
+                continue
+            signature = structural_signature(config)
+            groups.setdefault(signature + ("dt",), []).append(config)
+            if not _uses_weights(config):
+                groups.setdefault(signature + ("steady",), []).append(config)
+        for key, members in groups.items():
+            centre = medoid([c.thermal_params for c in members])
+            if centre is None:
+                continue
+            config = members[centre]
+            item = ("seed", key, config.thermal_params)
+            if item in self._warmed:
+                continue
+            system = systems.get(_system_memo_key(config)) or system_for(config)
+            dt = config.sampling_interval if key[-1] == "dt" else None
+            if system.seed_preconditioner(dt):
+                _CHAR_MISSES.inc(kind="preconditioner")
+            else:
+                _CHAR_HITS.inc(kind="preconditioner")
+            self._warmed.add(item)
 
     @staticmethod
     def _caches_trace(config: SimulationConfig) -> bool:

@@ -58,6 +58,7 @@ from repro.thermal.solver import (
     KrylovTransientSolver,
     SteadyStateSolver,
     TransientSolver,
+    seed_preconditioner,
     structure_signature,
 )
 
@@ -228,8 +229,27 @@ class ThermalSystem:
         network = self.network(setting_index)
         if self.solver == "exact":
             return exact(network, *args)
-        structure = structure_signature(network) + (setting_index,) + tail
+        structure = self._pool_structure(setting_index, tail)
         return krylov(network, *args, params=self.params, structure=structure)
+
+    def _pool_structure(self, setting_index: int, tail: tuple) -> tuple:
+        """The preconditioner-pool key of a krylov solver on a setting's
+        network (see :meth:`_solver`)."""
+        return structure_signature(self.network(setting_index)) + (setting_index,) + tail
+
+    def seed_preconditioner(self, dt: Optional[float] = None) -> bool:
+        """Retain this krylov system's LU of its start setting's
+        time-step matrix at ``dt`` (the steady ``G`` when ``dt`` is
+        None) in the preconditioner pool, under the key its own solvers
+        look up (:func:`~repro.thermal.solver.seed_preconditioner`).
+        Warm-up seeds a design sweep's medoid this way. Returns whether
+        it factorized (``False``: the pool already held this operator).
+        """
+        setting = self.start_setting
+        tail = ("steady",) if dt is None else ("dt", dt)
+        return seed_preconditioner(
+            self.network(setting), self.params, self._pool_structure(setting, tail), dt
+        )
 
     # --- steady-state evaluation ---------------------------------------------
 

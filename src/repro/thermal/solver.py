@@ -23,7 +23,11 @@ matrix. There are two cores behind one interface (``solve_linear``,
   (:func:`_right_gmres`) with the nearest retained neighbor design
   point's LU as the preconditioner, one LU solve and one matvec per
   iteration, stopped on the true residual, verified explicitly, with a
-  direct fallback on an LU of its own matrix.
+  direct fallback on an LU of its own matrix. In a warmed design sweep
+  that neighbor is the sweep's medoid (:func:`medoid`): warm-up
+  factorizes the centre point's start-setting LU into the pool
+  (:func:`seed_preconditioner`), so no run factorizes and no point is
+  farther than half the sweep from its preconditioner.
 
 :class:`KrylovSteadySolver` and :class:`KrylovTransientSolver` differ
 from :class:`SteadyStateSolver` and :class:`TransientSolver` only in the
@@ -57,8 +61,7 @@ import math
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import fields as dataclass_fields
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,7 +70,12 @@ import scipy.sparse.linalg as spla
 from repro.errors import SolverError
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
-from repro.thermal.rc_network import KeyedMatrix, RCNetwork, ThermalParams
+from repro.thermal.rc_network import (
+    _OPERATOR_PARAM_FIELDS,
+    KeyedMatrix,
+    RCNetwork,
+    ThermalParams,
+)
 
 _FACTORIZATIONS = _metrics.counter("solver.factorizations")
 """Monotonic count of sparse LU factorizations this process has
@@ -549,20 +557,20 @@ def structure_signature(network: RCNetwork) -> tuple:
     return (csr.shape[0], int(csr.nnz), digest.hexdigest()[:16])
 
 
-_PARAM_FIELDS = tuple(f.name for f in dataclass_fields(ThermalParams))
-
-
 def _params_vector(params: ThermalParams) -> np.ndarray:
-    """The swept thermal parameters as a float vector (distance space)."""
-    return np.array([float(getattr(params, name)) for name in _PARAM_FIELDS])
+    """The thermal parameters that reach ``G`` and ``C`` as a float
+    vector (distance space): every field but the inlet temperature,
+    which moves only the boundary vector, so design points that differ
+    only in inlet share one matrix and sit at distance 0.0."""
+    return np.array([float(getattr(params, name)) for name in _OPERATOR_PARAM_FIELDS])
 
 
 def params_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Scalar distance between two thermal-parameter vectors.
 
     Sum of symmetric relative per-field differences — scale-free, so a
-    1% change in ``resistance_scale`` and a 1% change in
-    ``inlet_temperature`` count the same, and identical params are at
+    1% change in ``resistance_scale`` and a 1% change in any other
+    operator parameter count the same, and identical operators are at
     distance exactly 0.0.
     """
     num = np.abs(a - b)
@@ -582,11 +590,22 @@ class NeighborFactorCache:
     assembled from. :meth:`nearest` returns the retained LU with the
     same structure whose parameter vector minimizes
     :func:`params_distance` — the preconditioner a Krylov solver steps
-    with. Distance 0.0 means identical params, hence the identical
-    design point, whose LU solves directly with no iteration at all.
+    with. Distance 0.0 means an identical operator (the same design
+    point, or one that differs only in inlet), whose LU solves directly
+    with no iteration at all.
     Thread-safe; least recently used entries evict beyond ``capacity``
     (each retained LU at 64x64 is tens of MB, so the pool must stay
     small).
+
+    Which LU a sweep preconditions from: a warmed sweep's
+    (:meth:`repro.sim.cache.CharacterizationCache.warm`) is its medoid's
+    (:func:`medoid`), seeded by warm-up (:func:`seed_preconditioner`) for
+    the start setting's time step, and for the steady ``G`` where the
+    runs solve their initial field by GMRES. So the centre point solves
+    direct, every other point is at most half the sweep away, and the
+    choice does not depend on which point runs first. Anything else
+    (another setting, an unwarmed run) finds what earlier solvers
+    retained, and the first point of a structure factorizes its own.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -649,6 +668,46 @@ go; retained LUs outlive them)."""
 def clear_neighbor_cache() -> None:
     """Drop every retained preconditioner LU (frees their memory)."""
     _neighbor_cache.clear()
+
+
+def medoid(points: Sequence[ThermalParams]) -> Optional[int]:
+    """Index of a design sweep's centre: among the distinct operators
+    of ``points`` (each counted once, at its first index), the one with
+    the least summed :func:`params_distance` to the others, the first
+    submitted on ties. ``None`` when fewer than two operators differ:
+    a lone design point has no neighbors to precondition."""
+    firsts: dict[tuple, int] = {}
+    for i, params in enumerate(points):
+        firsts.setdefault(tuple(_params_vector(params)), i)
+    if len(firsts) < 2:
+        return None
+    vectors = [np.array(vec) for vec in firsts]
+    sums = [sum(params_distance(a, b) for b in vectors) for a in vectors]
+    return list(firsts.values())[sums.index(min(sums))]
+
+
+def seed_preconditioner(
+    network: RCNetwork,
+    params: ThermalParams,
+    structure: tuple,
+    dt: Optional[float] = None,
+) -> bool:
+    """Retain an LU of a design point's time-step matrix ``C/dt + G``
+    (its steady ``G`` when ``dt`` is None) in the process-wide
+    preconditioner pool under ``structure`` before any solver of that
+    point is built, so the point's own runs solve direct and its
+    neighbors' runs find it as their nearest preconditioner instead of
+    factorizing. Returns whether it factorized: ``False`` when the pool
+    already holds that operator (that entry is refreshed instead)."""
+    near = _neighbor_cache.nearest(structure, _params_vector(params))
+    if near is not None and near[1] == 0.0:
+        return False
+    if dt is None:
+        matrix = network.operator.steady_matrix()
+    else:
+        matrix = _step_matrix(network, dt)[1]
+    _neighbor_cache.retain(structure, params, factorize(matrix, "krylov"))
+    return True
 
 
 def _right_gmres(matrix, rhs, x0, psolve, tol, max_iterations):
@@ -734,8 +793,9 @@ class _KrylovCore:
     an explicit residual, not trusted from the iteration), or an LU of
     its own matrix produced it. The ``gmres`` span records ``iterations`` and the
     verified relative ``residual``. A neighbor at distance 0.0
-    is this very design point (canonical assembly makes its matrix
-    bit-identical), so its LU solves direct. The first design point of
+    has this very operator (canonical assembly makes its matrix
+    bit-identical; the inlet is not in it), so its LU solves direct,
+    as a warmed sweep's seeded medoid does. The first design point of
     a structure (no retained neighbor) and any stalled iteration solve
     on an LU of their own matrix — the exact tier's if it is resident,
     else an unpivoted one (:func:`factorize`) — so krylov mode is never

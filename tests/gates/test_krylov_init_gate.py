@@ -7,11 +7,13 @@ in the characterization cache. A warmed 4-point LIQUID_MAX TALB
 ``resistance_scale`` sweep (16x16, 0.5 s, from an empty system memo,
 LU store and neighbor pool) then runs on exactly:
 
-- 1 LU: the first point's time-step LU (the first run's steady field
-  used to add its krylov core's own LU of ``G``);
-- 15 GMRES solves: the time steps of points 2-4, five each (their
-  initial fields used to add six each);
-- 5 direct solves: the first point's time steps on its own LU (its
+- 0 LUs: warm-up already factorized the one time-step LU the sweep
+  steps on, its medoid's (the third point's), into the preconditioner
+  pool (the first run used to factorize its own, and before that its
+  steady field added its krylov core's own LU of ``G``);
+- 15 GMRES solves: the time steps of the other three points, five each
+  (their initial fields used to add six each);
+- 5 direct solves: the medoid's time steps on its seeded LU (its
   initial field used to add six);
 
 and builds no ``KrylovSteadySolver``. Read through the
@@ -55,7 +57,7 @@ def test_warmed_krylov_talb_runs_solve_no_initial_field(monkeypatch):
     monkeypatch.undo()
     clear_system_memo()
     clear_neighbor_cache()
-    assert factorizations == 1
+    assert factorizations == 0
     assert krylov["gmres_solves"] == 15
     assert krylov["direct_solves"] == 5
     assert krylov["fallbacks"] == 0

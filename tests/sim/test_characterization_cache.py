@@ -207,6 +207,50 @@ class TestWarmResidency:
         clear_system_memo()
 
 
+class TestPreconditionerSeeding:
+    """Warm-up seeds each krylov design sweep's medoid into the
+    preconditioner pool: its time-step LU, and its steady ``G``'s for
+    configs that solve their initial field by GMRES (no TALB weights)."""
+
+    @staticmethod
+    def _sweep(**param_axis):
+        (name, values), = param_axis.items()
+        return [
+            SimulationConfig(
+                policy="RR", cooling=CoolingMode.LIQUID_MAX, solver="krylov",
+                nx=8, ny=8, duration=0.2,
+                thermal_params=ThermalParams(**{name: value}),
+            )
+            for value in values
+        ]
+
+    def test_a_held_medoid_is_a_hit(self):
+        clear_system_memo()
+        clear_neighbor_cache()
+        configs = self._sweep(resistance_scale=(3.5, 3.6, 3.7))
+        first = Counters()
+        CharacterizationCache().warm(configs)
+        assert first.delta("cache.characterization.misses{kind=preconditioner}") == 2
+        assert first.factorizations() == 2
+        again = Counters()
+        CharacterizationCache().warm(configs)
+        assert again.delta("cache.characterization.hits{kind=preconditioner}") == 2
+        assert again.delta("cache.characterization.misses{kind=preconditioner}") == 0
+        assert again.factorizations() == 0
+        clear_neighbor_cache()
+        clear_system_memo()
+
+    def test_a_lone_design_point_is_not_seeded(self):
+        clear_system_memo()
+        clear_neighbor_cache()
+        counts = Counters()
+        CharacterizationCache().warm(self._sweep(inlet_temperature=(45.0, 55.0)))
+        assert counts.delta("cache.characterization.misses{kind=preconditioner}") == 0
+        assert counts.delta("cache.characterization.hits{kind=preconditioner}") == 0
+        assert counts.factorizations() == 0
+        clear_system_memo()
+
+
 class TestEngineDelegation:
     def test_module_helpers_share_the_default_cache(self):
         """Direct callers and simulators built without a cache share

@@ -115,6 +115,30 @@ class TestKrylovVariableFlow:
         np.testing.assert_array_equal(exact.flow_setting, krylov.flow_setting)
 
 
+class TestInletNeighbors:
+    def test_inlet_sweep_solves_direct(self):
+        # Inlets share G and C, so the second and third inlets find the
+        # first's LUs at distance 0.0 and never iterate.
+        clear_system_memo()
+        clear_neighbor_cache()
+        configs = [
+            SimulationConfig(
+                policy="RR", cooling=CoolingMode.LIQUID_MAX, solver="krylov",
+                nx=16, ny=16, duration=0.5,
+                thermal_params=ThermalParams(inlet_temperature=inlet),
+            )
+            for inlet in (45.0, 55.0, 65.0)
+        ]
+        counts = Counters()
+        list(BatchRunner(configs, cache=CharacterizationCache()).iter_runs())
+        krylov = counts.krylov()
+        clear_system_memo()
+        clear_neighbor_cache()
+        assert krylov["gmres_solves"] == 0
+        assert krylov["direct_solves"] == 3 * (6 + 5)
+        assert counts.factorizations() == 2
+
+
 class TestSolverModeSelection:
     def test_config_validates_solver(self):
         with pytest.raises(ConfigurationError):

@@ -370,6 +370,34 @@ class TestKrylovTelemetry:
         for e in spans:
             assert 0.0 <= e["attrs"]["residual"] <= KRYLOV_TOLERANCE
 
+    def test_seeding_shows_in_the_trace_summary(self, tmp_path, capsys, tracing):
+        """Warm-up's seeding of a krylov design sweep's medoid is
+        characterization-cache traffic, ``kind=preconditioner``, in the
+        metrics snapshot ``repro telemetry summary`` prints (the
+        ``tracing`` fixture turns off the tracing ``--trace`` turns on)."""
+        import json
+
+        from repro.cli import main
+        from repro.sim.cache import clear_system_memo
+        from repro.thermal.solver import clear_neighbor_cache
+
+        clear_system_memo()
+        clear_neighbor_cache()
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "krylov-seed",
+            "base": {"duration": 0.3, "nx": 8, "ny": 8, "solver": "krylov",
+                     "policy": "TALB", "cooling": "Max"},
+            "grid": {"thermal_params.resistance_scale": [3.0, 3.1, 3.2]},
+        }))
+        path = tmp_path / "trace.jsonl"
+        assert main(["sweep", "run", "--spec", str(spec), "--quiet", "--trace", str(path)]) == 0
+        clear_neighbor_cache()
+        capsys.readouterr()
+        assert main(["telemetry", "summary", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "cache.characterization.misses{kind=preconditioner}" in out
+
 
 class TestForecasterTelemetry:
     """``control.forecast.*``: one innovations pass per observed sample

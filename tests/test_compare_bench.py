@@ -6,7 +6,8 @@ payload, and a baseline from before schema v8 (a ``cohort`` section
 instead of ``warm_sweep``) is read without error. The schema v9
 ``lu_nnz`` fill section is printed only, and a v8 baseline without it
 is read without error. The schema v11 ``cross_network`` GMRES counters
-are printed only, against a baseline with or without them. From schema
+gate: on the same scipy neither may exceed the baseline's, and a
+baseline without them is a note. From schema
 v12 the inlet sweep must solve as many unit-response ``R`` blocks as a
 single inlet; an older payload without the counts is a note. From
 schema v13 it must assemble as many networks as a single inlet, with
@@ -117,18 +118,45 @@ def with_cross_network(base, **gmres):
     }
 
 
+def on_scipy(base, version):
+    """``base`` as recorded on scipy ``version``."""
+    return {**base, "environment": {"scipy": version}}
+
+
 class TestCrossNetworkGmresCounters:
-    def test_more_iterations_are_printed_but_never_warn(self, capsys):
+    BASELINE = with_cross_network(
+        payload(), krylov_iterations=520, krylov_gmres_solves=120
+    )
+
+    def test_as_much_or_less_gmres_work_passes(self, capsys):
+        current = with_cross_network(
+            payload(), krylov_iterations=470, krylov_gmres_solves=120
+        )
+        assert compare_bench.compare(current, self.BASELINE) == 0
+        out = capsys.readouterr().out
+        assert "krylov_iterations" in out and "470" in out
+        assert out.count("(gate: ok, <= baseline)") == 2
+
+    @pytest.mark.parametrize(
+        "key, value", [("krylov_iterations", 521), ("krylov_gmres_solves", 121)]
+    )
+    def test_more_gmres_work_fails_on_the_same_scipy(self, key, value, capsys):
+        current = with_cross_network(
+            payload(), **{"krylov_iterations": 520, "krylov_gmres_solves": 120, key: value}
+        )
+        assert compare_bench.compare(current, self.BASELINE) == 1
+        out = capsys.readouterr().out
+        assert f"::error title=perf gate::cross-network krylov campaign ran {key} {value}" in out
+
+    def test_more_gmres_work_is_not_gated_across_scipy_versions(self, capsys):
         current = with_cross_network(
             payload(), krylov_iterations=9000, krylov_gmres_solves=900
         )
-        baseline = with_cross_network(
-            payload(), krylov_iterations=3000, krylov_gmres_solves=900
-        )
-        assert compare_bench.compare(current, baseline) == 0
+        baseline = on_scipy(self.BASELINE, "1.17.1")
+        assert compare_bench.compare(on_scipy(current, "1.18.0"), baseline) == 0
         out = capsys.readouterr().out
         assert "krylov_iterations" in out and "9000" in out
-        assert "krylov_gmres_solves" in out
+        assert "scipy differs" in out
         assert "::warning" not in out
 
     def test_both_tiers_times_are_printed_but_never_warn(self, capsys):
@@ -146,7 +174,7 @@ class TestCrossNetworkGmresCounters:
         )
         assert compare_bench.compare(current, with_cross_network(payload())) == 0
         out = capsys.readouterr().out
-        assert "krylov_iterations" in out and "3000" in out
+        assert "(krylov_iterations: not on both sides, not gated)" in out
 
 
 def with_responses(base, responses, single=5, schema=12):

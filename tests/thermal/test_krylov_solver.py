@@ -20,6 +20,7 @@ from repro.thermal.solver import (
     NeighborFactorCache,
     SteadyStateSolver,
     TransientSolver,
+    medoid,
     params_distance,
     structure_signature,
     _params_vector,
@@ -123,9 +124,42 @@ class TestNeighborFactorCache:
         a = _params_vector(ThermalParams())
         assert params_distance(a, a) == 0.0
         b = _params_vector(ThermalParams(resistance_scale=2.0))
-        c = _params_vector(ThermalParams(inlet_temperature=120.0))
         assert params_distance(a, b) > 0.0
-        assert params_distance(a, c) > 0.0
+
+    def test_inlet_only_neighbor_is_at_distance_zero(self, grid):
+        # The inlet moves only the boundary vector: an inlet-only
+        # neighbor has the identical matrix, so its LU solves direct.
+        a = _params_vector(ThermalParams())
+        c = _params_vector(ThermalParams(inlet_temperature=120.0))
+        assert params_distance(a, c) == 0.0
+        warm = _network(grid, inlet_temperature=120.0)
+        cold = _network(grid)
+        assert (warm.conductance != cold.conductance).nnz == 0
+
+
+class TestMedoid:
+    def test_centre_of_a_line_sweep(self):
+        points = [ThermalParams(resistance_scale=4.0 + 0.06 * i) for i in range(5)]
+        assert medoid(points) == 2
+
+    def test_tie_goes_to_the_first_submitted(self):
+        points = [ThermalParams(resistance_scale=s) for s in (5.0, 4.0)]
+        assert medoid(points) == 0
+
+    def test_repeated_operators_count_once(self):
+        # Seeds or inlets repeat an operator; the centre is over the
+        # distinct operators, at each one's first index.
+        scales = (4.0, 4.0, 4.0, 4.0, 4.1, 4.2, 4.2)
+        points = [
+            ThermalParams(resistance_scale=s, inlet_temperature=40.0 + i)
+            for i, s in enumerate(scales)
+        ]
+        assert medoid(points) == 4
+
+    def test_lone_operator_has_no_medoid(self):
+        points = [ThermalParams(inlet_temperature=t) for t in (45.0, 55.0, 65.0)]
+        assert medoid(points) is None
+        assert medoid([]) is None
 
 
 class TestKrylovTransient:
